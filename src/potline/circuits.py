@@ -9,7 +9,6 @@ cross-validation of the exact fixpoint solver.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,21 +89,6 @@ def evaluate(c: Circuit, x: Vec) -> Vec:
             v = min(vals[g.args[0]], vals[g.args[1]])
         vals.append(v)
     return [vals[o] for o in c.outputs]
-
-
-def restrict(c: Circuit, slice_coords) -> Circuit:
-    """Fix the given coordinates (None = free).  Fixed inputs become
-    constants; free coordinates keep their original indices, so the result
-    is formally still a d-argument circuit."""
-    if len(slice_coords) != c.d:
-        raise ValueError("slice dimension mismatch")
-    gates = []
-    for g in c.gates:
-        if g.op == "input" and slice_coords[g.args[0]] is not None:
-            gates.append(Gate("const", (Fraction(slice_coords[g.args[0]]),)))
-        else:
-            gates.append(g)
-    return Circuit(c.d, tuple(gates), c.outputs)
 
 
 def measure(c: Circuit) -> dict:
@@ -208,9 +192,7 @@ def circuit_to_json(c: Circuit) -> dict:
     return {"d": c.d, "gates": gates, "outputs": list(c.outputs)}
 
 
-def circuit_from_json(data) -> Circuit:
-    if isinstance(data, str):
-        data = json.loads(data)
+def circuit_from_json(data: dict) -> Circuit:
     gates = []
     for g in data["gates"]:
         op = g["op"]
@@ -229,11 +211,6 @@ def circuit_from_json(data) -> Circuit:
 
 
 # -- convenience builders ---------------------------------------------------
-
-def identity_circuit(d: int) -> Circuit:
-    gates = tuple(Gate("input", (i,)) for i in range(d))
-    return Circuit(d, gates, tuple(range(d)))
-
 
 def affine_circuit(a: Mat, b: Vec) -> Circuit:
     """Circuit for f(x) = A x + b built from scale/add/const gates."""

@@ -1,4 +1,4 @@
-"""Batch command-line front end: generate | reduce | solve | verify | bench.
+"""Batch command-line front end: generate | reduce | solve | verify.
 
 Instances travel as JSON files; every solve emits a machine-readable run
 record whose certificate has already been re-verified.  Violation
@@ -22,12 +22,20 @@ from .rational import frac
 
 BUDGET = int(os.environ.get("POTLINE_BUDGET", str(1 << 16)))
 
-_LOADERS = {
-    "plcp": problems.lcp_from_json,
-    "uso": problems.uso_from_json,
-    "opdc": problems.opdc_from_json,
-    "line": problems.line_from_json,
-    "contraction": problems.contraction_from_json,
+# --kind of `generate` -> (problem kind, builder from the parsed arguments).
+_GENERATORS = {
+    "pmatrixlcp": ("plcp", lambda a: generators.gen_lcp(a.d, a.seed, p_matrix=True)),
+    "nonpmatrixlcp": ("plcp", lambda a: generators.gen_lcp(a.d, a.seed, p_matrix=False)),
+    "uso": ("uso", lambda a: generators.gen_uso(a.d, a.seed, broken=False)),
+    "brokenuso": ("uso", lambda a: generators.gen_uso(a.d, a.seed, broken=True)),
+    "contractioncircuit": (
+        "contraction", lambda a: generators.gen_contraction(a.d, a.seed, p=a.p, contracting=True)),
+    "noncontraction": (
+        "contraction", lambda a: generators.gen_contraction(a.d, a.seed, p=a.p, contracting=False)),
+    "explicitline": (
+        "line", lambda a: generators.gen_line(a.length, a.seed, flavor=a.flavor, two_lines=False)),
+    "multiline": (
+        "line", lambda a: generators.gen_line(a.length, a.seed, flavor=a.flavor, two_lines=True)),
 }
 
 _CHAIN_STEPS = {
@@ -58,7 +66,7 @@ def _digest(data) -> str:
 def _load(path, problem):
     with open(path) as fh:
         data = json.load(fh)
-    return _LOADERS[problem](data), data
+    return problems.KINDS[problem].from_json(data), data
 
 
 def _stage_kind(stage: str) -> str:
@@ -78,25 +86,8 @@ def apply_chain(inst, chain):
 
 
 def cmd_generate(args):
-    kind = args.kind
-    if kind in ("pmatrixlcp", "nonpmatrixlcp"):
-        inst = generators.gen_lcp(args.d, args.seed, p_matrix=kind == "pmatrixlcp")
-        data = problems.lcp_to_json(inst)
-    elif kind in ("uso", "brokenuso"):
-        inst = generators.gen_uso(args.d, args.seed, broken=kind == "brokenuso")
-        data = problems.uso_to_json(inst)
-    elif kind in ("contractioncircuit", "noncontraction"):
-        inst = generators.gen_contraction(
-            args.d, args.seed, p=args.p, contracting=kind == "contractioncircuit"
-        )
-        data = problems.contraction_to_json(inst)
-    elif kind in ("explicitline", "multiline"):
-        inst = generators.gen_line(
-            args.length, args.seed, flavor=args.flavor, two_lines=kind == "multiline"
-        )
-        data = problems.line_to_json(inst)
-    else:
-        raise ValueError(f"unknown kind {kind}")
+    problem, build = _GENERATORS[args.kind]
+    data = problems.KINDS[problem].to_json(build(args))
     out = json.dumps(data, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
@@ -163,12 +154,11 @@ def cmd_solve(args):
     t0 = time.monotonic()
     c, stats = _solve_dispatch(inst, args)
     elapsed = time.monotonic() - t0
-    ok = c is not None and problems.verify(inst, c) if c is not None and c.kind != "SECONDARY_RAY" else True
     record = {
         "command": {k: v for k, v in vars(args).items() if k != "func" and v is not None},
         "instance_digest": _digest(data),
         "certificate": cert_to_json(c) if c is not None else None,
-        "verified": bool(ok),
+        "verified": c is not None and problems.verify(inst, c),
         "counters": {
             "steps": stats.steps,
             "pivots": stats.pivots,
@@ -202,34 +192,12 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def cmd_bench(args):
-    rows = []
-    for seed in range(args.seed, args.seed + args.count):
-        inst = generators.gen_lcp(args.d, seed)
-        stats = solvers.RunStats()
-        t0 = time.monotonic()
-        c = solvers.lemke(inst, stats=stats)
-        rows.append(
-            {
-                "seed": seed,
-                "kind": c.kind,
-                "pivots": stats.pivots,
-                "elapsed": time.monotonic() - t0,
-            }
-        )
-    print(json.dumps({"bench": "lemke", "d": args.d, "runs": rows}, indent=2))
-    return 0
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="potline")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("generate", help="emit a seeded instance as JSON")
-    g.add_argument("--kind", required=True,
-                   choices=["pmatrixlcp", "nonpmatrixlcp", "uso", "brokenuso",
-                            "contractioncircuit", "noncontraction",
-                            "explicitline", "multiline"])
+    g.add_argument("--kind", required=True, choices=list(_GENERATORS))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--d", type=int, default=3)
     g.add_argument("--p", type=int, default=2)
@@ -248,7 +216,7 @@ def build_parser():
 
     s = sub.add_parser("solve", help="run a solver and emit a run record")
     s.add_argument("file")
-    s.add_argument("--problem", required=True, choices=list(_LOADERS))
+    s.add_argument("--problem", required=True, choices=list(problems.KINDS))
     s.add_argument("--algo", required=True,
                    choices=["lemke", "follow", "aldous", "findfp", "approx", "brute"])
     s.add_argument("--seed", type=int, default=0)
@@ -262,14 +230,8 @@ def build_parser():
     v = sub.add_parser("verify", help="check a certificate against an instance")
     v.add_argument("instance")
     v.add_argument("cert")
-    v.add_argument("--problem", required=True, choices=list(_LOADERS))
+    v.add_argument("--problem", required=True, choices=list(problems.KINDS))
     v.set_defaults(func=cmd_verify)
-
-    b = sub.add_parser("bench", help="time Lemke over seeded instances")
-    b.add_argument("--d", type=int, default=4)
-    b.add_argument("--count", type=int, default=10)
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench)
     return ap
 
 

@@ -64,14 +64,6 @@ class LemkeSystem:
             return [Fraction(-(r == var - d)) for r in range(d)]
         return [Fraction(1)] * d
 
-    def var_name(self, var: int) -> str:
-        d = self.d
-        if var < d:
-            return f"y{var}"
-        if var < 2 * d:
-            return f"w{var - d}"
-        return "z"
-
     # -- basic solutions -----------------------------------------------------
     def solve_basis(self, basis) -> dict | None:
         """Values of the basic variables as LexVecs, or None when the basis
@@ -108,7 +100,8 @@ class LemkeSystem:
         return y, w, z
 
     def z_of(self, vals: dict) -> LexVec:
-        return vals.get(self.zvar, LexVec.const(0, self.d))
+        z = vals.get(self.zvar)
+        return z if z is not None else LexVec.const(0, self.d)
 
     def duplicate_label(self, basis) -> int | None:
         for i in range(self.d):
@@ -168,9 +161,6 @@ class LemkeSystem:
         return y, w, z
 
     # -- Lemke start ----------------------------------------------------------
-    def trivial(self) -> bool:
-        return all(qi >= 0 for qi in self.q)
-
     def start_vertex(self):
         """Basis and values at (y, w, z) = (0, q + z0*1, z0)."""
         d = self.d

@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -26,8 +25,6 @@ from typing import Callable, Optional
 from .rational import Mat, Vec, frac, frac_str, lp_pow, mat
 
 UP, DOWN, ZERO = "up", "down", "zero"
-
-FLAVORS = ("endofline", "sinkofdag", "eopl", "ueopl", "eoml", "ufeopl", "ufeoplplus1")
 
 
 class VariantMismatch(ValueError):
@@ -39,8 +36,8 @@ class OffGrid(ValueError):
 
 
 class UnmappableCert(RuntimeError):
-    """A verified target certificate could not be mapped back; indicates a
-    bug in a reduction (or an instance beyond desk-scale fallbacks)."""
+    """A verified target certificate could not be mapped back: a bug in a
+    reduction, or a shape its map-back's case analysis does not cover."""
 
 
 @dataclass(frozen=True)
@@ -73,15 +70,18 @@ def cert(kind: str, **data) -> Certificate:
     return Certificate(kind, data)
 
 
+# Line flavors and their certificate kinds, in the order brute force lists
+# them.  The kinds in LINE_PAIRS name two vertices (x, y), the others one (x).
 LINE_KINDS = {
-    "endofline": {"E1", "E2"},
-    "sinkofdag": {"S1"},
-    "eopl": {"R1", "R2"},
-    "ueopl": {"U1", "UV1", "UV2", "UV3"},
-    "eoml": {"T1", "T2", "T3"},
-    "ufeopl": {"UF1", "UFV1"},
-    "ufeoplplus1": {"UFP1", "UFPV1"},
+    "endofline": ("E1", "E2"),
+    "sinkofdag": ("S1",),
+    "eopl": ("R1", "R2"),
+    "ueopl": ("U1", "UV1", "UV2", "UV3"),
+    "eoml": ("T1", "T2", "T3"),
+    "ufeopl": ("UF1", "UFV1"),
+    "ufeoplplus1": ("UFP1", "UFPV1"),
 }
+LINE_PAIRS = frozenset({"UV3", "UFV1", "UFPV1"})
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ class LineInstance:
     vertex_iter: Optional[Callable[[], "list[int]"]] = None
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
+        if self.flavor not in LINE_KINDS:
             raise ValueError(f"unknown flavor {self.flavor}")
 
     def S(self, x: int) -> int:
@@ -426,57 +426,41 @@ def verify_contraction(inst: ContractionInstance, c: Certificate) -> bool:
 
 
 def explain_rejection(inst, c: Certificate) -> str:
-    """Best-effort reason string for a failing certificate (clause level
-    for the common kinds, generic otherwise)."""
-    try:
-        if isinstance(inst, LcpInstance) and c.kind == "Q1":
-            y = [frac(v) for v in c.y]
-            if len(y) != inst.d:
-                return "dimension mismatch"
-            for i, v in enumerate(y):
-                if v < 0:
-                    return f"nonnegativity y_{i + 1} < 0"
-            w = inst.w_of(y)
-            for i, v in enumerate(w):
-                if v < 0:
-                    return f"feasibility w_{i + 1} < 0"
-            for i in range(inst.d):
-                if y[i] * w[i] != 0:
-                    return f"complementarity y_{i + 1} w_{i + 1} != 0"
-        if isinstance(inst, ContractionInstance) and c.kind == "CM1":
-            x = [frac(v) for v in c.x]
-            if not _in_box(x):
-                return "point outside the unit box"
-            fx = inst.f(x)
-            for i in range(inst.d):
-                if fx[i] != x[i]:
-                    return f"f(x)_{i + 1} != x_{i + 1}"
-        if isinstance(inst, LineInstance) and c.kind in ("UV3", "UFV1"):
-            x, y = c.x, c.y
-            if x == y:
-                return "points coincide"
-            if x == inst.S(x) or y == inst.S(y):
-                return "a point is not a vertex"
-            if inst.V(x) != inst.V(y) and not (inst.V(x) < inst.V(y) < inst.V(inst.S(x))):
-                return "V(y) neither equals V(x) nor lies in (V(x), V(S(x)))"
-    except Exception:
-        pass
+    """Reason string for a certificate its verifier rejected: clause level
+    for Q1, CM1, UV3 and UFV1, generic otherwise."""
+    if c.kind == "Q1":
+        y = [frac(v) for v in c.y]
+        if len(y) != inst.d:
+            return "dimension mismatch"
+        for i, v in enumerate(y):
+            if v < 0:
+                return f"nonnegativity y_{i + 1} < 0"
+        w = inst.w_of(y)
+        for i, v in enumerate(w):
+            if v < 0:
+                return f"feasibility w_{i + 1} < 0"
+        for i in range(inst.d):
+            if y[i] * w[i] != 0:
+                return f"complementarity y_{i + 1} w_{i + 1} != 0"
+    elif c.kind == "CM1":
+        x = [frac(v) for v in c.x]
+        if len(x) != inst.d:
+            return "dimension mismatch"
+        if not _in_box(x):
+            return "point outside the unit box"
+        fx = inst.f(x)
+        for i in range(inst.d):
+            if fx[i] != x[i]:
+                return f"f(x)_{i + 1} != x_{i + 1}"
+    elif c.kind in ("UV3", "UFV1"):
+        x, y = c.x, c.y
+        if x == y:
+            return "points coincide"
+        if x == inst.S(x) or y == inst.S(y):
+            return "a point is not a vertex"
+        if inst.V(x) != inst.V(y) and not (inst.V(x) < inst.V(y) < inst.V(inst.S(x))):
+            return "V(y) neither equals V(x) nor lies in (V(x), V(S(x)))"
     return "certificate conditions do not hold on this instance"
-
-
-def verify(inst, c: Certificate) -> bool:
-    """Dispatch to the matching verifier by instance type."""
-    if isinstance(inst, LineInstance):
-        return verify_line(inst, c)
-    if isinstance(inst, OpdcInstance):
-        return verify_opdc(inst, c)
-    if isinstance(inst, UsoInstance):
-        return verify_uso(inst, c)
-    if isinstance(inst, LcpInstance):
-        return verify_lcp(inst, c)
-    if isinstance(inst, ContractionInstance):
-        return verify_contraction(inst, c)
-    raise TypeError(f"no verifier for {type(inst)}")
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +490,7 @@ def line_to_json(inst: LineInstance, ids=None) -> dict:
     return out
 
 
-def line_from_json(data) -> LineInstance:
-    if isinstance(data, str):
-        data = json.loads(data)
+def line_from_json(data: dict) -> LineInstance:
     n = int(data["n"])
     s = {int(k, 2): int(v, 2) for k, v in data.get("S", {}).items()}
     p = {int(k, 2): int(v, 2) for k, v in data["P"].items()} if "P" in data else None
@@ -523,9 +505,7 @@ def lcp_to_json(inst: LcpInstance) -> dict:
     }
 
 
-def lcp_from_json(data) -> LcpInstance:
-    if isinstance(data, str):
-        data = json.loads(data)
+def lcp_from_json(data: dict) -> LcpInstance:
     return LcpInstance(M=data["M"], q=data["q"])
 
 
@@ -536,9 +516,7 @@ def opdc_to_json(inst: OpdcInstance) -> dict:
     return {"k": list(inst.widths), "D": table}
 
 
-def opdc_from_json(data) -> OpdcInstance:
-    if isinstance(data, str):
-        data = json.loads(data)
+def opdc_from_json(data: dict) -> OpdcInstance:
     widths = tuple(int(k) for k in data["k"])
     table = {tuple(int(t) for t in key.split(",")): dirs for key, dirs in data["D"].items()}
 
@@ -556,9 +534,7 @@ def uso_to_json(inst: UsoInstance) -> dict:
     return {"n": inst.n, "orient": table}
 
 
-def uso_from_json(data) -> UsoInstance:
-    if isinstance(data, str):
-        data = json.loads(data)
+def uso_from_json(data: dict) -> UsoInstance:
     n = int(data["n"])
     table = {
         int(k, 2): (None if v == "dash" else int(v, 2)) for k, v in data["orient"].items()
@@ -583,11 +559,9 @@ def contraction_to_json(inst: ContractionInstance) -> dict:
     return out
 
 
-def contraction_from_json(data) -> ContractionInstance:
+def contraction_from_json(data: dict) -> ContractionInstance:
     from .circuits import circuit_from_json
 
-    if isinstance(data, str):
-        data = json.loads(data)
     circ = circuit_from_json(data["circuit"])
     return ContractionInstance(
         d=circ.d,
@@ -614,29 +588,63 @@ def cert_to_json(c: Certificate) -> dict:
     return {"kind": c.kind, **{k: enc(v) for k, v in c.data.items()}}
 
 
-_FRAC_FIELDS = {"x", "y", "v"}
-_POINT_FIELDS = {"p", "q"}
-_SET_FIELDS = {"alpha", "beta"}
+def _fracs(v) -> list:
+    return [frac(t) for t in v]
 
 
-def cert_from_json(data, problem: str) -> Certificate:
-    if isinstance(data, str):
-        data = json.loads(data)
-    kind = data["kind"]
-    payload = {}
-    for k, v in data.items():
-        if k == "kind":
-            continue
-        if problem in ("contraction",) and k in _FRAC_FIELDS | {"q"}:
-            payload[k] = [frac(t) for t in v]
-        elif problem == "plcp" and k in _FRAC_FIELDS:
-            payload[k] = [frac(t) for t in v]
-        elif problem == "plcp" and k in _SET_FIELDS:
-            payload[k] = frozenset(int(t) for t in v)
-        elif problem == "opdc" and k in _POINT_FIELDS:
-            payload[k] = tuple(int(t) for t in v)
-        elif problem in ("uso", "line") and k in ("v", "u", "x", "y"):
-            payload[k] = int(v, 2) if isinstance(v, str) and set(v) <= {"0", "1"} else int(v)
-        else:
-            payload[k] = v
-    return Certificate(kind, payload)
+def _index_set(v) -> frozenset:
+    return frozenset(int(t) for t in v)
+
+
+def _point(v) -> tuple:
+    return tuple(int(t) for t in v)
+
+
+def _vertex(v) -> int:
+    return int(v, 2) if isinstance(v, str) and set(v) <= {"0", "1"} else int(v)
+
+
+_VERTEX_FIELDS = {"v": _vertex, "u": _vertex, "x": _vertex, "y": _vertex}
+
+
+# ---------------------------------------------------------------------------
+# The problem kinds
+
+@dataclass(frozen=True)
+class Kind:
+    """What differs between problem kinds: the instance class, its JSON
+    loader and dumper, its verifier, and the decoders of certificate JSON
+    fields (fields without a decoder keep their parsed value)."""
+
+    cls: type
+    from_json: Callable[[dict], object]
+    to_json: Callable[[object], dict]
+    verify: Callable[[object, Certificate], bool]
+    fields: dict
+
+
+# Keyed by the CLI problem name.
+KINDS = {
+    "plcp": Kind(LcpInstance, lcp_from_json, lcp_to_json, verify_lcp,
+                 {"x": _fracs, "y": _fracs, "alpha": _index_set, "beta": _index_set}),
+    "uso": Kind(UsoInstance, uso_from_json, uso_to_json, verify_uso, _VERTEX_FIELDS),
+    "opdc": Kind(OpdcInstance, opdc_from_json, opdc_to_json, verify_opdc, {"p": _point, "q": _point}),
+    "line": Kind(LineInstance, line_from_json, line_to_json, verify_line, _VERTEX_FIELDS),
+    "contraction": Kind(ContractionInstance, contraction_from_json, contraction_to_json,
+                        verify_contraction, {"x": _fracs, "y": _fracs, "v": _fracs}),
+}
+_KIND_OF_CLASS = {k.cls: k for k in KINDS.values()}
+
+
+def verify(inst, c: Certificate) -> bool:
+    """Check c with the verifier of the instance's kind."""
+    kind = _KIND_OF_CLASS.get(type(inst))
+    if kind is None:
+        raise TypeError(f"no verifier for {type(inst)}")
+    return kind.verify(inst, c)
+
+
+def cert_from_json(data: dict, problem: str) -> Certificate:
+    fields = KINDS[problem].fields
+    payload = {k: fields[k](v) if k in fields else v for k, v in data.items() if k != "kind"}
+    return Certificate(data["kind"], payload)

@@ -17,7 +17,7 @@ Mat = list[list[Fraction]]
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a solve or inverse hits det = 0."""
+    """Raised when a solve hits det = 0."""
 
 
 def frac(x) -> Fraction:
@@ -37,23 +37,11 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def vec(xs) -> Vec:
-    return [frac(x) for x in xs]
-
-
 def mat(rows) -> Mat:
     m = [[frac(x) for x in row] for row in rows]
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m
-
-
-def identity(n: int) -> Mat:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Mat, x: Vec) -> Vec:
-    return [sum((aij * xj for aij, xj in zip(row, x)), Fraction(0)) for row in a]
 
 
 def _integer_rows(a: Mat, b: list[Vec]) -> tuple[list[list[int]], list[list[int]]]:
@@ -143,25 +131,11 @@ def solve_linear_multi(a: Mat, b: list[Vec]) -> list[Vec]:
     return xs
 
 
-def inverse(a: Mat) -> Mat:
-    n = len(a)
-    cols = solve_linear_multi(a, identity(n))
-    return [list(row) for row in cols]
-
-
 def lp_pow(x: Vec, p: int) -> Fraction:
     """Sum of |x_i|^p; exact stand-in for the p-th power of the l_p norm."""
     if p < 1:
         raise ValueError("p must be a positive integer")
     return sum((abs(v) ** p for v in x), Fraction(0))
-
-
-def lp_power_compare(x: Vec, y: Vec, p: int) -> int:
-    """Compare ||x||_p^p against ||y||_p^p exactly: -1, 0, or +1."""
-    if len(x) != len(y):
-        raise ValueError("vectors must have equal dimension")
-    a, b = lp_pow(x, p), lp_pow(y, p)
-    return (a > b) - (a < b)
 
 
 def ceil_log2(n: int) -> int:
@@ -187,19 +161,6 @@ def mat_bit_length(a: Mat) -> int:
 
 def vec_bit_length(x: Vec) -> int:
     return max((bit_length(e) for e in x), default=0)
-
-
-def hadamard_bound(a: Mat) -> Fraction:
-    """B^n * n^(n/2) with B = max |entry| after integer clearing; an upper
-    bound on |det| of the cleared matrix (Hadamard's inequality)."""
-    n = len(a)
-    ai, _ = _integer_rows(a, [[] for _ in a])
-    big = max((abs(e) for row in ai for e in row), default=0)
-    # n^(n/2) <= ceil(sqrt(n))^n keeps the bound integral.
-    root = 1
-    while root * root < n:
-        root += 1
-    return Fraction(big**n * root**n)
 
 
 # ---------------------------------------------------------------------------

@@ -195,23 +195,7 @@ class PlcpLineView:
             return None
         return basis, vals
 
-    def is_valid(self, u: int) -> bool:
-        return u == 0 or self.vertex_of(u) is not None
-
-    def etoi(self, u: int):
-        v = self.vertex_of(u)
-        if v is None:
-            return None
-        return self.sys.numeric_point(v[1])
-
     # -- oracles ---------------------------------------------------------------
-    def _lex_z(self, basis, vals):
-        if self.sys.zvar in basis:
-            return vals[self.sys.zvar]
-        from .rational import LexVec
-
-        return LexVec.const(0, self.d)
-
     def successor(self, u: int) -> int:
         if u == 0:
             basis, _ = self.start_vertex()
@@ -229,7 +213,7 @@ class PlcpLineView:
         if step is None:
             return u  # forward edge is a ray
         nb, nv, _, _ = step
-        if self._lex_z(basis, vals) > self._lex_z(nb, nv):
+        if self.sys.z_of(vals) > self.sys.z_of(nv):
             return self.code_of(nb)
         return u
 
@@ -258,7 +242,7 @@ class PlcpLineView:
         if step is None:
             return u
         nb, nv, _, _ = step
-        if self._lex_z(nb, nv) > self._lex_z(basis, vals):
+        if self.sys.z_of(nv) > self.sys.z_of(vals):
             return self.code_of(nb)
         return u
 
@@ -269,7 +253,7 @@ class PlcpLineView:
         if vtx is None:
             return 0
         basis, vals = vtx
-        coeffs = self._lex_z(basis, vals).coeffs
+        coeffs = self.sys.z_of(vals).coeffs
         val = 0
         for k in range(self.d + 1):
             digit = int((self.delta**2) * (self.delta - coeffs[k]))

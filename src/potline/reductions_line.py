@@ -17,6 +17,7 @@ from .problems import (
     LineInstance,
     OpdcInstance,
     UnmappableCert,
+    VariantMismatch,
     cert,
     verify_line,
 )
@@ -35,7 +36,7 @@ def _first_verifying(inst: LineInstance, candidates) -> Certificate:
         try:
             if verify_line(inst, c):
                 return c
-        except Exception:
+        except VariantMismatch:
             continue
     raise UnmappableCert("no candidate certificate verified on the source")
 
@@ -219,12 +220,9 @@ class EoplToEoml:
     def map_back(self, c: Certificate) -> Certificate:
         src = self.src
         u, _ = self._split(c.x)
-        cands = [cert("R1", x=u), cert("R2", x=u)]
-        try:
-            w = src.P(u)
-            cands += [cert("R1", x=w), cert("R2", x=w), cert("R2", x=src.P(w))]
-        except Exception:
-            pass
+        w = src.P(u)
+        cands = [cert("R1", x=u), cert("R2", x=u), cert("R1", x=w), cert("R2", x=w),
+                 cert("R2", x=src.P(w))]
         return _first_verifying(src, cands)
 
 

@@ -344,24 +344,10 @@ def _column_search(inst: OpdcInstance, dim: int, zero_pt, up_pt) -> Certificate 
     return None
 
 
-def _scan_for_violation(inst: OpdcInstance, budget: int = 1 << 16) -> Certificate | None:
-    """Desk-scale fallback: exhaustively find any OPDC violation."""
-    from .solvers import brute_force
-
-    try:
-        for c in brute_force(inst, budget=budget):
-            if c.kind != "O1":
-                return c
-    except Exception:
-        return None
-    return None
-
-
 def map_back_opdc(inst: OpdcInstance, view: OpdcLineView, c: Certificate) -> Certificate:
     """UF1 -> O1/OV2/OV3 by which successor rule stalled; UFV1 -> OV1 via
-    the largest differing tuple position (with a boundary OV3, a
-    column binary search, or a desk-scale scan covering the remaining
-    shapes)."""
+    the largest differing tuple position (or a boundary OV3, or a column
+    binary search).  Raises UnmappableCert for any other shape."""
     d, D = view.d, inst.D
 
     def ensure(out):
@@ -418,9 +404,6 @@ def map_back_opdc(inst: OpdcInstance, view: OpdcLineView, c: Certificate) -> Cer
                         out = ensure(cert("OV2", level=1, p=q, q=p))
                         if out:
                             return out
-        scan = _scan_for_violation(inst)
-        if scan is not None:
-            return scan
         raise UnmappableCert(f"UF1 {c} gave no OPDC certificate")
 
     if c.kind == "UFV1":
@@ -451,9 +434,6 @@ def map_back_opdc(inst: OpdcInstance, view: OpdcLineView, c: Certificate) -> Cer
                         out = ensure(_column_search(inst, 0, lo_pt, hi_pt))
                         if out:
                             return out
-        scan = _scan_for_violation(inst)
-        if scan is not None:
-            return scan
         raise UnmappableCert(f"UFV1 {c} gave no OPDC certificate")
 
     raise UnmappableCert(f"unexpected certificate {c.kind}")

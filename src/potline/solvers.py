@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .pivoting import LemkeSystem, principal_minor
+from .pivoting import LemkeSystem, a_alpha, principal_minor
 from .problems import (
     DOWN,
+    LINE_KINDS,
+    LINE_PAIRS,
     UP,
     ZERO,
     Certificate,
@@ -27,7 +29,7 @@ from .problems import (
     cert,
     verify,
 )
-from .rational import frac
+from .rational import frac, solve_linear
 
 
 class Exhausted(RuntimeError):
@@ -55,8 +57,9 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
 
     Returns Q1 on success; PV1 when the path would increase z (the active
     cone then has a non-positive principal minor) or hits a ray with a
-    non-positive principal minor; a SECONDARY_RAY certificate otherwise.
-    Degeneracy is resolved by symbolic lexicographic perturbation.
+    non-positive principal minor; PV2 with the ray's y-direction on any
+    other ray.  Degeneracy is resolved by symbolic lexicographic
+    perturbation.
     """
     stats = stats if stats is not None else RunStats()
     d = inst.d
@@ -75,18 +78,15 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
         step = sys.ratio_step(basis, vals, entering)
         stats.pivots += 1
         if step is None:
-            minor = principal_minor(inst.M, alpha)
-            ray = sys.direction(basis, entering)
-            if minor <= 0:
+            if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=frozenset(alpha))
-            y0, w0, z0 = sys.numeric_point(vals)
-            return cert(
-                "SECONDARY_RAY",
-                y=y0,
-                z=z0,
-                direction={sys.var_name(k): v for k, v in ray.items()},
-                alpha=frozenset(alpha),
-            )
+            # Along the ray dz >= 0 and dy_i * dw_i = 0 with dw = M dy + dz * 1,
+            # so x = dy gives x_i (Mx)_i = -dz * x_i <= 0: a PV2 witness.
+            ray = sys.direction(basis, entering)
+            c = cert("PV2", x=[ray.get(i, Fraction(0)) for i in range(d)])
+            if not verify(inst, c):
+                raise RuntimeError("secondary ray gave no PV2 certificate")
+            return c
         basis, vals, leaving, _ = step
         z_new = sys.z_of(vals).numeric if sys.zvar in basis else Fraction(0)
         z_prev = stats.z_trace[-1]
@@ -121,14 +121,8 @@ def lcp_brute_force(inst: LcpInstance) -> list[Certificate]:
     outs = {alpha: out_map(inst, alpha) for alpha in subsets}
     for alpha in subsets:
         if outs[alpha] == 0:
-            from .pivoting import a_alpha
-            from .rational import solve_linear
-
-            a = a_alpha(inst.M, alpha)
-            try:
-                x = solve_linear(a, inst.q)
-            except Exception:
-                continue
+            # out_map is not None, so A_alpha is nonsingular.
+            x = solve_linear(a_alpha(inst.M, alpha), inst.q)
             y = [x[i] if i in alpha else Fraction(0) for i in range(d)]
             c = cert("Q1", y=y)
             if verify(inst, c):
@@ -453,126 +447,137 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
 # ---------------------------------------------------------------------------
 # Brute force enumeration
 
-def _line_vertices(inst: LineInstance, budget: int):
+def _verified(inst, candidates, max_certs: int) -> list[Certificate]:
+    found = []
+    for c in candidates:
+        if verify(inst, c):
+            found.append(c)
+            if len(found) > max_certs:
+                raise BudgetExceeded("certificate cap hit")
+    return found
+
+
+def _lcp_certs(inst: LcpInstance, budget: int, max_certs: int) -> list[Certificate]:
+    if 1 << inst.d > budget:
+        raise BudgetExceeded("too many supports")
+    return [c for c in lcp_brute_force(inst) if verify(inst, c)]
+
+
+def _uso_certs(inst: UsoInstance, budget: int, max_certs: int) -> list[Certificate]:
+    if 1 << inst.n > budget:
+        raise BudgetExceeded("cube too large")
+
+    def candidates():
+        vs = range(1 << inst.n)
+        for v in vs:
+            o = inst.orient(v)
+            if o is None:
+                yield cert("USV1", v=v)
+            elif o == 0:
+                yield cert("US1", v=v)
+        for v, u in combinations(vs, 2):
+            yield cert("USV2", v=v, u=u)
+
+    return _verified(inst, candidates(), max_certs)
+
+
+def _opdc_certs(inst: OpdcInstance, budget: int, max_certs: int) -> list[Certificate]:
+    total = 1
+    for k in inst.widths:
+        total *= k + 1
+    if total > budget:
+        raise BudgetExceeded("grid too large")
+    pts = list(inst.points())
+    d, D = inst.d, inst.D
+
+    def candidates():
+        for p in pts:
+            if all(D(i, p) == ZERO for i in range(d)):
+                yield cert("O1", p=p)
+            for lvl in range(1, d + 1):
+                i = lvl - 1
+                if all(D(j, p) == ZERO for j in range(i)):
+                    if (p[i] == 0 and D(i, p) == DOWN) or (p[i] == inst.widths[i] and D(i, p) == UP):
+                        yield cert("OV3", level=lvl, p=p)
+                    if p[i] > 0:
+                        q = p[:i] + (p[i] - 1,) + p[i + 1:]
+                        if D(i, p) == DOWN and D(i, q) == UP and all(D(j, q) == ZERO for j in range(i)):
+                            yield cert("OV2", level=lvl, p=p, q=q)
+        surface: dict[tuple, list] = {}
+        for p in pts:
+            lvl = 0
+            while lvl < d and D(lvl, p) == ZERO:
+                lvl += 1
+            # p is on the j-surface for every j <= lvl
+            for j in range(1, lvl + 1):
+                surface.setdefault((j, p[j:]), []).append(p)
+        for (lvl, _), group in sorted(surface.items()):
+            for p, q in combinations(group, 2):
+                yield cert("OV1", level=lvl, p=p, q=q)
+
+    return _verified(inst, candidates(), max_certs)
+
+
+def _line_certs(inst: LineInstance, budget: int, max_certs: int) -> list[Certificate]:
     if inst.vertex_iter is not None:
-        return list(inst.vertex_iter())
-    if inst.size > budget:
+        ids = list(inst.vertex_iter())
+    elif inst.size > budget:
         raise BudgetExceeded(f"2^{inst.n} ids exceed budget {budget}")
-    return list(range(inst.size))
+    else:
+        ids = range(inst.size)
+    singles = [k for k in LINE_KINDS[inst.flavor] if k not in LINE_PAIRS]
+    pairs = [k for k in LINE_KINDS[inst.flavor] if k in LINE_PAIRS]
+
+    def candidates():
+        for x in ids:
+            for kind in singles:
+                yield cert(kind, x=x)
+        for pair in pairs:
+            verts = [x for x in ids if inst.S(x) != x]
+            by_v: dict[int, list] = {}
+            for x in verts:
+                by_v.setdefault(inst.V(x), []).append(x)
+            # Equal potentials, then y strictly between V(x) and V(S(x)).
+            for group in by_v.values():
+                for x, y in combinations(group, 2):
+                    yield cert(pair, x=x, y=y)
+            vs_sorted = sorted(by_v)
+            for x in verts:
+                vx, vs_x = inst.V(x), inst.V(inst.S(x))
+                for v in vs_sorted:
+                    if vx < v < vs_x:
+                        for y in by_v[v]:
+                            if y != x:
+                                yield cert(pair, x=x, y=y)
+
+    return _verified(inst, candidates(), max_certs)
+
+
+def _contraction_certs(inst: ContractionInstance, budget: int, max_certs: int) -> list[Certificate]:
+    from .reductions_opdc import contraction_to_opdc, map_back_contraction
+
+    view = contraction_to_opdc(inst)
+    out = []
+    for c in brute_force(view, budget=budget, max_certs=max_certs):
+        mapped = map_back_contraction(inst, view, c)
+        if verify(inst, mapped) and mapped not in out:
+            out.append(mapped)
+    return out
+
+
+_ENUMERATORS = {
+    LcpInstance: _lcp_certs,
+    UsoInstance: _uso_certs,
+    OpdcInstance: _opdc_certs,
+    LineInstance: _line_certs,
+    ContractionInstance: _contraction_certs,
+}
 
 
 def brute_force(inst, budget: int = 1 << 16, max_certs: int = 20000) -> list[Certificate]:
     """Exhaustively enumerate the instance domain and return every
     certificate of every kind that passes its verifier (capped)."""
-    found: list[Certificate] = []
-
-    def add(c):
-        if verify(inst, c):
-            found.append(c)
-            if len(found) > max_certs:
-                raise BudgetExceeded("certificate cap hit")
-
-    if isinstance(inst, LcpInstance):
-        if 1 << inst.d > budget:
-            raise BudgetExceeded("too many supports")
-        found = [c for c in lcp_brute_force(inst) if verify(inst, c)]
-        return found
-
-    if isinstance(inst, UsoInstance):
-        if 1 << inst.n > budget:
-            raise BudgetExceeded("cube too large")
-        vs = list(range(1 << inst.n))
-        for v in vs:
-            o = inst.orient(v)
-            if o is None:
-                add(cert("USV1", v=v))
-            elif o == 0:
-                add(cert("US1", v=v))
-        for v, u in combinations(vs, 2):
-            add(cert("USV2", v=v, u=u))
-        return found
-
-    if isinstance(inst, OpdcInstance):
-        total = 1
-        for k in inst.widths:
-            total *= k + 1
-        if total > budget:
-            raise BudgetExceeded("grid too large")
-        pts = list(inst.points())
-        d = inst.d
-        for p in pts:
-            if all(inst.D(i, p) == ZERO for i in range(d)):
-                add(cert("O1", p=p))
-            for lvl in range(1, d + 1):
-                i = lvl - 1
-                if all(inst.D(j, p) == ZERO for j in range(i)):
-                    if (p[i] == 0 and inst.D(i, p) == DOWN) or (
-                        p[i] == inst.widths[i] and inst.D(i, p) == UP
-                    ):
-                        add(cert("OV3", level=lvl, p=p))
-                    if p[i] > 0:
-                        q = p[:i] + (p[i] - 1,) + p[i + 1:]
-                        if inst.D(i, p) == DOWN and inst.D(i, q) == UP and all(
-                            inst.D(j, q) == ZERO for j in range(i)
-                        ):
-                            add(cert("OV2", level=lvl, p=p, q=q))
-        surface: dict[tuple, list] = {}
-        for p in pts:
-            lvl = 0
-            while lvl < d and inst.D(lvl, p) == ZERO:
-                lvl += 1
-            # p is on the j-surface for every j <= lvl
-            for j in range(1, lvl + 1):
-                key = (j, p[j:])
-                surface.setdefault(key, []).append(p)
-        for (lvl, _), group in sorted(surface.items()):
-            for p, q in combinations(group, 2):
-                add(cert("OV1", level=lvl, p=p, q=q))
-        return found
-
-    if isinstance(inst, LineInstance):
-        ids = _line_vertices(inst, budget)
-        single = {
-            "endofline": ["E1", "E2"],
-            "sinkofdag": ["S1"],
-            "eopl": ["R1", "R2"],
-            "ueopl": ["U1", "UV1", "UV2"],
-            "eoml": ["T1", "T2", "T3"],
-            "ufeopl": ["UF1"],
-            "ufeoplplus1": ["UFP1"],
-        }[inst.flavor]
-        for x in ids:
-            for kind in single:
-                add(cert(kind, x=x))
-        pair_kind = {"ueopl": "UV3", "ufeopl": "UFV1", "ufeoplplus1": "UFPV1"}.get(inst.flavor)
-        if pair_kind:
-            verts = [x for x in ids if inst.S(x) != x]
-            by_v: dict[int, list] = {}
-            for x in verts:
-                by_v.setdefault(inst.V(x), []).append(x)
-            for group in by_v.values():
-                for x, y in combinations(group, 2):
-                    add(cert(pair_kind, x=x, y=y))
-            if pair_kind != "UFPV1":
-                vs_sorted = sorted(by_v)
-                for x in verts:
-                    vx, vs_x = inst.V(x), inst.V(inst.S(x))
-                    for v in vs_sorted:
-                        if vx < v < vs_x:
-                            for y in by_v[v]:
-                                if y != x:
-                                    add(cert(pair_kind, x=x, y=y))
-        return found
-
-    if isinstance(inst, ContractionInstance):
-        from .reductions_opdc import contraction_to_opdc, map_back_contraction
-
-        view = contraction_to_opdc(inst)
-        out = []
-        for c in brute_force(view, budget=budget, max_certs=max_certs):
-            mapped = map_back_contraction(inst, view, c)
-            if verify(inst, mapped) and mapped not in out:
-                out.append(mapped)
-        return out
-
-    raise TypeError(f"brute_force cannot handle {type(inst)}")
+    enumerate_certs = _ENUMERATORS.get(type(inst))
+    if enumerate_certs is None:
+        raise TypeError(f"brute_force cannot handle {type(inst)}")
+    return enumerate_certs(inst, budget, max_certs)

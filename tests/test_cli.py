@@ -146,12 +146,6 @@ def test_run_record_roundtrip(tmp_path, capsys):
     assert verify(inst, c)
 
 
-def test_bench(capsys):
-    code, out = run(capsys, "bench", "--d", "2", "--count", "3")
-    assert code == 0
-    assert len(json.loads(out)["runs"]) == 3
-
-
 def test_solve_follow_and_brute(tmp_path, capsys):
     f = tmp_path / "line.json"
     run(capsys, "generate", "--kind", "explicitline", "--length", "8",
@@ -167,3 +161,67 @@ def test_solve_follow_and_brute(tmp_path, capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["certificate"]["kind"] == "Q1"
+
+
+def _solve_then_verify(tmp_path, capsys, inst, problem, solve_args):
+    record_path, cert_path = tmp_path / "record.json", tmp_path / "cert.json"
+    code, _ = run(capsys, "solve", str(inst), "--problem", problem, *solve_args,
+                  "-o", str(record_path))
+    assert code == 0
+    record = json.loads(record_path.read_text())
+    cert_path.write_text(json.dumps(record["certificate"]))
+    code, out = run(capsys, "verify", str(inst), str(cert_path), "--problem", problem)
+    return record, code, json.loads(out)
+
+
+@pytest.mark.parametrize("gen_args, problem, solve_args", [
+    (["--kind", "pmatrixlcp", "--d", "3"], "plcp", ["--algo", "lemke"]),
+    (["--kind", "nonpmatrixlcp", "--d", "3"], "plcp", ["--algo", "lemke"]),
+    (["--kind", "explicitline", "--length", "12"], "line", ["--algo", "follow"]),
+    (["--kind", "multiline", "--length", "8"], "line", ["--algo", "aldous", "--samples", "16"]),
+    (["--kind", "contractioncircuit", "--d", "2"], "contraction", ["--algo", "findfp"]),
+    (["--kind", "noncontraction", "--d", "2"], "contraction", ["--algo", "findfp"]),
+    (["--kind", "brokenuso", "--d", "2"], "uso", ["--algo", "brute"]),
+    (["--kind", "nonpmatrixlcp", "--d", "2"], "plcp", ["--algo", "brute"]),
+])
+def test_record_verified_agrees_with_verify(tmp_path, capsys, gen_args, problem, solve_args):
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "generate", *gen_args, "--seed", "3", "-o", str(inst))[0] == 0
+    record, code, report = _solve_then_verify(tmp_path, capsys, inst, problem, solve_args)
+    assert record["verified"] is True
+    assert report["accepted"] is True and code == 0
+
+
+def test_record_verified_agrees_with_verify_approx(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", "--kind", "contractioncircuit", "--d", "2", "--seed", "3",
+        "-o", str(inst))
+    data = json.loads(inst.read_text())
+    data["eps"] = "1/1024"
+    inst.write_text(json.dumps(data))
+    record, code, report = _solve_then_verify(tmp_path, capsys, inst, "contraction",
+                                              ["--algo", "approx"])
+    assert record["verified"] is True
+    assert report["accepted"] is True and code == 0
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: solve checks APPROX_FIX against the "
+                   "--eps it was given, verify against the instance file, which has no eps")
+def test_record_verified_agrees_with_verify_approx_cli_eps(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", "--kind", "contractioncircuit", "--d", "2", "--seed", "3",
+        "-o", str(inst))
+    record, code, report = _solve_then_verify(tmp_path, capsys, inst, "contraction",
+                                              ["--algo", "approx", "--eps", "1/1024"])
+    assert record["verified"] is report["accepted"]
+
+
+def test_verify_explains_wrong_dimension(tmp_path, capsys):
+    inst = tmp_path / "map.json"
+    run(capsys, "generate", "--kind", "contractioncircuit", "--d", "2", "--seed", "3",
+        "-o", str(inst))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "CM1", "x": ["1/2", "1/2", "1/2"]}))
+    code, out = run(capsys, "verify", str(inst), str(bad), "--problem", "contraction")
+    assert code == 1
+    assert json.loads(out) == {"accepted": False, "kind": "CM1", "reason": "dimension mismatch"}

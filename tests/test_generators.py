@@ -11,7 +11,6 @@ from potline.generators import (
 )
 from potline.pivoting import principal_minor
 from potline.problems import cert, verify
-from potline.rational import lp_power_compare
 from potline.solvers import brute_force, find_fp, follow_line
 
 

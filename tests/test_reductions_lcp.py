@@ -141,16 +141,13 @@ def test_plcp_to_eopl_non_p_map_backs():
 def test_plcp_to_eopl_v_separation():
     inst = gen_lcp(2, 3, nondegenerate=True)
     line, view = plcp_to_eopl(inst)
-    vals = {}
-    for u in range(1 << line.n):
-        if u == 0 or view.is_valid(u):
-            vals[u] = line.V(u)
     # distinct z values get potentials separated by at least 1
     zs = {}
-    for u in vals:
-        if u:
-            _, _, z = view.etoi(u)
-            zs.setdefault(z, set()).add(vals[u])
+    for u in range(1, 1 << line.n):
+        vtx = view.vertex_of(u)
+        if vtx is not None:
+            _, _, z = view.sys.numeric_point(vtx[1])
+            zs.setdefault(z, set()).add(line.V(u))
     seen = sorted((min(vs), z) for z, vs in zs.items())
     for (v1, _), (v2, _) in zip(seen, seen[1:]):
         assert v2 - v1 >= 1

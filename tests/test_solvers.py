@@ -65,9 +65,19 @@ def test_lemke_z_monotone_on_p_matrices():
 def test_lemke_non_p_violation():
     inst = LcpInstance(M=[[-1, 0], [0, -1]], q=[-1, -2])
     c = lemke(inst)
-    assert c.kind in ("PV1", "SECONDARY_RAY")
-    if c.kind == "PV1":
-        assert verify(inst, c)
+    assert c.kind == "PV1" and verify(inst, c)
+
+
+def test_lemke_ray_pv2(monkeypatch):
+    # No known instance ends on a ray whose cone has a positive principal
+    # minor; faking that minor makes this one do so.  The ray raises y_1, z
+    # and w_0 together, so x = dy = (0, 1) is a PV2 witness.
+    from potline import solvers
+
+    inst = LcpInstance(M=[[-1, 0], [0, -1]], q=[-1, -2])
+    monkeypatch.setattr(solvers, "principal_minor", lambda m, alpha: F(1))
+    c = lemke(inst)
+    assert c == cert("PV2", x=[F(0), F(1)]) and verify(inst, c)
 
 
 # -- line following ------------------------------------------------------------
