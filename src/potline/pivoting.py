@@ -1,12 +1,27 @@
 """Exact pivoting on the Lemke polyhedron w = My + q + z*1.
 
-The right-hand side is perturbed symbolically to q(eps) = q + (eps^1, ...,
-eps^d), which makes every basic solution nondegenerate and every ratio
-test unique; all coordinates are LexVec values (polynomials in eps ordered
-lexicographically).  Numeric answers are read off as the constant terms.
-
 Variables are indexed 0..2d: y_i -> i, w_i -> d+i, z -> 2d.  The defining
-system is M y - w + z*1 = -q(eps).
+system is M y - w + z*1 = -q(eps), where the right-hand side is perturbed
+symbolically to q(eps) = q + (eps^1, ..., eps^d).  The perturbation makes
+every basic solution nondegenerate and every ratio test unique.  A value
+is the vector of its eps coefficients, ordered lexicographically; the
+numeric value is the constant term.
+
+A vertex is one fraction-free integer tableau (Edmonds 1967; Bareiss
+1968; the integer pivoting of Avis's lrs).  Scale each row of
+[M | -I | 1 | -q | -I] to integers by the lcm of its denominators, call
+the result A, and let B be the columns of A of the basic variables in row
+order.  The tableau holds D = det(B) and T = D * B^-1 * A: the basic
+variable of row i has the value T[i][2d+1:] / D and falls by T[i][j] / D
+per unit of a growing nonbasic x_j.  A pivot on row r and column j, with
+p = T[r][j], replaces every other row i by
+(T[i][k] * p - T[i][j] * T[r][k]) / D, keeps row r, and sets D = p; the
+division is exact because every entry is a minor of A.  Fractions are
+built only where a number is read.
+
+The lex ratio test runs over the rows whose pivot entry has the sign of D,
+and compares their [-q | -I] blocks cross-multiplied by the pivot entries
+(the products of two entries of one sign are positive).
 
 Path edges are oriented locally: an almost-complementary edge whose cone
 is A_alpha (columns -M_i for i in alpha, unit columns elsewhere) points
@@ -14,13 +29,18 @@ toward decreasing z iff det(M_alpha_alpha) > 0.  This is the
 determinant-sign form of Todd's orientation for complementary pivot
 paths; it gives every duplicate-label vertex exactly one incoming and one
 outgoing edge, and it orients the primary ray toward the start vertex.
+At a vertex with duplicate label l, the sign that decides the forward
+edge, det(A_alpha) with column l set to all ones, is (-1)^(d-1) times
+det(B) with B's columns in label order, i.e. (-1)^(d-1) times the sign of
+D times the sign of the row -> label permutation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
-from .rational import LexVec, Mat, SingularMatrixError, Vec, determinant, solve_linear_multi
+from .rational import Mat, Vec, determinant
 
 
 def a_alpha(m: Mat, alpha) -> Mat:
@@ -40,12 +60,38 @@ def principal_minor(m: Mat, alpha) -> Fraction:
     return determinant([[m[i][j] for j in idx] for i in idx])
 
 
-def det_col_ones(m: Mat, alpha, l: int) -> Fraction:
-    """det of A_alpha with column l replaced by the all-ones vector."""
-    a = a_alpha(m, alpha)
-    for r in range(len(m)):
-        a[r][l] = Fraction(1)
-    return determinant(a)
+def _lead(xs) -> int:
+    """First nonzero entry, or 0."""
+    for x in xs:
+        if x:
+            return x
+    return 0
+
+
+def _perm_sign(p) -> int:
+    sign, seen = 1, [False] * len(p)
+    for i in range(len(p)):
+        j, n = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            n += 1
+        if n and n % 2 == 0:
+            sign = -sign
+    return sign
+
+
+class Vertex:
+    """A basis with its tableau: `rows[i]` is the basic variable of row i,
+    `t` the integer rows T and `det` the determinant D (module docstring)."""
+
+    __slots__ = ("rows", "basis", "t", "det")
+
+    def __init__(self, rows: tuple, t: list[list[int]], det: int):
+        self.rows = rows
+        self.basis = frozenset(rows)
+        self.t = t
+        self.det = det
 
 
 class LemkeSystem:
@@ -54,54 +100,83 @@ class LemkeSystem:
         self.q = q
         self.d = len(q)
         self.zvar = 2 * self.d
+        self.rhs = 2 * self.d + 1  # first column of the [-q | -I] block
+        self._slack = None
 
-    # -- column of a variable in [M | -I | 1] -------------------------------
-    def col(self, var: int) -> Vec:
-        d = self.d
-        if var < d:
-            return [self.m[r][var] for r in range(d)]
-        if var < 2 * d:
-            return [Fraction(-(r == var - d)) for r in range(d)]
-        return [Fraction(1)] * d
+    # -- tableaux ------------------------------------------------------------
+    def _slack_vertex(self) -> Vertex:
+        """The basis of all w (row i holds w_i), built on first use."""
+        if self._slack is None:
+            d = self.d
+            a = []
+            for r in range(d):
+                unit = [Fraction(-(k == r)) for k in range(d)]
+                src = self.m[r] + unit + [Fraction(1), -self.q[r]] + unit
+                s = lcm(*[f.denominator for f in src])
+                a.append([f.numerator * (s // f.denominator) for f in src])
+            # B = diag(-s_r), so T = D * B^-1 * A scales row r by D / -s_r.
+            det = prod(row[d + r] for r, row in enumerate(a))
+            t = [[det // row[d + r] * x for x in row] for r, row in enumerate(a)]
+            self._slack = Vertex(tuple(range(d, 2 * d)), t, det)
+        return self._slack
 
-    # -- basic solutions -----------------------------------------------------
-    def solve_basis(self, basis) -> dict | None:
-        """Values of the basic variables as LexVecs, or None when the basis
-        matrix is singular.  Nonbasic variables are zero."""
-        d = self.d
-        bvars = sorted(basis)
-        if len(bvars) != d:
-            raise ValueError("basis must have d variables")
-        a = [[self.col(v)[r] for v in bvars] for r in range(d)]
-        # RHS: -q(eps) as d columns [ -q | -I ].
-        rhs = [[-self.q[r]] + [Fraction(-(r == j)) for j in range(d)] for r in range(d)]
-        try:
-            sol = solve_linear_multi(a, rhs)
-        except SingularMatrixError:
-            return None
-        return {v: LexVec(sol[i]) for i, v in enumerate(bvars)}
+    def _pivot(self, v: Vertex, r: int, j: int) -> Vertex:
+        pr = v.t[r]
+        p, det = pr[j], v.det
+        t = []
+        for i, row in enumerate(v.t):
+            a = row[j]
+            if i == r:
+                t.append(row)
+            elif a == 0:
+                t.append([x * p // det for x in row])
+            else:
+                t.append([(x * p - a * y) // det for x, y in zip(row, pr)])
+        return Vertex(v.rows[:r] + (j,) + v.rows[r + 1:], t, p)
 
-    def feasible(self, vals: dict) -> bool:
-        zero = LexVec.const(0, self.d)
-        return all(v >= zero for v in vals.values())
+    def vertex_at(self, basis) -> Vertex | None:
+        """The tableau of `basis`, at most d pivots from the slack one, or
+        None when the basis matrix is singular."""
+        v = self._slack_vertex()
+        for j in sorted(basis - v.basis):
+            r = next((i for i, var in enumerate(v.rows) if var not in basis and v.t[i][j]), None)
+            if r is None:
+                return None  # column j lies in the span of the basic ones
+            v = self._pivot(v, r, j)
+        return v
 
-    def numeric_point(self, vals: dict):
+    # -- reading a vertex ----------------------------------------------------
+    def feasible(self, v: Vertex) -> bool:
+        """Every basic value is lexicographically nonnegative."""
+        return all(_lead(row[self.rhs:]) * v.det >= 0 for row in v.t)
+
+    def value(self, v: Vertex, var: int) -> Fraction:
+        """Numeric value of `var`; zero when it is nonbasic."""
+        if var not in v.basis:
+            return Fraction(0)
+        return Fraction(v.t[v.rows.index(var)][self.rhs], v.det)
+
+    def numeric_point(self, v: Vertex):
         d = self.d
         y = [Fraction(0)] * d
         w = [Fraction(0)] * d
         z = Fraction(0)
-        for var, v in vals.items():
+        for var, row in zip(v.rows, v.t):
+            x = Fraction(row[self.rhs], v.det)
             if var < d:
-                y[var] = v.numeric
+                y[var] = x
             elif var < 2 * d:
-                w[var - d] = v.numeric
+                w[var - d] = x
             else:
-                z = v.numeric
+                z = x
         return y, w, z
 
-    def z_of(self, vals: dict) -> LexVec:
-        z = vals.get(self.zvar)
-        return z if z is not None else LexVec.const(0, self.d)
+    def z_row(self, v: Vertex) -> tuple[list[int], int]:
+        """(zs, D) with zs[k] / D the k-th eps coefficient of z; all zero
+        when z is nonbasic."""
+        if self.zvar not in v.basis:
+            return [0] * (self.d + 1), 1
+        return v.t[v.rows.index(self.zvar)][self.rhs:], v.det
 
     def duplicate_label(self, basis) -> int | None:
         for i in range(self.d):
@@ -113,44 +188,54 @@ class LemkeSystem:
         return frozenset(i for i in range(self.d) if i in basis)
 
     # -- pivoting ------------------------------------------------------------
-    def direction(self, basis, entering: int) -> dict:
+    def direction(self, v: Vertex, entering: int) -> dict:
         """Edge direction when `entering` grows: numeric deltas per basic
         variable plus the entering variable itself at +1."""
-        d = self.d
-        bvars = sorted(basis)
-        a = [[self.col(v)[r] for v in bvars] for r in range(d)]
-        rhs = [[-c] for c in self.col(entering)]
-        sol = solve_linear_multi(a, rhs)
-        eta = {v: sol[i][0] for i, v in enumerate(bvars)}
+        eta = {var: Fraction(-row[entering], v.det) for var, row in zip(v.rows, v.t)}
         eta[entering] = Fraction(1)
         return eta
 
-    def ratio_step(self, basis, vals: dict, entering: int):
+    def dz_sign(self, v: Vertex, entering: int) -> int:
+        """Sign of the change of z along the edge on which `entering` grows.
+        From a lex-feasible vertex every step is lexicographically positive,
+        so this is also the sign of z(next vertex) - z(v)."""
+        if entering == self.zvar:
+            return 1
+        if self.zvar not in v.basis:
+            return 0
+        x = -v.t[v.rows.index(self.zvar)][entering] * v.det
+        return (x > 0) - (x < 0)
+
+    def ratio_step(self, v: Vertex, entering: int):
         """Move along the edge opened by `entering` to the adjacent vertex.
 
-        Returns (new_basis, new_vals, leaving, t_star) or None when the
-        edge is a ray.  The lex ratio test makes `leaving` unique.
+        Returns (vertex, leaving), or None when the edge is a ray.  The lex
+        ratio test makes `leaving` unique: two rows with equal ratios would
+        make B^-1 singular.
         """
-        eta = self.direction(basis, entering)
+        c = self.rhs
         best = None
-        for v in sorted(basis):
-            if eta[v] < 0:
-                ratio = vals[v].scale(Fraction(1) / -eta[v])
-                if best is None or ratio < best[0]:
-                    best = (ratio, v)
+        for i, row in enumerate(v.t):
+            a = row[entering]
+            if a * v.det <= 0:
+                continue  # this basic variable does not fall
+            if best is not None:
+                # row[c:] / a < brow[c:] / b, cross-multiplied by a * b > 0
+                brow, b = v.t[best], v.t[best][entering]
+                k = c
+                while row[k] * b == brow[k] * a:
+                    k += 1
+                if row[k] * b > brow[k] * a:
+                    continue
+            best = i
         if best is None:
             return None
-        t_star, leaving = best
-        new_basis = frozenset(set(basis) - {leaving} | {entering})
-        new_vals = self.solve_basis(new_basis)
-        if new_vals is None:
-            raise SingularMatrixError("pivot produced a singular basis")
-        return new_basis, new_vals, leaving, t_star
+        return self._pivot(v, best, entering), v.rows[best]
 
-    def edge_point(self, vals: dict, eta: dict, t: Fraction):
-        """Numeric point vals + t * eta (constant terms only)."""
+    def edge_point(self, v: Vertex, eta: dict, t: Fraction):
+        """Numeric point v + t * eta."""
         d = self.d
-        y, w, z = self.numeric_point(vals)
+        y, w, z = self.numeric_point(v)
         for var, dv in eta.items():
             if var < d:
                 y[var] += t * dv
@@ -162,36 +247,31 @@ class LemkeSystem:
 
     # -- Lemke start ----------------------------------------------------------
     def start_vertex(self):
-        """Basis and values at (y, w, z) = (0, q + z0*1, z0)."""
-        d = self.d
-        # Lex-min of q(eps); unique because the eps rows differ.
-        rows = [LexVec([self.q[i]] + [Fraction(k == i + 1) for k in range(1, d + 1)]) for i in range(d)]
-        i_star = min(range(d), key=lambda i: rows[i])
-        basis = frozenset({2 * d} | {d + i for i in range(d) if i != i_star})
-        vals = self.solve_basis(basis)
-        if vals is None or not self.feasible(vals):
+        """Vertex at (y, w, z) = (0, q + z0*1, z0) and the label whose w
+        left the basis."""
+        # z replaces the w of the lex-min row (q_i, e_i) of q(eps): the
+        # smallest q_i, ties going to the larger i.
+        i_star = min(range(self.d), key=lambda i: (self.q[i], -i))
+        v = self._pivot(self._slack_vertex(), i_star, self.zvar)
+        if not self.feasible(v):
             raise RuntimeError("Lemke start vertex is infeasible")
-        return basis, vals, i_star
+        return v, i_star
 
     # -- Todd orientation ------------------------------------------------------
-    def forward_entering(self, basis) -> int | None:
+    def forward_entering(self, v: Vertex) -> int:
         """At a duplicate-label vertex, the entering variable (y_l or w_l)
-        whose edge is the path successor; None when both incident edges
-        keep z constant (degenerate cones)."""
-        l = self.duplicate_label(basis)
+        whose edge is the path successor."""
+        d = self.d
+        l = self.duplicate_label(v.basis)
         if l is None:
             raise ValueError("vertex has no duplicate label")
-        alpha = self.support(basis)
-        dd = det_col_ones(self.m, alpha, l)
-        if dd == 0:
-            return None
-        if (dd > 0) == (len(alpha) % 2 == 0):
+        labels = [l if var == self.zvar else var % d for var in v.rows]
+        # sign of det(A_alpha) with column l set to all ones
+        positive = (v.det > 0) == (_perm_sign(labels) * (-1) ** (d - 1) > 0)
+        if positive == (len(self.support(v.basis)) % 2 == 0):
             return l  # enter y_l
-        return self.d + l  # enter w_l
+        return d + l  # enter w_l
 
-    def backward_entering(self, basis) -> int | None:
-        fwd = self.forward_entering(basis)
-        if fwd is None:
-            return None
-        l = self.duplicate_label(basis)
-        return self.d + l if fwd == l else l
+    def backward_entering(self, v: Vertex) -> int:
+        l = self.duplicate_label(v.basis)
+        return self.d + l if self.forward_entering(v) == l else l

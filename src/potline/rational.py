@@ -1,8 +1,8 @@
 """Exact rational linear algebra: solves, determinants, norm comparisons.
 
-Everything downstream (pivoting, verifiers, potentials) runs on
-`fractions.Fraction`.  Matrices are dense lists of lists, vectors plain
-lists.  Determinants and linear solves use Bareiss fraction-free
+Verifiers, solvers and map-backs run on `fractions.Fraction`; Lemke
+pivoting keeps its own integer tableau (`pivoting`).  Matrices are dense
+lists of lists, vectors plain lists.  Determinants and linear solves use Bareiss fraction-free
 elimination on an integer-cleared copy, which keeps intermediate bit
 growth polynomial.
 """
@@ -162,67 +162,3 @@ def mat_bit_length(a: Mat) -> int:
 def vec_bit_length(x: Vec) -> int:
     return max((bit_length(e) for e in x), default=0)
 
-
-# ---------------------------------------------------------------------------
-# Lexicographic values: c0 + c1*eps + c2*eps^2 + ... for an infinitesimal
-# eps > 0.  Used for symbolic lexicographic perturbation of LCP right-hand
-# sides; comparison is plain tuple comparison of the coefficient vector.
-
-class LexVec:
-    """A degree-bounded polynomial in an infinitesimal, ordered
-    lexicographically by coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    @staticmethod
-    def const(c, depth: int) -> "LexVec":
-        return LexVec([Fraction(c)] + [Fraction(0)] * depth)
-
-    @staticmethod
-    def eps_unit(k: int, depth: int) -> "LexVec":
-        coeffs = [Fraction(0)] * (depth + 1)
-        coeffs[k] = Fraction(1)
-        return LexVec(coeffs)
-
-    @property
-    def numeric(self) -> Fraction:
-        return self.coeffs[0]
-
-    def __add__(self, other):
-        return LexVec([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return LexVec([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return LexVec([-a for a in self.coeffs])
-
-    def scale(self, c: Fraction) -> "LexVec":
-        return LexVec([a * c for a in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, LexVec) and self.coeffs == other.coeffs
-
-    def __lt__(self, other):
-        return self.coeffs < other.coeffs
-
-    def __le__(self, other):
-        return self.coeffs <= other.coeffs
-
-    def __gt__(self, other):
-        return self.coeffs > other.coeffs
-
-    def __ge__(self, other):
-        return self.coeffs >= other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        return f"LexVec({list(self.coeffs)})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .pivoting import LemkeSystem, a_alpha, principal_minor
+from .pivoting import LemkeSystem, Vertex, a_alpha, principal_minor
 from .problems import (
     Certificate,
     LcpInstance,
@@ -138,7 +138,7 @@ class PlcpLineView:
         self.radix = 2 * self.delta**3 + 1
         self.m_pot = ceil_log2(self.radix ** (self.d + 1)) + 1
         self.flavor = flavor
-        self._vertex_cache: dict[int, tuple | None] = {}
+        self._vertex_cache: dict[int, Vertex | None] = {}
         self._start = None
 
     # -- code <-> vertex -----------------------------------------------------
@@ -153,16 +153,15 @@ class PlcpLineView:
             u |= 1 << (d + dl)
         return u
 
-    def start_vertex(self):
+    def start_vertex(self) -> Vertex:
         if self._start is None:
-            basis, vals, _ = self.sys.start_vertex()
-            self._start = (basis, vals)
+            self._start, _ = self.sys.start_vertex()
         return self._start
 
-    def vertex_of(self, u: int):
-        """(basis, vals) for a valid code, else None.  Validity: at most
-        one duplicate bit, solvable, lex-feasible, and canonical (the
-        round trip code_of reproduces u)."""
+    def vertex_of(self, u: int) -> Vertex | None:
+        """The vertex of a valid code, else None.  Validity: at most one
+        duplicate bit, canonical (the round trip code_of reproduces u),
+        solvable and lex-feasible."""
         if u in self._vertex_cache:
             return self._vertex_cache[u]
         res = self._compute_vertex(u)
@@ -188,75 +187,67 @@ class PlcpLineView:
             for i in range(d):
                 basis.add(i if u >> i & 1 else d + i)
         basis = frozenset(basis)
-        vals = self.sys.solve_basis(basis)
-        if vals is None or not self.sys.feasible(vals):
-            return None
         if self.code_of(basis) != u:
             return None
-        return basis, vals
+        v = self.sys.vertex_at(basis)
+        if v is None or not self.sys.feasible(v):
+            return None
+        return v
+
+    def _step(self, v: Vertex, entering: int, dz: int) -> int | None:
+        """Code of the neighbour across the edge on which `entering` grows,
+        if z moves in the direction `dz` along it.  The neighbour is
+        canonical and lex-feasible, so it seeds the vertex cache."""
+        if self.sys.dz_sign(v, entering) != dz:
+            return None
+        step = self.sys.ratio_step(v, entering)
+        if step is None:
+            return None  # the edge is a ray
+        code = self.code_of(step[0].basis)
+        self._vertex_cache.setdefault(code, step[0])
+        return code
 
     # -- oracles ---------------------------------------------------------------
     def successor(self, u: int) -> int:
         if u == 0:
-            basis, _ = self.start_vertex()
-            return self.code_of(basis)
-        vtx = self.vertex_of(u)
-        if vtx is None:
-            return u
-        basis, vals = vtx
-        if self.sys.zvar not in basis:
+            return self.code_of(self.start_vertex().basis)
+        v = self.vertex_of(u)
+        if v is None or self.sys.zvar not in v.basis:
             return u  # z = 0: ends of the line have no successor
-        fwd = self.sys.forward_entering(basis)
-        if fwd is None:
-            return u
-        step = self.sys.ratio_step(basis, vals, fwd)
-        if step is None:
-            return u  # forward edge is a ray
-        nb, nv, _, _ = step
-        if self.sys.z_of(vals) > self.sys.z_of(nv):
-            return self.code_of(nb)
-        return u
+        nxt = self._step(v, self.sys.forward_entering(v), -1)
+        return u if nxt is None else nxt
 
     def predecessor(self, u: int) -> int:
         if u == 0:
             return 0
-        vtx = self.vertex_of(u)
-        if vtx is None:
+        v = self.vertex_of(u)
+        if v is None:
             return u
-        basis, vals = vtx
-        sbasis, _ = self.start_vertex()
-        if basis == sbasis:
+        if v.basis == self.start_vertex().basis:
             return 0
-        if self.sys.zvar not in basis:
+        if self.sys.zvar not in v.basis:
             # relax z = 0; the edge points into u iff the cone minor is
             # positive (its z-decreasing side is forward).
-            alpha = self.sys.support(basis)
-            if principal_minor(self.inst.M, alpha) <= 0:
+            if principal_minor(self.inst.M, self.sys.support(v.basis)) <= 0:
                 return u
             entering = self.sys.zvar
         else:
-            entering = self.sys.backward_entering(basis)
-            if entering is None:
-                return u
-        step = self.sys.ratio_step(basis, vals, entering)
-        if step is None:
-            return u
-        nb, nv, _, _ = step
-        if self.sys.z_of(nv) > self.sys.z_of(vals):
-            return self.code_of(nb)
-        return u
+            entering = self.sys.backward_entering(v)
+        nxt = self._step(v, entering, 1)
+        return u if nxt is None else nxt
 
     def potential(self, u: int) -> int:
         if u == 0:
             return 0
-        vtx = self.vertex_of(u)
-        if vtx is None:
+        v = self.vertex_of(u)
+        if v is None:
             return 0
-        basis, vals = vtx
-        coeffs = self.sys.z_of(vals).coeffs
+        # z's eps coefficients are zs[k] / det.  Negative digits clamp to 0,
+        # so flooring gives the same digits as truncating.
+        zs, det = self.sys.z_row(v)
         val = 0
-        for k in range(self.d + 1):
-            digit = int((self.delta**2) * (self.delta - coeffs[k]))
+        for x in zs:
+            digit = self.delta**2 * (self.delta * det - x) // det
             digit = min(max(digit, 0), self.radix - 1)
             val = val * self.radix + digit
         return val
@@ -287,24 +278,24 @@ def _pv2_from_same_z_points(inst: LcpInstance, y1, y2) -> Certificate | None:
     return c if verify_lcp(inst, c) else None
 
 
-def _edge_points_same_z(view: PlcpLineView, basis, vals):
+def _edge_points_same_z(view: PlcpLineView, v: Vertex):
     """Points on the two relaxation edges at a duplicate vertex sharing one
     z value.  Returns a list of numeric
     (y, z) pairs, all with equal z."""
     sys = view.sys
-    l = sys.duplicate_label(basis)
+    l = sys.duplicate_label(v.basis)
     if l is None:
         return []
-    z0 = sys.z_of(vals).numeric
+    z0 = sys.value(v, sys.zvar)
     edges = []
     for entering in (l, sys.d + l):
-        eta = sys.direction(basis, entering)
+        eta = sys.direction(v, entering)
         dz = eta.get(sys.zvar, Fraction(0))
-        step = sys.ratio_step(basis, vals, entering)
+        step = sys.ratio_step(v, entering)
         if step is None:
             t_max = None  # ray: any positive step stays feasible
         else:
-            t_max = step[3].numeric
+            t_max = sys.value(step[0], entering)  # the step length
         edges.append((eta, dz, t_max))
     signs = [dz for _, dz, _ in edges]
     out = []
@@ -318,7 +309,7 @@ def _edge_points_same_z(view: PlcpLineView, basis, vals):
         eps = min(finite) / 2 if finite else Fraction(1)
         for eta, dz, _ in edges:
             t = eps / abs(dz)
-            y, _, z = sys.edge_point(vals, eta, t)
+            y, _, z = sys.edge_point(v, eta, t)
             out.append((y, z))
         return out
     for eta, dz, t_max in edges:
@@ -328,8 +319,8 @@ def _edge_points_same_z(view: PlcpLineView, basis, vals):
             t = Fraction(1) if t_max is None else t_max / 2
             if t == 0:
                 continue
-            y0, _, _ = sys.numeric_point(vals)
-            y1, _, _ = sys.edge_point(vals, eta, t)
+            y0, _, _ = sys.numeric_point(v)
+            y1, _, _ = sys.edge_point(v, eta, t)
             out.append((y0, z0))
             out.append((y1, z0))
             return out
@@ -374,10 +365,10 @@ def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certi
                         return got
         return None
 
-    def ray_pv2(other_vals):
+    def ray_pv2(other):
         # The start code stands for the primary ray (y = 0, z >= z0); the
         # ray point at the other vertex's z value pairs with it for PV2.
-        y_other, _, z_other = sys.numeric_point(other_vals)
+        y_other, _, z_other = sys.numeric_point(other)
         if all(v == 0 for v in y_other):
             return None
         w_ray = [qi + z_other for qi in scaled.q]
@@ -386,24 +377,23 @@ def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certi
         return finish(_pv2_from_same_z_points(inst, y_other, [Fraction(0)] * view.d))
 
     if c.kind in ("U1", "R1", "UV2"):
-        vtx = view.vertex_of(c.x) if c.x != 0 else None
-        if vtx is None:
+        v = view.vertex_of(c.x) if c.x != 0 else None
+        if v is None:
             raise UnmappableCert(f"{c} is not a valid configuration")
-        basis, vals = vtx
-        if sys.zvar not in basis:
-            y, _, _ = sys.numeric_point(vals)
+        if sys.zvar not in v.basis:
+            y, _, _ = sys.numeric_point(v)
             out = finish(cert("Q1", y=y))
             if out:
                 return out
             raise UnmappableCert(f"z=0 decode of {c} failed")
-        pts = _edge_points_same_z(view, basis, vals)
+        pts = _edge_points_same_z(view, v)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if pts[i][1] == pts[j][1]:
                     out = finish(_pv2_from_same_z_points(inst, pts[i][0], pts[j][0]))
                     if out:
                         return out
-        out = pv1_candidates(basis)
+        out = pv1_candidates(v.basis)
         if out:
             return out
         raise UnmappableCert(f"stalled vertex for {c} yielded no violation")
@@ -412,7 +402,7 @@ def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certi
         if c.x == 0 or c.y == 0:
             other = view.vertex_of(c.y if c.x == 0 else c.x)
             if other is not None:
-                out = ray_pv2(other[1])
+                out = ray_pv2(other)
                 if out:
                     return out
             raise UnmappableCert(f"UV3 {c} through the start gave no violation")
@@ -420,8 +410,8 @@ def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certi
         vb = view.vertex_of(c.y)
         if va is None or vb is None:
             raise UnmappableCert("UV3 endpoints are not valid configurations")
-        ya, _, za = sys.numeric_point(va[1])
-        yb, _, zb = sys.numeric_point(vb[1])
+        ya, _, za = sys.numeric_point(va)
+        yb, _, zb = sys.numeric_point(vb)
         if za == zb:
             out = finish(_pv2_from_same_z_points(inst, ya, yb))
             if out:
@@ -429,22 +419,19 @@ def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certi
         else:
             # V(x) < V(y) < V(S(x)): a point on the edge out of x shares
             # y's z value.
-            basis, vals = va
-            if sys.zvar in basis:
-                fwd = sys.forward_entering(basis)
-                if fwd is not None:
-                    eta = sys.direction(basis, fwd)
-                    dz = eta.get(sys.zvar, Fraction(0))
-                    if dz != 0:
-                        t = (zb - za) / dz
-                        if t > 0:
-                            y_mid, _, z_mid = sys.edge_point(vals, eta, t)
-                            if z_mid == zb:
-                                out = finish(_pv2_from_same_z_points(inst, y_mid, yb))
-                                if out:
-                                    return out
-        for basis, _ in (va, vb):
-            out = pv1_candidates(basis)
+            if sys.zvar in va.basis:
+                eta = sys.direction(va, sys.forward_entering(va))
+                dz = eta.get(sys.zvar, Fraction(0))
+                if dz != 0:
+                    t = (zb - za) / dz
+                    if t > 0:
+                        y_mid, _, z_mid = sys.edge_point(va, eta, t)
+                        if z_mid == zb:
+                            out = finish(_pv2_from_same_z_points(inst, y_mid, yb))
+                            if out:
+                                return out
+        for v in (va, vb):
+            out = pv1_candidates(v.basis)
             if out:
                 return out
         raise UnmappableCert(f"UV3 {c} yielded no violation")

@@ -66,29 +66,29 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
     if all(qi >= 0 for qi in inst.q):
         return cert("Q1", y=[Fraction(0)] * d)
     sys = LemkeSystem(inst.M, inst.q)
-    basis, vals, i_star = sys.start_vertex()
-    stats.z_trace.append(sys.z_of(vals).numeric)
+    v, i_star = sys.start_vertex()
+    stats.z_trace.append(sys.value(v, sys.zvar))
     entering = i_star  # relax y_{i*}=0: the complement of the leaving w_{i*}
     while True:
         # The cone about to be traversed; its minor sign determines the z
         # direction along the edge (Todd orientation).
-        alpha = sys.support(basis) | ({entering} if entering < d else set())
+        alpha = sys.support(v.basis) | ({entering} if entering < d else set())
         if entering >= d and entering < 2 * d:
             alpha = alpha - {entering - d}
-        step = sys.ratio_step(basis, vals, entering)
+        step = sys.ratio_step(v, entering)
         stats.pivots += 1
         if step is None:
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=frozenset(alpha))
             # Along the ray dz >= 0 and dy_i * dw_i = 0 with dw = M dy + dz * 1,
             # so x = dy gives x_i (Mx)_i = -dz * x_i <= 0: a PV2 witness.
-            ray = sys.direction(basis, entering)
+            ray = sys.direction(v, entering)
             c = cert("PV2", x=[ray.get(i, Fraction(0)) for i in range(d)])
             if not verify(inst, c):
                 raise RuntimeError("secondary ray gave no PV2 certificate")
             return c
-        basis, vals, leaving, _ = step
-        z_new = sys.z_of(vals).numeric if sys.zvar in basis else Fraction(0)
+        v, leaving = step
+        z_new = sys.value(v, sys.zvar)
         z_prev = stats.z_trace[-1]
         stats.z_trace.append(z_new)
         if z_new > z_prev:
@@ -101,8 +101,8 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
                     if principal_minor(inst.M, sub) <= 0:
                         return cert("PV1", alpha=frozenset(sub))
             raise RuntimeError("z increased but no non-positive minor found")
-        if sys.zvar not in basis:
-            y, _, _ = sys.numeric_point(vals)
+        if sys.zvar not in v.basis:
+            y, _, _ = sys.numeric_point(v)
             return cert("Q1", y=y)
         # Complementary pivot rule: enter the complement of the leaver.
         entering = leaving + d if leaving < d else leaving - d
@@ -433,9 +433,10 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
     ||f(v)-v||_p <= eps, or a CMV1 pair with ||f(x)-f(y)||_p >= ||x-y||_p
     (a contraction violation for every c < 1)."""
     stats = stats if stats is not None else RunStats()
-    eps = frac(eps) if eps is not None else frac(inst.eps)
-    if eps is None or eps <= 0:
+    eps = eps if eps is not None else inst.eps
+    if eps is None or frac(eps) <= 0:
         raise ValueError("approximate mode needs eps > 0")
+    eps = frac(eps)
     es = eps_schedule(inst.p, inst.d, eps)
     try:
         v = _approx_rec(inst, es, {}, inst.d, stats)

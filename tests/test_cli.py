@@ -225,3 +225,13 @@ def test_verify_explains_wrong_dimension(tmp_path, capsys):
     code, out = run(capsys, "verify", str(inst), str(bad), "--problem", "contraction")
     assert code == 1
     assert json.loads(out) == {"accepted": False, "kind": "CM1", "reason": "dimension mismatch"}
+
+
+def test_solve_approx_without_eps_exits_2(tmp_path, capsys):
+    inst = tmp_path / "map.json"
+    run(capsys, "generate", "--kind", "contractioncircuit", "--d", "2", "--seed", "3",
+        "-o", str(inst))
+    assert "eps" not in json.loads(inst.read_text())
+    code = main(["solve", str(inst), "--problem", "contraction", "--algo", "approx"])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "error: approximate mode needs eps > 0"

@@ -1,0 +1,288 @@
+"""Lemke pivoting pinned to recorded paths, Murty's exponential family, the
+Todd orientation sign, and Lemke at sizes brute force cannot reach."""
+
+import hashlib
+import random
+from fractions import Fraction as F
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from potline.generators import gen_lcp
+from potline.pivoting import LemkeSystem, a_alpha, principal_minor
+from potline.problems import LcpInstance, verify
+from potline.rational import determinant
+from potline.reductions_lcp import plcp_to_eopl
+from potline.solvers import RunStats, follow_line, lemke
+
+
+def _digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+def _is_p_matrix(m) -> bool:
+    d = len(m)
+    return all(principal_minor(m, a) > 0 for r in range(1, d + 1) for a in combinations(range(d), r))
+
+
+def _wild_non_p():
+    """The non-P sources of test_wild_sources.test_wild_lcp_matrices."""
+    rng = random.Random(0)
+    found = {}
+    for trial in range(60):
+        rng.seed(trial)
+        d = 2 + trial % 2
+        m = [[F(rng.randrange(-3, 4)) for _ in range(d)] for _ in range(d)]
+        q = [F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(d)]
+        if any(v < 0 for v in q) and not _is_p_matrix(m):
+            found[trial] = LcpInstance(M=m, q=q)
+    return found
+
+
+def _lemke_record(inst):
+    st_ = RunStats()
+    c = lemke(inst, stats=st_)
+    return c.kind, _digest(c), st_.pivots, _digest(st_.z_trace)
+
+
+def _line_record(inst):
+    line, _ = plcp_to_eopl(inst)
+    return _digest([(line.S(u), line.P(u), line.V(u)) for u in range(1 << line.n)])
+
+
+def _line_sources():
+    srcs = {f"p{d}/{s}": gen_lcp(d, s) for d in (1, 2, 3) for s in range(4)}
+    srcs.update({f"np{d}/{s}": gen_lcp(d, s, p_matrix=False) for d in (2, 3) for s in range(3)})
+    srcs.update({f"wild{t}": inst for t, inst in _wild_non_p().items()})
+    return srcs
+
+
+# The pinned values were recorded with the earlier kernel, which solved every
+# basis afresh with Bareiss elimination; the tableau must reproduce them.
+
+# (kind, digest of the certificate, pivots, digest of z_trace) per source.
+PINNED_LEMKE = {
+    (4, 0): ('Q1', '1f0f83ab408367fe', 3, '0ac88a7fb3d1561d'),
+    (4, 1): ('Q1', 'd6a7e6fa621f6af8', 1, '1da96a7e62142b4c'),
+    (4, 2): ('Q1', '1ce3e3229413bd3c', 1, '49a2218d7c309481'),
+    (4, 3): ('Q1', '93bf07af716a8cfa', 2, 'f57740b88e2916a8'),
+    (4, 4): ('Q1', '2fdcf2872f24693e', 3, 'f52cc0979b2a32bf'),
+    (4, 5): ('Q1', 'ce38a8ab3aabed7f', 2, 'be3c8165a059e65d'),
+    (4, 6): ('Q1', '7e5a2306bcbcd9ca', 1, 'f3d5dde37f27f0bb'),
+    (4, 7): ('Q1', '5b8883fe8fe9647c', 2, 'a41bb41f0290bbfe'),
+    (8, 0): ('Q1', '53ca87a66b52249d', 6, '587d193debed9d8c'),
+    (8, 1): ('Q1', '41cc5e8e24898afe', 4, '3b90a9fdf5d7cf6a'),
+    (8, 2): ('Q1', '737c246d95bb74c6', 1, '4eca96b84a3966bc'),
+    (8, 3): ('Q1', '8db7c1ef353ad383', 4, '0ea44ef814c77fe0'),
+    (8, 4): ('Q1', 'afc3eda1fd829081', 5, 'fc510473f7c4f31b'),
+    (8, 5): ('Q1', '77c5262d64d06d4a', 2, '762805f293eedf19'),
+    (8, 6): ('Q1', '0b8f775549fb3198', 2, 'f14cdcc1b7f33075'),
+    (8, 7): ('Q1', 'd88271b0845dfb88', 3, '0a3229f7283bce29'),
+    (16, 0): ('Q1', 'd479556a97d4b57a', 4, 'ca07d608b72d9bca'),
+    (16, 1): ('Q1', '7eba03dfc7bb3eb9', 8, 'fbd6cf39167e9423'),
+    (16, 2): ('Q1', '81fb5bbac2adb17b', 8, 'b3182294171aec04'),
+    (16, 3): ('Q1', 'ccdaac8af71a3f0f', 9, '4884da590a1f10ac'),
+    (16, 4): ('Q1', '376d6393ea830df9', 10, '2ba1366bf48b8c85'),
+    (16, 5): ('Q1', 'addb856f392ae67c', 2, '8de9482a9f4e1a0f'),
+    (16, 6): ('Q1', 'af9cbf2b742d66c2', 7, 'aedf15d682c8a2bc'),
+    (16, 7): ('Q1', '5f4fefa04af066a6', 8, 'f4c1c354ded48e1f'),
+    'wild0': ('Q1', '70cf6f9947e447ed', 1, '78eed426fd19a2d4'),
+    'wild1': ('PV1', 'c76c625f3f3f8a0b', 2, '8451e68c8136d4cd'),
+    'wild2': ('PV1', '2af3b82012264958', 3, 'c319e9c4574cd8a9'),
+    'wild3': ('PV1', '2af3b82012264958', 1, '8338ea6ebb95cb00'),
+    'wild4': ('Q1', '82aca5b03a704ffe', 1, '78eed426fd19a2d4'),
+    'wild5': ('Q1', 'acf6cae446c9335d', 1, '4eca96b84a3966bc'),
+    'wild6': ('PV1', '2af3b82012264958', 1, '023798d4e3102ad8'),
+    'wild7': ('PV1', '2af3b82012264958', 1, '1012872710400cbe'),
+    'wild8': ('PV1', '2af3b82012264958', 1, '023798d4e3102ad8'),
+    'wild9': ('PV1', '68508b86e8c1672f', 1, '0d7eff2770509f8b'),
+    'wild10': ('Q1', '1cdc36be213f0604', 1, '4eca96b84a3966bc'),
+    'wild11': ('PV1', '65207571a40b8d8b', 2, 'df4c48371ce86ba9'),
+    'wild13': ('PV1', '3587576f77461f6e', 3, '29c769f305be91e5'),
+    'wild15': ('PV1', '68508b86e8c1672f', 1, '0d7eff2770509f8b'),
+    'wild17': ('PV1', '2af3b82012264958', 3, '72899223f0c26238'),
+    'wild18': ('Q1', 'f099991f381eb316', 2, '5a49d917b0ce6a7a'),
+    'wild19': ('PV1', '2af3b82012264958', 1, 'ec6c21e4c6d6afc4'),
+    'wild20': ('Q1', 'b16c895baca9d050', 1, '1da96a7e62142b4c'),
+    'wild21': ('Q1', '0f6dbf483bcf1c03', 1, 'cc13e43bf52df06f'),
+    'wild22': ('Q1', '82aca5b03a704ffe', 1, '822b8c73884a02b3'),
+    'wild23': ('PV1', '2af3b82012264958', 1, 'ec6c21e4c6d6afc4'),
+    'wild28': ('PV1', '3587576f77461f6e', 1, '8338ea6ebb95cb00'),
+    'wild29': ('PV1', '65207571a40b8d8b', 2, '06571d8ccd5f9c1e'),
+    'wild31': ('PV1', '68508b86e8c1672f', 1, '1a1ea98fc91cb148'),
+    'wild32': ('PV1', '2af3b82012264958', 1, '3cadc021ff4f3f79'),
+    'wild33': ('Q1', '4346e29a5c64c18c', 1, 'cc13e43bf52df06f'),
+    'wild34': ('Q1', 'c09f79d39fd59819', 1, '822b8c73884a02b3'),
+    'wild35': ('Q1', 'aaaa36b8b5c13ded', 1, '60415184e4b7b30d'),
+    'wild36': ('PV1', '4a5ce8b70971febb', 2, 'f9cd3f0df81c9a87'),
+    'wild39': ('PV1', '3587576f77461f6e', 1, '93929110c6a5843d'),
+    'wild40': ('PV1', '2af3b82012264958', 1, '3069cd2865884db4'),
+    'wild41': ('PV1', 'ec61eb19b80dcff6', 3, '1fbc3f448bdadd3c'),
+    'wild42': ('PV1', '4a5ce8b70971febb', 2, 'ef4709f8f27e200f'),
+    'wild43': ('PV1', '3587576f77461f6e', 1, '0d7eff2770509f8b'),
+    'wild44': ('PV1', '3587576f77461f6e', 1, 'b1b4d35894d83a65'),
+    'wild45': ('PV1', '68508b86e8c1672f', 1, '0d7eff2770509f8b'),
+    'wild46': ('PV1', '3587576f77461f6e', 1, '81c1567519b507b5'),
+    'wild47': ('Q1', '20df2fa6f7fca122', 1, '4eca96b84a3966bc'),
+    'wild49': ('PV1', '2af3b82012264958', 1, '1012872710400cbe'),
+    'wild50': ('Q1', '9cf8f54f6d243d35', 2, 'c614a3869298886e'),
+    'wild53': ('Q1', 'bec19b1ccdf9d242', 2, 'ad6e858852a47e19'),
+    'wild57': ('PV1', 'c76c625f3f3f8a0b', 2, '5cab7f066376c62a'),
+    'wild58': ('PV1', '4a5ce8b70971febb', 2, '74ea1b40f402c2c9'),
+    'wild59': ('PV1', '2af3b82012264958', 1, '8338ea6ebb95cb00'),
+}
+
+# Digest of [(S(u), P(u), V(u)) for every code u] of plcp_to_eopl per source.
+PINNED_LINES = {
+    'p1/0': '4f2026d93d112972',
+    'p1/1': 'd540c9023bfdb87e',
+    'p1/2': '3cce8641dab7565e',
+    'p1/3': '5fc770ecbd5b50e5',
+    'p2/0': '27914df49a1205ca',
+    'p2/1': 'c54ea7e2e6792a4b',
+    'p2/2': '26fb9947c2a5a75b',
+    'p2/3': 'e49b80ecaee8a6ad',
+    'p3/0': 'f532782b1cb86b8a',
+    'p3/1': '3eeb921fd60d1644',
+    'p3/2': '0d8bc1b202717261',
+    'p3/3': '185df9b6212d0428',
+    'np2/0': '38d2b2d57aa26a98',
+    'np2/1': '4f0bcbcf85ede395',
+    'np2/2': '41d18f11f35b0d67',
+    'np3/0': '017916dfaec0ace4',
+    'np3/1': '9e0cff8e9d1a3a5a',
+    'np3/2': '59687e1851fa5fa3',
+    'wild0': '028721c35a860f62',
+    'wild1': '2abde5b2e676f2f6',
+    'wild2': '07a061f48afa88b9',
+    'wild3': 'edf11c4cfc3f4616',
+    'wild4': '7695165bf56e0079',
+    'wild5': '70e3b6a94880c2ac',
+    'wild6': '9a36ddb2c87ac6b4',
+    'wild7': '9f89ed2c15cec1de',
+    'wild8': '764b34001c9a61af',
+    'wild9': 'be02eb434940d890',
+    'wild10': 'e218b7eed76756ec',
+    'wild11': '67c4d4a416a84130',
+    'wild13': 'a62317f0a9954f75',
+    'wild15': '3ca62a58fb3e3bd6',
+    'wild17': '6ff631b949f273f2',
+    'wild18': 'f4b112baa69a2356',
+    'wild19': '8928daace86a4493',
+    'wild20': 'e53e5f617f006b88',
+    'wild21': '1be6eab39ee9a1c1',
+    'wild22': '65a3e4aa843f672f',
+    'wild23': 'faad6d54c9e3cbc7',
+    'wild28': 'a5cb32dff6ba469f',
+    'wild29': '9067243cb640770d',
+    'wild31': '49641bd3399ce409',
+    'wild32': '4cd70847d47b9656',
+    'wild33': 'fbebaf41b125b355',
+    'wild34': '18dd0e4658aea464',
+    'wild35': 'b18057318fcb1d51',
+    'wild36': '03ec96fa0da3136a',
+    'wild39': '134018d4eb80d6b1',
+    'wild40': '47699d613283647b',
+    'wild41': '96b372037a0ba569',
+    'wild42': 'c80eba87485f47e3',
+    'wild43': '181673b655444616',
+    'wild44': '1ad6b26ae595b0c8',
+    'wild45': 'e1e97405308f734a',
+    'wild46': 'a14bb3f6fb87565d',
+    'wild47': '0a41e5409ed7efaa',
+    'wild49': '847915aee79defa2',
+    'wild50': '2558c580a2b0c3d6',
+    'wild53': 'f901f79234021158',
+    'wild57': '5b9b923ca004760e',
+    'wild58': '1d48fad1d912fddf',
+    'wild59': '5aaf20850e612daa',
+}
+
+
+def test_lemke_pinned_gen_lcp():
+    got = {(d, s): _lemke_record(gen_lcp(d, s)) for d in (4, 8, 16) for s in range(8)}
+    assert got == {k: v for k, v in PINNED_LEMKE.items() if isinstance(k, tuple)}
+
+
+def test_lemke_pinned_wild_non_p():
+    got = {f"wild{t}": _lemke_record(inst) for t, inst in _wild_non_p().items()}
+    assert got == {k: v for k, v in PINNED_LEMKE.items() if isinstance(k, str)}
+    # Q1 and PV1 ends, most PV1 paths on a ray.  No source here reaches
+    # PV2 (test_solvers.test_lemke_ray_pv2 covers it).
+    assert {kind for kind, *_ in got.values()} == {"Q1", "PV1"}
+
+
+def test_line_view_pinned_oracles():
+    assert {k: _line_record(inst) for k, inst in _line_sources().items()} == PINNED_LINES
+
+
+# -- Murty's family (Murty 1978) -----------------------------------------------
+
+def _murty(n):
+    m = [[F(1 if i == j else 2 if j < i else 0) for j in range(n)] for i in range(n)]
+    return LcpInstance(M=m, q=[F(-1)] * n)
+
+
+def test_murty_lemke_pivots():
+    for n in range(2, 13):
+        inst, st_ = _murty(n), RunStats()
+        c = lemke(inst, stats=st_)
+        assert c.kind == "Q1" and verify(inst, c)
+        assert st_.pivots == (1 << n) - 1, n
+
+
+def test_murty_line_steps():
+    for n in range(2, 7):
+        line, _ = plcp_to_eopl(_murty(n))
+        st_ = RunStats()
+        follow_line(line, 0, stats=st_)
+        assert st_.steps == (1 << n) + 1, n
+
+
+# -- Todd orientation from the running determinant ----------------------------
+
+def _path_vertices(sys, max_pivots=200):
+    """Duplicate-label vertices of the complementary pivot path from the
+    Lemke start, followed until z leaves, a ray, or max_pivots."""
+    v, entering = sys.start_vertex()
+    out = [v]
+    for _ in range(max_pivots):
+        step = sys.ratio_step(v, entering)
+        if step is None:
+            break
+        v, leaving = step
+        if sys.zvar not in v.basis:
+            break
+        out.append(v)
+        entering = leaving + sys.d if leaving < sys.d else leaving - sys.d
+    return out
+
+
+def test_forward_entering_matches_determinant():
+    checked = 0
+    for d in range(3, 7):
+        for s in range(10):
+            for inst in (gen_lcp(d, s), gen_lcp(d, s, p_matrix=False)):
+                sys = LemkeSystem(inst.M, inst.q)
+                for v in _path_vertices(sys):
+                    l = sys.duplicate_label(v.basis)
+                    alpha = sys.support(v.basis)
+                    a = a_alpha(inst.M, alpha)
+                    for r in range(d):
+                        a[r][l] = F(1)
+                    dd = determinant(a)
+                    assert dd != 0
+                    want = l if (dd > 0) == (len(alpha) % 2 == 0) else d + l
+                    assert sys.forward_entering(v) == want, (d, s, sorted(v.basis))
+                    checked += 1
+    assert checked > 150
+
+
+# -- sizes brute force cannot reach --------------------------------------------
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(20, 24), st.integers(0, 2**31 - 1))
+def test_lemke_large_p_lcp_verifies(d, seed):
+    inst = gen_lcp(d, seed)
+    c = lemke(inst)
+    assert c.kind == "Q1" and verify(inst, c)

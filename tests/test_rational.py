@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potline.rational import (
-    LexVec,
     SingularMatrixError,
     bit_length,
     ceil_log2,
@@ -87,12 +86,3 @@ def test_det_inverse_product(n, data):
     ainv = solve_linear_multi(a, [[F(i == j) for j in range(n)] for i in range(n)])
     assert determinant(ainv) * d == 1
 
-
-def test_lexvec_ordering():
-    d = 3
-    zero = LexVec.const(0, d)
-    eps1 = LexVec.eps_unit(1, d)
-    eps2 = LexVec.eps_unit(2, d)
-    assert zero < eps2 < eps1 < LexVec.const(F(1, 1000), d)
-    assert (eps1 - eps1).is_zero()
-    assert eps1.scale(F(2)) > eps1
