@@ -32,7 +32,9 @@ outgoing edge, and it orients the primary ray toward the start vertex.
 At a vertex with duplicate label l, the sign that decides the forward
 edge, det(A_alpha) with column l set to all ones, is (-1)^(d-1) times
 det(B) with B's columns in label order, i.e. (-1)^(d-1) times the sign of
-D times the sign of the row -> label permutation.
+D times the sign of the row -> label permutation.  At a vertex with z
+nonbasic the same reading gives the sign of det(M_alpha_alpha): the
+columns -e_i of the labels outside alpha contribute (-1)^(d-|alpha|).
 """
 
 from __future__ import annotations
@@ -258,6 +260,17 @@ class LemkeSystem:
         return v, i_star
 
     # -- Todd orientation ------------------------------------------------------
+    def _label_order_sign(self, v: Vertex, dup: int | None = None) -> int:
+        """Sign of det(B) with B's columns in label order; z's column
+        stands for the duplicate label `dup`."""
+        labels = [dup if var == self.zvar else var % self.d for var in v.rows]
+        return _perm_sign(labels) if v.det > 0 else -_perm_sign(labels)
+
+    def cone_sign(self, v: Vertex) -> int:
+        """Sign of det(M_alpha_alpha), alpha = support(v.basis), at a vertex
+        with z nonbasic (nonzero: its basis is nonsingular)."""
+        return self._label_order_sign(v) * (-1) ** (self.d - len(self.support(v.basis)))
+
     def forward_entering(self, v: Vertex) -> int:
         """At a duplicate-label vertex, the entering variable (y_l or w_l)
         whose edge is the path successor."""
@@ -265,9 +278,8 @@ class LemkeSystem:
         l = self.duplicate_label(v.basis)
         if l is None:
             raise ValueError("vertex has no duplicate label")
-        labels = [l if var == self.zvar else var % d for var in v.rows]
         # sign of det(A_alpha) with column l set to all ones
-        positive = (v.det > 0) == (_perm_sign(labels) * (-1) ** (d - 1) > 0)
+        positive = self._label_order_sign(v, l) * (-1) ** (d - 1) > 0
         if positive == (len(self.support(v.basis)) % 2 == 0):
             return l  # enter y_l
         return d + l  # enter w_l

@@ -5,6 +5,11 @@ production); verifiers accept or reject a candidate certificate using only
 oracle queries and exact arithmetic, so they work on instances that are
 exponentially large.
 
+Every oracle must be a pure function of its arguments.  Each line, grid
+and orientation instance memoizes its oracles with `memoize`, up to
+ORACLE_CACHE_SIZE entries per oracle, so a chain of reduction views asks
+each stage below for a value once rather than once per query above it.
+
 Conventions:
   * line-problem vertices are ints in [0, 2^n); a bit-string x with
     S(x) = x is a non-vertex (self-loop) in every flavor;
@@ -20,11 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .rational import Mat, Vec, frac, frac_str, lp_pow, mat
 
 UP, DOWN, ZERO = "up", "down", "zero"
+
+# Entries kept per memoized oracle; the least recently used go first.
+ORACLE_CACHE_SIZE = 1 << 14
+
+
+def memoize(fn):
+    """Memo of a pure function, bounded by ORACLE_CACHE_SIZE."""
+    return lru_cache(maxsize=ORACLE_CACHE_SIZE)(fn)
 
 
 class VariantMismatch(ValueError):
@@ -95,6 +109,9 @@ class LineInstance:
     forward-only flavors and `potential` is required for all potential
     flavors.  `vertex_iter` optionally enumerates the (reachable or valid)
     vertex ids for desk-scale brute force when 2^n is too large.
+
+    The oracles must be pure: S, P and V memoize them (module docstring).
+    A missing P or V raises VariantMismatch on every call.
     """
 
     n: int
@@ -109,18 +126,33 @@ class LineInstance:
         if self.flavor not in LINE_KINDS:
             raise ValueError(f"unknown flavor {self.flavor}")
 
+    # Memos are built on first use, since views are often built in bulk and
+    # queried one at a time.  They hold the oracle, not the instance, so no
+    # reference cycle keeps a dropped instance and its cache alive.
+    @cached_property
+    def _S(self):
+        return memoize(self.successor)
+
+    @cached_property
+    def _P(self):
+        return memoize(self.predecessor)
+
+    @cached_property
+    def _V(self):
+        return memoize(self.potential)
+
     def S(self, x: int) -> int:
-        return self.successor(x)
+        return self._S(x)
 
     def P(self, x: int) -> int:
         if self.predecessor is None:
             raise VariantMismatch(f"{self.flavor} has no predecessor oracle")
-        return self.predecessor(x)
+        return self._P(x)
 
     def V(self, x: int) -> int:
         if self.potential is None:
             raise VariantMismatch(f"{self.flavor} has no potential oracle")
-        return self.potential(x)
+        return self._V(x)
 
     @property
     def size(self) -> int:
@@ -146,10 +178,18 @@ def line_from_tables(n, s_table, p_table=None, v_table=None, flavor="eopl", m_po
 
 @dataclass
 class OpdcInstance:
-    """Grid widths (k_0..k_{d-1}) plus direction oracles D_i(p)."""
+    """Grid widths (k_0..k_{d-1}) plus direction oracles D_i(p).
+
+    `direction` must be pure: D memoizes it (module docstring) after the
+    grid check, so an off-grid point raises OffGrid on every call.
+    """
 
     widths: tuple
     direction: Callable[[int, tuple], str]
+
+    @cached_property
+    def _D(self):
+        return memoize(self.direction)
 
     @property
     def d(self) -> int:
@@ -162,7 +202,7 @@ class OpdcInstance:
         return p
 
     def D(self, i: int, p) -> str:
-        return self.direction(i, self.check_point(p))
+        return self._D(i, self.check_point(p))
 
     def points(self):
         from itertools import product
@@ -172,8 +212,15 @@ class OpdcInstance:
 
 @dataclass
 class UsoInstance:
+    """Orientation of the n-cube: `orient(v)` is v's out-map bits, or None
+    for a dash.  It must be pure: it is memoized in place (module
+    docstring)."""
+
     n: int
-    orient: Callable[[int], Optional[int]]  # outmap bits, or None for dash
+    orient: Callable[[int], Optional[int]]
+
+    def __post_init__(self):
+        self.orient = memoize(self.orient)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import problems
 from .pivoting import LemkeSystem, Vertex, a_alpha, principal_minor
 from .problems import (
     Certificate,
@@ -65,13 +66,9 @@ def out_map(inst: LcpInstance, alpha) -> int | None:
 def plcp_to_uso(inst: LcpInstance) -> UsoInstance:
     """Orient vertex v by out(alpha(v)) with alpha(v) = set bits of v."""
     d = inst.d
-    cache: dict[int, int | None] = {}
 
     def orient(v: int):
-        if v not in cache:
-            alpha = frozenset(i for i in range(d) if v >> i & 1)
-            cache[v] = out_map(inst, alpha)
-        return cache[v]
+        return out_map(inst, frozenset(i for i in range(d) if v >> i & 1))
 
     return UsoInstance(n=d, orient=orient)
 
@@ -162,11 +159,16 @@ class PlcpLineView:
         """The vertex of a valid code, else None.  Validity: at most one
         duplicate bit, canonical (the round trip code_of reproduces u),
         solvable and lex-feasible."""
-        if u in self._vertex_cache:
-            return self._vertex_cache[u]
-        res = self._compute_vertex(u)
-        self._vertex_cache[u] = res
-        return res
+        if u not in self._vertex_cache:
+            self._remember(u, self._compute_vertex(u))
+        return self._vertex_cache[u]
+
+    def _remember(self, u: int, v: Vertex | None) -> None:
+        # A dict emptied when full, not an lru_cache: _step seeds it too.
+        if u not in self._vertex_cache:
+            if len(self._vertex_cache) >= problems.ORACLE_CACHE_SIZE:
+                self._vertex_cache.clear()
+            self._vertex_cache[u] = v
 
     def _compute_vertex(self, u: int):
         d = self.d
@@ -204,7 +206,7 @@ class PlcpLineView:
         if step is None:
             return None  # the edge is a ray
         code = self.code_of(step[0].basis)
-        self._vertex_cache.setdefault(code, step[0])
+        self._remember(code, step[0])
         return code
 
     # -- oracles ---------------------------------------------------------------
@@ -228,7 +230,7 @@ class PlcpLineView:
         if self.sys.zvar not in v.basis:
             # relax z = 0; the edge points into u iff the cone minor is
             # positive (its z-decreasing side is forward).
-            if principal_minor(self.inst.M, self.sys.support(v.basis)) <= 0:
+            if self.sys.cone_sign(v) < 0:
                 return u
             entering = self.sys.zvar
         else:

@@ -19,6 +19,7 @@ from .problems import (
     UnmappableCert,
     VariantMismatch,
     cert,
+    memoize,
     verify_line,
 )
 
@@ -709,7 +710,7 @@ class UeoplToOpdc:
         self.m = src.n
         self.n_blocks = n_blocks if n_blocks is not None else src.m_pot
         self.dims = self.m * self.n_blocks
-        self._decode_cache: dict[tuple, tuple] = {}
+        self._decode = memoize(lambda p: self._chain(self.blocks_of(p)))
 
     def blocks_of(self, p):
         m = self.m
@@ -730,15 +731,10 @@ class UeoplToOpdc:
             if src.V(blocks[b]) - lo == half:
                 lo += half
                 start = blocks[b]
-        return states, start
+        return tuple(states), start
 
     def decode(self, p):
-        p = tuple(p)
-        if p not in self._decode_cache:
-            blocks = self.blocks_of(p)
-            states, start = self._chain(blocks)
-            self._decode_cache[p] = (tuple(states), start)
-        return self._decode_cache[p]
+        return self._decode(tuple(p))
 
     def opdc_instance(self) -> OpdcInstance:
         src = self.src

@@ -30,6 +30,7 @@ from .problems import (
     UnmappableCert,
     UsoInstance,
     cert,
+    memoize,
     verify_contraction,
     verify_opdc,
     verify_uso,
@@ -101,14 +102,14 @@ def contraction_to_opdc(inst: ContractionInstance, kappa=None) -> OpdcInstance:
     f(p')_i - p'_i at the mapped point p' = (p_i / k_i)."""
     kappa = tuple(kappa) if kappa is not None else inst.effective_kappa()
     widths = tuple((1 << k) for k in kappa)
-    cache: dict[tuple, list] = {}
+
+    @memoize
+    def diffs(p):  # f(x) - x at p, for all d directions
+        x = [Fraction(p[j], widths[j]) for j in range(len(widths))]
+        return tuple(a - b for a, b in zip(inst.f(x), x))
 
     def direction(i, p):
-        if p not in cache:
-            x = [Fraction(p[j], widths[j]) for j in range(len(widths))]
-            fx = inst.f(x)
-            cache[p] = [fx[j] - x[j] for j in range(len(widths))]
-        diff = cache[p][i]
+        diff = diffs(p)[i]
         if diff > 0:
             return UP
         if diff < 0:

@@ -1,0 +1,177 @@
+"""The oracle memo at the instance boundary: checks still raise on every
+call, a bounded cache gives the same answers as an unbounded one, and a
+composed chain evaluates each stage's oracle once per distinct argument."""
+
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from potline import problems
+from potline.generators import gen_lcp
+from potline.problems import (
+    LineInstance,
+    OffGrid,
+    OpdcInstance,
+    UsoInstance,
+    VariantMismatch,
+    line_from_tables,
+    verify,
+)
+from potline.reductions_lcp import map_back_uso, plcp_to_eopl, plcp_to_uso
+from potline.reductions_line import normalize_potentials, plus1_to_ueopl, ufeopl_to_plus1
+from potline.reductions_opdc import map_back_opdc, opdc_to_ufeopl, uso_to_opdc
+from potline.reductions_opdc import map_back_uso as map_back_uso_opdc
+from potline.solvers import Exhausted, RunStats, follow_line, lemke
+
+
+def test_missing_predecessor_raises_on_every_call():
+    inst = line_from_tables(2, {0: 1}, v_table={1: 1}, flavor="ufeopl")
+    for _ in range(3):
+        with pytest.raises(VariantMismatch):
+            inst.P(0)
+
+
+def test_missing_potential_raises_on_every_call():
+    inst = LineInstance(n=2, successor=lambda x: x, predecessor=lambda x: x, flavor="endofline")
+    for _ in range(3):
+        with pytest.raises(VariantMismatch):
+            inst.V(1)
+
+
+def test_off_grid_raises_on_every_call():
+    inst = OpdcInstance(widths=(1, 1), direction=lambda i, p: problems.ZERO)
+    assert inst.D(0, (1, 1)) == problems.ZERO
+    for _ in range(3):
+        with pytest.raises(OffGrid):
+            inst.D(0, (2, 0))
+
+
+# -- the chain plcp -> uso -> opdc -> ufeopl -> plus1 -> ueopl -> normalized ----
+
+def _chain(lcp, wrap=lambda stage, inst: inst):
+    """The full chain; `wrap(stage, inst)` may rebuild each instance."""
+    uso = wrap("uso", plcp_to_uso(lcp))
+    opdc = wrap("opdc", uso_to_opdc(uso))
+    ufeopl, v_opdc = opdc_to_ufeopl(opdc)
+    ufeopl = wrap("ufeopl", ufeopl)
+    plus1, v_plus1 = ufeopl_to_plus1(ufeopl)
+    plus1 = wrap("plus1", plus1)
+    ueopl, v_peb = plus1_to_ueopl(plus1)
+    ueopl = wrap("ueopl", ueopl)
+    norm, v_norm = normalize_potentials(ueopl)
+    backs = [
+        (ueopl, v_norm.map_back),
+        (plus1, v_peb.map_back),
+        (ufeopl, v_plus1.map_back),
+        (opdc, lambda c: map_back_opdc(opdc, v_opdc, c)),
+        (uso, lambda c: map_back_uso_opdc(uso, c)),
+        (lcp, lambda c: map_back_uso(lcp, uso, c)),
+    ]
+    return norm, backs, v_peb
+
+
+def _solve_chain(norm, backs, stats=None):
+    c = follow_line(norm, 0, stats=stats)
+    for inst, back in backs:
+        c = back(c)
+        assert verify(inst, c)
+    return c
+
+
+def _counting(fn, calls: Counter):
+    def counted(*args):
+        calls[args] += 1
+        return fn(*args)
+
+    return counted
+
+
+def test_chain_evaluates_each_oracle_once_per_argument():
+    for seed in range(4):
+        lcp = gen_lcp(2, seed, nondegenerate=True)
+        calls: dict[tuple, Counter] = {}
+
+        def wrap(stage, inst):
+            def count(field, fn):
+                return _counting(fn, calls.setdefault((stage, field), Counter()))
+
+            if isinstance(inst, UsoInstance):
+                # orient is memoized in place; count the raw function under it.
+                return UsoInstance(n=inst.n, orient=count("orient", inst.orient.__wrapped__))
+            if isinstance(inst, OpdcInstance):
+                return replace(inst, direction=count("direction", inst.direction))
+            fields = ("successor", "predecessor", "potential")
+            return replace(inst, **{f: count(f, getattr(inst, f))
+                                    for f in fields if getattr(inst, f) is not None})
+
+        norm, backs, _ = _chain(lcp, wrap)
+        assert _solve_chain(norm, backs) == lemke(lcp)
+        assert len(calls) == 9  # orient, direction, and the line oracles of four stages
+        for key, counter in calls.items():
+            assert counter and max(counter.values()) == 1, (seed, key, counter.most_common(1))
+
+
+def _walk_record(lcp):
+    norm, backs, _ = _chain(lcp)
+    stats = RunStats()
+    c = _solve_chain(norm, backs, stats)
+    return c, stats
+
+
+def test_walk_longer_than_cap_matches_unbounded(monkeypatch):
+    cap = 16
+    lcps = [gen_lcp(2, s, nondegenerate=True) for s in (0, 1)]
+    monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", 1 << 30)
+    unbounded = [_walk_record(lcp) for lcp in lcps]
+    monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
+    for lcp, want in zip(lcps, unbounded):
+        norm, backs, _ = _chain(lcp)
+        stats = RunStats()
+        got = _solve_chain(norm, backs, stats)
+        assert stats.steps > 10 * cap
+        assert (got, stats) == want
+        for memo in (norm._S, norm._P, norm._V):
+            info = memo.cache_info()
+            assert info.maxsize == cap and info.currsize <= cap
+
+
+def test_vertex_cache_stays_within_cap(monkeypatch):
+    cap = 8
+    n = 5  # Murty's family: the line has 2^n + 1 steps
+    m = [[1 if i == j else 2 if j < i else 0 for j in range(n)] for i in range(n)]
+    inst = problems.LcpInstance(M=m, q=[-1] * n)
+    want_stats = RunStats()
+    want = follow_line(plcp_to_eopl(inst)[0], 0, stats=want_stats)
+    monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
+    line, view = plcp_to_eopl(inst)
+    sizes = []
+    remember = view._remember
+
+    def remember_and_measure(u, v):
+        remember(u, v)
+        sizes.append(len(view._vertex_cache))
+
+    view._remember = remember_and_measure
+    stats = RunStats()
+    assert follow_line(line, 0, stats=stats) == want
+    assert stats == want_stats and stats.steps > 2 * cap
+    assert sizes and max(sizes) <= cap
+
+
+# -- known defect ---------------------------------------------------------------
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=Exhausted,
+    reason=(
+        "on d = 1 the UFEOPL+1 line's S(0) is already an end, so "
+        "PebblingView.successor(0) == 0; with P(0) = 0 by convention no U1 "
+        "fires at the start and the normalized walk stalls at 0"
+    ),
+)
+def test_chain_d1_round_trip():
+    lcp = gen_lcp(1, 0, nondegenerate=True)
+    norm, backs, v_peb = _chain(lcp)
+    assert v_peb.successor(0) == 0
+    assert _solve_chain(norm, backs) == lemke(lcp)

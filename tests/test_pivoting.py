@@ -286,3 +286,21 @@ def test_lemke_large_p_lcp_verifies(d, seed):
     inst = gen_lcp(d, seed)
     c = lemke(inst)
     assert c.kind == "Q1" and verify(inst, c)
+
+
+# -- the cone sign at z = 0 vertices, read from the tableau -----------------------
+
+def test_cone_sign_matches_principal_minor():
+    checked = 0
+    for inst in _line_sources().values():
+        _, view = plcp_to_eopl(inst)
+        sys = view.sys
+        for u in range(1 << view.nbits):
+            v = view.vertex_of(u)
+            if v is None or sys.zvar in v.basis:
+                continue
+            minor = principal_minor(view.inst.M, sys.support(v.basis))
+            assert minor != 0
+            assert sys.cone_sign(v) == (1 if minor > 0 else -1), sorted(v.basis)
+            checked += 1
+    assert checked >= 40  # 42 vertices
