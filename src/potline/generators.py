@@ -216,40 +216,3 @@ def gen_line(length: int, seed: int, n: int | None = None, gaps=None,
         m_pot=m_pot,
     )
     return inst
-
-
-def gen_normalized_line(exponent: int, seed: int, two_lines: bool = False) -> LineInstance:
-    """A UniqueEOPL instance that is already normalized: one line of
-    length exactly 2^exponent with V(x) equal to the position, so U1 holds
-    iff V = 2^exponent - 1.  Vertex labels are a seeded permutation with
-    the start at 0.  Two-line mode adds a second, shorter +1 line at
-    overlapping potentials."""
-    rng = _rng(seed)
-    length = 1 << exponent
-    n = exponent if not two_lines else exponent + 1
-    while (1 << n) < (2 * length if two_lines else length):
-        n += 1
-    ids = list(range(1, 1 << n))
-    rng.shuffle(ids)
-    verts = [0] + ids[: length - 1]
-    s_table, p_table, v_table = {}, {}, {}
-    for pos, v in enumerate(verts):
-        v_table[v] = pos
-        if pos + 1 < length:
-            s_table[v] = verts[pos + 1]
-            p_table[verts[pos + 1]] = v
-    # Ends point at 0^n (which does not point back), as the tail rule of
-    # the normalization produces; this keeps line ends proper vertices.
-    s_table[verts[-1]] = 0
-    if two_lines:
-        second = ids[length - 1: 2 * length - 1]
-        base = rng.randrange(1, length // 2 + 1)
-        span = min(len(second), length - base)
-        for k in range(span):
-            v_table[second[k]] = base + k
-            if k + 1 < span:
-                s_table[second[k]] = second[k + 1]
-                p_table[second[k + 1]] = second[k]
-        if span:
-            s_table[second[span - 1]] = 0
-    return line_from_tables(n, s_table, p_table, v_table, flavor="ueopl", m_pot=exponent)

@@ -691,6 +691,20 @@ def verify(inst, c: Certificate) -> bool:
     return kind.verify(inst, c)
 
 
+def first_verifying(inst, candidates, what: str) -> Certificate:
+    """The first of `candidates` that passes `verify` on `inst`; raises
+    UnmappableCert(what) when none does.  Every map-back is a generator
+    of the source certificates its construction's case analysis names,
+    consumed here, so a candidate is only built if those before it failed."""
+    for c in candidates:
+        try:
+            if verify(inst, c):
+                return c
+        except VariantMismatch:
+            continue
+    raise UnmappableCert(what)
+
+
 def cert_from_json(data: dict, problem: str) -> Certificate:
     fields = KINDS[problem].fields
     payload = {k: fields[k](v) if k in fields else v for k, v in data.items() if k != "kind"}

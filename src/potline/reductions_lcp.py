@@ -7,11 +7,16 @@ duplicate label (all zero when z = 0).  Invalid codes self-loop.
 Degenerate right-hand sides are handled by the same symbolic
 lexicographic perturbation the solvers use, so the out-map and the line
 view agree on ties.
+
+Map-backs have the one shape of `reductions_line.LineView`: a generator of
+the source certificates the case analysis names, in order, of which
+`problems.first_verifying` returns the first that verifies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import problems
 from .pivoting import LemkeSystem, Vertex, a_alpha, principal_minor
@@ -19,12 +24,12 @@ from .problems import (
     Certificate,
     LcpInstance,
     LineInstance,
-    UnmappableCert,
     UsoInstance,
     cert,
-    verify_lcp,
+    first_verifying,
 )
-from .rational import SingularMatrixError, ceil_log2, solve_linear_multi
+from .rational import SingularMatrixError, ceil_log2, solve_linear, solve_linear_multi
+from .reductions_line import LineView
 from math import lcm
 
 
@@ -80,29 +85,23 @@ def map_back_uso(inst: LcpInstance, uso: UsoInstance, c: Certificate) -> Certifi
     def alpha_of(v):
         return frozenset(i for i in range(d) if v >> i & 1)
 
-    if c.kind == "US1":
-        alpha = alpha_of(c.v)
-        a = a_alpha(inst.M, alpha)
-        from .rational import solve_linear
+    def candidates():
+        if c.kind == "US1":
+            alpha = alpha_of(c.v)
+            x = solve_linear(a_alpha(inst.M, alpha), inst.q)
+            yield cert("Q1", y=[x[i] if i in alpha else Fraction(0) for i in range(d)])
+        elif c.kind == "USV1":
+            yield cert("PV1", alpha=alpha_of(c.v))
+        elif c.kind == "USV2":
+            yield cert("PV3", alpha=alpha_of(c.v), beta=alpha_of(c.u))
 
-        x = solve_linear(a, inst.q)
-        y = [x[i] if i in alpha else Fraction(0) for i in range(d)]
-        out = cert("Q1", y=y)
-    elif c.kind == "USV1":
-        out = cert("PV1", alpha=alpha_of(c.v))
-    elif c.kind == "USV2":
-        out = cert("PV3", alpha=alpha_of(c.v), beta=alpha_of(c.u))
-    else:
-        raise UnmappableCert(f"unexpected USO certificate {c.kind}")
-    if not verify_lcp(inst, out):
-        raise UnmappableCert(f"map-back of {c} failed verification")
-    return out
+    return first_verifying(inst, candidates(), f"no LCP certificate for {c}")
 
 
 # ---------------------------------------------------------------------------
 # P-LCP -> EOPL / UniqueEOPL via the Lemke path
 
-class PlcpLineView:
+class PlcpLineView(LineView):
     """Lazy EOPL/UniqueEOPL instance over 2d-bit codes of Lemke-path
     vertices.  All arithmetic runs on the integer-scaled instance.
 
@@ -117,7 +116,7 @@ class PlcpLineView:
     def __init__(self, inst: LcpInstance, flavor: str = "ueopl"):
         if all(qi >= 0 for qi in inst.q):
             raise ValueError("q >= 0 is solved by y = 0; the line view needs min q < 0")
-        self.original = inst
+        self.src = inst
         self.inst, self.scale = integer_scale(inst)
         self.d = inst.d
         self.sys = LemkeSystem(self.inst.M, self.inst.q)
@@ -254,15 +253,73 @@ class PlcpLineView:
             val = val * self.radix + digit
         return val
 
-    def line_instance(self) -> LineInstance:
-        return LineInstance(
-            n=self.nbits,
-            successor=self.successor,
-            predecessor=self.predecessor,
-            potential=self.potential,
-            flavor=self.flavor,
-            m_pot=self.m_pot,
-        )
+    # -- map-back ----------------------------------------------------------------
+    def candidates(self, c):
+        """Q1 at z = 0 ends.  A stalled vertex (z > 0) yields two LCP
+        solutions for one shifted q and hence a sign-reversing vector (PV2),
+        or a non-positive principal minor (PV1) when a degenerate cone is
+        involved.  Equal or straddling potentials (UV3) yield PV2 the same
+        way.  R2 and UV1 cannot occur: the potential never decreases along
+        valid edges of the Lemke line."""
+        sys = self.sys
+        if c.kind in ("U1", "R1", "UV2"):
+            v = self.vertex_of(c.x) if c.x != 0 else None
+            if v is None:
+                return
+            if sys.zvar not in v.basis:
+                yield cert("Q1", y=sys.numeric_point(v)[0])
+                return
+            pts = _edge_points_same_z(self, v)
+            for i in range(len(pts)):
+                for j in range(i + 1, len(pts)):
+                    if pts[i][1] == pts[j][1]:
+                        yield from _pv2(pts[i][0], pts[j][0])
+            yield from self._pv1_candidates(v.basis)
+        elif c.kind == "UV3":
+            if c.x == 0 or c.y == 0:
+                other = self.vertex_of(c.y if c.x == 0 else c.x)
+                if other is not None:
+                    yield from self._ray_pv2(other)
+                return
+            va, vb = self.vertex_of(c.x), self.vertex_of(c.y)
+            if va is None or vb is None:
+                return
+            ya, _, za = sys.numeric_point(va)
+            yb, _, zb = sys.numeric_point(vb)
+            if za == zb:
+                yield from _pv2(ya, yb)
+            elif sys.zvar in va.basis:
+                # V(x) < V(y) < V(S(x)): a point on the edge out of x shares
+                # y's z value.
+                eta = sys.direction(va, sys.forward_entering(va))
+                dz = eta.get(sys.zvar, Fraction(0))
+                t = (zb - za) / dz if dz != 0 else Fraction(0)
+                if t > 0:
+                    y_mid, _, z_mid = sys.edge_point(va, eta, t)
+                    if z_mid == zb:
+                        yield from _pv2(y_mid, yb)
+            for v in (va, vb):
+                yield from self._pv1_candidates(v.basis)
+
+    def _pv1_candidates(self, basis):
+        alpha = self.sys.support(basis)
+        l = self.sys.duplicate_label(basis)
+        for a in [alpha, alpha | {l}] if l is not None else [alpha]:
+            if a and principal_minor(self.inst.M, a) <= 0:
+                yield cert("PV1", alpha=frozenset(a))
+        # A severed line is impossible for P-matrices, so some principal
+        # minor is non-positive; scan them all (desk scale).
+        for r in range(1, self.d + 1):
+            for sub in combinations(range(self.d), r):
+                if principal_minor(self.inst.M, sub) <= 0:
+                    yield cert("PV1", alpha=frozenset(sub))
+
+    def _ray_pv2(self, other: Vertex):
+        # The start code stands for the primary ray (y = 0, z >= z0); the
+        # ray point at the other vertex's z value pairs with it for PV2.
+        y_other, _, z_other = self.sys.numeric_point(other)
+        if all(qi + z_other >= 0 for qi in self.inst.q):
+            yield from _pv2(y_other, [Fraction(0)] * self.d)
 
 
 def plcp_to_eopl(inst: LcpInstance, flavor: str = "ueopl") -> tuple[LineInstance, PlcpLineView]:
@@ -270,14 +327,13 @@ def plcp_to_eopl(inst: LcpInstance, flavor: str = "ueopl") -> tuple[LineInstance
     return view.line_instance(), view
 
 
-# -- map-back ----------------------------------------------------------------
 
-def _pv2_from_same_z_points(inst: LcpInstance, y1, y2) -> Certificate | None:
+
+def _pv2(y1, y2):
+    """PV2 from two LCP points with one z value, unless they coincide."""
     x = [a - b for a, b in zip(y1, y2)]
-    if all(v == 0 for v in x):
-        return None
-    c = cert("PV2", x=x)
-    return c if verify_lcp(inst, c) else None
+    if any(x):
+        yield cert("PV2", x=x)
 
 
 def _edge_points_same_z(view: PlcpLineView, v: Vertex):
@@ -330,115 +386,6 @@ def _edge_points_same_z(view: PlcpLineView, v: Vertex):
 
 
 def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certificate:
-    """Map a verified EOPL/UniqueEOPL certificate back to Q1/PV1/PV2.
-
-    z = 0 ends decode to Q1.  Stalled vertices (z > 0) yield two LCP
-    solutions for a shifted q and hence a sign-reversing vector (PV2), or
-    a non-positive principal minor (PV1) when a degenerate cone is
-    involved.  Equal/straddling-potential pairs (UV3) yield PV2 the same
-    way.  R2/UV1 are impossible by construction.
-    """
-    sys = view.sys
-    scaled = view.inst
-
-    def finish(out):
-        if out is not None and verify_lcp(inst, out):
-            return out
-        return None
-
-    def pv1_candidates(basis):
-        alpha = sys.support(basis)
-        l = sys.duplicate_label(basis)
-        cands = [alpha, alpha | {l}] if l is not None else [alpha]
-        for a in cands:
-            if a and principal_minor(scaled.M, a) <= 0:
-                got = finish(cert("PV1", alpha=frozenset(a)))
-                if got:
-                    return got
-        # A severed line is impossible for P-matrices, so some principal
-        # minor is non-positive; scan them all (desk scale).
-        from itertools import combinations
-
-        for r in range(1, view.d + 1):
-            for sub in combinations(range(view.d), r):
-                if principal_minor(scaled.M, sub) <= 0:
-                    got = finish(cert("PV1", alpha=frozenset(sub)))
-                    if got:
-                        return got
-        return None
-
-    def ray_pv2(other):
-        # The start code stands for the primary ray (y = 0, z >= z0); the
-        # ray point at the other vertex's z value pairs with it for PV2.
-        y_other, _, z_other = sys.numeric_point(other)
-        if all(v == 0 for v in y_other):
-            return None
-        w_ray = [qi + z_other for qi in scaled.q]
-        if any(v < 0 for v in w_ray):
-            return None
-        return finish(_pv2_from_same_z_points(inst, y_other, [Fraction(0)] * view.d))
-
-    if c.kind in ("U1", "R1", "UV2"):
-        v = view.vertex_of(c.x) if c.x != 0 else None
-        if v is None:
-            raise UnmappableCert(f"{c} is not a valid configuration")
-        if sys.zvar not in v.basis:
-            y, _, _ = sys.numeric_point(v)
-            out = finish(cert("Q1", y=y))
-            if out:
-                return out
-            raise UnmappableCert(f"z=0 decode of {c} failed")
-        pts = _edge_points_same_z(view, v)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i][1] == pts[j][1]:
-                    out = finish(_pv2_from_same_z_points(inst, pts[i][0], pts[j][0]))
-                    if out:
-                        return out
-        out = pv1_candidates(v.basis)
-        if out:
-            return out
-        raise UnmappableCert(f"stalled vertex for {c} yielded no violation")
-
-    if c.kind == "UV3":
-        if c.x == 0 or c.y == 0:
-            other = view.vertex_of(c.y if c.x == 0 else c.x)
-            if other is not None:
-                out = ray_pv2(other)
-                if out:
-                    return out
-            raise UnmappableCert(f"UV3 {c} through the start gave no violation")
-        va = view.vertex_of(c.x)
-        vb = view.vertex_of(c.y)
-        if va is None or vb is None:
-            raise UnmappableCert("UV3 endpoints are not valid configurations")
-        ya, _, za = sys.numeric_point(va)
-        yb, _, zb = sys.numeric_point(vb)
-        if za == zb:
-            out = finish(_pv2_from_same_z_points(inst, ya, yb))
-            if out:
-                return out
-        else:
-            # V(x) < V(y) < V(S(x)): a point on the edge out of x shares
-            # y's z value.
-            if sys.zvar in va.basis:
-                eta = sys.direction(va, sys.forward_entering(va))
-                dz = eta.get(sys.zvar, Fraction(0))
-                if dz != 0:
-                    t = (zb - za) / dz
-                    if t > 0:
-                        y_mid, _, z_mid = sys.edge_point(va, eta, t)
-                        if z_mid == zb:
-                            out = finish(_pv2_from_same_z_points(inst, y_mid, yb))
-                            if out:
-                                return out
-        for v in (va, vb):
-            out = pv1_candidates(v.basis)
-            if out:
-                return out
-        raise UnmappableCert(f"UV3 {c} yielded no violation")
-
-    if c.kind in ("R2", "UV1"):
-        raise UnmappableCert("potential never decreases along valid edges of the Lemke line")
-
-    raise UnmappableCert(f"unexpected certificate {c.kind}")
+    """Map a verified EOPL/UniqueEOPL certificate of the line view back to
+    Q1/PV1/PV2: the first of `view.candidates(c)` that verifies."""
+    return first_verifying(inst, view.candidates(c), f"no LCP certificate for {c}")

@@ -2,9 +2,11 @@
 reversible-pebbling reduction UFEOPL+1 -> UniqueEOPL, potential
 normalization, and the hardness direction UniqueEOPL -> OPDC.
 
-All images are lazy oracle views; map-backs are defensive: they build the
-candidate certificates dictated by the construction's case analysis and
-return the first that passes the source verifier.
+Every view has one shape (`LineView`): its oracles, and a generator of
+the source certificates that the construction's case analysis names for a
+target certificate, in order.  `map_back` returns the first of them that
+verifies on the source (`problems.first_verifying`) or raises
+UnmappableCert.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from .problems import (
     Certificate,
     LineInstance,
     OpdcInstance,
-    UnmappableCert,
-    VariantMismatch,
     cert,
+    first_verifying,
     memoize,
     verify_line,
 )
@@ -32,32 +33,48 @@ class TrivialInstance(Exception):
         self.certificate = certificate
 
 
-def _first_verifying(inst: LineInstance, candidates) -> Certificate:
-    for c in candidates:
-        try:
-            if verify_line(inst, c):
-                return c
-        except VariantMismatch:
-            continue
-    raise UnmappableCert("no candidate certificate verified on the source")
+class LineView:
+    """A lazy line instance over the source `src`.  Subclasses set `nbits`,
+    `m_pot` and `flavor`, define `successor` and `potential` (and
+    `predecessor` and `enumerate_codes` where they have them), and
+    `candidates(c)`, which yields the source certificates for a target
+    certificate c.  Codes that pack a high and a low field use `_split`
+    and `_join` with the low field `low_bits` wide."""
+
+    def _split(self, x):
+        return x >> self.low_bits, x & ((1 << self.low_bits) - 1)
+
+    def _join(self, hi, lo):
+        return (hi << self.low_bits) | lo
+
+    def line_instance(self) -> LineInstance:
+        return LineInstance(
+            n=self.nbits,
+            successor=self.successor,
+            predecessor=getattr(self, "predecessor", None),
+            potential=self.potential,
+            flavor=self.flavor,
+            m_pot=self.m_pot,
+            vertex_iter=getattr(self, "enumerate_codes", None),
+        )
+
+    def map_back(self, c: Certificate) -> Certificate:
+        return first_verifying(self.src, self.candidates(c), f"no source certificate for {c}")
 
 
 # ---------------------------------------------------------------------------
 # EOML -> EOPL  (one extra bit; dummies self-loop)
 
-class EomlToEopl:
+class EomlToEopl(LineView):
+    flavor = "eopl"
+
     def __init__(self, src: LineInstance):
         if src.flavor != "eoml":
             raise ValueError("source must be EOML")
         self.src = src
+        self.low_bits = src.n
         self.nbits = src.n + 1
         self.m_pot = src.m_pot
-
-    def _split(self, x):
-        return x >> self.src.n, x & ((1 << self.src.n) - 1)
-
-    def _join(self, b, u):
-        return (b << self.src.n) | u
 
     def successor(self, x):
         b, u = self._split(x)
@@ -85,21 +102,10 @@ class EomlToEopl:
         b, u = self._split(x)
         return 0 if b == 0 else self.src.V(u)
 
-    def line_instance(self):
-        return LineInstance(
-            n=self.nbits,
-            successor=self.successor,
-            predecessor=self.predecessor,
-            potential=self.potential,
-            flavor="eopl",
-            m_pot=self.m_pot,
-        )
-
-    def map_back(self, c: Certificate) -> Certificate:
+    def candidates(self, c):
         _, u = self._split(c.x)
-        return _first_verifying(
-            self.src, [cert("T1", x=u), cert("T2", x=u), cert("T3", x=u)]
-        )
+        for kind in ("T1", "T2", "T3"):
+            yield cert(kind, x=u)
 
 
 def eoml_to_eopl(src: LineInstance):
@@ -110,7 +116,9 @@ def eoml_to_eopl(src: LineInstance):
 # ---------------------------------------------------------------------------
 # EOPL -> EOML  (potential captured in the low bits)
 
-class EoplToEoml:
+class EoplToEoml(LineView):
+    flavor = "eoml"
+
     def __init__(self, src: LineInstance):
         if src.flavor != "eopl":
             raise ValueError("source must be EOPL")
@@ -120,18 +128,12 @@ class EoplToEoml:
                 if verify_line(src, c):
                     raise TrivialInstance(c)
         self.src = src
-        self.m = src.m_pot
-        self.nbits = src.n + self.m
+        self.low_bits = src.m_pot
+        self.nbits = src.n + src.m_pot
         self.m_pot = src.m_pot
         self.u1 = src.S(0)
         self.u2 = src.S(self.u1)
         self.p2 = src.V(self.u2)
-
-    def _split(self, x):
-        return x >> self.m, x & ((1 << self.m) - 1)
-
-    def _join(self, u, pi):
-        return (u << self.m) | pi
 
     def successor(self, x):
         src = self.src
@@ -208,23 +210,13 @@ class EoplToEoml:
         _, pi = self._split(x)
         return pi
 
-    def line_instance(self):
-        return LineInstance(
-            n=self.nbits,
-            successor=self.successor,
-            predecessor=self.predecessor,
-            potential=self.potential,
-            flavor="eoml",
-            m_pot=self.m_pot,
-        )
-
-    def map_back(self, c: Certificate) -> Certificate:
-        src = self.src
+    def candidates(self, c):
         u, _ = self._split(c.x)
-        w = src.P(u)
-        cands = [cert("R1", x=u), cert("R2", x=u), cert("R1", x=w), cert("R2", x=w),
-                 cert("R2", x=src.P(w))]
-        return _first_verifying(src, cands)
+        w = self.src.P(u)
+        for x in (u, w):
+            yield cert("R1", x=x)
+            yield cert("R2", x=x)
+        yield cert("R2", x=self.src.P(w))
 
 
 def eopl_to_eoml(src: LineInstance):
@@ -235,20 +227,16 @@ def eopl_to_eoml(src: LineInstance):
 # ---------------------------------------------------------------------------
 # UFEOPL -> UFEOPL+1  (chain insertion)
 
-class UfeoplToPlus1:
+class UfeoplToPlus1(LineView):
+    flavor = "ufeoplplus1"
+
     def __init__(self, src: LineInstance):
         if src.flavor != "ufeopl":
             raise ValueError("source must be UFEOPL")
         self.src = src
-        self.iw = src.m_pot  # chain index width: gaps are < 2^m_pot
-        self.nbits = src.n + self.iw
+        self.low_bits = src.m_pot  # chain index width: gaps are < 2^m_pot
+        self.nbits = src.n + self.low_bits
         self.m_pot = src.m_pot + 1
-
-    def _split(self, x):
-        return x >> self.iw, x & ((1 << self.iw) - 1)
-
-    def _join(self, v, i):
-        return (v << self.iw) | i
 
     def successor(self, x):
         src = self.src
@@ -267,27 +255,16 @@ class UfeoplToPlus1:
         v, i = self._split(x)
         return self.src.V(v) + i
 
-    def line_instance(self):
-        return LineInstance(
-            n=self.nbits,
-            successor=self.successor,
-            potential=self.potential,
-            flavor="ufeoplplus1",
-            m_pot=self.m_pot,
-        )
-
-    def map_back(self, c: Certificate) -> Certificate:
-        src = self.src
+    def candidates(self, c):
         if c.kind == "UFP1":
             v, _ = self._split(c.x)
-            return _first_verifying(src, [cert("UF1", x=v), cert("UF1", x=src.S(v))])
-        if c.kind == "UFPV1":
+            yield cert("UF1", x=v)
+            yield cert("UF1", x=self.src.S(v))
+        elif c.kind == "UFPV1":
             v, _ = self._split(c.x)
             u, _ = self._split(c.y)
-            return _first_verifying(
-                src, [cert("UFV1", x=v, y=u), cert("UFV1", x=u, y=v)]
-            )
-        raise UnmappableCert(f"unexpected certificate {c.kind}")
+            yield cert("UFV1", x=v, y=u)
+            yield cert("UFV1", x=u, y=v)
 
 
 def ufeopl_to_plus1(src: LineInstance):
@@ -298,12 +275,22 @@ def ufeopl_to_plus1(src: LineInstance):
 # ---------------------------------------------------------------------------
 # UFEOPL+1 -> UniqueEOPL  (reversible pebbling)
 
-class PebblingView:
+def _undo(mv):
+    op, peb, pos = mv
+    return ("remove" if op == "place" else "place", peb, pos)
+
+
+class PebblingView(LineView):
     """Vertices are pebbling configurations ((v_1, a_1), ..., (v_np, a_np))
     of the optimal strategy; the potential is the move index.  The
     strategy step is recovered from the configuration alone by structural
     recursion on the highest pebble, which makes both circuits stateless.
     """
+
+    flavor = "ueopl"
+    # A set payload bit in an empty pebble slot: never decodes, so it is a
+    # self-loop whose predecessor is itself.
+    NON_VERTEX = 0b10
 
     def __init__(self, src: LineInstance):
         if src.flavor != "ufeoplplus1":
@@ -397,8 +384,7 @@ class PebblingView:
             return ("place", n, base + half)
         if t < 2 * t1 + 1:
             rev = t - (t1 + 1)
-            op, peb, pos = self._move(n - 1, base, t1 - 1 - rev)
-            return ("remove" if op == "place" else "place", peb, pos)
+            return _undo(self._move(n - 1, base, t1 - 1 - rev))
         return self._move(n - 1, base + half, t - (2 * t1 + 1))
 
     def is_vertex_config(self, config):
@@ -459,7 +445,13 @@ class PebblingView:
         if t >= self.total:
             return code
         nxt = self._apply(config, self.move(t))
-        return code if nxt is None else self.encode(nxt)
+        if nxt is not None:
+            return self.encode(nxt)
+        if code == 0 and self.src.S(0) != 0:
+            # P(0) = 0, so a self-loop at the start would end no line; point
+            # S(0) off the line instead, making 0 a U1 that maps to UFP1(0).
+            return self.NON_VERTEX
+        return code
 
     def predecessor(self, code):
         config = self.decode(code)
@@ -468,9 +460,7 @@ class PebblingView:
         t = self.index_of(config)
         if t == 0:
             return code
-        op, peb, pos = self.move(t - 1)
-        undo = ("remove" if op == "place" else "place", peb, pos)
-        prev = self._apply(config, undo)
+        prev = self._apply(config, _undo(self.move(t - 1)))
         return code if prev is None else self.encode(prev)
 
     def potential(self, code):
@@ -478,17 +468,6 @@ class PebblingView:
         if not self.is_vertex_config(config):
             return 0
         return self.index_of(config)
-
-    def line_instance(self):
-        return LineInstance(
-            n=self.nbits,
-            successor=self.successor,
-            predecessor=self.predecessor,
-            potential=self.potential,
-            flavor="ueopl",
-            m_pot=self.m_pot,
-            vertex_iter=self.enumerate_codes,
-        )
 
     def enumerate_codes(self):
         """All valid configs: strategy states crossed with the potential
@@ -533,52 +512,40 @@ class PebblingView:
 
     # -- map-back ---------------------------------------------------------------
     def _stall_candidates(self, config, mv):
-        src = self.src
         op, peb, pos = mv
-        cands = []
         jv = self._label_at(config, pos - 1)
         if jv is not None:
-            cands.append(cert("UFP1", x=jv))
-            u = src.S(jv)
+            yield cert("UFP1", x=jv)
+            u = self.src.S(jv)
             if op == "remove" and config[peb - 1] is not None:
                 v_peb = config[peb - 1][0]
-                cands.append(cert("UFPV1", x=v_peb, y=u))
-                cands.append(cert("UFPV1", x=u, y=v_peb))
+                yield cert("UFPV1", x=v_peb, y=u)
+                yield cert("UFPV1", x=u, y=v_peb)
         for entry in config:
             if entry is not None:
-                cands.append(cert("UFP1", x=entry[0]))
-        return cands
+                yield cert("UFP1", x=entry[0])
 
-    def map_back(self, c: Certificate) -> Certificate:
-        src = self.src
+    def candidates(self, c):
+        # UV1 cannot occur: the pebbling potential increases by exactly 1.
         if c.kind in ("U1", "UV2"):
             config = self.decode(c.x)
             if not self.is_vertex_config(config):
-                raise UnmappableCert("certificate vertex is not a config")
+                return
             t = self.index_of(config)
-            if c.kind == "U1":
-                if t >= self.total:
-                    top = max((e for e in config if e is not None), key=lambda e: e[1])
-                    return _first_verifying(src, [cert("UFP1", x=top[0])])
-                return _first_verifying(src, self._stall_candidates(config, self.move(t)))
-            if t == 0:
-                raise UnmappableCert("UV2 at the start config")
-            op, peb, pos = self.move(t - 1)
-            undo = ("remove" if op == "place" else "place", peb, pos)
-            return _first_verifying(src, self._stall_candidates(config, undo))
-        if c.kind == "UV3":
-            ca = self.decode(c.x)
-            cb = self.decode(c.y)
-            if ca is None or cb is None:
-                raise UnmappableCert("UV3 endpoints do not decode")
-            cands = []
-            for ea, eb in zip(ca, cb):
-                if ea is not None and eb is not None and ea[0] != eb[0]:
-                    cands.append(cert("UFPV1", x=ea[0], y=eb[0]))
-            return _first_verifying(src, cands)
-        if c.kind == "UV1":
-            raise UnmappableCert("the pebbling potential increases by exactly 1")
-        raise UnmappableCert(f"unexpected certificate {c.kind}")
+            if c.kind == "UV2":
+                if t > 0:  # the start config has no predecessor to stall on
+                    yield from self._stall_candidates(config, _undo(self.move(t - 1)))
+            elif t < self.total:
+                yield from self._stall_candidates(config, self.move(t))
+            else:
+                top = max((e for e in config if e is not None), key=lambda e: e[1])
+                yield cert("UFP1", x=top[0])
+        elif c.kind == "UV3":
+            ca, cb = self.decode(c.x), self.decode(c.y)
+            if ca is not None and cb is not None:
+                for ea, eb in zip(ca, cb):
+                    if ea is not None and eb is not None and ea[0] != eb[0]:
+                        yield cert("UFPV1", x=ea[0], y=eb[0])
 
 
 def plus1_to_ueopl(src: LineInstance):
@@ -589,21 +556,17 @@ def plus1_to_ueopl(src: LineInstance):
 # ---------------------------------------------------------------------------
 # Potential normalization (every edge +1; ends at potential 2^n - 1)
 
-class NormalizeView:
+class NormalizeView(LineView):
+    flavor = "ueopl"
+
     def __init__(self, src: LineInstance):
         if src.flavor != "ueopl":
             raise ValueError("source must be UniqueEOPL")
         self.src = src
-        self.iw = src.m_pot + 1  # 2^iw exceeds any line length
-        self.top = (1 << self.iw) - 1
-        self.nbits = src.n + self.iw
-        self.m_pot = self.iw
-
-    def _split(self, x):
-        return x >> self.iw, x & ((1 << self.iw) - 1)
-
-    def _join(self, v, i):
-        return (v << self.iw) | i
+        self.low_bits = src.m_pot + 1  # 2^low_bits exceeds any line length
+        self.top = (1 << self.low_bits) - 1
+        self.nbits = src.n + self.low_bits
+        self.m_pot = self.low_bits
 
     def successor(self, x):
         src = self.src
@@ -655,37 +618,18 @@ class NormalizeView:
         v, i = self._split(x)
         return self.src.V(v) + i
 
-    def line_instance(self):
-        return LineInstance(
-            n=self.nbits,
-            successor=self.successor,
-            predecessor=self.predecessor,
-            potential=self.potential,
-            flavor="ueopl",
-            m_pot=self.m_pot,
-        )
-
-    def map_back(self, c: Certificate) -> Certificate:
-        src = self.src
+    def candidates(self, c):
         if c.kind in ("U1", "UV1", "UV2"):
             v, _ = self._split(c.x)
             kinds = {"U1": ["U1"], "UV1": ["UV1", "U1"], "UV2": ["UV2", "UV1", "U1"]}[c.kind]
-            cands = [cert(k, x=v) for k in kinds]
-            cands.append(cert("UV1", x=src.P(v)))
-            return _first_verifying(src, cands)
-        if c.kind == "UV3":
+            for k in kinds:
+                yield cert(k, x=v)
+            yield cert("UV1", x=self.src.P(v))
+        elif c.kind == "UV3":
             v, _ = self._split(c.x)
             u, _ = self._split(c.y)
-            return _first_verifying(
-                src,
-                [
-                    cert("UV3", x=v, y=u),
-                    cert("UV3", x=u, y=v),
-                    cert("U1", x=v),
-                    cert("U1", x=u),
-                ],
-            )
-        raise UnmappableCert(f"unexpected certificate {c.kind}")
+            yield from (cert("UV3", x=v, y=u), cert("UV3", x=u, y=v),
+                        cert("U1", x=v), cert("U1", x=u))
 
 
 def normalize_potentials(src: LineInstance):
@@ -760,11 +704,15 @@ class UeoplToOpdc:
         return OpdcInstance(widths=(1,) * self.dims, direction=direction)
 
     def map_back(self, c: Certificate) -> Certificate:
+        return first_verifying(self.src, self.candidates(c), f"no source certificate for {c}")
+
+    def candidates(self, c):
+        # OV3 cannot occur on images of this reduction.
         src = self.src
         if c.kind == "O1":
             _, dec = self.decode(c.p)
-            return _first_verifying(src, [cert("U1", x=dec)])
-        if c.kind in ("OV1", "OV2"):
+            yield cert("U1", x=dec)
+        elif c.kind in ("OV1", "OV2"):
             p, q = tuple(c.p), tuple(c.q)
             bp, bq = self.blocks_of(p), self.blocks_of(q)
             _, dp = self.decode(p)
@@ -776,15 +724,13 @@ class UeoplToOpdc:
                 b_top = max(diff)
                 anchors_p.append(bp[b_top])
                 anchors_q.append(bq[b_top])
-            cands = []
             for a in anchors_p:
                 for b in anchors_q:
                     if a != b:
-                        cands.append(cert("UV3", x=a, y=b))
-                        cands.append(cert("UV3", x=b, y=a))
-            cands += [cert("U1", x=dp), cert("U1", x=dq)]
-            return _first_verifying(src, cands)
-        raise UnmappableCert("OV3 cannot occur on images of this reduction")
+                        yield cert("UV3", x=a, y=b)
+                        yield cert("UV3", x=b, y=a)
+            yield cert("U1", x=dp)
+            yield cert("U1", x=dq)
 
 
 def ueopl_to_opdc(src: LineInstance, n_blocks: int | None = None):

@@ -12,6 +12,10 @@ the image line unique on violation-free sources:
     the point they should have committed past);
   * a tuple with position d occupied is the terminal form and must be
     dash everywhere else.
+
+Map-backs have the one shape of `reductions_line.LineView`: a generator of
+the source certificates the case analysis names, in order, of which
+`problems.first_verifying` returns the first that verifies.
 """
 
 from __future__ import annotations
@@ -27,15 +31,13 @@ from .problems import (
     ContractionInstance,
     LineInstance,
     OpdcInstance,
-    UnmappableCert,
     UsoInstance,
     cert,
+    first_verifying,
     memoize,
-    verify_contraction,
-    verify_opdc,
-    verify_uso,
 )
 from .rational import ceil_log2
+from .reductions_line import LineView
 
 
 # ---------------------------------------------------------------------------
@@ -59,25 +61,20 @@ def uso_to_opdc(inst: UsoInstance) -> OpdcInstance:
 
 
 def map_back_uso(inst: UsoInstance, c: Certificate) -> Certificate:
-    """O1 -> US1/USV1; OV1, OV2 -> USV2; OV3 never occurs."""
+    """O1 -> US1/USV1; OV1, OV2 -> USV1/USV2; OV3 never occurs."""
 
     def vid(p):
         return sum(bit << j for j, bit in enumerate(p))
 
-    if c.kind == "O1":
-        v = vid(c.p)
-        out = cert("USV1", v=v) if inst.orient(v) is None else cert("US1", v=v)
-    elif c.kind in ("OV1", "OV2"):
-        v, u = vid(c.p), vid(c.q)
-        for cand in (cert("USV1", v=v), cert("USV1", v=u), cert("USV2", v=v, u=u)):
-            if verify_uso(inst, cand):
-                return cand
-        raise UnmappableCert(f"{c} gave no USO violation")
-    else:
-        raise UnmappableCert("OV3 cannot occur on USO-derived instances")
-    if not verify_uso(inst, out):
-        raise UnmappableCert(f"map-back of {c} failed verification")
-    return out
+    def candidates():
+        if c.kind == "O1":
+            v = vid(c.p)
+            yield from (cert("US1", v=v), cert("USV1", v=v))
+        elif c.kind in ("OV1", "OV2"):
+            v, u = vid(c.p), vid(c.q)
+            yield from (cert("USV1", v=v), cert("USV1", v=u), cert("USV2", v=v, u=u))
+
+    return first_verifying(inst, candidates(), f"no USO certificate for {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +123,17 @@ def map_back_contraction(inst: ContractionInstance, view: OpdcInstance, c: Certi
     def to_box(p):
         return [Fraction(p[j], widths[j]) for j in range(len(widths))]
 
-    if c.kind == "O1":
-        out = cert("CM1", x=to_box(c.p))
-    elif c.kind == "OV1":
-        out = cert("CMV1", x=to_box(c.p), y=to_box(c.q))
-    elif c.kind == "OV2":
-        out = cert("CMV3", level=c.level, x=to_box(c.p), y=to_box(c.q))
-    elif c.kind == "OV3":
-        out = cert("CMV2", x=to_box(c.p))
-    else:
-        raise UnmappableCert(f"unexpected OPDC certificate {c.kind}")
-    if not verify_contraction(inst, out):
-        raise UnmappableCert(f"map-back of {c} failed verification")
-    return out
+    def candidates():
+        if c.kind == "O1":
+            yield cert("CM1", x=to_box(c.p))
+        elif c.kind == "OV1":
+            yield cert("CMV1", x=to_box(c.p), y=to_box(c.q))
+        elif c.kind == "OV2":
+            yield cert("CMV3", level=c.level, x=to_box(c.p), y=to_box(c.q))
+        elif c.kind == "OV3":
+            yield cert("CMV2", x=to_box(c.p))
+
+    return first_verifying(inst, candidates(), f"no contraction certificate for {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +142,13 @@ def map_back_contraction(inst: ContractionInstance, view: OpdcInstance, c: Certi
 DASH = None
 
 
-class OpdcLineView:
+class OpdcLineView(LineView):
     """Lazy UFEOPL instance whose vertices encode surface tuples."""
 
+    flavor = "ufeopl"
+
     def __init__(self, inst: OpdcInstance):
-        self.inst = inst
+        self.src = inst
         self.d = inst.d
         self.widths = inst.widths
         self.coord_bits = [max(1, ceil_log2(k + 1)) for k in inst.widths]
@@ -210,7 +207,7 @@ class OpdcLineView:
 
     # -- validity ------------------------------------------------------------
     def is_vertex_tuple(self, tup) -> bool:
-        d, D = self.d, self.inst.D
+        d, D = self.d, self.src.D
         present = [i for i in range(d + 1) if tup[i] is not DASH]
         if not present:
             return False
@@ -240,7 +237,7 @@ class OpdcLineView:
     # -- successor rules -------------------------------------------------------
     def successor_tuple(self, tup):
         """S on tuples; returns the input for self-loops."""
-        d, D = self.d, self.inst.D
+        d, D = self.d, self.src.D
         i = next((k for k in range(d + 1) if tup[k] is not DASH), None)
         if i is None or not self.is_vertex_tuple(tup):
             return tup
@@ -283,19 +280,9 @@ class OpdcLineView:
             raw += digit * self.base**j
         return max(0, raw - 1)  # the start tuple's raw potential is 1
 
-    def line_instance(self) -> LineInstance:
-        return LineInstance(
-            n=self.nbits,
-            successor=self.successor,
-            potential=self.potential,
-            flavor="ufeopl",
-            m_pot=self.m_pot,
-            vertex_iter=self.enumerate_codes,
-        )
-
     def enumerate_codes(self):
         """All codes of valid vertex tuples (desk scale only)."""
-        pts = list(self.inst.points())
+        pts = list(self.src.points())
         options = [pts + [DASH]] * (self.d + 1)
         out = []
         for tup in product(*options):
@@ -303,22 +290,74 @@ class OpdcLineView:
                 out.append(self.encode(tup))
         return out
 
+    # -- map-back ----------------------------------------------------------------
+    def candidates(self, c):
+        """UF1 -> O1/OV2/OV3 by which successor rule stalled; UFV1 -> OV1 via
+        the largest differing tuple position (or a boundary OV3, or a
+        column binary search)."""
+        d, D = self.d, self.src.D
+        if c.kind == "UF1":
+            x = self.decode(c.x)
+            if x is None or not self.is_vertex_tuple(x):
+                return
+            y = self.successor_tuple(x)
+            i = next(k for k in range(d + 1) if x[k] is not DASH)
+            if y != x and self.is_vertex_tuple(y):
+                iy = next(k for k in range(d + 1) if y[k] is not DASH)
+                if iy == d:
+                    yield cert("O1", p=y[d])
+                if self.successor_tuple(y) == y and iy < d:
+                    # valid self-loop: stuck at the boundary going up
+                    yield cert("OV3", level=iy + 1, p=y[iy])
+            p = x[i]
+            if y == x:
+                # x itself stalled at the grid boundary
+                yield cert("OV3", level=i + 1, p=p)
+            elif not self.is_vertex_tuple(y):
+                if D(i, p) == ZERO and i + 1 <= d:
+                    # rule 2 fired and the moved witness is rejected:
+                    # D_{i+1}(p) = down against the old witness or 0-edge
+                    if i + 1 < d and D(i + 1, p) == DOWN:
+                        if x[i + 1] is not DASH:
+                            yield cert("OV2", level=i + 2, p=p, q=x[i + 1])
+                        yield cert("OV3", level=i + 2, p=p)
+                elif i > 0:
+                    # rules 3/4 fired and the advanced point q looks down
+                    yield cert("OV3", level=1, p=y[0])
+                else:
+                    yield cert("OV2", level=1, p=y[0], q=p)
 
-def opdc_to_ufeopl(inst: OpdcInstance) -> tuple[LineInstance, OpdcLineView]:
-    view = OpdcLineView(inst)
-    return view.line_instance(), view
+        elif c.kind == "UFV1":
+            x = self.decode(c.x)
+            y = self.decode(c.y)
+            if x is None or y is None:
+                return
+            diff = [k for k in range(d + 1) if x[k] != y[k]]
+            if not diff:
+                return
+            j = max(diff)
+            px, py = x[j], y[j]
+            if px is DASH or py is DASH:
+                return
+            if j == d or px[j] == py[j]:
+                yield cert("OV1", level=j, p=px, q=py)
+                return
+            lo_pt, hi_pt = (px, py) if px[j] < py[j] else (py, px)
+            if D(j, lo_pt) == ZERO and D(j, hi_pt) == ZERO:
+                yield cert("OV1", level=j + 1, p=lo_pt, q=hi_pt)
+            if hi_pt[j] == self.widths[j] and D(j, hi_pt) == UP:
+                yield cert("OV3", level=j + 1, p=hi_pt)
+            if j == 0 and D(0, lo_pt) == ZERO and D(0, hi_pt) == UP:
+                found = _column_search(self.src, lo_pt, hi_pt)
+                if found is not None:
+                    yield found
 
 
-# -- map-back ----------------------------------------------------------------
-
-def _column_search(inst: OpdcInstance, dim: int, zero_pt, up_pt) -> Certificate | None:
-    """Both points lie in one line of the grid along `dim` (a 1-slice when
-    dim = 0); zero_pt has direction zero, up_pt sits above it pointing up.
-    Binary search for a second zero (OV1), an adjacent down-over-up pair
-    (OV2), or up at the top boundary (OV3).  Only valid for dim = 0, where
-    every grid point is trivially on the 0-surface."""
-    if dim != 0:
-        return None
+def _column_search(inst: OpdcInstance, zero_pt, up_pt) -> Certificate | None:
+    """Both points lie in one column of the grid along dimension 0, where
+    every point is on the 0-surface; zero_pt has direction zero, up_pt sits
+    above it pointing up.  Binary search for a second zero (OV1), an
+    adjacent down-over-up pair (OV2), or up at the top boundary (OV3)."""
 
     def at(t):
         return (t,) + tuple(up_pt[1:])
@@ -345,96 +384,11 @@ def _column_search(inst: OpdcInstance, dim: int, zero_pt, up_pt) -> Certificate 
     return None
 
 
+def opdc_to_ufeopl(inst: OpdcInstance) -> tuple[LineInstance, OpdcLineView]:
+    view = OpdcLineView(inst)
+    return view.line_instance(), view
+
+
 def map_back_opdc(inst: OpdcInstance, view: OpdcLineView, c: Certificate) -> Certificate:
-    """UF1 -> O1/OV2/OV3 by which successor rule stalled; UFV1 -> OV1 via
-    the largest differing tuple position (or a boundary OV3, or a column
-    binary search).  Raises UnmappableCert for any other shape."""
-    d, D = view.d, inst.D
-
-    def ensure(out):
-        if out is not None and verify_opdc(inst, out):
-            return out
-        return None
-
-    if c.kind == "UF1":
-        x = view.decode(c.x)
-        if x is None or not view.is_vertex_tuple(x):
-            raise UnmappableCert("UF1 witness is not a vertex")
-        y = view.successor_tuple(x)
-        i = next(k for k in range(d + 1) if x[k] is not DASH)
-        if y != x and view.is_vertex_tuple(y):
-            iy = next(k for k in range(d + 1) if y[k] is not DASH)
-            if iy == d:
-                out = ensure(cert("O1", p=y[d]))
-                if out:
-                    return out
-            if view.successor_tuple(y) == y and iy < d:
-                # valid self-loop: stuck at the boundary going up
-                p = y[iy]
-                out = ensure(cert("OV3", level=iy + 1, p=p))
-                if out:
-                    return out
-        if y == x:
-            # x itself stalled at the grid boundary
-            p = x[i]
-            out = ensure(cert("OV3", level=i + 1, p=p))
-            if out:
-                return out
-        else:
-            p = x[i]
-            if not view.is_vertex_tuple(y):
-                if D(i, p) == ZERO and i + 1 <= d:
-                    # rule 2 fired and the moved witness is rejected:
-                    # D_{i+1}(p) = down against the old witness or 0-edge
-                    if i + 1 < d and D(i + 1, p) == DOWN:
-                        if x[i + 1] is not DASH:
-                            out = ensure(cert("OV2", level=i + 2, p=p, q=x[i + 1]))
-                            if out:
-                                return out
-                        out = ensure(cert("OV3", level=i + 2, p=p))
-                        if out:
-                            return out
-                else:
-                    # rules 3/4 fired and the advanced point q looks down
-                    q = y[0]
-                    if i > 0:
-                        out = ensure(cert("OV3", level=1, p=q))
-                        if out:
-                            return out
-                    else:
-                        out = ensure(cert("OV2", level=1, p=q, q=p))
-                        if out:
-                            return out
-        raise UnmappableCert(f"UF1 {c} gave no OPDC certificate")
-
-    if c.kind == "UFV1":
-        x = view.decode(c.x)
-        y = view.decode(c.y)
-        if x is None or y is None:
-            raise UnmappableCert("UFV1 endpoints do not decode")
-        diff = [k for k in range(d + 1) if x[k] != y[k]]
-        if diff:
-            j = max(diff)
-            px, py = x[j], y[j]
-            if px is not DASH and py is not DASH:
-                if j == d or px[j] == py[j]:
-                    out = ensure(cert("OV1", level=min(j, d), p=px, q=py))
-                    if out:
-                        return out
-                else:
-                    lo_pt, hi_pt = (px, py) if px[j] < py[j] else (py, px)
-                    if D(j, lo_pt) == ZERO and D(j, hi_pt) == ZERO:
-                        out = ensure(cert("OV1", level=j + 1, p=lo_pt, q=hi_pt))
-                        if out:
-                            return out
-                    if hi_pt[j] == inst.widths[j] and D(j, hi_pt) == UP:
-                        out = ensure(cert("OV3", level=j + 1, p=hi_pt))
-                        if out:
-                            return out
-                    if j == 0 and D(0, lo_pt) == ZERO and D(0, hi_pt) == UP:
-                        out = ensure(_column_search(inst, 0, lo_pt, hi_pt))
-                        if out:
-                            return out
-        raise UnmappableCert(f"UFV1 {c} gave no OPDC certificate")
-
-    raise UnmappableCert(f"unexpected certificate {c.kind}")
+    """The first verifying OPDC certificate of `view.candidates(c)`."""
+    return first_verifying(inst, view.candidates(c), f"no OPDC certificate for {c}")

@@ -92,15 +92,11 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
         z_prev = stats.z_trace[-1]
         stats.z_trace.append(z_new)
         if z_new > z_prev:
-            # z increased while traversing cone alpha: det(M_aa) < 0.
-            minor = principal_minor(inst.M, alpha)
-            if minor <= 0:
+            # z increased while traversing cone alpha, which by Todd's
+            # orientation means det(M_aa) < 0.
+            if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=frozenset(alpha))
-            for r in range(1, d + 1):  # theory guarantees one exists locally
-                for sub in combinations(sorted(alpha), r):
-                    if principal_minor(inst.M, sub) <= 0:
-                        return cert("PV1", alpha=frozenset(sub))
-            raise RuntimeError("z increased but no non-positive minor found")
+            raise RuntimeError("z increased across a cone with a positive minor")
         if sys.zvar not in v.basis:
             y, _, _ = sys.numeric_point(v)
             return cert("Q1", y=y)
@@ -370,16 +366,6 @@ def eps_schedule(p: int, d: int, eps: Fraction) -> list[Fraction]:
             power = sum(p**j for j in range(e + 1))
             out.append(eps ** (p**e) / Fraction(d * p) ** (2 * power))
     return out
-
-
-def check_schedule(p: int, d: int, eps: Fraction) -> bool:
-    """Exact check of sum_{i<k} p*eps_i <= eps_k^p for every k <= d."""
-    es = eps_schedule(p, d, eps)
-    for k in range(1, d + 1):
-        lhs = sum((p * es[i - 1] for i in range(1, k)), Fraction(0))
-        if lhs > es[k - 1] ** p:
-            return False
-    return True
 
 
 def _approx_rec(inst: ContractionInstance, es, fixed: dict, dim: int, stats: RunStats):

@@ -14,7 +14,6 @@ from potline.generators import (
     gen_contraction,
     gen_lcp,
     gen_line,
-    gen_normalized_line,
     gen_uso,
 )
 from potline.problems import LcpInstance, cert, verify
@@ -48,11 +47,12 @@ from potline.solvers import (
     aldous,
     approx_find_fp,
     brute_force,
-    check_schedule,
     find_fp,
     follow_line,
     lemke,
 )
+
+from helpers import check_schedule, gen_normalized_line
 
 
 def report(num, text):
@@ -204,31 +204,22 @@ def _mixed_lcps(count, d=2):
     return out
 
 
-def test_criterion_07_map_back_soundness():
-    totals = {}
-
-    def run(name, pairs):
-        mapped = 0
-        for src, image_certs, map_back in pairs:
-            for c in image_certs:
-                mb = map_back(c)
-                assert verify(src, mb), (name, c, mb)
-                mapped += 1
-        totals[name] = mapped
-
+def map_back_families():
+    """(name, [(source, brute-force image certificates, map-back)]) for
+    every reduction, on mixed good and violated sources."""
     # P-LCP -> USO
     pairs = []
     for inst in _mixed_lcps(100):
         uso = plcp_to_uso(inst)
         pairs.append((inst, brute_force(uso), lambda c, i=inst, u=uso: map_back_uso(i, u, c)))
-    run("plcp->uso", pairs)
+    yield "plcp->uso", pairs
 
     # P-LCP -> EOPL
     pairs = []
     for inst in _mixed_lcps(100):
         line, view = plcp_to_eopl(inst)
         pairs.append((inst, brute_force(line), lambda c, i=inst, v=view: map_back_lcp(i, v, c)))
-    run("plcp->eopl", pairs)
+    yield "plcp->eopl", pairs
 
     # USO -> OPDC
     pairs = []
@@ -236,7 +227,7 @@ def test_criterion_07_map_back_soundness():
         uso = gen_uso(2, seed, broken=seed % 2 == 1)
         view = uso_to_opdc(uso)
         pairs.append((uso, brute_force(view), lambda c, u=uso: map_back_uso_opdc(u, c)))
-    run("uso->opdc", pairs)
+    yield "uso->opdc", pairs
 
     # Contraction -> OPDC (synthetic small kappa)
     pairs = []
@@ -246,7 +237,7 @@ def test_criterion_07_map_back_soundness():
         view = contraction_to_opdc(inst)
         pairs.append((inst, brute_force(view),
                       lambda c, i=inst, v=view: map_back_contraction(i, v, c)))
-    run("contraction->opdc", pairs)
+    yield "contraction->opdc", pairs
 
     # OPDC -> UFEOPL (good and violated synthetic grids)
     pairs = []
@@ -269,7 +260,7 @@ def test_criterion_07_map_back_soundness():
         line, view = opdc_to_ufeopl(opdc)
         pairs.append((opdc, brute_force(line, max_certs=500),
                       lambda c, o=opdc, v=view: map_back_opdc(o, v, c)))
-    run("opdc->ufeopl", pairs)
+    yield "opdc->ufeopl", pairs
 
     # UFEOPL -> UFEOPL+1
     pairs = []
@@ -277,7 +268,7 @@ def test_criterion_07_map_back_soundness():
         src = gen_line(5, seed=seed, flavor="ufeopl", two_lines=seed % 2 == 1)
         line, view = ufeopl_to_plus1(src)
         pairs.append((src, brute_force(line), lambda c, v=view: v.map_back(c)))
-    run("ufeopl->plus1", pairs)
+    yield "ufeopl->plus1", pairs
 
     # UFEOPL+1 -> UniqueEOPL (pebbling)
     pairs = []
@@ -286,7 +277,7 @@ def test_criterion_07_map_back_soundness():
                        two_lines=seed % 2 == 1)
         line, view = plus1_to_ueopl(src)
         pairs.append((src, brute_force(line, max_certs=400), lambda c, v=view: v.map_back(c)))
-    run("plus1->ueopl", pairs)
+    yield "plus1->ueopl", pairs
 
     # normalization
     pairs = []
@@ -295,7 +286,7 @@ def test_criterion_07_map_back_soundness():
         line, view = normalize_potentials(src)
         pairs.append((src, brute_force(line, budget=1 << 18, max_certs=400),
                       lambda c, v=view: v.map_back(c)))
-    run("normalize", pairs)
+    yield "normalize", pairs
 
     # EOML -> EOPL and EOPL -> EOML
     pairs_a, pairs_b = [], []
@@ -310,8 +301,8 @@ def test_criterion_07_map_back_soundness():
         eopl2, view2 = eoml_to_eopl(eoml)
         pairs_b.append((eoml, brute_force(eopl2, max_certs=400),
                         lambda c, v=view2: v.map_back(c)))
-    run("eopl->eoml", pairs_a)
-    run("eoml->eopl", pairs_b)
+    yield "eopl->eoml", pairs_a
+    yield "eoml->eopl", pairs_b
 
     # UniqueEOPL -> OPDC (normalized sources)
     pairs = []
@@ -320,7 +311,19 @@ def test_criterion_07_map_back_soundness():
         opdc, view = ueopl_to_opdc(src)
         pairs.append((src, brute_force(opdc, budget=1 << 18, max_certs=300),
                       lambda c, v=view: v.map_back(c)))
-    run("ueopl->opdc", pairs)
+    yield "ueopl->opdc", pairs
+
+
+def test_criterion_07_map_back_soundness():
+    totals = {}
+    for name, pairs in map_back_families():
+        mapped = 0
+        for src, image_certs, map_back in pairs:
+            for c in image_certs:
+                mb = map_back(c)
+                assert verify(src, mb), (name, c, mb)
+                mapped += 1
+        totals[name] = mapped
 
     summary = ", ".join(f"{k}:{v}" for k, v in totals.items())
     assert all(v > 0 for v in totals.values())

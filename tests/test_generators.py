@@ -6,12 +6,13 @@ from potline.generators import (
     gen_contraction,
     gen_lcp,
     gen_line,
-    gen_normalized_line,
     gen_uso,
 )
 from potline.pivoting import principal_minor
 from potline.problems import cert, verify
 from potline.solvers import brute_force, find_fp, follow_line
+
+from helpers import gen_normalized_line
 
 
 def test_gen_lcp_determinism():

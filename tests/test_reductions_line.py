@@ -1,6 +1,6 @@
 import pytest
 
-from potline.generators import gen_line, gen_normalized_line
+from potline.generators import gen_line
 from potline.problems import UnmappableCert, cert, line_from_tables, verify
 from potline.reductions_line import (
     TrivialInstance,
@@ -12,6 +12,8 @@ from potline.reductions_line import (
     ufeopl_to_plus1,
 )
 from potline.solvers import brute_force, follow_line
+
+from helpers import gen_normalized_line
 
 
 # -- EOML -> EOPL -----------------------------------------------------------------
@@ -189,13 +191,22 @@ def test_pebbling_two_lines():
         assert verify(src, view.map_back(cc))
 
 
+def test_pebbling_stalled_start_is_an_end():
+    # S(0) = 1 has potential 3, not 1: the first strategy move stalls.
+    src = line_from_tables(2, {0: 1}, v_table={1: 3}, flavor="ufeoplplus1", m_pot=2)
+    line, view = plus1_to_ueopl(src)
+    c = follow_line(line, 0)
+    assert c == cert("U1", x=0)
+    assert view.map_back(c) == cert("UFP1", x=0)
+
+
 # -- normalization ---------------------------------------------------------------------
 
 def test_normalize_end_potential():
     src = gen_line(5, seed=7, flavor="ueopl", gaps=[2, 1, 3, 1])
     norm, view = normalize_potentials(src)
     c = follow_line(norm, 0)
-    assert norm.V(c.x) == (1 << view.iw) - 1
+    assert norm.V(c.x) == (1 << view.low_bits) - 1
     assert verify(src, view.map_back(c))
 
 
@@ -209,7 +220,7 @@ def test_normalize_gap_one_line_walk():
             break
         assert norm.V(nxt) == norm.V(x) + 1
         x, steps = nxt, steps + 1
-    assert steps == (1 << view.iw) - 1
+    assert steps == (1 << view.low_bits) - 1
 
 
 def test_normalize_map_backs():

@@ -20,12 +20,13 @@ from potline.solvers import (
     aldous,
     approx_find_fp,
     brute_force,
-    check_schedule,
     eps_schedule,
     find_fp,
     follow_line,
     lemke,
 )
+
+from helpers import check_schedule
 
 
 # -- Lemke -------------------------------------------------------------------

@@ -3,6 +3,7 @@ certificate of the image mapped back and verified."""
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 from potline.problems import LcpInstance, OpdcInstance, UsoInstance, verify
 from potline.reductions_lcp import map_back_lcp, plcp_to_eopl
@@ -11,8 +12,10 @@ from potline.reductions_opdc import map_back_opdc, map_back_uso, opdc_to_ufeopl,
 from potline.problems import line_from_tables
 from potline.solvers import brute_force
 
+# Each sweep yields (label, source, brute-force image certificates, map-back).
 
-def test_wild_lcp_matrices():
+
+def wild_lcp_matrices():
     rng = random.Random(0)
     for trial in range(60):
         rng.seed(trial)
@@ -23,11 +26,10 @@ def test_wild_lcp_matrices():
             continue
         inst = LcpInstance(M=m, q=q)
         line, view = plcp_to_eopl(inst)
-        for c in brute_force(line):
-            assert verify(inst, map_back_lcp(inst, view, c)), (trial, c)
+        yield trial, inst, brute_force(line), lambda c, i=inst, v=view: map_back_lcp(i, v, c)
 
 
-def test_wild_orientations():
+def wild_orientations():
     rng = random.Random(1)
     for trial in range(60):
         rng.seed(trial)
@@ -38,28 +40,25 @@ def test_wild_orientations():
         }
         uso = UsoInstance(n=n, orient=table.get)
         opdc = uso_to_opdc(uso)
-        for c in brute_force(opdc, max_certs=300):
-            assert verify(uso, map_back_uso(uso, c)), (trial, c)
+        yield trial, uso, brute_force(opdc, max_certs=300), lambda c, u=uso: map_back_uso(u, c)
 
 
-def test_wild_opdc_grids():
+def wild_opdc_grids():
     rng = random.Random(2)
     for trial in range(60):
         rng.seed(trial)
         d = 1 + trial % 2
         widths = tuple(rng.choice([1, 2, 3]) for _ in range(d))
         table = {}
-        from itertools import product
-
         for p in product(*[range(k + 1) for k in widths]):
             table[p] = [rng.choice(["up", "down", "zero"]) for _ in range(d)]
         inst = OpdcInstance(widths=widths, direction=lambda i, p, t=table: t[p][i])
         line, view = opdc_to_ufeopl(inst)
-        for c in brute_force(line, max_certs=300):
-            assert verify(inst, map_back_opdc(inst, view, c)), (trial, widths, c)
+        yield ((trial, widths), inst, brute_force(line, max_certs=300),
+               lambda c, i=inst, v=view: map_back_opdc(i, v, c))
 
 
-def test_wild_forward_lines():
+def wild_forward_lines():
     rng = random.Random(3)
     for trial in range(60):
         rng.seed(trial)
@@ -73,11 +72,10 @@ def test_wild_forward_lines():
             v[x] = rng.randrange(8)
         src = line_from_tables(n, s, None, v, flavor="ufeopl")
         plus1, view = ufeopl_to_plus1(src)
-        for c in brute_force(plus1, max_certs=300):
-            assert verify(src, view.map_back(c)), (trial, c)
+        yield trial, src, brute_force(plus1, max_certs=300), view.map_back
 
 
-def test_wild_plus1_lines():
+def wild_plus1_lines():
     rng = random.Random(4)
     for trial in range(40):
         rng.seed(trial)
@@ -91,5 +89,39 @@ def test_wild_plus1_lines():
             v[x] = rng.randrange(6)
         src = line_from_tables(n, s, None, v, flavor="ufeoplplus1", m_pot=3)
         ueopl, view = plus1_to_ueopl(src)
-        for c in brute_force(ueopl, max_certs=300):
-            assert verify(src, view.map_back(c)), (trial, c)
+        yield trial, src, brute_force(ueopl, max_certs=300), view.map_back
+
+
+WILD_SWEEPS = {
+    "lcp": wild_lcp_matrices,
+    "orientations": wild_orientations,
+    "opdc": wild_opdc_grids,
+    "forward": wild_forward_lines,
+    "plus1": wild_plus1_lines,
+}
+
+
+def _check(sweep):
+    for label, src, certs, map_back in sweep():
+        for c in certs:
+            assert verify(src, map_back(c)), (label, c)
+
+
+def test_wild_lcp_matrices():
+    _check(wild_lcp_matrices)
+
+
+def test_wild_orientations():
+    _check(wild_orientations)
+
+
+def test_wild_opdc_grids():
+    _check(wild_opdc_grids)
+
+
+def test_wild_forward_lines():
+    _check(wild_forward_lines)
+
+
+def test_wild_plus1_lines():
+    _check(wild_plus1_lines)
