@@ -18,7 +18,6 @@ import time
 
 from . import generators, problems, reductions_lcp, reductions_line, reductions_opdc, solvers
 from .problems import cert_to_json
-from .rational import frac
 
 BUDGET = int(os.environ.get("POTLINE_BUDGET", str(1 << 16)))
 
@@ -135,8 +134,7 @@ def _solve_dispatch(inst, args):
     elif algo == "findfp":
         c = solvers.find_fp(inst, stats=stats)
     elif algo == "approx":
-        eps = frac(args.eps) if args.eps else inst.eps
-        c = solvers.approx_find_fp(inst, eps=eps, stats=stats)
+        c = solvers.approx_find_fp(inst, eps=args.eps, stats=stats, p=args.p)
     elif algo == "brute":
         certs = solvers.brute_force(inst, budget=BUDGET)
         return certs[0] if certs else None, stats
@@ -147,10 +145,6 @@ def _solve_dispatch(inst, args):
 
 def cmd_solve(args):
     inst, data = _load(args.file, args.problem)
-    if args.problem == "contraction" and args.eps:
-        inst.eps = frac(args.eps)
-    if args.p and args.problem == "contraction":
-        inst.p = args.p
     t0 = time.monotonic()
     c, stats = _solve_dispatch(inst, args)
     elapsed = time.monotonic() - t0
@@ -222,8 +216,8 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=64)
     s.add_argument("--start", default=None)
-    s.add_argument("--eps", default=None)
-    s.add_argument("--p", type=int, default=None)
+    s.add_argument("--eps", default=None, help="approx tolerance (default: the instance's)")
+    s.add_argument("--p", type=int, default=None, help="approx norm index (default: the instance's)")
     s.add_argument("-o", "--output")
     s.set_defaults(func=cmd_solve)
 

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .circuits import affine_circuit
+from .pivoting import LemkeSystem
 from .problems import ContractionInstance, LcpInstance, LineInstance, UsoInstance, line_from_tables
 from .rational import frac
 
@@ -18,18 +20,13 @@ def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _rand_frac(rng, lo=-2, hi=2, max_den=256) -> Fraction:
-    den = rng.randrange(1, max_den + 1)
-    num = rng.randrange(lo * den, hi * den + 1)
-    return Fraction(num, den)
-
-
 def gen_lcp(d: int, seed: int, p_matrix: bool = True, nondegenerate: bool = False) -> LcpInstance:
     """P-matrix mode: M = B^T B + diag(positive), symmetric positive
     definite and hence a P-matrix; q gets at least one negative entry so
     the Lemke path is nontrivial.  Non-P mode plants a non-positive
-    leading principal minor.  `nondegenerate` rejects instances where some
-    A_alpha^{-1} q has a zero entry (checked exhaustively; keep d small).
+    leading principal minor and rejects instances with a singular cone
+    A_alpha.  `nondegenerate` rejects instances where some A_alpha^{-1} q
+    has a zero entry (checked exhaustively; keep d small).
     """
     rng = _rng(seed)
     for _ in range(200):
@@ -49,39 +46,14 @@ def gen_lcp(d: int, seed: int, p_matrix: bool = True, nondegenerate: bool = Fals
             continue  # tied minimum degenerates the Lemke start
         if not p_matrix:
             m[0][0] = Fraction(-rng.randrange(1, 3))
-            inst = LcpInstance(M=m, q=q)
-            from .pivoting import a_alpha
-            from .rational import determinant
-
-            subsets = _subsets(d)
-            if all(determinant(a_alpha(inst.M, a)) != 0 for a in subsets):
-                return inst
-            continue
-        inst = LcpInstance(M=m, q=q)
-        if nondegenerate and not _is_nondegenerate(inst):
-            continue
-        return inst
+        if not p_matrix or nondegenerate:
+            sys = LemkeSystem(m, q)
+            cones = (sys.cone_vertex(a) for r in range(d + 1) for a in combinations(range(d), r))
+            # A basic value of a cone's vertex is an entry of A_alpha^-1 q.
+            if any(v is None or (p_matrix and any(row[sys.rhs] == 0 for row in v.t)) for v in cones):
+                continue
+        return LcpInstance(M=m, q=q)
     raise RuntimeError("generator failed to produce an instance")
-
-
-def _subsets(d):
-    from itertools import combinations
-
-    return [frozenset(s) for r in range(d + 1) for s in combinations(range(d), r)]
-
-
-def _is_nondegenerate(inst: LcpInstance) -> bool:
-    from .pivoting import a_alpha
-    from .rational import SingularMatrixError, solve_linear
-
-    for alpha in _subsets(inst.d):
-        try:
-            x = solve_linear(a_alpha(inst.M, alpha), inst.q)
-        except SingularMatrixError:
-            return False
-        if any(v == 0 for v in x):
-            return False
-    return True
 
 
 def gen_uso(n: int, seed: int, broken: bool = False) -> UsoInstance:

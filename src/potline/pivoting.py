@@ -23,9 +23,12 @@ The lex ratio test runs over the rows whose pivot entry has the sign of D,
 and compares their [-q | -I] blocks cross-multiplied by the pivot entries
 (the products of two entries of one sign are positive).
 
+The tableaux also answer cone solves: -A_alpha (A_alpha has columns -M_i
+for i in alpha, e_i elsewhere) is the basis matrix of alpha's
+complementary basis, whose basic values are A_alpha^-1 q(eps).
+
 Path edges are oriented locally: an almost-complementary edge whose cone
-is A_alpha (columns -M_i for i in alpha, unit columns elsewhere) points
-toward decreasing z iff det(M_alpha_alpha) > 0.  This is the
+is A_alpha points toward decreasing z iff det(M_alpha_alpha) > 0.  This is the
 determinant-sign form of Todd's orientation for complementary pivot
 paths; it gives every duplicate-label vertex exactly one incoming and one
 outgoing edge, and it orients the primary ray toward the start vertex.
@@ -43,18 +46,6 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .rational import Mat, Vec, determinant
-
-
-def a_alpha(m: Mat, alpha) -> Mat:
-    """Columns -M_i for i in alpha, e_i otherwise."""
-    d = len(m)
-    cols = []
-    for i in range(d):
-        if i in alpha:
-            cols.append([-m[r][i] for r in range(d)])
-        else:
-            cols.append([Fraction(r == i) for r in range(d)])
-    return [[cols[j][r] for j in range(d)] for r in range(d)]
 
 
 def principal_minor(m: Mat, alpha) -> Fraction:
@@ -147,10 +138,21 @@ class LemkeSystem:
             v = self._pivot(v, r, j)
         return v
 
+    def cone_vertex(self, alpha) -> Vertex | None:
+        """The tableau of cone alpha's complementary basis (y_i for i in
+        alpha, w_i elsewhere, z nonbasic), or None when A_alpha is singular.
+        Its basic values are A_alpha^-1 q(eps): the basis matrix is
+        -A_alpha and the right-hand side -q(eps)."""
+        return self.vertex_at(frozenset(i if i in alpha else self.d + i for i in range(self.d)))
+
     # -- reading a vertex ----------------------------------------------------
     def feasible(self, v: Vertex) -> bool:
         """Every basic value is lexicographically nonnegative."""
         return all(_lead(row[self.rhs:]) * v.det >= 0 for row in v.t)
+
+    def lex_negative(self, v: Vertex) -> list[int]:
+        """The basic variables whose values are lexicographically negative."""
+        return [var for var, row in zip(v.rows, v.t) if _lead(row[self.rhs:]) * v.det < 0]
 
     def value(self, v: Vertex, var: int) -> Fraction:
         """Numeric value of `var`; zero when it is nonbasic."""

@@ -249,7 +249,8 @@ class ContractionInstance:
     `func` is any exact rational evaluator; `circuit` additionally enables
     the exact grid machinery.  `kappa` overrides the per-dimension grid
     exponents (defaults to the closed-form bound computed from the
-    circuit); `eps` is only used in approximate mode.
+    circuit); `eps`, when set, is approximate mode's default tolerance and
+    a bound every APPROX_FIX must meet besides its own.
     """
 
     d: int
@@ -462,14 +463,23 @@ def verify_contraction(inst: ContractionInstance, c: Certificate) -> bool:
             return False
         return fx[i] < x[i] and fy[i] > y[i]
     if c.kind == "APPROX_FIX":
-        if inst.eps is None:
-            raise VariantMismatch("APPROX_FIX needs an approximate-mode instance")
+        # ||f(v) - v||_p <= eps in the certificate's (eps, p), and in the
+        # instance's when it sets its own eps, which is never loosened.
+        if not _approx_claim_ok(c):
+            return False
         v = [frac(u) for u in c.v]
         if len(v) != d or not _in_box(v):
             return False
-        resid = lp_pow([a - b for a, b in zip(inst.f(v), v)], inst.p)
-        return resid <= frac(inst.eps) ** inst.p
+        r = [a - b for a, b in zip(inst.f(v), v)]
+        bounds = [(c.eps, c.p)] + ([(inst.eps, inst.p)] if inst.eps is not None else [])
+        return all(lp_pow(r, p) <= frac(eps) ** p for eps, p in bounds)
     raise VariantMismatch(c.kind)
+
+
+def _approx_claim_ok(c: Certificate) -> bool:
+    """An APPROX_FIX names its tolerance: eps >= 0 and an integer p >= 1."""
+    eps, p = c.data.get("eps"), c.data.get("p")
+    return isinstance(eps, Fraction) and eps >= 0 and type(p) is int and p >= 1
 
 
 def explain_rejection(inst, c: Certificate) -> str:
@@ -499,6 +509,8 @@ def explain_rejection(inst, c: Certificate) -> str:
         for i in range(inst.d):
             if fx[i] != x[i]:
                 return f"f(x)_{i + 1} != x_{i + 1}"
+    elif c.kind == "APPROX_FIX" and not _approx_claim_ok(c):
+        return "APPROX_FIX needs eps >= 0 and an integer p >= 1"
     elif c.kind in ("UV3", "UFV1"):
         x, y = c.x, c.y
         if x == y:
@@ -678,7 +690,7 @@ KINDS = {
     "opdc": Kind(OpdcInstance, opdc_from_json, opdc_to_json, verify_opdc, {"p": _point, "q": _point}),
     "line": Kind(LineInstance, line_from_json, line_to_json, verify_line, _VERTEX_FIELDS),
     "contraction": Kind(ContractionInstance, contraction_from_json, contraction_to_json,
-                        verify_contraction, {"x": _fracs, "y": _fracs, "v": _fracs}),
+                        verify_contraction, {"x": _fracs, "y": _fracs, "v": _fracs, "eps": frac}),
 }
 _KIND_OF_CLASS = {k.cls: k for k in KINDS.values()}
 

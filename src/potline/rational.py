@@ -1,10 +1,12 @@
-"""Exact rational linear algebra: solves, determinants, norm comparisons.
+"""Exact rational helpers: coercion, the Bareiss determinant, l_p norm
+comparisons and bit lengths.
 
-Verifiers, solvers and map-backs run on `fractions.Fraction`; Lemke
-pivoting keeps its own integer tableau (`pivoting`).  Matrices are dense
-lists of lists, vectors plain lists.  Determinants and linear solves use Bareiss fraction-free
-elimination on an integer-cleared copy, which keeps intermediate bit
-growth polynomial.
+Verifiers, solvers and map-backs run on `fractions.Fraction`.  Matrices
+are dense lists of lists, vectors plain lists.  `determinant` uses Bareiss
+fraction-free elimination on an integer-cleared copy, which keeps
+intermediate bit growth polynomial; it serves the principal-minor checks
+(PV1), which stay independent of the Lemke tableau.  Linear solves are
+tableau reads of `pivoting.LemkeSystem`.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from math import lcm
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a solve hits det = 0."""
 
 
 def frac(x) -> Fraction:
@@ -42,17 +40,6 @@ def mat(rows) -> Mat:
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m
-
-
-def _integer_rows(a: Mat, b: list[Vec]) -> tuple[list[list[int]], list[list[int]]]:
-    # Clear denominators row by row; row scaling by a positive constant
-    # preserves solution sets of [A | b].
-    ai, bi = [], []
-    for row, brow in zip(a, b):
-        scale = lcm(*[f.denominator for f in row + brow]) if row + brow else 1
-        ai.append([int(f * scale) for f in row])
-        bi.append([int(f * scale) for f in brow])
-    return ai, bi
 
 
 def determinant(a: Mat) -> Fraction:
@@ -85,50 +72,6 @@ def determinant(a: Mat) -> Fraction:
             m[i][k] = 0
         prev = m[k][k]
     return Fraction(sign * m[n - 1][n - 1], 1) / scale
-
-
-def solve_linear(a: Mat, b: Vec) -> Vec:
-    """Solve A x = b exactly; raises SingularMatrixError when det(A) = 0."""
-    sols = solve_linear_multi(a, [[x] for x in b])
-    return [row[0] for row in sols]
-
-
-def solve_linear_multi(a: Mat, b: list[Vec]) -> list[Vec]:
-    """Solve A X = B for a matrix of right-hand sides (rows of B given per
-    equation).  Returns X as rows per variable."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError("dimension mismatch in solve")
-    k_rhs = len(b[0]) if b else 0
-    ai, bi = _integer_rows(a, b)
-    # Bareiss forward elimination on [A | B].
-    m = [ai[i] + bi[i] for i in range(n)]
-    width = n + k_rhs
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular")
-        for i in range(k + 1, n):
-            for j in range(k + 1, width):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    if m[n - 1][n - 1] == 0:
-        raise SingularMatrixError("matrix is singular")
-    # Back substitution in exact rationals.
-    xs: list[list[Fraction]] = [[Fraction(0)] * k_rhs for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for c in range(k_rhs):
-            s = Fraction(m[i][n + c])
-            for j in range(i + 1, n):
-                s -= m[i][j] * xs[j][c]
-            xs[i][c] = s / m[i][i]
-    return xs
 
 
 def lp_pow(x: Vec, p: int) -> Fraction:

@@ -4,9 +4,10 @@ encoding), with map-back of every target certificate.
 Vertex codes are 2d-bit strings: the low d bits select the tight side per
 label (bit i set means w_i = 0), the next d bits one-hot encode the
 duplicate label (all zero when z = 0).  Invalid codes self-loop.
-Degenerate right-hand sides are handled by the same symbolic
-lexicographic perturbation the solvers use, so the out-map and the line
-view agree on ties.
+Both reductions read the one exact engine, `pivoting.LemkeSystem`: the
+out-map of a cone is the sign pattern of its complementary vertex, whose
+right-hand side carries the perturbation of the Lemke path, so the
+out-map and the line view resolve degenerate ties by one rule.
 
 Map-backs have the one shape of `reductions_line.LineView`: a generator of
 the source certificates the case analysis names, in order, of which
@@ -19,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import problems
-from .pivoting import LemkeSystem, Vertex, a_alpha, principal_minor
+from .pivoting import LemkeSystem, Vertex, principal_minor
 from .problems import (
     Certificate,
     LcpInstance,
@@ -28,7 +29,7 @@ from .problems import (
     cert,
     first_verifying,
 )
-from .rational import SingularMatrixError, ceil_log2, solve_linear, solve_linear_multi
+from .rational import ceil_log2
 from .reductions_line import LineView
 from math import lcm
 
@@ -49,23 +50,15 @@ def integer_scale(inst: LcpInstance) -> tuple[LcpInstance, int]:
 def out_map(inst: LcpInstance, alpha) -> int | None:
     """Sign bit-string of A_alpha^{-1} q, or None (dash) on singularity.
 
-    Zero entries are resolved by the lexicographic perturbation over
-    [q | I]: the first nonzero entry of the row decides the sign.
+    Entry i is the value of cone alpha's basic variable of label i (y_i or
+    w_i); zero entries are resolved by the lexicographic perturbation of
+    the Lemke system.
     """
-    d = inst.d
-    alpha = frozenset(alpha)
-    a = a_alpha(inst.M, alpha)
-    rhs = [[inst.q[r]] + [Fraction(r == j) for j in range(d)] for r in range(d)]
-    try:
-        rows = solve_linear_multi(a, rhs)
-    except SingularMatrixError:
+    sys = LemkeSystem(inst.M, inst.q)
+    v = sys.cone_vertex(alpha)
+    if v is None:
         return None
-    bits = 0
-    for i in range(d):
-        lead = next((c for c in rows[i] if c != 0), Fraction(0))
-        if lead < 0:
-            bits |= 1 << i
-    return bits
+    return sum(1 << var % sys.d for var in sys.lex_negative(v))
 
 
 def plcp_to_uso(inst: LcpInstance) -> UsoInstance:
@@ -87,9 +80,8 @@ def map_back_uso(inst: LcpInstance, uso: UsoInstance, c: Certificate) -> Certifi
 
     def candidates():
         if c.kind == "US1":
-            alpha = alpha_of(c.v)
-            x = solve_linear(a_alpha(inst.M, alpha), inst.q)
-            yield cert("Q1", y=[x[i] if i in alpha else Fraction(0) for i in range(d)])
+            sys = LemkeSystem(inst.M, inst.q)
+            yield cert("Q1", y=sys.numeric_point(sys.cone_vertex(alpha_of(c.v)))[0])
         elif c.kind == "USV1":
             yield cert("PV1", alpha=alpha_of(c.v))
         elif c.kind == "USV2":

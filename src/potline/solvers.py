@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .pivoting import LemkeSystem, a_alpha, principal_minor
+from .pivoting import LemkeSystem, principal_minor
 from .problems import (
     DOWN,
     LINE_KINDS,
@@ -29,7 +29,7 @@ from .problems import (
     cert,
     verify,
 )
-from .rational import frac, solve_linear
+from .rational import frac
 
 
 class Exhausted(RuntimeError):
@@ -115,12 +115,11 @@ def lcp_brute_force(inst: LcpInstance) -> list[Certificate]:
         if alpha and principal_minor(inst.M, alpha) <= 0:
             found.append(cert("PV1", alpha=alpha))
     outs = {alpha: out_map(inst, alpha) for alpha in subsets}
+    sys = LemkeSystem(inst.M, inst.q)
     for alpha in subsets:
         if outs[alpha] == 0:
             # out_map is not None, so A_alpha is nonsingular.
-            x = solve_linear(a_alpha(inst.M, alpha), inst.q)
-            y = [x[i] if i in alpha else Fraction(0) for i in range(d)]
-            c = cert("Q1", y=y)
+            c = cert("Q1", y=sys.numeric_point(sys.cone_vertex(alpha))[0])
             if verify(inst, c):
                 found.append(c)
     for a1, a2 in combinations(subsets, 2):
@@ -414,21 +413,26 @@ def _approx_rec(inst: ContractionInstance, es, fixed: dict, dim: int, stats: Run
     return v_star
 
 
-def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None = None) -> Certificate:
-    """Black-box approximate fixpoint: returns APPROX_FIX(v) with
+def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None = None,
+                   p: int | None = None) -> Certificate:
+    """Black-box approximate fixpoint: returns APPROX_FIX(v, eps, p) with
     ||f(v)-v||_p <= eps, or a CMV1 pair with ||f(x)-f(y)||_p >= ||x-y||_p
-    (a contraction violation for every c < 1)."""
+    (a contraction violation for every c < 1).  eps and p default to the
+    instance's."""
     stats = stats if stats is not None else RunStats()
     eps = eps if eps is not None else inst.eps
+    p = p if p is not None else inst.p
     if eps is None or frac(eps) <= 0:
         raise ValueError("approximate mode needs eps > 0")
+    if p < 1:
+        raise ValueError("norm index must be a positive integer")
     eps = frac(eps)
-    es = eps_schedule(inst.p, inst.d, eps)
+    es = eps_schedule(p, inst.d, eps)
     try:
         v = _approx_rec(inst, es, {}, inst.d, stats)
     except _Violation as viol:
         return viol.certificate
-    return cert("APPROX_FIX", v=list(v))
+    return cert("APPROX_FIX", v=list(v), eps=eps, p=p)
 
 
 # ---------------------------------------------------------------------------

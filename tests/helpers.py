@@ -4,7 +4,14 @@ import random
 from fractions import Fraction
 
 from potline.problems import LineInstance, line_from_tables
+from potline.rational import Mat
 from potline.solvers import eps_schedule
+
+
+def a_alpha(m: Mat, alpha) -> Mat:
+    """The cone A_alpha: columns -M_i for i in alpha, e_i otherwise."""
+    d = len(m)
+    return [[-m[r][i] if i in alpha else Fraction(r == i) for i in range(d)] for r in range(d)]
 
 
 def gen_normalized_line(exponent: int, seed: int, two_lines: bool = False) -> LineInstance:

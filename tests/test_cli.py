@@ -205,15 +205,26 @@ def test_record_verified_agrees_with_verify_approx(tmp_path, capsys):
     assert report["accepted"] is True and code == 0
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: solve checks APPROX_FIX against the "
-                   "--eps it was given, verify against the instance file, which has no eps")
 def test_record_verified_agrees_with_verify_approx_cli_eps(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     run(capsys, "generate", "--kind", "contractioncircuit", "--d", "2", "--seed", "3",
         "-o", str(inst))
     record, code, report = _solve_then_verify(tmp_path, capsys, inst, "contraction",
                                               ["--algo", "approx", "--eps", "1/1024"])
-    assert record["verified"] is report["accepted"]
+    assert record["verified"] is report["accepted"] is True
+    assert record["certificate"]["eps"] == "1/1024" and record["certificate"]["p"] == 2
+
+
+def test_verify_rejects_approx_fix_without_eps(tmp_path, capsys):
+    inst = tmp_path / "map.json"
+    run(capsys, "generate", "--kind", "contractioncircuit", "--d", "2", "--seed", "3",
+        "-o", str(inst))
+    bad = tmp_path / "cert.json"
+    bad.write_text(json.dumps({"kind": "APPROX_FIX", "v": ["7/16", "3/4"], "p": 2}))
+    code, out = run(capsys, "verify", str(inst), str(bad), "--problem", "contraction")
+    assert code == 1
+    assert json.loads(out) == {"accepted": False, "kind": "APPROX_FIX",
+                               "reason": "APPROX_FIX needs eps >= 0 and an integer p >= 1"}
 
 
 def test_verify_explains_wrong_dimension(tmp_path, capsys):

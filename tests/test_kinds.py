@@ -1,6 +1,7 @@
-"""Guards on the per-kind table `problems.KINDS` and on exception handling
-in the package."""
+"""Guards on the per-kind table `problems.KINDS`, on exception handling
+and on dead private functions in the package."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -62,3 +63,26 @@ def test_no_broad_exception_handlers_in_src():
         if broad.search(line)
     ]
     assert offenders == []
+
+
+def test_no_unreferenced_private_functions_in_src():
+    src = Path(problems.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unreferenced = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unreferenced == []

@@ -1,5 +1,6 @@
 """Lemke pivoting pinned to recorded paths, Murty's exponential family, the
-Todd orientation sign, and Lemke at sizes brute force cannot reach."""
+Todd orientation sign, cone solves read from the tableau, and Lemke at
+sizes brute force cannot reach."""
 
 import hashlib
 import random
@@ -9,11 +10,13 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from potline.generators import gen_lcp
-from potline.pivoting import LemkeSystem, a_alpha, principal_minor
+from potline.pivoting import LemkeSystem, principal_minor
 from potline.problems import LcpInstance, verify
 from potline.rational import determinant
-from potline.reductions_lcp import plcp_to_eopl
+from potline.reductions_lcp import out_map, plcp_to_eopl
 from potline.solvers import RunStats, follow_line, lemke
+
+from helpers import a_alpha
 
 
 def _digest(x) -> str:
@@ -304,3 +307,37 @@ def test_cone_sign_matches_principal_minor():
             assert sys.cone_sign(v) == (1 if minor > 0 else -1), sorted(v.basis)
             checked += 1
     assert checked >= 40  # 42 vertices
+
+
+# -- cone solves: the complementary vertex of each cone ---------------------------
+
+# Small entries with many zeros and repeats: singular cones and zero entries
+# of A_alpha^-1 q (degenerate right-hand sides) are common.
+small = st.one_of(st.integers(-2, 2).map(F), st.fractions(-2, 2, max_denominator=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_cone_vertex_solves_every_cone(d, data):
+    m = [[data.draw(small) for _ in range(d)] for _ in range(d)]
+    q = [data.draw(small) for _ in range(d)]
+    sys = LemkeSystem(m, q)
+    for r in range(d + 1):
+        for alpha in map(frozenset, combinations(range(d), r)):
+            v = sys.cone_vertex(alpha)
+            assert (v is None) == (determinant(a_alpha(m, alpha)) == 0)
+            if v is None:
+                assert out_map(LcpInstance(M=m, q=q), alpha) is None
+                continue
+            y, w, z = sys.numeric_point(v)
+            assert z == 0
+            assert w == [sum((m[i][j] * y[j] for j in range(d)), q[i]) for i in range(d)]
+            assert all(y[i] == 0 for i in range(d) if i not in alpha)
+            assert all(w[i] == 0 for i in alpha)
+            # A nonzero entry of A_alpha^-1 q = (y_alpha, w_rest) sets its
+            # out-map bit iff it is negative; zeros are the perturbation's.
+            bits = out_map(LcpInstance(M=m, q=q), alpha)
+            for i in range(d):
+                x = y[i] if i in alpha else w[i]
+                if x != 0:
+                    assert bool(bits >> i & 1) == (x < 0)

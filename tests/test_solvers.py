@@ -214,6 +214,16 @@ def test_approx_boundary_fixpoint():
     assert verify(inst, c)
 
 
+def test_approx_fix_carries_its_tolerance():
+    # f(x) = x/2 + 1/3 has the non-dyadic fixpoint 2/3.
+    inst = ContractionInstance(d=1, c=F(1, 2), p=2, func=lambda x: [x[0] / 2 + F(1, 3)])
+    c = approx_find_fp(inst, eps=F(1, 4))
+    assert c.kind == "APPROX_FIX" and (c.eps, c.p) == (F(1, 4), 2)
+    assert verify(inst, c)  # the instance sets no eps: the certificate's holds
+    inst.eps = F(1, 4096)  # |f(v) - v| = 1/1536: an eps set on the instance is kept
+    assert not verify(inst, c)
+
+
 def test_approx_violation_pair():
     def jump(x):
         return [F(1) if x[0] < F(1, 2) else F(0)]
