@@ -2,8 +2,9 @@
 
 Instances travel as JSON files; every solve emits a machine-readable run
 record whose certificate has already been re-verified.  Violation
-certificates are answers, so they exit 0; only I/O, parse, and budget
-errors are nonzero.  POTLINE_BUDGET caps enumeration sizes.
+certificates are answers, so they exit 0; `verify` exits 1 on a rejected
+certificate, and input and budget errors exit 2 with an `error:` line.
+POTLINE_BUDGET caps enumeration sizes.
 """
 
 from __future__ import annotations
@@ -53,9 +54,25 @@ _CHAIN_STEPS = {
 
 _LINE_STAGES = {"eopl", "ueopl", "eoml", "ufeopl", "plus1", "normalized", "line"}
 
+# --query letter of `reduce` -> (the view kind it applies to, its argument count).
+_QUERIES = {"S": ("line", 1), "P": ("line", 1), "V": ("line", 1), "D": ("opdc", 2)}
 
-class BadChain(ValueError):
-    pass
+# --algo of `solve` -> (the problem it solves, None for any, run(inst, args, stats)).
+_ALGOS = {
+    "lemke": ("plcp", lambda inst, a, st: solvers.lemke(inst, stats=st)),
+    "follow": ("line", lambda inst, a, st: solvers.follow_line(
+        inst, start=int(a.start, 2) if a.start else 0, stats=st)),
+    "aldous": ("line", lambda inst, a, st: solvers.aldous(
+        inst, samples=a.samples, rng=random.Random(a.seed), stats=st)),
+    "findfp": ("contraction", lambda inst, a, st: solvers.find_fp(inst, stats=st)),
+    "approx": ("contraction", lambda inst, a, st: solvers.approx_find_fp(inst, eps=a.eps, stats=st, p=a.p)),
+    "brute": (None, lambda inst, a, st: next(iter(solvers.brute_force(inst, budget=BUDGET)), None)),
+}
+
+
+class UsageError(ValueError):
+    """An unknown chain step, a query the view lacks, or an algorithm of
+    another problem."""
 
 
 def _digest(data) -> str:
@@ -65,7 +82,10 @@ def _digest(data) -> str:
 def _load(path, problem):
     with open(path) as fh:
         data = json.load(fh)
-    return problems.KINDS[problem].from_json(data), data
+    try:
+        return problems.KINDS[problem].from_json(data), data
+    except KeyError as exc:
+        raise problems.MissingField(f"{path} is not a {problem} instance: no field {exc}") from None
 
 
 def _stage_kind(stage: str) -> str:
@@ -74,14 +94,11 @@ def _stage_kind(stage: str) -> str:
 
 def apply_chain(inst, chain):
     """Compose reduction stages; chain[0] names the input problem."""
-    cur_kind = chain[0]
-    cur = inst
-    for stage in chain[1:]:
-        if (cur_kind, stage) not in _CHAIN_STEPS:
-            raise BadChain(f"no reduction {cur_kind} -> {stage}")
-        cur = _CHAIN_STEPS[(cur_kind, stage)](cur)
-        cur_kind = stage
-    return cur, cur_kind
+    for step in zip(chain, chain[1:]):
+        if step not in _CHAIN_STEPS:
+            raise UsageError(f"no reduction {step[0]} -> {step[1]}")
+        inst = _CHAIN_STEPS[step](inst)
+    return inst
 
 
 def cmd_generate(args):
@@ -99,54 +116,43 @@ def cmd_generate(args):
 def cmd_reduce(args):
     chain = [s for part in args.chain.split(",") for s in part.split(":") if s]
     if len(chain) < 2:
-        raise BadChain("chain needs a source and at least one target")
-    inst, _ = _load(args.file, _stage_kind(chain[0]))
-    view, kind = apply_chain(inst, chain)
-    if not args.query:
-        print(json.dumps({"chain": chain, "result": "ok", "kind": kind}))
-        return 0
+        raise UsageError("chain needs a source and at least one target")
     q = args.query
-    if q[0] in ("S", "P", "V"):
-        x = int(q[1], 2)
-        fn = {"S": view.S, "P": view.P, "V": view.V}[q[0]]
-        val = fn(x)
-        out = problems.bits_str(val, view.n) if q[0] in ("S", "P") else val
-        print(json.dumps({"query": q, "answer": out}))
-    elif q[0] == "D":
+    if q:
+        if q[0] not in _QUERIES:
+            raise UsageError(f"unknown query {q[0]}; use one of {', '.join(_QUERIES)}")
+        applies_to, nargs = _QUERIES[q[0]]
+        if _stage_kind(chain[-1]) != applies_to:
+            raise UsageError(f"--query {q[0]} applies to {applies_to} views, not {chain[-1]}")
+        if len(q) != 1 + nargs:
+            raise UsageError(f"--query {q[0]} takes {nargs} argument(s), got {len(q) - 1}")
+    view = apply_chain(_load(args.file, _stage_kind(chain[0]))[0], chain)
+    if not q:
+        print(json.dumps({"chain": chain, "result": "ok", "kind": chain[-1]}))
+        return 0
+    if q[0] == "D":
         i = int(q[1])
-        p = tuple(int(t) for t in q[2].replace(",", " ").split())
-        print(json.dumps({"query": q, "answer": view.D(i, p)}))
+        if not 0 <= i < view.d:
+            raise UsageError(f"dimension {i} outside 0..{view.d - 1}")
+        answer = view.D(i, tuple(int(t) for t in q[2].replace(",", " ").split()))
     else:
-        raise BadChain(f"unknown query {q[0]}")
+        x = int(q[1], 2)
+        if not 0 <= x < view.size:
+            raise UsageError(f"vertex {q[1]} is not an id of {view.n} bits")
+        val = getattr(view, q[0])(x)
+        answer = val if q[0] == "V" else problems.bits_str(val, view.n)
+    print(json.dumps({"query": q, "answer": answer}))
     return 0
 
 
-def _solve_dispatch(inst, args):
-    stats = solvers.RunStats()
-    algo = args.algo
-    if algo == "lemke":
-        c = solvers.lemke(inst, stats=stats)
-    elif algo == "follow":
-        c = solvers.follow_line(inst, start=int(args.start, 2) if args.start else 0, stats=stats)
-    elif algo == "aldous":
-        rng = random.Random(args.seed)
-        c = solvers.aldous(inst, samples=args.samples, rng=rng, stats=stats)
-    elif algo == "findfp":
-        c = solvers.find_fp(inst, stats=stats)
-    elif algo == "approx":
-        c = solvers.approx_find_fp(inst, eps=args.eps, stats=stats, p=args.p)
-    elif algo == "brute":
-        certs = solvers.brute_force(inst, budget=BUDGET)
-        return certs[0] if certs else None, stats
-    else:
-        raise ValueError(f"unknown algorithm {algo}")
-    return c, stats
-
-
 def cmd_solve(args):
+    problem, run = _ALGOS[args.algo]
+    if problem not in (None, args.problem):
+        raise UsageError(f"--algo {args.algo} solves {problem}, not {args.problem}")
     inst, data = _load(args.file, args.problem)
+    stats = solvers.RunStats()
     t0 = time.monotonic()
-    c, stats = _solve_dispatch(inst, args)
+    c = run(inst, args, stats)
     elapsed = time.monotonic() - t0
     record = {
         "command": {k: v for k, v in vars(args).items() if k != "func" and v is not None},
@@ -211,8 +217,7 @@ def build_parser():
     s = sub.add_parser("solve", help="run a solver and emit a run record")
     s.add_argument("file")
     s.add_argument("--problem", required=True, choices=list(problems.KINDS))
-    s.add_argument("--algo", required=True,
-                   choices=["lemke", "follow", "aldous", "findfp", "approx", "brute"])
+    s.add_argument("--algo", required=True, choices=list(_ALGOS))
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=64)
     s.add_argument("--start", default=None)
@@ -233,10 +238,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BadChain, ValueError, solvers.BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError, solvers.BudgetExceeded, solvers.Exhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,6 +49,11 @@ class OffGrid(ValueError):
     """A point lies outside the instance's grid."""
 
 
+class MissingField(AttributeError, ValueError):
+    """Instance JSON or a certificate lacks a field its kind needs.  An
+    AttributeError too, so getattr and hasattr on certificates behave."""
+
+
 class UnmappableCert(RuntimeError):
     """A verified target certificate could not be mapped back: a bug in a
     reduction, or a shape its map-back's case analysis does not cover."""
@@ -63,7 +68,7 @@ class Certificate:
         try:
             return self.data[name]
         except KeyError:
-            raise AttributeError(name) from None
+            raise MissingField(f"{self.kind} certificate has no field {name!r}") from None
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.data.items())
@@ -529,12 +534,11 @@ def bits_str(x: int, n: int) -> str:
     return format(x, f"0{n}b")
 
 
-def line_to_json(inst: LineInstance, ids=None) -> dict:
-    ids = list(ids) if ids is not None else list(range(inst.size))
+def line_to_json(inst: LineInstance) -> dict:
     out = {"flavor": inst.flavor, "n": inst.n, "m": inst.m_pot, "S": {}, "V": {}}
     if inst.predecessor is not None:
         out["P"] = {}
-    for x in ids:
+    for x in range(inst.size):
         s = inst.S(x)
         if s != x:
             out["S"][bits_str(x, inst.n)] = bits_str(s, inst.n)
@@ -718,6 +722,8 @@ def first_verifying(inst, candidates, what: str) -> Certificate:
 
 
 def cert_from_json(data: dict, problem: str) -> Certificate:
+    if "kind" not in data:
+        raise MissingField("certificate has no field 'kind'")
     fields = KINDS[problem].fields
     payload = {k: fields[k](v) if k in fields else v for k, v in data.items() if k != "kind"}
     return Certificate(data["kind"], payload)

@@ -1,5 +1,5 @@
-"""P-LCP to USO (out-maps) and P-LCP to EOPL/UniqueEOPL (Lemke-path
-encoding), with map-back of every target certificate.
+"""P-LCP to USO (out-maps) and P-LCP to UniqueEOPL (Lemke-path encoding),
+with map-back of every target certificate.
 
 Vertex codes are 2d-bit strings: the low d bits select the tight side per
 label (bit i set means w_i = 0), the next d bits one-hot encode the
@@ -91,11 +91,11 @@ def map_back_uso(inst: LcpInstance, uso: UsoInstance, c: Certificate) -> Certifi
 
 
 # ---------------------------------------------------------------------------
-# P-LCP -> EOPL / UniqueEOPL via the Lemke path
+# P-LCP -> UniqueEOPL via the Lemke path
 
 class PlcpLineView(LineView):
-    """Lazy EOPL/UniqueEOPL instance over 2d-bit codes of Lemke-path
-    vertices.  All arithmetic runs on the integer-scaled instance.
+    """Lazy UniqueEOPL instance over 2d-bit codes of Lemke-path vertices.
+    All arithmetic runs on the integer-scaled instance.
 
     The right-hand side is perturbed symbolically, so z values are
     polynomials in eps.  The potential applies the floor(Delta^2 *
@@ -105,7 +105,9 @@ class PlcpLineView(LineView):
     values differ even only in the perturbation (without this, degenerate
     instances sever the line at edges of numeric length zero)."""
 
-    def __init__(self, inst: LcpInstance, flavor: str = "ueopl"):
+    flavor = "ueopl"
+
+    def __init__(self, inst: LcpInstance):
         if all(qi >= 0 for qi in inst.q):
             raise ValueError("q >= 0 is solved by y = 0; the line view needs min q < 0")
         self.src = inst
@@ -125,7 +127,6 @@ class PlcpLineView(LineView):
         self.delta = fact * i_max ** (2 * self.d + 1) + 1
         self.radix = 2 * self.delta**3 + 1
         self.m_pot = ceil_log2(self.radix ** (self.d + 1)) + 1
-        self.flavor = flavor
         self._vertex_cache: dict[int, Vertex | None] = {}
         self._start = None
 
@@ -251,10 +252,10 @@ class PlcpLineView(LineView):
         solutions for one shifted q and hence a sign-reversing vector (PV2),
         or a non-positive principal minor (PV1) when a degenerate cone is
         involved.  Equal or straddling potentials (UV3) yield PV2 the same
-        way.  R2 and UV1 cannot occur: the potential never decreases along
-        valid edges of the Lemke line."""
+        way.  UV1 cannot occur: the potential never decreases along valid
+        edges of the Lemke line."""
         sys = self.sys
-        if c.kind in ("U1", "R1", "UV2"):
+        if c.kind in ("U1", "UV2"):
             v = self.vertex_of(c.x) if c.x != 0 else None
             if v is None:
                 return
@@ -314,11 +315,10 @@ class PlcpLineView(LineView):
             yield from _pv2(y_other, [Fraction(0)] * self.d)
 
 
-def plcp_to_eopl(inst: LcpInstance, flavor: str = "ueopl") -> tuple[LineInstance, PlcpLineView]:
-    view = PlcpLineView(inst, flavor=flavor)
+def plcp_to_eopl(inst: LcpInstance) -> tuple[LineInstance, PlcpLineView]:
+    """The UniqueEOPL line of the Lemke path and its view."""
+    view = PlcpLineView(inst)
     return view.line_instance(), view
-
-
 
 
 def _pv2(y1, y2):
@@ -378,6 +378,6 @@ def _edge_points_same_z(view: PlcpLineView, v: Vertex):
 
 
 def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certificate:
-    """Map a verified EOPL/UniqueEOPL certificate of the line view back to
+    """Map a verified UniqueEOPL certificate of the line view back to
     Q1/PV1/PV2: the first of `view.candidates(c)` that verifies."""
     return first_verifying(inst, view.candidates(c), f"no LCP certificate for {c}")

@@ -301,14 +301,14 @@ class PebblingView(LineView):
         self.pw = max(1, src.m_pot)  # position width
         self.entry = 1 + self.m + self.pw
         self.nbits = self.n_peb * self.entry
-        self._t_memo = {1: 1}
         self.total = self._t(self.n_peb)
         self.m_pot = max(1, self.total.bit_length())
 
-    def _t(self, n):
-        if n not in self._t_memo:
-            self._t_memo[n] = 3 * self._t(n - 1) + 1
-        return self._t_memo[n]
+    @staticmethod
+    def _t(n):
+        """Moves of the optimal strategy with n pebbles: t(1) = 1 and
+        t(n) = 3 t(n-1) + 1."""
+        return (3**n - 1) // 2
 
     # -- configs ---------------------------------------------------------------
     def decode(self, code):
@@ -647,12 +647,12 @@ class UeoplToOpdc:
     dimensions b*m .. b*m + m - 1.
     """
 
-    def __init__(self, src: LineInstance, n_blocks: int | None = None):
+    def __init__(self, src: LineInstance):
         if src.flavor != "ueopl":
             raise ValueError("source must be UniqueEOPL")
         self.src = src
         self.m = src.n
-        self.n_blocks = n_blocks if n_blocks is not None else src.m_pot
+        self.n_blocks = src.m_pot
         self.dims = self.m * self.n_blocks
         self._decode = memoize(lambda p: self._chain(self.blocks_of(p)))
 
@@ -703,8 +703,7 @@ class UeoplToOpdc:
 
         return OpdcInstance(widths=(1,) * self.dims, direction=direction)
 
-    def map_back(self, c: Certificate) -> Certificate:
-        return first_verifying(self.src, self.candidates(c), f"no source certificate for {c}")
+    map_back = LineView.map_back
 
     def candidates(self, c):
         # OV3 cannot occur on images of this reduction.
@@ -733,6 +732,6 @@ class UeoplToOpdc:
             yield cert("U1", x=dq)
 
 
-def ueopl_to_opdc(src: LineInstance, n_blocks: int | None = None):
-    view = UeoplToOpdc(src, n_blocks=n_blocks)
+def ueopl_to_opdc(src: LineInstance):
+    view = UeoplToOpdc(src)
     return view.opdc_instance(), view

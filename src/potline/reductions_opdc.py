@@ -94,11 +94,11 @@ def compute_kappa(circuit) -> tuple:
     return tuple((d - i + 1) * inner + bq for i in range(1, d + 1))
 
 
-def contraction_to_opdc(inst: ContractionInstance, kappa=None) -> OpdcInstance:
-    """Grid widths k_i = 2^kappa_i; directions follow the sign of
-    f(p')_i - p'_i at the mapped point p' = (p_i / k_i)."""
-    kappa = tuple(kappa) if kappa is not None else inst.effective_kappa()
-    widths = tuple((1 << k) for k in kappa)
+def contraction_to_opdc(inst: ContractionInstance) -> OpdcInstance:
+    """Grid widths k_i = 2^kappa_i with kappa = `inst.effective_kappa()`;
+    directions follow the sign of f(p')_i - p'_i at the mapped point
+    p' = (p_i / k_i)."""
+    widths = tuple((1 << k) for k in inst.effective_kappa())
 
     @memoize
     def diffs(p):  # f(x) - x at p, for all d directions

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import ge
 
 from .pivoting import LemkeSystem, principal_minor
 from .problems import (
@@ -136,55 +137,52 @@ def lcp_brute_force(inst: LcpInstance) -> list[Certificate]:
 # ---------------------------------------------------------------------------
 # Line following and Aldous' algorithm
 
-def _line_step_cert(inst: LineInstance, x: int) -> Certificate | None:
-    """Certificate triggered at x before advancing, per flavor, or None."""
-    fl = inst.flavor
-    S = inst.S
-    y = S(x)
-    if fl == "eopl":
-        if inst.P(y) != x:
-            return cert("R1", x=x)
-        if x != y and inst.V(y) <= inst.V(x):
-            return cert("R2", x=x)
-    elif fl == "ueopl":
-        if inst.P(y) != x:
-            return cert("U1", x=x)
-        if x != y and inst.V(y) <= inst.V(x):
-            return cert("UV1", x=x)
-    elif fl == "eoml":
-        if inst.P(y) != x:
-            return cert("T1", x=x)
-        if x != y and inst.V(x) > 0 and inst.V(y) - inst.V(x) != 1:
-            return cert("T3", x=x)
-    elif fl == "ufeopl":
-        if y != x and (S(y) == y or inst.V(y) <= inst.V(x)):
-            return cert("UF1", x=x)
-    elif fl == "ufeoplplus1":
-        if y != x and (S(y) == y or inst.V(y) != inst.V(x) + 1):
-            return cert("UFP1", x=x)
-    elif fl == "sinkofdag":
-        if y != x and (S(y) == y or inst.V(y) <= inst.V(x)):
-            return cert("S1", x=x)
-    elif fl == "endofline":
-        if inst.P(y) != x:
-            return cert("E1", x=x)
+# flavor -> (end kind, violation kind, bad(V(x), V(S(x)))).  Two-way flavors
+# end where P(S(x)) != x and violate where the step x -> S(x) is bad;
+# forward-only ones (no end kind) stop where S(x) self-loops or the step is bad.
+_STEP_CERTS = {
+    "eopl": ("R1", "R2", ge),
+    "ueopl": ("U1", "UV1", ge),
+    "eoml": ("T1", "T3", lambda vx, vy: vx > 0 and vy - vx != 1),
+    "endofline": ("E1", None, None),
+    "ufeopl": (None, "UF1", ge),
+    "ufeoplplus1": (None, "UFP1", lambda vx, vy: vy != vx + 1),
+    "sinkofdag": (None, "S1", ge),
+}
+
+
+def _step_cert(inst: LineInstance, x: int) -> Certificate | None:
+    """The certificate of x's flavor that fires before stepping from x."""
+    end, violation, bad = _STEP_CERTS[inst.flavor]
+    y = inst.S(x)
+    if end is not None and inst.P(y) != x:
+        return cert(end, x=x)
+    if violation is None or y == x:
+        return None
+    if (end is None and inst.S(y) == y) or bad(inst.V(x), inst.V(y)):
+        return cert(violation, x=x)
     return None
 
 
-def follow_line(inst: LineInstance, start: int = 0, max_steps: int | None = None,
-                stats: RunStats | None = None) -> Certificate:
-    """Walk x <- S(x) from `start` until a certificate fires.
-
-    Raises Exhausted after max_steps (default 2^m_pot, the potential
-    range, which bounds any line's length).
-    """
-    stats = stats if stats is not None else RunStats()
+def _walk(inst: LineInstance, x: int, watched: dict, max_steps: int | None,
+          stats: RunStats) -> Certificate:
+    """Walk x <- S(x) until a certificate fires: a verified UV3 of x with a
+    watched vertex whose potential equals V(x) or lies strictly between
+    V(x) and V(S(x)), else the flavor's step certificate.  Raises Exhausted
+    after max_steps (default 2^m_pot, the potential range, which bounds
+    any line's length)."""
     if max_steps is None:
         max_steps = 1 << max(inst.m_pot, 1)
-    x = start
     for _ in range(max_steps + 1):
-        c = _line_step_cert(inst, x)
         stats.steps += 1
+        if watched and x != inst.S(x):
+            vx, vsx = inst.V(x), inst.V(inst.S(x))
+            for y, vy in watched.items():
+                if y != x and (vy == vx or vx < vy < vsx):
+                    uv3 = cert("UV3", x=x, y=y)
+                    if verify(inst, uv3):
+                        return uv3
+        c = _step_cert(inst, x)
         if c is not None:
             return c
         nxt = inst.S(x)
@@ -195,15 +193,21 @@ def follow_line(inst: LineInstance, start: int = 0, max_steps: int | None = None
     raise Exhausted(f"no certificate within {max_steps} steps")
 
 
+def follow_line(inst: LineInstance, start: int = 0, max_steps: int | None = None,
+                stats: RunStats | None = None) -> Certificate:
+    """Walk x <- S(x) from `start` until a certificate fires (`_walk`)."""
+    return _walk(inst, start, {}, max_steps, stats if stats is not None else RunStats())
+
+
 def aldous(inst: LineInstance, samples: int, rng: random.Random,
            max_steps: int | None = None, stats: RunStats | None = None) -> Certificate:
     """Sample candidate vertices, keep the best by potential, then follow
     the line from it.  Ties break toward the numerically smallest id so
     runs are reproducible.
 
-    Sampled vertices double as a watch list: if the walk ever straddles or
-    matches a sampled vertex's potential, that pair witnesses a second
-    line (UV3) and is returned immediately.
+    On UniqueEOPL, sampled vertices double as a watch list: if the walk
+    ever straddles or matches a sampled vertex's potential, that pair
+    witnesses a second line (UV3) and is returned immediately.
     """
     stats = stats if stats is not None else RunStats()
     best = 0
@@ -218,26 +222,7 @@ def aldous(inst: LineInstance, samples: int, rng: random.Random,
         watched[x] = v
         if v > best_v or (v == best_v and x < best):
             best, best_v = x, v
-    if max_steps is None:
-        max_steps = 1 << max(inst.m_pot, 1)
-    x = best
-    for _ in range(max_steps + 1):
-        stats.steps += 1
-        if inst.flavor == "ueopl" and x != inst.S(x):
-            vx, vsx = inst.V(x), inst.V(inst.S(x))
-            for y, vy in watched.items():
-                if y != x and (vy == vx or vx < vy < vsx):
-                    uv3 = cert("UV3", x=x, y=y)
-                    if verify(inst, uv3):
-                        return uv3
-        c = _line_step_cert(inst, x)
-        if c is not None:
-            return c
-        nxt = inst.S(x)
-        if nxt == x:
-            raise Exhausted(f"walk stalled at non-vertex {x}")
-        x = nxt
-    raise Exhausted(f"no certificate within {max_steps} steps")
+    return _walk(inst, best, watched if inst.flavor == "ueopl" else {}, max_steps, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +317,13 @@ def _min_den_rational(lo: Fraction, hi: Fraction) -> Fraction | None:
     return rec(lo, hi)
 
 
-def find_fp(inst: ContractionInstance, kappa=None, stats: RunStats | None = None) -> Certificate:
+def find_fp(inst: ContractionInstance, stats: RunStats | None = None) -> Certificate:
     """Exact fixpoint of a piecewise-linear map by nested binary search
-    over slices of the 2^kappa grid; returns CM1, or CMV3 with the
-    adjacent opposing pair when a slice has no grid fixpoint (CMV2 if an
-    evaluation leaves the unit box)."""
+    over slices of the 2^kappa grid (`inst.effective_kappa()`); returns
+    CM1, or CMV3 with the adjacent opposing pair when a slice has no grid
+    fixpoint (CMV2 if an evaluation leaves the unit box)."""
     stats = stats if stats is not None else RunStats()
-    kappa = tuple(kappa) if kappa is not None else inst.effective_kappa()
+    kappa = inst.effective_kappa()
     if len(kappa) != inst.d or any(k < 1 for k in kappa):
         raise ValueError("kappa must give one exponent >= 1 per dimension")
     try:

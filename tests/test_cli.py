@@ -1,8 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from potline.cli import main
+from potline.cli import _ALGOS as ALGOS, main
+from potline.problems import KINDS
 
 
 def run(capsys, *argv):
@@ -246,3 +249,134 @@ def test_solve_approx_without_eps_exits_2(tmp_path, capsys):
     code = main(["solve", str(inst), "--problem", "contraction", "--algo", "approx"])
     assert code == 2
     assert capsys.readouterr().err.strip() == "error: approximate mode needs eps > 0"
+
+
+# -- input errors: every command exits 0, 1 or 2, and 2 with an `error:` line --
+
+def run_err(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def files(tmp_path, capsys):
+    """One instance file per problem kind, plus EOPL and EOML lines."""
+    from potline.generators import gen_uso
+    from potline.problems import opdc_to_json
+    from potline.reductions_opdc import uso_to_opdc
+
+    out = {}
+    for name, gen_args in [
+        ("plcp", ["--kind", "pmatrixlcp", "--d", "2"]),
+        ("uso", ["--kind", "uso", "--d", "2"]),
+        ("contraction", ["--kind", "contractioncircuit", "--d", "1"]),
+        ("line", ["--kind", "explicitline", "--length", "8"]),
+        ("eopl", ["--kind", "explicitline", "--length", "8", "--flavor", "eopl"]),
+        ("eoml", ["--kind", "explicitline", "--length", "8", "--flavor", "eoml"]),
+    ]:
+        out[name] = tmp_path / f"{name}.json"
+        assert run(capsys, "generate", *gen_args, "--seed", "1", "-o", str(out[name]))[0] == 0
+    out["opdc"] = tmp_path / "opdc.json"
+    out["opdc"].write_text(json.dumps(opdc_to_json(uso_to_opdc(gen_uso(2, 1)))))
+    out["short"] = tmp_path / "short.json"  # 00 -> 01; 10 and 11 are non-vertices
+    out["short"].write_text(json.dumps({"flavor": "ueopl", "n": 2, "S": {"00": "01"},
+                                        "P": {"01": "00"}, "V": {"01": 1}}))
+    return out
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("problem", list(KINDS))
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_solve_matrix_exits_cleanly(files, capsys, problem, algo):
+    code, _, err = run_err(capsys, "solve", files[problem], "--problem", problem, "--algo", algo)
+    _assert_clean_exit(code, err)
+
+
+CHAINS = [
+    ("plcp", "plcp:uso"),
+    ("plcp", "plcp:eopl"),
+    ("uso", "uso:opdc"),
+    ("contraction", "contraction:opdc"),
+    ("opdc", "opdc:ufeopl"),
+    ("uso", "uso,opdc,ufeopl,plus1"),
+    ("uso", "uso,opdc,ufeopl,plus1,ueopl"),
+    ("uso", "uso,opdc,ufeopl,plus1,ueopl,normalized"),
+    ("uso", "uso,opdc,ufeopl,plus1,ueopl,opdc"),
+    ("eopl", "eopl:eoml"),
+    ("eoml", "eoml:eopl"),
+]
+QUERIES = [["S", "0"], ["P", "0"], ["V", "0"], ["D", "0", "0,0"]]
+
+
+@pytest.mark.parametrize("source, chain", CHAINS)
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q[0])
+def test_query_matrix_exits_cleanly(files, capsys, source, chain, query):
+    code, _, err = run_err(capsys, "reduce", files[source], "--chain", chain, "--query", *query)
+    _assert_clean_exit(code, err)
+    applies_to = "opdc" if query[0] == "D" else "line"
+    target = chain.replace(":", ",").split(",")[-1]
+    if (target == "opdc") != (applies_to == "opdc"):
+        assert code == 2 and f"applies to {applies_to} views" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "plcp", "--problem", "plcp", "--algo", "follow"], "--algo follow solves line, not plcp"),
+    (["solve", "plcp", "--problem", "plcp", "--algo", "findfp"],
+     "--algo findfp solves contraction, not plcp"),
+    (["reduce", "plcp", "--chain", "plcp:uso", "--query", "S", "01"], "--query S applies to line views"),
+    (["reduce", "plcp", "--chain", "plcp:eopl", "--query", "D", "0", "1"],
+     "--query D applies to opdc views"),
+    (["reduce", "plcp", "--chain", "plcp:eopl", "--query", "S"], "--query S takes 1 argument(s), got 0"),
+    (["reduce", "plcp", "--chain", "plcp:uso,opdc", "--query", "D", "5", "1,0"], "dimension 5 outside 0..1"),
+    (["reduce", "plcp", "--chain", "plcp:eopl", "--query", "S", "10000"], "vertex 10000 is not an id of 4 bits"),
+    (["reduce", "plcp", "--chain", "plcp:eopl", "--query", "Q", "0"], "unknown query Q"),
+    (["solve", "plcp", "--problem", "line", "--algo", "follow"], "is not a line instance: no field 'n'"),
+    (["solve", "line", "--problem", "plcp", "--algo", "lemke"], "is not a plcp instance: no field 'M'"),
+    (["solve", "short", "--problem", "line", "--algo", "follow", "--start", "11"],
+     "walk stalled at non-vertex 3"),
+])
+def test_input_errors_exit_2(files, capsys, argv, message):
+    argv = [files.get(a, a) if i == 1 else a for i, a in enumerate(argv)]
+    code, out, err = run_err(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("certificate, message", [
+    ({"kind": "Q1"}, "Q1 certificate has no field 'y'"),
+    ({"y": ["0", "0"]}, "certificate has no field 'kind'"),
+])
+def test_malformed_certificate_exits_2(files, tmp_path, capsys, certificate, message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(certificate))
+    code, out, err = run_err(capsys, "verify", files["plcp"], path, "--problem", "plcp")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# -- the README's CLI block runs as written -------------------------------------
+
+def _readme_cli_lines():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("potline ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert any(argv[0] == "verify" for argv in lines)
+    certs = {}
+    for argv in lines:
+        if argv[0] == "verify":
+            # The record's certificate of the instance being verified.
+            Path(argv[2]).write_text(json.dumps(certs[argv[1]]))
+        code, out, err = run_err(capsys, *argv)
+        assert code == 0, (argv, err)
+        if argv[0] == "solve":
+            certs[argv[1]] = json.loads(out)["certificate"]
