@@ -79,9 +79,16 @@ def _digest(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _load(path, problem):
+def _read_object(path) -> dict:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return data
+
+
+def _load(path, problem):
+    data = _read_object(path)
     try:
         return problems.KINDS[problem].from_json(data), data
     except KeyError as exc:
@@ -126,7 +133,14 @@ def cmd_reduce(args):
             raise UsageError(f"--query {q[0]} applies to {applies_to} views, not {chain[-1]}")
         if len(q) != 1 + nargs:
             raise UsageError(f"--query {q[0]} takes {nargs} argument(s), got {len(q) - 1}")
-    view = apply_chain(_load(args.file, _stage_kind(chain[0]))[0], chain)
+    try:
+        view = apply_chain(_load(args.file, _stage_kind(chain[0]))[0], chain)
+    except reductions_line.TrivialInstance as t:
+        # An EOPL stage that 0 or S(0) solves: its certificate is the answer
+        # and there is no view to query.
+        print(json.dumps({"chain": chain, "result": "trivial",
+                          "certificate": cert_to_json(t.certificate)}))
+        return 0
     if not q:
         print(json.dumps({"chain": chain, "result": "ok", "kind": chain[-1]}))
         return 0
@@ -178,8 +192,7 @@ def cmd_solve(args):
 
 def cmd_verify(args):
     inst, _ = _load(args.instance, args.problem)
-    with open(args.cert) as fh:
-        c = problems.cert_from_json(json.load(fh), args.problem)
+    c = problems.cert_from_json(_read_object(args.cert), args.problem)
     try:
         ok = problems.verify(inst, c)
     except problems.VariantMismatch as exc:

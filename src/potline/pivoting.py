@@ -9,18 +9,23 @@ numeric value is the constant term.
 
 A vertex is one fraction-free integer tableau (Edmonds 1967; Bareiss
 1968; the integer pivoting of Avis's lrs).  Scale each row of
-[M | -I | 1 | -q | -I] to integers by the lcm of its denominators, call
-the result A, and let B be the columns of A of the basic variables in row
+[M | -I | 1 | -q] to integers by the lcm of its denominators, call the
+result A, and let B be the columns of A of the basic variables in row
 order.  The tableau holds D = det(B) and T = D * B^-1 * A: the basic
-variable of row i has the value T[i][2d+1:] / D and falls by T[i][j] / D
+variable of row i has the value T[i][2d+1] / D and falls by T[i][j] / D
 per unit of a growing nonbasic x_j.  A pivot on row r and column j, with
 p = T[r][j], replaces every other row i by
 (T[i][k] * p - T[i][j] * T[r][k]) / D, keeps row r, and sets D = p; the
 division is exact because every entry is a minor of A.  Fractions are
 built only where a number is read.
 
+The eps part of the right-hand side, -I scaled like its row, equals the
+w block of A column for column, so it is not stored: the eps^k
+coefficient of row i's value is T[i][d+k-1] / D.  A row's lex vector is
+T[i][2d+1] followed by its w block T[i][d:2d].
+
 The lex ratio test runs over the rows whose pivot entry has the sign of D,
-and compares their [-q | -I] blocks cross-multiplied by the pivot entries
+and compares their lex vectors cross-multiplied by the pivot entries
 (the products of two entries of one sign are positive).
 
 The tableaux also answer cone solves: -A_alpha (A_alpha has columns -M_i
@@ -53,14 +58,6 @@ def principal_minor(m: Mat, alpha) -> Fraction:
     return determinant([[m[i][j] for j in idx] for i in idx])
 
 
-def _lead(xs) -> int:
-    """First nonzero entry, or 0."""
-    for x in xs:
-        if x:
-            return x
-    return 0
-
-
 def _perm_sign(p) -> int:
     sign, seen = 1, [False] * len(p)
     for i in range(len(p)):
@@ -76,7 +73,9 @@ def _perm_sign(p) -> int:
 
 class Vertex:
     """A basis with its tableau: `rows[i]` is the basic variable of row i,
-    `t` the integer rows T and `det` the determinant D (module docstring)."""
+    `t` the integer rows T over [M | -I | 1 | -q] and `det` the
+    determinant D (module docstring); the eps coefficients of a row's value
+    are read from its w columns."""
 
     __slots__ = ("rows", "basis", "t", "det")
 
@@ -93,7 +92,7 @@ class LemkeSystem:
         self.q = q
         self.d = len(q)
         self.zvar = 2 * self.d
-        self.rhs = 2 * self.d + 1  # first column of the [-q | -I] block
+        self.rhs = 2 * self.d + 1  # the -q column
         self._slack = None
 
     # -- tableaux ------------------------------------------------------------
@@ -101,15 +100,16 @@ class LemkeSystem:
         """The basis of all w (row i holds w_i), built on first use."""
         if self._slack is None:
             d = self.d
-            a = []
-            for r in range(d):
-                unit = [Fraction(-(k == r)) for k in range(d)]
-                src = self.m[r] + unit + [Fraction(1), -self.q[r]] + unit
-                s = lcm(*[f.denominator for f in src])
-                a.append([f.numerator * (s // f.denominator) for f in src])
-            # B = diag(-s_r), so T = D * B^-1 * A scales row r by D / -s_r.
-            det = prod(row[d + r] for r, row in enumerate(a))
-            t = [[det // row[d + r] * x for x in row] for r, row in enumerate(a)]
+            scale = [lcm(qr.denominator, *[f.denominator for f in mr]) for mr, qr in zip(self.m, self.q)]
+            # B = diag(-s_r), so T = D * B^-1 * A scales row r of A by D / -s_r.
+            det = prod(-s for s in scale)
+            t = []
+            for r, (mr, qr, s) in enumerate(zip(self.m, self.q, scale)):
+                c = det // -s
+                row = [f.numerator * (s // f.denominator) * c for f in mr] + [0] * d
+                row[d + r] = det  # -s_r * c
+                row += [-det, -qr.numerator * (s // qr.denominator) * c]
+                t.append(row)
             self._slack = Vertex(tuple(range(d, 2 * d)), t, det)
         return self._slack
 
@@ -146,13 +146,17 @@ class LemkeSystem:
         return self.vertex_at(frozenset(i if i in alpha else self.d + i for i in range(self.d)))
 
     # -- reading a vertex ----------------------------------------------------
+    def _lex_lead(self, row) -> int:
+        """First nonzero entry of the row's lex vector, or 0."""
+        return row[self.rhs] or next((x for x in row[self.d:self.zvar] if x), 0)
+
     def feasible(self, v: Vertex) -> bool:
         """Every basic value is lexicographically nonnegative."""
-        return all(_lead(row[self.rhs:]) * v.det >= 0 for row in v.t)
+        return all(self._lex_lead(row) * v.det >= 0 for row in v.t)
 
     def lex_negative(self, v: Vertex) -> list[int]:
         """The basic variables whose values are lexicographically negative."""
-        return [var for var, row in zip(v.rows, v.t) if _lead(row[self.rhs:]) * v.det < 0]
+        return [var for var, row in zip(v.rows, v.t) if self._lex_lead(row) * v.det < 0]
 
     def value(self, v: Vertex, var: int) -> Fraction:
         """Numeric value of `var`; zero when it is nonbasic."""
@@ -180,7 +184,8 @@ class LemkeSystem:
         when z is nonbasic."""
         if self.zvar not in v.basis:
             return [0] * (self.d + 1), 1
-        return v.t[v.rows.index(self.zvar)][self.rhs:], v.det
+        row = v.t[v.rows.index(self.zvar)]
+        return [row[self.rhs]] + row[self.d:self.zvar], v.det
 
     def duplicate_label(self, basis) -> int | None:
         for i in range(self.d):
@@ -217,19 +222,22 @@ class LemkeSystem:
         ratio test makes `leaving` unique: two rows with equal ratios would
         make B^-1 singular.
         """
-        c = self.rhs
+        c, d = self.rhs, self.d
         best = None
         for i, row in enumerate(v.t):
             a = row[entering]
             if a * v.det <= 0:
                 continue  # this basic variable does not fall
             if best is not None:
-                # row[c:] / a < brow[c:] / b, cross-multiplied by a * b > 0
+                # lex(row) / a < lex(brow) / b, cross-multiplied by a * b > 0;
+                # the lex vector is column c, then the w block from column d.
                 brow, b = v.t[best], v.t[best][entering]
-                k = c
-                while row[k] * b == brow[k] * a:
+                x, y = row[c] * b, brow[c] * a
+                k = d
+                while x == y:
+                    x, y = row[k] * b, brow[k] * a
                     k += 1
-                if row[k] * b > brow[k] * a:
+                if x > y:
                     continue
             best = i
         if best is None:

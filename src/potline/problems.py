@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Callable, Optional
 
 from .rational import Mat, Vec, frac, frac_str, lp_pow, mat
@@ -244,7 +245,25 @@ class LcpInstance:
         return len(self.q)
 
     def w_of(self, y: Vec) -> Vec:
-        return [sum((self.M[i][j] * y[j] for j in range(self.d)), self.q[i]) for i in range(self.d)]
+        return _affine(self.M, y, self.q)
+
+
+def _affine(m: Mat, x: Vec, q: Vec | None = None) -> Vec:
+    """M x + q exactly (M x when q is None), with one Fraction per row.
+    Zero coordinates of x are skipped; x is scaled to integers by the lcm
+    of its denominators and each row of [M | q] by its own, so every row
+    is summed in int."""
+    xs = [(j, v) for j, v in enumerate(x) if v]
+    sx = lcm(*[v.denominator for _, v in xs])
+    xs = [(j, v.numerator * (sx // v.denominator)) for j, v in xs]
+    out = []
+    for i, row in enumerate(m):
+        qi = 0 if q is None else q[i]
+        entries = [(row[j], xj) for j, xj in xs if row[j]]
+        sr = lcm(qi.denominator, *[a.denominator for a, _ in entries])
+        acc = sum(a.numerator * (sr // a.denominator) * xj for a, xj in entries)
+        out.append(Fraction(acc + qi.numerator * (sr // qi.denominator) * sx, sr * sx))
+    return out
 
 
 @dataclass
@@ -398,6 +417,9 @@ def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
 
 
 def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
+    """Q1 and PV2 are checked from M and q alone: the products M y + q
+    and M x clear denominators and sum in int (`_affine`), and never read
+    the Lemke tableau.  PV1 takes a determinant; PV3 compares out-maps."""
     d = inst.d
     if c.kind == "Q1":
         y = [frac(v) for v in c.y]
@@ -417,7 +439,7 @@ def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
         x = [frac(v) for v in c.x]
         if len(x) != d or all(v == 0 for v in x):
             return False
-        mx = [sum((inst.M[i][j] * x[j] for j in range(d)), Fraction(0)) for i in range(d)]
+        mx = _affine(inst.M, x)
         return all(x[i] * mx[i] <= 0 for i in range(d))
     if c.kind == "PV3":
         from .reductions_lcp import out_map
@@ -586,7 +608,11 @@ def opdc_from_json(data: dict) -> OpdcInstance:
     def direction(i, p):
         return table[p][i]
 
-    return OpdcInstance(widths=widths, direction=direction)
+    inst = OpdcInstance(widths=widths, direction=direction)
+    for p in inst.points():
+        if len(table.get(p, ())) != len(widths):
+            raise MissingField(f"opdc instance has no {len(widths)} directions at point {p}")
+    return inst
 
 
 def uso_to_json(inst: UsoInstance) -> dict:

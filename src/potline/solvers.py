@@ -53,6 +53,18 @@ class RunStats:
 # ---------------------------------------------------------------------------
 # Lemke's complementary pivot algorithm
 
+def _edge_cone(sys: LemkeSystem, v, entering: int) -> frozenset:
+    """The cone of the edge that `entering` opens at `v`, whose minor sign
+    gives the z direction along it (Todd orientation): v's support with
+    y_l added when y_l enters and l dropped when w_l enters."""
+    alpha = sys.support(v.basis)
+    if entering < sys.d:
+        return alpha | {entering}
+    if entering < sys.zvar:
+        return alpha - {entering - sys.d}
+    return alpha
+
+
 def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
     """Run Lemke's algorithm with the all-ones covering vector.
 
@@ -71,16 +83,12 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
     stats.z_trace.append(sys.value(v, sys.zvar))
     entering = i_star  # relax y_{i*}=0: the complement of the leaving w_{i*}
     while True:
-        # The cone about to be traversed; its minor sign determines the z
-        # direction along the edge (Todd orientation).
-        alpha = sys.support(v.basis) | ({entering} if entering < d else set())
-        if entering >= d and entering < 2 * d:
-            alpha = alpha - {entering - d}
         step = sys.ratio_step(v, entering)
         stats.pivots += 1
         if step is None:
+            alpha = _edge_cone(sys, v, entering)
             if principal_minor(inst.M, alpha) <= 0:
-                return cert("PV1", alpha=frozenset(alpha))
+                return cert("PV1", alpha=alpha)
             # Along the ray dz >= 0 and dy_i * dw_i = 0 with dw = M dy + dz * 1,
             # so x = dy gives x_i (Mx)_i = -dz * x_i <= 0: a PV2 witness.
             ray = sys.direction(v, entering)
@@ -88,15 +96,16 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
             if not verify(inst, c):
                 raise RuntimeError("secondary ray gave no PV2 certificate")
             return c
-        v, leaving = step
+        prev, (v, leaving) = v, step
         z_new = sys.value(v, sys.zvar)
         z_prev = stats.z_trace[-1]
         stats.z_trace.append(z_new)
         if z_new > z_prev:
             # z increased while traversing cone alpha, which by Todd's
             # orientation means det(M_aa) < 0.
+            alpha = _edge_cone(sys, prev, entering)
             if principal_minor(inst.M, alpha) <= 0:
-                return cert("PV1", alpha=frozenset(alpha))
+                return cert("PV1", alpha=alpha)
             raise RuntimeError("z increased across a cone with a positive minor")
         if sys.zvar not in v.basis:
             y, _, _ = sys.numeric_point(v)

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from potline.problems import LineInstance, line_from_tables
-from potline.rational import Mat
+from potline.problems import Certificate, LcpInstance, LineInstance, line_from_tables
+from potline.rational import Mat, Vec, determinant
 from potline.solvers import eps_schedule
 
 
@@ -59,3 +59,34 @@ def check_schedule(p: int, d: int, eps: Fraction) -> bool:
         if lhs > es[k - 1] ** p:
             return False
     return True
+
+
+def affine_ref(m: Mat, x: Vec, q: Vec | None = None) -> Vec:
+    """M x + q (M x when q is None), summed term by term in Fraction."""
+    d = len(x)
+    return [sum((m[i][j] * x[j] for j in range(d)), Fraction(0) if q is None else q[i])
+            for i in range(len(m))]
+
+
+def verify_lcp_ref(inst: LcpInstance, c: Certificate) -> bool:
+    """The Q1, PV1 and PV2 checks of an LCP certificate; Q1 and PV2 sum
+    their products term by term in Fraction."""
+    d = inst.d
+    if c.kind == "Q1":
+        y = [Fraction(v) for v in c.y]
+        if len(y) != d or any(v < 0 for v in y):
+            return False
+        w = affine_ref(inst.M, y, inst.q)
+        return all(v >= 0 for v in w) and all(a * b == 0 for a, b in zip(y, w))
+    if c.kind == "PV1":
+        alpha = sorted(set(c.alpha))
+        if not alpha or any(not 0 <= i < d for i in alpha):
+            return False
+        return determinant([[inst.M[i][j] for j in alpha] for i in alpha]) <= 0
+    if c.kind == "PV2":
+        x = [Fraction(v) for v in c.x]
+        if len(x) != d or not any(x):
+            return False
+        mx = affine_ref(inst.M, x)
+        return all(a * b <= 0 for a, b in zip(x, mx))
+    raise ValueError(c.kind)

@@ -282,6 +282,10 @@ def files(tmp_path, capsys):
     out["short"] = tmp_path / "short.json"  # 00 -> 01; 10 and 11 are non-vertices
     out["short"].write_text(json.dumps({"flavor": "ueopl", "n": 2, "S": {"00": "01"},
                                         "P": {"01": "00"}, "V": {"01": 1}}))
+    out["holes"] = tmp_path / "holes.json"  # grid point (0, 1) and others missing
+    out["holes"].write_text(json.dumps({"k": [1, 1], "D": {"0,0": ["up", "up"]}}))
+    out["array"] = tmp_path / "array.json"
+    out["array"].write_text("[1, 2]")
     return out
 
 
@@ -340,12 +344,30 @@ def test_query_matrix_exits_cleanly(files, capsys, source, chain, query):
     (["solve", "line", "--problem", "plcp", "--algo", "lemke"], "is not a plcp instance: no field 'M'"),
     (["solve", "short", "--problem", "line", "--algo", "follow", "--start", "11"],
      "walk stalled at non-vertex 3"),
+    (["solve", "holes", "--problem", "opdc", "--algo", "brute"],
+     "opdc instance has no 2 directions at point (0, 1)"),
+    (["solve", "array", "--problem", "plcp", "--algo", "lemke"], "array.json does not hold a JSON object"),
+    (["verify", "plcp", "array", "--problem", "plcp"], "array.json does not hold a JSON object"),
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
-    argv = [files.get(a, a) if i == 1 else a for i, a in enumerate(argv)]
+    argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]
     code, out, err = run_err(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def test_reduce_trivial_eopl_prints_its_certificate(tmp_path, capsys):
+    # S(0) = 01 has no predecessor, so 0 is an R1 answer of the EOPL line.
+    line = tmp_path / "trivial.json"
+    line.write_text(json.dumps({"flavor": "eopl", "n": 2, "S": {"00": "01"}, "P": {}, "V": {"01": 1}}))
+    code, out, err = run_err(capsys, "reduce", line, "--chain", "eopl:eoml")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["result"] == "trivial" and record["certificate"] == {"kind": "R1", "x": 0}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(record["certificate"]))
+    code, out, _ = run_err(capsys, "verify", line, path, "--problem", "line")
+    assert code == 0 and json.loads(out)["accepted"]
 
 
 @pytest.mark.parametrize("certificate, message", [

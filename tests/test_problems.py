@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import affine_ref, verify_lcp_ref
 from potline.circuits import affine_circuit
 from potline.problems import (
     ContractionInstance,
@@ -9,6 +11,7 @@ from potline.problems import (
     OpdcInstance,
     UsoInstance,
     VariantMismatch,
+    _affine,
     cert,
     cert_from_json,
     cert_to_json,
@@ -24,6 +27,7 @@ from potline.problems import (
     verify,
     verify_line,
 )
+from potline.solvers import lemke
 
 
 def three_vertex_line(flavor="ueopl"):
@@ -166,7 +170,6 @@ def test_rational_canonical_form():
 
 
 def test_eopl_totality_random_tables():
-    from hypothesis import given, settings, strategies as st
     from potline.solvers import brute_force
 
     n = 3
@@ -213,3 +216,37 @@ def test_json_roundtrips():
     c = cert("Q1", y=[F(1, 3), F(1, 3)])
     c2 = cert_from_json(cert_to_json(c), "plcp")
     assert c2 == c
+
+
+# -- the LCP verifier against a plain-Fraction reference ------------------------
+
+LCP_ENTRY = st.one_of(st.just(F(0)), st.fractions(-20, 20, max_denominator=9))
+
+
+def _draw_lcp(data) -> LcpInstance:
+    d = data.draw(st.integers(1, 6))
+    m = [[data.draw(LCP_ENTRY) for _ in range(d)] for _ in range(d)]
+    return LcpInstance(M=m, q=[data.draw(LCP_ENTRY) for _ in range(d)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lcp_products_match_reference(data):
+    inst = _draw_lcp(data)
+    x = [data.draw(LCP_ENTRY) for _ in range(inst.d)]
+    for got, want in [(inst.w_of(x), affine_ref(inst.M, x, inst.q)),
+                      (_affine(inst.M, x), affine_ref(inst.M, x))]:
+        assert got == want and all(type(v) is F for v in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_lcp_matches_reference(data):
+    inst = _draw_lcp(data)
+    c = lemke(inst)
+    assert verify(inst, c) and verify_lcp_ref(inst, c)
+    vec = list(c.y if c.kind == "Q1" else c.x if c.kind == "PV2" else [F(0)] * inst.d)
+    for _ in range(data.draw(st.integers(1, 3))):
+        vec[data.draw(st.integers(0, inst.d - 1))] = data.draw(LCP_ENTRY)
+    for other in (cert("Q1", y=vec), cert("PV2", x=vec)):
+        assert verify(inst, other) == verify_lcp_ref(inst, other)
