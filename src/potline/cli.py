@@ -5,6 +5,11 @@ record whose certificate has already been re-verified.  Violation
 certificates are answers, so they exit 0; `verify` exits 1 on a rejected
 certificate, and input and budget errors exit 2 with an `error:` line.
 POTLINE_BUDGET caps enumeration sizes.
+
+`-o` writes its output as a new file: an existing file at the path is
+unlinked, not truncated, so a hard link to the old file keeps the old
+content.  A symlink is written through (its target gets the output and the
+link stays).  Nothing is fsynced.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import hashlib
 import json
 import os
 import random
+import stat
 import sys
 import time
 
@@ -93,6 +99,23 @@ def _load(path, problem):
         return problems.KINDS[problem].from_json(data), data
     except KeyError as exc:
         raise problems.MissingField(f"{path} is not a {problem} instance: no field {exc}") from None
+    except problems.BadField as exc:
+        raise problems.BadField(f"{path} is not a {problem} instance: {exc}") from None
+
+
+def _write_output(path, text: str) -> None:
+    """Write text to the -o file at path.  An existing regular file is
+    unlinked and a new one created: truncating a non-empty file, or
+    renaming over it, makes ext4 flush it at close (tens of ms), while a
+    new file costs microseconds.  Anything else (a missing path, a symlink,
+    a special file such as /dev/stdout) is opened and written through."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _stage_kind(stage: str) -> str:
@@ -113,8 +136,7 @@ def cmd_generate(args):
     data = problems.KINDS[problem].to_json(build(args))
     out = json.dumps(data, indent=2)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out + "\n")
+        _write_output(args.output, out + "\n")
     else:
         print(out)
     return 0
@@ -183,8 +205,7 @@ def cmd_solve(args):
     }
     out = json.dumps(record, indent=2, default=str)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out + "\n")
+        _write_output(args.output, out + "\n")
     else:
         print(out)
     return 0
@@ -251,7 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, solvers.BudgetExceeded, solvers.Exhausted) as exc:
+    except (ValueError, OSError, solvers.BudgetExceeded, solvers.Exhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

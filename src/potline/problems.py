@@ -55,6 +55,11 @@ class MissingField(AttributeError, ValueError):
     AttributeError too, so getattr and hasattr on certificates behave."""
 
 
+class BadField(ValueError):
+    """Instance JSON or a certificate holds a field of the wrong type or
+    shape."""
+
+
 class UnmappableCert(RuntimeError):
     """A verified target certificate could not be mapped back: a bug in a
     reduction, or a shape its map-back's case analysis does not cover."""
@@ -556,6 +561,65 @@ def bits_str(x: int, n: int) -> str:
     return format(x, f"0{n}b")
 
 
+# -- JSON field decoding ----------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _decode(data: dict, name: str, decode, default=_REQUIRED):
+    """decode(data[name]), or default when the field is absent; a missing
+    required field raises KeyError(name).  A value that decode cannot read
+    raises BadField naming the field."""
+    if name not in data:
+        if default is _REQUIRED:
+            raise KeyError(name)
+        return default
+    try:
+        return decode(data[name])
+    except (TypeError, ValueError) as exc:
+        raise BadField(f"field {name!r}: {exc}") from None
+
+
+def _of_type(v, cls, what: str):
+    if not isinstance(v, cls):
+        raise TypeError(f"expected {what}, got {type(v).__name__}")
+    return v
+
+
+def _array(v) -> list:
+    return _of_type(v, list, "a JSON array")
+
+
+def _object(v) -> dict:
+    return _of_type(v, dict, "a JSON object")
+
+
+def _string(v) -> str:
+    return _of_type(v, str, "a string")
+
+
+def _fracs(v) -> list:
+    return [frac(t) for t in _array(v)]
+
+
+def _index_set(v) -> frozenset:
+    return frozenset(int(t) for t in _array(v))
+
+
+def _point(v) -> tuple:
+    return tuple(int(t) for t in _array(v))
+
+
+def _vertex(v) -> int:
+    if isinstance(v, str) and set(v) <= {"0", "1"}:
+        return int(v, 2)
+    return int(_of_type(v, (str, int), "a bit string or an integer"))
+
+
+def _bits_table(v) -> dict:
+    return {int(k, 2): int(x, 2) for k, x in _object(v).items()}
+
+
 def line_to_json(inst: LineInstance) -> dict:
     out = {"flavor": inst.flavor, "n": inst.n, "m": inst.m_pot, "S": {}, "V": {}}
     if inst.predecessor is not None:
@@ -576,11 +640,14 @@ def line_to_json(inst: LineInstance) -> dict:
 
 
 def line_from_json(data: dict) -> LineInstance:
-    n = int(data["n"])
-    s = {int(k, 2): int(v, 2) for k, v in data.get("S", {}).items()}
-    p = {int(k, 2): int(v, 2) for k, v in data["P"].items()} if "P" in data else None
-    v = {int(k, 2): int(x) for k, x in data.get("V", {}).items()}
-    return line_from_tables(n, s, p, v, flavor=data.get("flavor", "eopl"), m_pot=data.get("m"))
+    return line_from_tables(
+        _decode(data, "n", int),
+        _decode(data, "S", _bits_table, {}),
+        _decode(data, "P", _bits_table, None),
+        _decode(data, "V", lambda t: {int(k, 2): int(x) for k, x in _object(t).items()}, {}),
+        flavor=_decode(data, "flavor", _string, "eopl"),
+        m_pot=_decode(data, "m", int, None),
+    )
 
 
 def lcp_to_json(inst: LcpInstance) -> dict:
@@ -591,7 +658,8 @@ def lcp_to_json(inst: LcpInstance) -> dict:
 
 
 def lcp_from_json(data: dict) -> LcpInstance:
-    return LcpInstance(M=data["M"], q=data["q"])
+    return LcpInstance(M=_decode(data, "M", lambda rows: [_fracs(r) for r in _array(rows)]),
+                       q=_decode(data, "q", _fracs))
 
 
 def opdc_to_json(inst: OpdcInstance) -> dict:
@@ -602,8 +670,9 @@ def opdc_to_json(inst: OpdcInstance) -> dict:
 
 
 def opdc_from_json(data: dict) -> OpdcInstance:
-    widths = tuple(int(k) for k in data["k"])
-    table = {tuple(int(t) for t in key.split(",")): dirs for key, dirs in data["D"].items()}
+    widths = _decode(data, "k", _point)
+    table = _decode(data, "D", lambda t: {_point(key.split(",")): _array(dirs)
+                                          for key, dirs in _object(t).items()})
 
     def direction(i, p):
         return table[p][i]
@@ -624,10 +693,10 @@ def uso_to_json(inst: UsoInstance) -> dict:
 
 
 def uso_from_json(data: dict) -> UsoInstance:
-    n = int(data["n"])
-    table = {
-        int(k, 2): (None if v == "dash" else int(v, 2)) for k, v in data["orient"].items()
-    }
+    n = _decode(data, "n", int)
+    table = _decode(data, "orient", lambda t: {
+        int(k, 2): (None if v == "dash" else int(v, 2)) for k, v in _object(t).items()
+    })
     return UsoInstance(n=n, orient=lambda v: table.get(v))
 
 
@@ -651,14 +720,14 @@ def contraction_to_json(inst: ContractionInstance) -> dict:
 def contraction_from_json(data: dict) -> ContractionInstance:
     from .circuits import circuit_from_json
 
-    circ = circuit_from_json(data["circuit"])
+    circ = _decode(data, "circuit", lambda v: circuit_from_json(_object(v)))
     return ContractionInstance(
         d=circ.d,
-        c=frac(data["c"]),
-        p=int(data["p"]),
+        c=_decode(data, "c", frac),
+        p=_decode(data, "p", int),
         circuit=circ,
-        eps=frac(data["eps"]) if "eps" in data else None,
-        kappa=tuple(data["kappa"]) if "kappa" in data else None,
+        eps=_decode(data, "eps", frac, None),
+        kappa=_decode(data, "kappa", lambda v: tuple(_array(v)), None),
     )
 
 
@@ -675,22 +744,6 @@ def cert_to_json(c: Certificate) -> dict:
         return v
 
     return {"kind": c.kind, **{k: enc(v) for k, v in c.data.items()}}
-
-
-def _fracs(v) -> list:
-    return [frac(t) for t in v]
-
-
-def _index_set(v) -> frozenset:
-    return frozenset(int(t) for t in v)
-
-
-def _point(v) -> tuple:
-    return tuple(int(t) for t in v)
-
-
-def _vertex(v) -> int:
-    return int(v, 2) if isinstance(v, str) and set(v) <= {"0", "1"} else int(v)
 
 
 _VERTEX_FIELDS = {"v": _vertex, "u": _vertex, "x": _vertex, "y": _vertex}
@@ -751,5 +804,10 @@ def cert_from_json(data: dict, problem: str) -> Certificate:
     if "kind" not in data:
         raise MissingField("certificate has no field 'kind'")
     fields = KINDS[problem].fields
-    payload = {k: fields[k](v) if k in fields else v for k, v in data.items() if k != "kind"}
-    return Certificate(data["kind"], payload)
+    try:
+        kind = _decode(data, "kind", _string)
+        payload = {k: _decode(data, k, fields[k]) if k in fields else v
+                   for k, v in data.items() if k != "kind"}
+    except BadField as exc:
+        raise BadField(f"certificate {exc}") from None
+    return Certificate(kind, payload)

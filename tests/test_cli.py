@@ -381,6 +381,110 @@ def test_malformed_certificate_exits_2(files, tmp_path, capsys, certificate, mes
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("problem, certificate, message", [
+    ("plcp", {"kind": "Q1", "y": 5}, "certificate field 'y': expected a JSON array, got int"),
+    ("plcp", {"kind": "Q1", "y": "01"}, "certificate field 'y': expected a JSON array, got str"),
+    ("plcp", {"kind": "Q1", "y": [[0], 0]}, "certificate field 'y': cannot interpret [0] as an exact rational"),
+    ("plcp", {"kind": 5, "y": ["0", "0"]}, "certificate field 'kind': expected a string, got int"),
+    ("uso", {"kind": "U1", "v": [1]}, "certificate field 'v': expected a bit string or an integer, got list"),
+    ("opdc", {"kind": "O1", "p": 0}, "certificate field 'p': expected a JSON array, got int"),
+    ("contraction", {"kind": "APPROX_FIX", "x": ["0"], "eps": 0.5},
+     "certificate field 'eps': cannot interpret 0.5 as an exact rational"),
+])
+def test_wrong_typed_certificate_exits_2(files, tmp_path, capsys, problem, certificate, message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(certificate))
+    code, out, err = run_err(capsys, "verify", files[problem], path, "--problem", problem)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("problem, instance, message", [
+    ("plcp", {"M": 5, "q": [1]}, "field 'M': expected a JSON array, got int"),
+    ("plcp", {"M": [[1]], "q": "1"}, "field 'q': expected a JSON array, got str"),
+    ("uso", {"n": 2, "orient": 3}, "field 'orient': expected a JSON object, got int"),
+    ("uso", {"n": [2], "orient": {}}, "field 'n': "),
+    ("line", {"n": 2, "S": ["00", "01"]}, "field 'S': expected a JSON object, got list"),
+    ("line", {"n": 2, "flavor": ["eopl"]}, "field 'flavor': expected a string, got list"),
+    ("opdc", {"k": 1, "D": {}}, "field 'k': expected a JSON array, got int"),
+    ("opdc", {"k": [1], "D": {"0": 5}}, "field 'D': expected a JSON array, got int"),
+    ("contraction", {"circuit": 5, "c": "1/2", "p": 2}, "field 'circuit': expected a JSON object, got int"),
+])
+def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_err(capsys, "solve", path, "--problem", problem, "--algo", "brute")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not a {problem} instance: {message}")
+    assert err.count("\n") == 1
+
+
+# -- -o writes a new file ----------------------------------------------------------
+
+def _solve_to(capsys, inst, out):
+    code, _, err = run_err(capsys, "solve", inst, "--problem", "plcp", "--algo", "lemke", "-o", out)
+    assert (code, err) == (0, "")
+
+
+def test_solve_output_rewrite_leaves_the_second_record(files, tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    _solve_to(capsys, files["plcp"], out)
+    first = out.read_text()
+    _solve_to(capsys, files["plcp"], out)
+    second = out.read_text()
+    assert json.loads(second)["verified"] is True
+
+    def strip(text):
+        return [line for line in text.splitlines() if not line.lstrip().startswith('"elapsed"')]
+
+    assert strip(second) == strip(first)
+
+
+def test_solve_output_replaces_rather_than_truncates(files, tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    out.write_text("old record\n")
+    with open(out) as old:
+        _solve_to(capsys, files["plcp"], out)
+        assert old.read() == "old record\n"
+    assert json.loads(out.read_text())["verified"] is True
+
+
+def test_solve_output_hard_link_keeps_the_old_record(files, tmp_path, capsys):
+    out, link = tmp_path / "rec.json", tmp_path / "hard.json"
+    out.write_text("old record\n")
+    link.hardlink_to(out)
+    _solve_to(capsys, files["plcp"], out)
+    assert link.read_text() == "old record\n"
+    assert json.loads(out.read_text())["verified"] is True
+
+
+def test_solve_output_writes_through_a_symlink(files, tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old record\n")
+    link.symlink_to(target)
+    _solve_to(capsys, files["plcp"], link)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert json.loads(target.read_text())["verified"] is True
+
+
+def test_generate_output_replaces_an_existing_instance(tmp_path, capsys):
+    out = tmp_path / "lcp.json"
+    assert run(capsys, "generate", "--kind", "pmatrixlcp", "--d", "2", "--seed", "1", "-o", str(out))[0] == 0
+    with open(out) as old:
+        before = old.read()
+        assert run(capsys, "generate", "--kind", "pmatrixlcp", "--d", "3", "--seed", "2",
+                   "-o", str(out))[0] == 0
+        old.seek(0)
+        assert old.read() == before
+    assert len(json.loads(out.read_text())["q"]) == 3
+
+
+def test_output_to_a_directory_exits_2(files, tmp_path, capsys):
+    code, out, err = run_err(capsys, "solve", files["plcp"], "--problem", "plcp", "--algo", "lemke",
+                             "-o", tmp_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
 # -- the README's CLI block runs as written -------------------------------------
 
 def _readme_cli_lines():
