@@ -8,7 +8,8 @@ exponentially large.
 Every oracle must be a pure function of its arguments.  Each line, grid
 and orientation instance memoizes its oracles with `memoize`, up to
 ORACLE_CACHE_SIZE entries per oracle, so a chain of reduction views asks
-each stage below for a value once rather than once per query above it.
+each stage below for a value once rather than once per query above it.  A
+line instance's S, P and V are the memos, so a hit runs no Python frame.
 
 Conventions:
   * line-problem vertices are ints in [0, 2^n); a bit-string x with
@@ -29,6 +30,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Optional
 
+from .pivoting import LemkeSystem
 from .rational import Mat, Vec, frac, frac_str, lp_pow, mat
 
 UP, DOWN, ZERO = "up", "down", "zero"
@@ -121,8 +123,8 @@ class LineInstance:
     flavors.  `vertex_iter` optionally enumerates the (reachable or valid)
     vertex ids for desk-scale brute force when 2^n is too large.
 
-    The oracles must be pure: S, P and V memoize them (module docstring).
-    A missing P or V raises VariantMismatch on every call.
+    S, P and V are the memos of the pure oracles (module docstring); a
+    missing P or V raises VariantMismatch on every call.
     """
 
     n: int
@@ -141,33 +143,29 @@ class LineInstance:
     # queried one at a time.  They hold the oracle, not the instance, so no
     # reference cycle keeps a dropped instance and its cache alive.
     @cached_property
-    def _S(self):
+    def S(self) -> Callable[[int], int]:
         return memoize(self.successor)
 
     @cached_property
-    def _P(self):
-        return memoize(self.predecessor)
+    def P(self) -> Callable[[int], int]:
+        return memoize(self.predecessor or _missing(self.flavor, "predecessor"))
 
     @cached_property
-    def _V(self):
-        return memoize(self.potential)
-
-    def S(self, x: int) -> int:
-        return self._S(x)
-
-    def P(self, x: int) -> int:
-        if self.predecessor is None:
-            raise VariantMismatch(f"{self.flavor} has no predecessor oracle")
-        return self._P(x)
-
-    def V(self, x: int) -> int:
-        if self.potential is None:
-            raise VariantMismatch(f"{self.flavor} has no potential oracle")
-        return self._V(x)
+    def V(self) -> Callable[[int], int]:
+        return memoize(self.potential or _missing(self.flavor, "potential"))
 
     @property
     def size(self) -> int:
         return 1 << self.n
+
+
+def _missing(flavor: str, oracle: str):
+    """An absent oracle: raises VariantMismatch and holds no instance."""
+
+    def raiser(x):
+        raise VariantMismatch(f"{flavor} has no {oracle} oracle")
+
+    return raiser
 
 
 def line_from_tables(n, s_table, p_table=None, v_table=None, flavor="eopl", m_pot=None):
@@ -236,6 +234,10 @@ class UsoInstance:
 
 @dataclass
 class LcpInstance:
+    """Find y >= 0 with w = M y + q >= 0 and y . w = 0.  M and q are not
+    mutated after construction, so `system`, the Lemke system over them,
+    is built once and shared by every out-map and cone solve."""
+
     M: Mat
     q: Vec
 
@@ -248,6 +250,10 @@ class LcpInstance:
     @property
     def d(self) -> int:
         return len(self.q)
+
+    @cached_property
+    def system(self) -> LemkeSystem:
+        return LemkeSystem(self.M, self.q)
 
     def w_of(self, y: Vec) -> Vec:
         return _affine(self.M, y, self.q)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import problems
-from .pivoting import LemkeSystem, Vertex, principal_minor
+from .pivoting import Vertex, principal_minor
 from .problems import (
     Certificate,
     LcpInstance,
@@ -54,7 +54,7 @@ def out_map(inst: LcpInstance, alpha) -> int | None:
     w_i); zero entries are resolved by the lexicographic perturbation of
     the Lemke system.
     """
-    sys = LemkeSystem(inst.M, inst.q)
+    sys = inst.system
     v = sys.cone_vertex(alpha)
     if v is None:
         return None
@@ -80,7 +80,7 @@ def map_back_uso(inst: LcpInstance, uso: UsoInstance, c: Certificate) -> Certifi
 
     def candidates():
         if c.kind == "US1":
-            sys = LemkeSystem(inst.M, inst.q)
+            sys = inst.system
             yield cert("Q1", y=sys.numeric_point(sys.cone_vertex(alpha_of(c.v)))[0])
         elif c.kind == "USV1":
             yield cert("PV1", alpha=alpha_of(c.v))
@@ -113,7 +113,7 @@ class PlcpLineView(LineView):
         self.src = inst
         self.inst, self.scale = integer_scale(inst)
         self.d = inst.d
-        self.sys = LemkeSystem(self.inst.M, self.inst.q)
+        self.sys = self.inst.system
         self.nbits = 2 * self.d
         i_max = max(
             max((x for row in self.inst.M for x in row), default=Fraction(0)),

@@ -570,7 +570,7 @@ class NormalizeView(LineView):
 
     def successor(self, x):
         src = self.src
-        v, i = self._split(x)
+        v, i = x >> self.low_bits, x & self.top
         sv = src.S(v)
         if sv == v and src.P(v) == v:
             return x  # junk label
@@ -580,17 +580,18 @@ class NormalizeView(LineView):
                 return x
             if tot == self.top:
                 return 0  # makes x an end: P(0) = 0 != x
-            return self._join(v, i + 1)
-        gap = src.V(sv) - src.V(v)
-        if gap > i + 1:
-            return self._join(v, i + 1)
-        if gap == i + 1:
-            return self._join(sv, 0)
-        return x
+        else:
+            gap = src.V(sv) - src.V(v)
+            if gap == i + 1:
+                return sv << self.low_bits
+            if gap < i + 1:
+                return x
+        # (v, i + 1); _join keeps an overflow (V outside [0, 2^m_pot)) in range
+        return x + 1 if i < self.top else self._join(v, i + 1)
 
     def predecessor(self, x):
         src = self.src
-        v, i = self._split(x)
+        v, i = x >> self.low_bits, x & self.top
         if x == 0:
             return 0
         sv = src.S(v)
@@ -601,13 +602,13 @@ class NormalizeView(LineView):
             if tot > self.top:
                 return x
             if i > 0:
-                return self._join(v, i - 1)
+                return x - 1
         else:
             gap = src.V(sv) - src.V(v)
             if gap < i + 1:
                 return x
             if i > 0:
-                return self._join(v, i - 1)
+                return x - 1
         # i == 0: enter through the source predecessor's chain
         w = src.P(v)
         if w == v or src.S(w) != v or src.V(v) <= src.V(w):
@@ -615,8 +616,7 @@ class NormalizeView(LineView):
         return self._join(w, src.V(v) - src.V(w) - 1)
 
     def potential(self, x):
-        v, i = self._split(x)
-        return self.src.V(v) + i
+        return self.src.V(x >> self.low_bits) + (x & self.top)
 
     def candidates(self, c):
         if c.kind in ("U1", "UV1", "UV2"):

@@ -125,7 +125,7 @@ def lcp_brute_force(inst: LcpInstance) -> list[Certificate]:
         if alpha and principal_minor(inst.M, alpha) <= 0:
             found.append(cert("PV1", alpha=alpha))
     outs = {alpha: out_map(inst, alpha) for alpha in subsets}
-    sys = LemkeSystem(inst.M, inst.q)
+    sys = inst.system
     for alpha in subsets:
         if outs[alpha] == 0:
             # out_map is not None, so A_alpha is nonsingular.
@@ -160,45 +160,36 @@ _STEP_CERTS = {
 }
 
 
-def _step_cert(inst: LineInstance, x: int) -> Certificate | None:
-    """The certificate of x's flavor that fires before stepping from x."""
-    end, violation, bad = _STEP_CERTS[inst.flavor]
-    y = inst.S(x)
-    if end is not None and inst.P(y) != x:
-        return cert(end, x=x)
-    if violation is None or y == x:
-        return None
-    if (end is None and inst.S(y) == y) or bad(inst.V(x), inst.V(y)):
-        return cert(violation, x=x)
-    return None
-
-
 def _walk(inst: LineInstance, x: int, watched: dict, max_steps: int | None,
           stats: RunStats) -> Certificate:
     """Walk x <- S(x) until a certificate fires: a verified UV3 of x with a
     watched vertex whose potential equals V(x) or lies strictly between
-    V(x) and V(S(x)), else the flavor's step certificate.  Raises Exhausted
-    after max_steps (default 2^m_pot, the potential range, which bounds
-    any line's length)."""
+    V(x) and V(S(x)), else the certificate of x's flavor that fires before
+    stepping from x.  Each step asks for S(x) once.  Raises Exhausted after
+    max_steps (default 2^m_pot, the potential range, which bounds any
+    line's length)."""
     if max_steps is None:
         max_steps = 1 << max(inst.m_pot, 1)
+    end, violation, bad = _STEP_CERTS[inst.flavor]
+    S, P, V = inst.S, inst.P, inst.V
     for _ in range(max_steps + 1):
         stats.steps += 1
-        if watched and x != inst.S(x):
-            vx, vsx = inst.V(x), inst.V(inst.S(x))
-            for y, vy in watched.items():
-                if y != x and (vy == vx or vx < vy < vsx):
-                    uv3 = cert("UV3", x=x, y=y)
+        y = S(x)
+        if watched and y != x:
+            vx, vy = V(x), V(y)
+            for w, vw in watched.items():
+                if w != x and (vw == vx or vx < vw < vy):
+                    uv3 = cert("UV3", x=x, y=w)
                     if verify(inst, uv3):
                         return uv3
-        c = _step_cert(inst, x)
-        if c is not None:
-            return c
-        nxt = inst.S(x)
-        if nxt == x:
+        if end is not None and P(y) != x:
+            return cert(end, x=x)
+        if y == x:
             # Self-loop without a certificate: walk cannot continue.
             raise Exhausted(f"walk stalled at non-vertex {x}")
-        x = nxt
+        if violation is not None and ((end is None and S(y) == y) or bad(V(x), V(y))):
+            return cert(violation, x=x)
+        x = y
     raise Exhausted(f"no certificate within {max_steps} steps")
 
 

@@ -1,7 +1,11 @@
 """The oracle memo at the instance boundary: checks still raise on every
-call, a bounded cache gives the same answers as an unbounded one, and a
-composed chain evaluates each stage's oracle once per distinct argument."""
+call, a bounded cache gives the same answers as an unbounded one, a
+composed chain evaluates each stage's oracle once per distinct argument,
+the walk asks each memo a bounded number of times per step, and a dropped
+instance frees its memos."""
 
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -131,16 +135,20 @@ def test_walk_longer_than_cap_matches_unbounded(monkeypatch):
         got = _solve_chain(norm, backs, stats)
         assert stats.steps > 10 * cap
         assert (got, stats) == want
-        for memo in (norm._S, norm._P, norm._V):
+        for memo in (norm.S, norm.P, norm.V):
             info = memo.cache_info()
             assert info.maxsize == cap and info.currsize <= cap
 
 
+def _murty(n):
+    """Murty's family: the plcp -> eopl line has 2^n + 1 steps."""
+    m = [[1 if i == j else 2 if j < i else 0 for j in range(n)] for i in range(n)]
+    return problems.LcpInstance(M=m, q=[-1] * n)
+
+
 def test_vertex_cache_stays_within_cap(monkeypatch):
     cap = 8
-    n = 5  # Murty's family: the line has 2^n + 1 steps
-    m = [[1 if i == j else 2 if j < i else 0 for j in range(n)] for i in range(n)]
-    inst = problems.LcpInstance(M=m, q=[-1] * n)
+    inst = _murty(5)
     want_stats = RunStats()
     want = follow_line(plcp_to_eopl(inst)[0], 0, stats=want_stats)
     monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
@@ -159,10 +167,47 @@ def test_vertex_cache_stays_within_cap(monkeypatch):
     assert sizes and max(sizes) <= cap
 
 
-# -- known defect ---------------------------------------------------------------
+def test_walk_queries_each_memo_a_bounded_number_of_times_per_step():
+    # One S and one P lookup per step, V(x) and V(S(x)) for the violation
+    # check; a walk that asks for S(x) again shows up here.
+    lines = [_chain(gen_lcp(2, 0, nondegenerate=True))[0], plcp_to_eopl(_murty(5))[0]]
+    for line in lines:
+        stats = RunStats()
+        follow_line(line, 0, stats=stats)
+        lookups = {name: getattr(line, name).cache_info() for name in "SPV"}
+        lookups = {name: info.hits + info.misses for name, info in lookups.items()}
+        assert stats.steps > 10 and lookups["S"] >= stats.steps, (stats, lookups)
+        assert lookups["S"] <= stats.steps and lookups["P"] <= stats.steps, (stats, lookups)
+        assert lookups["V"] <= 2 * stats.steps, (stats, lookups)
+
+
+def test_dropped_instance_frees_its_memos():
+    # Memos hold the oracles, and the stand-in for a missing P or V holds
+    # only the flavor string, so no reference cycle outlives `del`.
+    insts = [
+        line_from_tables(2, {0: 1, 1: 2}, {1: 0, 2: 1}, {1: 1, 2: 2}),
+        line_from_tables(2, {0: 1}, v_table={1: 1}, flavor="ufeopl"),
+        LineInstance(n=2, successor=lambda x: x, predecessor=lambda x: x, flavor="endofline"),
+    ]
+    gc.disable()
+    try:
+        refs = []
+        for inst in insts:
+            for name in "SPV":
+                try:
+                    getattr(inst, name)(0)
+                except VariantMismatch:
+                    pass
+            refs.append(weakref.ref(inst))
+        del inst, insts
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
 
 def test_chain_d1_round_trip():
-    # On d = 1 the first pebbling move stalls at the start config.
+    # The first pebbling move on d = 1 stalls at the start config; the
+    # pebbling view makes that start a U1, which maps back to the source.
     for seed in range(20):
         lcp = gen_lcp(1, seed, nondegenerate=True)
         norm, backs = _chain(lcp)
