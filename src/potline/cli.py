@@ -67,7 +67,7 @@ _QUERIES = {"S": ("line", 1), "P": ("line", 1), "V": ("line", 1), "D": ("opdc", 
 _ALGOS = {
     "lemke": ("plcp", lambda inst, a, st: solvers.lemke(inst, stats=st)),
     "follow": ("line", lambda inst, a, st: solvers.follow_line(
-        inst, start=int(a.start, 2) if a.start else 0, stats=st)),
+        inst, start=_vertex_id(a.start, inst.n) if a.start else 0, stats=st)),
     "aldous": ("line", lambda inst, a, st: solvers.aldous(
         inst, samples=a.samples, rng=random.Random(a.seed), stats=st)),
     "findfp": ("contraction", lambda inst, a, st: solvers.find_fp(inst, stats=st)),
@@ -116,6 +116,14 @@ def _write_output(path, text: str) -> None:
         pass
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _vertex_id(bits: str, n: int) -> int:
+    """The vertex id a bit string names, which must fit in n bits."""
+    x = int(bits, 2)
+    if not 0 <= x < 1 << n:
+        raise UsageError(f"vertex {bits} is not an id of {n} bits")
+    return x
 
 
 def _stage_kind(stage: str) -> str:
@@ -172,10 +180,7 @@ def cmd_reduce(args):
             raise UsageError(f"dimension {i} outside 0..{view.d - 1}")
         answer = view.D(i, tuple(int(t) for t in q[2].replace(",", " ").split()))
     else:
-        x = int(q[1], 2)
-        if not 0 <= x < view.size:
-            raise UsageError(f"vertex {q[1]} is not an id of {view.n} bits")
-        val = getattr(view, q[0])(x)
+        val = getattr(view, q[0])(_vertex_id(q[1], view.n))
         answer = val if q[0] == "V" else problems.bits_str(val, view.n)
     print(json.dumps({"query": q, "answer": answer}))
     return 0

@@ -75,15 +75,17 @@ class Vertex:
     """A basis with its tableau: `rows[i]` is the basic variable of row i,
     `t` the integer rows T over [M | -I | 1 | -q] and `det` the
     determinant D (module docstring); the eps coefficients of a row's value
-    are read from its w columns."""
+    are read from its w columns.  `fwd` holds `forward_entering` once it
+    has been asked for (a pure function of rows and det)."""
 
-    __slots__ = ("rows", "basis", "t", "det")
+    __slots__ = ("rows", "basis", "t", "det", "fwd")
 
     def __init__(self, rows: tuple, t: list[list[int]], det: int):
         self.rows = rows
         self.basis = frozenset(rows)
         self.t = t
         self.det = det
+        self.fwd = None
 
 
 class LemkeSystem:
@@ -284,15 +286,16 @@ class LemkeSystem:
     def forward_entering(self, v: Vertex) -> int:
         """At a duplicate-label vertex, the entering variable (y_l or w_l)
         whose edge is the path successor."""
+        if v.fwd is not None:
+            return v.fwd
         d = self.d
         l = self.duplicate_label(v.basis)
         if l is None:
             raise ValueError("vertex has no duplicate label")
         # sign of det(A_alpha) with column l set to all ones
         positive = self._label_order_sign(v, l) * (-1) ** (d - 1) > 0
-        if positive == (len(self.support(v.basis)) % 2 == 0):
-            return l  # enter y_l
-        return d + l  # enter w_l
+        v.fwd = l if positive == (len(self.support(v.basis)) % 2 == 0) else d + l  # y_l, else w_l
+        return v.fwd
 
     def backward_entering(self, v: Vertex) -> int:
         l = self.duplicate_label(v.basis)

@@ -169,12 +169,17 @@ def _missing(flavor: str, oracle: str):
 
 
 def line_from_tables(n, s_table, p_table=None, v_table=None, flavor="eopl", m_pot=None):
-    """Explicit-table instance; absent keys default to self-loop / 0."""
+    """Explicit-table instance; absent keys default to self-loop / 0.
+    Potentials must lie in [0, 2^m_pot), the range the walks and the
+    normalization assume; any other raises BadField naming V."""
     s_table = dict(s_table)
     p_table = dict(p_table) if p_table is not None else None
     v_table = dict(v_table or {})
     if m_pot is None:
         m_pot = max(v_table.values(), default=0).bit_length() or 1
+    for x, v in v_table.items():
+        if not 0 <= v < 1 << m_pot:
+            raise BadField(f"field 'V': potential {v} of vertex {bits_str(x, n)} is outside [0, 2^{m_pot})")
     return LineInstance(
         n=n,
         successor=lambda x: s_table.get(x, x),

@@ -31,7 +31,7 @@ from .problems import (
 )
 from .rational import ceil_log2
 from .reductions_line import LineView
-from math import lcm
+from math import factorial, lcm
 
 
 def integer_scale(inst: LcpInstance) -> tuple[LcpInstance, int]:
@@ -103,7 +103,13 @@ class PlcpLineView(LineView):
     combines the digits in mixed radix; that keeps the potential an
     integer, keeps V(0^n) = 0, and separates any two vertices whose z
     values differ even only in the perturbation (without this, degenerate
-    instances sever the line at edges of numeric length zero)."""
+    instances sever the line at edges of numeric length zero).
+
+    A walk costs one tableau pivot per path edge, as `lemke` does: the
+    start vertex is one pivot from the slack tableau and is cached under
+    its code, every pivot seeds the vertex cache with the vertex it reaches
+    and remembers the edge back, so P(S(x)) pivots nothing, and each
+    vertex's Todd orientation is worked out once (`Vertex.fwd`)."""
 
     flavor = "ueopl"
 
@@ -120,14 +126,13 @@ class PlcpLineView(LineView):
             max((abs(x) for x in self.inst.q), default=Fraction(0)),
         )
         i_max = max(int(i_max), 1)
-        n = 2 * self.d
-        fact = 1
-        for t in range(2, n + 1):
-            fact *= t
-        self.delta = fact * i_max ** (2 * self.d + 1) + 1
+        self.delta = factorial(2 * self.d) * i_max ** (2 * self.d + 1) + 1
         self.radix = 2 * self.delta**3 + 1
         self.m_pot = ceil_log2(self.radix ** (self.d + 1)) + 1
         self._vertex_cache: dict[int, Vertex | None] = {}
+        # (code w, variable l) -> code u: the pivot from u left on l and
+        # landed on w, so entering l at w pivots back to u.
+        self._back: dict[tuple[int, int], int] = {}
         self._start = None
 
     # -- code <-> vertex -----------------------------------------------------
@@ -157,9 +162,11 @@ class PlcpLineView(LineView):
 
     def _remember(self, u: int, v: Vertex | None) -> None:
         # A dict emptied when full, not an lru_cache: _step seeds it too.
+        # The reverse edges go with it; each names a code it holds.
         if u not in self._vertex_cache:
             if len(self._vertex_cache) >= problems.ORACLE_CACHE_SIZE:
                 self._vertex_cache.clear()
+                self._back.clear()
             self._vertex_cache[u] = v
 
     def _compute_vertex(self, u: int):
@@ -188,27 +195,37 @@ class PlcpLineView(LineView):
             return None
         return v
 
-    def _step(self, v: Vertex, entering: int, dz: int) -> int | None:
-        """Code of the neighbour across the edge on which `entering` grows,
-        if z moves in the direction `dz` along it.  The neighbour is
-        canonical and lex-feasible, so it seeds the vertex cache."""
+    def _step(self, u: int, v: Vertex, entering: int, dz: int) -> int | None:
+        """Code of the neighbour of u (vertex v) across the edge on which
+        `entering` grows, if z moves in the direction `dz` along it.  The
+        neighbour is canonical and lex-feasible, so it seeds the vertex
+        cache, and the edge back to u is remembered: under the lex
+        perturbation a pivot is exactly reversible."""
         if self.sys.dz_sign(v, entering) != dz:
             return None
+        back = self._back.get((u, entering))
+        if back is not None:
+            return back
         step = self.sys.ratio_step(v, entering)
         if step is None:
             return None  # the edge is a ray
-        code = self.code_of(step[0].basis)
-        self._remember(code, step[0])
+        w, leaving = step
+        code = self.code_of(w.basis)
+        self._remember(code, w)
+        self._back[code, leaving] = u
         return code
 
     # -- oracles ---------------------------------------------------------------
     def successor(self, u: int) -> int:
         if u == 0:
-            return self.code_of(self.start_vertex().basis)
+            v = self.start_vertex()
+            code = self.code_of(v.basis)
+            self._remember(code, v)
+            return code
         v = self.vertex_of(u)
         if v is None or self.sys.zvar not in v.basis:
             return u  # z = 0: ends of the line have no successor
-        nxt = self._step(v, self.sys.forward_entering(v), -1)
+        nxt = self._step(u, v, self.sys.forward_entering(v), -1)
         return u if nxt is None else nxt
 
     def predecessor(self, u: int) -> int:
@@ -227,7 +244,7 @@ class PlcpLineView(LineView):
             entering = self.sys.zvar
         else:
             entering = self.sys.backward_entering(v)
-        nxt = self._step(v, entering, 1)
+        nxt = self._step(u, v, entering, 1)
         return u if nxt is None else nxt
 
     def potential(self, u: int) -> int:
@@ -236,14 +253,18 @@ class PlcpLineView(LineView):
         v = self.vertex_of(u)
         if v is None:
             return 0
-        # z's eps coefficients are zs[k] / det.  Negative digits clamp to 0,
-        # so flooring gives the same digits as truncating.
+        # z's eps coefficients are zs[k] / det, so digit k is
+        # floor(delta^2 * (delta - zs[k] / det)) = (delta^3 * det - delta^2 * zs[k]) // det.
+        # Negative digits clamp to 0, so flooring gives the same digits as
+        # truncating.  The constants are worked out once per call, not kept
+        # on the view, which a workload may build thousands of at once.
         zs, det = self.sys.z_row(v)
+        d2, radix = self.delta**2, self.radix
+        d3_det, top = d2 * self.delta * det, radix - 1
         val = 0
         for x in zs:
-            digit = self.delta**2 * (self.delta * det - x) // det
-            digit = min(max(digit, 0), self.radix - 1)
-            val = val * self.radix + digit
+            digit = (d3_det - d2 * x) // det
+            val = val * radix + min(max(digit, 0), top)
         return val
 
     # -- map-back ----------------------------------------------------------------

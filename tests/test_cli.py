@@ -348,6 +348,10 @@ def test_query_matrix_exits_cleanly(files, capsys, source, chain, query):
      "opdc instance has no 2 directions at point (0, 1)"),
     (["solve", "array", "--problem", "plcp", "--algo", "lemke"], "array.json does not hold a JSON object"),
     (["verify", "plcp", "array", "--problem", "plcp"], "array.json does not hold a JSON object"),
+    (["solve", "short", "--problem", "line", "--algo", "follow", "--start", "1111111111111"],
+     "vertex 1111111111111 is not an id of 2 bits"),
+    (["solve", "short", "--problem", "line", "--algo", "follow", "--start", "-1"],
+     "vertex -1 is not an id of 2 bits"),
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
     argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]
@@ -408,6 +412,10 @@ def test_wrong_typed_certificate_exits_2(files, tmp_path, capsys, problem, certi
     ("opdc", {"k": 1, "D": {}}, "field 'k': expected a JSON array, got int"),
     ("opdc", {"k": [1], "D": {"0": 5}}, "field 'D': expected a JSON array, got int"),
     ("contraction", {"circuit": 5, "c": "1/2", "p": 2}, "field 'circuit': expected a JSON object, got int"),
+    ("line", {"flavor": "ueopl", "n": 2, "m": 2, "S": {"00": "01", "01": "10"}, "P": {"01": "00", "10": "01"},
+              "V": {"01": -3, "10": 1}}, "field 'V': potential -3 of vertex 01 is outside [0, 2^2)"),
+    ("line", {"flavor": "ueopl", "n": 2, "m": 2, "S": {"00": "01", "01": "10"}, "P": {"01": "00", "10": "01"},
+              "V": {"01": 2, "10": 40}}, "field 'V': potential 40 of vertex 10 is outside [0, 2^2)"),
 ])
 def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message):
     path = tmp_path / "inst.json"

@@ -13,7 +13,7 @@ from potline.generators import gen_lcp
 from potline.pivoting import LemkeSystem, principal_minor
 from potline.problems import LcpInstance, verify
 from potline.rational import determinant
-from potline.reductions_lcp import out_map, plcp_to_eopl
+from potline.reductions_lcp import map_back_lcp, out_map, plcp_to_eopl
 from potline.solvers import RunStats, follow_line, lemke
 
 from helpers import a_alpha
@@ -240,6 +240,28 @@ def test_murty_line_steps():
         st_ = RunStats()
         follow_line(line, 0, stats=st_)
         assert st_.steps == (1 << n) + 1, n
+
+
+def test_line_view_pivots_once_per_edge(monkeypatch):
+    # The start vertex is one pivot from the slack tableau, as in lemke, and
+    # every later step one more: the view neither pivots an edge again when
+    # the walk asks for P(S(x)) nor rebuilds a vertex it has met.
+    insts = [_murty(n) for n in range(2, 9)] + [gen_lcp(d, s) for d in range(2, 9) for s in range(20)]
+    pivot, pivots = LemkeSystem._pivot, [0]
+
+    def counted(self, v, r, j):
+        pivots[0] += 1
+        return pivot(self, v, r, j)
+
+    for inst in insts:
+        want = RunStats()
+        c = lemke(inst, stats=want)
+        line, view = plcp_to_eopl(inst)
+        pivots[0], got = 0, RunStats()
+        with monkeypatch.context() as m:
+            m.setattr(LemkeSystem, "_pivot", counted)
+            assert map_back_lcp(inst, view, follow_line(line, 0, stats=got)) == c
+        assert (pivots[0], got.steps) == (want.pivots + 1, want.pivots + 2), inst
 
 
 # -- Todd orientation from the running determinant ----------------------------

@@ -107,6 +107,15 @@ def test_ufeoplplus1_certs():
     assert not verify_line(inst, cert("UFP1", x=0))
 
 
+@pytest.mark.parametrize("v_table", [{0: 0, 1: -3, 2: 1}, {0: 0, 1: 2, 2: 40}])
+def test_line_rejects_potentials_outside_the_range(v_table):
+    # The normalization's low field holds potentials in [0, 2^m_pot), so a
+    # table with one outside is refused when it is built, not mid-walk.
+    line_from_tables(2, {0: 1, 1: 2}, {1: 0, 2: 1}, {0: 0, 1: 2, 2: 3}, flavor="ueopl", m_pot=2)
+    with pytest.raises(ValueError, match="field 'V': potential (-3|40) of vertex"):
+        line_from_tables(2, {0: 1, 1: 2}, {1: 0, 2: 1}, v_table, flavor="ueopl", m_pot=2)
+
+
 def test_opdc_certs():
     d1 = {(0,): "up", (1,): "zero", (2,): "down"}
     inst = OpdcInstance(widths=(2,), direction=lambda i, p: d1[p])

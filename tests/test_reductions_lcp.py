@@ -6,6 +6,7 @@ import pytest
 from potline.generators import gen_lcp
 from potline.problems import LcpInstance, UnmappableCert, cert, verify
 from potline.reductions_lcp import (
+    PlcpLineView,
     map_back_lcp,
     map_back_uso,
     out_map,
@@ -13,6 +14,8 @@ from potline.reductions_lcp import (
     plcp_to_uso,
 )
 from potline.solvers import brute_force, follow_line, lemke
+
+from test_cone_pin import FAMILIES, SEEDS
 
 
 WORKED = LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1])
@@ -151,6 +154,33 @@ def test_plcp_to_eopl_v_separation():
     seen = sorted((min(vs), z) for z, vs in zs.items())
     for (v1, _), (v2, _) in zip(seen, seen[1:]):
         assert v2 - v1 >= 1
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_line_view_oracles_match_a_fresh_view(family):
+    # One view keeps its vertex cache, start vertex and reverse edges across
+    # queries; each answer must be the one a view with none of them gives.
+    # Walk order meets the reverse edges forwards, descending codes
+    # meet them from either end.
+    for d in range(1, 5):
+        for seed in SEEDS:
+            inst = FAMILIES[family](d, seed)
+            if all(qi >= 0 for qi in inst.q):
+                continue
+            shared = PlcpLineView(inst)
+
+            def check(u):
+                fresh = [getattr(PlcpLineView(LcpInstance(M=inst.M, q=inst.q)), oracle)(u)
+                         for oracle in ("successor", "predecessor")]
+                assert [shared.successor(u), shared.predecessor(u)] == fresh, (family, d, seed, u)
+                return fresh[0]
+
+            walked, u = set(), 0
+            while u not in walked:
+                walked.add(u)
+                u = check(u)
+            for u in reversed(range(1 << shared.nbits)):
+                check(u)
 
 
 def test_map_back_rejects_r2():
