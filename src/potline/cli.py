@@ -119,11 +119,11 @@ def _write_output(path, text: str) -> None:
 
 
 def _vertex_id(bits: str, n: int) -> int:
-    """The vertex id a bit string names, which must fit in n bits."""
-    x = int(bits, 2)
-    if not 0 <= x < 1 << n:
+    """The vertex id a bit string names: only the digits 0 and 1, at least
+    one, and the value must fit in n bits."""
+    if not bits or bits.strip("01") or int(bits, 2) >> n:
         raise UsageError(f"vertex {bits} is not an id of {n} bits")
-    return x
+    return int(bits, 2)
 
 
 def _stage_kind(stage: str) -> str:

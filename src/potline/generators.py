@@ -30,13 +30,12 @@ def gen_lcp(d: int, seed: int, p_matrix: bool = True, nondegenerate: bool = Fals
     """
     rng = _rng(seed)
     for _ in range(200):
-        b = [[Fraction(rng.randrange(-3, 4)) for _ in range(d)] for _ in range(d)]
-        m = [
-            [sum(b[k][i] * b[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
+        # M is built in int and wrapped as Fraction once it is final.
+        b = [[rng.randrange(-3, 4) for _ in range(d)] for _ in range(d)]
+        cols = list(zip(*b))
+        m = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
         for i in range(d):
-            m[i][i] += Fraction(rng.randrange(1, 4))
+            m[i][i] += rng.randrange(1, 4)
         # Rational q with bounded denominators; exact ties (degeneracy)
         # become coincidences instead of the common case.
         q = [Fraction(rng.randrange(-32, 33), rng.randrange(1, 9)) for _ in range(d)]
@@ -45,7 +44,8 @@ def gen_lcp(d: int, seed: int, p_matrix: bool = True, nondegenerate: bool = Fals
         if sorted(q).count(min(q)) > 1:
             continue  # tied minimum degenerates the Lemke start
         if not p_matrix:
-            m[0][0] = Fraction(-rng.randrange(1, 3))
+            m[0][0] = -rng.randrange(1, 3)
+        m = [[Fraction(x) for x in row] for row in m]
         if not p_matrix or nondegenerate:
             sys = LemkeSystem(m, q)
             cones = (sys.cone_vertex(a) for r in range(d + 1) for a in combinations(range(d), r))

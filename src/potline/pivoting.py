@@ -7,29 +7,45 @@ every basic solution nondegenerate and every ratio test unique.  A value
 is the vector of its eps coefficients, ordered lexicographically; the
 numeric value is the constant term.
 
-A vertex is one fraction-free integer tableau (Edmonds 1967; Bareiss
-1968; the integer pivoting of Avis's lrs).  Scale each row of
-[M | -I | 1 | -q] to integers by the lcm of its denominators, call the
-result A, and let B be the columns of A of the basic variables in row
-order.  The tableau holds D = det(B) and T = D * B^-1 * A: the basic
-variable of row i has the value T[i][2d+1] / D and falls by T[i][j] / D
-per unit of a growing nonbasic x_j.  A pivot on row r and column j, with
-p = T[r][j], replaces every other row i by
-(T[i][k] * p - T[i][j] * T[r][k]) / D, keeps row r, and sets D = p; the
-division is exact because every entry is a minor of A.  Fractions are
-built only where a number is read.
+A vertex is one fraction-free integer dictionary (Edmonds 1967; Bareiss
+1968; the integer pivoting of Avis's lrs).  Row r of the system is scaled
+to integers by s_r, the lcm of its denominators, and w_r is replaced by
+w'_r = s_r * w_r, so that the slack columns stay -I:
+A = [S M | -I | S 1 | -S q] over (y, w', z), with S = diag(s).  Let B be
+the columns of A of the basic variables in row order, D = det(B) and
+T = D * B^-1 * A.  The basic variable of row i has the value
+T[i][rhs] / D and falls by T[i][x] / D per unit of a growing nonbasic x.
 
-The eps part of the right-hand side, -I scaled like its row, equals the
-w block of A column for column, so it is not stored: the eps^k
-coefficient of row i's value is T[i][d+k-1] / D.  A row's lex vector is
-T[i][2d+1] followed by its w block T[i][d:2d].
+Only the d + 1 nonbasic columns of T and the right-hand side are stored,
+d + 2 ints per row: a basic variable's column is D in its own row and 0
+elsewhere.  `Vertex.pos` maps a nonbasic variable to its slot and a basic
+one to ~row.  A pivot on row r and entering x_j, with p = T[r][j],
+replaces every other row i by (T[i][k] * p - T[i][j] * T[r][k]) / D,
+keeps row r, and sets D = p; the division is exact because every entry is
+a minor of A.  j's slot then holds the column of the leaving variable: the
+old D in row r and -T[i][j] in every other row i.  Fractions are built
+only where a number is read.
+
+At the all-w basis B = -I, so D = +-1.  At any vertex D is det(B0) times
+the s_r of the rows whose w has left the basis, where B0 is the basis of
+the unscaled [M | -I | 1 | -q]: the scale of a row whose w is still basic
+stays out of D (with the slack columns -s_r e_r it would be in every
+entry).
+
+The eps part of the right-hand side, -s_k * eps^k in row k, is s_k times
+the w'_k column, so it is not stored: the eps^k coefficient of row i's
+value is s_k * T[i][w'_k] / D.  A row's lex vector is T[i][rhs] followed
+by its w' entries.  The factors s_k > 0 scale one component of every lex
+vector alike, so comparing lex vectors without them gives the same order,
+and the values that the read-outs return (`value`, `numeric_point`,
+`direction`, `edge_point`, `z_row`) convert w' back to w through s.
 
 The lex ratio test runs over the rows whose pivot entry has the sign of D,
 and compares their lex vectors cross-multiplied by the pivot entries
 (the products of two entries of one sign are positive).
 
-The tableaux also answer cone solves: -A_alpha (A_alpha has columns -M_i
-for i in alpha, e_i elsewhere) is the basis matrix of alpha's
+The dictionaries also answer cone solves: -A_alpha (A_alpha has columns
+-M_i for i in alpha, e_i elsewhere) is the basis matrix of alpha's
 complementary basis, whose basic values are A_alpha^-1 q(eps).
 
 Path edges are oriented locally: an almost-complementary edge whose cone
@@ -43,12 +59,14 @@ det(B) with B's columns in label order, i.e. (-1)^(d-1) times the sign of
 D times the sign of the row -> label permutation.  At a vertex with z
 nonbasic the same reading gives the sign of det(M_alpha_alpha): the
 columns -e_i of the labels outside alpha contribute (-1)^(d-|alpha|).
+Scaling rows and w columns by positive s_r changes det(B) by a positive
+factor, so these signs read off D are those of the unscaled system.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from .rational import Mat, Vec, determinant
 
@@ -59,30 +77,31 @@ def principal_minor(m: Mat, alpha) -> Fraction:
 
 
 def _perm_sign(p) -> int:
-    sign, seen = 1, [False] * len(p)
+    """Sign of the permutation p of 0..n-1 (p is consumed): one sign
+    flip per swap that puts an entry in place."""
+    sign = 1
     for i in range(len(p)):
-        j, n = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            n += 1
-        if n and n % 2 == 0:
+        while p[i] != i:
+            j = p[i]
+            p[i], p[j] = p[j], j
             sign = -sign
     return sign
 
 
 class Vertex:
-    """A basis with its tableau: `rows[i]` is the basic variable of row i,
-    `t` the integer rows T over [M | -I | 1 | -q] and `det` the
-    determinant D (module docstring); the eps coefficients of a row's value
-    are read from its w columns.  `fwd` holds `forward_entering` once it
-    has been asked for (a pure function of rows and det)."""
+    """A basis with its dictionary: `rows[i]` is the basic variable of row
+    i, `pos[x]` the slot of a nonbasic variable x or ~row of a basic one,
+    `t` the integer rows (the d + 1 nonbasic slots, then the right-hand
+    side) and `det` the determinant D (module docstring).  `fwd` holds
+    `forward_entering` once it has been asked for (a pure function of rows
+    and det)."""
 
-    __slots__ = ("rows", "basis", "t", "det", "fwd")
+    __slots__ = ("rows", "basis", "pos", "t", "det", "fwd")
 
-    def __init__(self, rows: tuple, t: list[list[int]], det: int):
+    def __init__(self, rows: tuple, pos: list[int], t: list[list[int]], det: int):
         self.rows = rows
         self.basis = frozenset(rows)
+        self.pos = pos
         self.t = t
         self.det = det
         self.fwd = None
@@ -94,100 +113,129 @@ class LemkeSystem:
         self.q = q
         self.d = len(q)
         self.zvar = 2 * self.d
-        self.rhs = 2 * self.d + 1  # the -q column
-        self._slack = None
+        self.rhs = self.d + 1  # the slot of -s * q
+        self._slack = None  # with it, _scale (s) and _scaled (some s_r > 1)
 
-    # -- tableaux ------------------------------------------------------------
+    # -- dictionaries ----------------------------------------------------------
     def _slack_vertex(self) -> Vertex:
-        """The basis of all w (row i holds w_i), built on first use."""
+        """The basis of all w (row i holds w'_i), built on first use."""
         if self._slack is None:
             d = self.d
-            scale = [lcm(qr.denominator, *[f.denominator for f in mr]) for mr, qr in zip(self.m, self.q)]
-            # B = diag(-s_r), so T = D * B^-1 * A scales row r of A by D / -s_r.
-            det = prod(-s for s in scale)
-            t = []
-            for r, (mr, qr, s) in enumerate(zip(self.m, self.q, scale)):
-                c = det // -s
-                row = [f.numerator * (s // f.denominator) * c for f in mr] + [0] * d
-                row[d + r] = det  # -s_r * c
-                row += [-det, -qr.numerator * (s // qr.denominator) * c]
+            # B = -I and D = (-1)^d, so T = D * B^-1 * A = (-1)^(d+1) * A over
+            # the slots y_0..y_(d-1), z.
+            sign = 1 if d % 2 else -1
+            self._scale, t = [], []
+            for mr, qr in zip(self.m, self.q):
+                nums, dens = [f.numerator for f in mr], [f.denominator for f in mr]
+                s = lcm(qr.denominator, *dens)
+                c = s * sign
+                row = [x * c // y for x, y in zip(nums, dens)]
+                row += [c, -qr.numerator * c // qr.denominator]
+                self._scale.append(s)
                 t.append(row)
-            self._slack = Vertex(tuple(range(d, 2 * d)), t, det)
+            self._scaled = any(s != 1 for s in self._scale)
+            pos = list(range(d)) + [~r for r in range(d)] + [d]
+            self._slack = Vertex(tuple(range(d, 2 * d)), pos, t, -sign)
         return self._slack
 
     def _pivot(self, v: Vertex, r: int, j: int) -> Vertex:
+        c = v.pos[j]
         pr = v.t[r]
-        p, det = pr[j], v.det
+        p, det = pr[c], v.det
         t = []
         for i, row in enumerate(v.t):
-            a = row[j]
+            a = row[c]
             if i == r:
-                t.append(row)
+                row = row.copy()
+                row[c] = det  # the leaving variable's column is D * e_r
             elif a == 0:
-                t.append([x * p // det for x in row])
+                if p != det:  # else the row is unchanged and shared: rows are never written
+                    row = [x * p // det for x in row]
             else:
-                t.append([(x * p - a * y) // det for x, y in zip(row, pr)])
-        return Vertex(v.rows[:r] + (j,) + v.rows[r + 1:], t, p)
+                row = [(x * p - a * y) // det for x, y in zip(row, pr)]
+                row[c] = -a
+            t.append(row)
+        pos = v.pos.copy()
+        pos[v.rows[r]], pos[j] = c, ~r
+        return Vertex(v.rows[:r] + (j,) + v.rows[r + 1:], pos, t, p)
 
     def vertex_at(self, basis) -> Vertex | None:
-        """The tableau of `basis`, at most d pivots from the slack one, or
-        None when the basis matrix is singular."""
+        """The dictionary of `basis`, at most d pivots from the slack one,
+        or None when the basis matrix is singular."""
         v = self._slack_vertex()
         for j in sorted(basis - v.basis):
-            r = next((i for i, var in enumerate(v.rows) if var not in basis and v.t[i][j]), None)
+            c = v.pos[j]
+            r = next((i for i, var in enumerate(v.rows) if var not in basis and v.t[i][c]), None)
             if r is None:
                 return None  # column j lies in the span of the basic ones
             v = self._pivot(v, r, j)
         return v
 
     def cone_vertex(self, alpha) -> Vertex | None:
-        """The tableau of cone alpha's complementary basis (y_i for i in
+        """The dictionary of cone alpha's complementary basis (y_i for i in
         alpha, w_i elsewhere, z nonbasic), or None when A_alpha is singular.
         Its basic values are A_alpha^-1 q(eps): the basis matrix is
         -A_alpha and the right-hand side -q(eps)."""
         return self.vertex_at(frozenset(i if i in alpha else self.d + i for i in range(self.d)))
 
     # -- reading a vertex ----------------------------------------------------
-    def _lex_lead(self, row) -> int:
-        """First nonzero entry of the row's lex vector, or 0."""
-        return row[self.rhs] or next((x for x in row[self.d:self.zvar] if x), 0)
+    def _units(self, var: int) -> int:
+        """Units of the stored variable per unit of `var`: s_k for w_k."""
+        return self._scale[var - self.d] if self.d <= var < self.zvar else 1
+
+    def _lex_lead(self, v: Vertex, i: int) -> int:
+        """First nonzero entry of row i's lex vector, or 0: the right-hand
+        side, then the w' entries (D for the row's own basic w')."""
+        row = v.t[i]
+        if row[self.rhs]:
+            return row[self.rhs]
+        for k in v.pos[self.d:self.zvar]:
+            x = row[k] if k >= 0 else v.det if ~k == i else 0
+            if x:
+                return x
+        return 0
 
     def feasible(self, v: Vertex) -> bool:
         """Every basic value is lexicographically nonnegative."""
-        return all(self._lex_lead(row) * v.det >= 0 for row in v.t)
+        return all(self._lex_lead(v, i) * v.det >= 0 for i in range(self.d))
 
     def lex_negative(self, v: Vertex) -> list[int]:
         """The basic variables whose values are lexicographically negative."""
-        return [var for var, row in zip(v.rows, v.t) if self._lex_lead(row) * v.det < 0]
+        return [var for i, var in enumerate(v.rows) if self._lex_lead(v, i) * v.det < 0]
 
     def value(self, v: Vertex, var: int) -> Fraction:
         """Numeric value of `var`; zero when it is nonbasic."""
-        if var not in v.basis:
+        c = v.pos[var]
+        if c >= 0:
             return Fraction(0)
-        return Fraction(v.t[v.rows.index(var)][self.rhs], v.det)
+        return Fraction(v.t[~c][self.rhs], v.det * self._units(var))
 
     def numeric_point(self, v: Vertex):
-        d = self.d
+        d, rhs, det = self.d, self.rhs, v.det
         y = [Fraction(0)] * d
         w = [Fraction(0)] * d
         z = Fraction(0)
         for var, row in zip(v.rows, v.t):
-            x = Fraction(row[self.rhs], v.det)
             if var < d:
-                y[var] = x
+                y[var] = Fraction(row[rhs], det)
             elif var < 2 * d:
-                w[var - d] = x
+                w[var - d] = Fraction(row[rhs], det * self._scale[var - d])
             else:
-                z = x
+                z = Fraction(row[rhs], det)
         return y, w, z
 
     def z_row(self, v: Vertex) -> tuple[list[int], int]:
         """(zs, D) with zs[k] / D the k-th eps coefficient of z; all zero
-        when z is nonbasic."""
-        if self.zvar not in v.basis:
+        when z is nonbasic.  zs[k] is s_k times z's w'_k entry, 0 for a
+        basic w'_k."""
+        c = v.pos[self.zvar]
+        if c >= 0:
             return [0] * (self.d + 1), 1
-        row = v.t[v.rows.index(self.zvar)]
-        return [row[self.rhs]] + row[self.d:self.zvar], v.det
+        row = v.t[~c]
+        ws = [row[k] if k >= 0 else 0 for k in v.pos[self.d:self.zvar]]
+        if self._scaled:
+            ws = [s * x for s, x in zip(self._scale, ws)]
+        return [row[self.rhs]] + ws, v.det
 
     def duplicate_label(self, basis) -> int | None:
         for i in range(self.d):
@@ -196,13 +244,14 @@ class LemkeSystem:
         return None
 
     def support(self, basis) -> frozenset:
-        return frozenset(i for i in range(self.d) if i in basis)
+        return frozenset(basis).intersection(range(self.d))
 
     # -- pivoting ------------------------------------------------------------
     def direction(self, v: Vertex, entering: int) -> dict:
         """Edge direction when `entering` grows: numeric deltas per basic
         variable plus the entering variable itself at +1."""
-        eta = {var: Fraction(-row[entering], v.det) for var, row in zip(v.rows, v.t)}
+        c, s = v.pos[entering], self._units(entering)
+        eta = {var: Fraction(-row[c] * s, v.det * self._units(var)) for var, row in zip(v.rows, v.t)}
         eta[entering] = Fraction(1)
         return eta
 
@@ -212,9 +261,10 @@ class LemkeSystem:
         so this is also the sign of z(next vertex) - z(v)."""
         if entering == self.zvar:
             return 1
-        if self.zvar not in v.basis:
+        c = v.pos[self.zvar]
+        if c >= 0:
             return 0
-        x = -v.t[v.rows.index(self.zvar)][entering] * v.det
+        x = -v.t[~c][v.pos[entering]] * v.det
         return (x > 0) - (x < 0)
 
     def ratio_step(self, v: Vertex, entering: int):
@@ -224,21 +274,26 @@ class LemkeSystem:
         ratio test makes `leaving` unique: two rows with equal ratios would
         make B^-1 singular.
         """
-        c, d = self.rhs, self.d
+        c, rhs, det = v.pos[entering], self.rhs, v.det
         best = None
         for i, row in enumerate(v.t):
-            a = row[entering]
-            if a * v.det <= 0:
+            a = row[c]
+            if a * det <= 0:
                 continue  # this basic variable does not fall
             if best is not None:
                 # lex(row) / a < lex(brow) / b, cross-multiplied by a * b > 0;
-                # the lex vector is column c, then the w block from column d.
-                brow, b = v.t[best], v.t[best][entering]
-                x, y = row[c] * b, brow[c] * a
-                k = d
-                while x == y:
-                    x, y = row[k] * b, brow[k] * a
-                    k += 1
+                # the lex vector is the right-hand side, then the w' entries.
+                brow = v.t[best]
+                b = brow[c]
+                x, y = row[rhs] * b, brow[rhs] * a
+                if x == y:
+                    for k in v.pos[self.d:self.zvar]:
+                        if k >= 0:
+                            x, y = row[k] * b, brow[k] * a
+                        else:  # a basic w': its column is D * e_~k
+                            x, y = det * b if ~k == i else 0, det * a if ~k == best else 0
+                        if x != y:
+                            break
                 if x > y:
                     continue
             best = i

@@ -352,6 +352,11 @@ def test_query_matrix_exits_cleanly(files, capsys, source, chain, query):
      "vertex 1111111111111 is not an id of 2 bits"),
     (["solve", "short", "--problem", "line", "--algo", "follow", "--start", "-1"],
      "vertex -1 is not an id of 2 bits"),
+    # Python literal syntax is not an id: 0b1, 1_0 and " 11" would read as 1, 2 and 3.
+    *[(argv + [bits], f"vertex {bits} is not an id of {n} bits")
+      for argv, n in [(["reduce", "plcp", "--chain", "plcp:eopl", "--query", "S"], 4),
+                      (["solve", "short", "--problem", "line", "--algo", "follow", "--start"], 2)]
+      for bits in ("0b1", "1_0", " 11")],
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
     argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -21,6 +22,53 @@ def test_gen_lcp_determinism():
     assert a.M == b.M and a.q == b.q
     c = gen_lcp(3, 43)
     assert (a.M, a.q) != (c.M, c.q)
+
+
+# Digest of [(M, q)] over seeds 0..5 per (mode, d); the non-P and
+# nondegenerate modes check every cone, so they stop at d = 8.
+PINNED_GEN_LCP = {
+    ('p', 1): 'c012fab45499c775',
+    ('p', 2): '3893e9fd515be61f',
+    ('p', 3): '9615dc90f4615d84',
+    ('p', 4): '14b3d4aff17b6e92',
+    ('p', 5): '575f3db103bfa501',
+    ('p', 6): '221282a403d79ad4',
+    ('p', 7): 'ca71c2fdb245321d',
+    ('p', 8): 'd2d60fca041be9db',
+    ('p', 9): 'db26d2ae3174d02e',
+    ('p', 10): '33e6df75cec0cca8',
+    ('p', 11): '62148f4cb95d66ab',
+    ('p', 12): '5e930436e902acb1',
+    ('p', 13): 'b5cc1f109988818c',
+    ('p', 14): '3755cfa7d2119579',
+    ('p', 15): '10a3e9d6312ec2ec',
+    ('p', 16): '8128644a15c362b4',
+    ('np', 1): '877065a13fff49e0',
+    ('np', 2): '912806138fe37e12',
+    ('np', 3): '145e055b2672622f',
+    ('np', 4): '3bdb5fd74b39d3ab',
+    ('np', 5): '2df69d935f40399f',
+    ('np', 6): '269775dcb19d73ff',
+    ('np', 7): '779ef440f51350bb',
+    ('np', 8): 'e53d1a6d143bef12',
+    ('nd', 1): 'c012fab45499c775',
+    ('nd', 2): 'd7e400ffe0c8535d',
+    ('nd', 3): '9615dc90f4615d84',
+    ('nd', 4): '14b3d4aff17b6e92',
+    ('nd', 5): 'c07acba60f17323b',
+    ('nd', 6): '221282a403d79ad4',
+    ('nd', 7): 'ca71c2fdb245321d',
+    ('nd', 8): 'd2d60fca041be9db',
+}
+
+
+def test_gen_lcp_pinned():
+    modes = {"p": {}, "np": {"p_matrix": False}, "nd": {"nondegenerate": True}}
+    got = {}
+    for (mode, d) in PINNED_GEN_LCP:
+        insts = [gen_lcp(d, s, **modes[mode]) for s in range(6)]
+        got[mode, d] = hashlib.sha256(repr([(i.M, i.q) for i in insts]).encode()).hexdigest()[:16]
+    assert got == PINNED_GEN_LCP
 
 
 def test_gen_lcp_p_matrix_minors():

@@ -6,6 +6,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -253,15 +254,20 @@ def test_line_view_pivots_once_per_edge(monkeypatch):
         pivots[0] += 1
         return pivot(self, v, r, j)
 
+    lemke_pivots = []
     for inst in insts:
         want = RunStats()
-        c = lemke(inst, stats=want)
-        line, view = plcp_to_eopl(inst)
-        pivots[0], got = 0, RunStats()
         with monkeypatch.context() as m:
             m.setattr(LemkeSystem, "_pivot", counted)
+            pivots[0] = 0
+            c = lemke(inst, stats=want)
+            lemke_pivots.append(pivots[0])
+            line, view = plcp_to_eopl(inst)
+            pivots[0], got = 0, RunStats()
             assert map_back_lcp(inst, view, follow_line(line, 0, stats=got)) == c
         assert (pivots[0], got.steps) == (want.pivots + 1, want.pivots + 2), inst
+    # lemke's own tableau pivots, recorded with the 2d + 2 column tableau.
+    assert (sum(lemke_pivots), _digest(lemke_pivots)) == (989, "c93e35cb0c355fd6")
 
 
 # -- Todd orientation from the running determinant ----------------------------
@@ -363,3 +369,86 @@ def test_cone_vertex_solves_every_cone(d, data):
                 x = y[i] if i in alpha else w[i]
                 if x != 0:
                     assert bool(bits >> i & 1) == (x < 0)
+
+
+# -- the dictionary against an independent solve -----------------------------------
+
+def _columns(m, q, scaled):
+    """Columns of [S M | -I | S 1 | -S q] (scaled) or [M | -I | 1 | -q]:
+    variables 0..2d, then the right-hand side."""
+    d = len(q)
+    s = [lcm(qr.denominator, *[x.denominator for x in mr]) if scaled else 1 for mr, qr in zip(m, q)]
+    rows = [[s[r] * x for x in m[r]] + [F(-(k == r)) for k in range(d)] + [F(s[r]), -s[r] * q[r]]
+            for r in range(d)]
+    return [[row[j] for row in rows] for j in range(2 * d + 2)]
+
+
+def _cramer(basis_cols, b):
+    """det(B) * B^-1 b by Cramer's rule: entry i is det(B) with column i
+    replaced by b."""
+    d = len(b)
+    return [determinant([[(b if k == i else basis_cols[k])[r] for k in range(d)] for r in range(d)])
+            for i in range(d)]
+
+
+def _check_dictionary(sys, m, q, v):
+    d = len(q)
+    assert sorted(v.rows) == sorted(v.basis) and len(v.rows) == d
+    assert all(v.pos[var] == ~i for i, var in enumerate(v.rows))
+    assert sorted(c for c in v.pos if c >= 0) == list(range(d + 1))
+    cols = _columns(m, q, scaled=True)
+    det = determinant([[cols[var][r] for var in v.rows] for r in range(d)])
+    assert v.det == det
+    basis = [cols[var] for var in v.rows]
+    for x in range(2 * d + 1):
+        if v.pos[x] >= 0:
+            assert [row[v.pos[x]] for row in v.t] == _cramer(basis, cols[x]), x
+    assert [row[sys.rhs] for row in v.t] == _cramer(basis, cols[2 * d + 1])
+    # The read-outs against a Fraction solve of the unscaled system.
+    cols0 = _columns(m, q, scaled=False)
+    basis0 = [cols0[var] for var in v.rows]
+    det0 = determinant([[c[r] for c in basis0] for r in range(d)])
+    x0 = [a / det0 for a in _cramer(basis0, cols0[2 * d + 1])]
+    point = [F(0)] * (2 * d + 1)
+    for var, val in zip(v.rows, x0):
+        point[var] = val
+    assert [sys.value(v, var) for var in range(2 * d + 1)] == point
+    assert sys.numeric_point(v) == (point[:d], point[d:2 * d], point[2 * d])
+    for x in range(2 * d + 1):
+        if v.pos[x] >= 0:
+            eta = {var: -a / det0 for var, a in zip(v.rows, _cramer(basis0, cols0[x]))}
+            eta[x] = F(1)
+            assert sys.direction(v, x) == eta, x
+    zs, zdet = sys.z_row(v)
+    if sys.zvar in v.basis:
+        # eps^k enters the right-hand side -q(eps) as -e_k.
+        i = v.rows.index(sys.zvar)
+        eps = [_cramer(basis0, [F(-(r == k)) for r in range(d)])[i] / det0 for k in range(d)]
+        assert [F(x, zdet) for x in zs] == [point[2 * d]] + eps
+    else:
+        assert not any(zs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_dictionary_matches_independent_solve(d, data):
+    m = [[data.draw(small) for _ in range(d)] for _ in range(d)]
+    q = [data.draw(small) for _ in range(d)]
+    sys = LemkeSystem(m, q)
+    for r in range(d + 1):
+        for alpha in map(frozenset, combinations(range(d), r)):
+            v = sys.cone_vertex(alpha)
+            if v is not None:
+                _check_dictionary(sys, m, q, v)
+    if min(q) >= 0:
+        return
+    v, entering = sys.start_vertex()
+    for _ in range(50):  # every vertex of Lemke's path, the last included
+        _check_dictionary(sys, m, q, v)
+        if sys.zvar not in v.basis:
+            break
+        step = sys.ratio_step(v, entering)
+        if step is None:
+            break
+        v, leaving = step
+        entering = leaving + d if leaving < d else leaving - d
