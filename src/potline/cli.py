@@ -44,21 +44,22 @@ _GENERATORS = {
         "line", lambda a: generators.gen_line(a.length, a.seed, flavor=a.flavor, two_lines=True)),
 }
 
-_CHAIN_STEPS = {
-    ("plcp", "uso"): reductions_lcp.plcp_to_uso,
-    ("plcp", "eopl"): lambda inst: reductions_lcp.plcp_to_eopl(inst)[0],
-    ("uso", "opdc"): reductions_opdc.uso_to_opdc,
-    ("contraction", "opdc"): reductions_opdc.contraction_to_opdc,
-    ("opdc", "ufeopl"): lambda inst: reductions_opdc.opdc_to_ufeopl(inst)[0],
-    ("ufeopl", "plus1"): lambda inst: reductions_line.ufeopl_to_plus1(inst)[0],
-    ("plus1", "ueopl"): lambda inst: reductions_line.plus1_to_ueopl(inst)[0],
-    ("ueopl", "normalized"): lambda inst: reductions_line.normalize_potentials(inst)[0],
-    ("ueopl", "opdc"): lambda inst: reductions_line.ueopl_to_opdc(inst)[0],
-    ("eoml", "eopl"): lambda inst: reductions_line.eoml_to_eopl(inst)[0],
-    ("eopl", "eoml"): lambda inst: reductions_line.eopl_to_eoml(inst)[0],
+# (source stage, target stage) -> the reduction view class.  A stage that is
+# not a problem kind of `problems.KINDS` is a line stage; `normalized` is a
+# UniqueEOPL line whose every edge raises the potential by exactly 1.
+REDUCTIONS = {
+    ("plcp", "uso"): reductions_lcp.PlcpToUso,
+    ("plcp", "eopl"): reductions_lcp.PlcpLineView,
+    ("uso", "opdc"): reductions_opdc.UsoToOpdc,
+    ("contraction", "opdc"): reductions_opdc.ContractionToOpdc,
+    ("opdc", "ufeopl"): reductions_opdc.OpdcLineView,
+    ("ufeopl", "plus1"): reductions_line.UfeoplToPlus1,
+    ("plus1", "ueopl"): reductions_line.PebblingView,
+    ("ueopl", "normalized"): reductions_line.NormalizeView,
+    ("normalized", "opdc"): reductions_line.UeoplToOpdc,
+    ("eoml", "eopl"): reductions_line.EomlToEopl,
+    ("eopl", "eoml"): reductions_line.EoplToEoml,
 }
-
-_LINE_STAGES = {"eopl", "ueopl", "eoml", "ufeopl", "plus1", "normalized", "line"}
 
 # --query letter of `reduce` -> (the view kind it applies to, its argument count).
 _QUERIES = {"S": ("line", 1), "P": ("line", 1), "V": ("line", 1), "D": ("opdc", 2)}
@@ -126,17 +127,30 @@ def _vertex_id(bits: str, n: int) -> int:
     return int(bits, 2)
 
 
-def _stage_kind(stage: str) -> str:
-    return "line" if stage in _LINE_STAGES else stage
-
-
-def apply_chain(inst, chain):
-    """Compose reduction stages; chain[0] names the input problem."""
+def _reductions(chain) -> list:
+    """The view classes of chain's steps; raises on an unknown step."""
     for step in zip(chain, chain[1:]):
-        if step not in _CHAIN_STEPS:
+        if step not in REDUCTIONS:
             raise UsageError(f"no reduction {step[0]} -> {step[1]}")
-        inst = _CHAIN_STEPS[step](inst)
-    return inst
+    return [REDUCTIONS[step] for step in zip(chain, chain[1:])]
+
+
+def compose(src, chain):
+    """Reduce src, an instance of stage chain[0], along the chain; an unknown
+    step raises before anything is built.  Returns the last image and its
+    map_back, which applies every stage's map-back, last stage first."""
+    backs = []
+    for cls in _reductions(chain):
+        view = cls(src)
+        src = view.image()
+        backs.append(view.map_back)
+
+    def map_back(c):
+        for back in reversed(backs):
+            c = back(c)
+        return c
+
+    return src, map_back
 
 
 def cmd_generate(args):
@@ -154,17 +168,19 @@ def cmd_reduce(args):
     chain = [s for part in args.chain.split(",") for s in part.split(":") if s]
     if len(chain) < 2:
         raise UsageError("chain needs a source and at least one target")
+    _reductions(chain)
+    source, target = (s if s in problems.KINDS else "line" for s in (chain[0], chain[-1]))
     q = args.query
     if q:
         if q[0] not in _QUERIES:
             raise UsageError(f"unknown query {q[0]}; use one of {', '.join(_QUERIES)}")
         applies_to, nargs = _QUERIES[q[0]]
-        if _stage_kind(chain[-1]) != applies_to:
+        if target != applies_to:
             raise UsageError(f"--query {q[0]} applies to {applies_to} views, not {chain[-1]}")
         if len(q) != 1 + nargs:
             raise UsageError(f"--query {q[0]} takes {nargs} argument(s), got {len(q) - 1}")
     try:
-        view = apply_chain(_load(args.file, _stage_kind(chain[0]))[0], chain)
+        image, _ = compose(_load(args.file, source)[0], chain)
     except reductions_line.TrivialInstance as t:
         # An EOPL stage that 0 or S(0) solves: its certificate is the answer
         # and there is no view to query.
@@ -176,12 +192,12 @@ def cmd_reduce(args):
         return 0
     if q[0] == "D":
         i = int(q[1])
-        if not 0 <= i < view.d:
-            raise UsageError(f"dimension {i} outside 0..{view.d - 1}")
-        answer = view.D(i, tuple(int(t) for t in q[2].replace(",", " ").split()))
+        if not 0 <= i < image.d:
+            raise UsageError(f"dimension {i} outside 0..{image.d - 1}")
+        answer = image.D(i, tuple(int(t) for t in q[2].replace(",", " ").split()))
     else:
-        val = getattr(view, q[0])(_vertex_id(q[1], view.n))
-        answer = val if q[0] == "V" else problems.bits_str(val, view.n)
+        val = getattr(image, q[0])(_vertex_id(q[1], image.n))
+        answer = val if q[0] == "V" else problems.bits_str(val, image.n)
     print(json.dumps({"query": q, "answer": answer}))
     return 0
 

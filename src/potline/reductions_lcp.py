@@ -9,9 +9,9 @@ out-map of a cone is the sign pattern of its complementary vertex, whose
 right-hand side carries the perturbation of the Lemke path, so the
 out-map and the line view resolve degenerate ties by one rule.
 
-Map-backs have the one shape of `reductions_line.LineView`: a generator of
-the source certificates the case analysis names, in order, of which
-`problems.first_verifying` returns the first that verifies.
+Both reductions are `reductions_line.View`s: an `image()` and the source
+certificates the case analysis names, in order, of which `map_back`
+returns the first that verifies.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .problems import (
     LineInstance,
     UsoInstance,
     cert,
-    first_verifying,
 )
 from .rational import ceil_log2
-from .reductions_line import LineView
+from .reductions_line import LineView, View
 from math import factorial, lcm
 
 
@@ -61,33 +60,32 @@ def out_map(inst: LcpInstance, alpha) -> int | None:
     return sum(1 << var % sys.d for var in sys.lex_negative(v))
 
 
-def plcp_to_uso(inst: LcpInstance) -> UsoInstance:
+class PlcpToUso(View):
     """Orient vertex v by out(alpha(v)) with alpha(v) = set bits of v."""
-    d = inst.d
 
-    def orient(v: int):
-        return out_map(inst, frozenset(i for i in range(d) if v >> i & 1))
+    def _alpha(self, v: int) -> frozenset:
+        return frozenset(i for i in range(self.src.d) if v >> i & 1)
 
-    return UsoInstance(n=d, orient=orient)
+    def image(self) -> UsoInstance:
+        return UsoInstance(n=self.src.d, orient=lambda v: out_map(self.src, self._alpha(v)))
+
+    def candidates(self, c):
+        """US1 -> Q1, USV1 -> PV1 (singular cone), USV2 -> PV3."""
+        if c.kind == "US1":
+            sys = self.src.system
+            yield cert("Q1", y=sys.numeric_point(sys.cone_vertex(self._alpha(c.v)))[0])
+        elif c.kind == "USV1":
+            yield cert("PV1", alpha=self._alpha(c.v))
+        elif c.kind == "USV2":
+            yield cert("PV3", alpha=self._alpha(c.v), beta=self._alpha(c.u))
+
+
+def plcp_to_uso(inst: LcpInstance) -> UsoInstance:
+    return PlcpToUso(inst).image()
 
 
 def map_back_uso(inst: LcpInstance, uso: UsoInstance, c: Certificate) -> Certificate:
-    """US1 -> Q1, USV1 -> PV1 (singular cone), USV2 -> PV3."""
-    d = inst.d
-
-    def alpha_of(v):
-        return frozenset(i for i in range(d) if v >> i & 1)
-
-    def candidates():
-        if c.kind == "US1":
-            sys = inst.system
-            yield cert("Q1", y=sys.numeric_point(sys.cone_vertex(alpha_of(c.v)))[0])
-        elif c.kind == "USV1":
-            yield cert("PV1", alpha=alpha_of(c.v))
-        elif c.kind == "USV2":
-            yield cert("PV3", alpha=alpha_of(c.v), beta=alpha_of(c.u))
-
-    return first_verifying(inst, candidates(), f"no LCP certificate for {c}")
+    return PlcpToUso(inst).map_back(c)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +337,7 @@ class PlcpLineView(LineView):
 def plcp_to_eopl(inst: LcpInstance) -> tuple[LineInstance, PlcpLineView]:
     """The UniqueEOPL line of the Lemke path and its view."""
     view = PlcpLineView(inst)
-    return view.line_instance(), view
+    return view.image(), view
 
 
 def _pv2(y1, y2):
@@ -399,6 +397,4 @@ def _edge_points_same_z(view: PlcpLineView, v: Vertex):
 
 
 def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certificate:
-    """Map a verified UniqueEOPL certificate of the line view back to
-    Q1/PV1/PV2: the first of `view.candidates(c)` that verifies."""
-    return first_verifying(inst, view.candidates(c), f"no LCP certificate for {c}")
+    return view.map_back(c)

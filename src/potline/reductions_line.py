@@ -2,11 +2,11 @@
 reversible-pebbling reduction UFEOPL+1 -> UniqueEOPL, potential
 normalization, and the hardness direction UniqueEOPL -> OPDC.
 
-Every view has one shape (`LineView`): its oracles, and a generator of
-the source certificates that the construction's case analysis names for a
-target certificate, in order.  `map_back` returns the first of them that
-verifies on the source (`problems.first_verifying`) or raises
-UnmappableCert.
+Every reduction of the package is a `View` over its source `src`: the
+lazy image instance (`image()`), and a generator of the source
+certificates that the construction's case analysis names for an image
+certificate (`candidates(c)`), in order.  `map_back` returns the first that
+verifies on the source or raises UnmappableCert.
 """
 
 from __future__ import annotations
@@ -33,12 +33,23 @@ class TrivialInstance(Exception):
         self.certificate = certificate
 
 
-class LineView:
+class View:
+    """One reduction over the source `src`: subclasses define `image()`, the
+    image instance, and `candidates(c)`, which yields the source
+    certificates for an image certificate c."""
+
+    def __init__(self, src):
+        self.src = src
+
+    def map_back(self, c: Certificate) -> Certificate:
+        return first_verifying(self.src, self.candidates(c), f"no source certificate for {c}")
+
+
+class LineView(View):
     """A lazy line instance over the source `src`.  Subclasses set `nbits`,
     `m_pot` and `flavor`, define `successor` and `potential` (and
     `predecessor` and `enumerate_codes` where they have them), and
-    `candidates(c)`, which yields the source certificates for a target
-    certificate c.  Codes that pack a high and a low field use `_split`
+    `candidates(c)`.  Codes that pack a high and a low field use `_split`
     and `_join` with the low field `low_bits` wide."""
 
     def _split(self, x):
@@ -47,7 +58,7 @@ class LineView:
     def _join(self, hi, lo):
         return (hi << self.low_bits) | lo
 
-    def line_instance(self) -> LineInstance:
+    def image(self) -> LineInstance:
         return LineInstance(
             n=self.nbits,
             successor=self.successor,
@@ -57,9 +68,6 @@ class LineView:
             m_pot=self.m_pot,
             vertex_iter=getattr(self, "enumerate_codes", None),
         )
-
-    def map_back(self, c: Certificate) -> Certificate:
-        return first_verifying(self.src, self.candidates(c), f"no source certificate for {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +114,6 @@ class EomlToEopl(LineView):
         _, u = self._split(c.x)
         for kind in ("T1", "T2", "T3"):
             yield cert(kind, x=u)
-
-
-def eoml_to_eopl(src: LineInstance):
-    view = EomlToEopl(src)
-    return view.line_instance(), view
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +222,6 @@ class EoplToEoml(LineView):
         yield cert("R2", x=self.src.P(w))
 
 
-def eopl_to_eoml(src: LineInstance):
-    view = EoplToEoml(src)
-    return view.line_instance(), view
-
-
 # ---------------------------------------------------------------------------
 # UFEOPL -> UFEOPL+1  (chain insertion)
 
@@ -269,7 +267,7 @@ class UfeoplToPlus1(LineView):
 
 def ufeopl_to_plus1(src: LineInstance):
     view = UfeoplToPlus1(src)
-    return view.line_instance(), view
+    return view.image(), view
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +548,7 @@ class PebblingView(LineView):
 
 def plus1_to_ueopl(src: LineInstance):
     view = PebblingView(src)
-    return view.line_instance(), view
+    return view.image(), view
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +632,13 @@ class NormalizeView(LineView):
 
 def normalize_potentials(src: LineInstance):
     view = NormalizeView(src)
-    return view.line_instance(), view
+    return view.image(), view
 
 
 # ---------------------------------------------------------------------------
 # UniqueEOPL -> OPDC  (hardness direction)
 
-class UeoplToOpdc:
+class UeoplToOpdc(View):
     """Source must be normalized: every valid edge raises the potential by
     exactly 1 and x is a U1 iff V(x) = 2^n_blocks - 1.  Points of the OPDC
     instance are n_blocks-tuples of m-bit vertex labels; block b occupies
@@ -680,7 +678,7 @@ class UeoplToOpdc:
     def decode(self, p):
         return self._decode(tuple(p))
 
-    def opdc_instance(self) -> OpdcInstance:
+    def image(self) -> OpdcInstance:
         src = self.src
 
         def direction(j, p):
@@ -702,8 +700,6 @@ class UeoplToOpdc:
             return DOWN if p[j] == 1 else ZERO
 
         return OpdcInstance(widths=(1,) * self.dims, direction=direction)
-
-    map_back = LineView.map_back
 
     def candidates(self, c):
         # OV3 cannot occur on images of this reduction.
@@ -730,8 +726,3 @@ class UeoplToOpdc:
                         yield cert("UV3", x=b, y=a)
             yield cert("U1", x=dp)
             yield cert("U1", x=dq)
-
-
-def ueopl_to_opdc(src: LineInstance):
-    view = UeoplToOpdc(src)
-    return view.opdc_instance(), view

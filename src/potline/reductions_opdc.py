@@ -13,9 +13,9 @@ the image line unique on violation-free sources:
   * a tuple with position d occupied is the terminal form and must be
     dash everywhere else.
 
-Map-backs have the one shape of `reductions_line.LineView`: a generator of
-the source certificates the case analysis names, in order, of which
-`problems.first_verifying` returns the first that verifies.
+Every reduction here is a `reductions_line.View`: an `image()` and the
+source certificates the case analysis names, in order, of which `map_back`
+returns the first that verifies.
 """
 
 from __future__ import annotations
@@ -33,48 +33,49 @@ from .problems import (
     OpdcInstance,
     UsoInstance,
     cert,
-    first_verifying,
     memoize,
 )
 from .rational import ceil_log2
-from .reductions_line import LineView
+from .reductions_line import LineView, View
 
 
 # ---------------------------------------------------------------------------
 # USO -> OPDC
 
-def uso_to_opdc(inst: UsoInstance) -> OpdcInstance:
+class UsoToOpdc(View):
     """Grid {0,1}^n; directions follow the orientation: zero where the
     edge points in, otherwise toward the neighbour; dash vertices are
     all-zero."""
 
-    def direction(i, p):
-        v = sum(bit << j for j, bit in enumerate(p))
-        o = inst.orient(v)
-        if o is None:
-            return ZERO
-        if o >> i & 1 == 0:
-            return ZERO
-        return UP if p[i] == 0 else DOWN
+    def image(self) -> OpdcInstance:
+        def direction(i, p):
+            o = self.src.orient(_vid(p))
+            if o is None or o >> i & 1 == 0:
+                return ZERO
+            return UP if p[i] == 0 else DOWN
 
-    return OpdcInstance(widths=(1,) * inst.n, direction=direction)
+        return OpdcInstance(widths=(1,) * self.src.n, direction=direction)
+
+    def candidates(self, c):
+        """O1 -> US1/USV1; OV1, OV2 -> USV1/USV2; OV3 never occurs."""
+        if c.kind == "O1":
+            v = _vid(c.p)
+            yield from (cert("US1", v=v), cert("USV1", v=v))
+        elif c.kind in ("OV1", "OV2"):
+            v, u = _vid(c.p), _vid(c.q)
+            yield from (cert("USV1", v=v), cert("USV1", v=u), cert("USV2", v=v, u=u))
+
+
+def _vid(p) -> int:
+    return sum(bit << j for j, bit in enumerate(p))
+
+
+def uso_to_opdc(inst: UsoInstance) -> OpdcInstance:
+    return UsoToOpdc(inst).image()
 
 
 def map_back_uso(inst: UsoInstance, c: Certificate) -> Certificate:
-    """O1 -> US1/USV1; OV1, OV2 -> USV1/USV2; OV3 never occurs."""
-
-    def vid(p):
-        return sum(bit << j for j, bit in enumerate(p))
-
-    def candidates():
-        if c.kind == "O1":
-            v = vid(c.p)
-            yield from (cert("US1", v=v), cert("USV1", v=v))
-        elif c.kind in ("OV1", "OV2"):
-            v, u = vid(c.p), vid(c.q)
-            yield from (cert("USV1", v=v), cert("USV1", v=u), cert("USV2", v=v, u=u))
-
-    return first_verifying(inst, candidates(), f"no USO certificate for {c}")
+    return UsoToOpdc(inst).map_back(c)
 
 
 # ---------------------------------------------------------------------------
@@ -94,46 +95,40 @@ def compute_kappa(circuit) -> tuple:
     return tuple((d - i + 1) * inner + bq for i in range(1, d + 1))
 
 
-def contraction_to_opdc(inst: ContractionInstance) -> OpdcInstance:
-    """Grid widths k_i = 2^kappa_i with kappa = `inst.effective_kappa()`;
+class ContractionToOpdc(View):
+    """Grid widths k_i = 2^kappa_i with kappa = `src.effective_kappa()`;
     directions follow the sign of f(p')_i - p'_i at the mapped point
     p' = (p_i / k_i)."""
-    widths = tuple((1 << k) for k in inst.effective_kappa())
 
-    @memoize
-    def diffs(p):  # f(x) - x at p, for all d directions
-        x = [Fraction(p[j], widths[j]) for j in range(len(widths))]
-        return tuple(a - b for a, b in zip(inst.f(x), x))
+    def __init__(self, src: ContractionInstance):
+        self.src = src
+        self.widths = tuple((1 << k) for k in src.effective_kappa())
 
-    def direction(i, p):
-        diff = diffs(p)[i]
-        if diff > 0:
-            return UP
-        if diff < 0:
-            return DOWN
-        return ZERO
+    def _to_box(self, p):
+        return [Fraction(p[j], self.widths[j]) for j in range(len(self.widths))]
 
-    return OpdcInstance(widths=widths, direction=direction)
+    def image(self) -> OpdcInstance:
+        @memoize
+        def diffs(p):  # f(x) - x at p, for all d directions
+            x = self._to_box(p)
+            return tuple(a - b for a, b in zip(self.src.f(x), x))
 
+        def direction(i, p):
+            diff = diffs(p)[i]
+            return UP if diff > 0 else DOWN if diff < 0 else ZERO
 
-def map_back_contraction(inst: ContractionInstance, view: OpdcInstance, c: Certificate) -> Certificate:
-    """O1 -> CM1, OV1 -> CMV1, OV2 -> CMV3, OV3 -> CMV2."""
-    widths = view.widths
+        return OpdcInstance(widths=self.widths, direction=direction)
 
-    def to_box(p):
-        return [Fraction(p[j], widths[j]) for j in range(len(widths))]
-
-    def candidates():
+    def candidates(self, c):
+        """O1 -> CM1, OV1 -> CMV1, OV2 -> CMV3, OV3 -> CMV2."""
         if c.kind == "O1":
-            yield cert("CM1", x=to_box(c.p))
+            yield cert("CM1", x=self._to_box(c.p))
         elif c.kind == "OV1":
-            yield cert("CMV1", x=to_box(c.p), y=to_box(c.q))
+            yield cert("CMV1", x=self._to_box(c.p), y=self._to_box(c.q))
         elif c.kind == "OV2":
-            yield cert("CMV3", level=c.level, x=to_box(c.p), y=to_box(c.q))
+            yield cert("CMV3", level=c.level, x=self._to_box(c.p), y=self._to_box(c.q))
         elif c.kind == "OV3":
-            yield cert("CMV2", x=to_box(c.p))
-
-    return first_verifying(inst, candidates(), f"no contraction certificate for {c}")
+            yield cert("CMV2", x=self._to_box(c.p))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +381,8 @@ def _column_search(inst: OpdcInstance, zero_pt, up_pt) -> Certificate | None:
 
 def opdc_to_ufeopl(inst: OpdcInstance) -> tuple[LineInstance, OpdcLineView]:
     view = OpdcLineView(inst)
-    return view.line_instance(), view
+    return view.image(), view
 
 
 def map_back_opdc(inst: OpdcInstance, view: OpdcLineView, c: Certificate) -> Certificate:
-    """The first verifying OPDC certificate of `view.candidates(c)`."""
-    return first_verifying(inst, view.candidates(c), f"no OPDC certificate for {c}")
+    return view.map_back(c)

@@ -530,13 +530,13 @@ def _line_certs(inst: LineInstance, budget: int, max_certs: int) -> list[Certifi
 
 
 def _contraction_certs(inst: ContractionInstance, budget: int, max_certs: int) -> list[Certificate]:
-    from .reductions_opdc import contraction_to_opdc, map_back_contraction
+    from .reductions_opdc import ContractionToOpdc
 
-    view = contraction_to_opdc(inst)
+    view = ContractionToOpdc(inst)
     out = []
-    for c in brute_force(view, budget=budget, max_certs=max_certs):
-        mapped = map_back_contraction(inst, view, c)
-        if verify(inst, mapped) and mapped not in out:
+    for c in brute_force(view.image(), budget=budget, max_certs=max_certs):
+        mapped = view.map_back(c)
+        if mapped not in out:
             out.append(mapped)
     return out
 

@@ -7,6 +7,9 @@ from potline.problems import Certificate, LcpInstance, LineInstance, line_from_t
 from potline.rational import Mat, Vec, determinant
 from potline.solvers import eps_schedule
 
+# The stages from a P-LCP to a normalized UniqueEOPL line, for `cli.compose`.
+FULL_CHAIN = ("plcp", "uso", "opdc", "ufeopl", "plus1", "ueopl", "normalized")
+
 
 def a_alpha(m: Mat, alpha) -> Mat:
     """The cone A_alpha: columns -M_i for i in alpha, e_i otherwise."""

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from potline.circuits import evaluate
+from potline.cli import compose
 from potline.generators import (
     gen_contraction,
     gen_lcp,
@@ -18,30 +19,9 @@ from potline.generators import (
 )
 from potline.problems import LcpInstance, cert, verify
 from potline.rational import lp_pow
-from potline.reductions_lcp import (
-    map_back_lcp,
-    map_back_uso,
-    out_map,
-    plcp_to_eopl,
-    plcp_to_uso,
-)
-from potline.reductions_line import (
-    TrivialInstance,
-    eoml_to_eopl,
-    eopl_to_eoml,
-    normalize_potentials,
-    plus1_to_ueopl,
-    ueopl_to_opdc,
-    ufeopl_to_plus1,
-)
-from potline.reductions_opdc import (
-    contraction_to_opdc,
-    map_back_contraction,
-    map_back_opdc,
-    opdc_to_ufeopl,
-    uso_to_opdc,
-)
-from potline.reductions_opdc import map_back_uso as map_back_uso_opdc
+from potline.reductions_lcp import map_back_uso, out_map, plcp_to_eopl, plcp_to_uso
+from potline.reductions_line import TrivialInstance, plus1_to_ueopl
+from potline.reductions_opdc import uso_to_opdc
 from potline.solvers import (
     RunStats,
     aldous,
@@ -207,45 +187,29 @@ def _mixed_lcps(count, d=2):
 def map_back_families():
     """(name, [(source, brute-force image certificates, map-back)]) for
     every reduction, on mixed good and violated sources."""
-    # P-LCP -> USO
-    pairs = []
-    for inst in _mixed_lcps(100):
-        uso = plcp_to_uso(inst)
-        pairs.append((inst, brute_force(uso), lambda c, i=inst, u=uso: map_back_uso(i, u, c)))
-    yield "plcp->uso", pairs
 
-    # P-LCP -> EOPL
-    pairs = []
-    for inst in _mixed_lcps(100):
-        line, view = plcp_to_eopl(inst)
-        pairs.append((inst, brute_force(line), lambda c, i=inst, v=view: map_back_lcp(i, v, c)))
-    yield "plcp->eopl", pairs
+    def family(step, sources, **brute):
+        pairs = []
+        for src in sources:
+            image, map_back = compose(src, step)
+            pairs.append((src, brute_force(image, **brute), map_back))
+        return pairs
 
-    # USO -> OPDC
-    pairs = []
-    for seed in range(100):
-        uso = gen_uso(2, seed, broken=seed % 2 == 1)
-        view = uso_to_opdc(uso)
-        pairs.append((uso, brute_force(view), lambda c, u=uso: map_back_uso_opdc(u, c)))
-    yield "uso->opdc", pairs
-
-    # Contraction -> OPDC (synthetic small kappa)
-    pairs = []
-    for seed in range(100):
-        inst = gen_contraction(1 + seed % 2, seed, contracting=seed % 3 != 2,
-                               kappa=(4,) * (1 + seed % 2))
-        view = contraction_to_opdc(inst)
-        pairs.append((inst, brute_force(view),
-                      lambda c, i=inst, v=view: map_back_contraction(i, v, c)))
-    yield "contraction->opdc", pairs
+    yield "plcp->uso", family(("plcp", "uso"), _mixed_lcps(100))
+    yield "plcp->eopl", family(("plcp", "eopl"), _mixed_lcps(100))
+    yield "uso->opdc", family(("uso", "opdc"),
+                              (gen_uso(2, seed, broken=seed % 2 == 1) for seed in range(100)))
+    # contraction sources on a synthetic small kappa
+    yield "contraction->opdc", family(("contraction", "opdc"), (
+        gen_contraction(1 + seed % 2, seed, contracting=seed % 3 != 2, kappa=(4,) * (1 + seed % 2))
+        for seed in range(100)))
 
     # OPDC -> UFEOPL (good and violated synthetic grids)
-    pairs = []
+    grids = []
     rng = random.Random(0)
     for seed in range(100):
         if seed % 2 == 0:
-            uso = gen_uso(2, seed)
-            opdc = uso_to_opdc(uso)
+            grids.append(uso_to_opdc(gen_uso(2, seed)))
         else:
             rng.seed(seed)
             table = {}
@@ -256,62 +220,36 @@ def map_back_families():
                                      rng.choice(["up", "down", "zero"])]
             from potline.problems import OpdcInstance
 
-            opdc = OpdcInstance(widths=(k, k), direction=lambda i, p, t=table: t[p][i])
-        line, view = opdc_to_ufeopl(opdc)
-        pairs.append((opdc, brute_force(line, max_certs=500),
-                      lambda c, o=opdc, v=view: map_back_opdc(o, v, c)))
-    yield "opdc->ufeopl", pairs
+            grids.append(OpdcInstance(widths=(k, k), direction=lambda i, p, t=table: t[p][i]))
+    yield "opdc->ufeopl", family(("opdc", "ufeopl"), grids, max_certs=500)
 
-    # UFEOPL -> UFEOPL+1
-    pairs = []
-    for seed in range(100):
-        src = gen_line(5, seed=seed, flavor="ufeopl", two_lines=seed % 2 == 1)
-        line, view = ufeopl_to_plus1(src)
-        pairs.append((src, brute_force(line), lambda c, v=view: v.map_back(c)))
-    yield "ufeopl->plus1", pairs
+    yield "ufeopl->plus1", family(("ufeopl", "plus1"), (
+        gen_line(5, seed=seed, flavor="ufeopl", two_lines=seed % 2 == 1) for seed in range(100)))
+    yield "plus1->ueopl", family(("plus1", "ueopl"), (
+        gen_line(4, seed=seed, flavor="ufeoplplus1", gaps=[1, 1, 1], two_lines=seed % 2 == 1)
+        for seed in range(100)), max_certs=400)
+    yield "normalize", family(("ueopl", "normalized"), (
+        gen_line(5, seed=seed, flavor="ueopl", two_lines=seed % 2 == 1) for seed in range(100)),
+        budget=1 << 18, max_certs=400)
 
-    # UFEOPL+1 -> UniqueEOPL (pebbling)
-    pairs = []
-    for seed in range(100):
-        src = gen_line(4, seed=seed, flavor="ufeoplplus1", gaps=[1, 1, 1],
-                       two_lines=seed % 2 == 1)
-        line, view = plus1_to_ueopl(src)
-        pairs.append((src, brute_force(line, max_certs=400), lambda c, v=view: v.map_back(c)))
-    yield "plus1->ueopl", pairs
-
-    # normalization
-    pairs = []
-    for seed in range(100):
-        src = gen_line(5, seed=seed, flavor="ueopl", two_lines=seed % 2 == 1)
-        line, view = normalize_potentials(src)
-        pairs.append((src, brute_force(line, budget=1 << 18, max_certs=400),
-                      lambda c, v=view: v.map_back(c)))
-    yield "normalize", pairs
-
-    # EOML -> EOPL and EOPL -> EOML
+    # EOPL -> EOML, and EOML -> EOPL on its images
     pairs_a, pairs_b = [], []
     for seed in range(100):
         src = gen_line(6, seed=seed, flavor="eopl", two_lines=seed % 3 == 2)
         try:
-            eoml, view = eopl_to_eoml(src)
+            eoml, map_back = compose(src, ("eopl", "eoml"))
         except TrivialInstance as t:
             assert verify(src, t.certificate)
             continue
-        pairs_a.append((src, brute_force(eoml, max_certs=400), lambda c, v=view: v.map_back(c)))
-        eopl2, view2 = eoml_to_eopl(eoml)
-        pairs_b.append((eoml, brute_force(eopl2, max_certs=400),
-                        lambda c, v=view2: v.map_back(c)))
+        pairs_a.append((src, brute_force(eoml, max_certs=400), map_back))
+        pairs_b += family(("eoml", "eopl"), [eoml], max_certs=400)
     yield "eopl->eoml", pairs_a
     yield "eoml->eopl", pairs_b
 
     # UniqueEOPL -> OPDC (normalized sources)
-    pairs = []
-    for seed in range(100):
-        src = gen_normalized_line(2, seed=seed, two_lines=seed % 2 == 1)
-        opdc, view = ueopl_to_opdc(src)
-        pairs.append((src, brute_force(opdc, budget=1 << 18, max_certs=300),
-                      lambda c, v=view: v.map_back(c)))
-    yield "ueopl->opdc", pairs
+    yield "ueopl->opdc", family(("normalized", "opdc"), (
+        gen_normalized_line(2, seed=seed, two_lines=seed % 2 == 1) for seed in range(100)),
+        budget=1 << 18, max_certs=300)
 
 
 def test_criterion_07_map_back_soundness():
@@ -366,23 +304,23 @@ def test_criterion_08_pebbling_line():
 def test_criterion_09_hardness_round_trip():
     for exp in (1, 2, 3):
         src = gen_normalized_line(exp, seed=exp)
-        opdc, view = ueopl_to_opdc(src)
+        opdc, map_back = compose(src, ("normalized", "opdc"))
         certs = brute_force(opdc, budget=1 << 18)
         o1s = [c for c in certs if c.kind == "O1"]
         assert len(o1s) == 1
         assert not any(c.kind == "OV3" for c in certs)
-        mb = view.map_back(o1s[0])
+        mb = map_back(o1s[0])
         assert mb.kind == "U1" and verify(src, mb)
         assert src.V(mb.x) == (1 << exp) - 1  # decodes to the end of the line
     pair_checked = 0
     for seed in range(6):
         src = gen_normalized_line(2, seed=seed, two_lines=True)
-        opdc, view = ueopl_to_opdc(src)
+        opdc, map_back = compose(src, ("normalized", "opdc"))
         certs = brute_force(opdc, budget=1 << 20, max_certs=3000)
         assert not any(c.kind == "OV3" for c in certs)
         for c in certs:
             if c.kind in ("OV1", "OV2"):
-                mb = view.map_back(c)
+                mb = map_back(c)
                 assert mb.kind == "UV3" and verify(src, mb)
                 pair_checked += 1
     assert pair_checked > 0
@@ -397,13 +335,12 @@ def test_criterion_10_eoml_eopl_equivalence():
         src = gen_line(5 + seed % 4, seed=seed, flavor="eopl")
         seed += 1
         try:
-            eoml, v1 = eopl_to_eoml(src)
+            eopl2, map_back = compose(src, ("eopl", "eoml", "eopl"))
         except TrivialInstance as t:
             assert verify(src, t.certificate)
             continue
-        eopl2, v2 = eoml_to_eopl(eoml)
         c = follow_line(eopl2, 0)
-        back = v1.map_back(v2.map_back(c))
+        back = map_back(c)
         assert verify(src, back)
         solved += 1
     report(10, f"{solved} seeded tables: EOPL -> EOML -> EOPL, follow_line answers map back")

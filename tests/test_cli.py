@@ -311,7 +311,7 @@ CHAINS = [
     ("uso", "uso,opdc,ufeopl,plus1"),
     ("uso", "uso,opdc,ufeopl,plus1,ueopl"),
     ("uso", "uso,opdc,ufeopl,plus1,ueopl,normalized"),
-    ("uso", "uso,opdc,ufeopl,plus1,ueopl,opdc"),
+    ("uso", "uso,opdc,ufeopl,plus1,ueopl,normalized,opdc"),
     ("eopl", "eopl:eoml"),
     ("eoml", "eoml:eopl"),
 ]
@@ -357,6 +357,11 @@ def test_query_matrix_exits_cleanly(files, capsys, source, chain, query):
       for argv, n in [(["reduce", "plcp", "--chain", "plcp:eopl", "--query", "S"], 4),
                       (["solve", "short", "--problem", "line", "--algo", "follow", "--start"], 2)]
       for bits in ("0b1", "1_0", " 11")],
+    # The chain is checked before the file is read, and before the query.
+    (["reduce", "line", "--chain", "foo:eopl"], "no reduction foo -> eopl"),
+    (["reduce", "plcp", "--chain", "plcp:eopl:foo", "--query", "S", "00"], "no reduction eopl -> foo"),
+    # UniqueEOPL -> OPDC needs a normalized source.
+    (["reduce", "line", "--chain", "ueopl:opdc"], "no reduction ueopl -> opdc"),
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
     argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]

@@ -1,4 +1,5 @@
-"""End-to-end composition of the whole reduction web.
+"""End-to-end composition of the whole reduction web through
+`cli.REDUCTIONS` and `cli.compose`.
 
 A P-matrix LCP is pushed through USO -> grid directions -> forward
 potential line -> +1 chains -> pebbling (which restores a predecessor)
@@ -7,49 +8,31 @@ mapping the answer back through every stage must reproduce exactly the
 Lemke solution of the original LCP.
 """
 
-from potline.generators import gen_lcp
-from potline.problems import verify
-from potline.reductions_lcp import map_back_uso, plcp_to_uso
-from potline.reductions_line import normalize_potentials, plus1_to_ueopl, ufeopl_to_plus1
-from potline.reductions_opdc import map_back_opdc, opdc_to_ufeopl, uso_to_opdc
-from potline.reductions_opdc import map_back_uso as map_back_uso_opdc
+import pytest
+
+from potline.cli import REDUCTIONS, UsageError, compose
+from potline.generators import gen_contraction, gen_lcp, gen_line, gen_uso
+from potline.problems import ContractionInstance, LcpInstance, LineInstance, OpdcInstance, UsoInstance
 from potline.solvers import follow_line, lemke
+
+from helpers import FULL_CHAIN, gen_normalized_line
 
 
 def test_full_chain_round_trip():
     for seed in (0, 1, 2):
         lcp = gen_lcp(2, seed, nondegenerate=True)
-        uso = plcp_to_uso(lcp)
-        opdc = uso_to_opdc(uso)
-        ufeopl, v_opdc = opdc_to_ufeopl(opdc)
-        plus1, v_plus1 = ufeopl_to_plus1(ufeopl)
-        ueopl, v_peb = plus1_to_ueopl(plus1)
-        norm, v_norm = normalize_potentials(ueopl)
-
+        norm, map_back = compose(lcp, FULL_CHAIN)
         c = follow_line(norm, 0)
         assert c.kind == "U1"
-
-        c = v_norm.map_back(c)
-        assert verify(ueopl, c)
-        c = v_peb.map_back(c)
-        assert verify(plus1, c)
-        c = v_plus1.map_back(c)
-        assert verify(ufeopl, c)
-        c = map_back_opdc(opdc, v_opdc, c)
-        assert verify(opdc, c)
-        c = map_back_uso_opdc(uso, c)
-        assert verify(uso, c)
-        c = map_back_uso(lcp, uso, c)
-        assert c == lemke(lcp)
+        # Every stage's map-back returns a certificate that verifies there.
+        assert map_back(c) == lemke(lcp)
 
 
 def test_full_chain_walk_lengths():
     lcp = gen_lcp(2, 5, nondegenerate=True)
-    uso = plcp_to_uso(lcp)
-    opdc = uso_to_opdc(uso)
-    ufeopl, _ = opdc_to_ufeopl(opdc)
-    plus1, _ = ufeopl_to_plus1(ufeopl)
-    ueopl, v_peb = plus1_to_ueopl(plus1)
+    plus1, _ = compose(lcp, FULL_CHAIN[:FULL_CHAIN.index("plus1") + 1])
+    view = REDUCTIONS["plus1", "ueopl"](plus1)
+    ueopl = view.image()
     # the pebbled walk is the strategy prefix ending at the line's end
     x, steps = 0, 0
     while True:
@@ -59,4 +42,55 @@ def test_full_chain_walk_lengths():
         assert ueopl.P(nxt) == x
         assert ueopl.V(nxt) == ueopl.V(x) + 1
         x, steps = nxt, steps + 1
-    assert 0 < steps <= v_peb.total
+    assert 0 < steps <= view.total
+
+
+# The instance class of every stage and the line flavors it admits (None
+# for the problems that are not lines).  The Lemke line of plcp -> eopl is
+# a UniqueEOPL line, which is also an EOPL line.
+STAGES = {
+    "plcp": (LcpInstance, None),
+    "uso": (UsoInstance, None),
+    "opdc": (OpdcInstance, None),
+    "contraction": (ContractionInstance, None),
+    "eopl": (LineInstance, {"eopl", "ueopl"}),
+    "eoml": (LineInstance, {"eoml"}),
+    "ufeopl": (LineInstance, {"ufeopl"}),
+    "plus1": (LineInstance, {"ufeoplplus1"}),
+    "ueopl": (LineInstance, {"ueopl"}),
+    "normalized": (LineInstance, {"ueopl"}),
+}
+
+# A small source for every stage a reduction starts from.
+SOURCES = {
+    "plcp": lambda: gen_lcp(2, 0, nondegenerate=True),
+    "uso": lambda: gen_uso(2, 0),
+    "opdc": lambda: compose(gen_uso(2, 0), ("uso", "opdc"))[0],
+    "contraction": lambda: gen_contraction(1, 0, kappa=(4,)),
+    "eopl": lambda: gen_line(8, 1, flavor="eopl"),
+    "eoml": lambda: gen_line(8, 1, flavor="eoml"),
+    "ufeopl": lambda: gen_line(5, 0, flavor="ufeopl"),
+    "plus1": lambda: gen_line(4, 0, flavor="ufeoplplus1", gaps=[1, 1, 1]),
+    "ueopl": lambda: gen_line(5, 0, flavor="ueopl"),
+    "normalized": lambda: gen_normalized_line(2, 0),
+}
+
+
+def _is_stage(inst, stage) -> bool:
+    cls, flavors = STAGES[stage]
+    return type(inst) is cls and (flavors is None or inst.flavor in flavors)
+
+
+def test_reductions_table(monkeypatch):
+    # Each entry's image is an instance of the kind and flavor its target
+    # stage names.
+    for step in REDUCTIONS:
+        src = SOURCES[step[0]]()
+        assert _is_stage(src, step[0]), step
+        assert _is_stage(compose(src, step)[0], step[1]), step
+    # An unknown step anywhere in the chain raises before any view is built.
+    built = []
+    monkeypatch.setitem(REDUCTIONS, ("plcp", "uso"), built.append)
+    with pytest.raises(UsageError, match="no reduction uso -> foo"):
+        compose(gen_lcp(2, 0), ("plcp", "uso", "foo"))
+    assert built == []

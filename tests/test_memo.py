@@ -22,11 +22,11 @@ from potline.problems import (
     line_from_tables,
     verify,
 )
-from potline.reductions_lcp import map_back_uso, plcp_to_eopl, plcp_to_uso
-from potline.reductions_line import normalize_potentials, plus1_to_ueopl, ufeopl_to_plus1
-from potline.reductions_opdc import map_back_opdc, opdc_to_ufeopl, uso_to_opdc
-from potline.reductions_opdc import map_back_uso as map_back_uso_opdc
+from potline.cli import REDUCTIONS
+from potline.reductions_lcp import plcp_to_eopl
 from potline.solvers import RunStats, follow_line, lemke
+
+from helpers import FULL_CHAIN
 
 
 def test_missing_predecessor_raises_on_every_call():
@@ -54,25 +54,17 @@ def test_off_grid_raises_on_every_call():
 # -- the chain plcp -> uso -> opdc -> ufeopl -> plus1 -> ueopl -> normalized ----
 
 def _chain(lcp, wrap=lambda stage, inst: inst):
-    """The full chain; `wrap(stage, inst)` may rebuild each instance."""
-    uso = wrap("uso", plcp_to_uso(lcp))
-    opdc = wrap("opdc", uso_to_opdc(uso))
-    ufeopl, v_opdc = opdc_to_ufeopl(opdc)
-    ufeopl = wrap("ufeopl", ufeopl)
-    plus1, v_plus1 = ufeopl_to_plus1(ufeopl)
-    plus1 = wrap("plus1", plus1)
-    ueopl, v_peb = plus1_to_ueopl(plus1)
-    ueopl = wrap("ueopl", ueopl)
-    norm, v_norm = normalize_potentials(ueopl)
-    backs = [
-        (ueopl, v_norm.map_back),
-        (plus1, v_peb.map_back),
-        (ufeopl, v_plus1.map_back),
-        (opdc, lambda c: map_back_opdc(opdc, v_opdc, c)),
-        (uso, lambda c: map_back_uso_opdc(uso, c)),
-        (lcp, lambda c: map_back_uso(lcp, uso, c)),
-    ]
-    return norm, backs
+    """The full chain through `REDUCTIONS`, and each stage's (source,
+    map-back) from the last stage to the first; `wrap(stage, inst)` may
+    rebuild each instance between the first and the last."""
+    inst, backs = lcp, []
+    for step in zip(FULL_CHAIN, FULL_CHAIN[1:]):
+        view = REDUCTIONS[step](inst)
+        backs.insert(0, (inst, view.map_back))
+        inst = view.image()
+        if step[1] != FULL_CHAIN[-1]:
+            inst = wrap(step[1], inst)
+    return inst, backs
 
 
 def _solve_chain(norm, backs, stats=None):

@@ -3,12 +3,12 @@ import pytest
 from potline.generators import gen_line
 from potline.problems import UnmappableCert, cert, line_from_tables, verify
 from potline.reductions_line import (
+    EomlToEopl,
+    EoplToEoml,
     TrivialInstance,
-    eoml_to_eopl,
-    eopl_to_eoml,
+    UeoplToOpdc,
     normalize_potentials,
     plus1_to_ueopl,
-    ueopl_to_opdc,
     ufeopl_to_plus1,
 )
 from potline.solvers import brute_force, follow_line
@@ -38,7 +38,8 @@ def eoml_line(length=4, seed=0):
 
 def test_eoml_to_eopl_structure():
     src = eoml_line(3)
-    line, view = eoml_to_eopl(src)
+    view = EomlToEopl(src)
+    line = view.image()
     assert line.S(0) == 1 << src.n  # S'(0^{n+1}) = (1, 0^n)
     junk = 2  # (0, u) with u != 0
     assert line.S(junk) == junk and line.P(junk) == junk
@@ -50,7 +51,8 @@ def test_eoml_to_eopl_structure():
 
 def test_eoml_to_eopl_map_back():
     src = eoml_line(5, seed=2)
-    line, view = eoml_to_eopl(src)
+    view = EomlToEopl(src)
+    line = view.image()
     c = follow_line(line, 0)
     assert verify(src, view.map_back(c))
     for cc in brute_force(line):
@@ -62,7 +64,8 @@ def test_eoml_to_eopl_map_back():
 def test_eopl_to_eoml_chains():
     # gap-3 edge becomes a chain with V' increasing by exactly 1
     src = gen_line(4, seed=0, flavor="eopl", gaps=[1, 3, 1])
-    line, view = eopl_to_eoml(src)
+    view = EoplToEoml(src)
+    line = view.image()
     x = 0
     seen = [line.V(x)]
     while True:
@@ -78,27 +81,30 @@ def test_eopl_to_eoml_chains():
 def test_eopl_to_eoml_trivial_guard():
     src = line_from_tables(2, {0: 1}, {1: 0}, {1: 1}, flavor="eopl")
     with pytest.raises(TrivialInstance):
-        eopl_to_eoml(src)
+        EoplToEoml(src)
 
 
 def test_eopl_to_eoml_round_trip():
     for seed in range(8):
         src = gen_line(6, seed=seed, flavor="eopl")
         try:
-            eoml, v1 = eopl_to_eoml(src)
+            v1 = EoplToEoml(src)
+            eoml = v1.image()
         except TrivialInstance as t:
             assert verify(src, t.certificate)
             continue
         c = follow_line(eoml, 0)
         assert verify(src, v1.map_back(c))
-        eopl2, v2 = eoml_to_eopl(eoml)
+        v2 = EomlToEopl(eoml)
+        eopl2 = v2.image()
         c2 = follow_line(eopl2, 0)
         assert verify(src, v1.map_back(v2.map_back(c2)))
 
 
 def test_eopl_to_eoml_exhaustive_map_back():
     src = gen_line(5, seed=4, flavor="eopl")
-    eoml, view = eopl_to_eoml(src)
+    view = EoplToEoml(src)
+    eoml = view.image()
     for cc in brute_force(eoml):
         assert verify(src, view.map_back(cc))
 
@@ -236,7 +242,8 @@ def test_normalize_map_backs():
 def test_ueopl_to_opdc_single_lines():
     for exp in (1, 2, 3):
         src = gen_normalized_line(exp, seed=exp)
-        opdc, view = ueopl_to_opdc(src)
+        view = UeoplToOpdc(src)
+        opdc = view.image()
         certs = brute_force(opdc, budget=1 << 18)
         o1s = [c for c in certs if c.kind == "O1"]
         assert len(o1s) == 1
@@ -249,7 +256,8 @@ def test_ueopl_to_opdc_single_lines():
 def test_ueopl_to_opdc_two_lines():
     for seed in range(4):
         src = gen_normalized_line(2, seed=seed, two_lines=True)
-        opdc, view = ueopl_to_opdc(src)
+        view = UeoplToOpdc(src)
+        opdc = view.image()
         certs = brute_force(opdc, budget=1 << 20, max_certs=4000)
         assert not any(c.kind == "OV3" for c in certs)
         for c in certs:
@@ -262,7 +270,8 @@ def test_ueopl_to_opdc_two_lines():
 
 def test_ueopl_to_opdc_subline_decode():
     src = gen_normalized_line(2, seed=9)
-    opdc, view = ueopl_to_opdc(src)
+    view = UeoplToOpdc(src)
+    opdc = view.image()
     # decode of the unique O1 equals the end of the line
     o1 = [c for c in brute_force(opdc, budget=1 << 18) if c.kind == "O1"][0]
     _, dec = view.decode(o1.p)

@@ -14,9 +14,8 @@ from potline.problems import (
 )
 from potline.reductions_lcp import plcp_to_uso
 from potline.reductions_opdc import (
+    ContractionToOpdc,
     compute_kappa,
-    contraction_to_opdc,
-    map_back_contraction,
     map_back_opdc,
     map_back_uso,
     opdc_to_ufeopl,
@@ -70,7 +69,7 @@ def test_violation_free_sources_have_unique_o1():
         for d in (1, 2):
             # generated fixpoints are 16ths, so a 2^5 grid contains them
             inst = gen_contraction(d, seed, kappa=(5,) * d)
-            certs = brute_force(contraction_to_opdc(inst), budget=1 << 17)
+            certs = brute_force(ContractionToOpdc(inst).image(), budget=1 << 17)
             assert [c.kind for c in certs] == ["O1"], (seed, d, certs)
 
 
@@ -121,41 +120,45 @@ def test_kappa_monotone():
 def test_contraction_to_opdc_fixpoint_on_grid():
     circ = affine_circuit([[F(1, 2)]], [F(1, 4)])
     inst = ContractionInstance(d=1, c=F(1, 2), p=2, circuit=circ, kappa=(4,))
-    opdc = contraction_to_opdc(inst)
+    view = ContractionToOpdc(inst)
+    opdc = view.image()
     o1 = [c for c in brute_force(opdc) if c.kind == "O1"]
     assert len(o1) == 1 and o1[0].p == (8,)  # 8/16 = 1/2
-    assert map_back_contraction(inst, opdc, o1[0]) == cert("CM1", x=[F(1, 2)])
+    assert view.map_back(o1[0]) == cert("CM1", x=[F(1, 2)])
 
 
 def test_identity_grid_all_o1_and_ov1():
     circ = affine_circuit([[F(1)]], [F(0)])
     inst = ContractionInstance(d=1, c=F(1, 2), p=2, circuit=circ, kappa=(2,))
-    opdc = contraction_to_opdc(inst)
+    view = ContractionToOpdc(inst)
+    opdc = view.image()
     certs = brute_force(opdc)
     o1s = [c for c in certs if c.kind == "O1"]
     ov1s = [c for c in certs if c.kind == "OV1"]
     assert len(o1s) == 5 and ov1s
-    mb = map_back_contraction(inst, opdc, ov1s[0])
+    mb = view.map_back(ov1s[0])
     assert mb.kind == "CMV1" and verify(inst, mb)
 
 
 def test_escaping_map_gives_ov3_cmv2():
     circ = affine_circuit([[F(1)]], [F(1, 2)])  # f(x) = x + 1/2
     inst = ContractionInstance(d=1, c=F(1, 2), p=2, circuit=circ, kappa=(2,))
-    opdc = contraction_to_opdc(inst)
+    view = ContractionToOpdc(inst)
+    opdc = view.image()
     ov3 = [c for c in brute_force(opdc) if c.kind == "OV3"]
     assert ov3
-    mb = map_back_contraction(inst, opdc, ov3[0])
+    mb = view.map_back(ov3[0])
     assert mb.kind == "CMV2" and verify(inst, mb)
 
 
 def test_ov2_maps_to_cmv3():
     # f(x) = clamp(-2x + 3/17): adjacent flip around 1/17 on a 2^4 grid
     inst = gen_contraction(1, seed=0, contracting=False, kappa=(4,))
-    opdc = contraction_to_opdc(inst)
+    view = ContractionToOpdc(inst)
+    opdc = view.image()
     ov2 = [c for c in brute_force(opdc) if c.kind == "OV2"]
     assert ov2
-    mb = map_back_contraction(inst, opdc, ov2[0])
+    mb = view.map_back(ov2[0])
     assert mb.kind == "CMV3" and verify(inst, mb)
 
 

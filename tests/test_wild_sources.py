@@ -1,15 +1,13 @@
-"""Adversarial map-back sweeps: completely unstructured sources, every
-certificate of the image mapped back and verified."""
+"""Adversarial map-back sweeps: completely unstructured sources reduced
+through `cli.compose`, every certificate of the image mapped back and
+verified."""
 
 import random
 from fractions import Fraction as F
 from itertools import product
 
-from potline.problems import LcpInstance, OpdcInstance, UsoInstance, verify
-from potline.reductions_lcp import map_back_lcp, plcp_to_eopl
-from potline.reductions_line import plus1_to_ueopl, ufeopl_to_plus1
-from potline.reductions_opdc import map_back_opdc, map_back_uso, opdc_to_ufeopl, uso_to_opdc
-from potline.problems import line_from_tables
+from potline.cli import compose
+from potline.problems import LcpInstance, OpdcInstance, UsoInstance, line_from_tables, verify
 from potline.solvers import brute_force
 
 # Each sweep yields (label, source, brute-force image certificates, map-back).
@@ -25,8 +23,8 @@ def wild_lcp_matrices():
         if all(v >= 0 for v in q):
             continue
         inst = LcpInstance(M=m, q=q)
-        line, view = plcp_to_eopl(inst)
-        yield trial, inst, brute_force(line), lambda c, i=inst, v=view: map_back_lcp(i, v, c)
+        line, map_back = compose(inst, ("plcp", "eopl"))
+        yield trial, inst, brute_force(line), map_back
 
 
 def wild_orientations():
@@ -39,8 +37,8 @@ def wild_orientations():
             for v in range(1 << n)
         }
         uso = UsoInstance(n=n, orient=table.get)
-        opdc = uso_to_opdc(uso)
-        yield trial, uso, brute_force(opdc, max_certs=300), lambda c, u=uso: map_back_uso(u, c)
+        opdc, map_back = compose(uso, ("uso", "opdc"))
+        yield trial, uso, brute_force(opdc, max_certs=300), map_back
 
 
 def wild_opdc_grids():
@@ -53,9 +51,8 @@ def wild_opdc_grids():
         for p in product(*[range(k + 1) for k in widths]):
             table[p] = [rng.choice(["up", "down", "zero"]) for _ in range(d)]
         inst = OpdcInstance(widths=widths, direction=lambda i, p, t=table: t[p][i])
-        line, view = opdc_to_ufeopl(inst)
-        yield ((trial, widths), inst, brute_force(line, max_certs=300),
-               lambda c, i=inst, v=view: map_back_opdc(i, v, c))
+        line, map_back = compose(inst, ("opdc", "ufeopl"))
+        yield (trial, widths), inst, brute_force(line, max_certs=300), map_back
 
 
 def wild_forward_lines():
@@ -71,8 +68,8 @@ def wild_forward_lines():
                 s[x] = rng.randrange(size)
             v[x] = rng.randrange(8)
         src = line_from_tables(n, s, None, v, flavor="ufeopl")
-        plus1, view = ufeopl_to_plus1(src)
-        yield trial, src, brute_force(plus1, max_certs=300), view.map_back
+        plus1, map_back = compose(src, ("ufeopl", "plus1"))
+        yield trial, src, brute_force(plus1, max_certs=300), map_back
 
 
 def wild_plus1_lines():
@@ -88,8 +85,8 @@ def wild_plus1_lines():
                 s[x] = rng.randrange(size)
             v[x] = rng.randrange(6)
         src = line_from_tables(n, s, None, v, flavor="ufeoplplus1", m_pot=3)
-        ueopl, view = plus1_to_ueopl(src)
-        yield trial, src, brute_force(ueopl, max_certs=300), view.map_back
+        ueopl, map_back = compose(src, ("plus1", "ueopl"))
+        yield trial, src, brute_force(ueopl, max_certs=300), map_back
 
 
 WILD_SWEEPS = {
