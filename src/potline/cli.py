@@ -45,11 +45,12 @@ _GENERATORS = {
 }
 
 # (source stage, target stage) -> the reduction view class.  A stage that is
-# not a problem kind of `problems.KINDS` is a line stage; `normalized` is a
-# UniqueEOPL line whose every edge raises the potential by exactly 1.
+# not a problem kind of `problems.KINDS` is a line stage named by its flavor
+# (Lemke's line is a UniqueEOPL line); `normalized` is a UniqueEOPL line whose
+# every edge raises the potential by exactly 1.
 REDUCTIONS = {
     ("plcp", "uso"): reductions_lcp.PlcpToUso,
-    ("plcp", "eopl"): reductions_lcp.PlcpLineView,
+    ("plcp", "ueopl"): reductions_lcp.PlcpLineView,
     ("uso", "opdc"): reductions_opdc.UsoToOpdc,
     ("contraction", "opdc"): reductions_opdc.ContractionToOpdc,
     ("opdc", "ufeopl"): reductions_opdc.OpdcLineView,
@@ -264,7 +265,7 @@ def build_parser():
     r = sub.add_parser("reduce", help="compose lazy reduction views and query them")
     r.add_argument("file")
     r.add_argument("--chain", required=True,
-                   help="source:target[:target...] or comma separated, e.g. plcp:eopl")
+                   help="source:target[:target...] or comma separated, e.g. plcp:ueopl")
     r.add_argument("--query", nargs="+", default=None,
                    help="S <bits> | P <bits> | V <bits> | D <dim> <point>")
     r.set_defaults(func=cmd_reduce)

@@ -210,9 +210,16 @@ class OpdcInstance:
         return len(self.widths)
 
     def check_point(self, p) -> tuple:
+        """p as a tuple; raises OffGrid naming the first bad coordinate (or
+        the coordinate count) and the grid's dimension count, not its
+        widths, which may run to thousands."""
         p = tuple(p)
-        if len(p) != self.d or any(not (0 <= p[i] <= self.widths[i]) for i in range(self.d)):
-            raise OffGrid(f"{p} not on grid {self.widths}")
+        if len(p) != self.d:
+            raise OffGrid(f"point has {len(p)} coordinates; the grid has {self.d} dimensions")
+        for i, (x, k) in enumerate(zip(p, self.widths)):
+            if not 0 <= x <= k:
+                raise OffGrid(f"coordinate {i} of the point is {x}, outside 0..{k} "
+                              f"(the grid has {self.d} dimensions)")
         return p
 
     def D(self, i: int, p) -> str:

@@ -11,6 +11,9 @@ verifies on the source or raises UnmappableCert.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
+from . import problems
 from .problems import (
     DOWN,
     UP,
@@ -281,8 +284,13 @@ def _undo(mv):
 class PebblingView(LineView):
     """Vertices are pebbling configurations ((v_1, a_1), ..., (v_np, a_np))
     of the optimal strategy; the potential is the move index.  The
-    strategy step is recovered from the configuration alone by structural
-    recursion on the highest pebble, which makes both circuits stateless.
+    strategy step is recovered from the configuration alone, which makes
+    both circuits stateless.
+
+    Each code is decoded, validated against the source and indexed once
+    per view: `successor`, `predecessor` and `potential` all read
+    `_state(code)`, kept in a dict emptied when it reaches
+    ORACLE_CACHE_SIZE.  `index_of` and `move` are loops over the pebbles.
     """
 
     flavor = "ueopl"
@@ -301,6 +309,9 @@ class PebblingView(LineView):
         self.nbits = self.n_peb * self.entry
         self.total = self._t(self.n_peb)
         self.m_pot = max(1, self.total.bit_length())
+        # A plain dict, not a memo of a bound method, which would make a
+        # reference cycle through the view.
+        self._states: dict[int, tuple | None] = {}
 
     @staticmethod
     def _t(n):
@@ -334,68 +345,76 @@ class PebblingView(LineView):
         return code
 
     def index_of(self, config):
-        """Move count of a strategy state, or None for non-states."""
-        placed = {i + 1: entry[1] for i, entry in enumerate(config) if entry is not None}
-        return self._index(self.n_peb, 0, placed)
+        """Move count of a strategy state, or None for non-states.
 
-    def _index(self, n, base, placed):
-        if not placed:
-            return 0
-        if n == 1:
-            pos = placed.get(1)
-            if pos == base + 1 and len(placed) == 1:
-                return 1
-            return None
-        t1 = self._t(n - 1)
-        half = 1 << (n - 1)
-        pn = placed.get(n)
-        sub = {k: v for k, v in placed.items() if k != n}
-        if pn is None:
-            if any(v >= base + half for v in sub.values()):
+        Read against `move`: when pebble n is placed, at mid = base +
+        2^(n-1), 3^(n-1) moves lie behind it, less the count of pebbles
+        1..n-1 when they all lie below mid (their moves are being undone)
+        and plus their count from base mid otherwise.  The loop walks the
+        pebbles down and keeps the count as offset + sign * (count of the
+        rest).  A pebble off the strategy fails the position check at its
+        own level, so the only other input is the top position below it."""
+        pos = [-1 if entry is None else entry[1] for entry in config]
+        hi = [-1, *accumulate(pos, max)]  # hi[k]: top position of pebbles 1..k
+        offset, sign, base = 0, 1, 0
+        for n in range(len(pos), 0, -1):
+            if pos[n - 1] < 0:
+                continue
+            mid = base + (1 << (n - 1))
+            if pos[n - 1] != mid:
                 return None
-            return self._index(n - 1, base, sub)
-        if pn != base + half:
+            offset += sign * 3 ** (n - 1)
+            if hi[n - 1] < mid:
+                sign = -sign
+            else:
+                base = mid
+        return offset
+
+    def _state(self, code):
+        """(config, move index) of a valid code, else None: the code
+        decodes, each pebble's label is a source vertex whose potential is
+        the pebble's position, and the positions are a strategy state."""
+        states = self._states
+        if code not in states:
+            if len(states) >= problems.ORACLE_CACHE_SIZE:
+                states.clear()
+            states[code] = self._compute_state(code)
+        return states[code]
+
+    def _compute_state(self, code):
+        config = self.decode(code)
+        if config is None:
             return None
-        if not sub:
-            return 2 * t1 + 1
-        if all(v < base + half for v in sub.values()):
-            ts = self._index(n - 1, base, sub)
-            return None if ts is None else t1 + 1 + (t1 - ts)
-        if all(v > base + half for v in sub.values()):
-            ts = self._index(n - 1, base + half, sub)
-            return None if ts is None else 2 * t1 + 1 + ts
-        return None
+        src = self.src
+        for entry in config:
+            if entry is not None:
+                v, a = entry
+                if src.V(v) != a or src.S(v) == v:
+                    return None
+        t = self.index_of(config)
+        return None if t is None else (config, t)
 
     def move(self, t):
         """The t-th move (0-indexed) of the optimal strategy: a tuple
-        (op, pebble, position)."""
-        return self._move(self.n_peb, 0, t)
-
-    def _move(self, n, base, t):
-        if n == 1:
-            return ("place", 1, base + 1)
+        (op, pebble, position).  The n pebble strategy runs the n-1 pebble
+        one (t(n-1) moves), places pebble n at base + 2^(n-1), undoes the
+        n-1 pebble moves in reverse and runs them again from base +
+        2^(n-1); the loop walks down to the level that makes move t,
+        counting the reversals."""
+        n, base, undone = self.n_peb, 0, False
         t1 = self._t(n - 1)
-        half = 1 << (n - 1)
-        if t < t1:
-            return self._move(n - 1, base, t)
-        if t == t1:
-            return ("place", n, base + half)
-        if t < 2 * t1 + 1:
-            rev = t - (t1 + 1)
-            return _undo(self._move(n - 1, base, t1 - 1 - rev))
-        return self._move(n - 1, base + half, t - (2 * t1 + 1))
-
-    def is_vertex_config(self, config):
-        if config is None:
-            return False
-        src = self.src
-        for entry in config:
-            if entry is None:
-                continue
-            v, a = entry
-            if src.V(v) != a or src.S(v) == v:
-                return False
-        return self.index_of(config) is not None
+        while n > 1:
+            if t == t1:
+                mv = ("place", n, base + (1 << (n - 1)))
+                break
+            if t1 < t < 2 * t1 + 1:
+                t, undone = 2 * t1 - t, not undone
+            elif t > 2 * t1:
+                t, base = t - (2 * t1 + 1), base + (1 << (n - 1))
+            n, t1 = n - 1, (t1 - 1) // 3
+        else:
+            mv = ("place", 1, base + 1)
+        return _undo(mv) if undone else mv
 
     # -- moves against the source line ------------------------------------------
     def _label_at(self, config, pos):
@@ -436,10 +455,10 @@ class PebblingView(LineView):
         return config
 
     def successor(self, code):
-        config = self.decode(code)
-        if not self.is_vertex_config(config):
+        state = self._state(code)
+        if state is None:
             return code
-        t = self.index_of(config)
+        config, t = state
         if t >= self.total:
             return code
         nxt = self._apply(config, self.move(t))
@@ -452,20 +471,18 @@ class PebblingView(LineView):
         return code
 
     def predecessor(self, code):
-        config = self.decode(code)
-        if not self.is_vertex_config(config):
+        state = self._state(code)
+        if state is None:
             return code
-        t = self.index_of(config)
+        config, t = state
         if t == 0:
             return code
         prev = self._apply(config, _undo(self.move(t - 1)))
         return code if prev is None else self.encode(prev)
 
     def potential(self, code):
-        config = self.decode(code)
-        if not self.is_vertex_config(config):
-            return 0
-        return self.index_of(config)
+        state = self._state(code)
+        return 0 if state is None else state[1]
 
     def enumerate_codes(self):
         """All valid configs: strategy states crossed with the potential
@@ -526,10 +543,10 @@ class PebblingView(LineView):
     def candidates(self, c):
         # UV1 cannot occur: the pebbling potential increases by exactly 1.
         if c.kind in ("U1", "UV2"):
-            config = self.decode(c.x)
-            if not self.is_vertex_config(config):
+            state = self._state(c.x)
+            if state is None:
                 return
-            t = self.index_of(config)
+            config, t = state
             if c.kind == "UV2":
                 if t > 0:  # the start config has no predecessor to stall on
                     yield from self._stall_candidates(config, _undo(self.move(t - 1)))
@@ -555,6 +572,19 @@ def plus1_to_ueopl(src: LineInstance):
 # Potential normalization (every edge +1; ends at potential 2^n - 1)
 
 class NormalizeView(LineView):
+    """Code (v, i), v in the high bits, is step i of the chain of +1 edges
+    that replaces the source edge v -> S(v), as long as the edge's
+    potential gap; at an end of the line v, a dummy tail climbs to
+    potential 2^low_bits - 1 and then points at 0.
+
+    What a step needs of the source vertex v is read from the source once
+    per view and kept in `_records`, a dict emptied when it reaches
+    ORACLE_CACHE_SIZE: the code at the top of v's chain (S(v)'s code, or 0
+    for a tail) and the chain's last index (-1 for a junk label).  A chain
+    or tail step is then a dict read and an add.  Only (v, 0)'s
+    predecessor, which enters from P(v)'s chain, asks the source again.
+    """
+
     flavor = "ueopl"
 
     def __init__(self, src: LineInstance):
@@ -565,49 +595,44 @@ class NormalizeView(LineView):
         self.top = (1 << self.low_bits) - 1
         self.nbits = src.n + self.low_bits
         self.m_pot = self.low_bits
+        self._records: dict[int, tuple[int, int]] = {}
+
+    def _record(self, v):
+        """Reads the record of source vertex v from the source, keeps it and
+        returns it: (code after v's chain, the chain's last index).  The
+        oracles ask `_records` first; a record is a non-empty tuple, so a
+        hit costs no call."""
+        src = self.src
+        sv = src.S(v)
+        if sv == v and src.P(v) == v:
+            rec = 0, -1  # junk label
+        elif src.P(sv) != v or sv == v:  # v is an end of line: dummy tail
+            rec = 0, self.top - src.V(v)  # 0 makes the top an end: P(0) = 0
+        else:
+            rec = sv << self.low_bits, src.V(sv) - src.V(v) - 1
+        if len(self._records) >= problems.ORACLE_CACHE_SIZE:
+            self._records.clear()
+        self._records[v] = rec
+        return rec
 
     def successor(self, x):
-        src = self.src
         v, i = x >> self.low_bits, x & self.top
-        sv = src.S(v)
-        if sv == v and src.P(v) == v:
-            return x  # junk label
-        if src.P(sv) != v or sv == v:  # v is an end of line: dummy tail
-            tot = src.V(v) + i
-            if tot > self.top:
-                return x
-            if tot == self.top:
-                return 0  # makes x an end: P(0) = 0 != x
-        else:
-            gap = src.V(sv) - src.V(v)
-            if gap == i + 1:
-                return sv << self.low_bits
-            if gap < i + 1:
-                return x
-        # (v, i + 1); _join keeps an overflow (V outside [0, 2^m_pot)) in range
-        return x + 1 if i < self.top else self._join(v, i + 1)
+        after, last = self._records.get(v) or self._record(v)
+        if i < last:
+            # (v, i + 1); _join keeps an overflow (V outside [0, 2^m_pot)) in range
+            return x + 1 if i < self.top else self._join(v, i + 1)
+        return after if i == last else x
 
     def predecessor(self, x):
-        src = self.src
-        v, i = x >> self.low_bits, x & self.top
         if x == 0:
             return 0
-        sv = src.S(v)
-        if sv == v and src.P(v) == v:
+        v, i = x >> self.low_bits, x & self.top
+        if i > (self._records.get(v) or self._record(v))[1]:
             return x
-        if src.P(sv) != v or sv == v:
-            tot = src.V(v) + i
-            if tot > self.top:
-                return x
-            if i > 0:
-                return x - 1
-        else:
-            gap = src.V(sv) - src.V(v)
-            if gap < i + 1:
-                return x
-            if i > 0:
-                return x - 1
+        if i > 0:
+            return x - 1
         # i == 0: enter through the source predecessor's chain
+        src = self.src
         w = src.P(v)
         if w == v or src.S(w) != v or src.V(v) <= src.V(w):
             return x

@@ -54,6 +54,59 @@ def gen_normalized_line(exponent: int, seed: int, two_lines: bool = False) -> Li
     return line_from_tables(n, s_table, p_table, v_table, flavor="ueopl", m_pot=exponent)
 
 
+def pebbling_index(config):
+    """Reference for `PebblingView.index_of`, by structural recursion on the
+    highest pebble: the move count of a strategy state, or None."""
+    placed = {i + 1: entry[1] for i, entry in enumerate(config) if entry is not None}
+    return _pebbling_index(len(config), 0, placed)
+
+
+def _pebbling_index(n, base, placed):
+    if not placed:
+        return 0
+    if n == 1:
+        pos = placed.get(1)
+        if pos == base + 1 and len(placed) == 1:
+            return 1
+        return None
+    t1 = (3 ** (n - 1) - 1) // 2
+    half = 1 << (n - 1)
+    pn = placed.get(n)
+    sub = {k: v for k, v in placed.items() if k != n}
+    if pn is None:
+        if any(v >= base + half for v in sub.values()):
+            return None
+        return _pebbling_index(n - 1, base, sub)
+    if pn != base + half:
+        return None
+    if not sub:
+        return 2 * t1 + 1
+    if all(v < base + half for v in sub.values()):
+        ts = _pebbling_index(n - 1, base, sub)
+        return None if ts is None else t1 + 1 + (t1 - ts)
+    if all(v > base + half for v in sub.values()):
+        ts = _pebbling_index(n - 1, base + half, sub)
+        return None if ts is None else 2 * t1 + 1 + ts
+    return None
+
+
+def pebbling_move(n, t, base=0):
+    """Reference for `PebblingView.move` with n pebbles, by recursion on
+    the highest pebble."""
+    if n == 1:
+        return ("place", 1, base + 1)
+    t1 = (3 ** (n - 1) - 1) // 2
+    half = 1 << (n - 1)
+    if t < t1:
+        return pebbling_move(n - 1, t, base)
+    if t == t1:
+        return ("place", n, base + half)
+    if t < 2 * t1 + 1:
+        op, peb, pos = pebbling_move(n - 1, t1 - 1 - (t - (t1 + 1)), base)
+        return ("remove" if op == "place" else "place", peb, pos)
+    return pebbling_move(n - 1, t - (2 * t1 + 1), base + half)
+
+
 def check_schedule(p: int, d: int, eps: Fraction) -> bool:
     """Exact check of sum_{i<k} p*eps_i <= eps_k^p for every k <= d."""
     es = eps_schedule(p, d, eps)

@@ -196,7 +196,7 @@ def map_back_families():
         return pairs
 
     yield "plcp->uso", family(("plcp", "uso"), _mixed_lcps(100))
-    yield "plcp->eopl", family(("plcp", "eopl"), _mixed_lcps(100))
+    yield "plcp->eopl", family(("plcp", "ueopl"), _mixed_lcps(100))
     yield "uso->opdc", family(("uso", "opdc"),
                               (gen_uso(2, seed, broken=seed % 2 == 1) for seed in range(100)))
     # contraction sources on a synthetic small kappa

@@ -39,7 +39,7 @@ def test_solve_worked_lcp(tmp_path, capsys):
 def test_reduce_query_v_zero(tmp_path, capsys):
     f = tmp_path / "lcp.json"
     f.write_text(json.dumps({"M": [["2", "1"], ["1", "2"]], "q": ["-1", "-1"]}))
-    code, out = run(capsys, "reduce", str(f), "--chain", "plcp:eopl",
+    code, out = run(capsys, "reduce", str(f), "--chain", "plcp:ueopl",
                     "--query", "V", "0000")
     assert code == 0
     assert json.loads(out)["answer"] == 0
@@ -84,7 +84,7 @@ def test_reduce_queries_are_pure(tmp_path, capsys):
     f.write_text(json.dumps({"M": [["2", "1"], ["1", "2"]], "q": ["-1", "-1"]}))
     outs = set()
     for _ in range(2):
-        code, out = run(capsys, "reduce", str(f), "--chain", "plcp:eopl",
+        code, out = run(capsys, "reduce", str(f), "--chain", "plcp:ueopl",
                         "--query", "S", "0000")
         assert code == 0
         outs.add(out)
@@ -304,7 +304,7 @@ def test_solve_matrix_exits_cleanly(files, capsys, problem, algo):
 
 CHAINS = [
     ("plcp", "plcp:uso"),
-    ("plcp", "plcp:eopl"),
+    ("plcp", "plcp:ueopl"),
     ("uso", "uso:opdc"),
     ("contraction", "contraction:opdc"),
     ("opdc", "opdc:ufeopl"),
@@ -329,17 +329,36 @@ def test_query_matrix_exits_cleanly(files, capsys, source, chain, query):
         assert code == 2 and f"applies to {applies_to} views" in err
 
 
+def test_reduce_lemke_line_to_normalized(files, capsys):
+    code, out, err = run_err(capsys, "reduce", files["plcp"], "--chain", "plcp:ueopl:normalized",
+                             "--query", "V", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["answer"] == 0
+
+
+def test_off_grid_message_names_the_coordinate_not_the_widths(files, capsys):
+    # The grid of this chain has over a thousand dimensions; the error names
+    # the point's coordinate count and the grid's dimension count.
+    code, out, err = run_err(capsys, "reduce", files["uso"], "--chain",
+                             "uso,opdc,ufeopl,plus1,ueopl,normalized,opdc", "--query", "D", "0", "0,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: point has 2 coordinates; the grid has ") and err.count("\n") == 1
+    assert len(err) < 80, err
+    code, _, err = run_err(capsys, "reduce", files["uso"], "--chain", "uso:opdc", "--query", "D", "0", "0,3")
+    assert code == 2 and "coordinate 1 of the point is 3, outside 0..1 (the grid has 2 dimensions)" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "plcp", "--problem", "plcp", "--algo", "follow"], "--algo follow solves line, not plcp"),
     (["solve", "plcp", "--problem", "plcp", "--algo", "findfp"],
      "--algo findfp solves contraction, not plcp"),
     (["reduce", "plcp", "--chain", "plcp:uso", "--query", "S", "01"], "--query S applies to line views"),
-    (["reduce", "plcp", "--chain", "plcp:eopl", "--query", "D", "0", "1"],
+    (["reduce", "plcp", "--chain", "plcp:ueopl", "--query", "D", "0", "1"],
      "--query D applies to opdc views"),
-    (["reduce", "plcp", "--chain", "plcp:eopl", "--query", "S"], "--query S takes 1 argument(s), got 0"),
+    (["reduce", "plcp", "--chain", "plcp:ueopl", "--query", "S"], "--query S takes 1 argument(s), got 0"),
     (["reduce", "plcp", "--chain", "plcp:uso,opdc", "--query", "D", "5", "1,0"], "dimension 5 outside 0..1"),
-    (["reduce", "plcp", "--chain", "plcp:eopl", "--query", "S", "10000"], "vertex 10000 is not an id of 4 bits"),
-    (["reduce", "plcp", "--chain", "plcp:eopl", "--query", "Q", "0"], "unknown query Q"),
+    (["reduce", "plcp", "--chain", "plcp:ueopl", "--query", "S", "10000"], "vertex 10000 is not an id of 4 bits"),
+    (["reduce", "plcp", "--chain", "plcp:ueopl", "--query", "Q", "0"], "unknown query Q"),
     (["solve", "plcp", "--problem", "line", "--algo", "follow"], "is not a line instance: no field 'n'"),
     (["solve", "line", "--problem", "plcp", "--algo", "lemke"], "is not a plcp instance: no field 'M'"),
     (["solve", "short", "--problem", "line", "--algo", "follow", "--start", "11"],
@@ -354,12 +373,12 @@ def test_query_matrix_exits_cleanly(files, capsys, source, chain, query):
      "vertex -1 is not an id of 2 bits"),
     # Python literal syntax is not an id: 0b1, 1_0 and " 11" would read as 1, 2 and 3.
     *[(argv + [bits], f"vertex {bits} is not an id of {n} bits")
-      for argv, n in [(["reduce", "plcp", "--chain", "plcp:eopl", "--query", "S"], 4),
+      for argv, n in [(["reduce", "plcp", "--chain", "plcp:ueopl", "--query", "S"], 4),
                       (["solve", "short", "--problem", "line", "--algo", "follow", "--start"], 2)]
       for bits in ("0b1", "1_0", " 11")],
     # The chain is checked before the file is read, and before the query.
     (["reduce", "line", "--chain", "foo:eopl"], "no reduction foo -> eopl"),
-    (["reduce", "plcp", "--chain", "plcp:eopl:foo", "--query", "S", "00"], "no reduction eopl -> foo"),
+    (["reduce", "plcp", "--chain", "eoml:eopl:foo", "--query", "S", "00"], "no reduction eopl -> foo"),
     # UniqueEOPL -> OPDC needs a normalized source.
     (["reduce", "line", "--chain", "ueopl:opdc"], "no reduction ueopl -> opdc"),
 ])

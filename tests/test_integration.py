@@ -46,14 +46,13 @@ def test_full_chain_walk_lengths():
 
 
 # The instance class of every stage and the line flavors it admits (None
-# for the problems that are not lines).  The Lemke line of plcp -> eopl is
-# a UniqueEOPL line, which is also an EOPL line.
+# for the problems that are not lines).
 STAGES = {
     "plcp": (LcpInstance, None),
     "uso": (UsoInstance, None),
     "opdc": (OpdcInstance, None),
     "contraction": (ContractionInstance, None),
-    "eopl": (LineInstance, {"eopl", "ueopl"}),
+    "eopl": (LineInstance, {"eopl"}),
     "eoml": (LineInstance, {"eoml"}),
     "ufeopl": (LineInstance, {"ufeopl"}),
     "plus1": (LineInstance, {"ufeoplplus1"}),

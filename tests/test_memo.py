@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from potline import problems
-from potline.generators import gen_lcp
+from potline.generators import gen_lcp, gen_line
 from potline.problems import (
     LineInstance,
     OffGrid,
@@ -24,6 +24,7 @@ from potline.problems import (
 )
 from potline.cli import REDUCTIONS
 from potline.reductions_lcp import plcp_to_eopl
+from potline.reductions_line import NormalizeView, PebblingView
 from potline.solvers import RunStats, follow_line, lemke
 
 from helpers import FULL_CHAIN
@@ -108,6 +109,40 @@ def test_chain_evaluates_each_oracle_once_per_argument():
             assert counter and max(counter.values()) == 1, (seed, key, counter.most_common(1))
 
 
+# (d, seed) of gen_lcp -> memo misses of S, P and V at the ufeopl, plus1,
+# ueopl and normalized stages after the walk and the map-back, recorded
+# before the pebbling and normalization views kept per-code state.  A view
+# may ask the stage below fewer times, but for the same set of arguments.
+PINNED_MISSES = {
+    (1, 0): (3, 0, 3, 2, 0, 1, 1, 1, 1, 128, 128, 128),
+    (1, 1): (3, 0, 3, 2, 0, 1, 1, 1, 1, 128, 128, 128),
+    (1, 2): (3, 0, 3, 2, 0, 1, 1, 1, 1, 128, 128, 128),
+    (2, 0): (4, 0, 4, 3, 0, 2, 2, 1, 2, 1024, 1024, 1024),
+    (2, 1): (4, 0, 4, 3, 0, 2, 2, 1, 2, 1024, 1024, 1024),
+    (2, 2): (5, 0, 5, 6, 0, 5, 10, 9, 10, 1024, 1024, 1024),
+    (3, 0): (8, 0, 8, 18, 0, 17, 82, 81, 82, 4096, 4096, 4096),
+    (3, 1): (11, 0, 11, 18, 0, 17, 82, 81, 82, 4096, 4096, 4096),
+    (3, 2): (5, 0, 5, 9, 0, 8, 14, 13, 14, 4096, 4096, 4096),
+    (4, 0): (25, 0, 25, 54, 0, 53, 334, 333, 334, 32768, 32768, 32768),
+}
+
+
+def test_stage_memo_misses_pinned():
+    for (d, seed), want in PINNED_MISSES.items():
+        stages = {}
+
+        def keep(stage, inst):
+            stages[stage] = inst
+            return inst
+
+        norm, backs = _chain(gen_lcp(d, seed, nondegenerate=True), keep)
+        stages["normalized"] = norm
+        _solve_chain(norm, backs)
+        got = tuple(getattr(stages[stage], name).cache_info().misses
+                    for stage in ("ufeopl", "plus1", "ueopl", "normalized") for name in "SPV")
+        assert got == want, (d, seed, got)
+
+
 def _walk_record(lcp):
     norm, backs = _chain(lcp)
     stats = RunStats()
@@ -115,14 +150,38 @@ def _walk_record(lcp):
     return c, stats
 
 
+class _SizeLog(dict):
+    """A dict that logs its size after every insert."""
+
+    def __init__(self, sizes: list):
+        super().__init__()
+        self.sizes = sizes
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.sizes.append(len(self))
+
+
 def test_walk_longer_than_cap_matches_unbounded(monkeypatch):
     cap = 16
-    lcps = [gen_lcp(2, s, nondegenerate=True) for s in (0, 1)]
+    lcps = [gen_lcp(2, s, nondegenerate=True) for s in (0, 1)] + [gen_lcp(3, 0, nondegenerate=True)]
     monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", 1 << 30)
     unbounded = [_walk_record(lcp) for lcp in lcps]
     monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
+    sizes = {"_states": [], "_records": []}
     for lcp, want in zip(lcps, unbounded):
-        norm, backs = _chain(lcp)
+        stages = {}
+
+        def keep(stage, inst):
+            stages[stage] = inst
+            return inst
+
+        norm, backs = _chain(lcp, keep)
+        # The pebbling and normalization views keep per-code state in dicts.
+        for view in (stages["ueopl"].successor.__self__, norm.successor.__self__):
+            for name in sizes:
+                if hasattr(view, name):
+                    setattr(view, name, _SizeLog(sizes[name]))
         stats = RunStats()
         got = _solve_chain(norm, backs, stats)
         assert stats.steps > 10 * cap
@@ -130,6 +189,8 @@ def test_walk_longer_than_cap_matches_unbounded(monkeypatch):
         for memo in (norm.S, norm.P, norm.V):
             info = memo.cache_info()
             assert info.maxsize == cap and info.currsize <= cap
+    for name, logged in sizes.items():
+        assert max(logged) <= cap < len(logged), (name, max(logged), len(logged))
 
 
 def _murty(n):
@@ -194,6 +255,18 @@ def test_dropped_instance_frees_its_memos():
             refs.append(weakref.ref(inst))
         del inst, insts
         assert [ref() for ref in refs] == [None, None, None]
+        # The pebbling and normalization views keep per-code state in
+        # dicts; a walked chain of them is freed by reference counts alone.
+        src = gen_line(1 << 4, seed=1, flavor="ufeoplplus1", gaps=[1] * 15)
+        peb = PebblingView(src)
+        ueopl = peb.image()
+        norm = NormalizeView(ueopl)
+        line = norm.image()
+        assert follow_line(line, 0).kind == "U1"
+        assert peb._states and norm._records
+        refs = [weakref.ref(obj) for obj in (peb, ueopl, norm, line)]
+        del peb, ueopl, norm, line
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 

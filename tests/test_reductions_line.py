@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from potline.generators import gen_line
@@ -5,6 +7,7 @@ from potline.problems import UnmappableCert, cert, line_from_tables, verify
 from potline.reductions_line import (
     EomlToEopl,
     EoplToEoml,
+    PebblingView,
     TrivialInstance,
     UeoplToOpdc,
     normalize_potentials,
@@ -13,15 +16,13 @@ from potline.reductions_line import (
 )
 from potline.solvers import brute_force, follow_line
 
-from helpers import gen_normalized_line
+from helpers import gen_normalized_line, pebbling_index, pebbling_move
 
 
 # -- EOML -> EOPL -----------------------------------------------------------------
 
 def eoml_line(length=4, seed=0):
     # metered: V(0^n) = 1 and every edge raises the potential by exactly 1
-    import random
-
     rng = random.Random(seed)
     n = max(1, (length - 1).bit_length())
     ids = list(range(1, 1 << n))
@@ -156,6 +157,32 @@ def test_pebbling_strategy_moves():
         ("remove", 1, 1),
         ("place", 1, 3),
     ]
+
+
+def test_pebbling_moves_and_index_match_recursive_references():
+    rng = random.Random(0)
+    for n_peb in range(1, 8):
+        view = PebblingView(line_from_tables(1, {}, flavor="ufeoplplus1", m_pot=n_peb))
+        config = [None] * n_peb
+        states = [list(config)]
+        for t in range(view.total):
+            assert view.move(t) == pebbling_move(n_peb, t), (n_peb, t)
+            op, peb, pos = view.move(t)
+            config[peb - 1] = (0, pos) if op == "place" else None
+            states.append(list(config))
+        for t, state in enumerate(states):
+            assert view.index_of(state) == pebbling_index(state) == t, (n_peb, t)
+        # Non-states: a strategy state with one pebble dropped or moved to
+        # any position up to one past the range, and random placements.
+        changes = [None] + [(0, pos) for pos in range((1 << n_peb) + 1)]
+        near = [state[:k] + [new] + state[k + 1:]
+                for state in (states if n_peb <= 5 else rng.sample(states, 30))
+                for k in range(n_peb) for new in changes]
+        wild = [[(0, rng.randrange((1 << n_peb) + 2)) if rng.random() < 0.5 else None
+                 for _ in range(n_peb)] for _ in range(300)]
+        for config in near + wild:
+            assert view.index_of(config) == pebbling_index(config), (n_peb, config)
+        assert any(pebbling_index(config) is None for config in near)
 
 
 def test_pebbling_walk_integrity():

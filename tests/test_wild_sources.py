@@ -23,7 +23,7 @@ def wild_lcp_matrices():
         if all(v >= 0 for v in q):
             continue
         inst = LcpInstance(M=m, q=q)
-        line, map_back = compose(inst, ("plcp", "eopl"))
+        line, map_back = compose(inst, ("plcp", "ueopl"))
         yield trial, inst, brute_force(line), map_back
 
 
