@@ -60,10 +60,9 @@ def gen_uso(n: int, seed: int, broken: bool = False) -> UsoInstance:
     """USO mode reduces a generated P-matrix LCP through the out-map;
     broken mode additionally flips one orientation bit at one vertex,
     planting a Szabo-Welzl violation."""
-    from .reductions_lcp import plcp_to_uso
+    from .reductions_lcp import PlcpToUso
 
-    inst = gen_lcp(n, seed, p_matrix=True, nondegenerate=True)
-    uso = plcp_to_uso(inst)
+    uso = PlcpToUso(gen_lcp(n, seed, p_matrix=True, nondegenerate=True)).image()
     if not broken:
         return uso
     rng = _rng(seed ^ 0x5EED)

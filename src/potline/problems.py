@@ -295,9 +295,10 @@ class ContractionInstance:
 
     `func` is any exact rational evaluator; `circuit` additionally enables
     the exact grid machinery.  `kappa` overrides the per-dimension grid
-    exponents (defaults to the closed-form bound computed from the
-    circuit); `eps`, when set, is approximate mode's default tolerance and
-    a bound every APPROX_FIX must meet besides its own.
+    exponents, one int >= 1 per dimension (defaults to the closed-form
+    bound computed from the circuit); `eps`, when set, is approximate
+    mode's default tolerance and a bound every APPROX_FIX must meet
+    besides its own.
     """
 
     d: int
@@ -316,6 +317,12 @@ class ContractionInstance:
             raise ValueError("norm index must be a positive integer")
         if self.func is None and self.circuit is None:
             raise ValueError("need a circuit or a black-box evaluator")
+        if self.kappa is not None:
+            kappa = tuple(self.kappa)
+            if len(kappa) != self.d or not all(type(k) is int and k >= 1 for k in kappa):
+                raise BadField(f"field 'kappa': expected one integer >= 1 per dimension ({self.d}), "
+                               f"got {list(kappa)}")
+            self.kappa = kappa
         if self.func is None:
             from .circuits import evaluate
 
@@ -326,7 +333,7 @@ class ContractionInstance:
 
     def effective_kappa(self) -> tuple:
         if self.kappa is not None:
-            return tuple(self.kappa)
+            return self.kappa
         if self.circuit is None:
             raise ValueError("kappa unavailable: no circuit and none supplied")
         from .reductions_opdc import compute_kappa
@@ -745,7 +752,7 @@ def contraction_from_json(data: dict) -> ContractionInstance:
         p=_decode(data, "p", int),
         circuit=circ,
         eps=_decode(data, "eps", frac, None),
-        kappa=_decode(data, "kappa", lambda v: tuple(_array(v)), None),
+        kappa=_decode(data, "kappa", _array, None),
     )
 
 

@@ -1,6 +1,6 @@
-"""Solvers: Lemke pivoting, line following, Aldous sampling, exact and
-approximate nested-binary-search fixpoint algorithms, and brute-force
-enumeration oracles for testing.
+"""Solvers: Lemke pivoting, line following, Aldous sampling, fixpoints by
+one nested binary search, with a stop rule for exact and one for
+approximate, and brute-force enumeration oracles for testing.
 
 Every solver returns a Certificate (violations are answers, not errors)
 together with machine-readable counters on the run record.
@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import ge
+from operator import eq, ge
 
 from .pivoting import LemkeSystem, principal_minor
 from .problems import (
@@ -226,77 +226,63 @@ def aldous(inst: LineInstance, samples: int, rng: random.Random,
 
 
 # ---------------------------------------------------------------------------
-# Exact fixpoint search (nested binary search on the kappa grid)
+# Fixpoint search: one nested binary search over slices of the box, with a
+# stop rule for exact and one for approximate
 
 class _Violation(Exception):
     def __init__(self, certificate):
         self.certificate = certificate
 
 
-def _findfp_rec(inst: ContractionInstance, kappa, fixed: dict, dim: int, stats: RunStats):
-    """Unique fixpoint of the slice fixing coordinates dim..d-1 to `fixed`,
-    free coordinates 0..dim-1.  Raises _Violation with a CMV2/CMV3
-    certificate when the search cannot complete."""
-    d = inst.d
-    if dim == 0:
-        return [fixed[j] for j in range(d)]
+def _nested_search(inst: ContractionInstance, rules, outer: tuple, stats: RunStats) -> list:
+    """The fixpoint of the slice whose coordinates i+1..d-1 are `outer`
+    (i = d - 1 - len(outer)), by bisection of coordinate i on the sign of
+    f(v)_i - t, where v solves the inner slice at x_i = t.  Raises
+    _Violation with a CMV2 when an evaluation leaves the unit box.
 
-    i = dim - 1  # coordinate searched at this level
-    kap = kappa[i]
-    grid = Fraction(1, 1 << kap)
-    deep = Fraction(1, 1 << (2 * kap + 1))
+    rules[i] = (close, halvings, grid, finish) is the solver's stop rule
+    at level i + 1: the level returns v as soon as close(f(v)_i, t); it
+    bisects [0, 1] at most `halvings` times; after bisection number
+    `grid` (0: none) it saves the bracket's pair (v_hi, v_lo); then it
+    returns finish(probe, lo, hi, v_lo, v_hi, saved)."""
+    i = inst.d - 1 - len(outer)
+    if i < 0:
+        return list(outer)
+    close, halvings, grid, finish = rules[i]
 
-    def sub(t):
-        fixed2 = dict(fixed)
-        fixed2[i] = t
-        return _findfp_rec(inst, kappa, fixed2, dim - 1, stats)
-
-    def fi(v):
+    def probe(t):
+        v = _nested_search(inst, rules, (t,) + outer, stats)
         stats.oracle_calls += 1
         fv = inst.f(v)
         if not all(0 <= c <= 1 for c in fv):
-            raise _Violation(cert("CMV2", x=list(v)))
-        return fv[i]
+            raise _Violation(cert("CMV2", x=v))
+        return v, fv[i]
 
     lo, hi = Fraction(0), Fraction(1)
-    v_lo = sub(lo)
-    if fi(v_lo) == lo:  # fi keeps f inside the box or raises CMV2
+    v_lo, g = probe(lo)
+    if close(g, lo):
         return v_lo
-    v_hi = sub(hi)
-    if fi(v_hi) == hi:
+    v_hi, g = probe(hi)
+    if close(g, hi):
         return v_hi
     saved = None
-    while hi - lo > deep:
+    for k in range(1, halvings + 1):
         mid = (lo + hi) / 2
-        v = sub(mid)
-        g = fi(v)
-        if g == mid:
+        v, g = probe(mid)
+        if close(g, mid):
             return v
         if g > mid:
             lo, v_lo = mid, v
         else:
             hi, v_hi = mid, v
-        if saved is None and hi - lo == grid:
-            saved = (list(v_hi), list(v_lo))
-    # The only candidate left: the minimal-denominator rational strictly
-    # inside (lo, hi); the true fixpoint coordinate has denominator at
-    # most 2^kap and two such rationals cannot both fit in the interval.
-    cand = _min_den_rational(lo, hi)
-    if cand is not None and cand.denominator <= (1 << kap):
-        v = sub(cand)
-        if fi(v) == cand:
-            return v
-    if saved is None:
-        raise _Violation(cert("CMV2", x=list(v_lo)))
-    x_hi, x_lo = saved
-    raise _Violation(cert("CMV3", level=dim, x=x_hi, y=x_lo))
+        if k == grid:
+            saved = (v_hi, v_lo)
+    return finish(probe, lo, hi, v_lo, v_hi, saved)
 
 
-def _min_den_rational(lo: Fraction, hi: Fraction) -> Fraction | None:
-    """Minimal-denominator rational in the open interval (lo, hi) via the
-    Stern-Brocot search."""
-    if not lo < hi:
-        return None
+def _min_den_rational(lo: Fraction, hi: Fraction) -> Fraction:
+    """Minimal-denominator rational in the open interval (lo, hi), lo < hi,
+    via the Stern-Brocot search."""
 
     def rec(lo, hi):
         # Find the simplest fraction in (lo, hi), both endpoints >= 0.
@@ -317,24 +303,37 @@ def _min_den_rational(lo: Fraction, hi: Fraction) -> Fraction | None:
     return rec(lo, hi)
 
 
+def _exact_rule(level: int, kap: int):
+    """Stop on f(v)_i == t; bisect to 2^-(2 kap + 1), past the 2^-kap grid."""
+
+    def finish(probe, lo, hi, v_lo, v_hi, saved):
+        # The only candidate left: the minimal-denominator rational strictly
+        # inside (lo, hi); the true fixpoint coordinate has denominator at
+        # most 2^kap and two such rationals cannot both fit in the interval.
+        cand = _min_den_rational(lo, hi)
+        if cand.denominator <= (1 << kap):
+            v, g = probe(cand)
+            if g == cand:
+                return v
+        # saved is the adjacent opposing pair on the 2^-kap grid.
+        raise _Violation(cert("CMV3", level=level, x=saved[0], y=saved[1]))
+
+    return eq, 2 * kap + 1, kap, finish
+
+
 def find_fp(inst: ContractionInstance, stats: RunStats | None = None) -> Certificate:
     """Exact fixpoint of a piecewise-linear map by nested binary search
     over slices of the 2^kappa grid (`inst.effective_kappa()`); returns
     CM1, or CMV3 with the adjacent opposing pair when a slice has no grid
     fixpoint (CMV2 if an evaluation leaves the unit box)."""
     stats = stats if stats is not None else RunStats()
-    kappa = inst.effective_kappa()
-    if len(kappa) != inst.d or any(k < 1 for k in kappa):
-        raise ValueError("kappa must give one exponent >= 1 per dimension")
+    rules = [_exact_rule(i + 1, k) for i, k in enumerate(inst.effective_kappa())]
     try:
-        x = _findfp_rec(inst, kappa, {}, inst.d, stats)
+        x = _nested_search(inst, rules, (), stats)
     except _Violation as v:
         return v.certificate
-    return cert("CM1", x=list(x))
+    return cert("CM1", x=x)
 
-
-# ---------------------------------------------------------------------------
-# Approximate fixpoint search (black box, eps schedules)
 
 def eps_schedule(p: int, d: int, eps: Fraction) -> list[Fraction]:
     """Per-dimension tolerances eps_1..eps_d (the returned list is
@@ -352,58 +351,31 @@ def eps_schedule(p: int, d: int, eps: Fraction) -> list[Fraction]:
     return out
 
 
-def _approx_rec(inst: ContractionInstance, es, fixed: dict, dim: int, stats: RunStats):
-    d = inst.d
-    if dim == 0:
-        return [fixed[j] for j in range(d)]
+def _approx_rule(eps_i: Fraction):
+    """Stop on |f(v)_i - t| <= eps_i; bisect to eps_i / 2.  One halving
+    beyond eps_i keeps the final midpoint strictly within eps_i/2 of both
+    pivots, which the violation-pair guarantee needs."""
 
-    i = dim - 1
-    eps_i = es[i]
-
-    def sub(t):
-        fixed2 = dict(fixed)
-        fixed2[i] = t
-        return _approx_rec(inst, es, fixed2, dim - 1, stats)
-
-    def delta(v):
-        stats.oracle_calls += 1
-        return inst.f(v)[i] - v[i]
-
-    lo, hi = Fraction(0), Fraction(1)
-    v_lo = sub(lo)
-    if abs(delta(v_lo)) <= eps_i:
-        return v_lo
-    v_hi = sub(hi)
-    if abs(delta(v_hi)) <= eps_i:
-        return v_hi
-    # One halving beyond eps_i keeps the final midpoint strictly within
-    # eps_i/2 of both pivots, which the violation-pair guarantee needs.
-    while hi - lo > eps_i / 2:
+    def finish(probe, lo, hi, v_lo, v_hi, saved):
         mid = (lo + hi) / 2
-        v = sub(mid)
-        dv = delta(v)
-        if abs(dv) <= eps_i:
-            return v
-        if dv > 0:
-            lo, v_lo = mid, v
-        else:
-            hi, v_hi = mid, v
-    mid = (lo + hi) / 2
-    v_star = sub(mid)
-    dv = delta(v_star)
-    if abs(dv) > eps_i:
-        if dv > eps_i:
-            raise _Violation(cert("CMV1", x=list(v_star), y=list(v_hi)))
-        raise _Violation(cert("CMV1", x=list(v_lo), y=list(v_star)))
-    return v_star
+        v, g = probe(mid)
+        if g - mid > eps_i:
+            raise _Violation(cert("CMV1", x=v, y=v_hi))
+        if mid - g > eps_i:
+            raise _Violation(cert("CMV1", x=v_lo, y=v))
+        return v
+
+    # The fewest halvings k with 2^-k <= eps_i / 2 = a / b: 2^k >= ceil(b / a).
+    a, b = (eps_i / 2).as_integer_ratio()
+    return (lambda g, t: abs(g - t) <= eps_i), (-(-b // a) - 1).bit_length(), 0, finish
 
 
 def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None = None,
                    p: int | None = None) -> Certificate:
     """Black-box approximate fixpoint: returns APPROX_FIX(v, eps, p) with
-    ||f(v)-v||_p <= eps, or a CMV1 pair with ||f(x)-f(y)||_p >= ||x-y||_p
-    (a contraction violation for every c < 1).  eps and p default to the
-    instance's."""
+    ||f(v)-v||_p <= eps, a CMV1 pair with ||f(x)-f(y)||_p >= ||x-y||_p
+    (a contraction violation for every c < 1), or a CMV2 point whose image
+    leaves the unit box.  eps and p default to the instance's."""
     stats = stats if stats is not None else RunStats()
     eps = eps if eps is not None else inst.eps
     p = p if p is not None else inst.p
@@ -412,12 +384,12 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
     if p < 1:
         raise ValueError("norm index must be a positive integer")
     eps = frac(eps)
-    es = eps_schedule(p, inst.d, eps)
+    rules = [_approx_rule(e) for e in eps_schedule(p, inst.d, eps)]
     try:
-        v = _approx_rec(inst, es, {}, inst.d, stats)
+        v = _nested_search(inst, rules, (), stats)
     except _Violation as viol:
         return viol.certificate
-    return cert("APPROX_FIX", v=list(v), eps=eps, p=p)
+    return cert("APPROX_FIX", v=v, eps=eps, p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,22 @@ def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kappa", [[8.0, 8], ["8", 8], [8]])
+def test_bad_kappa_exits_2(tmp_path, capsys, kappa):
+    inst = tmp_path / "map.json"
+    run_err(capsys, "generate", "--kind", "contractioncircuit", "--d", "2", "--seed", "3", "-o", inst)
+    data = json.loads(inst.read_text())
+    data["kappa"] = kappa
+    inst.write_text(json.dumps(data))
+    level2 = tmp_path / "cert.json"
+    level2.write_text(json.dumps({"kind": "CMV3", "level": 2, "x": ["0", "1/256"], "y": ["0", "0"]}))
+    message = (f"error: {inst} is not a contraction instance: field 'kappa': "
+               f"expected one integer >= 1 per dimension (2), got {kappa}\n")
+    for argv in (["solve", inst, "--problem", "contraction", "--algo", "findfp"],
+                 ["verify", inst, level2, "--problem", "contraction"]):
+        assert run_err(capsys, *argv) == (2, "", message)
+
+
 # -- -o writes a new file ----------------------------------------------------------
 
 def _solve_to(capsys, inst, out):

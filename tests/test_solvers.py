@@ -167,6 +167,13 @@ def test_find_fp_cmv3_2d():
     assert c.kind == "CMV3" and verify(inst, c)
 
 
+def test_find_fp_cmv2_when_f_leaves_the_box():
+    # f(x) = x/2 + 3/4 maps 1 to 5/4.
+    inst = ContractionInstance(d=1, c=F(1, 2), p=2, circuit=affine_circuit([[F(1, 2)]], [F(3, 4)]), kappa=(8,))
+    c = find_fp(inst)
+    assert c == cert("CMV2", x=[F(1)]) and verify(inst, c)
+
+
 def test_find_fp_agrees_with_lcp_view():
     from potline.circuits import circuit_to_lcp, evaluate
     from potline.solvers import lcp_brute_force
@@ -231,6 +238,15 @@ def test_approx_violation_pair():
     inst = ContractionInstance(d=1, c=F(1, 2), p=2, func=jump, eps=F(1, 256))
     c = approx_find_fp(inst)
     assert c.kind == "CMV1" and verify(inst, c)
+
+
+@pytest.mark.parametrize("d, b", [(1, [F(3, 4)]), (2, [F(1, 4), F(3, 4)])])
+def test_approx_cmv2_when_f_leaves_the_box(d, b):
+    # f(x) = x/2 + b leaves the box at x_{d-1} = 1; the answer is that
+    # point, not a CMV1 pair whose images disagree only outside the box.
+    inst = ContractionInstance(d=d, c=F(1, 2), p=2, func=lambda x: [xi / 2 + bi for xi, bi in zip(x, b)])
+    c = approx_find_fp(inst, eps=F(1, 256))
+    assert c.kind == "CMV2" and c.x[-1] == 1 and verify(inst, c)
 
 
 def test_schedules_exact():
