@@ -2,6 +2,15 @@
 
 A circuit computes f : [0,1]^d -> Q^d exactly.  Evaluation never clamps;
 out-of-box outputs are reported by callers as out-of-range violations.
+
+`compile_circuit` turns a circuit, once, into an integer straight-line
+program that the fixpoint searches run: at a point put over the common
+denominator D of its coordinates, gate g holds an integer num_g whose value
+is num_g / (D * C_g), with C_g fixed at compile time, and the program
+returns f(x) as integer numerators over one positive denominator.
+`evaluate` computes the same map on `Fraction`s, one per gate; it stays the
+reference that the verifiers and the tests use.
+
 Also houses the circuit -> LCP encoding whose solutions are exactly the
 fixpoints of the circuit, used for bit-length accounting and
 cross-validation of the exact fixpoint solver.
@@ -11,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Callable
 
 from .rational import Mat, Vec, bit_length, frac, frac_str
 
@@ -89,6 +100,71 @@ def evaluate(c: Circuit, x: Vec) -> Vec:
             v = min(vals[g.args[0]], vals[g.args[1]])
         vals.append(v)
     return [vals[o] for o in c.outputs]
+
+
+def compile_circuit(c: Circuit) -> Callable[[Vec], tuple[list[int], int]]:
+    """The integer program of c: run(x) returns (nums, den) with
+    f(x)_j = nums[j] / den and den > 0, for any rational point x of
+    dimension d (ints or Fractions, any denominators).  Like `evaluate`,
+    it never clamps.
+
+    Each gate g gets a compile-time denominator C_g: 1 for an input, b for
+    a const a/b, b * C_h for a scale by a/b of gate h, and lcm(C_u, C_v)
+    for add, sub, max and min of gates u and v, whose numerators are first
+    brought to it by the factors C_g / C_u and C_g / C_v.  At call time x
+    is put over D = lcm of its coordinate denominators, and gate g holds
+    num_g with value num_g / (D * C_g); as D * C_g > 0, max and min compare
+    numerators."""
+    dens: list[int] = []  # C_g
+    # One (op, a, b, e, f) per gate, unused slots 0: (input, j), (const, a),
+    # (scale, h, a) and (binary op, u, C_g / C_u, v, C_g / C_v).
+    prog = []
+    for g in c.gates:
+        if g.op == "input":
+            prog.append((g.op, g.args[0], 0, 0, 0))
+            dens.append(1)
+        elif g.op == "const":
+            prog.append((g.op, g.args[0].numerator, 0, 0, 0))
+            dens.append(g.args[0].denominator)
+        elif g.op == "scale":
+            a, h = g.args
+            prog.append((g.op, h, a.numerator, 0, 0))
+            dens.append(a.denominator * dens[h])
+        else:
+            u, v = g.args
+            cg = lcm(dens[u], dens[v])
+            prog.append((g.op, u, cg // dens[u], v, cg // dens[v]))
+            dens.append(cg)
+    common = lcm(*[dens[o] for o in c.outputs])
+    outs = [(o, common // dens[o]) for o in c.outputs]
+    d = c.d
+
+    def run(x: Vec) -> tuple[list[int], int]:
+        if len(x) != d:
+            raise ValueError("point dimension mismatch")
+        ratios = [v.as_integer_ratio() for v in x]
+        D = lcm(*[q for _, q in ratios])
+        xs = [p * (D // q) for p, q in ratios]
+        n: list[int] = []
+        push = n.append
+        for op, a, b, e, f in prog:
+            if op == "scale":
+                push(b * n[a])
+            elif op == "add":
+                push(n[a] * b + n[e] * f)
+            elif op == "input":
+                push(xs[a])
+            elif op == "const":
+                push(a * D)
+            elif op == "sub":
+                push(n[a] * b - n[e] * f)
+            elif op == "max":
+                push(max(n[a] * b, n[e] * f))
+            else:
+                push(min(n[a] * b, n[e] * f))
+        return [n[o] * k for o, k in outs], D * common
+
+    return run
 
 
 def measure(c: Circuit) -> dict:

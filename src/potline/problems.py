@@ -294,7 +294,13 @@ class ContractionInstance:
     """Purported contraction map with factor c under the l_p norm.
 
     `func` is any exact rational evaluator; `circuit` additionally enables
-    the exact grid machinery.  `kappa` overrides the per-dimension grid
+    the exact grid machinery, and `func` defaults to its `evaluate` (a
+    `func` given with a circuit must compute the circuit's map).  The
+    searches read f through one integer image, `f_int(x) = (nums, den)`
+    with f(x)_j = nums[j] / den and den > 0: a circuit's compiled integer
+    program, or func's values put over their lcm.  `f` and the verifier
+    read `func`, so they stay independent of the compiled program.
+    `kappa` overrides the per-dimension grid
     exponents, one int >= 1 per dimension (defaults to the closed-form
     bound computed from the circuit); `eps`, when set, is approximate
     mode's default tolerance and a bound every APPROX_FIX must meet
@@ -330,6 +336,21 @@ class ContractionInstance:
 
     def f(self, x: Vec) -> Vec:
         return [Fraction(v) for v in self.func([Fraction(c) for c in x])]
+
+    @cached_property
+    def f_int(self) -> Callable[[Vec], tuple[list[int], int]]:
+        """f over one positive denominator, compiled once per instance."""
+        if self.circuit is not None:
+            from .circuits import compile_circuit
+
+            return compile_circuit(self.circuit)
+
+        def over_lcm(x):
+            fx = self.f(x)
+            den = lcm(*[v.denominator for v in fx])
+            return [v.numerator * (den // v.denominator) for v in fx], den
+
+        return over_lcm
 
     def effective_kappa(self) -> tuple:
         if self.kappa is not None:

@@ -19,11 +19,16 @@ Mat = list[list[Fraction]]
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4' or '-2', and Fractions."""
+    """Coerce ints, strings like '3/4' or '-2', and Fractions.  A string
+    with a zero denominator raises ValueError, like any other string that
+    names no rational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

@@ -98,7 +98,8 @@ def compute_kappa(circuit) -> tuple:
 class ContractionToOpdc(View):
     """Grid widths k_i = 2^kappa_i with kappa = `src.effective_kappa()`;
     directions follow the sign of f(p')_i - p'_i at the mapped point
-    p' = (p_i / k_i)."""
+    p' = (p_i / k_i), read from the integer image (nums, den) = f_int(p')
+    as the sign of nums[i] * k_i - p_i * den."""
 
     def __init__(self, src: ContractionInstance):
         self.src = src
@@ -109,13 +110,13 @@ class ContractionToOpdc(View):
 
     def image(self) -> OpdcInstance:
         @memoize
-        def diffs(p):  # f(x) - x at p, for all d directions
-            x = self._to_box(p)
-            return tuple(a - b for a, b in zip(self.src.f(x), x))
+        def directions(p):  # the sign of f(p')_i - p'_i, for all d directions
+            nums, den = self.src.f_int(self._to_box(p))
+            signs = (n * k - q * den for n, k, q in zip(nums, self.widths, p))
+            return tuple(UP if s > 0 else DOWN if s < 0 else ZERO for s in signs)
 
         def direction(i, p):
-            diff = diffs(p)[i]
-            return UP if diff > 0 else DOWN if diff < 0 else ZERO
+            return directions(p)[i]
 
         return OpdcInstance(widths=self.widths, direction=direction)
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import eq, ge
+from operator import ge
 
 from .pivoting import LemkeSystem, principal_minor
 from .problems import (
@@ -240,8 +240,12 @@ def _nested_search(inst: ContractionInstance, rules, outer: tuple, stats: RunSta
     f(v)_i - t, where v solves the inner slice at x_i = t.  Raises
     _Violation with a CMV2 when an evaluation leaves the unit box.
 
+    f is read through `inst.f_int`, so every test is an integer compare:
+    a probe at t returns (v, r, s) with f(v)_i - t = r / s and s > 0.  The
+    points t and v stay Fractions.
+
     rules[i] = (close, halvings, grid, finish) is the solver's stop rule
-    at level i + 1: the level returns v as soon as close(f(v)_i, t); it
+    at level i + 1: the level returns v as soon as close(r, s); it
     bisects [0, 1] at most `halvings` times; after bisection number
     `grid` (0: none) it saves the bracket's pair (v_hi, v_lo); then it
     returns finish(probe, lo, hi, v_lo, v_hi, saved)."""
@@ -253,25 +257,25 @@ def _nested_search(inst: ContractionInstance, rules, outer: tuple, stats: RunSta
     def probe(t):
         v = _nested_search(inst, rules, (t,) + outer, stats)
         stats.oracle_calls += 1
-        fv = inst.f(v)
-        if not all(0 <= c <= 1 for c in fv):
+        nums, den = inst.f_int(v)
+        if min(nums) < 0 or max(nums) > den:
             raise _Violation(cert("CMV2", x=v))
-        return v, fv[i]
+        return v, nums[i] * t.denominator - t.numerator * den, den * t.denominator
 
     lo, hi = Fraction(0), Fraction(1)
-    v_lo, g = probe(lo)
-    if close(g, lo):
+    v_lo, r, s = probe(lo)
+    if close(r, s):
         return v_lo
-    v_hi, g = probe(hi)
-    if close(g, hi):
+    v_hi, r, s = probe(hi)
+    if close(r, s):
         return v_hi
     saved = None
     for k in range(1, halvings + 1):
         mid = (lo + hi) / 2
-        v, g = probe(mid)
-        if close(g, mid):
+        v, r, s = probe(mid)
+        if close(r, s):
             return v
-        if g > mid:
+        if r > 0:
             lo, v_lo = mid, v
         else:
             hi, v_hi = mid, v
@@ -312,13 +316,13 @@ def _exact_rule(level: int, kap: int):
         # most 2^kap and two such rationals cannot both fit in the interval.
         cand = _min_den_rational(lo, hi)
         if cand.denominator <= (1 << kap):
-            v, g = probe(cand)
-            if g == cand:
+            v, r, _ = probe(cand)
+            if r == 0:
                 return v
         # saved is the adjacent opposing pair on the 2^-kap grid.
         raise _Violation(cert("CMV3", level=level, x=saved[0], y=saved[1]))
 
-    return eq, 2 * kap + 1, kap, finish
+    return (lambda r, s: r == 0), 2 * kap + 1, kap, finish
 
 
 def find_fp(inst: ContractionInstance, stats: RunStats | None = None) -> Certificate:
@@ -354,20 +358,21 @@ def eps_schedule(p: int, d: int, eps: Fraction) -> list[Fraction]:
 def _approx_rule(eps_i: Fraction):
     """Stop on |f(v)_i - t| <= eps_i; bisect to eps_i / 2.  One halving
     beyond eps_i keeps the final midpoint strictly within eps_i/2 of both
-    pivots, which the violation-pair guarantee needs."""
+    pivots, which the violation-pair guarantee needs.  With f(v)_i - t =
+    r / s and eps_i = e / q, |f(v)_i - t| <= eps_i reads |r| q <= e s."""
+    e, q = eps_i.as_integer_ratio()
 
     def finish(probe, lo, hi, v_lo, v_hi, saved):
         mid = (lo + hi) / 2
-        v, g = probe(mid)
-        if g - mid > eps_i:
+        v, r, s = probe(mid)
+        if r * q > e * s:
             raise _Violation(cert("CMV1", x=v, y=v_hi))
-        if mid - g > eps_i:
+        if -r * q > e * s:
             raise _Violation(cert("CMV1", x=v_lo, y=v))
         return v
 
-    # The fewest halvings k with 2^-k <= eps_i / 2 = a / b: 2^k >= ceil(b / a).
-    a, b = (eps_i / 2).as_integer_ratio()
-    return (lambda g, t: abs(g - t) <= eps_i), (-(-b // a) - 1).bit_length(), 0, finish
+    # The fewest halvings k with 2^-k <= eps_i / 2 = e / 2q: 2^k >= ceil(2q / e).
+    return (lambda r, s: abs(r) * q <= e * s), (-(-2 * q // e) - 1).bit_length(), 0, finish
 
 
 def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None = None,

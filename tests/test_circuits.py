@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potline.circuits import (
     Circuit,
@@ -10,12 +11,15 @@ from potline.circuits import (
     circuit_from_json,
     circuit_to_json,
     circuit_to_lcp,
+    compile_circuit,
     evaluate,
     measure,
 )
+from potline.generators import gen_contraction
 from potline.problems import LcpInstance
 from potline.rational import lp_pow
 from potline.solvers import lcp_brute_force
+from test_fixpoint_pin import clamped_rotation
 
 
 def identity_circuit(d):
@@ -129,3 +133,61 @@ def test_scaled_add_contraction_property():
             lhs = [a - b for a, b in zip(fx, fy)]
             rhs = [cstar * (a - b) for a, b in zip(x, y)]
             assert lp_pow(lhs, p) <= lp_pow(rhs, p)
+
+
+# -- the compiled integer program against evaluate --------------------------
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+
+
+@st.composite
+def circuits(draw):
+    """Random circuits over every gate op, with negative and non-dyadic
+    constants; the first gate is an input or a const."""
+    d = draw(st.integers(1, 3))
+    gates = []
+    for idx in range(draw(st.integers(1, 14))):
+        op = draw(st.sampled_from(["input", "const"] if idx == 0 else
+                                  ["input", "const", "scale", "add", "sub", "max", "min"]))
+        ref = st.integers(0, idx - 1)
+        if op == "input":
+            gates.append(Gate(op, (draw(st.integers(0, d - 1)),)))
+        elif op == "const":
+            gates.append(Gate(op, (draw(RATIONALS),)))
+        elif op == "scale":
+            gates.append(Gate(op, (draw(RATIONALS), draw(ref))))
+        else:
+            gates.append(Gate(op, (draw(ref), draw(ref))))
+    outputs = tuple(draw(st.integers(0, len(gates) - 1)) for _ in range(d))
+    return Circuit(d, tuple(gates), outputs)
+
+
+def _program_matches(c, x):
+    nums, den = compile_circuit(c)(x)
+    assert den > 0 and [F(n, den) for n in nums] == evaluate(c, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(), st.data())
+def test_compiled_program_equals_evaluate(c, data):
+    # Points inside and outside [0, 1], with any denominators.
+    x = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+                           min_size=c.d, max_size=c.d))
+    _program_matches(c, x)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_compiled_program_on_generated_and_rotation_maps(d):
+    rng = random.Random(d)
+    maps = [gen_contraction(d, s, contracting=k) for s in range(3) for k in (True, False)]
+    if d == 2:
+        maps += [clamped_rotation((F(1, 3), F(2, 7)), (60, 20)), clamped_rotation((F(3, 16), F(11, 16)), (8, 8))]
+    for inst in maps:
+        for _ in range(40):
+            dens = [rng.choice([1, 25, 96, 2 ** 12]) for _ in range(d)]
+            _program_matches(inst.circuit, [F(rng.randrange(-q, 2 * q + 1), q) for q in dens])
+
+
+def test_compiled_program_rejects_a_wrong_dimension():
+    with pytest.raises(ValueError):
+        compile_circuit(identity_circuit(2))([F(1, 2)])

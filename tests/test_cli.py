@@ -471,6 +471,26 @@ def test_bad_kappa_exits_2(tmp_path, capsys, kappa):
         assert run_err(capsys, *argv) == (2, "", message)
 
 
+def test_zero_denominator_exits_2(files, tmp_path, capsys):
+    contraction = json.loads(files["contraction"].read_text())
+    cases = [(["solve", files["contraction"], "--problem", "contraction", "--algo", "approx", "--eps", "1/0"],
+              "error: '1/0' has a zero denominator\n")]
+    for name, problem, data in [("c", "contraction", {**contraction, "c": "1/0"}),
+                                ("eps", "contraction", {**contraction, "eps": "1/0"}),
+                                ("M", "plcp", {"M": [["1/0"]], "q": ["-1"]})]:
+        path = tmp_path / f"zero_{name}.json"
+        path.write_text(json.dumps(data))
+        algo = "findfp" if problem == "contraction" else "lemke"
+        cases.append((["solve", path, "--problem", problem, "--algo", algo],
+                      f"error: {path} is not a {problem} instance: field '{name}': '1/0' has a zero denominator\n"))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"kind": "CM1", "x": ["1/0"]}))
+    cases.append((["verify", files["contraction"], cert, "--problem", "contraction"],
+                  "error: certificate field 'x': '1/0' has a zero denominator\n"))
+    for argv, message in cases:
+        assert run_err(capsys, *argv) == (2, "", message)
+
+
 # -- -o writes a new file ----------------------------------------------------------
 
 def _solve_to(capsys, inst, out):

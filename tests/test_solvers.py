@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from potline.circuits import affine_circuit
+from potline.circuits import affine_circuit, evaluate
 from potline.generators import gen_contraction, gen_lcp, gen_line
 from potline.problems import (
     ContractionInstance,
@@ -27,6 +27,7 @@ from potline.solvers import (
 )
 
 from helpers import check_schedule
+from test_fixpoint_pin import clamped_rotation
 
 
 # -- Lemke -------------------------------------------------------------------
@@ -247,6 +248,25 @@ def test_approx_cmv2_when_f_leaves_the_box(b):
     inst = ContractionInstance(d=len(b), c=F(1, 2), p=2, func=lambda x: [xi / 2 + bi for xi, bi in zip(x, b)])
     c = approx_find_fp(inst, eps=F(1, 256))
     assert c.kind == "CMV2" and c.x[-1] == 1 and verify(inst, c)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_contraction(2, 1), lambda: gen_contraction(2, 0, contracting=False),
+                                  lambda: clamped_rotation((F(1, 3), F(2, 7)), (8, 8))],
+                         ids=["contracting", "non-contracting", "rotation"])
+def test_circuit_and_black_box_share_one_search_path(make):
+    # The circuit instance runs its compiled integer program, the black box
+    # its Fractions put over their lcm: the same questions, the same answers.
+    runs = [lambda inst, st: find_fp(inst, stats=st)]
+    runs += [lambda inst, st, p=p: approx_find_fp(inst, eps=F(1, 1024), p=p, stats=st) for p in (1, 2, 3)]
+    circuit = make()
+    box = ContractionInstance(d=circuit.d, c=circuit.c, p=circuit.p, func=lambda x: evaluate(circuit.circuit, x),
+                              kappa=circuit.effective_kappa())
+    for run in runs:
+        outcomes = []
+        for inst in (circuit, box):
+            stats = RunStats()
+            outcomes.append((run(inst, stats), stats.oracle_calls))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_schedules_exact():
