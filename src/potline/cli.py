@@ -6,6 +6,11 @@ certificates are answers, so they exit 0; `verify` exits 1 on a rejected
 certificate, and input and budget errors exit 2 with an `error:` line.
 POTLINE_BUDGET caps enumeration sizes.
 
+The argument parser is built once per process (`build_parser` is cached),
+so an in-process caller of `main` pays only for parsing.  `main` picks the
+command's `cmd_*` function on each call, not from the parser, so rebinding
+one (a test's monkeypatch, a tracer's wrapper) takes effect.
+
 `-o` writes its output as a new file: an existing file at the path is
 unlinked, not truncated, so a hard link to the old file keeps the old
 content.  A symlink is written through (its target gets the output and the
@@ -15,6 +20,7 @@ link stays).  Nothing is fsynced.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -213,7 +219,7 @@ def cmd_solve(args):
     c = run(inst, args, stats)
     elapsed = time.monotonic() - t0
     record = {
-        "command": {k: v for k, v in vars(args).items() if k != "func" and v is not None},
+        "command": {k: v for k, v in vars(args).items() if v is not None},
         "instance_digest": _digest(data),
         "certificate": cert_to_json(c) if c is not None else None,
         "verified": c is not None and problems.verify(inst, c),
@@ -248,6 +254,7 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="potline")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -260,7 +267,6 @@ def build_parser():
     g.add_argument("--length", type=int, default=8)
     g.add_argument("--flavor", default="ueopl")
     g.add_argument("-o", "--output")
-    g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("reduce", help="compose lazy reduction views and query them")
     r.add_argument("file")
@@ -268,7 +274,6 @@ def build_parser():
                    help="source:target[:target...] or comma separated, e.g. plcp:ueopl")
     r.add_argument("--query", nargs="+", default=None,
                    help="S <bits> | P <bits> | V <bits> | D <dim> <point>")
-    r.set_defaults(func=cmd_reduce)
 
     s = sub.add_parser("solve", help="run a solver and emit a run record")
     s.add_argument("file")
@@ -280,20 +285,20 @@ def build_parser():
     s.add_argument("--eps", default=None, help="approx tolerance (default: the instance's)")
     s.add_argument("--p", type=int, default=None, help="approx norm index (default: the instance's)")
     s.add_argument("-o", "--output")
-    s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="check a certificate against an instance")
     v.add_argument("instance")
     v.add_argument("cert")
     v.add_argument("--problem", required=True, choices=list(problems.KINDS))
-    v.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"generate": cmd_generate, "reduce": cmd_reduce, "solve": cmd_solve,
+               "verify": cmd_verify}[args.cmd]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, solvers.BudgetExceeded, solvers.Exhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

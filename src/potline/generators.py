@@ -28,6 +28,8 @@ def gen_lcp(d: int, seed: int, p_matrix: bool = True, nondegenerate: bool = Fals
     A_alpha.  `nondegenerate` rejects instances where some A_alpha^{-1} q
     has a zero entry (checked exhaustively; keep d small).
     """
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     rng = _rng(seed)
     for _ in range(200):
         # M is built in int and wrapped as Fraction once it is final.
@@ -87,6 +89,8 @@ def gen_contraction(d: int, seed: int, p: int = 2, c=Fraction(1, 2),
     slope whose crossing point has denominator beyond the declared grid,
     so the exact solver must emit the adjacent opposing pair.
     """
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     rng = _rng(seed)
     c = frac(c)
     if contracting:
@@ -148,8 +152,11 @@ def gen_line(length: int, seed: int, n: int | None = None, gaps=None,
 
     Single-line mode lays one line of `length` vertices starting at 0 with
     configurable potential gaps; two-line mode adds a second line whose
-    potentials overlap the first, planting UV3/UFV1 material.
+    potentials overlap the first, planting UV3/UFV1 material.  A line has
+    at least 2 vertices: a lone vertex 0 would be its own end.
     """
+    if length < 2:
+        raise ValueError(f"line length must be at least 2, got {length}")
     rng = _rng(seed)
     total = length + (length if two_lines else 0) + 1
     if n is None:

@@ -209,6 +209,8 @@ def aldous(inst: LineInstance, samples: int, rng: random.Random,
     ever straddles or matches a sampled vertex's potential, that pair
     witnesses a second line (UV3) and is returned immediately.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     stats = stats if stats is not None else RunStats()
     best = 0
     best_v = inst.V(0)

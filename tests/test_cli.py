@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import potline
 from potline.cli import _ALGOS as ALGOS, main
 from potline.problems import KINDS
 
@@ -381,12 +386,75 @@ def test_off_grid_message_names_the_coordinate_not_the_widths(files, capsys):
     (["reduce", "plcp", "--chain", "eoml:eopl:foo", "--query", "S", "00"], "no reduction eopl -> foo"),
     # UniqueEOPL -> OPDC needs a normalized source.
     (["reduce", "line", "--chain", "ueopl:opdc"], "no reduction ueopl -> opdc"),
+    # Sizes that give no instance or no run.
+    (["generate", "--length", "1", "--kind", "explicitline"], "line length must be at least 2, got 1"),
+    (["generate", "--length", "0", "--kind", "multiline"], "line length must be at least 2, got 0"),
+    (["generate", "--d", "0", "--kind", "pmatrixlcp"], "dimension must be at least 1, got 0"),
+    (["generate", "--d", "0", "--kind", "uso"], "dimension must be at least 1, got 0"),
+    (["generate", "--d", "0", "--kind", "noncontraction"], "dimension must be at least 1, got 0"),
+    (["solve", "line", "--problem", "line", "--algo", "aldous", "--samples", "-3"],
+     "samples must be at least 0, got -3"),
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
     argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]
     code, out, err = run_err(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+# -- one parser per process, and no state carried from one call to the next --------
+
+def test_parser_is_built_once(files, tmp_path, capsys, monkeypatch):
+    # The `files` fixture has already called `main`, which built the parser.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    inst, record, cert = tmp_path / "lcp.json", tmp_path / "record.json", tmp_path / "cert.json"
+    assert run_err(capsys, "generate", "--kind", "pmatrixlcp", "--d", "2", "-o", inst)[0] == 0
+    assert run_err(capsys, "solve", inst, "--problem", "plcp", "--algo", "lemke", "-o", record)[0] == 0
+    cert.write_text(json.dumps(json.loads(record.read_text())["certificate"]))
+    assert run_err(capsys, "verify", inst, cert, "--problem", "plcp")[0] == 0
+    assert built == []
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of `python -m potline.cli argv` in a new interpreter."""
+    src = str(Path(potline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "potline.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _without_elapsed(out):
+    if not out:
+        return None
+    record = json.loads(out)
+    record.pop("elapsed")
+    return record
+
+
+@pytest.mark.parametrize("problem, first, second, left_over", [
+    ("line", ["--algo", "follow", "--start", "0110"], ["--algo", "follow"], "start"),
+    # The instance file has no eps, so a second call that saw the first
+    # call's eps would solve instead of exiting 2.
+    ("contraction", ["--algo", "approx", "--eps", "1/8"], ["--algo", "approx"], "eps"),
+])
+def test_calls_share_no_state(files, capsys, problem, first, second, left_over):
+    argv = ["solve", files[problem], "--problem", problem]
+    code, out, _ = run_err(capsys, *argv, *first)
+    assert code == 0 and left_over in json.loads(out)["command"]
+    code, out, err = run_err(capsys, *argv, *second)
+    fresh_code, fresh_out, fresh_err = _fresh_process(argv + second)
+    assert (code, err) == (fresh_code, fresh_err)
+    assert _without_elapsed(out) == _without_elapsed(fresh_out)
+    if out:
+        assert left_over not in json.loads(out)["command"]
 
 
 def test_reduce_trivial_eopl_prints_its_certificate(tmp_path, capsys):
