@@ -386,7 +386,8 @@ def test_off_grid_message_names_the_coordinate_not_the_widths(files, capsys):
     (["reduce", "plcp", "--chain", "eoml:eopl:foo", "--query", "S", "00"], "no reduction eopl -> foo"),
     # UniqueEOPL -> OPDC needs a normalized source.
     (["reduce", "line", "--chain", "ueopl:opdc"], "no reduction ueopl -> opdc"),
-    # Sizes that give no instance or no run.
+    # Sizes that give no instance or no run (the size comes first: argv[1] and
+    # argv[2] are looked up in `files`, which has a `uso` entry).
     (["generate", "--length", "1", "--kind", "explicitline"], "line length must be at least 2, got 1"),
     (["generate", "--length", "0", "--kind", "multiline"], "line length must be at least 2, got 0"),
     (["generate", "--d", "0", "--kind", "pmatrixlcp"], "dimension must be at least 1, got 0"),
@@ -440,6 +441,7 @@ def _without_elapsed(out):
 
 
 @pytest.mark.parametrize("problem, first, second, left_over", [
+    # 0110 is a vertex of the line in `files`.
     ("line", ["--algo", "follow", "--start", "0110"], ["--algo", "follow"], "start"),
     # The instance file has no eps, so a second call that saw the first
     # call's eps would solve instead of exiting 2.
