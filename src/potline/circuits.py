@@ -4,12 +4,13 @@ A circuit computes f : [0,1]^d -> Q^d exactly.  Evaluation never clamps;
 out-of-box outputs are reported by callers as out-of-range violations.
 
 `compile_circuit` turns a circuit, once, into an integer straight-line
-program that the fixpoint searches run: at a point put over the common
-denominator D of its coordinates, gate g holds an integer num_g whose value
-is num_g / (D * C_g), with C_g fixed at compile time, and the program
-returns f(x) as integer numerators over one positive denominator.
-`evaluate` computes the same map on `Fraction`s, one per gate; it stays the
-reference that the verifiers and the tests use.
+program that the fixpoint searches run.  A point is given as integer
+numerators xs over one denominator D > 0 that the caller picks (any
+positive D works); gate g holds an integer num_g whose value is
+num_g / (D * C_g), with C_g fixed at compile time, and the program returns
+f(x) as integer numerators over one positive denominator.  No `Fraction`
+is built.  `evaluate` computes the same map on `Fraction`s, one per gate;
+it stays the reference that the verifiers and the tests use.
 
 Also houses the circuit -> LCP encoding whose solutions are exactly the
 fixpoints of the circuit, used for bit-length accounting and
@@ -102,17 +103,16 @@ def evaluate(c: Circuit, x: Vec) -> Vec:
     return [vals[o] for o in c.outputs]
 
 
-def compile_circuit(c: Circuit) -> Callable[[Vec], tuple[list[int], int]]:
-    """The integer program of c: run(x) returns (nums, den) with
-    f(x)_j = nums[j] / den and den > 0, for any rational point x of
-    dimension d (ints or Fractions, any denominators).  Like `evaluate`,
-    it never clamps.
+def compile_circuit(c: Circuit) -> Callable[[list[int], int], tuple[list[int], int]]:
+    """The integer program of c: run(xs, D) returns (nums, den) with
+    f(x)_j = nums[j] / den and den > 0 at the point x_j = xs[j] / D, for
+    integers xs of length d and any integer D > 0.  Like `evaluate`, it
+    never clamps.
 
     Each gate g gets a compile-time denominator C_g: 1 for an input, b for
     a const a/b, b * C_h for a scale by a/b of gate h, and lcm(C_u, C_v)
     for add, sub, max and min of gates u and v, whose numerators are first
-    brought to it by the factors C_g / C_u and C_g / C_v.  At call time x
-    is put over D = lcm of its coordinate denominators, and gate g holds
+    brought to it by the factors C_g / C_u and C_g / C_v.  Gate g holds
     num_g with value num_g / (D * C_g); as D * C_g > 0, max and min compare
     numerators."""
     dens: list[int] = []  # C_g
@@ -139,12 +139,9 @@ def compile_circuit(c: Circuit) -> Callable[[Vec], tuple[list[int], int]]:
     outs = [(o, common // dens[o]) for o in c.outputs]
     d = c.d
 
-    def run(x: Vec) -> tuple[list[int], int]:
-        if len(x) != d:
+    def run(xs: list[int], D: int) -> tuple[list[int], int]:
+        if len(xs) != d:
             raise ValueError("point dimension mismatch")
-        ratios = [v.as_integer_ratio() for v in x]
-        D = lcm(*[q for _, q in ratios])
-        xs = [p * (D // q) for p, q in ratios]
         n: list[int] = []
         push = n.append
         for op, a, b, e, f in prog:

@@ -4,7 +4,8 @@ Instances travel as JSON files; every solve emits a machine-readable run
 record whose certificate has already been re-verified.  Violation
 certificates are answers, so they exit 0; `verify` exits 1 on a rejected
 certificate, and input and budget errors exit 2 with an `error:` line.
-POTLINE_BUDGET caps enumeration sizes.
+POTLINE_BUDGET caps enumeration sizes: brute force, and the generators
+that check every cone.
 
 The argument parser is built once per process (`build_parser` is cached),
 so an in-process caller of `main` pays only for parsing.  `main` picks the
@@ -49,6 +50,9 @@ _GENERATORS = {
     "multiline": (
         "line", lambda a: generators.gen_line(a.length, a.seed, flavor=a.flavor, two_lines=True)),
 }
+
+# Generators that check all 2^d cones; `generate` caps 2^d at BUDGET.
+_CONE_SCANS = {"nonpmatrixlcp", "uso", "brokenuso"}
 
 # (source stage, target stage) -> the reduction view class.  A stage that is
 # not a problem kind of `problems.KINDS` is a line stage named by its flavor
@@ -162,6 +166,10 @@ def compose(src, chain):
 
 def cmd_generate(args):
     problem, build = _GENERATORS[args.kind]
+    # 2^d > BUDGET, without building 2^d.
+    if args.kind in _CONE_SCANS and args.d >= BUDGET.bit_length():
+        raise solvers.BudgetExceeded(f"--kind {args.kind} checks all 2^{args.d} cones, "
+                                     f"more than the budget {BUDGET} (POTLINE_BUDGET)")
     data = problems.KINDS[problem].to_json(build(args))
     out = json.dumps(data, indent=2)
     if args.output:

@@ -296,10 +296,13 @@ class ContractionInstance:
     `func` is any exact rational evaluator; `circuit` additionally enables
     the exact grid machinery, and `func` defaults to its `evaluate` (a
     `func` given with a circuit must compute the circuit's map).  The
-    searches read f through one integer image, `f_int(x) = (nums, den)`
-    with f(x)_j = nums[j] / den and den > 0: a circuit's compiled integer
-    program, or func's values put over their lcm.  `f` and the verifier
-    read `func`, so they stay independent of the compiled program.
+    searches read f through one integer image, `f_int(xs, D) = (nums, den)`
+    with f(x)_j = nums[j] / den and den > 0 at the point x_j = xs[j] / D,
+    D > 0: a circuit's compiled integer program, or func's values at that
+    point put over their lcm.  The searched points stay integers over D;
+    `Fraction`s are built only for a black-box `func` and for
+    certificates.  `f` and the verifier read `func`, so they stay
+    independent of the compiled program.
     `kappa` overrides the per-dimension grid
     exponents, one int >= 1 per dimension (defaults to the closed-form
     bound computed from the circuit); `eps`, when set, is approximate
@@ -338,15 +341,16 @@ class ContractionInstance:
         return [Fraction(v) for v in self.func([Fraction(c) for c in x])]
 
     @cached_property
-    def f_int(self) -> Callable[[Vec], tuple[list[int], int]]:
-        """f over one positive denominator, compiled once per instance."""
+    def f_int(self) -> Callable[[list[int], int], tuple[list[int], int]]:
+        """f at the point xs / D over one positive denominator, compiled
+        once per instance."""
         if self.circuit is not None:
             from .circuits import compile_circuit
 
             return compile_circuit(self.circuit)
 
-        def over_lcm(x):
-            fx = self.f(x)
+        def over_lcm(xs, D):
+            fx = self.f([Fraction(x, D) for x in xs])
             den = lcm(*[v.denominator for v in fx])
             return [v.numerator * (den // v.denominator) for v in fx], den
 

@@ -98,8 +98,10 @@ def compute_kappa(circuit) -> tuple:
 class ContractionToOpdc(View):
     """Grid widths k_i = 2^kappa_i with kappa = `src.effective_kappa()`;
     directions follow the sign of f(p')_i - p'_i at the mapped point
-    p' = (p_i / k_i), read from the integer image (nums, den) = f_int(p')
-    as the sign of nums[i] * k_i - p_i * den."""
+    p' = (p_i / k_i), read from the integer image (nums, den) of p' as the
+    sign of nums[i] * k_i - p_i * den.  Every width is a power of two, so
+    p' is put over the largest width W as p_i * (W / k_i) / W; only
+    certificates build `Fraction`s."""
 
     def __init__(self, src: ContractionInstance):
         self.src = src
@@ -109,9 +111,12 @@ class ContractionToOpdc(View):
         return [Fraction(p[j], self.widths[j]) for j in range(len(self.widths))]
 
     def image(self) -> OpdcInstance:
+        top = max(self.widths)
+        scales = [top // k for k in self.widths]
+
         @memoize
         def directions(p):  # the sign of f(p')_i - p'_i, for all d directions
-            nums, den = self.src.f_int(self._to_box(p))
+            nums, den = self.src.f_int([q * m for q, m in zip(p, scales)], top)
             signs = (n * k - q * den for n, k, q in zip(nums, self.widths, p))
             return tuple(UP if s > 0 else DOWN if s < 0 else ZERO for s in signs)
 

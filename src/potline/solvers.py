@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import ge
 
 from .pivoting import LemkeSystem, principal_minor
@@ -236,35 +237,49 @@ class _Violation(Exception):
         self.certificate = certificate
 
 
-def _nested_search(inst: ContractionInstance, rules, outer: tuple, stats: RunStats) -> list:
+def _box(v) -> list[Fraction]:
+    """The point (nums, D) of the search as Fractions, for a certificate."""
+    nums, D = v
+    return [Fraction(n, D) for n in nums]
+
+
+def _nested_search(inst: ContractionInstance, rules, outer: tuple, D: int,
+                   stats: RunStats) -> tuple:
     """The fixpoint of the slice whose coordinates i+1..d-1 are `outer`
     (i = d - 1 - len(outer)), by bisection of coordinate i on the sign of
     f(v)_i - t, where v solves the inner slice at x_i = t.  Raises
     _Violation with a CMV2 when an evaluation leaves the unit box.
 
-    f is read through `inst.f_int`, so every test is an integer compare:
-    a probe at t returns (v, r, s) with f(v)_i - t = r / s and s > 0.  The
-    points t and v stay Fractions.
+    Points are integer numerators over one denominator: `outer` and t are
+    over D > 0, and the slice's fixpoint is returned as (nums, D') with D
+    dividing D'.  f is read through `inst.f_int`, so every test is an
+    integer compare: a probe at t returns (v, r, s) with f(v)_i - t = r / s
+    and s > 0.  The bracket [lo, hi] starts at [0, D] and each bisection
+    takes (lo + hi) >> 1, which is exact while 2^(halvings + 1) divides D;
+    `find_fp` and `approx_find_fp` start at a power of two that does.
 
     rules[i] = (close, halvings, grid, finish) is the solver's stop rule
     at level i + 1: the level returns v as soon as close(r, s); it
-    bisects [0, 1] at most `halvings` times; after bisection number
+    bisects [0, D] at most `halvings` times; after bisection number
     `grid` (0: none) it saves the bracket's pair (v_hi, v_lo); then it
-    returns finish(probe, lo, hi, v_lo, v_hi, saved)."""
+    returns finish(probe, lo, hi, D, v_lo, v_hi, saved), where
+    probe(t, Dt) probes t over Dt, a multiple of D."""
     i = inst.d - 1 - len(outer)
     if i < 0:
-        return list(outer)
+        return list(outer), D
     close, halvings, grid, finish = rules[i]
+    f_int = inst.f_int
 
-    def probe(t):
-        v = _nested_search(inst, rules, (t,) + outer, stats)
+    def probe(t, Dt=D):
+        point = (t,) + (outer if Dt == D else tuple(o * (Dt // D) for o in outer))
+        v = _nested_search(inst, rules, point, Dt, stats)
         stats.oracle_calls += 1
-        nums, den = inst.f_int(v)
+        nums, den = f_int(*v)
         if min(nums) < 0 or max(nums) > den:
-            raise _Violation(cert("CMV2", x=v))
-        return v, nums[i] * t.denominator - t.numerator * den, den * t.denominator
+            raise _Violation(cert("CMV2", x=_box(v)))
+        return v, nums[i] * Dt - t * den, den * Dt
 
-    lo, hi = Fraction(0), Fraction(1)
+    lo, hi = 0, D
     v_lo, r, s = probe(lo)
     if close(r, s):
         return v_lo
@@ -273,7 +288,7 @@ def _nested_search(inst: ContractionInstance, rules, outer: tuple, stats: RunSta
         return v_hi
     saved = None
     for k in range(1, halvings + 1):
-        mid = (lo + hi) / 2
+        mid = (lo + hi) >> 1
         v, r, s = probe(mid)
         if close(r, s):
             return v
@@ -283,48 +298,63 @@ def _nested_search(inst: ContractionInstance, rules, outer: tuple, stats: RunSta
             hi, v_hi = mid, v
         if k == grid:
             saved = (v_hi, v_lo)
-    return finish(probe, lo, hi, v_lo, v_hi, saved)
+    return finish(probe, lo, hi, D, v_lo, v_hi, saved)
 
 
-def _min_den_rational(lo: Fraction, hi: Fraction) -> Fraction:
-    """Minimal-denominator rational in the open interval (lo, hi), lo < hi,
-    via the Stern-Brocot search."""
+def _min_den_rational(a: int, b: int, D: int) -> tuple[int, int]:
+    """The minimal-denominator rational p / q in the open interval
+    (a / D, b / D), 0 <= a < b and D > 0, as (p, q) in lowest terms.
 
-    def rec(lo, hi):
-        # Find the simplest fraction in (lo, hi), both endpoints >= 0.
-        fl = lo.numerator // lo.denominator
-        if fl + 1 < hi:
-            return Fraction(fl + 1)
-        # lo and hi share the integer part fl.
-        a, b = lo - fl, hi - fl
-        if a == 0:
-            # (0, b): simplest is 1/ceil(1/b + eps)
-            k = b.denominator // b.numerator + 1
-            if Fraction(1, k) >= b:
-                k += 1
-            return fl + Fraction(1, k)
-        inner = rec(Fraction(1) / b, Fraction(1) / a)
-        return fl + Fraction(1) / inner
-
-    return rec(lo, hi)
+    A Stern-Brocot search as a loop over the bracket (ln / ld, hn / hd):
+    while the bracket holds no integer, it shares the integer part k with
+    its lower end, the answer is k + 1 / y for the simplest y in
+    (hd / (hn - k hd), ld / (ln - k ld)), and the map y -> k + 1 / y is
+    folded into the matrix [[P, Q], [R, S]] (determinant +-1, so the
+    result is in lowest terms)."""
+    ln, ld, hn, hd = a, D, b, D
+    P, Q, R, S = 1, 0, 0, 1
+    while True:
+        k = ln // ld
+        if (k + 1) * hd < hn:
+            y = k + 1
+            break
+        ln, hn = ln - k * ld, hn - k * hd
+        P, Q, R, S = P * k + Q, P, R * k + S, R
+        if ln == 0:
+            # (0, hn / hd): the simplest is 1 / y with y = floor(hd / hn) + 1.
+            y = hd // hn + 1
+            break
+        ln, ld, hn, hd = hd, hn, ld, ln
+    return P * y + Q, R * y + S
 
 
 def _exact_rule(level: int, kap: int):
     """Stop on f(v)_i == t; bisect to 2^-(2 kap + 1), past the 2^-kap grid."""
 
-    def finish(probe, lo, hi, v_lo, v_hi, saved):
+    def finish(probe, lo, hi, D, v_lo, v_hi, saved):
         # The only candidate left: the minimal-denominator rational strictly
         # inside (lo, hi); the true fixpoint coordinate has denominator at
         # most 2^kap and two such rationals cannot both fit in the interval.
-        cand = _min_den_rational(lo, hi)
-        if cand.denominator <= (1 << kap):
-            v, r, _ = probe(cand)
+        # It is the one probe whose t need not be a multiple of 1/D: the
+        # point moves to the denominator lcm(D, q).
+        p, q = _min_den_rational(lo, hi, D)
+        if q <= (1 << kap):
+            Dq = lcm(D, q)
+            v, r, _ = probe(p * (Dq // q), Dq)
             if r == 0:
                 return v
         # saved is the adjacent opposing pair on the 2^-kap grid.
-        raise _Violation(cert("CMV3", level=level, x=saved[0], y=saved[1]))
+        raise _Violation(cert("CMV3", level=level, x=_box(saved[0]), y=_box(saved[1])))
 
     return (lambda r, s: r == 0), 2 * kap + 1, kap, finish
+
+
+def _search(inst: ContractionInstance, rules, stats: RunStats) -> list[Fraction]:
+    """The nested search from the point over D = 2^H, H = 1 + the most
+    halvings of any level, so that every bisection midpoint is an integer;
+    returns the fixpoint as Fractions."""
+    H = 1 + max(halvings for _, halvings, _, _ in rules)
+    return _box(_nested_search(inst, rules, (), 1 << H, stats))
 
 
 def find_fp(inst: ContractionInstance, stats: RunStats | None = None) -> Certificate:
@@ -335,7 +365,7 @@ def find_fp(inst: ContractionInstance, stats: RunStats | None = None) -> Certifi
     stats = stats if stats is not None else RunStats()
     rules = [_exact_rule(i + 1, k) for i, k in enumerate(inst.effective_kappa())]
     try:
-        x = _nested_search(inst, rules, (), stats)
+        x = _search(inst, rules, stats)
     except _Violation as v:
         return v.certificate
     return cert("CM1", x=x)
@@ -364,13 +394,12 @@ def _approx_rule(eps_i: Fraction):
     r / s and eps_i = e / q, |f(v)_i - t| <= eps_i reads |r| q <= e s."""
     e, q = eps_i.as_integer_ratio()
 
-    def finish(probe, lo, hi, v_lo, v_hi, saved):
-        mid = (lo + hi) / 2
-        v, r, s = probe(mid)
+    def finish(probe, lo, hi, D, v_lo, v_hi, saved):
+        v, r, s = probe((lo + hi) >> 1)
         if r * q > e * s:
-            raise _Violation(cert("CMV1", x=v, y=v_hi))
+            raise _Violation(cert("CMV1", x=_box(v), y=_box(v_hi)))
         if -r * q > e * s:
-            raise _Violation(cert("CMV1", x=v_lo, y=v))
+            raise _Violation(cert("CMV1", x=_box(v_lo), y=_box(v)))
         return v
 
     # The fewest halvings k with 2^-k <= eps_i / 2 = e / 2q: 2^k >= ceil(2q / e).
@@ -393,7 +422,7 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
     eps = frac(eps)
     rules = [_approx_rule(e) for e in eps_schedule(p, inst.d, eps)]
     try:
-        v = _nested_search(inst, rules, (), stats)
+        v = _search(inst, rules, stats)
     except _Violation as viol:
         return viol.certificate
     return cert("APPROX_FIX", v=v, eps=eps, p=p)

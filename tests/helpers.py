@@ -146,3 +146,19 @@ def verify_lcp_ref(inst: LcpInstance, c: Certificate) -> bool:
         mx = affine_ref(inst.M, x)
         return all(a * b <= 0 for a, b in zip(x, mx))
     raise ValueError(c.kind)
+
+
+def fibonacci_contraction(bits: int):
+    """f(x) = x/2 + x*/2 with kappa = (bits,), and x*.  x* = F_{k-1} / F_k
+    for the largest odd Fibonacci number F_k below 2^bits, so its
+    continued fraction has k - 1 terms, the most for its size."""
+    from potline.circuits import affine_circuit
+    from potline.problems import ContractionInstance
+
+    fib = [0, 1]
+    while fib[-1] < 1 << bits:
+        fib.append(fib[-1] + fib[-2])
+    k = max(i for i, q in enumerate(fib) if q < 1 << bits and q % 2)
+    x_star = Fraction(fib[k - 1], fib[k])
+    circ = affine_circuit([[Fraction(1, 2)]], [x_star / 2])
+    return ContractionInstance(d=1, c=Fraction(1, 2), p=2, circuit=circ, kappa=(bits,)), x_star

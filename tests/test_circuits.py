@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -163,8 +164,13 @@ def circuits(draw):
 
 
 def _program_matches(c, x):
-    nums, den = compile_circuit(c)(x)
-    assert den > 0 and [F(n, den) for n in nums] == evaluate(c, x)
+    # x over the lcm D of its denominators, and over 3 D: any positive
+    # denominator gives the same map.
+    D = math.lcm(*[v.denominator for v in x])
+    run, want = compile_circuit(c), evaluate(c, x)
+    for k in (1, 3):
+        nums, den = run([v.numerator * (k * D // v.denominator) for v in x], k * D)
+        assert den > 0 and [F(n, den) for n in nums] == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,4 +196,4 @@ def test_compiled_program_on_generated_and_rotation_maps(d):
 
 def test_compiled_program_rejects_a_wrong_dimension():
     with pytest.raises(ValueError):
-        compile_circuit(identity_circuit(2))([F(1, 2)])
+        compile_circuit(identity_circuit(2))([1], 2)

@@ -12,6 +12,8 @@ import potline
 from potline.cli import _ALGOS as ALGOS, main
 from potline.problems import KINDS
 
+from helpers import fibonacci_contraction
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -139,6 +141,16 @@ def test_solve_contraction(tmp_path, capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["certificate"]["kind"] == "APPROX_FIX" and rec["verified"]
+
+
+def test_solve_contraction_with_a_long_continued_fraction(tmp_path, capsys):
+    # Its answer has 2881 continued-fraction terms; see test_solvers.
+    inst, x_star = fibonacci_contraction(2000)
+    f = tmp_path / "fib.json"
+    f.write_text(json.dumps(KINDS["contraction"].to_json(inst)))
+    record, code, report = _solve_then_verify(tmp_path, capsys, f, "contraction", ["--algo", "findfp"])
+    assert record["certificate"] == {"kind": "CM1", "x": [str(x_star)]} and record["verified"]
+    assert report == {"accepted": True, "kind": "CM1"} and code == 0
 
 
 def test_run_record_roundtrip(tmp_path, capsys):
@@ -395,6 +407,9 @@ def test_off_grid_message_names_the_coordinate_not_the_widths(files, capsys):
     (["generate", "--d", "0", "--kind", "noncontraction"], "dimension must be at least 1, got 0"),
     (["solve", "line", "--problem", "line", "--algo", "aldous", "--samples", "-3"],
      "samples must be at least 0, got -3"),
+    # Generators that check all 2^d cones stop at once above POTLINE_BUDGET.
+    *[(["generate", "--d", "40", "--kind", kind], f"--kind {kind} checks all 2^40 cones")
+      for kind in ("uso", "brokenuso", "nonpmatrixlcp")],
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
     argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]

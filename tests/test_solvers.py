@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potline.circuits import affine_circuit, evaluate
 from potline.generators import gen_contraction, gen_lcp, gen_line
@@ -26,7 +27,7 @@ from potline.solvers import (
     lemke,
 )
 
-from helpers import check_schedule
+from helpers import check_schedule, fibonacci_contraction
 from test_fixpoint_pin import clamped_rotation
 
 
@@ -154,6 +155,52 @@ def test_find_fp_nondyadic():
     circ = affine_circuit([[F(1, 4)]], [F(1, 4)])
     inst = ContractionInstance(d=1, c=F(1, 2), p=2, circuit=circ, kappa=(8,))
     assert find_fp(inst) == cert("CM1", x=[F(1, 3)])
+
+
+def test_find_fp_with_a_long_continued_fraction():
+    # x* has a 2000-bit odd denominator and 2881 continued-fraction terms:
+    # a minimal-denominator search with one stack frame per term would pass
+    # Python's recursion limit.
+    inst, x_star = fibonacci_contraction(2000)
+    stats = RunStats()
+    c = find_fp(inst, stats=stats)
+    assert c == cert("CM1", x=[x_star]) and verify(inst, c)
+    # Both ends, 4001 halvings and the minimal-denominator candidate.
+    assert stats.oracle_calls == 2 + 4001 + 1
+
+
+@st.composite
+def triangular_maps(draw):
+    """f(x) = A (x - x*) + x* with A lower triangular, mapping the box into
+    itself: row i's absolute sum is at most min(x*_i, 1 - x*_i).  Each x*_i
+    has a denominator q_i <= 2^kappa_i that is not a power of two, so every
+    level's answer is off the dyadic grid."""
+    d = draw(st.integers(1, 3))
+    kappa = tuple(draw(st.integers(2, 8)) for _ in range(d))
+    x_star = []
+    for k in kappa:
+        q = draw(st.integers(3, 1 << k).filter(lambda q: q & (q - 1)))
+        x_star.append(F(draw(st.integers(1, q - 1)), q))
+    a = []
+    for i in range(d):
+        row = [draw(st.fractions(-1, 1, max_denominator=16)) if j <= i else F(0) for j in range(d)]
+        room = min(x_star[i], 1 - x_star[i])
+        total = sum(abs(v) for v in row)
+        a.append([v * room / total for v in row] if total > room else row)
+    b = [x_star[i] - sum(a[i][j] * x_star[j] for j in range(d)) for i in range(d)]
+    inst = ContractionInstance(d=d, c=F(1, 2), p=1, circuit=affine_circuit(a, b), kappa=kappa)
+    return inst, x_star
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_maps())
+def test_find_fp_returns_non_dyadic_fixpoints(case):
+    # The slice fixpoint of level i is x*_i whatever the outer coordinates
+    # are, and its denominator is not a power of two: every level ends on
+    # the probe that moves the point to lcm(D, q_i), inner levels included.
+    inst, x_star = case
+    c = find_fp(inst)
+    assert c == cert("CM1", x=x_star) and verify(inst, c)
 
 
 def test_find_fp_cmv3():
