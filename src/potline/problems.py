@@ -123,8 +123,16 @@ class LineInstance:
     flavors.  `vertex_iter` optionally enumerates the (reachable or valid)
     vertex ids for desk-scale brute force when 2^n is too large.
 
+    `run`, optional like `predecessor`, is a pure oracle that lets a walk
+    cross plain +1 steps in one jump: run(x) is a count r >= 0 such that
+    for each j < r, S(x+j) = x+j+1, P(x+j+1) = x+j and V(x+j+1) =
+    V(x+j) + 1.  0 is always a correct answer.  Only the walks of the
+    two-way flavors read it, since a forward-only walk also checks S at
+    the vertex after the last step.
+
     S, P and V are the memos of the pure oracles (module docstring); a
-    missing P or V raises VariantMismatch on every call.
+    missing P or V raises VariantMismatch on every call.  `run` is not
+    memoized: a walk asks it once per jump.
     """
 
     n: int
@@ -134,6 +142,7 @@ class LineInstance:
     flavor: str = "eopl"
     m_pot: int = 0
     vertex_iter: Optional[Callable[[], "list[int]"]] = None
+    run: Optional[Callable[[int], int]] = None
 
     def __post_init__(self):
         if self.flavor not in LINE_KINDS:

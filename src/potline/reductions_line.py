@@ -51,7 +51,7 @@ class View:
 class LineView(View):
     """A lazy line instance over the source `src`.  Subclasses set `nbits`,
     `m_pot` and `flavor`, define `successor` and `potential` (and
-    `predecessor` and `enumerate_codes` where they have them), and
+    `predecessor`, `run` and `enumerate_codes` where they have them), and
     `candidates(c)`.  Codes that pack a high and a low field use `_split`
     and `_join` with the low field `low_bits` wide."""
 
@@ -70,6 +70,7 @@ class LineView(View):
             flavor=self.flavor,
             m_pot=self.m_pot,
             vertex_iter=getattr(self, "enumerate_codes", None),
+            run=getattr(self, "run", None),
         )
 
 
@@ -290,7 +291,10 @@ class PebblingView(LineView):
     Each code is decoded, validated against the source and indexed once
     per view: `successor`, `predecessor` and `potential` all read
     `_state(code)`, kept in a dict emptied when it reaches
-    ORACLE_CACHE_SIZE.  `index_of` and `move` are loops over the pebbles.
+    ORACLE_CACHE_SIZE.  `successor` and `predecessor` put the neighbour's
+    state, which they already know, in that dict as they encode it
+    (`_neighbour`).
+    `index_of` and `move` are loops over the pebbles.
     """
 
     flavor = "ueopl"
@@ -381,6 +385,23 @@ class PebblingView(LineView):
             states[code] = self._compute_state(code)
         return states[code]
 
+    def _neighbour(self, config, mv, t):
+        """The code of the config after move mv, or None when the move
+        stalls against the line.  The neighbour's state, with move index t,
+        is kept for `_state`, so it is not decoded again; unless mv placed a
+        label too wide for its field, whose code decodes as another config."""
+        nxt = self._apply(config, mv)
+        if nxt is None:
+            return None
+        code = self.encode(nxt)
+        op, peb, _ = mv
+        if op == "remove" or nxt[peb - 1][0] >> self.m == 0:
+            states = self._states
+            if len(states) >= problems.ORACLE_CACHE_SIZE:
+                states.clear()
+            states[code] = (nxt, t)
+        return code
+
     def _compute_state(self, code):
         config = self.decode(code)
         if config is None:
@@ -461,9 +482,9 @@ class PebblingView(LineView):
         config, t = state
         if t >= self.total:
             return code
-        nxt = self._apply(config, self.move(t))
+        nxt = self._neighbour(config, self.move(t), t + 1)
         if nxt is not None:
-            return self.encode(nxt)
+            return nxt
         if code == 0 and self.src.S(0) != 0:
             # P(0) = 0, so a self-loop at the start would end no line; point
             # S(0) off the line instead, making 0 a U1 that maps to UFP1(0).
@@ -477,8 +498,8 @@ class PebblingView(LineView):
         config, t = state
         if t == 0:
             return code
-        prev = self._apply(config, _undo(self.move(t - 1)))
-        return code if prev is None else self.encode(prev)
+        prev = self._neighbour(config, _undo(self.move(t - 1)), t - 1)
+        return code if prev is None else prev
 
     def potential(self, code):
         state = self._state(code)
@@ -580,8 +601,9 @@ class NormalizeView(LineView):
     What a step needs of the source vertex v is read from the source once
     per view and kept in `_records`, a dict emptied when it reaches
     ORACLE_CACHE_SIZE: the code at the top of v's chain (S(v)'s code, or 0
-    for a tail) and the chain's last index (-1 for a junk label).  A chain
-    or tail step is then a dict read and an add.  Only (v, 0)'s
+    for a tail) and the chain's last index (-1 for a junk label).  `run`
+    reads the same record, so a walk crosses a whole chain or tail in one
+    jump and asks S, P and V only where it leaves one.  Only (v, 0)'s
     predecessor, which enters from P(v)'s chain, asks the source again.
     """
 
@@ -622,6 +644,16 @@ class NormalizeView(LineView):
             # (v, i + 1); _join keeps an overflow (V outside [0, 2^m_pot)) in range
             return x + 1 if i < self.top else self._join(v, i + 1)
         return after if i == last else x
+
+    def run(self, x):
+        """Plain +1 steps from x = (v, i): last - i while i < last, capped
+        where the low field would overflow, else 0.  Also 0 at the start
+        code 0, whose step a walk takes through S as on any line."""
+        if x == 0:
+            return 0
+        v, i = x >> self.low_bits, x & self.top
+        last = (self._records.get(v) or self._record(v))[1]
+        return min(last, self.top) - i if i < last else 0
 
     def predecessor(self, x):
         if x == 0:

@@ -168,12 +168,28 @@ def _walk(inst: LineInstance, x: int, watched: dict, max_steps: int | None,
     V(x) and V(S(x)), else the certificate of x's flavor that fires before
     stepping from x.  Each step asks for S(x) once.  Raises Exhausted after
     max_steps (default 2^m_pot, the potential range, which bounds any
-    line's length)."""
+    line's length).
+
+    On a two-way line with a `run` oracle and no watch list, the r >= 1
+    plain +1 steps that run(x) names are one jump: no certificate can fire
+    on them, so the walk adds r to x and to `steps` without asking S, P or
+    V.  A jump is cut at the step budget, so `steps` and Exhausted are
+    those of the step-by-step walk."""
     if max_steps is None:
         max_steps = 1 << max(inst.m_pot, 1)
     end, violation, bad = _STEP_CERTS[inst.flavor]
     S, P, V = inst.S, inst.P, inst.V
-    for _ in range(max_steps + 1):
+    run = None if watched or end is None else inst.run
+    left = max_steps + 1
+    while left > 0:
+        if run is not None:
+            r = min(run(x), left)
+            if r:
+                stats.steps += r
+                left -= r
+                x += r
+                continue
+        left -= 1
         stats.steps += 1
         y = S(x)
         if watched and y != x:

@@ -110,9 +110,10 @@ def test_chain_evaluates_each_oracle_once_per_argument():
 
 
 # (d, seed) of gen_lcp -> memo misses of S, P and V at the ufeopl, plus1,
-# ueopl and normalized stages after the walk and the map-back, recorded
-# before the pebbling and normalization views kept per-code state.  A view
-# may ask the stage below fewer times, but for the same set of arguments.
+# ueopl and normalized stages after the step-by-step walk (the normalized
+# image without its `run` oracle) and the map-back, recorded before the
+# pebbling and normalization views kept per-code state.  A view may ask the
+# stage below fewer times, but for the same set of arguments.
 PINNED_MISSES = {
     (1, 0): (3, 0, 3, 2, 0, 1, 1, 1, 1, 128, 128, 128),
     (1, 1): (3, 0, 3, 2, 0, 1, 1, 1, 1, 128, 128, 128),
@@ -126,21 +127,46 @@ PINNED_MISSES = {
     (4, 0): (25, 0, 25, 54, 0, 53, 334, 333, 334, 32768, 32768, 32768),
 }
 
+# The same walks with the jump: the stages below the normalized one are
+# asked as before, and the normalized S, P and V are each missed once per
+# code the walk steps from.  Every source edge of these chains has gap 1,
+# so that is each source vertex's code (v, 0) but the end's, whose tail is
+# one jump, and the tail's top; the ueopl stage's S misses, and 2 at d = 1,
+# where the start 0 is the end.
+PINNED_JUMP_MISSES = {
+    (1, 0): 2, (1, 1): 2, (1, 2): 2,
+    (2, 0): 2, (2, 1): 2, (2, 2): 10,
+    (3, 0): 82, (3, 1): 82, (3, 2): 14,
+    (4, 0): 334,
+}
+
+
+def _stage_misses(d, seed, jump):
+    stages = {}
+
+    def keep(stage, inst):
+        stages[stage] = inst
+        return inst
+
+    norm, backs = _chain(gen_lcp(d, seed, nondegenerate=True), keep)
+    if not jump:
+        norm = replace(norm, run=None)
+    stages["normalized"] = norm
+    _solve_chain(norm, backs)
+    return tuple(getattr(stages[stage], name).cache_info().misses
+                 for stage in ("ufeopl", "plus1", "ueopl", "normalized") for name in "SPV")
+
 
 def test_stage_memo_misses_pinned():
     for (d, seed), want in PINNED_MISSES.items():
-        stages = {}
-
-        def keep(stage, inst):
-            stages[stage] = inst
-            return inst
-
-        norm, backs = _chain(gen_lcp(d, seed, nondegenerate=True), keep)
-        stages["normalized"] = norm
-        _solve_chain(norm, backs)
-        got = tuple(getattr(stages[stage], name).cache_info().misses
-                    for stage in ("ufeopl", "plus1", "ueopl", "normalized") for name in "SPV")
+        got = _stage_misses(d, seed, jump=False)
         assert got == want, (d, seed, got)
+
+
+def test_stage_memo_misses_pinned_with_the_jump():
+    for (d, seed), want in PINNED_MISSES.items():
+        got = _stage_misses(d, seed, jump=True)
+        assert got == want[:9] + (PINNED_JUMP_MISSES[d, seed],) * 3, (d, seed, got)
 
 
 def _walk_record(lcp):
@@ -221,18 +247,43 @@ def test_vertex_cache_stays_within_cap(monkeypatch):
     assert sizes and max(sizes) <= cap
 
 
+def _lookups(line):
+    infos = {name: getattr(line, name).cache_info() for name in "SPV"}
+    return {name: info.hits + info.misses for name, info in infos.items()}
+
+
 def test_walk_queries_each_memo_a_bounded_number_of_times_per_step():
     # One S and one P lookup per step, V(x) and V(S(x)) for the violation
-    # check; a walk that asks for S(x) again shows up here.
-    lines = [_chain(gen_lcp(2, 0, nondegenerate=True))[0], plcp_to_eopl(_murty(5))[0]]
+    # check; a walk that asks for S(x) again shows up here.  The normalized
+    # line is walked step by step, without its `run` oracle.
+    norm = _chain(gen_lcp(2, 0, nondegenerate=True))[0]
+    lines = [replace(norm, run=None), plcp_to_eopl(_murty(5))[0]]
     for line in lines:
         stats = RunStats()
         follow_line(line, 0, stats=stats)
-        lookups = {name: getattr(line, name).cache_info() for name in "SPV"}
-        lookups = {name: info.hits + info.misses for name, info in lookups.items()}
+        lookups = _lookups(line)
         assert stats.steps > 10 and lookups["S"] >= stats.steps, (stats, lookups)
         assert lookups["S"] <= stats.steps and lookups["P"] <= stats.steps, (stats, lookups)
         assert lookups["V"] <= 2 * stats.steps, (stats, lookups)
+
+
+def test_walk_with_the_jump_queries_only_the_steps_it_takes():
+    # A jump asks no memo: S is looked up once per step that is not jumped.
+    for d, seed in ((1, 0), (2, 0), (2, 2), (3, 1)):
+        norm = _chain(gen_lcp(d, seed, nondegenerate=True))[0]
+        jumped = []
+
+        def run(x, run=norm.run):
+            jumped.append(run(x))
+            return jumped[-1]
+
+        line = replace(norm, run=run)
+        stats = RunStats()
+        follow_line(line, 0, stats=stats)
+        taken = stats.steps - sum(jumped)
+        lookups = _lookups(line)
+        assert sum(jumped) > 0 and lookups["S"] == taken, (d, seed, stats, sum(jumped), lookups)
+        assert lookups["P"] <= taken and lookups["V"] <= 2 * taken, (d, seed, stats, lookups)
 
 
 def test_dropped_instance_frees_its_memos():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from potline.generators import gen_line
+from potline import problems
+from potline.cli import compose
+from potline.generators import gen_lcp, gen_line
 from potline.problems import UnmappableCert, cert, line_from_tables, verify
 from potline.reductions_line import (
     EomlToEopl,
@@ -14,9 +16,9 @@ from potline.reductions_line import (
     plus1_to_ueopl,
     ufeopl_to_plus1,
 )
-from potline.solvers import brute_force, follow_line
+from potline.solvers import brute_force, follow_line, lemke
 
-from helpers import gen_normalized_line, pebbling_index, pebbling_move
+from helpers import FULL_CHAIN, gen_normalized_line, pebbling_index, pebbling_move
 
 
 # -- EOML -> EOPL -----------------------------------------------------------------
@@ -262,6 +264,99 @@ def test_normalize_map_backs():
         norm, view = normalize_potentials(src)
         for cc in brute_force(norm, budget=1 << 18, max_certs=3000):
             assert verify(src, view.map_back(cc))
+
+
+def _check_run(line, x):
+    """run's contract at x, one step at a time: a run of r > 0 from x is a
+    +1 step to x + 1 followed by a run of r - 1 from there."""
+    r = line.run(x)
+    assert r >= 0, x
+    if r:
+        y = x + 1
+        assert line.S(x) == y and line.P(y) == x and line.V(y) == line.V(x) + 1, (x, r)
+        assert line.run(y) == r - 1, (x, r)
+    return r
+
+
+def _walk_codes(line, start=0):
+    """The codes of the step-by-step walk from start, its end last."""
+    x, codes = start, [start]
+    while True:
+        y = line.S(x)
+        if y == x or line.P(y) != x:
+            return codes
+        codes.append(y)
+        x = y
+
+
+def test_normalize_run_contract_on_full_chains():
+    rng = random.Random(0)
+    for d in (1, 2, 3):
+        for seed in range(3):
+            line = compose(gen_lcp(d, seed, nondegenerate=True), FULL_CHAIN)[0]
+            codes = _walk_codes(line)
+            assert line.run(0) == 0
+            runs = [_check_run(line, x) for x in codes]
+            # Chain tops: the walk leaves a chain or tail with a step that
+            # is not x + 1, and the end steps off the line.
+            for x, r in zip(codes, runs):
+                if line.S(x) != x + 1:
+                    assert r == 0, (d, seed, x)
+            assert runs[-1] == 0 and max(runs) > 0
+            # Codes off the walk, junk among them: junk self-loops, so no
+            # run leaves it.
+            sample = [rng.randrange(line.size) for _ in range(2000)]
+            runs = {x: _check_run(line, x) for x in sample}
+            junk = [x for x in sample if line.S(x) == x]
+            assert junk and not any(runs[x] for x in junk), (d, seed)
+
+
+def test_normalize_run_contract_on_gapped_lines():
+    # Source edges with gaps above 1 give chains of +1 steps inside the
+    # line, not only tails; check every code of the image.
+    for seed, two in ((7, False), (1, True), (2, False), (3, True)):
+        src = gen_line(5, seed, flavor="ueopl", gaps=[2, 1, 3, 1], two_lines=two)
+        line = normalize_potentials(src)[0]
+        runs = [_check_run(line, x) for x in range(line.size)]
+        inner_tops = {x + r for x, r in enumerate(runs) if r and line.S(x + r) != 0}
+        assert inner_tops, seed
+
+
+def test_pebbling_neighbour_states_are_the_decoded_ones(monkeypatch):
+    # successor and predecessor hand the neighbour's state to _state; each
+    # such state must be the one _state would decode from the code.
+    monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", 1 << 30)
+    for d in range(1, 6):
+        for seed in range(4):
+            lcp = gen_lcp(d, seed, nondegenerate=True)
+            plus1, back_plus1 = compose(lcp, FULL_CHAIN[:FULL_CHAIN.index("plus1") + 1])
+            view = PebblingView(plus1)
+            decoded = set()
+            compute = view._compute_state
+
+            def decode(code, compute=compute, decoded=decoded):
+                decoded.add(code)
+                return compute(code)
+
+            view._compute_state = decode
+            norm, back_norm = normalize_potentials(view.image())
+            c = follow_line(norm, 0)
+            assert back_plus1(view.map_back(back_norm.map_back(c))) == lemke(lcp)
+            handed = set(view._states) - decoded
+            assert handed or d == 1, (d, seed)
+            for code, state in view._states.items():
+                assert state == compute(code), (d, seed, code)
+
+
+def test_pebbling_keeps_no_state_for_a_label_wider_than_its_field():
+    # S(1) = 5 does not fit in n = 2 bits, so the code of the config that
+    # pebbles it decodes as another config: its state is decoded, not handed.
+    src = line_from_tables(2, {0: 1, 1: 5, 5: 6}, v_table={1: 1, 5: 2, 6: 3},
+                           flavor="ufeoplplus1", m_pot=2)
+    line, view = plus1_to_ueopl(src)
+    assert follow_line(line, 0) == cert("U1", x=11)
+    for code, state in view._states.items():
+        assert state == view._compute_state(code), code
 
 
 # -- UEOPL -> OPDC -----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from potline.circuits import affine_circuit, evaluate
+from potline.cli import compose
 from potline.generators import gen_contraction, gen_lcp, gen_line
 from potline.problems import (
     ContractionInstance,
@@ -15,6 +17,7 @@ from potline.problems import (
     line_from_tables,
     verify,
 )
+from potline.reductions_line import normalize_potentials
 from potline.solvers import (
     Exhausted,
     RunStats,
@@ -27,7 +30,7 @@ from potline.solvers import (
     lemke,
 )
 
-from helpers import check_schedule, fibonacci_contraction
+from helpers import FULL_CHAIN, check_schedule, fibonacci_contraction
 from test_fixpoint_pin import clamped_rotation
 
 
@@ -99,6 +102,79 @@ def test_follow_line_exhausted():
     inst = gen_line(32, seed=0, flavor="eopl", gaps=[1] * 31)
     with pytest.raises(Exhausted):
         follow_line(inst, 0, max_steps=5)
+
+
+def _normalized_chain(d, seed):
+    return compose(gen_lcp(d, seed, nondegenerate=True), FULL_CHAIN)[0]
+
+
+def _walk_outcome(walk, inst):
+    """(certificate or Exhausted message, steps) of walk(inst, stats)."""
+    stats = RunStats()
+    try:
+        return walk(inst, stats), stats.steps
+    except Exhausted as exc:
+        return str(exc), stats.steps
+
+
+def test_jump_keeps_the_step_budget():
+    # A jump cut at the budget raises the same Exhausted after the same
+    # steps as the step-by-step walk, and otherwise ends on the same
+    # certificate: budgets below, at and around each chain's length.
+    exhausted = 0
+    for d, seed in ((1, 0), (2, 0), (2, 2), (3, 2)):
+        line = _normalized_chain(d, seed)
+        runless = replace(line, run=None)
+        _, n = _walk_outcome(lambda inst, st: follow_line(inst, 0, stats=st), line)
+        for max_steps in sorted({-1, 0, 1, 2, 3, n // 2, n - 3, n - 2, n - 1, n, n + 1, 2 * n}):
+            walk = lambda inst, st: follow_line(inst, 0, max_steps, st)
+            got = _walk_outcome(walk, line)
+            assert got == _walk_outcome(walk, runless), (d, seed, max_steps, got)
+            exhausted += isinstance(got[0], str)
+    assert exhausted >= 4 * 7
+
+
+def test_jump_matches_the_step_by_step_walk_from_every_code():
+    # Gapped sources give chains of +1 steps inside the line as well as
+    # tails; a walk may start anywhere, also inside a chain or on junk.
+    for seed, two in ((7, False), (1, True), (2, False)):
+        src = gen_line(5, seed, flavor="ueopl", gaps=[2, 1, 3, 1], two_lines=two)
+        line = normalize_potentials(src)[0]
+        runless = replace(line, run=None)
+        for start in range(line.size):
+            for max_steps in (None, 0, 1, 2, 5):
+                walk = lambda inst, st: follow_line(inst, start, max_steps, st)
+                assert _walk_outcome(walk, line) == _walk_outcome(walk, runless), (seed, start, max_steps)
+
+
+def test_forward_only_walk_takes_no_jump():
+    # A forward-only walk checks S at the vertex after each step, which a
+    # jump would skip: run(0) = 2 must not hide UF1 at 1, whose successor
+    # self-loops.
+    inst = line_from_tables(2, {0: 1, 1: 2}, v_table={1: 1, 2: 2}, flavor="ufeopl")
+    jumping = replace(inst, run=lambda x: 2 if x == 0 else 0)
+    assert follow_line(jumping, 0) == follow_line(inst, 0) == cert("UF1", x=1)
+
+
+def test_aldous_with_and_without_the_jump():
+    # With a watch list the walk takes no jump: a watched vertex of a
+    # second line may share a potential with a code inside a run (UV3).
+    # With none (samples = 0) it jumps and must still end where the
+    # step-by-step walk does.
+    lines = [_normalized_chain(d, seed) for d, seed in ((1, 0), (2, 0), (2, 2))]
+    lines += [normalize_potentials(gen_line(6, seed, flavor="ueopl", gaps=[3, 1, 4, 2, 3],
+                                            two_lines=True))[0] for seed in range(4)]
+    uv3 = 0
+    for line in lines:
+        runless = replace(line, run=None)
+        for samples in (0, 1, 8, 64, 256):
+            for rng_seed in range(4):
+                for cap in (None, 5):
+                    walk = lambda inst, st: aldous(inst, samples, random.Random(rng_seed), cap, st)
+                    got = _walk_outcome(walk, line)
+                    assert got == _walk_outcome(walk, runless), (line.n, samples, rng_seed, cap)
+                    uv3 += getattr(got[0], "kind", None) == "UV3"
+    assert uv3 > 0
 
 
 # -- Aldous ---------------------------------------------------------------------
