@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .circuits import affine_circuit
-from .pivoting import LemkeSystem
 from .problems import ContractionInstance, LcpInstance, LineInstance, UsoInstance, line_from_tables
 from .rational import frac
 
@@ -32,7 +31,7 @@ def gen_lcp(d: int, seed: int, p_matrix: bool = True, nondegenerate: bool = Fals
         raise ValueError(f"dimension must be at least 1, got {d}")
     rng = _rng(seed)
     for _ in range(200):
-        # M is built in int and wrapped as Fraction once it is final.
+        # M is built in int; LcpInstance wraps it as Fraction.
         b = [[rng.randrange(-3, 4) for _ in range(d)] for _ in range(d)]
         cols = list(zip(*b))
         m = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
@@ -47,14 +46,14 @@ def gen_lcp(d: int, seed: int, p_matrix: bool = True, nondegenerate: bool = Fals
             continue  # tied minimum degenerates the Lemke start
         if not p_matrix:
             m[0][0] = -rng.randrange(1, 3)
-        m = [[Fraction(x) for x in row] for row in m]
+        inst = LcpInstance(M=m, q=q)
         if not p_matrix or nondegenerate:
-            sys = LemkeSystem(m, q)
+            sys = inst.system
             cones = (sys.cone_vertex(a) for r in range(d + 1) for a in combinations(range(d), r))
             # A basic value of a cone's vertex is an entry of A_alpha^-1 q.
             if any(v is None or (p_matrix and any(row[sys.rhs] == 0 for row in v.t)) for v in cones):
                 continue
-        return LcpInstance(M=m, q=q)
+        return inst
     raise RuntimeError("generator failed to produce an instance")
 
 

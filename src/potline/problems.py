@@ -257,7 +257,8 @@ class UsoInstance:
 class LcpInstance:
     """Find y >= 0 with w = M y + q >= 0 and y . w = 0.  M and q are not
     mutated after construction, so `system`, the Lemke system over them,
-    is built once and shared by every out-map and cone solve."""
+    is built once, here alone, and shared by `lemke`, the generator's cone
+    checks, every out-map and cone solve and the Lemke line view."""
 
     M: Mat
     q: Vec

@@ -33,19 +33,6 @@ from .reductions_line import LineView, View
 from math import factorial, lcm
 
 
-def integer_scale(inst: LcpInstance) -> tuple[LcpInstance, int]:
-    """Scale (M, q) by the lcm of all denominators.  Uniform row scaling
-    keeps the covering vector all-ones and preserves solutions, violations
-    and the Lemke path combinatorics (z is scaled)."""
-    dens = [x.denominator for row in inst.M for x in row] + [x.denominator for x in inst.q]
-    scale = lcm(*dens) if dens else 1
-    if scale == 1:
-        return inst, 1
-    m2 = [[x * scale for x in row] for row in inst.M]
-    q2 = [x * scale for x in inst.q]
-    return LcpInstance(M=m2, q=q2), scale
-
-
 def out_map(inst: LcpInstance, alpha) -> int | None:
     """Sign bit-string of A_alpha^{-1} q, or None (dash) on singularity.
 
@@ -93,7 +80,14 @@ def map_back_uso(inst: LcpInstance, uso: UsoInstance, c: Certificate) -> Certifi
 
 class PlcpLineView(LineView):
     """Lazy UniqueEOPL instance over 2d-bit codes of Lemke-path vertices.
-    All arithmetic runs on the integer-scaled instance.
+    It pivots on the source's own `LcpInstance.system`, the engine that
+    `PlcpToUso`'s out-map reads too.
+
+    The potential needs integer data, so it is that of (M, q) scaled by
+    `scale`, the lcm of their denominators.  The uniform row scale
+    multiplies i_max in Delta and the constant term of z by `scale`, and
+    leaves z's eps coefficients as they are: the perturbation is added
+    after the scale.
 
     The right-hand side is perturbed symbolically, so z values are
     polynomials in eps.  The potential applies the floor(Delta^2 *
@@ -115,15 +109,12 @@ class PlcpLineView(LineView):
         if all(qi >= 0 for qi in inst.q):
             raise ValueError("q >= 0 is solved by y = 0; the line view needs min q < 0")
         self.src = inst
-        self.inst, self.scale = integer_scale(inst)
         self.d = inst.d
-        self.sys = self.inst.system
+        self.sys = inst.system
         self.nbits = 2 * self.d
-        i_max = max(
-            max((x for row in self.inst.M for x in row), default=Fraction(0)),
-            max((abs(x) for x in self.inst.q), default=Fraction(0)),
-        )
-        i_max = max(int(i_max), 1)
+        entries = [x for row in inst.M for x in row]
+        self.scale = lcm(*[x.denominator for x in entries + inst.q])
+        i_max = max(int(max(max(entries), *map(abs, inst.q)) * self.scale), 1)
         self.delta = factorial(2 * self.d) * i_max ** (2 * self.d + 1) + 1
         self.radix = 2 * self.delta**3 + 1
         self.m_pot = ceil_log2(self.radix ** (self.d + 1)) + 1
@@ -257,6 +248,7 @@ class PlcpLineView(LineView):
         # truncating.  The constants are worked out once per call, not kept
         # on the view, which a workload may build thousands of at once.
         zs, det = self.sys.z_row(v)
+        zs[0] *= self.scale
         d2, radix = self.delta**2, self.radix
         d3_det, top = d2 * self.delta * det, radix - 1
         val = 0
@@ -317,20 +309,20 @@ class PlcpLineView(LineView):
         alpha = self.sys.support(basis)
         l = self.sys.duplicate_label(basis)
         for a in [alpha, alpha | {l}] if l is not None else [alpha]:
-            if a and principal_minor(self.inst.M, a) <= 0:
+            if a and principal_minor(self.src.M, a) <= 0:
                 yield cert("PV1", alpha=frozenset(a))
         # A severed line is impossible for P-matrices, so some principal
         # minor is non-positive; scan them all (desk scale).
         for r in range(1, self.d + 1):
             for sub in combinations(range(self.d), r):
-                if principal_minor(self.inst.M, sub) <= 0:
+                if principal_minor(self.src.M, sub) <= 0:
                     yield cert("PV1", alpha=frozenset(sub))
 
     def _ray_pv2(self, other: Vertex):
         # The start code stands for the primary ray (y = 0, z >= z0); the
         # ray point at the other vertex's z value pairs with it for PV2.
         y_other, _, z_other = self.sys.numeric_point(other)
-        if all(qi + z_other >= 0 for qi in self.inst.q):
+        if all(qi + z_other >= 0 for qi in self.src.q):
             yield from _pv2(y_other, [Fraction(0)] * self.d)
 
 
@@ -375,17 +367,20 @@ def _edge_points_same_z(view: PlcpLineView, v: Vertex):
         finite = [s for s in spans if s is not None]
         if any(s == 0 for s in finite):
             return []
-        eps = min(finite) / 2 if finite else Fraction(1)
+        # Two rays: a unit of the scaled z (class docstring), 1/scale of z.
+        eps = min(finite) / 2 if finite else Fraction(1, view.scale)
         for eta, dz, _ in edges:
             t = eps / abs(dz)
             y, _, z = sys.edge_point(v, eta, t)
             out.append((y, z))
         return out
-    for eta, dz, t_max in edges:
+    for entering, (eta, dz, t_max) in zip((l, sys.d + l), edges):
         if dz == 0:
             # z is constant along this edge: the vertex and any interior
-            # edge point already share a z value.
-            t = Fraction(1) if t_max is None else t_max / 2
+            # edge point already share a z value.  A ray steps a unit of
+            # the scaled (M, q): 1 of a y, 1/scale of a w.
+            unit = Fraction(1) if entering < sys.d else Fraction(1, view.scale)
+            t = unit if t_max is None else t_max / 2
             if t == 0:
                 continue
             y0, _, _ = sys.numeric_point(v)

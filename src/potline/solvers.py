@@ -79,7 +79,7 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
     d = inst.d
     if all(qi >= 0 for qi in inst.q):
         return cert("Q1", y=[Fraction(0)] * d)
-    sys = LemkeSystem(inst.M, inst.q)
+    sys = inst.system
     v, i_star = sys.start_vertex()
     stats.z_trace.append(sys.value(v, sys.zvar))
     entering = i_star  # relax y_{i*}=0: the complement of the leaving w_{i*}

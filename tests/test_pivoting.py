@@ -330,7 +330,7 @@ def test_cone_sign_matches_principal_minor():
             v = view.vertex_of(u)
             if v is None or sys.zvar in v.basis:
                 continue
-            minor = principal_minor(view.inst.M, sys.support(v.basis))
+            minor = principal_minor(view.src.M, sys.support(v.basis))
             assert minor != 0
             assert sys.cone_sign(v) == (1 if minor > 0 else -1), sorted(v.basis)
             checked += 1

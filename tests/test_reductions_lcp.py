@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from potline.generators import gen_lcp
+from potline.pivoting import LemkeSystem
 from potline.problems import LcpInstance, UnmappableCert, cert, verify
 from potline.reductions_lcp import (
     PlcpLineView,
@@ -124,6 +125,28 @@ def test_plcp_to_eopl_agrees_with_lemke():
         line, view = plcp_to_eopl(inst)
         c = follow_line(line, 0)
         assert map_back_lcp(inst, view, c) == lemke(inst)
+
+
+def test_one_lemke_system_per_instance(monkeypatch):
+    # gen_lcp's cone checks, lemke, the line view, the out-map and a PV3
+    # verify all pivot on the instance's one `system`, also when q is not
+    # integral.
+    built = []
+    init = LemkeSystem.__init__
+
+    def counting_init(self, m, q):
+        built.append(self)
+        init(self, m, q)
+
+    monkeypatch.setattr(LemkeSystem, "__init__", counting_init)
+    inst = gen_lcp(3, 0, nondegenerate=True)
+    c = lemke(inst)
+    line, view = plcp_to_eopl(inst)
+    assert view.scale > 1
+    assert map_back_lcp(inst, view, follow_line(line, 0)) == c
+    assert out_map(inst, frozenset({0})) is not None
+    verify(inst, cert("PV3", alpha=frozenset({0}), beta=frozenset({1})))
+    assert len(built) == 1 and built[0] is inst.system, len(built)
 
 
 def test_plcp_to_eopl_non_p_map_backs():
