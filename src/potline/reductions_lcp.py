@@ -85,9 +85,9 @@ class PlcpLineView(LineView):
 
     The potential needs integer data, so it is that of (M, q) scaled by
     `scale`, the lcm of their denominators.  The uniform row scale
-    multiplies i_max in Delta and the constant term of z by `scale`, and
-    leaves z's eps coefficients as they are: the perturbation is added
-    after the scale.
+    multiplies by `scale` the constant term of z and i_max, the largest
+    |entry| of M and q, of which Delta is built; it leaves z's eps
+    coefficients as they are: the perturbation is added after the scale.
 
     The right-hand side is perturbed symbolically, so z values are
     polynomials in eps.  The potential applies the floor(Delta^2 *
@@ -114,7 +114,7 @@ class PlcpLineView(LineView):
         self.nbits = 2 * self.d
         entries = [x for row in inst.M for x in row]
         self.scale = lcm(*[x.denominator for x in entries + inst.q])
-        i_max = max(int(max(max(entries), *map(abs, inst.q)) * self.scale), 1)
+        i_max = max(int(max(map(abs, entries + inst.q)) * self.scale), 1)
         self.delta = factorial(2 * self.d) * i_max ** (2 * self.d + 1) + 1
         self.radix = 2 * self.delta**3 + 1
         self.m_pot = ceil_log2(self.radix ** (self.d + 1)) + 1

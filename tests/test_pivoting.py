@@ -160,7 +160,7 @@ PINNED_LINES = {
     'wild1': '2abde5b2e676f2f6',
     'wild2': '07a061f48afa88b9',
     'wild3': 'edf11c4cfc3f4616',
-    'wild4': '7695165bf56e0079',
+    'wild4': 'df7220e6b0fe35bf',
     'wild5': '70e3b6a94880c2ac',
     'wild6': '9a36ddb2c87ac6b4',
     'wild7': '9f89ed2c15cec1de',
@@ -169,26 +169,26 @@ PINNED_LINES = {
     'wild10': 'e218b7eed76756ec',
     'wild11': '67c4d4a416a84130',
     'wild13': 'a62317f0a9954f75',
-    'wild15': '3ca62a58fb3e3bd6',
+    'wild15': '10d73b69a79dbd4f',
     'wild17': '6ff631b949f273f2',
-    'wild18': 'f4b112baa69a2356',
+    'wild18': 'd536cebb72d8aade',
     'wild19': '8928daace86a4493',
     'wild20': 'e53e5f617f006b88',
     'wild21': '1be6eab39ee9a1c1',
     'wild22': '65a3e4aa843f672f',
     'wild23': 'faad6d54c9e3cbc7',
-    'wild28': 'a5cb32dff6ba469f',
+    'wild28': 'f295dbbae06eca78',
     'wild29': '9067243cb640770d',
     'wild31': '49641bd3399ce409',
-    'wild32': '4cd70847d47b9656',
+    'wild32': 'e5b8786abfa769ce',
     'wild33': 'fbebaf41b125b355',
-    'wild34': '18dd0e4658aea464',
+    'wild34': '793cc8826f28b5d0',
     'wild35': 'b18057318fcb1d51',
     'wild36': '03ec96fa0da3136a',
-    'wild39': '134018d4eb80d6b1',
-    'wild40': '47699d613283647b',
+    'wild39': 'ca5cbf0ae6beb12e',
+    'wild40': '3487aa46e9ba207d',
     'wild41': '96b372037a0ba569',
-    'wild42': 'c80eba87485f47e3',
+    'wild42': '68a96c5c51fb5ff5',
     'wild43': '181673b655444616',
     'wild44': '1ad6b26ae595b0c8',
     'wild45': 'e1e97405308f734a',
@@ -197,7 +197,7 @@ PINNED_LINES = {
     'wild49': '847915aee79defa2',
     'wild50': '2558c580a2b0c3d6',
     'wild53': 'f901f79234021158',
-    'wild57': '5b9b923ca004760e',
+    'wild57': '3bd771a76d7c6ece',
     'wild58': '1d48fad1d912fddf',
     'wild59': '5aaf20850e612daa',
 }

@@ -100,6 +100,19 @@ def test_plcp_to_eopl_worked():
     assert map_back_lcp(WORKED, view, c) == cert("Q1", y=[F(1, 3), F(1, 3)])
 
 
+def test_plcp_to_eopl_delta_reads_negative_entries_of_m():
+    # The largest entry of M is 1 and its largest |entry| 1000.  Delta must
+    # bound |z|, which reaches 1000, so it is taken over |entries|: with
+    # I_max = 1 the potential fell along the path and the walk ended at a
+    # UV1 that maps back to nothing.
+    inst = LcpInstance(M=[[1, -1000], [0, 1]], q=[-1, -1])
+    line, view = plcp_to_eopl(inst)
+    assert view.delta == 4 * 3 * 2 * 1000**5 + 1
+    c = follow_line(line, 0)
+    assert c.kind == "U1"
+    assert map_back_lcp(inst, view, c) == lemke(inst) == cert("Q1", y=[F(1001), F(1)])
+
+
 def test_plcp_to_eopl_line_integrity():
     for seed in range(6):
         inst = gen_lcp(2, seed, nondegenerate=True)
