@@ -460,7 +460,10 @@ def _verified(inst, candidates, max_certs: int) -> list[Certificate]:
 def _lcp_certs(inst: LcpInstance, budget: int, max_certs: int) -> list[Certificate]:
     if 1 << inst.d > budget:
         raise BudgetExceeded("too many supports")
-    return [c for c in lcp_brute_force(inst) if verify(inst, c)]
+    certs = lcp_brute_force(inst)
+    if len(certs) > max_certs:
+        raise BudgetExceeded("certificate cap hit")
+    return [c for c in certs if verify(inst, c)]
 
 
 def _uso_certs(inst: UsoInstance, budget: int, max_certs: int) -> list[Certificate]:

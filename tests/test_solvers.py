@@ -19,6 +19,7 @@ from potline.problems import (
 )
 from potline.reductions_line import normalize_potentials
 from potline.solvers import (
+    BudgetExceeded,
     Exhausted,
     RunStats,
     aldous,
@@ -410,6 +411,16 @@ def test_brute_force_lcp():
     inst = LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1])
     certs = brute_force(inst)
     assert [c.kind for c in certs] == ["Q1"]
+
+
+def test_brute_force_lcp_keeps_the_certificate_cap():
+    # As every other enumerator: more than max_certs certificates raise.
+    inst = gen_lcp(5, 0, p_matrix=False)
+    certs = brute_force(inst)
+    assert len(certs) == 48
+    assert brute_force(inst, max_certs=48) == certs
+    with pytest.raises(BudgetExceeded, match="certificate cap hit"):
+        brute_force(inst, max_certs=47)
 
 
 def test_brute_force_uso():
