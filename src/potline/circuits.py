@@ -9,8 +9,13 @@ numerators xs over one denominator D > 0 that the caller picks (any
 positive D works); gate g holds an integer num_g whose value is
 num_g / (D * C_g), with C_g fixed at compile time, and the program returns
 f(x) as integer numerators over one positive denominator.  No `Fraction`
-is built.  `evaluate` computes the same map on `Fraction`s, one per gate;
-it stays the reference that the verifiers and the tests use.
+is built.  The program runs in two tiers with the same results: a loop
+that dispatches on each gate's op answers its first GENERATE_AFTER calls,
+and then generated straight-line Python code, one statement per gate,
+compiled once, answers the rest.  Only integer positions are written into
+the generated source; the circuit's values reach it as closure cells.
+`evaluate` computes the same map on `Fraction`s, one per gate; it stays
+the reference that the verifiers and the tests use.
 
 Also houses the circuit -> LCP encoding whose solutions are exactly the
 fixpoints of the circuit, used for bit-length accounting and
@@ -103,6 +108,19 @@ def evaluate(c: Circuit, x: Vec) -> Vec:
     return [vals[o] for o in c.outputs]
 
 
+# Calls that a compiled program answers with its interpreter loop before it
+# generates its straight-line code.  Rent or buy: generating and compiling
+# the code costs about 100 us + 17 us per gate (190-460 us for the 6-20-gate
+# maps of the CLI benchmark; Python 3.11.7 on a shared 2-vCPU host), and
+# each later call then saves 1.3-3.4 us, so the code pays for itself after
+# 117-151 calls.  Switching once the interpreted calls would have paid for
+# one compile costs at most about twice the better of never and always
+# generating: a short search (the 19 calls of a d = 3 non-contraction)
+# never compiles, and the 2430 of the d = 5 map run almost all on the
+# generated code.
+GENERATE_AFTER = 128
+
+
 def compile_circuit(c: Circuit) -> Callable[[list[int], int], tuple[list[int], int]]:
     """The integer program of c: run(xs, D) returns (nums, den) with
     f(x)_j = nums[j] / den and den > 0 at the point x_j = xs[j] / D, for
@@ -114,7 +132,13 @@ def compile_circuit(c: Circuit) -> Callable[[list[int], int], tuple[list[int], i
     for add, sub, max and min of gates u and v, whose numerators are first
     brought to it by the factors C_g / C_u and C_g / C_v.  Gate g holds
     num_g with value num_g / (D * C_g); as D * C_g > 0, max and min compare
-    numerators."""
+    numerators.
+
+    The program has two tiers with the same results.  Its first
+    GENERATE_AFTER calls run a loop that dispatches on each gate's op; the
+    next call generates straight-line code with one statement per gate
+    (`_straight_line`), compiles it once, and it answers that call and
+    every later one."""
     dens: list[int] = []  # C_g
     # One (op, a, b, e, f) per gate, unused slots 0: (input, j), (const, a),
     # (scale, h, a) and (binary op, u, C_g / C_u, v, C_g / C_v).
@@ -138,8 +162,17 @@ def compile_circuit(c: Circuit) -> Callable[[list[int], int], tuple[list[int], i
     common = lcm(*[dens[o] for o in c.outputs])
     outs = [(o, common // dens[o]) for o in c.outputs]
     d = c.d
+    calls = 0
+    generated = None
 
     def run(xs: list[int], D: int) -> tuple[list[int], int]:
+        nonlocal calls, generated
+        if generated is not None:
+            return generated(xs, D)
+        calls += 1
+        if calls > GENERATE_AFTER:
+            generated = _straight_line(d, prog, outs, common)
+            return generated(xs, D)
         if len(xs) != d:
             raise ValueError("point dimension mismatch")
         n: list[int] = []
@@ -162,6 +195,66 @@ def compile_circuit(c: Circuit) -> Callable[[list[int], int], tuple[list[int], i
         return [n[o] * k for o, k in outs], D * common
 
     return run
+
+
+# The right-hand side of gate g's statement, per op: {x} is an input's read
+# of xs, {k} a closure cell and {u}, {v} the operands, each a gate's local
+# or that local times a cell.
+_TEMPLATES = {
+    "input": "{x}",
+    "const": "{k} * D",
+    "scale": "{k} * {u}",
+    "add": "{u} + {v}",
+    "sub": "{u} - {v}",
+    "max": "a if (a := {u}) >= (b := {v}) else b",
+    "min": "a if (a := {u}) <= (b := {v}) else b",
+}
+
+
+def _straight_line(d: int, prog: list, outs: list, common: int):
+    """`compile_circuit`'s program as one generated Python function: gate g
+    is the statement n<g> = (its op's template).  Only integers formatted
+    with :d go into the source: gate and cell positions, input positions
+    and d.  Every integer of the program (const and scale numerators, lcm
+    factors, the common denominator) is a closure cell k<i> of `make`, so
+    no value becomes source text, however long or wherever it came from.
+    A factor of 1 is left out, which does not change a product."""
+    cells: list[int] = []
+
+    def cell(value: int) -> str:
+        cells.append(value)
+        return f"k{len(cells) - 1:d}"
+
+    names = [f"n{g:d}" for g in range(len(prog))]
+    reads = [f"xs[{j:d}]" for j in range(d)]
+
+    def term(g, factor: int) -> str:
+        return names[g] if factor == 1 else f"{names[g]} * {cell(factor)}"
+
+    body = []
+    for name, (op, a, b, e, f) in zip(names, prog):
+        if op == "input":
+            rhs = _TEMPLATES[op].format(x=reads[a])
+        elif op == "const":
+            rhs = _TEMPLATES[op].format(k=cell(a))
+        elif op == "scale":
+            rhs = _TEMPLATES[op].format(k=cell(b), u=names[a])
+        else:
+            rhs = _TEMPLATES[op].format(u=term(a, b), v=term(e, f))
+        body.append(f"        {name} = {rhs}")
+    result = ", ".join(term(o, k) for o, k in outs)
+    body.append(f"        return [{result}], D * {cell(common)}")
+    source = "\n".join([
+        f"def make({', '.join(f'k{i:d}' for i in range(len(cells)))}):",
+        "    def run(xs, D):",
+        f"        if len(xs) != {d:d}:",
+        '            raise ValueError("point dimension mismatch")',
+        *body,
+        "    return run",
+    ])
+    namespace: dict = {}
+    exec(compile(source, "<circuit program>", "exec"), namespace)
+    return namespace["make"](*cells)
 
 
 def measure(c: Circuit) -> dict:

@@ -263,7 +263,8 @@ def _nested_search(inst: ContractionInstance, rules, outer: tuple, D: int,
                    stats: RunStats) -> tuple:
     """The fixpoint of the slice whose coordinates i+1..d-1 are `outer`
     (i = d - 1 - len(outer)), by bisection of coordinate i on the sign of
-    f(v)_i - t, where v solves the inner slice at x_i = t.  Raises
+    f(v)_i - t, where v solves the inner slice at x_i = t (at i = 0, the
+    innermost level, v is the point (t,) + outer itself).  Raises
     _Violation with a CMV2 when an evaluation leaves the unit box.
 
     Points are integer numerators over one denominator: `outer` and t are
@@ -281,14 +282,12 @@ def _nested_search(inst: ContractionInstance, rules, outer: tuple, D: int,
     returns finish(probe, lo, hi, D, v_lo, v_hi, saved), where
     probe(t, Dt) probes t over Dt, a multiple of D."""
     i = inst.d - 1 - len(outer)
-    if i < 0:
-        return list(outer), D
     close, halvings, grid, finish = rules[i]
     f_int = inst.f_int
 
     def probe(t, Dt=D):
         point = (t,) + (outer if Dt == D else tuple(o * (Dt // D) for o in outer))
-        v = _nested_search(inst, rules, point, Dt, stats)
+        v = (point, Dt) if i == 0 else _nested_search(inst, rules, point, Dt, stats)
         stats.oracle_calls += 1
         nums, den = f_int(*v)
         if min(nums) < 0 or max(nums) > den:

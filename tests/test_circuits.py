@@ -1,11 +1,16 @@
+import ast
+import functools
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from potline import circuits as circuits_module
 from potline.circuits import (
+    GENERATE_AFTER,
     Circuit,
     Gate,
     affine_circuit,
@@ -19,7 +24,7 @@ from potline.circuits import (
 from potline.generators import gen_contraction
 from potline.problems import LcpInstance
 from potline.rational import lp_pow
-from potline.solvers import lcp_brute_force
+from potline.solvers import RunStats, find_fp, lcp_brute_force
 from test_fixpoint_pin import clamped_rotation
 
 
@@ -197,3 +202,100 @@ def test_compiled_program_on_generated_and_rotation_maps(d):
 def test_compiled_program_rejects_a_wrong_dimension():
     with pytest.raises(ValueError):
         compile_circuit(identity_circuit(2))([1], 2)
+
+
+# -- the two tiers of a compiled program --------------------------------------
+
+def _random_circuit(rng, d, size, constants):
+    """A seeded circuit of `size` gates over all ops; const and scale draw
+    from `constants`."""
+    gates = [Gate("input", (j,)) for j in range(d)]
+    while len(gates) < size:
+        op = rng.choice(["input", "const", "scale", "add", "sub", "max", "min"])
+        ref = lambda: rng.randrange(len(gates))  # noqa: E731
+        if op == "input":
+            gates.append(Gate(op, (rng.randrange(d),)))
+        elif op == "const":
+            gates.append(Gate(op, (rng.choice(constants),)))
+        elif op == "scale":
+            gates.append(Gate(op, (rng.choice(constants), ref())))
+        else:
+            gates.append(Gate(op, (ref(), ref())))
+    return Circuit(d, tuple(gates), tuple(rng.randrange(len(gates)) for _ in range(d)))
+
+
+SMALL = [F(a, b) for a in (-3, -1, 0, 1, 2, 5) for b in (1, 2, 3, 8)]
+
+
+def _long_constant():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no limit on int-to-str conversion on this Python")
+    return F(10 ** (limit + 5) + 1, 3 * 10 ** (limit + 1))
+
+
+def _seeded_circuit(seed):
+    rng = random.Random(seed)
+    return _random_circuit(rng, rng.randint(1, 4), rng.randint(1, 30), SMALL)
+
+
+def _tier_cases():
+    cases = [pytest.param(functools.partial(_seeded_circuit, seed), id=f"seed{seed}") for seed in range(20)]
+    cases.append(pytest.param(lambda: _random_circuit(random.Random(1), 3, 1200, [F(1, 2), F(-1), F(3, 4), F(2)]),
+                              id="1200-gates"))
+    cases.append(pytest.param(lambda: affine_circuit([[F(1, 2), -_long_constant()], [F(1, 3), F(0)]],
+                                                     [_long_constant(), F(1, 4)]), id="long-constant"))
+    return cases
+
+
+def _spy_compile(monkeypatch) -> list:
+    """Record each source text the circuits module compiles."""
+    sources = []
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(circuits_module, "compile", spy, raising=False)
+    return sources
+
+
+@pytest.mark.parametrize("make", _tier_cases())
+def test_both_tiers_equal_evaluate(make, monkeypatch):
+    c = make()
+    sources = _spy_compile(monkeypatch)
+    run, rng = compile_circuit(c), random.Random(len(c.gates))
+    for call in range(GENERATE_AFTER + 5):
+        assert len(sources) == (call > GENERATE_AFTER)
+        D = rng.choice([1, 7, 96, 1 << 12])
+        xs = [rng.randrange(-D, 2 * D + 1) for _ in range(c.d)]
+        nums, den = run(xs, D)
+        assert den > 0 and [F(n, den) for n in nums] == evaluate(c, [F(x, D) for x in xs])
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        run([0] * (c.d + 1), 1)
+    # The only literals of the generated code are the error message and
+    # input positions up to d; every other integer is a closure cell.
+    (source,) = sources
+    literals = {node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)}
+    assert literals - {"point dimension mismatch"} <= set(range(c.d + 1))
+
+
+def test_a_program_compiles_once_and_a_short_search_never(monkeypatch):
+    sources = _spy_compile(monkeypatch)
+    run = compile_circuit(gen_contraction(2, 0).circuit)
+    for _ in range(GENERATE_AFTER):
+        run([1, 2], 4)
+    assert sources == []
+    for _ in range(3 * GENERATE_AFTER):
+        run([1, 2], 4)
+    assert len(sources) == 1
+    # The d = 3 non-contractions take 19 calls: interpreted only.  The
+    # d = 5 map takes 2430 calls and compiles once.
+    for s in range(3):
+        stats = RunStats()
+        assert find_fp(gen_contraction(3, s, contracting=False), stats=stats).kind == "CMV3"
+        assert stats.oracle_calls < GENERATE_AFTER
+    assert len(sources) == 1
+    stats = RunStats()
+    assert find_fp(gen_contraction(5, 5), stats=stats).kind == "CM1" and stats.oracle_calls == 2430
+    assert len(sources) == 2
