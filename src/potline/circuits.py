@@ -17,6 +17,9 @@ the generated source; the circuit's values reach it as closure cells.
 `evaluate` computes the same map on `Fraction`s, one per gate; it stays
 the reference that the verifiers and the tests use.
 
+`circuit_from_json` reads d, outputs and gate indices as JSON integers
+only, and each gate op with exactly its number of args.
+
 Also houses the circuit -> LCP encoding whose solutions are exactly the
 fixpoints of the circuit, used for bit-length accounting and
 cross-validation of the exact fixpoint solver.
@@ -29,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable
 
-from .rational import Mat, Vec, bit_length, frac, frac_str
+from .rational import Mat, Vec, bit_length, frac, frac_str, json_int
 
 _BINARY = {"add", "sub", "max", "min"}
 
@@ -358,22 +361,37 @@ def circuit_to_json(c: Circuit) -> dict:
     return {"d": c.d, "gates": gates, "outputs": list(c.outputs)}
 
 
+# Gate op -> the decoders of its JSON args, one per arg.
+_ARG_DECODERS = {"input": (json_int,), "const": (frac,), "scale": (frac, json_int),
+                 **{op: (json_int, json_int) for op in _BINARY}}
+
+
+def _decoded(name: str, decode, value):
+    try:
+        return decode(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+
+
 def circuit_from_json(data: dict) -> Circuit:
+    """The circuit of a JSON object.  d, outputs and gate indices must be
+    JSON integers and each op gets exactly its number of args; anything
+    else raises TypeError or ValueError naming the field."""
     gates = []
-    for g in data["gates"]:
-        op = g["op"]
-        args = g["args"]
-        if op == "const":
-            gates.append(Gate("const", (frac(args[0]),)))
-        elif op == "scale":
-            gates.append(Gate("scale", (frac(args[0]), int(args[1]))))
-        elif op == "input":
-            gates.append(Gate("input", (int(args[0]),)))
-        elif op in _BINARY:
-            gates.append(Gate(op, (int(args[0]), int(args[1]))))
-        else:
+    for idx, g in enumerate(data["gates"]):
+        op, args = g["op"], g["args"]
+        decoders = _ARG_DECODERS.get(op)
+        if decoders is None:
             raise ValueError(f"unsupported gate op {op!r} (division and comparison are rejected)")
-    return Circuit(int(data["d"]), tuple(gates), tuple(int(o) for o in data["outputs"]))
+        if not isinstance(args, list) or len(args) != len(decoders):
+            want = f"{len(decoders)} arg" + "s" * (len(decoders) > 1)
+            got = len(args) if isinstance(args, list) else type(args).__name__
+            raise ValueError(f"gate {idx} ({op}): expected {want}, got {got}")
+        gates.append(Gate(op, tuple(_decoded(f"gate {idx} arg {k}", dec, a)
+                                    for k, (dec, a) in enumerate(zip(decoders, args)))))
+    d = _decoded("field 'd'", json_int, data["d"])
+    outputs = _decoded("field 'outputs'", lambda v: tuple(json_int(o) for o in v), data["outputs"])
+    return Circuit(d, tuple(gates), outputs)
 
 
 # -- convenience builders ---------------------------------------------------

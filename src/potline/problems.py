@@ -31,7 +31,7 @@ from math import lcm
 from typing import Callable, Optional
 
 from .pivoting import LemkeSystem
-from .rational import Mat, Vec, frac, frac_str, lp_pow, mat
+from .rational import Mat, Vec, frac, frac_str, json_int, lp_pow, mat
 
 UP, DOWN, ZERO = "up", "down", "zero"
 
@@ -663,17 +663,28 @@ def _fracs(v) -> list:
 
 
 def _index_set(v) -> frozenset:
-    return frozenset(int(t) for t in _array(v))
+    return frozenset(json_int(t) for t in _array(v))
 
 
 def _point(v) -> tuple:
-    return tuple(int(t) for t in _array(v))
+    return tuple(json_int(t) for t in _array(v))
+
+
+def _grid_key(key: str) -> tuple:
+    """A grid point written as an OPDC table key: decimal digits, split by
+    commas."""
+    parts = key.split(",")
+    if not all(t.isascii() and t.isdigit() for t in parts):
+        raise ValueError(f"table key {key!r} is not a grid point")
+    return tuple(int(t) for t in parts)
 
 
 def _vertex(v) -> int:
     if isinstance(v, str) and set(v) <= {"0", "1"}:
         return int(v, 2)
-    return int(_of_type(v, (str, int), "a bit string or an integer"))
+    if type(v) is not int:
+        raise TypeError(f"expected a bit string or an integer, got {type(v).__name__}")
+    return v
 
 
 def _bits_table(v) -> dict:
@@ -701,12 +712,12 @@ def line_to_json(inst: LineInstance) -> dict:
 
 def line_from_json(data: dict) -> LineInstance:
     return line_from_tables(
-        _decode(data, "n", int),
+        _decode(data, "n", json_int),
         _decode(data, "S", _bits_table, {}),
         _decode(data, "P", _bits_table, None),
-        _decode(data, "V", lambda t: {int(k, 2): int(x) for k, x in _object(t).items()}, {}),
+        _decode(data, "V", lambda t: {int(k, 2): json_int(x) for k, x in _object(t).items()}, {}),
         flavor=_decode(data, "flavor", _string, "eopl"),
-        m_pot=_decode(data, "m", int, None),
+        m_pot=_decode(data, "m", json_int, None),
     )
 
 
@@ -731,7 +742,7 @@ def opdc_to_json(inst: OpdcInstance) -> dict:
 
 def opdc_from_json(data: dict) -> OpdcInstance:
     widths = _decode(data, "k", _point)
-    table = _decode(data, "D", lambda t: {_point(key.split(",")): _array(dirs)
+    table = _decode(data, "D", lambda t: {_grid_key(key): _array(dirs)
                                           for key, dirs in _object(t).items()})
 
     def direction(i, p):
@@ -753,7 +764,7 @@ def uso_to_json(inst: UsoInstance) -> dict:
 
 
 def uso_from_json(data: dict) -> UsoInstance:
-    n = _decode(data, "n", int)
+    n = _decode(data, "n", json_int)
     table = _decode(data, "orient", lambda t: {
         int(k, 2): (None if v == "dash" else int(v, 2)) for k, v in _object(t).items()
     })
@@ -784,7 +795,7 @@ def contraction_from_json(data: dict) -> ContractionInstance:
     return ContractionInstance(
         d=circ.d,
         c=_decode(data, "c", frac),
-        p=_decode(data, "p", int),
+        p=_decode(data, "p", json_int),
         circuit=circ,
         eps=_decode(data, "eps", frac, None),
         kappa=_decode(data, "kappa", _array, None),
@@ -830,10 +841,12 @@ KINDS = {
     "plcp": Kind(LcpInstance, lcp_from_json, lcp_to_json, verify_lcp,
                  {"x": _fracs, "y": _fracs, "alpha": _index_set, "beta": _index_set}),
     "uso": Kind(UsoInstance, uso_from_json, uso_to_json, verify_uso, _VERTEX_FIELDS),
-    "opdc": Kind(OpdcInstance, opdc_from_json, opdc_to_json, verify_opdc, {"p": _point, "q": _point}),
+    "opdc": Kind(OpdcInstance, opdc_from_json, opdc_to_json, verify_opdc,
+                 {"p": _point, "q": _point, "level": json_int}),
     "line": Kind(LineInstance, line_from_json, line_to_json, verify_line, _VERTEX_FIELDS),
     "contraction": Kind(ContractionInstance, contraction_from_json, contraction_to_json,
-                        verify_contraction, {"x": _fracs, "y": _fracs, "v": _fracs, "eps": frac}),
+                        verify_contraction, {"x": _fracs, "y": _fracs, "v": _fracs, "eps": frac,
+                                             "p": json_int, "level": json_int}),
 }
 _KIND_OF_CLASS = {k.cls: k for k in KINDS.values()}
 

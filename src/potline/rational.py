@@ -1,5 +1,5 @@
-"""Exact rational helpers: coercion, the Bareiss determinant, l_p norm
-comparisons and bit lengths.
+"""Exact rational helpers: coercion of JSON numbers, the Bareiss
+determinant, l_p norm comparisons and bit lengths.
 
 Verifiers, solvers and map-backs run on `fractions.Fraction`.  Matrices
 are dense lists of lists, vectors plain lists.  `determinant` uses Bareiss
@@ -32,6 +32,14 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def json_int(x) -> int:
+    """A JSON integer as it is: an int, not a bool, a float or a string,
+    which `int()` would truncate or parse."""
+    if type(x) is not int:
+        raise TypeError(f"expected a JSON integer, got {type(x).__name__}")
+    return x
 
 
 def frac_str(x: Fraction) -> str:

@@ -508,6 +508,19 @@ def test_malformed_certificate_exits_2(files, tmp_path, capsys, certificate, mes
     ("opdc", {"kind": "O1", "p": 0}, "certificate field 'p': expected a JSON array, got int"),
     ("contraction", {"kind": "APPROX_FIX", "x": ["0"], "eps": 0.5},
      "certificate field 'eps': cannot interpret 0.5 as an exact rational"),
+    # Integer fields are JSON integers: no float, bool or string is truncated or parsed.
+    ("plcp", {"kind": "PV1", "alpha": [0.9]}, "certificate field 'alpha': expected a JSON integer, got float"),
+    ("plcp", {"kind": "PV3", "alpha": [0], "beta": [True]},
+     "certificate field 'beta': expected a JSON integer, got bool"),
+    ("opdc", {"kind": "O1", "p": [0.0, 0]}, "certificate field 'p': expected a JSON integer, got float"),
+    ("opdc", {"kind": "OV3", "level": 1.5, "p": [0, 0]},
+     "certificate field 'level': expected a JSON integer, got float"),
+    ("uso", {"kind": "US1", "v": True}, "certificate field 'v': expected a bit string or an integer, got bool"),
+    ("uso", {"kind": "US1", "v": "12"}, "certificate field 'v': expected a bit string or an integer, got str"),
+    ("contraction", {"kind": "CMV3", "level": "1", "x": ["0"], "y": ["0"]},
+     "certificate field 'level': expected a JSON integer, got str"),
+    ("contraction", {"kind": "APPROX_FIX", "v": ["0"], "eps": "1/2", "p": 2.0},
+     "certificate field 'p': expected a JSON integer, got float"),
 ])
 def test_wrong_typed_certificate_exits_2(files, tmp_path, capsys, problem, certificate, message):
     path = tmp_path / "cert.json"
@@ -530,6 +543,15 @@ def test_wrong_typed_certificate_exits_2(files, tmp_path, capsys, problem, certi
               "V": {"01": -3, "10": 1}}, "field 'V': potential -3 of vertex 01 is outside [0, 2^2)"),
     ("line", {"flavor": "ueopl", "n": 2, "m": 2, "S": {"00": "01", "01": "10"}, "P": {"01": "00", "10": "01"},
               "V": {"01": 2, "10": 40}}, "field 'V': potential 40 of vertex 10 is outside [0, 2^2)"),
+    # Integer fields are JSON integers: no float, bool or string is truncated or parsed.
+    ("opdc", {"k": [1.0], "D": {}}, "field 'k': expected a JSON integer, got float"),
+    ("opdc", {"k": [1], "D": {" 0": ["up"]}}, "field 'D': table key ' 0' is not a grid point"),
+    ("opdc", {"k": [1], "D": {"0,x": ["up"]}}, "field 'D': table key '0,x' is not a grid point"),
+    ("uso", {"n": 2.0, "orient": {}}, "field 'n': expected a JSON integer, got float"),
+    ("line", {"n": True, "S": {}}, "field 'n': expected a JSON integer, got bool"),
+    ("line", {"n": 2, "m": 2.5, "S": {}}, "field 'm': expected a JSON integer, got float"),
+    ("line", {"flavor": "ueopl", "n": 2, "S": {"00": "01"}, "P": {"01": "00"}, "V": {"01": 1.5}},
+     "field 'V': expected a JSON integer, got float"),
 ])
 def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message):
     path = tmp_path / "inst.json"
@@ -538,6 +560,44 @@ def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path} is not a {problem} instance: {message}")
     assert err.count("\n") == 1
+
+
+# f(x) = (x_0 / 2 + 1/4, 1/4) as a JSON contraction map.
+_MAP = {"circuit": {"d": 2, "outputs": [4, 3], "gates": [
+    {"op": "input", "args": [0]}, {"op": "input", "args": [1]}, {"op": "scale", "args": ["1/2", 0]},
+    {"op": "const", "args": ["1/4"]}, {"op": "add", "args": [2, 3]}]}, "c": "1/2", "p": 2}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, None),
+    (lambda m: m.update(p=2.9), "field 'p': expected a JSON integer, got float"),
+    (lambda m: m.update(p="2"), "field 'p': expected a JSON integer, got str"),
+    (lambda m: m["circuit"].update(d=2.9), "field 'circuit': field 'd': expected a JSON integer, got float"),
+    (lambda m: m["circuit"].update(outputs=[2.2, 4]),
+     "field 'circuit': field 'outputs': expected a JSON integer, got float"),
+    (lambda m: m["circuit"]["gates"][0].update(args=[True]),
+     "field 'circuit': gate 0 arg 0: expected a JSON integer, got bool"),
+    (lambda m: m["circuit"]["gates"][1].update(args=["0"]),
+     "field 'circuit': gate 1 arg 0: expected a JSON integer, got str"),
+    (lambda m: m["circuit"]["gates"][2].update(args=["1/2", 0.0]),
+     "field 'circuit': gate 2 arg 1: expected a JSON integer, got float"),
+    (lambda m: m["circuit"]["gates"][4].update(args=[2, 3, 0]), "field 'circuit': gate 4 (add): expected 2 args, got 3"),
+    (lambda m: m["circuit"]["gates"][0].update(args=[]), "field 'circuit': gate 0 (input): expected 1 arg, got 0"),
+    (lambda m: m["circuit"]["gates"][3].update(args="1/4"), "field 'circuit': gate 3 (const): expected 1 arg, got str"),
+])
+def test_contraction_integers_are_read_strictly(tmp_path, capsys, edit, message):
+    # int() would truncate 2.9 to 2, read True and "0" as indices, and an
+    # empty args list would be an IndexError.
+    data = json.loads(json.dumps(_MAP))
+    if edit is not None:
+        edit(data)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_err(capsys, "solve", path, "--problem", "contraction", "--algo", "findfp")
+    if message is None:
+        assert (code, err) == (0, "") and json.loads(out)["certificate"] == {"kind": "CM1", "x": ["1/2", "1/4"]}
+    else:
+        assert (code, out, err) == (2, "", f"error: {path} is not a contraction instance: {message}\n")
 
 
 @pytest.mark.parametrize("kappa", [[8.0, 8], ["8", 8], [8]])
