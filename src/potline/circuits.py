@@ -3,19 +3,19 @@
 A circuit computes f : [0,1]^d -> Q^d exactly.  Evaluation never clamps;
 out-of-box outputs are reported by callers as out-of-range violations.
 
-`compile_circuit` turns a circuit, once, into an integer straight-line
-program that the fixpoint searches run.  A point is given as integer
-numerators xs over one denominator D > 0 that the caller picks (any
-positive D works); gate g holds an integer num_g whose value is
-num_g / (D * C_g), with C_g fixed at compile time, and the program returns
-f(x) as integer numerators over one positive denominator.  No `Fraction`
-is built.  The program runs in two tiers with the same results: a loop
-that dispatches on each gate's op answers its first GENERATE_AFTER calls,
-and then generated straight-line Python code, one statement per gate,
-compiled once, answers the rest.  Only integer positions are written into
-the generated source; the circuit's values reach it as closure cells.
-`evaluate` computes the same map on `Fraction`s, one per gate; it stays
-the reference that the verifiers and the tests use.
+`compile_circuit` turns a circuit into an integer straight-line program
+that the fixpoint searches run.  A point is given as integer numerators
+xs over one denominator D > 0 that the caller picks (any positive D
+works); gate g holds an integer num_g whose value is num_g / (D * C_g),
+with C_g fixed at compile time, and the program returns f(x) as integer
+numerators over one positive denominator.  No `Fraction` is built.  The
+program is generated Python code, one statement per gate, and answers
+from its first call.  Only integer positions are written into the
+generated source, and the circuit's values reach it as closure cells, so
+the source depends only on the circuit's shape: it is compiled once per
+shape per process, and circuits of one shape with different constants
+share that code.  `evaluate` computes the same map on `Fraction`s, one
+per gate; it stays the reference that the verifiers and the tests use.
 
 `circuit_from_json` reads d, outputs and gate indices as JSON integers
 only, and each gate op with exactly its number of args.
@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable
 
-from .rational import Mat, Vec, bit_length, frac, frac_str, json_int
+from .rational import Mat, Vec, bit_length, frac, frac_str, json_int, mat_bit_length, vec_bit_length
 
 _BINARY = {"add", "sub", "max", "min"}
 
@@ -78,13 +79,7 @@ class Circuit:
                 raise ValueError("output reference out of range")
 
     def constants(self) -> list[Fraction]:
-        cs = []
-        for g in self.gates:
-            if g.op == "const":
-                cs.append(g.args[0])
-            elif g.op == "scale":
-                cs.append(g.args[0])
-        return cs
+        return [g.args[0] for g in self.gates if g.op in ("const", "scale")]
 
 
 def evaluate(c: Circuit, x: Vec) -> Vec:
@@ -111,17 +106,14 @@ def evaluate(c: Circuit, x: Vec) -> Vec:
     return [vals[o] for o in c.outputs]
 
 
-# Calls that a compiled program answers with its interpreter loop before it
-# generates its straight-line code.  Rent or buy: generating and compiling
-# the code costs about 100 us + 17 us per gate (190-460 us for the 6-20-gate
-# maps of the CLI benchmark; Python 3.11.7 on a shared 2-vCPU host), and
-# each later call then saves 1.3-3.4 us, so the code pays for itself after
-# 117-151 calls.  Switching once the interpreted calls would have paid for
-# one compile costs at most about twice the better of never and always
-# generating: a short search (the 19 calls of a d = 3 non-contraction)
-# never compiles, and the 2430 of the d = 5 map run almost all on the
-# generated code.
-GENERATE_AFTER = 128
+# The right-hand side of a binary gate's statement: {u} and {v} are its
+# operands, each a gate's local or that local times a cell.
+_TEMPLATES = {
+    "add": "{u} + {v}",
+    "sub": "{u} - {v}",
+    "max": "a if (a := {u}) >= (b := {v}) else b",
+    "min": "a if (a := {u}) <= (b := {v}) else b",
+}
 
 
 def compile_circuit(c: Circuit) -> Callable[[list[int], int], tuple[list[int], int]]:
@@ -137,127 +129,64 @@ def compile_circuit(c: Circuit) -> Callable[[list[int], int], tuple[list[int], i
     num_g with value num_g / (D * C_g); as D * C_g > 0, max and min compare
     numerators.
 
-    The program has two tiers with the same results.  Its first
-    GENERATE_AFTER calls run a loop that dispatches on each gate's op; the
-    next call generates straight-line code with one statement per gate
-    (`_straight_line`), compiles it once, and it answers that call and
-    every later one."""
-    dens: list[int] = []  # C_g
-    # One (op, a, b, e, f) per gate, unused slots 0: (input, j), (const, a),
-    # (scale, h, a) and (binary op, u, C_g / C_u, v, C_g / C_v).
-    prog = []
-    for g in c.gates:
-        if g.op == "input":
-            prog.append((g.op, g.args[0], 0, 0, 0))
-            dens.append(1)
-        elif g.op == "const":
-            prog.append((g.op, g.args[0].numerator, 0, 0, 0))
-            dens.append(g.args[0].denominator)
-        elif g.op == "scale":
-            a, h = g.args
-            prog.append((g.op, h, a.numerator, 0, 0))
-            dens.append(a.denominator * dens[h])
-        else:
-            u, v = g.args
-            cg = lcm(dens[u], dens[v])
-            prog.append((g.op, u, cg // dens[u], v, cg // dens[v]))
-            dens.append(cg)
-    common = lcm(*[dens[o] for o in c.outputs])
-    outs = [(o, common // dens[o]) for o in c.outputs]
-    d = c.d
-    calls = 0
-    generated = None
-
-    def run(xs: list[int], D: int) -> tuple[list[int], int]:
-        nonlocal calls, generated
-        if generated is not None:
-            return generated(xs, D)
-        calls += 1
-        if calls > GENERATE_AFTER:
-            generated = _straight_line(d, prog, outs, common)
-            return generated(xs, D)
-        if len(xs) != d:
-            raise ValueError("point dimension mismatch")
-        n: list[int] = []
-        push = n.append
-        for op, a, b, e, f in prog:
-            if op == "scale":
-                push(b * n[a])
-            elif op == "add":
-                push(n[a] * b + n[e] * f)
-            elif op == "input":
-                push(xs[a])
-            elif op == "const":
-                push(a * D)
-            elif op == "sub":
-                push(n[a] * b - n[e] * f)
-            elif op == "max":
-                push(max(n[a] * b, n[e] * f))
-            else:
-                push(min(n[a] * b, n[e] * f))
-        return [n[o] * k for o, k in outs], D * common
-
-    return run
-
-
-# The right-hand side of gate g's statement, per op: {x} is an input's read
-# of xs, {k} a closure cell and {u}, {v} the operands, each a gate's local
-# or that local times a cell.
-_TEMPLATES = {
-    "input": "{x}",
-    "const": "{k} * D",
-    "scale": "{k} * {u}",
-    "add": "{u} + {v}",
-    "sub": "{u} - {v}",
-    "max": "a if (a := {u}) >= (b := {v}) else b",
-    "min": "a if (a := {u}) <= (b := {v}) else b",
-}
-
-
-def _straight_line(d: int, prog: list, outs: list, common: int):
-    """`compile_circuit`'s program as one generated Python function: gate g
-    is the statement n<g> = (its op's template).  Only integers formatted
-    with :d go into the source: gate and cell positions, input positions
-    and d.  Every integer of the program (const and scale numerators, lcm
-    factors, the common denominator) is a closure cell k<i> of `make`, so
-    no value becomes source text, however long or wherever it came from.
-    A factor of 1 is left out, which does not change a product."""
+    The program is one generated Python function with one statement per
+    gate, which assigns gate g's local n<g>.  Only integers formatted with
+    :d go into the source: gate and cell positions, input positions and d.
+    Every integer of the program (const and scale numerators, lcm factors,
+    the common denominator) is a closure cell k<i> of a generated `make`,
+    so no value becomes source text, however long or wherever it came
+    from.  A factor of 1 is left out, which does not change a product.
+    The source thus depends only on the circuit's shape; `_make` compiles
+    it once per process, and each call binds this circuit's cells."""
     cells: list[int] = []
 
     def cell(value: int) -> str:
         cells.append(value)
         return f"k{len(cells) - 1:d}"
 
-    names = [f"n{g:d}" for g in range(len(prog))]
-    reads = [f"xs[{j:d}]" for j in range(d)]
+    names = [f"n{g:d}" for g in range(len(c.gates))]
+    dens: list[int] = []  # C_g
 
     def term(g, factor: int) -> str:
         return names[g] if factor == 1 else f"{names[g]} * {cell(factor)}"
 
     body = []
-    for name, (op, a, b, e, f) in zip(names, prog):
-        if op == "input":
-            rhs = _TEMPLATES[op].format(x=reads[a])
-        elif op == "const":
-            rhs = _TEMPLATES[op].format(k=cell(a))
-        elif op == "scale":
-            rhs = _TEMPLATES[op].format(k=cell(b), u=names[a])
+    for name, g in zip(names, c.gates):
+        if g.op == "input":
+            rhs, den = f"xs[{g.args[0]:d}]", 1
+        elif g.op == "const":
+            rhs, den = f"{cell(g.args[0].numerator)} * D", g.args[0].denominator
+        elif g.op == "scale":
+            a, h = g.args
+            rhs, den = f"{cell(a.numerator)} * {names[h]}", a.denominator * dens[h]
         else:
-            rhs = _TEMPLATES[op].format(u=term(a, b), v=term(e, f))
+            u, v = g.args
+            den = lcm(dens[u], dens[v])
+            rhs = _TEMPLATES[g.op].format(u=term(u, den // dens[u]), v=term(v, den // dens[v]))
+        dens.append(den)
         body.append(f"        {name} = {rhs}")
-    result = ", ".join(term(o, k) for o, k in outs)
+    common = lcm(*[dens[o] for o in c.outputs])
+    result = ", ".join(term(o, common // dens[o]) for o in c.outputs)
     body.append(f"        return [{result}], D * {cell(common)}")
     source = "\n".join([
         f"def make({', '.join(f'k{i:d}' for i in range(len(cells)))}):",
         "    def run(xs, D):",
-        f"        if len(xs) != {d:d}:",
+        f"        if len(xs) != {c.d:d}:",
         '            raise ValueError("point dimension mismatch")',
         *body,
         "    return run",
     ])
+    return _make(source)(*cells)
+
+
+@lru_cache(maxsize=64)
+def _make(source: str):
+    """The `make` function that `compile_circuit`'s source defines, compiled
+    once per source text.  It holds code only: every value comes in as an
+    argument of `make`, so circuits of one shape share it."""
     namespace: dict = {}
     exec(compile(source, "<circuit program>", "exec"), namespace)
-    return namespace["make"](*cells)
+    return namespace["make"]
 
 
 def measure(c: Circuit) -> dict:
@@ -265,8 +194,6 @@ def measure(c: Circuit) -> dict:
     LCP; n is the LCP dimension."""
     size = c.d + len(c.gates) + sum(bit_length(z) for z in c.constants())
     m_lcp, q_lcp = circuit_to_lcp(c)
-    from .rational import mat_bit_length, vec_bit_length
-
     return {
         "size": size,
         "n": len(q_lcp),

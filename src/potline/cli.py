@@ -131,11 +131,11 @@ def _write_output(path, text: str) -> None:
 
 
 def _vertex_id(bits: str, n: int) -> int:
-    """The vertex id a bit string names: only the digits 0 and 1, at least
-    one, and the value must fit in n bits."""
-    if not bits or bits.strip("01") or int(bits, 2) >> n:
-        raise UsageError(f"vertex {bits} is not an id of {n} bits")
-    return int(bits, 2)
+    """`problems.bits_int`, as a usage error."""
+    try:
+        return problems.bits_int(bits, n)
+    except ValueError:
+        raise UsageError(f"vertex {bits} is not an id of {n} bits") from None
 
 
 def _reductions(chain) -> list:

@@ -621,6 +621,14 @@ def bits_str(x: int, n: int) -> str:
     return format(x, f"0{n}b")
 
 
+def bits_int(bits, n: int) -> int:
+    """The vertex id a bit string names: only the digits 0 and 1, at least
+    one, and the value must fit in n bits."""
+    if not isinstance(bits, str) or not bits or bits.strip("01") or len(bits.lstrip("0")) > n:
+        raise ValueError(f"{bits!r} is not a bit string of {n} bits")
+    return int(bits, 2)
+
+
 # -- JSON field decoding ----------------------------------------------------
 
 _REQUIRED = object()
@@ -687,8 +695,8 @@ def _vertex(v) -> int:
     return v
 
 
-def _bits_table(v) -> dict:
-    return {int(k, 2): int(x, 2) for k, x in _object(v).items()}
+def _bits_table(v, n: int) -> dict:
+    return {bits_int(k, n): bits_int(x, n) for k, x in _object(v).items()}
 
 
 def line_to_json(inst: LineInstance) -> dict:
@@ -711,11 +719,12 @@ def line_to_json(inst: LineInstance) -> dict:
 
 
 def line_from_json(data: dict) -> LineInstance:
+    n = _decode(data, "n", json_int)
     return line_from_tables(
-        _decode(data, "n", json_int),
-        _decode(data, "S", _bits_table, {}),
-        _decode(data, "P", _bits_table, None),
-        _decode(data, "V", lambda t: {int(k, 2): json_int(x) for k, x in _object(t).items()}, {}),
+        n,
+        _decode(data, "S", lambda t: _bits_table(t, n), {}),
+        _decode(data, "P", lambda t: _bits_table(t, n), None),
+        _decode(data, "V", lambda t: {bits_int(k, n): json_int(x) for k, x in _object(t).items()}, {}),
         flavor=_decode(data, "flavor", _string, "eopl"),
         m_pot=_decode(data, "m", json_int, None),
     )
@@ -766,7 +775,7 @@ def uso_to_json(inst: UsoInstance) -> dict:
 def uso_from_json(data: dict) -> UsoInstance:
     n = _decode(data, "n", json_int)
     table = _decode(data, "orient", lambda t: {
-        int(k, 2): (None if v == "dash" else int(v, 2)) for k, v in _object(t).items()
+        bits_int(k, n): (None if v == "dash" else bits_int(v, n)) for k, v in _object(t).items()
     })
     return UsoInstance(n=n, orient=lambda v: table.get(v))
 

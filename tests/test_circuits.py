@@ -1,5 +1,6 @@
 import ast
 import functools
+import json
 import math
 import random
 import sys
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from potline import circuits as circuits_module
 from potline.circuits import (
-    GENERATE_AFTER,
     Circuit,
     Gate,
     affine_circuit,
@@ -22,7 +22,7 @@ from potline.circuits import (
     measure,
 )
 from potline.generators import gen_contraction
-from potline.problems import LcpInstance
+from potline.problems import KINDS, LcpInstance
 from potline.rational import lp_pow
 from potline.solvers import RunStats, find_fp, lcp_brute_force
 from test_fixpoint_pin import clamped_rotation
@@ -204,7 +204,7 @@ def test_compiled_program_rejects_a_wrong_dimension():
         compile_circuit(identity_circuit(2))([1], 2)
 
 
-# -- the two tiers of a compiled program --------------------------------------
+# -- one program per circuit, compiled once per shape -------------------------
 
 def _random_circuit(rng, d, size, constants):
     """A seeded circuit of `size` gates over all ops; const and scale draw
@@ -262,17 +262,23 @@ def _spy_compile(monkeypatch) -> list:
 
 @pytest.mark.parametrize("make", _tier_cases())
 def test_both_tiers_equal_evaluate(make, monkeypatch):
+    # The program equals evaluate from its first call, both when
+    # compile_circuit compiles its code and when it takes that code from the
+    # shape cache.
     c = make()
+    circuits_module._make.cache_clear()
     sources = _spy_compile(monkeypatch)
-    run, rng = compile_circuit(c), random.Random(len(c.gates))
-    for call in range(GENERATE_AFTER + 5):
-        assert len(sources) == (call > GENERATE_AFTER)
-        D = rng.choice([1, 7, 96, 1 << 12])
-        xs = [rng.randrange(-D, 2 * D + 1) for _ in range(c.d)]
-        nums, den = run(xs, D)
-        assert den > 0 and [F(n, den) for n in nums] == evaluate(c, [F(x, D) for x in xs])
-    with pytest.raises(ValueError, match="point dimension mismatch"):
-        run([0] * (c.d + 1), 1)
+    rng = random.Random(len(c.gates))
+    for _ in range(2):
+        run = compile_circuit(c)
+        assert len(sources) == 1
+        for _ in range(8):
+            D = rng.choice([1, 7, 96, 1 << 12])
+            xs = [rng.randrange(-D, 2 * D + 1) for _ in range(c.d)]
+            nums, den = run(xs, D)
+            assert den > 0 and [F(n, den) for n in nums] == evaluate(c, [F(x, D) for x in xs])
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            run([0] * (c.d + 1), 1)
     # The only literals of the generated code are the error message and
     # input positions up to d; every other integer is a closure cell.
     (source,) = sources
@@ -280,22 +286,22 @@ def test_both_tiers_equal_evaluate(make, monkeypatch):
     assert literals - {"point dimension mismatch"} <= set(range(c.d + 1))
 
 
-def test_a_program_compiles_once_and_a_short_search_never(monkeypatch):
+def test_one_compile_per_circuit_shape(monkeypatch):
+    circuits_module._make.cache_clear()
     sources = _spy_compile(monkeypatch)
-    run = compile_circuit(gen_contraction(2, 0).circuit)
-    for _ in range(GENERATE_AFTER):
-        run([1, 2], 4)
-    assert sources == []
-    for _ in range(3 * GENERATE_AFTER):
-        run([1, 2], 4)
+    # Two affine maps of one shape: the same gates, and no lcm factor of 1
+    # in either, with different constants.
+    one = affine_circuit([[F(1, 2), F(1, 3)], [F(0), F(1, 4)]], [F(1, 8), F(3, 5)])
+    two = affine_circuit([[F(-2, 5), F(1, 7)], [F(0), F(3, 4)]], [F(2, 9), F(-1, 6)])
+    for c in (one, two):
+        for x in ([F(0), F(1)], [F(1, 3), F(-5, 7)], [F(2), F(9, 4)]):
+            _program_matches(c, x)
     assert len(sources) == 1
-    # The d = 3 non-contractions take 19 calls: interpreted only.  The
-    # d = 5 map takes 2430 calls and compiles once.
-    for s in range(3):
-        stats = RunStats()
-        assert find_fp(gen_contraction(3, s, contracting=False), stats=stats).kind == "CMV3"
-        assert stats.oracle_calls < GENERATE_AFTER
-    assert len(sources) == 1
+    # A contraction file loaded twice compiles once.
+    data = json.dumps(KINDS["contraction"].to_json(gen_contraction(3, 1)))
+    for _ in range(2):
+        KINDS["contraction"].from_json(json.loads(data)).f_int([1, 2, 3], 4)
+    assert len(sources) == 2
     stats = RunStats()
     assert find_fp(gen_contraction(5, 5), stats=stats).kind == "CM1" and stats.oracle_calls == 2430
-    assert len(sources) == 2
+    assert len(sources) == 3

@@ -552,6 +552,17 @@ def test_wrong_typed_certificate_exits_2(files, tmp_path, capsys, problem, certi
     ("line", {"n": 2, "m": 2.5, "S": {}}, "field 'm': expected a JSON integer, got float"),
     ("line", {"flavor": "ueopl", "n": 2, "S": {"00": "01"}, "P": {"01": "00"}, "V": {"01": 1.5}},
      "field 'V': expected a JSON integer, got float"),
+    # Bit strings of line and USO tables: only 0 and 1, at least one digit, below 2^n.
+    ("line", {"flavor": "eopl", "n": 1, "S": {"0": "111"}, "P": {"111": "0"}, "V": {"111": 1}},
+     "field 'S': '111' is not a bit string of 1 bits"),
+    ("line", {"n": 2, "S": {"0_0": "01"}}, "field 'S': '0_0' is not a bit string of 2 bits"),
+    ("line", {"n": 2, "S": {"00": " 01"}}, "field 'S': ' 01' is not a bit string of 2 bits"),
+    ("line", {"n": 2, "S": {"00": "01"}, "P": {"+1": "00"}}, "field 'P': '+1' is not a bit string of 2 bits"),
+    ("line", {"n": 2, "S": {"00": "01"}, "V": {"": 1}}, "field 'V': '' is not a bit string of 2 bits"),
+    ("line", {"n": 2, "S": {"00": 1}}, "field 'S': 1 is not a bit string of 2 bits"),
+    ("uso", {"n": 1, "orient": {"0": "1", "1": "0", "10": "0"}}, "field 'orient': '10' is not a bit string of 1 bits"),
+    ("uso", {"n": 1, "orient": {"0": "1", " 1": "0_0"}}, "field 'orient': ' 1' is not a bit string of 1 bits"),
+    ("uso", {"n": 1, "orient": {"0": "1", "1": "0b0"}}, "field 'orient': '0b0' is not a bit string of 1 bits"),
 ])
 def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message):
     path = tmp_path / "inst.json"
