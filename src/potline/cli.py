@@ -4,8 +4,8 @@ Instances travel as JSON files; every solve emits a machine-readable run
 record whose certificate has already been re-verified.  Violation
 certificates are answers, so they exit 0; `verify` exits 1 on a rejected
 certificate, and input and budget errors exit 2 with an `error:` line.
-POTLINE_BUDGET caps enumeration sizes: brute force, and the generators
-that check every cone.
+POTLINE_BUDGET, read once as `solvers.BUDGET`, caps enumeration sizes:
+brute force, and the generators that check every cone.
 
 The argument parser is built once per process (`build_parser` is cached),
 so an in-process caller of `main` pays only for parsing.  `main` picks the
@@ -33,8 +33,6 @@ import time
 from . import generators, problems, reductions_lcp, reductions_line, reductions_opdc, solvers
 from .problems import cert_to_json
 
-BUDGET = int(os.environ.get("POTLINE_BUDGET", str(1 << 16)))
-
 # --kind of `generate` -> (problem kind, builder from the parsed arguments).
 _GENERATORS = {
     "pmatrixlcp": ("plcp", lambda a: generators.gen_lcp(a.d, a.seed, p_matrix=True)),
@@ -51,7 +49,7 @@ _GENERATORS = {
         "line", lambda a: generators.gen_line(a.length, a.seed, flavor=a.flavor, two_lines=True)),
 }
 
-# Generators that check all 2^d cones; `generate` caps 2^d at BUDGET.
+# Generators that check all 2^d cones; `generate` caps 2^d at solvers.BUDGET.
 _CONE_SCANS = {"nonpmatrixlcp", "uso", "brokenuso"}
 
 # (source stage, target stage) -> the reduction view class.  A stage that is
@@ -84,7 +82,7 @@ _ALGOS = {
         inst, samples=a.samples, rng=random.Random(a.seed), stats=st)),
     "findfp": ("contraction", lambda inst, a, st: solvers.find_fp(inst, stats=st)),
     "approx": ("contraction", lambda inst, a, st: solvers.approx_find_fp(inst, eps=a.eps, stats=st, p=a.p)),
-    "brute": (None, lambda inst, a, st: next(iter(solvers.brute_force(inst, budget=BUDGET)), None)),
+    "brute": (None, lambda inst, a, st: next(iter(solvers.brute_force(inst)), None)),
 }
 
 
@@ -167,9 +165,9 @@ def compose(src, chain):
 def cmd_generate(args):
     problem, build = _GENERATORS[args.kind]
     # 2^d > BUDGET, without building 2^d.
-    if args.kind in _CONE_SCANS and args.d >= BUDGET.bit_length():
-        raise solvers.BudgetExceeded(f"--kind {args.kind} checks all 2^{args.d} cones, "
-                                     f"more than the budget {BUDGET} (POTLINE_BUDGET)")
+    if args.kind in _CONE_SCANS and args.d >= solvers.BUDGET.bit_length():
+        raise solvers.Exhausted(f"--kind {args.kind} checks all 2^{args.d} cones, "
+                                f"more than the budget {solvers.BUDGET} (POTLINE_BUDGET)")
     data = problems.KINDS[problem].to_json(build(args))
     out = json.dumps(data, indent=2)
     if args.output:
@@ -307,7 +305,7 @@ def main(argv=None) -> int:
                "verify": cmd_verify}[args.cmd]
     try:
         return command(args)
-    except (ValueError, OSError, solvers.BudgetExceeded, solvers.Exhausted) as exc:
+    except (ValueError, OSError, solvers.Exhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .circuits import affine_circuit
+from .circuits import Circuit, Gate, affine_circuit
 from .problems import ContractionInstance, LcpInstance, LineInstance, UsoInstance, line_from_tables
 from .rational import frac
+from .reductions_lcp import PlcpToUso
 
 
 def _rng(seed: int) -> random.Random:
@@ -61,8 +62,6 @@ def gen_uso(n: int, seed: int, broken: bool = False) -> UsoInstance:
     """USO mode reduces a generated P-matrix LCP through the out-map;
     broken mode additionally flips one orientation bit at one vertex,
     planting a Szabo-Welzl violation."""
-    from .reductions_lcp import PlcpToUso
-
     uso = PlcpToUso(gen_lcp(n, seed, p_matrix=True, nondegenerate=True)).image()
     if not broken:
         return uso
@@ -122,8 +121,6 @@ def gen_contraction(d: int, seed: int, p: int = 2, c=Fraction(1, 2),
     # Non-contracting: coordinate 0 follows f_0(x) = clamp(-2 x_0 + 3/s)
     # with s odd and s > 2^kappa_0, so the crossing 1/s is off-grid.
     s = (1 << kappa[0]) + 1 + 2 * rng.randrange(0, 4)
-    from .circuits import Circuit, Gate
-
     gates = [Gate("input", (i,)) for i in range(d)]
     outputs = []
     gates.append(Gate("scale", (Fraction(-2), 0)))

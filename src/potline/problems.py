@@ -27,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from math import lcm
 from typing import Callable, Optional
 
+from .circuits import circuit_from_json, circuit_to_json, compile_circuit, evaluate
 from .pivoting import LemkeSystem
-from .rational import Mat, Vec, frac, frac_str, json_int, lp_pow, mat
+from .rational import Mat, Vec, determinant, frac, frac_str, json_int, lp_pow, mat
 
 UP, DOWN, ZERO = "up", "down", "zero"
 
@@ -42,6 +44,17 @@ ORACLE_CACHE_SIZE = 1 << 14
 def memoize(fn):
     """Memo of a pure function, bounded by ORACLE_CACHE_SIZE."""
     return lru_cache(maxsize=ORACLE_CACHE_SIZE)(fn)
+
+
+def keep(cache: dict, key, value):
+    """Store value under key in a dict cache and return it; the cache is
+    emptied first when it holds ORACLE_CACHE_SIZE entries.  The one bound of
+    the dicts that views keep per code, which a view fills from more than
+    one place, so no lru_cache can hold them."""
+    if len(cache) >= ORACLE_CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 class VariantMismatch(ValueError):
@@ -81,16 +94,6 @@ class Certificate:
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.data.items())
         return f"{self.kind}({inner})"
-
-    def __hash__(self):
-        return hash((self.kind, repr(sorted(self.data.items(), key=lambda kv: kv[0]))))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Certificate)
-            and self.kind == other.kind
-            and self.data == other.data
-        )
 
 
 def cert(kind: str, **data) -> Certificate:
@@ -235,8 +238,6 @@ class OpdcInstance:
         return self._D(i, self.check_point(p))
 
     def points(self):
-        from itertools import product
-
         return product(*[range(k + 1) for k in self.widths])
 
 
@@ -343,8 +344,6 @@ class ContractionInstance:
                                f"got {list(kappa)}")
             self.kappa = kappa
         if self.func is None:
-            from .circuits import evaluate
-
             self.func = lambda x: evaluate(self.circuit, x)
 
     def f(self, x: Vec) -> Vec:
@@ -355,8 +354,6 @@ class ContractionInstance:
         """f at the point xs / D over one positive denominator, compiled
         once per instance."""
         if self.circuit is not None:
-            from .circuits import compile_circuit
-
             return compile_circuit(self.circuit)
 
         def over_lcm(xs, D):
@@ -384,48 +381,37 @@ def _in_box(x) -> bool:
 
 
 def verify_line(inst: LineInstance, c: Certificate) -> bool:
+    """Check c's conditions on the line; a vertex field outside [0, 2^n)
+    names no vertex of the instance, so it is rejected."""
     if c.kind not in LINE_KINDS[inst.flavor]:
         raise VariantMismatch(f"{c.kind} does not apply to {inst.flavor}")
     S, V = inst.S, inst.V
-    k = c.kind
+    k, x = c.kind, c.x
+    y = c.y if k in LINE_PAIRS else x
+    if not (0 <= x < inst.size and 0 <= y < inst.size):
+        return False
     if k in ("U1", "E1"):
-        x = c.x
         return inst.P(S(x)) != x
-    if k == "E2":
-        x = c.x
+    if k in ("E2", "UV2"):
         return x != 0 and S(inst.P(x)) != x
-    if k == "R1":
-        x = c.x
+    if k in ("R1", "T1"):
         return (x != 0 and S(inst.P(x)) != x) or inst.P(S(x)) != x
     if k in ("R2", "UV1"):
-        x = c.x
         return x != S(x) and inst.P(S(x)) == x and V(S(x)) - V(x) <= 0
-    if k == "UV2":
-        x = c.x
-        return x != 0 and S(inst.P(x)) != x
     if k in ("UV3", "UFV1"):
-        x, y = c.x, c.y
         if x == y or x == S(x) or y == S(y):
             return False
         # Second disjunct read as V(x) < V(y) < V(S(x)).
         return V(x) == V(y) or (V(x) < V(y) < V(S(x)))
     if k in ("S1", "UF1"):
-        x = c.x
         return S(x) != x and (S(S(x)) == S(x) or V(S(x)) <= V(x))
     if k == "UFP1":
-        x = c.x
         return S(x) != x and (S(S(x)) == S(x) or V(S(x)) != V(x) + 1)
     if k == "UFPV1":
-        x, y = c.x, c.y
         return x != y and x != S(x) and y != S(y) and V(x) == V(y)
-    if k == "T1":
-        x = c.x
-        return (x != 0 and S(inst.P(x)) != x) or inst.P(S(x)) != x
     if k == "T2":
-        x = c.x
         return x != 0 and V(x) == 1
     if k == "T3":
-        x = c.x
         return (V(x) > 0 and V(S(x)) - V(x) != 1) or (
             V(x) > 1 and V(x) - V(inst.P(x)) != 1
         )
@@ -468,14 +454,18 @@ def verify_opdc(inst: OpdcInstance, c: Certificate) -> bool:
 
 
 def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
+    """Check c on the cube; a vertex outside [0, 2^n) is rejected."""
+    size = 1 << inst.n
     if c.kind == "US1":
-        return inst.orient(c.v) == 0
+        return 0 <= c.v < size and inst.orient(c.v) == 0
     if c.kind == "USV1":
-        return inst.orient(c.v) is None
+        return 0 <= c.v < size and inst.orient(c.v) is None
     if c.kind == "USV2":
         v, u = c.v, c.u
+        if v == u or not (0 <= v < size and 0 <= u < size):
+            return False
         ov, ou = inst.orient(v), inst.orient(u)
-        if v == u or ov is None or ou is None:
+        if ov is None or ou is None:
             return False
         return (v ^ u) & (ov ^ ou) == 0
     raise VariantMismatch(c.kind)
@@ -496,8 +486,6 @@ def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
         alpha = sorted(set(c.alpha))
         if not alpha or any(not 0 <= i < d for i in alpha):
             return False
-        from .rational import determinant
-
         minor = [[inst.M[i][j] for j in alpha] for i in alpha]
         return determinant(minor) <= 0
     if c.kind == "PV2":
@@ -510,7 +498,7 @@ def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
         from .reductions_lcp import out_map
 
         alpha, beta = frozenset(c.alpha), frozenset(c.beta)
-        if alpha == beta:
+        if alpha == beta or any(not 0 <= i < d for i in alpha | beta):
             return False
         oa, ob = out_map(inst, alpha), out_map(inst, beta)
         if oa is None or ob is None:
@@ -541,7 +529,7 @@ def verify_contraction(inst: ContractionInstance, c: Certificate) -> bool:
         lvl = c.level
         x = [frac(v) for v in c.x]
         y = [frac(v) for v in c.y]
-        if not (1 <= lvl <= d) or not (_in_box(x) and _in_box(y)):
+        if not (1 <= lvl <= d) or len(x) != d or len(y) != d or not (_in_box(x) and _in_box(y)):
             return False
         if any(x[j] != y[j] for j in range(lvl, d)):
             return False
@@ -688,8 +676,10 @@ def _grid_key(key: str) -> tuple:
 
 
 def _vertex(v) -> int:
+    """A vertex id, as a bit string (`bits_int`) or an integer; the
+    verifier checks it against the instance's n."""
     if isinstance(v, str) and set(v) <= {"0", "1"}:
-        return int(v, 2)
+        return bits_int(v, len(v))
     if type(v) is not int:
         raise TypeError(f"expected a bit string or an integer, got {type(v).__name__}")
     return v
@@ -781,8 +771,6 @@ def uso_from_json(data: dict) -> UsoInstance:
 
 
 def contraction_to_json(inst: ContractionInstance) -> dict:
-    from .circuits import circuit_to_json
-
     if inst.circuit is None:
         raise ValueError("only circuit-mode contraction instances serialize")
     out = {
@@ -798,8 +786,6 @@ def contraction_to_json(inst: ContractionInstance) -> dict:
 
 
 def contraction_from_json(data: dict) -> ContractionInstance:
-    from .circuits import circuit_from_json
-
     circ = _decode(data, "circuit", lambda v: circuit_from_json(_object(v)))
     return ContractionInstance(
         d=circ.d,

@@ -150,13 +150,10 @@ class PlcpLineView(LineView):
         return self._vertex_cache[u]
 
     def _remember(self, u: int, v: Vertex | None) -> None:
-        # A dict emptied when full, not an lru_cache: _step seeds it too.
-        # The reverse edges go with it; each names a code it holds.
+        # A dict bounded by `problems.keep`, not an lru_cache: _step seeds
+        # it too.
         if u not in self._vertex_cache:
-            if len(self._vertex_cache) >= problems.ORACLE_CACHE_SIZE:
-                self._vertex_cache.clear()
-                self._back.clear()
-            self._vertex_cache[u] = v
+            problems.keep(self._vertex_cache, u, v)
 
     def _compute_vertex(self, u: int):
         d = self.d
@@ -165,17 +162,10 @@ class PlcpLineView(LineView):
         dup_bits = [i for i in range(d) if u >> (d + i) & 1]
         if len(dup_bits) > 1:
             return None
-        basis = set()
+        # The nontight side of each label is basic; z replaces the duplicate label.
+        basis = {i if u >> i & 1 else d + i for i in range(d) if i not in dup_bits}
         if dup_bits:
-            l = dup_bits[0]
             basis.add(self.sys.zvar)
-            for i in range(d):
-                if i == l:
-                    continue
-                basis.add(i if u >> i & 1 else d + i)  # nontight side is basic
-        else:
-            for i in range(d):
-                basis.add(i if u >> i & 1 else d + i)
         basis = frozenset(basis)
         if self.code_of(basis) != u:
             return None
@@ -201,7 +191,8 @@ class PlcpLineView(LineView):
         w, leaving = step
         code = self.code_of(w.basis)
         self._remember(code, w)
-        self._back[code, leaving] = u
+        # The edge back holds whether or not either code is still cached.
+        problems.keep(self._back, (code, leaving), u)
         return code
 
     # -- oracles ---------------------------------------------------------------

@@ -11,7 +11,7 @@ verifies on the source or raises UnmappableCert.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, product
 
 from . import problems
 from .problems import (
@@ -290,10 +290,9 @@ class PebblingView(LineView):
 
     Each code is decoded, validated against the source and indexed once
     per view: `successor`, `predecessor` and `potential` all read
-    `_state(code)`, kept in a dict emptied when it reaches
-    ORACLE_CACHE_SIZE.  `successor` and `predecessor` put the neighbour's
-    state, which they already know, in that dict as they encode it
-    (`_neighbour`).
+    `_state(code)`, kept in a dict bounded by `problems.keep`.  `successor`
+    and `predecessor` put the neighbour's state, which they already know,
+    in that dict as they encode it (`_neighbour`).
     `index_of` and `move` are loops over the pebbles.
     """
 
@@ -378,12 +377,9 @@ class PebblingView(LineView):
         """(config, move index) of a valid code, else None: the code
         decodes, each pebble's label is a source vertex whose potential is
         the pebble's position, and the positions are a strategy state."""
-        states = self._states
-        if code not in states:
-            if len(states) >= problems.ORACLE_CACHE_SIZE:
-                states.clear()
-            states[code] = self._compute_state(code)
-        return states[code]
+        if code in self._states:
+            return self._states[code]
+        return problems.keep(self._states, code, self._compute_state(code))
 
     def _neighbour(self, config, mv, t):
         """The code of the config after move mv, or None when the move
@@ -396,10 +392,7 @@ class PebblingView(LineView):
         code = self.encode(nxt)
         op, peb, _ = mv
         if op == "remove" or nxt[peb - 1][0] >> self.m == 0:
-            states = self._states
-            if len(states) >= problems.ORACLE_CACHE_SIZE:
-                states.clear()
-            states[code] = (nxt, t)
+            problems.keep(self._states, code, (nxt, t))
         return code
 
     def _compute_state(self, code):
@@ -527,8 +520,6 @@ class PebblingView(LineView):
             else:
                 del state[peb]
             positions.append(state)
-        from itertools import product
-
         seen = set()
         out = []
         for state in positions:
@@ -599,9 +590,9 @@ class NormalizeView(LineView):
     potential 2^low_bits - 1 and then points at 0.
 
     What a step needs of the source vertex v is read from the source once
-    per view and kept in `_records`, a dict emptied when it reaches
-    ORACLE_CACHE_SIZE: the code at the top of v's chain (S(v)'s code, or 0
-    for a tail) and the chain's last index (-1 for a junk label).  `run`
+    per view and kept in `_records`, a dict bounded by `problems.keep`: the
+    code at the top of v's chain (S(v)'s code, or 0 for a tail) and the
+    chain's last index (-1 for a junk label).  `run`
     reads the same record, so a walk crosses a whole chain or tail in one
     jump and asks S, P and V only where it leaves one.  Only (v, 0)'s
     predecessor, which enters from P(v)'s chain, asks the source again.
@@ -632,10 +623,7 @@ class NormalizeView(LineView):
             rec = 0, self.top - src.V(v)  # 0 makes the top an end: P(0) = 0
         else:
             rec = sv << self.low_bits, src.V(sv) - src.V(v) - 1
-        if len(self._records) >= problems.ORACLE_CACHE_SIZE:
-            self._records.clear()
-        self._records[v] = rec
-        return rec
+        return problems.keep(self._records, v, rec)
 
     def successor(self, x):
         v, i = x >> self.low_bits, x & self.top

@@ -8,6 +8,7 @@ together with machine-readable counters on the run record.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,15 +33,18 @@ from .problems import (
     verify,
 )
 from .rational import frac
+from .reductions_lcp import out_map
+from .reductions_opdc import ContractionToOpdc
+
+# Enumeration sizes: brute force's default, and the cone scans that
+# `potline generate` refuses above it.
+BUDGET = int(os.environ.get("POTLINE_BUDGET", str(1 << 16)))
 
 
 class Exhausted(RuntimeError):
-    """Step budget exceeded; signals a budget problem, not absence of a
+    """A budget ran out: a walk's steps, an enumeration's size or its
+    certificate cap.  It signals a budget problem, not the absence of a
     solution."""
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass
@@ -117,8 +121,6 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
 
 def lcp_brute_force(inst: LcpInstance) -> list[Certificate]:
     """All Q1 (support enumeration), PV1 and PV3 certificates."""
-    from .reductions_lcp import out_map
-
     d = inst.d
     found = []
     subsets = [frozenset(s) for r in range(d + 1) for s in combinations(range(d), r)]
@@ -452,22 +454,22 @@ def _verified(inst, candidates, max_certs: int) -> list[Certificate]:
         if verify(inst, c):
             found.append(c)
             if len(found) > max_certs:
-                raise BudgetExceeded("certificate cap hit")
+                raise Exhausted("certificate cap hit")
     return found
 
 
 def _lcp_certs(inst: LcpInstance, budget: int, max_certs: int) -> list[Certificate]:
     if 1 << inst.d > budget:
-        raise BudgetExceeded("too many supports")
+        raise Exhausted("too many supports")
     certs = lcp_brute_force(inst)
     if len(certs) > max_certs:
-        raise BudgetExceeded("certificate cap hit")
+        raise Exhausted("certificate cap hit")
     return [c for c in certs if verify(inst, c)]
 
 
 def _uso_certs(inst: UsoInstance, budget: int, max_certs: int) -> list[Certificate]:
     if 1 << inst.n > budget:
-        raise BudgetExceeded("cube too large")
+        raise Exhausted("cube too large")
 
     def candidates():
         vs = range(1 << inst.n)
@@ -488,7 +490,7 @@ def _opdc_certs(inst: OpdcInstance, budget: int, max_certs: int) -> list[Certifi
     for k in inst.widths:
         total *= k + 1
     if total > budget:
-        raise BudgetExceeded("grid too large")
+        raise Exhausted("grid too large")
     pts = list(inst.points())
     d, D = inst.d, inst.D
 
@@ -524,7 +526,7 @@ def _line_certs(inst: LineInstance, budget: int, max_certs: int) -> list[Certifi
     if inst.vertex_iter is not None:
         ids = list(inst.vertex_iter())
     elif inst.size > budget:
-        raise BudgetExceeded(f"2^{inst.n} ids exceed budget {budget}")
+        raise Exhausted(f"2^{inst.n} ids exceed budget {budget}")
     else:
         ids = range(inst.size)
     singles = [k for k in LINE_KINDS[inst.flavor] if k not in LINE_PAIRS]
@@ -556,8 +558,6 @@ def _line_certs(inst: LineInstance, budget: int, max_certs: int) -> list[Certifi
 
 
 def _contraction_certs(inst: ContractionInstance, budget: int, max_certs: int) -> list[Certificate]:
-    from .reductions_opdc import ContractionToOpdc
-
     view = ContractionToOpdc(inst)
     out = []
     for c in brute_force(view.image(), budget=budget, max_certs=max_certs):
@@ -576,9 +576,11 @@ _ENUMERATORS = {
 }
 
 
-def brute_force(inst, budget: int = 1 << 16, max_certs: int = 20000) -> list[Certificate]:
+def brute_force(inst, budget: int = BUDGET, max_certs: int = 20000) -> list[Certificate]:
     """Exhaustively enumerate the instance domain and return every
-    certificate of every kind that passes its verifier (capped)."""
+    certificate of every kind that passes its verifier.  Raises Exhausted
+    when the domain has more than `budget` points or more than `max_certs`
+    certificates verify."""
     enumerate_certs = _ENUMERATORS.get(type(inst))
     if enumerate_certs is None:
         raise TypeError(f"brute_force cannot handle {type(inst)}")

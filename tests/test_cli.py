@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import potline
-from potline.cli import _ALGOS as ALGOS, main
-from potline.problems import KINDS
+from potline.cli import _ALGOS as ALGOS, compose, main
+from potline.generators import gen_lcp, gen_uso
+from potline.problems import KINDS, cert, verify
+from potline.solvers import brute_force
 
-from helpers import fibonacci_contraction
+from helpers import FULL_CHAIN, fibonacci_contraction
 
 
 def run(capsys, *argv):
@@ -111,6 +113,43 @@ def test_verify_accepts_and_rejects(tmp_path, capsys):
     rep = json.loads(out)
     assert code == 1 and rep["accepted"] is False
     assert "complementarity" in rep["reason"]
+
+
+def test_verify_rejects_ids_outside_the_instance(tmp_path, capsys):
+    # A vertex id outside [0, 2^n), an LCP label outside 0..d-1 and a CMV3
+    # point of fewer than d coordinates name nothing in the instance, though
+    # a table lookup, a cone solve or a code's decoding reads each as some
+    # in-range object.
+    uso = tmp_path / "uso1.json"
+    uso.write_text(json.dumps({"n": 1, "orient": {"0": "1", "1": "0"}}))
+    lcp, bad_map = tmp_path / "lcp.json", tmp_path / "bad.json"
+    run(capsys, "generate", "--kind", "pmatrixlcp", "--d", "2", "--seed", "0", "-o", str(lcp))
+    run(capsys, "generate", "--kind", "noncontraction", "--d", "2", "-o", str(bad_map))
+    cert_path = tmp_path / "cert.json"
+    for problem, inst, certificate in [
+        ("uso", uso, {"kind": "USV1", "v": 7}),
+        ("plcp", lcp, {"kind": "PV3", "alpha": [], "beta": [7]}),
+        ("contraction", bad_map, {"kind": "CMV3", "level": 1, "x": ["0"], "y": ["0"]}),
+    ]:
+        cert_path.write_text(json.dumps(certificate))
+        code, out = run(capsys, "verify", str(inst), str(cert_path), "--problem", problem)
+        assert code == 1 and json.loads(out)["accepted"] is False, certificate
+
+    cube = gen_uso(2, 0)
+    sink = next(c for c in brute_force(cube) if c.kind == "US1")
+    assert verify(cube, sink)
+    assert not any(verify(cube, cert("US1", v=sink.v + shift)) for shift in (-4, 4))
+    # The pebbling stage decodes only a code's low n bits.
+    ueopl, _ = compose(gen_lcp(2, 0, nondegenerate=True), FULL_CHAIN[:-1])
+    u1 = next(c for c in brute_force(ueopl, max_certs=300) if c.kind == "U1")
+    assert verify(ueopl, u1) and not verify(ueopl, cert("U1", x=u1.x + (1 << ueopl.n)))
+
+
+def test_empty_bit_string_certificate_exits_2(files, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"kind": "US1", "v": ""}))
+    code, out, err = run_err(capsys, "verify", files["uso"], path, "--problem", "uso")
+    assert (code, out, err) == (2, "", "error: certificate field 'v': '' is not a bit string of 0 bits\n")
 
 
 def test_solve_aldous_deterministic(tmp_path, capsys):
@@ -577,6 +616,31 @@ def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message
 _MAP = {"circuit": {"d": 2, "outputs": [4, 3], "gates": [
     {"op": "input", "args": [0]}, {"op": "input", "args": [1]}, {"op": "scale", "args": ["1/2", 0]},
     {"op": "const", "args": ["1/4"]}, {"op": "add", "args": [2, 3]}]}, "c": "1/2", "p": 2}
+
+
+# M = [[2, 1], [1, 2]], q = (-1, -1), and a two-edge line 00 -> 01 -> 10 with
+# potentials 0, 1, 2, on which 11 is no vertex.
+_LCP = {"M": [["2", "1"], ["1", "2"]], "q": ["-1", "-1"]}
+_LINE = {"n": 2, "m": 2, "S": {"00": "01", "01": "10"}, "P": {"01": "00", "10": "01"}, "V": {"01": 1, "10": 2}}
+
+
+@pytest.mark.parametrize("problem, instance, certificate, reason", [
+    ("plcp", _LCP, {"kind": "Q1", "y": ["-1", "0"]}, "nonnegativity y_1 < 0"),
+    ("plcp", _LCP, {"kind": "Q1", "y": ["0", "0"]}, "feasibility w_1 < 0"),
+    ("contraction", _MAP, {"kind": "CM1", "x": ["2", "0"]}, "point outside the unit box"),
+    ("contraction", _MAP, {"kind": "CM1", "x": ["0", "1/4"]}, "f(x)_1 != x_1"),
+    ("line", dict(_LINE, flavor="ueopl"), {"kind": "UV3", "x": "01", "y": "01"}, "points coincide"),
+    ("line", dict(_LINE, flavor="ueopl"), {"kind": "UV3", "x": "01", "y": "11"}, "a point is not a vertex"),
+    ("line", dict(_LINE, flavor="ufeopl"), {"kind": "UFV1", "x": "00", "y": "01"},
+     "V(y) neither equals V(x) nor lies in (V(x), V(S(x)))"),
+])
+def test_verify_explains_the_failed_clause(tmp_path, capsys, problem, instance, certificate, reason):
+    inst, path = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst.write_text(json.dumps(instance))
+    path.write_text(json.dumps(certificate))
+    code, out = run(capsys, "verify", str(inst), str(path), "--problem", problem)
+    assert code == 1
+    assert json.loads(out) == {"accepted": False, "kind": certificate["kind"], "reason": reason}
 
 
 @pytest.mark.parametrize("edit, message", [

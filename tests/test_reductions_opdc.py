@@ -15,6 +15,7 @@ from potline.problems import (
 from potline.reductions_lcp import plcp_to_uso
 from potline.reductions_opdc import (
     ContractionToOpdc,
+    _column_search,
     compute_kappa,
     map_back_opdc,
     map_back_uso,
@@ -246,6 +247,18 @@ def test_opdc_to_ufeopl_column_search_case():
     for c in certs:
         mb = map_back_opdc(inst, view, c)
         assert verify(inst, mb)
+
+
+@pytest.mark.parametrize("dirs, want", [
+    # up over 1..4, down over 5..8: the bisection closes on the adjacent pair.
+    (["zero"] + ["up"] * 4 + ["down"] * 4, cert("OV2", level=1, p=(5,), q=(4,))),
+    # a second zero at a bisection midpoint.
+    (["zero"] + ["up"] * 3 + ["zero"] + ["down"] * 4, cert("OV1", level=1, p=(0,), q=(4,))),
+])
+def test_column_search_bisects_the_column(dirs, want):
+    inst = opdc_from_table((8,), {(t,): [d] for t, d in enumerate(dirs)})
+    assert _column_search(inst, (0,), (1,)) == want
+    assert verify(inst, want)
 
 
 def test_opdc_boundary_stuck_ov3():

@@ -19,7 +19,6 @@ from potline.problems import (
 )
 from potline.reductions_line import normalize_potentials
 from potline.solvers import (
-    BudgetExceeded,
     Exhausted,
     RunStats,
     aldous,
@@ -419,8 +418,19 @@ def test_brute_force_lcp_keeps_the_certificate_cap():
     certs = brute_force(inst)
     assert len(certs) == 48
     assert brute_force(inst, max_certs=48) == certs
-    with pytest.raises(BudgetExceeded, match="certificate cap hit"):
+    with pytest.raises(Exhausted, match="certificate cap hit"):
         brute_force(inst, max_certs=47)
+
+
+@pytest.mark.parametrize("inst, message", [
+    (LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1]), "too many supports"),
+    (UsoInstance(n=2, orient=lambda v: v ^ 0b11), "cube too large"),
+    (OpdcInstance(widths=(1, 1), direction=lambda i, p: "zero"), "grid too large"),
+    (line_from_tables(2, {0: 1}), r"2\^2 ids exceed budget 3"),
+])
+def test_brute_force_refuses_a_domain_over_its_budget(inst, message):
+    with pytest.raises(Exhausted, match=message):
+        brute_force(inst, budget=3)
 
 
 def test_brute_force_uso():
