@@ -247,7 +247,7 @@ def cmd_solve(args):
 
 def cmd_verify(args):
     inst, _ = _load(args.instance, args.problem)
-    c = problems.cert_from_json(_read_object(args.cert), args.problem)
+    c = problems.cert_from_json(_read_object(args.cert), args.problem, getattr(inst, "n", None))
     try:
         ok = problems.verify(inst, c)
     except problems.VariantMismatch as exc:

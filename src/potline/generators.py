@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .circuits import Circuit, Gate, affine_circuit
-from .problems import ContractionInstance, LcpInstance, LineInstance, UsoInstance, line_from_tables
+from .problems import (LINE_KINDS, ContractionInstance, LcpInstance, LineInstance, UsoInstance,
+                       line_from_tables)
 from .rational import frac
 from .reductions_lcp import PlcpToUso
 
@@ -142,8 +143,8 @@ def gen_contraction(d: int, seed: int, p: int = 2, c=Fraction(1, 2),
     return inst
 
 
-def gen_line(length: int, seed: int, n: int | None = None, gaps=None,
-             flavor: str = "ueopl", two_lines: bool = False) -> LineInstance:
+def gen_line(length: int, seed: int, gaps=None, flavor: str = "ueopl",
+             two_lines: bool = False) -> LineInstance:
     """Explicit-table line instances.
 
     Single-line mode lays one line of `length` vertices starting at 0 with
@@ -155,8 +156,7 @@ def gen_line(length: int, seed: int, n: int | None = None, gaps=None,
         raise ValueError(f"line length must be at least 2, got {length}")
     rng = _rng(seed)
     total = length + (length if two_lines else 0) + 1
-    if n is None:
-        n = max(1, (total - 1).bit_length() + (1 if two_lines else 0))
+    n = max(1, (total - 1).bit_length() + (1 if two_lines else 0))
     if gaps is None:
         gaps = [rng.choice([1, 1, 2, 3]) for _ in range(length - 1)]
     ids = list(range(1, 1 << n))
@@ -181,12 +181,7 @@ def gen_line(length: int, seed: int, n: int | None = None, gaps=None,
             pot2 += rng.choice([1, 2])
             v_table[b] = pot2
     m_pot = max(1, max(v_table.values()).bit_length())
-    inst = line_from_tables(
-        n,
-        s_table,
-        p_table if flavor in ("eopl", "ueopl", "eoml", "endofline") else None,
-        v_table,
-        flavor=flavor,
-        m_pot=m_pot,
-    )
-    return inst
+    # Flavors with an end kind get P; an unknown flavor reaches LineInstance's check.
+    two_way = flavor in LINE_KINDS and LINE_KINDS[flavor].end is not None
+    return line_from_tables(n, s_table, p_table if two_way else None, v_table,
+                            flavor=flavor, m_pot=m_pot)

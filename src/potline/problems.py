@@ -26,14 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import lcm
+from operator import ge
 from typing import Callable, Optional
 
 from .circuits import circuit_from_json, circuit_to_json, compile_circuit, evaluate
-from .pivoting import LemkeSystem
-from .rational import Mat, Vec, determinant, frac, frac_str, json_int, lp_pow, mat
+from .pivoting import LemkeSystem, principal_minor
+from .rational import Mat, Vec, frac, frac_str, json_int, lp_pow, mat
 
 UP, DOWN, ZERO = "up", "down", "zero"
 
@@ -100,18 +101,32 @@ def cert(kind: str, **data) -> Certificate:
     return Certificate(kind, data)
 
 
-# Line flavors and their certificate kinds, in the order brute force lists
-# them.  The kinds in LINE_PAIRS name two vertices (x, y), the others one (x).
+@dataclass(frozen=True)
+class Flavor:
+    """A line flavor: its certificate kinds, in the order brute force lists
+    them; `pair`, the kind that names two vertices (x, y), the others
+    naming one (x); `end`, the kind at an end of the line (P(S(x)) != x),
+    None on the forward-only flavors; `violation`, the kind at a bad step
+    x -> S(x), and `bad(V(x), V(S(x)))`, the rule for one (both None on
+    EndOfLine, whose steps are never bad)."""
+
+    kinds: tuple
+    pair: Optional[str]
+    end: Optional[str]
+    violation: Optional[str]
+    bad: Optional[Callable[[int, int], bool]]
+
+
+# The one definition of each line flavor, keyed by its name.
 LINE_KINDS = {
-    "endofline": ("E1", "E2"),
-    "sinkofdag": ("S1",),
-    "eopl": ("R1", "R2"),
-    "ueopl": ("U1", "UV1", "UV2", "UV3"),
-    "eoml": ("T1", "T2", "T3"),
-    "ufeopl": ("UF1", "UFV1"),
-    "ufeoplplus1": ("UFP1", "UFPV1"),
+    "endofline": Flavor(("E1", "E2"), None, "E1", None, None),
+    "sinkofdag": Flavor(("S1",), None, None, "S1", ge),
+    "eopl": Flavor(("R1", "R2"), None, "R1", "R2", ge),
+    "ueopl": Flavor(("U1", "UV1", "UV2", "UV3"), "UV3", "U1", "UV1", ge),
+    "eoml": Flavor(("T1", "T2", "T3"), None, "T1", "T3", lambda vx, vy: vx > 0 and vy - vx != 1),
+    "ufeopl": Flavor(("UF1", "UFV1"), "UFV1", None, "UF1", ge),
+    "ufeoplplus1": Flavor(("UFP1", "UFPV1"), "UFPV1", None, "UFP1", lambda vx, vy: vy != vx + 1),
 }
-LINE_PAIRS = frozenset({"UV3", "UFV1", "UFPV1"})
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +359,7 @@ class ContractionInstance:
                                f"got {list(kappa)}")
             self.kappa = kappa
         if self.func is None:
-            self.func = lambda x: evaluate(self.circuit, x)
+            self.func = partial(evaluate, self.circuit)
 
     def f(self, x: Vec) -> Vec:
         return [Fraction(v) for v in self.func([Fraction(c) for c in x])]
@@ -383,11 +398,12 @@ def _in_box(x) -> bool:
 def verify_line(inst: LineInstance, c: Certificate) -> bool:
     """Check c's conditions on the line; a vertex field outside [0, 2^n)
     names no vertex of the instance, so it is rejected."""
-    if c.kind not in LINE_KINDS[inst.flavor]:
+    flavor = LINE_KINDS[inst.flavor]
+    if c.kind not in flavor.kinds:
         raise VariantMismatch(f"{c.kind} does not apply to {inst.flavor}")
     S, V = inst.S, inst.V
     k, x = c.kind, c.x
-    y = c.y if k in LINE_PAIRS else x
+    y = c.y if k == flavor.pair else x
     if not (0 <= x < inst.size and 0 <= y < inst.size):
         return False
     if k in ("U1", "E1"):
@@ -397,24 +413,20 @@ def verify_line(inst: LineInstance, c: Certificate) -> bool:
     if k in ("R1", "T1"):
         return (x != 0 and S(inst.P(x)) != x) or inst.P(S(x)) != x
     if k in ("R2", "UV1"):
-        return x != S(x) and inst.P(S(x)) == x and V(S(x)) - V(x) <= 0
+        return x != S(x) and inst.P(S(x)) == x and flavor.bad(V(x), V(S(x)))
     if k in ("UV3", "UFV1"):
         if x == y or x == S(x) or y == S(y):
             return False
         # Second disjunct read as V(x) < V(y) < V(S(x)).
         return V(x) == V(y) or (V(x) < V(y) < V(S(x)))
-    if k in ("S1", "UF1"):
-        return S(x) != x and (S(S(x)) == S(x) or V(S(x)) <= V(x))
-    if k == "UFP1":
-        return S(x) != x and (S(S(x)) == S(x) or V(S(x)) != V(x) + 1)
+    if k in ("S1", "UF1", "UFP1"):
+        return S(x) != x and (S(S(x)) == S(x) or flavor.bad(V(x), V(S(x))))
     if k == "UFPV1":
         return x != y and x != S(x) and y != S(y) and V(x) == V(y)
     if k == "T2":
         return x != 0 and V(x) == 1
     if k == "T3":
-        return (V(x) > 0 and V(S(x)) - V(x) != 1) or (
-            V(x) > 1 and V(x) - V(inst.P(x)) != 1
-        )
+        return flavor.bad(V(x), V(S(x))) or (V(x) > 1 and V(x) - V(inst.P(x)) != 1)
     raise VariantMismatch(c.kind)
 
 
@@ -483,11 +495,10 @@ def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
         w = inst.w_of(y)
         return all(v >= 0 for v in w) and all(y[i] * w[i] == 0 for i in range(d))
     if c.kind == "PV1":
-        alpha = sorted(set(c.alpha))
+        alpha = set(c.alpha)
         if not alpha or any(not 0 <= i < d for i in alpha):
             return False
-        minor = [[inst.M[i][j] for j in alpha] for i in alpha]
-        return determinant(minor) <= 0
+        return principal_minor(inst.M, alpha) <= 0
     if c.kind == "PV2":
         x = [frac(v) for v in c.x]
         if len(x) != d or all(v == 0 for v in x):
@@ -675,11 +686,12 @@ def _grid_key(key: str) -> tuple:
     return tuple(int(t) for t in parts)
 
 
-def _vertex(v) -> int:
-    """A vertex id, as a bit string (`bits_int`) or an integer; the
-    verifier checks it against the instance's n."""
+def _vertex(v, n: Optional[int] = None) -> int:
+    """A vertex id, as a bit string (`bits_int`, at most n bits wide when
+    n is given) or an integer, which the verifier checks against the
+    instance's n."""
     if isinstance(v, str) and set(v) <= {"0", "1"}:
-        return bits_int(v, len(v))
+        return bits_int(v, len(v) if n is None else min(len(v), n))
     if type(v) is not int:
         raise TypeError(f"expected a bit string or an integer, got {type(v).__name__}")
     return v
@@ -858,20 +870,20 @@ def first_verifying(inst, candidates, what: str) -> Certificate:
     """The first of `candidates` that passes `verify` on `inst`; raises
     UnmappableCert(what) when none does.  Every map-back is a generator
     of the source certificates its construction's case analysis names,
-    consumed here, so a candidate is only built if those before it failed."""
+    consumed here, so a candidate is only built if those before it failed;
+    one of a kind foreign to `inst` is a bug, and raises VariantMismatch."""
     for c in candidates:
-        try:
-            if verify(inst, c):
-                return c
-        except VariantMismatch:
-            continue
+        if verify(inst, c):
+            return c
     raise UnmappableCert(what)
 
 
-def cert_from_json(data: dict, problem: str) -> Certificate:
+def cert_from_json(data: dict, problem: str, n: Optional[int] = None) -> Certificate:
+    """The certificate `data` encodes for `problem`; n, the instance's bit
+    count, bounds vertex bit strings (a wider one raises BadField)."""
     if "kind" not in data:
         raise MissingField("certificate has no field 'kind'")
-    fields = KINDS[problem].fields
+    fields = {k: partial(_vertex, n=n) if f is _vertex else f for k, f in KINDS[problem].fields.items()}
     try:
         kind = _decode(data, "kind", _string)
         payload = {k: _decode(data, k, fields[k]) if k in fields else v

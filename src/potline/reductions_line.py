@@ -23,7 +23,6 @@ from .problems import (
     OpdcInstance,
     cert,
     first_verifying,
-    memoize,
     verify_line,
 )
 
@@ -123,7 +122,18 @@ class EomlToEopl(LineView):
 # ---------------------------------------------------------------------------
 # EOPL -> EOML  (potential captured in the low bits)
 
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
 class EoplToEoml(LineView):
+    """Code (u, pi), pi in the low m_pot bits, is the point of potential pi
+    on the chain that cuts the source edge u -> S(u) into unit steps of
+    sign(V(S(u)) - V(u)), from (u, V(u)) to (S(u), V(S(u))); a flat edge is
+    one step.  The start chain 0, (0, 2), (0, 3), ... climbs from potential
+    1 to (u2, p2), u2 = S(S(0)), p2 = V(u2).  Codes (0, 1) and (S(0), pi),
+    and codes on no chain, are self-loops of potential 0."""
+
     flavor = "eoml"
 
     def __init__(self, src: LineInstance):
@@ -142,37 +152,34 @@ class EoplToEoml(LineView):
         self.u2 = src.S(self.u1)
         self.p2 = src.V(self.u2)
 
-    def successor(self, x):
+    def _edge(self, u):
+        """(S(u), V(u), V(S(u))) of a source edge u -> S(u), or None when
+        S(u) = u or P(S(u)) != u."""
         src = self.src
+        up = src.S(u)
+        if src.P(up) != u or up == u:
+            return None
+        return up, src.V(u), src.V(up)
+
+    def successor(self, x):
         u, pi = self._split(x)
         if (u == 0 and pi == 1) or u == self.u1:
             return x
-        if x == 0:
-            return self._join(self.u2, 2) if self.p2 == 2 else self._join(0, 2)
         if u == 0:
-            if 2 <= pi < self.p2 - 1:
-                return self._join(0, pi + 1)
-            if pi == self.p2 - 1:
-                return self._join(self.u2, self.p2)
+            nxt = max(pi + 1, 2)
+            if nxt < self.p2:
+                return self._join(0, nxt)
+            return self._join(self.u2, self.p2) if nxt == self.p2 else x
+        edge = self._edge(u)
+        if edge is None:
             return x
-        up = src.S(u)
-        if src.P(up) != u or up == u:
-            return x
-        p, pp = src.V(u), src.V(up)
-        if (pi == p == pp) or (pi == p and pp == p + 1) or (pi == p and pp == p - 1):
+        up, p, pp = edge
+        step = _sign(pp - p)
+        if pi + step == pp:
             return self._join(up, pp)
-        if (pi < p <= pp) or (p <= pp <= pi) or (pi > p >= pp) or (p >= pp >= pi):
-            return x
-        if p < pp:
-            if p <= pi < pp - 1:
-                return self._join(u, pi + 1)
-            if pi == pp - 1:
-                return self._join(up, pp)
-        else:
-            if p >= pi > pp + 1:
-                return self._join(u, pi - 1)
-            if pi == pp + 1:
-                return self._join(up, pp)
+        # Bounded by sign, not min/max: a falling edge runs from p down to pp.
+        if 0 <= (pi - p) * step < (pp - p) * step:
+            return self._join(u, pi + step)
         return x
 
     def predecessor(self, x):
@@ -180,33 +187,20 @@ class EoplToEoml(LineView):
         u, pi = self._split(x)
         if (u == 0 and pi == 1) or u == self.u1:
             return x
-        if u == 0:
-            if pi == 0:
-                return 0
-            if pi < self.p2 and pi not in (1, 2):
-                return self._join(0, pi - 1)
-            if pi < self.p2 and pi == 2:
-                return 0
-        if u == self.u2 and pi == self.p2:
-            return 0 if self.p2 == 2 else self._join(0, self.p2 - 1)
-        if pi == src.V(u) and u != 0:
+        if (u == 0 and pi < self.p2) or (u == self.u2 and pi == self.p2):
+            return 0 if pi <= 2 else self._join(0, pi - 1)
+        if pi == src.V(u):
             w = src.P(u)
             if src.S(w) != u or w == u:
                 return x
-            p, pw = src.V(u), src.V(w)
-            if p == pw:
-                return self._join(w, pw)
-            return self._join(w, p - 1) if pw < p else self._join(w, p + 1)
-        up = src.S(u)
-        if src.P(up) != u or up == u:
+            return self._join(w, pi - _sign(pi - src.V(w)))
+        edge = self._edge(u)
+        if edge is None:
             return x
-        p, pp = src.V(u), src.V(up)
-        if (pp == p) or (pi < p < pp) or (p < pp <= pi) or (pi > p > pp) or (p > pp >= pi):
-            return x
-        if p < pp and p < pi <= pp - 1:
-            return self._join(u, pi - 1)
-        if p > pp and p > pi >= pp + 1:
-            return self._join(u, pi + 1)
+        _, p, pp = edge
+        step = _sign(pp - p)
+        if 0 < (pi - p) * step < (pp - p) * step:
+            return self._join(u, pi - step)
         return x
 
     def potential(self, x):
@@ -697,7 +691,8 @@ class UeoplToOpdc(View):
         self.m = src.n
         self.n_blocks = src.m_pot
         self.dims = self.m * self.n_blocks
-        self._decode = memoize(lambda p: self._chain(self.blocks_of(p)))
+        # A dict bounded by `problems.keep`; a memo of a lambda over the view is a cycle.
+        self._decoded: dict[tuple, tuple] = {}
 
     def blocks_of(self, p):
         m = self.m
@@ -721,7 +716,8 @@ class UeoplToOpdc(View):
         return tuple(states), start
 
     def decode(self, p):
-        return self._decode(tuple(p))
+        p = tuple(p)
+        return self._decoded.get(p) or problems.keep(self._decoded, p, self._chain(self.blocks_of(p)))
 
     def image(self) -> OpdcInstance:
         src = self.src

@@ -1,6 +1,7 @@
-"""Solvers: Lemke pivoting, line following, Aldous sampling, fixpoints by
-one nested binary search, with a stop rule for exact and one for
-approximate, and brute-force enumeration oracles for testing.
+"""Solvers: Lemke pivoting, line following and Aldous sampling through one
+walk over the flavor table `problems.LINE_KINDS`, fixpoints by one nested
+binary search, with a stop rule for exact and one for approximate, and
+brute-force enumeration oracles for testing.
 
 Every solver returns a Certificate (violations are answers, not errors)
 together with machine-readable counters on the run record.
@@ -14,13 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import ge
 
 from .pivoting import LemkeSystem, principal_minor
 from .problems import (
     DOWN,
     LINE_KINDS,
-    LINE_PAIRS,
     UP,
     ZERO,
     Certificate,
@@ -149,26 +148,15 @@ def lcp_brute_force(inst: LcpInstance) -> list[Certificate]:
 # ---------------------------------------------------------------------------
 # Line following and Aldous' algorithm
 
-# flavor -> (end kind, violation kind, bad(V(x), V(S(x)))).  Two-way flavors
-# end where P(S(x)) != x and violate where the step x -> S(x) is bad;
-# forward-only ones (no end kind) stop where S(x) self-loops or the step is bad.
-_STEP_CERTS = {
-    "eopl": ("R1", "R2", ge),
-    "ueopl": ("U1", "UV1", ge),
-    "eoml": ("T1", "T3", lambda vx, vy: vx > 0 and vy - vx != 1),
-    "endofline": ("E1", None, None),
-    "ufeopl": (None, "UF1", ge),
-    "ufeoplplus1": (None, "UFP1", lambda vx, vy: vy != vx + 1),
-    "sinkofdag": (None, "S1", ge),
-}
-
-
 def _walk(inst: LineInstance, x: int, watched: dict, max_steps: int | None,
           stats: RunStats) -> Certificate:
     """Walk x <- S(x) until a certificate fires: a verified UV3 of x with a
     watched vertex whose potential equals V(x) or lies strictly between
     V(x) and V(S(x)), else the certificate of x's flavor that fires before
-    stepping from x.  Each step asks for S(x) once.  Raises Exhausted after
+    stepping from x (`problems.LINE_KINDS`): two-way flavors end where
+    P(S(x)) != x and violate where the step x -> S(x) is bad; forward-only
+    ones stop where S(x) self-loops or the step is bad.  Each step asks for
+    S(x) once.  Raises Exhausted after
     max_steps (default 2^m_pot, the potential range, which bounds any
     line's length).
 
@@ -179,7 +167,8 @@ def _walk(inst: LineInstance, x: int, watched: dict, max_steps: int | None,
     those of the step-by-step walk."""
     if max_steps is None:
         max_steps = 1 << max(inst.m_pot, 1)
-    end, violation, bad = _STEP_CERTS[inst.flavor]
+    flavor = LINE_KINDS[inst.flavor]
+    end, violation, bad = flavor.end, flavor.violation, flavor.bad
     S, P, V = inst.S, inst.P, inst.V
     run = None if watched or end is None else inst.run
     left = max_steps + 1
@@ -529,14 +518,14 @@ def _line_certs(inst: LineInstance, budget: int, max_certs: int) -> list[Certifi
         raise Exhausted(f"2^{inst.n} ids exceed budget {budget}")
     else:
         ids = range(inst.size)
-    singles = [k for k in LINE_KINDS[inst.flavor] if k not in LINE_PAIRS]
-    pairs = [k for k in LINE_KINDS[inst.flavor] if k in LINE_PAIRS]
+    pair = LINE_KINDS[inst.flavor].pair
+    singles = [k for k in LINE_KINDS[inst.flavor].kinds if k != pair]
 
     def candidates():
         for x in ids:
             for kind in singles:
                 yield cert(kind, x=x)
-        for pair in pairs:
+        if pair is not None:
             verts = [x for x in ids if inst.S(x) != x]
             by_v: dict[int, list] = {}
             for x in verts:

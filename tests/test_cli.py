@@ -152,6 +152,34 @@ def test_empty_bit_string_certificate_exits_2(files, tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: certificate field 'v': '' is not a bit string of 0 bits\n")
 
 
+def test_certificate_bit_string_is_read_against_the_instance(files, tmp_path, capsys):
+    # A vertex bit string wider than the instance's n is an input error
+    # (exit 2) naming the field; leading zeros are allowed, and an integer id
+    # outside [0, 2^n) stays a rejection (exit 1).
+    uso = tmp_path / "uso1.json"
+    uso.write_text(json.dumps({"n": 1, "orient": {"0": "1", "1": "0"}}))
+    path = tmp_path / "cert.json"
+
+    def verify_cert(inst, problem, certificate):
+        path.write_text(json.dumps(certificate))
+        return run_err(capsys, "verify", inst, path, "--problem", problem)
+
+    assert verify_cert(uso, "uso", {"kind": "US1", "v": "111"}) == (
+        2, "", "error: certificate field 'v': '111' is not a bit string of 1 bits\n")
+    assert verify_cert(files["short"], "line", {"kind": "UV3", "x": "01", "y": "100"}) == (
+        2, "", "error: certificate field 'y': '100' is not a bit string of 2 bits\n")
+    assert verify_cert(uso, "uso", {"kind": "US1", "v": 3})[0] == 1
+    assert verify_cert(files["short"], "line", {"kind": "U1", "x": "0001"})[0] == 0
+    code, out, _ = verify_cert(files["short"], "line", {"kind": "U1", "x": "0010"})
+    assert (code, out) == verify_cert(files["short"], "line", {"kind": "U1", "x": "10"})[:2]
+    assert code == 1
+
+
+def test_generate_unknown_flavor_exits_2(capsys):
+    code, out, err = run_err(capsys, "generate", "--kind", "explicitline", "--flavor", "bogus")
+    assert (code, out, err) == (2, "", "error: unknown flavor bogus\n")
+
+
 def test_solve_aldous_deterministic(tmp_path, capsys):
     f = tmp_path / "line.json"
     run(capsys, "generate", "--kind", "explicitline", "--length", "16",

@@ -12,8 +12,11 @@ from dataclasses import replace
 import pytest
 
 from potline import problems
-from potline.generators import gen_lcp, gen_line
+from potline.generators import gen_contraction, gen_lcp, gen_line
 from potline.problems import (
+    DOWN,
+    UP,
+    ZERO,
     LineInstance,
     OffGrid,
     OpdcInstance,
@@ -24,10 +27,10 @@ from potline.problems import (
 )
 from potline.cli import REDUCTIONS
 from potline.reductions_lcp import plcp_to_eopl
-from potline.reductions_line import NormalizeView, PebblingView
+from potline.reductions_line import NormalizeView, PebblingView, UeoplToOpdc
 from potline.solvers import RunStats, follow_line, lemke
 
-from helpers import FULL_CHAIN
+from helpers import FULL_CHAIN, gen_normalized_line
 
 
 def test_missing_predecessor_raises_on_every_call():
@@ -318,6 +321,24 @@ def test_dropped_instance_frees_its_memos():
         refs = [weakref.ref(obj) for obj in (peb, ueopl, norm, line)]
         del peb, ueopl, norm, line
         assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_dropped_contraction_and_grid_view_free_their_memos():
+    # A circuit contraction's evaluator and the UniqueEOPL -> OPDC view's
+    # decoded points hold no reference back to their owner, so both are
+    # freed by reference counts alone.
+    gc.disable()
+    try:
+        inst = gen_contraction(2, 0)
+        assert inst.f(inst.fixpoint) == inst.fixpoint
+        view = UeoplToOpdc(gen_normalized_line(3, 0))
+        grid = view.image()
+        assert grid.D(0, (0,) * grid.d) in (UP, DOWN, ZERO)
+        refs = [weakref.ref(obj) for obj in (inst, view)]
+        del inst, view, grid
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 

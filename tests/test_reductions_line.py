@@ -5,13 +5,14 @@ import pytest
 from potline import problems
 from potline.cli import compose
 from potline.generators import gen_lcp, gen_line
-from potline.problems import UnmappableCert, cert, line_from_tables, verify
+from potline.problems import UnmappableCert, VariantMismatch, cert, line_from_tables, verify
 from potline.reductions_line import (
     EomlToEopl,
     EoplToEoml,
     PebblingView,
     TrivialInstance,
     UeoplToOpdc,
+    View,
     normalize_potentials,
     plus1_to_ueopl,
     ufeopl_to_plus1,
@@ -19,6 +20,21 @@ from potline.reductions_line import (
 from potline.solvers import brute_force, follow_line, lemke
 
 from helpers import FULL_CHAIN, gen_normalized_line, pebbling_index, pebbling_move
+
+
+def test_map_back_raises_on_a_foreign_candidate():
+    # No construction names a certificate kind of another problem, so a view
+    # that yields one has a bug, which map_back reports instead of skipping
+    # the candidate.
+    src = gen_line(4, seed=0, flavor="eopl")
+
+    class Foreign(View):
+        def candidates(self, c):
+            yield cert("U1", x=c.x)
+            yield from (cert("R1", x=x) for x in range(src.size))
+
+    with pytest.raises(VariantMismatch, match="U1 does not apply to eopl"):
+        Foreign(src).map_back(cert("T1", x=0))
 
 
 # -- EOML -> EOPL -----------------------------------------------------------------
