@@ -9,7 +9,8 @@ Every oracle must be a pure function of its arguments.  Each line, grid
 and orientation instance memoizes its oracles with `memoize`, up to
 ORACLE_CACHE_SIZE entries per oracle, so a chain of reduction views asks
 each stage below for a value once rather than once per query above it.  A
-line instance's S, P and V are the memos, so a hit runs no Python frame.
+line instance's S, P and V are the memos, so a hit runs no Python frame;
+a grid memoizes its directions per point, all d of them in one entry.
 
 Conventions:
   * line-problem vertices are ints in [0, 2^n); a bit-string x with
@@ -219,14 +220,16 @@ def line_from_tables(n, s_table, p_table=None, v_table=None, flavor="eopl", m_po
 
 @dataclass
 class OpdcInstance:
-    """Grid widths (k_0..k_{d-1}) plus direction oracles D_i(p).
+    """Grid widths (k_0..k_{d-1}) plus one direction oracle per point:
+    direction(p) is the tuple (D_0(p), ..., D_{d-1}(p)).
 
-    `direction` must be pure: D memoizes it (module docstring) after the
-    grid check, so an off-grid point raises OffGrid on every call.
+    `direction` must be pure: the grid memoizes it per point (module
+    docstring) after the grid check, so an off-grid point raises OffGrid
+    on every call.
     """
 
     widths: tuple
-    direction: Callable[[int, tuple], str]
+    direction: Callable[[tuple], tuple]
 
     @cached_property
     def _D(self):
@@ -250,7 +253,17 @@ class OpdcInstance:
         return p
 
     def D(self, i: int, p) -> str:
-        return self._D(i, self.check_point(p))
+        return self._D(self.check_point(p))[i]
+
+    def surface(self, p) -> int:
+        """The largest i <= d with D_j(p) = zero for every j < i: p lies on
+        the j-surface for every j <= surface(p)."""
+        i = 0
+        for di in self._D(self.check_point(p)):
+            if di != ZERO:
+                break
+            i += 1
+        return i
 
     def points(self):
         return product(*[range(k + 1) for k in self.widths])
@@ -435,34 +448,27 @@ def _same_slice(p, q, level) -> bool:
 
 
 def verify_opdc(inst: OpdcInstance, c: Certificate) -> bool:
-    D = inst.D
+    """O1 is a point on the d-surface.  The violations name a level in
+    1..d, i = level - 1, and points on the i-surface that agree from
+    dimension `level` on: OV1 two distinct points on the level-surface,
+    OV2 p one above q in dimension i with D_i(p) = down and D_i(q) = up,
+    OV3 p at a boundary of dimension i with D_i(p) pointing out."""
     if c.kind == "O1":
-        p = inst.check_point(c.p)
-        return all(D(i, p) == ZERO for i in range(inst.d))
+        return inst.surface(c.p) == inst.d
+    if c.kind not in ("OV1", "OV2", "OV3"):
+        raise VariantMismatch(c.kind)
+    lvl, p = c.level, inst.check_point(c.p)
+    q = p if c.kind == "OV3" else inst.check_point(c.q)
+    if not (1 <= lvl <= inst.d) or not _same_slice(p, q, lvl):
+        return False
     if c.kind == "OV1":
-        lvl, p, q = c.level, inst.check_point(c.p), inst.check_point(c.q)
-        if not (1 <= lvl <= inst.d) or p == q or not _same_slice(p, q, lvl):
-            return False
-        return all(D(j, p) == ZERO and D(j, q) == ZERO for j in range(lvl))
+        return p != q and inst.surface(p) >= lvl and inst.surface(q) >= lvl
+    i = lvl - 1
+    if inst.surface(p) < i or inst.surface(q) < i:
+        return False
     if c.kind == "OV2":
-        lvl, p, q = c.level, inst.check_point(c.p), inst.check_point(c.q)
-        if not (1 <= lvl <= inst.d) or not _same_slice(p, q, lvl):
-            return False
-        i = lvl - 1
-        if p[i] != q[i] + 1:
-            return False
-        if not all(D(j, p) == ZERO and D(j, q) == ZERO for j in range(i)):
-            return False
-        return D(i, p) == DOWN and D(i, q) == UP
-    if c.kind == "OV3":
-        lvl, p = c.level, inst.check_point(c.p)
-        if not (1 <= lvl <= inst.d):
-            return False
-        i = lvl - 1
-        if not all(D(j, p) == ZERO for j in range(i)):
-            return False
-        return (p[i] == 0 and D(i, p) == DOWN) or (p[i] == inst.widths[i] and D(i, p) == UP)
-    raise VariantMismatch(c.kind)
+        return p[i] == q[i] + 1 and inst.D(i, p) == DOWN and inst.D(i, q) == UP
+    return (p[i] == 0 and inst.D(i, p) == DOWN) or (p[i] == inst.widths[i] and inst.D(i, p) == UP)
 
 
 def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
@@ -744,6 +750,21 @@ def lcp_from_json(data: dict) -> LcpInstance:
                        q=_decode(data, "q", _fracs))
 
 
+def _widths(v) -> tuple:
+    widths = _point(v)
+    if any(k < 0 for k in widths):
+        raise ValueError(f"grid width {min(widths)} is negative")
+    return widths
+
+
+def _directions(v) -> tuple:
+    dirs = tuple(_array(v))
+    for di in dirs:
+        if di not in (UP, DOWN, ZERO):
+            raise ValueError(f"direction {di!r} is not one of {UP!r}, {DOWN!r}, {ZERO!r}")
+    return dirs
+
+
 def opdc_to_json(inst: OpdcInstance) -> dict:
     table = {}
     for p in inst.points():
@@ -752,14 +773,10 @@ def opdc_to_json(inst: OpdcInstance) -> dict:
 
 
 def opdc_from_json(data: dict) -> OpdcInstance:
-    widths = _decode(data, "k", _point)
-    table = _decode(data, "D", lambda t: {_grid_key(key): _array(dirs)
+    widths = _decode(data, "k", _widths)
+    table = _decode(data, "D", lambda t: {_grid_key(key): _directions(dirs)
                                           for key, dirs in _object(t).items()})
-
-    def direction(i, p):
-        return table[p][i]
-
-    inst = OpdcInstance(widths=widths, direction=direction)
+    inst = OpdcInstance(widths=widths, direction=lambda p: table[p])
     for p in inst.points():
         if len(table.get(p, ())) != len(widths):
             raise MissingField(f"opdc instance has no {len(widths)} directions at point {p}")

@@ -691,8 +691,6 @@ class UeoplToOpdc(View):
         self.m = src.n
         self.n_blocks = src.m_pot
         self.dims = self.m * self.n_blocks
-        # A dict bounded by `problems.keep`; a memo of a lambda over the view is a cycle.
-        self._decoded: dict[tuple, tuple] = {}
 
     def blocks_of(self, p):
         m = self.m
@@ -716,29 +714,25 @@ class UeoplToOpdc(View):
         return tuple(states), start
 
     def decode(self, p):
-        p = tuple(p)
-        return self._decoded.get(p) or problems.keep(self._decoded, p, self._chain(self.blocks_of(p)))
+        return self._chain(self.blocks_of(p))
 
     def image(self) -> OpdcInstance:
-        src = self.src
+        src, m = self.src, self.m
 
-        def direction(j, p):
-            b, t = divmod(j, self.m)
+        def direction(p):  # block by block, from one decode of p
             blocks = self.blocks_of(p)
-            states, dec = self.decode(p)
-            lo, _ = states[b]
-            half = 1 << b
-            if src.V(blocks[b]) - lo == half:
-                return ZERO
-            if src.V(dec) - lo == half - 1:
-                u = src.S(dec)
-                bit = u >> t & 1
-                if p[j] == 0 and bit == 1:
-                    return UP
-                if p[j] == 1 and bit == 0:
-                    return DOWN
-                return ZERO
-            return DOWN if p[j] == 1 else ZERO
+            states, dec = self._chain(blocks)
+            out = []
+            for b, (lo, _) in enumerate(states):
+                half, bits = 1 << b, p[b * m:(b + 1) * m]
+                if src.V(blocks[b]) - lo == half:
+                    out += [ZERO] * m
+                elif src.V(dec) - lo == half - 1:
+                    u = src.S(dec)
+                    out += [ZERO if x == u >> t & 1 else UP if x == 0 else DOWN for t, x in enumerate(bits)]
+                else:
+                    out += [DOWN if x == 1 else ZERO for x in bits]
+            return tuple(out)
 
         return OpdcInstance(widths=(1,) * self.dims, direction=direction)
 

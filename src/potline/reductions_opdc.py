@@ -33,7 +33,6 @@ from .problems import (
     OpdcInstance,
     UsoInstance,
     cert,
-    memoize,
 )
 from .rational import ceil_log2
 from .reductions_line import LineView, View
@@ -48,11 +47,9 @@ class UsoToOpdc(View):
     all-zero."""
 
     def image(self) -> OpdcInstance:
-        def direction(i, p):
-            o = self.src.orient(_vid(p))
-            if o is None or o >> i & 1 == 0:
-                return ZERO
-            return UP if p[i] == 0 else DOWN
+        def direction(p):
+            o = self.src.orient(_vid(p)) or 0
+            return tuple([ZERO if o >> i & 1 == 0 else UP if x == 0 else DOWN for i, x in enumerate(p)])
 
         return OpdcInstance(widths=(1,) * self.src.n, direction=direction)
 
@@ -114,14 +111,10 @@ class ContractionToOpdc(View):
         top = max(self.widths)
         scales = [top // k for k in self.widths]
 
-        @memoize
-        def directions(p):  # the sign of f(p')_i - p'_i, for all d directions
+        def direction(p):  # the sign of f(p')_i - p'_i, for all d directions
             nums, den = self.src.f_int([q * m for q, m in zip(p, scales)], top)
             signs = (n * k - q * den for n, k, q in zip(nums, self.widths, p))
             return tuple(UP if s > 0 else DOWN if s < 0 else ZERO for s in signs)
-
-        def direction(i, p):
-            return directions(p)[i]
 
         return OpdcInstance(widths=self.widths, direction=direction)
 
@@ -208,7 +201,7 @@ class OpdcLineView(LineView):
 
     # -- validity ------------------------------------------------------------
     def is_vertex_tuple(self, tup) -> bool:
-        d, D = self.d, self.src.D
+        d, src = self.d, self.src
         present = [i for i in range(d + 1) if tup[i] is not DASH]
         if not present:
             return False
@@ -217,11 +210,10 @@ class OpdcLineView(LineView):
         lowest = present[0]
         for i in present:
             p = tup[i]
-            for j in range(min(i, d)):
-                if D(j, p) != ZERO:
-                    return False
+            if src.surface(p) < i:
+                return False
             if i < d:
-                di = D(i, p)
+                di = src.D(i, p)
                 if i == lowest:
                     if di == DOWN:
                         return False

@@ -18,10 +18,7 @@ from math import lcm
 
 from .pivoting import LemkeSystem, principal_minor
 from .problems import (
-    DOWN,
     LINE_KINDS,
-    UP,
-    ZERO,
     Certificate,
     ContractionInstance,
     LcpInstance,
@@ -481,28 +478,19 @@ def _opdc_certs(inst: OpdcInstance, budget: int, max_certs: int) -> list[Certifi
     if total > budget:
         raise Exhausted("grid too large")
     pts = list(inst.points())
-    d, D = inst.d, inst.D
 
     def candidates():
+        # verify_opdc decides; these are the points and levels it may accept.
         for p in pts:
-            if all(D(i, p) == ZERO for i in range(d)):
-                yield cert("O1", p=p)
-            for lvl in range(1, d + 1):
-                i = lvl - 1
-                if all(D(j, p) == ZERO for j in range(i)):
-                    if (p[i] == 0 and D(i, p) == DOWN) or (p[i] == inst.widths[i] and D(i, p) == UP):
-                        yield cert("OV3", level=lvl, p=p)
-                    if p[i] > 0:
-                        q = p[:i] + (p[i] - 1,) + p[i + 1:]
-                        if D(i, p) == DOWN and D(i, q) == UP and all(D(j, q) == ZERO for j in range(i)):
-                            yield cert("OV2", level=lvl, p=p, q=q)
+            yield cert("O1", p=p)
+            for i in range(min(inst.surface(p), inst.d - 1) + 1):
+                yield cert("OV3", level=i + 1, p=p)
+                if p[i] > 0:
+                    yield cert("OV2", level=i + 1, p=p, q=p[:i] + (p[i] - 1,) + p[i + 1:])
         surface: dict[tuple, list] = {}
         for p in pts:
-            lvl = 0
-            while lvl < d and D(lvl, p) == ZERO:
-                lvl += 1
-            # p is on the j-surface for every j <= lvl
-            for j in range(1, lvl + 1):
+            # p is on the j-surface for every j <= surface(p)
+            for j in range(1, inst.surface(p) + 1):
                 surface.setdefault((j, p[j:]), []).append(p)
         for (lvl, _), group in sorted(surface.items()):
             for p, q in combinations(group, 2):

@@ -3,7 +3,16 @@
 import random
 from fractions import Fraction
 
-from potline.problems import Certificate, LcpInstance, LineInstance, line_from_tables
+from potline.problems import (
+    DOWN,
+    UP,
+    ZERO,
+    Certificate,
+    LcpInstance,
+    LineInstance,
+    OpdcInstance,
+    line_from_tables,
+)
 from potline.rational import Mat, Vec, determinant
 from potline.solvers import eps_schedule
 
@@ -145,6 +154,38 @@ def verify_lcp_ref(inst: LcpInstance, c: Certificate) -> bool:
             return False
         mx = affine_ref(inst.M, x)
         return all(a * b <= 0 for a, b in zip(x, mx))
+    raise ValueError(c.kind)
+
+
+def verify_opdc_ref(inst: OpdcInstance, c: Certificate) -> bool:
+    """The OPDC certificate checks, one direction D_j(p) at a time."""
+    D = inst.D
+    if c.kind == "O1":
+        p = inst.check_point(c.p)
+        return all(D(i, p) == ZERO for i in range(inst.d))
+    if c.kind == "OV1":
+        lvl, p, q = c.level, inst.check_point(c.p), inst.check_point(c.q)
+        if not (1 <= lvl <= inst.d) or p == q or p[lvl:] != q[lvl:]:
+            return False
+        return all(D(j, p) == ZERO and D(j, q) == ZERO for j in range(lvl))
+    if c.kind == "OV2":
+        lvl, p, q = c.level, inst.check_point(c.p), inst.check_point(c.q)
+        if not (1 <= lvl <= inst.d) or p[lvl:] != q[lvl:]:
+            return False
+        i = lvl - 1
+        if p[i] != q[i] + 1:
+            return False
+        if not all(D(j, p) == ZERO and D(j, q) == ZERO for j in range(i)):
+            return False
+        return D(i, p) == DOWN and D(i, q) == UP
+    if c.kind == "OV3":
+        lvl, p = c.level, inst.check_point(c.p)
+        if not (1 <= lvl <= inst.d):
+            return False
+        i = lvl - 1
+        if not all(D(j, p) == ZERO for j in range(i)):
+            return False
+        return (p[i] == 0 and D(i, p) == DOWN) or (p[i] == inst.widths[i] and D(i, p) == UP)
     raise ValueError(c.kind)
 
 

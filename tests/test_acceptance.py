@@ -220,7 +220,7 @@ def map_back_families():
                                      rng.choice(["up", "down", "zero"])]
             from potline.problems import OpdcInstance
 
-            grids.append(OpdcInstance(widths=(k, k), direction=lambda i, p, t=table: t[p][i]))
+            grids.append(OpdcInstance(widths=(k, k), direction=lambda p, t=table: tuple(t[p])))
     yield "opdc->ufeopl", family(("opdc", "ufeopl"), grids, max_certs=500)
 
     yield "ufeopl->plus1", family(("ufeopl", "plus1"), (

@@ -630,6 +630,10 @@ def test_wrong_typed_certificate_exits_2(files, tmp_path, capsys, problem, certi
     ("uso", {"n": 1, "orient": {"0": "1", "1": "0", "10": "0"}}, "field 'orient': '10' is not a bit string of 1 bits"),
     ("uso", {"n": 1, "orient": {"0": "1", " 1": "0_0"}}, "field 'orient': ' 1' is not a bit string of 1 bits"),
     ("uso", {"n": 1, "orient": {"0": "1", "1": "0b0"}}, "field 'orient': '0b0' is not a bit string of 1 bits"),
+    # A direction is "up", "down" or "zero"; a grid width is at least 0.
+    ("opdc", {"k": [1], "D": {"0": ["sideways"], "1": [3]}},
+     "field 'D': direction 'sideways' is not one of 'up', 'down', 'zero'"),
+    ("opdc", {"k": [-1], "D": {}}, "field 'k': grid width -1 is negative"),
 ])
 def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message):
     path = tmp_path / "inst.json"

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from potline import problems
-from potline.generators import gen_contraction, gen_lcp, gen_line
+from potline.generators import gen_contraction, gen_lcp, gen_line, gen_uso
 from potline.problems import (
     DOWN,
     UP,
@@ -28,7 +28,8 @@ from potline.problems import (
 from potline.cli import REDUCTIONS
 from potline.reductions_lcp import plcp_to_eopl
 from potline.reductions_line import NormalizeView, PebblingView, UeoplToOpdc
-from potline.solvers import RunStats, follow_line, lemke
+from potline.reductions_opdc import ContractionToOpdc, UsoToOpdc
+from potline.solvers import RunStats, brute_force, follow_line, lemke
 
 from helpers import FULL_CHAIN, gen_normalized_line
 
@@ -48,7 +49,7 @@ def test_missing_potential_raises_on_every_call():
 
 
 def test_off_grid_raises_on_every_call():
-    inst = OpdcInstance(widths=(1, 1), direction=lambda i, p: problems.ZERO)
+    inst = OpdcInstance(widths=(1, 1), direction=lambda p: (problems.ZERO,) * 2)
     assert inst.D(0, (1, 1)) == problems.ZERO
     for _ in range(3):
         with pytest.raises(OffGrid):
@@ -110,6 +111,20 @@ def test_chain_evaluates_each_oracle_once_per_argument():
         assert len(calls) == 9  # orient, direction, and the line oracles of four stages
         for key, counter in calls.items():
             assert counter and max(counter.values()) == 1, (seed, key, counter.most_common(1))
+
+
+def test_grid_evaluates_each_point_once():
+    # direction(p) gives all d directions of p, and the grid memoizes it
+    # per point, so brute force asks each image at most once per point.
+    for seed in range(3):
+        views = (UsoToOpdc(gen_uso(3, seed)),
+                 ContractionToOpdc(gen_contraction(2, seed, kappa=(2, 2))),
+                 UeoplToOpdc(gen_normalized_line(2, seed)))
+        for view in views:
+            grid, calls = view.image(), Counter()
+            brute_force(replace(grid, direction=_counting(grid.direction, calls)))
+            points = len(list(grid.points()))
+            assert 0 < sum(calls.values()) <= points, (seed, type(view).__name__, calls, points)
 
 
 # (d, seed) of gen_lcp -> memo misses of S, P and V at the ufeopl, plus1,

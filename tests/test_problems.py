@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import affine_ref, verify_lcp_ref
+from helpers import affine_ref, verify_lcp_ref, verify_opdc_ref
 from potline.circuits import affine_circuit
 from potline.problems import (
     ContractionInstance,
@@ -118,23 +120,47 @@ def test_line_rejects_potentials_outside_the_range(v_table):
 
 def test_opdc_certs():
     d1 = {(0,): "up", (1,): "zero", (2,): "down"}
-    inst = OpdcInstance(widths=(2,), direction=lambda i, p: d1[p])
+    inst = OpdcInstance(widths=(2,), direction=lambda p: (d1[p],))
     assert verify(inst, cert("O1", p=(1,)))
     assert not verify(inst, cert("O1", p=(0,)))
 
     d2 = {(0,): "up", (1,): "down"}
-    inst2 = OpdcInstance(widths=(1,), direction=lambda i, p: d2[p])
+    inst2 = OpdcInstance(widths=(1,), direction=lambda p: (d2[p],))
     assert verify(inst2, cert("OV2", level=1, p=(1,), q=(0,)))
 
     d3 = {(0,): "down", (1,): "up"}
-    inst3 = OpdcInstance(widths=(1,), direction=lambda i, p: d3[p])
+    inst3 = OpdcInstance(widths=(1,), direction=lambda p: (d3[p],))
     assert verify(inst3, cert("OV3", level=1, p=(0,)))
     assert verify(inst3, cert("OV3", level=1, p=(1,)))
 
     d4 = {(0,): "zero", (1,): "zero"}
-    inst4 = OpdcInstance(widths=(1,), direction=lambda i, p: d4[p])
+    inst4 = OpdcInstance(widths=(1,), direction=lambda p: (d4[p],))
     assert verify(inst4, cert("OV1", level=1, p=(0,), q=(1,)))
     assert not verify(inst4, cert("OV1", level=1, p=(0,), q=(0,)))
+
+
+def test_verify_opdc_matches_reference():
+    # Every kind at every level 0..d+1 and every ordered pair of points,
+    # p = q, pairs that differ outside their slice and OV2 pairs that are
+    # not adjacent among them, on seeded random grids.
+    accepted = set()
+    for seed in range(24):
+        rng = random.Random(seed)
+        d = 1 + seed % 3
+        widths = tuple(rng.randint(1, 3) for _ in range(d))
+        table = {p: tuple(rng.choice(["up", "down", "zero", "zero"]) for _ in range(d))
+                 for p in product(*[range(k + 1) for k in widths])}
+        inst = OpdcInstance(widths=widths, direction=table.__getitem__)
+        for p in table:
+            cands = [cert("O1", p=p)] + [cert("OV3", level=lvl, p=p) for lvl in range(d + 2)]
+            cands += [cert(kind, level=lvl, p=p, q=q)
+                      for q in table for lvl in range(d + 2) for kind in ("OV1", "OV2")]
+            for c in cands:
+                got = verify(inst, c)
+                assert got == verify_opdc_ref(inst, c), (seed, c)
+                if got:
+                    accepted.add(c.kind)
+    assert accepted == {"O1", "OV1", "OV2", "OV3"}
 
 
 def test_uso_certs():
@@ -214,7 +240,7 @@ def test_json_roundtrips():
     assert lcp2.M == lcp.M and lcp2.q == lcp.q
 
     d1 = {(0,): "up", (1,): "zero", (2,): "down"}
-    op = OpdcInstance(widths=(2,), direction=lambda i, p: d1[p])
+    op = OpdcInstance(widths=(2,), direction=lambda p: (d1[p],))
     op2 = opdc_from_json(opdc_to_json(op))
     assert [op2.D(0, (t,)) for t in range(3)] == ["up", "zero", "down"]
 

@@ -26,7 +26,7 @@ from potline.solvers import brute_force, follow_line
 
 
 def opdc_from_table(widths, table):
-    return OpdcInstance(widths=widths, direction=lambda i, p: table[p][i])
+    return OpdcInstance(widths=widths, direction=lambda p: tuple(table[p]))
 
 
 # -- USO -> OPDC ---------------------------------------------------------------

@@ -425,7 +425,7 @@ def test_brute_force_lcp_keeps_the_certificate_cap():
 @pytest.mark.parametrize("inst, message", [
     (LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1]), "too many supports"),
     (UsoInstance(n=2, orient=lambda v: v ^ 0b11), "cube too large"),
-    (OpdcInstance(widths=(1, 1), direction=lambda i, p: "zero"), "grid too large"),
+    (OpdcInstance(widths=(1, 1), direction=lambda p: ("zero", "zero")), "grid too large"),
     (line_from_tables(2, {0: 1}), r"2\^2 ids exceed budget 3"),
 ])
 def test_brute_force_refuses_a_domain_over_its_budget(inst, message):
@@ -441,7 +441,7 @@ def test_brute_force_uso():
 
 def test_brute_force_opdc():
     d2 = {(0,): "up", (1,): "down"}
-    inst = OpdcInstance(widths=(1,), direction=lambda i, p: d2[p])
+    inst = OpdcInstance(widths=(1,), direction=lambda p: (d2[p],))
     certs = brute_force(inst)
     assert [c.kind for c in certs] == ["OV2"]
 

@@ -50,7 +50,7 @@ def wild_opdc_grids():
         table = {}
         for p in product(*[range(k + 1) for k in widths]):
             table[p] = [rng.choice(["up", "down", "zero"]) for _ in range(d)]
-        inst = OpdcInstance(widths=widths, direction=lambda i, p, t=table: t[p][i])
+        inst = OpdcInstance(widths=widths, direction=lambda p, t=table: tuple(t[p]))
         line, map_back = compose(inst, ("opdc", "ufeopl"))
         yield (trial, widths), inst, brute_force(line, max_certs=300), map_back
 
