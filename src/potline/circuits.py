@@ -21,8 +21,9 @@ per gate; it stays the reference that the verifiers and the tests use.
 only, and each gate op with exactly its number of args.
 
 Also houses the circuit -> LCP encoding whose solutions are exactly the
-fixpoints of the circuit, used for bit-length accounting and
-cross-validation of the exact fixpoint solver.
+fixpoints of the circuit, used for bit-length accounting (`measure`, and
+`compute_kappa`, the closed-form grid exponents of PL-Contraction -> OPDC
+read from it) and cross-validation of the exact fixpoint solver.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable
 
-from .rational import Mat, Vec, bit_length, frac, frac_str, json_int, mat_bit_length, vec_bit_length
+from .rational import Mat, Vec, bit_length, ceil_log2, frac, frac_str, json_int, mat_bit_length, vec_bit_length
 
 _BINARY = {"add", "sub", "max", "min"}
 
@@ -200,6 +201,17 @@ def measure(c: Circuit) -> dict:
         "bM": max(1, mat_bit_length(m_lcp)),
         "bq": max(1, vec_bit_length(q_lcp)),
     }
+
+
+def compute_kappa(c: Circuit) -> tuple:
+    """Closed-form per-dimension grid exponents
+    kappa_i = (d-i+1)((5n+2) log n + n + (4n+2) b(M) + 1) + b(q)
+    with log = ceil log2 and (n, b(M), b(q)) measured from the induced
+    LCP.  Monotone non-increasing in i."""
+    stats = measure(c)
+    n, bm, bq = stats["n"], stats["bM"], stats["bq"]
+    inner = (5 * n + 2) * ceil_log2(n) + n + (4 * n + 2) * bm + 1
+    return tuple((c.d - i + 1) * inner + bq for i in range(1, c.d + 1))
 
 
 def _affine_add(a, b):

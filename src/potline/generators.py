@@ -138,9 +138,7 @@ def gen_contraction(d: int, seed: int, p: int = 2, c=Fraction(1, 2),
         gates.append(Gate("add", (len(gates) - 2, len(gates) - 1)))
         outputs.append(len(gates) - 1)
     circ = Circuit(d, tuple(gates), tuple(outputs))
-    inst = ContractionInstance(d=d, c=c, p=p, circuit=circ, kappa=kappa)
-    inst.crossing = Fraction(1, s)
-    return inst
+    return ContractionInstance(d=d, c=c, p=p, circuit=circ, kappa=kappa)
 
 
 def gen_line(length: int, seed: int, gaps=None, flavor: str = "ueopl",

@@ -33,7 +33,7 @@ from math import lcm
 from operator import ge
 from typing import Callable, Optional
 
-from .circuits import circuit_from_json, circuit_to_json, compile_circuit, evaluate
+from .circuits import circuit_from_json, circuit_to_json, compile_circuit, compute_kappa, evaluate
 from .pivoting import LemkeSystem, principal_minor
 from .rational import Mat, Vec, frac, frac_str, json_int, lp_pow, mat
 
@@ -328,6 +328,20 @@ def _affine(m: Mat, x: Vec, q: Vec | None = None) -> Vec:
     return out
 
 
+def out_map(inst: LcpInstance, alpha) -> int | None:
+    """Sign bit-string of A_alpha^{-1} q, or None (dash) on singularity.
+
+    Entry i is the value of cone alpha's basic variable of label i (y_i or
+    w_i); zero entries are resolved by the lexicographic perturbation of
+    the Lemke system.
+    """
+    sys = inst.system
+    v = sys.cone_vertex(alpha)
+    if v is None:
+        return None
+    return sum(1 << var % sys.d for var in sys.lex_negative(v))
+
+
 @dataclass
 class ContractionInstance:
     """Purported contraction map with factor c under the l_p norm.
@@ -396,8 +410,6 @@ class ContractionInstance:
             return self.kappa
         if self.circuit is None:
             raise ValueError("kappa unavailable: no circuit and none supplied")
-        from .reductions_opdc import compute_kappa
-
         return compute_kappa(self.circuit)
 
 
@@ -443,23 +455,24 @@ def verify_line(inst: LineInstance, c: Certificate) -> bool:
     raise VariantMismatch(c.kind)
 
 
-def _same_slice(p, q, level) -> bool:
-    return all(p[j] == q[j] for j in range(level, len(p)))
-
-
 def verify_opdc(inst: OpdcInstance, c: Certificate) -> bool:
     """O1 is a point on the d-surface.  The violations name a level in
     1..d, i = level - 1, and points on the i-surface that agree from
     dimension `level` on: OV1 two distinct points on the level-surface,
     OV2 p one above q in dimension i with D_i(p) = down and D_i(q) = up,
-    OV3 p at a boundary of dimension i with D_i(p) pointing out."""
-    if c.kind == "O1":
-        return inst.surface(c.p) == inst.d
-    if c.kind not in ("OV1", "OV2", "OV3"):
+    OV3 p at a boundary of dimension i with D_i(p) pointing out.  A point
+    off the grid names no point of the instance, so it is rejected."""
+    if c.kind not in ("O1", "OV1", "OV2", "OV3"):
         raise VariantMismatch(c.kind)
-    lvl, p = c.level, inst.check_point(c.p)
-    q = p if c.kind == "OV3" else inst.check_point(c.q)
-    if not (1 <= lvl <= inst.d) or not _same_slice(p, q, lvl):
+    try:
+        p = inst.check_point(c.p)
+        q = inst.check_point(c.q) if c.kind in ("OV1", "OV2") else p
+    except OffGrid:
+        return False
+    if c.kind == "O1":
+        return inst.surface(p) == inst.d
+    lvl = c.level
+    if not (1 <= lvl <= inst.d) or p[lvl:] != q[lvl:]:
         return False
     if c.kind == "OV1":
         return p != q and inst.surface(p) >= lvl and inst.surface(q) >= lvl
@@ -471,6 +484,14 @@ def verify_opdc(inst: OpdcInstance, c: Certificate) -> bool:
     return (p[i] == 0 and inst.D(i, p) == DOWN) or (p[i] == inst.widths[i] and inst.D(i, p) == UP)
 
 
+def szabo_welzl(v: int, u: int, ov: Optional[int], ou: Optional[int]) -> bool:
+    """The Szabo-Welzl condition, which no unique sink orientation meets:
+    distinct cube vertices v and u whose out-maps ov and ou are defined
+    (None is a dash) and agree wherever v and u differ.  USV2 and PV3 are
+    its witnesses."""
+    return v != u and ov is not None and ou is not None and (v ^ u) & (ov ^ ou) == 0
+
+
 def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
     """Check c on the cube; a vertex outside [0, 2^n) is rejected."""
     size = 1 << inst.n
@@ -480,12 +501,9 @@ def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
         return 0 <= c.v < size and inst.orient(c.v) is None
     if c.kind == "USV2":
         v, u = c.v, c.u
-        if v == u or not (0 <= v < size and 0 <= u < size):
+        if not (0 <= v < size and 0 <= u < size):
             return False
-        ov, ou = inst.orient(v), inst.orient(u)
-        if ov is None or ou is None:
-            return False
-        return (v ^ u) & (ov ^ ou) == 0
+        return szabo_welzl(v, u, inst.orient(v), inst.orient(u))
     raise VariantMismatch(c.kind)
 
 
@@ -512,17 +530,11 @@ def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
         mx = _affine(inst.M, x)
         return all(x[i] * mx[i] <= 0 for i in range(d))
     if c.kind == "PV3":
-        from .reductions_lcp import out_map
-
         alpha, beta = frozenset(c.alpha), frozenset(c.beta)
-        if alpha == beta or any(not 0 <= i < d for i in alpha | beta):
+        if any(not 0 <= i < d for i in alpha | beta):
             return False
-        oa, ob = out_map(inst, alpha), out_map(inst, beta)
-        if oa is None or ob is None:
-            return False
-        chi_a = sum(1 << i for i in alpha)
-        chi_b = sum(1 << i for i in beta)
-        return (chi_a ^ chi_b) & (oa ^ ob) == 0
+        chi_a, chi_b = (sum(1 << i for i in s) for s in (alpha, beta))
+        return szabo_welzl(chi_a, chi_b, out_map(inst, alpha), out_map(inst, beta))
     raise VariantMismatch(c.kind)
 
 
@@ -881,18 +893,6 @@ def verify(inst, c: Certificate) -> bool:
     if kind is None:
         raise TypeError(f"no verifier for {type(inst)}")
     return kind.verify(inst, c)
-
-
-def first_verifying(inst, candidates, what: str) -> Certificate:
-    """The first of `candidates` that passes `verify` on `inst`; raises
-    UnmappableCert(what) when none does.  Every map-back is a generator
-    of the source certificates its construction's case analysis names,
-    consumed here, so a candidate is only built if those before it failed;
-    one of a kind foreign to `inst` is a bug, and raises VariantMismatch."""
-    for c in candidates:
-        if verify(inst, c):
-            return c
-    raise UnmappableCert(what)
 
 
 def cert_from_json(data: dict, problem: str, n: Optional[int] = None) -> Certificate:

@@ -27,24 +27,11 @@ from .problems import (
     LineInstance,
     UsoInstance,
     cert,
+    out_map,
 )
 from .rational import ceil_log2
 from .reductions_line import LineView, View
 from math import factorial, lcm
-
-
-def out_map(inst: LcpInstance, alpha) -> int | None:
-    """Sign bit-string of A_alpha^{-1} q, or None (dash) on singularity.
-
-    Entry i is the value of cone alpha's basic variable of label i (y_i or
-    w_i); zero entries are resolved by the lexicographic perturbation of
-    the Lemke system.
-    """
-    sys = inst.system
-    v = sys.cone_vertex(alpha)
-    if v is None:
-        return None
-    return sum(1 << var % sys.d for var in sys.lex_negative(v))
 
 
 class PlcpToUso(View):

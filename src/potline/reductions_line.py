@@ -21,8 +21,9 @@ from .problems import (
     Certificate,
     LineInstance,
     OpdcInstance,
+    UnmappableCert,
     cert,
-    first_verifying,
+    verify,
     verify_line,
 )
 
@@ -44,7 +45,14 @@ class View:
         self.src = src
 
     def map_back(self, c: Certificate) -> Certificate:
-        return first_verifying(self.src, self.candidates(c), f"no source certificate for {c}")
+        """The first candidate for c that verifies on the source; raises
+        UnmappableCert when none does.  The candidates are a generator, so
+        one is only built if those before it failed; one of a kind foreign
+        to the source is a bug, and raises VariantMismatch."""
+        for candidate in self.candidates(c):
+            if verify(self.src, candidate):
+                return candidate
+        raise UnmappableCert(f"no source certificate for {c}")
 
 
 class LineView(View):

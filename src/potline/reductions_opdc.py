@@ -1,5 +1,6 @@
 """Reductions into and out of OPDC: USO -> OPDC, PL-Contraction -> OPDC
-(with the kappa grid sizing), OPDC -> UniqueForwardEOPL, plus map-backs.
+(on the grid of `ContractionInstance.effective_kappa`), OPDC ->
+UniqueForwardEOPL, plus map-backs.
 
 The OPDC -> UFEOPL vertices are surface tuples (p_0, ..., p_d): position
 i holds the most recent point visited on the i-surface (all directions
@@ -77,20 +78,6 @@ def map_back_uso(inst: UsoInstance, c: Certificate) -> Certificate:
 
 # ---------------------------------------------------------------------------
 # PL-Contraction -> OPDC
-
-def compute_kappa(circuit) -> tuple:
-    """Closed-form per-dimension grid exponents
-    kappa_i = (d-i+1)((5n+2) log n + n + (4n+2) b(M) + 1) + b(q)
-    with log = ceil log2 and (n, b(M), b(q)) measured from the induced
-    LCP.  Monotone non-increasing in i."""
-    from .circuits import measure
-
-    stats = measure(circuit)
-    n, bm, bq = stats["n"], stats["bM"], stats["bq"]
-    d = circuit.d
-    inner = (5 * n + 2) * ceil_log2(n) + n + (4 * n + 2) * bm + 1
-    return tuple((d - i + 1) * inner + bq for i in range(1, d + 1))
-
 
 class ContractionToOpdc(View):
     """Grid widths k_i = 2^kappa_i with kappa = `src.effective_kappa()`;

@@ -26,10 +26,11 @@ from .problems import (
     OpdcInstance,
     UsoInstance,
     cert,
+    out_map,
+    szabo_welzl,
     verify,
 )
 from .rational import frac
-from .reductions_lcp import out_map
 from .reductions_opdc import ContractionToOpdc
 
 # Enumeration sizes: brute force's default, and the cone scans that
@@ -123,21 +124,17 @@ def lcp_brute_force(inst: LcpInstance) -> list[Certificate]:
     for alpha in subsets:
         if alpha and principal_minor(inst.M, alpha) <= 0:
             found.append(cert("PV1", alpha=alpha))
-    outs = {alpha: out_map(inst, alpha) for alpha in subsets}
+    # (alpha, its labels as a bit mask, its out-map) per cone.
+    cones = [(alpha, sum(1 << i for i in alpha), out_map(inst, alpha)) for alpha in subsets]
     sys = inst.system
-    for alpha in subsets:
-        if outs[alpha] == 0:
+    for alpha, _, out in cones:
+        if out == 0:
             # out_map is not None, so A_alpha is nonsingular.
             c = cert("Q1", y=sys.numeric_point(sys.cone_vertex(alpha))[0])
             if verify(inst, c):
                 found.append(c)
-    for a1, a2 in combinations(subsets, 2):
-        o1, o2 = outs[a1], outs[a2]
-        if o1 is None or o2 is None:
-            continue
-        chi1 = sum(1 << i for i in a1)
-        chi2 = sum(1 << i for i in a2)
-        if (chi1 ^ chi2) & (o1 ^ o2) == 0:
+    for (a1, chi1, o1), (a2, chi2, o2) in combinations(cones, 2):
+        if szabo_welzl(chi1, chi2, o1, o2):
             found.append(cert("PV3", alpha=a1, beta=a2))
     return found
 

@@ -119,9 +119,11 @@ def test_verify_rejects_ids_outside_the_instance(tmp_path, capsys):
     # A vertex id outside [0, 2^n), an LCP label outside 0..d-1 and a CMV3
     # point of fewer than d coordinates name nothing in the instance, though
     # a table lookup, a cone solve or a code's decoding reads each as some
-    # in-range object.
+    # in-range object.  Nor does a point off an OPDC grid.
     uso = tmp_path / "uso1.json"
     uso.write_text(json.dumps({"n": 1, "orient": {"0": "1", "1": "0"}}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"k": [1], "D": {"0": ["up"], "1": ["down"]}}))
     lcp, bad_map = tmp_path / "lcp.json", tmp_path / "bad.json"
     run(capsys, "generate", "--kind", "pmatrixlcp", "--d", "2", "--seed", "0", "-o", str(lcp))
     run(capsys, "generate", "--kind", "noncontraction", "--d", "2", "-o", str(bad_map))
@@ -130,6 +132,9 @@ def test_verify_rejects_ids_outside_the_instance(tmp_path, capsys):
         ("uso", uso, {"kind": "USV1", "v": 7}),
         ("plcp", lcp, {"kind": "PV3", "alpha": [], "beta": [7]}),
         ("contraction", bad_map, {"kind": "CMV3", "level": 1, "x": ["0"], "y": ["0"]}),
+        ("opdc", grid, {"kind": "O1", "p": [5]}),
+        ("opdc", grid, {"kind": "O1", "p": [1, 1]}),
+        ("opdc", grid, {"kind": "OV2", "level": 1, "p": [1], "q": [-1]}),
     ]:
         cert_path.write_text(json.dumps(certificate))
         code, out = run(capsys, "verify", str(inst), str(cert_path), "--problem", problem)
@@ -477,6 +482,8 @@ def test_off_grid_message_names_the_coordinate_not_the_widths(files, capsys):
     # Generators that check all 2^d cones stop at once above POTLINE_BUDGET.
     *[(["generate", "--d", "40", "--kind", kind], f"--kind {kind} checks all 2^40 cones")
       for kind in ("uso", "brokenuso", "nonpmatrixlcp")],
+    # A chain of one stage reduces nothing.
+    (["reduce", "uso", "--chain", "uso"], "chain needs a source and at least one target"),
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
     argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]
@@ -553,6 +560,25 @@ def test_reduce_trivial_eopl_prints_its_certificate(tmp_path, capsys):
     path.write_text(json.dumps(record["certificate"]))
     code, out, _ = run_err(capsys, "verify", line, path, "--problem", "line")
     assert code == 0 and json.loads(out)["accepted"]
+
+
+def test_reduce_and_generate_print_to_stdout(files, capsys):
+    # Without --query, reduce reports the built chain; without -o, generate
+    # prints the instance.
+    code, out, err = run_err(capsys, "reduce", files["uso"], "--chain", "uso,opdc")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"chain": ["uso", "opdc"], "result": "ok", "kind": "opdc"}
+    code, out, err = run_err(capsys, "generate", "--kind", "uso", "--d", "2", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == json.loads(files["uso"].read_text())
+
+
+def test_verify_foreign_kind_is_a_variant_mismatch(files, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"kind": "OV1", "level": 1, "p": [0], "q": [1]}))
+    code, out, err = run_err(capsys, "verify", files["uso"], path, "--problem", "uso")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"accepted": False, "reason": "variant mismatch: OV1"}
 
 
 @pytest.mark.parametrize("certificate, message", [

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from potline.circuits import affine_circuit
+from potline.circuits import affine_circuit, compute_kappa
 from potline.generators import gen_contraction, gen_lcp
 from potline.problems import (
     ContractionInstance,
@@ -16,7 +16,6 @@ from potline.reductions_lcp import plcp_to_uso
 from potline.reductions_opdc import (
     ContractionToOpdc,
     _column_search,
-    compute_kappa,
     map_back_opdc,
     map_back_uso,
     opdc_to_ufeopl,
