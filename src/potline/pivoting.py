@@ -9,8 +9,8 @@ numeric value is the constant term.
 
 A vertex is one fraction-free integer dictionary (Edmonds 1967; Bareiss
 1968; the integer pivoting of Avis's lrs).  Row r of the system is scaled
-to integers by s_r, the lcm of its denominators, and w_r is replaced by
-w'_r = s_r * w_r, so that the slack columns stay -I:
+to integers by s_r, the lcm of its denominators (`IntForm`), and w_r is
+replaced by w'_r = s_r * w_r, so that the slack columns stay -I:
 A = [S M | -I | S 1 | -S q] over (y, w', z), with S = diag(s).  Let B be
 the columns of A of the basic variables in row order, D = det(B) and
 T = D * B^-1 * A.  The basic variable of row i has the value
@@ -68,7 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .rational import Mat, Vec, determinant
+from .rational import Mat, Vec, determinant, int_row
 
 
 def principal_minor(m: Mat, alpha) -> Fraction:
@@ -86,6 +86,26 @@ def _perm_sign(p) -> int:
             p[i], p[j] = p[j], j
             sign = -sign
     return sign
+
+
+class IntForm:
+    """(M, q) over the integers: `rows[r]` is row r of [M | q] times `s[r]`
+    (`rational.int_row`), `scale` the lcm of all denominators and `i_max`
+    the largest |entry| of (M, q) times `scale` (0 when d = 0)."""
+
+    __slots__ = ("s", "rows", "scale", "i_max")
+
+    def __init__(self, m: Mat, q: Vec):
+        scaled = [int_row(mr + [qr]) for mr, qr in zip(m, q)]
+        self.s, self.rows = [s for s, _ in scaled], [row for _, row in scaled]
+        self.scale = lcm(*self.s)
+        self.i_max = max((max(map(abs, row)) * (self.scale // s) for s, row in scaled), default=0)
+
+    def sums(self, xt: Vec) -> list[int]:
+        """Row r of M x + t q at xt = (x, t) times s_r and the lcm of xt's
+        denominators (so of the row's sign), summed in int where xt != 0."""
+        xs = [(j, v) for j, v in enumerate(int_row(xt)[1]) if v]
+        return [sum(row[j] * v for j, v in xs) for row in self.rows]
 
 
 class Vertex:
@@ -109,12 +129,12 @@ class Vertex:
 
 class LemkeSystem:
     def __init__(self, m: Mat, q: Vec):
-        self.m = m
         self.q = q
         self.d = len(q)
         self.zvar = 2 * self.d
         self.rhs = self.d + 1  # the slot of -s * q
-        self._slack = None  # with it, _scale (s) and _scaled (some s_r > 1)
+        self.form = IntForm(m, q)
+        self._slack = None
 
     # -- dictionaries ----------------------------------------------------------
     def _slack_vertex(self) -> Vertex:
@@ -124,16 +144,8 @@ class LemkeSystem:
             # B = -I and D = (-1)^d, so T = D * B^-1 * A = (-1)^(d+1) * A over
             # the slots y_0..y_(d-1), z.
             sign = 1 if d % 2 else -1
-            self._scale, t = [], []
-            for mr, qr in zip(self.m, self.q):
-                nums, dens = [f.numerator for f in mr], [f.denominator for f in mr]
-                s = lcm(qr.denominator, *dens)
-                c = s * sign
-                row = [x * c // y for x, y in zip(nums, dens)]
-                row += [c, -qr.numerator * c // qr.denominator]
-                self._scale.append(s)
-                t.append(row)
-            self._scaled = any(s != 1 for s in self._scale)
+            f = self.form
+            t = [[x * sign for x in row[:-1] + [s, -row[-1]]] for s, row in zip(f.s, f.rows)]
             pos = list(range(d)) + [~r for r in range(d)] + [d]
             self._slack = Vertex(tuple(range(d, 2 * d)), pos, t, -sign)
         return self._slack
@@ -181,7 +193,7 @@ class LemkeSystem:
     # -- reading a vertex ----------------------------------------------------
     def _units(self, var: int) -> int:
         """Units of the stored variable per unit of `var`: s_k for w_k."""
-        return self._scale[var - self.d] if self.d <= var < self.zvar else 1
+        return self.form.s[var - self.d] if self.d <= var < self.zvar else 1
 
     def _lex_lead(self, v: Vertex, i: int) -> int:
         """First nonzero entry of row i's lex vector, or 0: the right-hand
@@ -219,7 +231,7 @@ class LemkeSystem:
             if var < d:
                 y[var] = Fraction(row[rhs], det)
             elif var < 2 * d:
-                w[var - d] = Fraction(row[rhs], det * self._scale[var - d])
+                w[var - d] = Fraction(row[rhs], det * self.form.s[var - d])
             else:
                 z = Fraction(row[rhs], det)
         return y, w, z
@@ -233,8 +245,8 @@ class LemkeSystem:
             return [0] * (self.d + 1), 1
         row = v.t[~c]
         ws = [row[k] if k >= 0 else 0 for k in v.pos[self.d:self.zvar]]
-        if self._scaled:
-            ws = [s * x for s, x in zip(self._scale, ws)]
+        if self.form.scale != 1:
+            ws = [s * x for s, x in zip(self.form.s, ws)]
         return [row[self.rhs]] + ws, v.det
 
     def duplicate_label(self, basis) -> int | None:

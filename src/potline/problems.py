@@ -29,13 +29,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import product
-from math import lcm
 from operator import ge
 from typing import Callable, Optional
 
 from .circuits import circuit_from_json, circuit_to_json, compile_circuit, compute_kappa, evaluate
-from .pivoting import LemkeSystem, principal_minor
-from .rational import Mat, Vec, frac, frac_str, json_int, lp_pow, mat
+from .pivoting import IntForm, LemkeSystem, principal_minor
+from .rational import Mat, Vec, frac, frac_str, int_row, json_int, lp_pow, mat
 
 UP, DOWN, ZERO = "up", "down", "zero"
 
@@ -306,26 +305,9 @@ class LcpInstance:
     def system(self) -> LemkeSystem:
         return LemkeSystem(self.M, self.q)
 
-    def w_of(self, y: Vec) -> Vec:
-        return _affine(self.M, y, self.q)
-
-
-def _affine(m: Mat, x: Vec, q: Vec | None = None) -> Vec:
-    """M x + q exactly (M x when q is None), with one Fraction per row.
-    Zero coordinates of x are skipped; x is scaled to integers by the lcm
-    of its denominators and each row of [M | q] by its own, so every row
-    is summed in int."""
-    xs = [(j, v) for j, v in enumerate(x) if v]
-    sx = lcm(*[v.denominator for _, v in xs])
-    xs = [(j, v.numerator * (sx // v.denominator)) for j, v in xs]
-    out = []
-    for i, row in enumerate(m):
-        qi = 0 if q is None else q[i]
-        entries = [(row[j], xj) for j, xj in xs if row[j]]
-        sr = lcm(qi.denominator, *[a.denominator for a, _ in entries])
-        acc = sum(a.numerator * (sr // a.denominator) * xj for a, xj in entries)
-        out.append(Fraction(acc + qi.numerator * (sr // qi.denominator) * sx, sr * sx))
-    return out
+    @property
+    def form(self) -> IntForm:  # built once, with `system`
+        return self.system.form
 
 
 def out_map(inst: LcpInstance, alpha) -> int | None:
@@ -399,9 +381,8 @@ class ContractionInstance:
             return compile_circuit(self.circuit)
 
         def over_lcm(xs, D):
-            fx = self.f([Fraction(x, D) for x in xs])
-            den = lcm(*[v.denominator for v in fx])
-            return [v.numerator * (den // v.denominator) for v in fx], den
+            den, nums = int_row(self.f([Fraction(x, D) for x in xs]))
+            return nums, den
 
         return over_lcm
 
@@ -508,16 +489,16 @@ def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
 
 
 def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
-    """Q1 and PV2 are checked from M and q alone: the products M y + q
-    and M x clear denominators and sum in int (`_affine`), and never read
-    the Lemke tableau.  PV1 takes a determinant; PV3 compares out-maps."""
+    """Q1 and PV2 read the signs of M y + q and M x from `inst.form.sums`:
+    no Fraction is built and no Lemke tableau read.  PV1 takes a
+    determinant; PV3 compares out-maps."""
     d = inst.d
     if c.kind == "Q1":
         y = [frac(v) for v in c.y]
         if len(y) != d or any(v < 0 for v in y):
             return False
-        w = inst.w_of(y)
-        return all(v >= 0 for v in w) and all(y[i] * w[i] == 0 for i in range(d))
+        w = inst.form.sums(y + [1])
+        return all(v >= 0 for v in w) and all(b == 0 for a, b in zip(y, w) if a)
     if c.kind == "PV1":
         alpha = set(c.alpha)
         if not alpha or any(not 0 <= i < d for i in alpha):
@@ -527,8 +508,8 @@ def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
         x = [frac(v) for v in c.x]
         if len(x) != d or all(v == 0 for v in x):
             return False
-        mx = _affine(inst.M, x)
-        return all(x[i] * mx[i] <= 0 for i in range(d))
+        mx = inst.form.sums(x + [0])
+        return all(b <= 0 if a > 0 else b >= 0 for a, b in zip(x, mx) if a)
     if c.kind == "PV3":
         alpha, beta = frozenset(c.alpha), frozenset(c.beta)
         if any(not 0 <= i < d for i in alpha | beta):
@@ -601,12 +582,12 @@ def explain_rejection(inst, c: Certificate) -> str:
         for i, v in enumerate(y):
             if v < 0:
                 return f"nonnegativity y_{i + 1} < 0"
-        w = inst.w_of(y)
+        w = inst.form.sums(y + [1])
         for i, v in enumerate(w):
             if v < 0:
                 return f"feasibility w_{i + 1} < 0"
         for i in range(inst.d):
-            if y[i] * w[i] != 0:
+            if y[i] and w[i]:
                 return f"complementarity y_{i + 1} w_{i + 1} != 0"
     elif c.kind == "CM1":
         x = [frac(v) for v in c.x]

@@ -12,7 +12,7 @@ tableau reads of `pivoting.LemkeSystem`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -21,7 +21,7 @@ Mat = list[list[Fraction]]
 def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4' or '-2', and Fractions.  A string
     with a zero denominator raises ValueError, like any other string that
-    names no rational."""
+    names no rational; a bool is no number, as in `json_int`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
@@ -29,7 +29,7 @@ def frac(x) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"{x!r} has a zero denominator") from None
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -48,6 +48,12 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def int_row(row: Vec) -> tuple[int, list[int]]:
+    """(s, s * row), s the lcm of the row's denominators: rows to integers."""
+    s = lcm(*[x.denominator for x in row])
+    return s, [x.numerator * (s // x.denominator) for x in row]
+
+
 def mat(rows) -> Mat:
     m = [[frac(x) for x in row] for row in rows]
     if m and any(len(row) != len(m[0]) for row in m):
@@ -62,12 +68,8 @@ def determinant(a: Mat) -> Fraction:
         return Fraction(1)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    scale = Fraction(1)
-    m = []
-    for row in a:
-        s = lcm(*[f.denominator for f in row])
-        scale *= s
-        m.append([int(f * s) for f in row])
+    scaled = [int_row(row) for row in a]
+    m, scale = [row for _, row in scaled], prod(s for s, _ in scaled)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -84,7 +86,7 @@ def determinant(a: Mat) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def lp_pow(x: Vec, p: int) -> Fraction:

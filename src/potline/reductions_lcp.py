@@ -31,7 +31,7 @@ from .problems import (
 )
 from .rational import ceil_log2
 from .reductions_line import LineView, View
-from math import factorial, lcm
+from math import factorial
 
 
 class PlcpToUso(View):
@@ -75,6 +75,7 @@ class PlcpLineView(LineView):
     multiplies by `scale` the constant term of z and i_max, the largest
     |entry| of M and q, of which Delta is built; it leaves z's eps
     coefficients as they are: the perturbation is added after the scale.
+    Both come from the instance's `IntForm` (i_max >= 1: some q_i < 0).
 
     The right-hand side is perturbed symbolically, so z values are
     polynomials in eps.  The potential applies the floor(Delta^2 *
@@ -99,12 +100,8 @@ class PlcpLineView(LineView):
         self.d = inst.d
         self.sys = inst.system
         self.nbits = 2 * self.d
-        entries = [x for row in inst.M for x in row]
-        self.scale = lcm(*[x.denominator for x in entries + inst.q])
-        i_max = max(int(max(map(abs, entries + inst.q)) * self.scale), 1)
-        self.delta = factorial(2 * self.d) * i_max ** (2 * self.d + 1) + 1
-        self.radix = 2 * self.delta**3 + 1
-        self.m_pot = ceil_log2(self.radix ** (self.d + 1)) + 1
+        self.scale, i_max = inst.form.scale, inst.form.i_max
+        self.delta, self._d2, self._d3, self.radix, self.m_pot = _potential_constants(self.d, i_max)
         self._vertex_cache: dict[int, Vertex | None] = {}
         # (code w, variable l) -> code u: the pivot from u left on l and
         # landed on w, so entering l at w pivots back to u.
@@ -223,12 +220,11 @@ class PlcpLineView(LineView):
         # z's eps coefficients are zs[k] / det, so digit k is
         # floor(delta^2 * (delta - zs[k] / det)) = (delta^3 * det - delta^2 * zs[k]) // det.
         # Negative digits clamp to 0, so flooring gives the same digits as
-        # truncating.  The constants are worked out once per call, not kept
-        # on the view, which a workload may build thousands of at once.
+        # truncating.
         zs, det = self.sys.z_row(v)
         zs[0] *= self.scale
-        d2, radix = self.delta**2, self.radix
-        d3_det, top = d2 * self.delta * det, radix - 1
+        d2, radix = self._d2, self.radix
+        d3_det, top = self._d3 * det, radix - 1
         val = 0
         for x in zs:
             digit = (d3_det - d2 * x) // det
@@ -302,6 +298,14 @@ class PlcpLineView(LineView):
         y_other, _, z_other = self.sys.numeric_point(other)
         if all(qi + z_other >= 0 for qi in self.src.q):
             yield from _pv2(y_other, [Fraction(0)] * self.d)
+
+
+@problems.memoize
+def _potential_constants(d: int, i_max: int) -> tuple[int, int, int, int, int]:
+    """(Delta, Delta^2, Delta^3, radix, m_pot); Delta = (2d)! * i_max^(2d + 1) + 1."""
+    delta = factorial(2 * d) * i_max ** (2 * d + 1) + 1
+    radix = 2 * delta**3 + 1
+    return delta, delta**2, delta**3, radix, ceil_log2(radix ** (d + 1)) + 1
 
 
 def plcp_to_eopl(inst: LcpInstance) -> tuple[LineInstance, PlcpLineView]:

@@ -22,7 +22,7 @@ from potline.circuits import (
     measure,
 )
 from potline.generators import gen_contraction
-from potline.problems import KINDS, LcpInstance
+from potline.problems import KINDS, LcpInstance, cert, verify
 from potline.rational import lp_pow
 from potline.solvers import RunStats, find_fp, lcp_brute_force
 from test_fixpoint_pin import clamped_rotation
@@ -99,8 +99,7 @@ def test_circuit_to_lcp_identity_spot():
     inst = LcpInstance(M=m, q=q)
     # every x in [0,1] is a fixpoint; check one mapped solution
     y = [F(1, 3)] + [F(0)] * (len(q) - 1)
-    w = inst.w_of(y)
-    assert all(v >= 0 for v in w) and all(a * b == 0 for a, b in zip(y, w))
+    assert verify(inst, cert("Q1", y=y))
 
 
 def test_circuit_to_lcp_dimension_bound():

@@ -45,6 +45,17 @@ def test_solve_worked_lcp(tmp_path, capsys):
     assert rec["certificate"]["y"] == ["1/3", "1/3"]
 
 
+def test_empty_lcp_round_trip(tmp_path, capsys):
+    # d = 0: y = [] solves it, and its scale and I_max are those of no entry.
+    f, c = tmp_path / "lcp.json", tmp_path / "cert.json"
+    f.write_text(json.dumps({"M": [], "q": []}))
+    code, out = run(capsys, "solve", str(f), "--problem", "plcp", "--algo", "lemke")
+    assert code == 0 and json.loads(out)["certificate"] == {"kind": "Q1", "y": []}
+    c.write_text(json.dumps({"kind": "Q1", "y": []}))
+    code, out = run(capsys, "verify", str(f), str(c), "--problem", "plcp")
+    assert code == 0 and json.loads(out)["accepted"] is True
+
+
 def test_reduce_query_v_zero(tmp_path, capsys):
     f = tmp_path / "lcp.json"
     f.write_text(json.dumps({"M": [["2", "1"], ["1", "2"]], "q": ["-1", "-1"]}))
@@ -660,6 +671,8 @@ def test_wrong_typed_certificate_exits_2(files, tmp_path, capsys, problem, certi
     ("opdc", {"k": [1], "D": {"0": ["sideways"], "1": [3]}},
      "field 'D': direction 'sideways' is not one of 'up', 'down', 'zero'"),
     ("opdc", {"k": [-1], "D": {}}, "field 'k': grid width -1 is negative"),
+    # A JSON true is no rational 1.
+    ("plcp", {"M": [[True]], "q": [-1]}, "field 'M': cannot interpret True as an exact rational"),
 ])
 def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message):
     path = tmp_path / "inst.json"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -13,7 +14,6 @@ from potline.problems import (
     OpdcInstance,
     UsoInstance,
     VariantMismatch,
-    _affine,
     cert,
     cert_from_json,
     cert_to_json,
@@ -267,11 +267,21 @@ def _draw_lcp(data) -> LcpInstance:
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_lcp_products_match_reference(data):
+    # The verifier's integer sums at (x, 1) and (x, 0) are row r of M x + q
+    # and of M x times s_r and the lcm of x's denominators, so they carry
+    # the rows' signs.
     inst = _draw_lcp(data)
     x = [data.draw(LCP_ENTRY) for _ in range(inst.d)]
-    for got, want in [(inst.w_of(x), affine_ref(inst.M, x, inst.q)),
-                      (_affine(inst.M, x), affine_ref(inst.M, x))]:
-        assert got == want and all(type(v) is F for v in got)
+    sx = math.lcm(*[v.denominator for v in x])
+    for got, want in [(inst.form.sums(x + [1]), affine_ref(inst.M, x, inst.q)),
+                      (inst.form.sums(x + [0]), affine_ref(inst.M, x))]:
+        assert all(type(v) is int for v in got)
+        assert [_sign(v) for v in got] == [_sign(v) for v in want]
+        assert got == [s * sx * v for s, v in zip(inst.form.s, want)]
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
 @settings(max_examples=150, deadline=None)

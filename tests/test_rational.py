@@ -59,3 +59,11 @@ def test_det_inverse_product(n, data):
     inv = [[(-1) ** (i + j) * determinant(minor(j, i)) / d for j in range(n)] for i in range(n)]
     eye = [[F(i == j) for j in range(n)] for i in range(n)]
     assert _matmul(a, inv) == eye == _matmul(inv, a)
+
+
+def test_frac_rejects_bools():
+    # bool subclasses int, but a JSON true or false is no number.
+    assert frac(3) == 3 and type(frac(3)) is F
+    for x in (True, False, 0.5):
+        with pytest.raises(TypeError):
+            frac(x)

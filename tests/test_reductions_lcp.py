@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from potline.generators import gen_lcp
-from potline.pivoting import LemkeSystem
+from potline.pivoting import IntForm, LemkeSystem
 from potline.problems import LcpInstance, UnmappableCert, cert, verify
 from potline.reductions_lcp import (
     PlcpLineView,
@@ -111,6 +111,28 @@ def test_plcp_to_eopl_delta_reads_negative_entries_of_m():
     c = follow_line(line, 0)
     assert c.kind == "U1"
     assert map_back_lcp(inst, view, c) == lemke(inst) == cert("Q1", y=[F(1001), F(1)])
+
+
+def test_one_integer_form_per_instance(monkeypatch):
+    # Views read scale and I_max from the instance's one IntForm, and a
+    # second view rescans nothing: it shares the form and the potential
+    # constants of the first.
+    built = []
+    init = IntForm.__init__
+
+    def counting_init(self, m, q):
+        built.append(self)
+        init(self, m, q)
+
+    monkeypatch.setattr(IntForm, "__init__", counting_init)
+    inst = LcpInstance(M=[[2, 1], [1, 2]], q=[F(-1, 3), F(-1, 2)])
+    _, first = plcp_to_eopl(inst)
+    _, second = plcp_to_eopl(inst)
+    assert built == [inst.form] and inst.form is inst.system.form
+    assert first.scale == second.scale == 6 and inst.form.i_max == 12
+    assert first._d3 is second._d3 and first.delta == 4 * 3 * 2 * 12**5 + 1
+    assert verify(inst, lemke(inst))
+    assert built == [inst.form]
 
 
 def test_plcp_to_eopl_line_integrity():
