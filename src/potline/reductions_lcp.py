@@ -80,10 +80,13 @@ class PlcpLineView(LineView):
     The right-hand side is perturbed symbolically, so z values are
     polynomials in eps.  The potential applies the floor(Delta^2 *
     (Delta - z)) digit construction to every eps coefficient of z and
-    combines the digits in mixed radix; that keeps the potential an
+    combines the digits in radix 2 Delta^3 + 1; that keeps the potential an
     integer, keeps V(0^n) = 0, and separates any two vertices whose z
     values differ even only in the perturbation (without this, degenerate
-    instances sever the line at edges of numeric length zero).
+    instances sever the line at edges of numeric length zero).  A zero
+    coefficient gives the digit Delta^3, so V is a base, the potential of
+    all-zero coefficients, plus one product per nonzero eps coefficient of
+    z, over a table of radix powers shared by all views of one (d, i_max).
 
     A walk costs one tableau pivot per path edge, as `lemke` does: the
     start vertex is one pivot from the slack tableau and is cached under
@@ -101,7 +104,8 @@ class PlcpLineView(LineView):
         self.sys = inst.system
         self.nbits = 2 * self.d
         self.scale, i_max = inst.form.scale, inst.form.i_max
-        self.delta, self._d2, self._d3, self.radix, self.m_pot = _potential_constants(self.d, i_max)
+        (self.delta, self._d2, self._d3, self.m_pot,
+         self._powers, self._base) = _potential_constants(self.d, i_max)
         self._vertex_cache: dict[int, Vertex | None] = {}
         # (code w, variable l) -> code u: the pivot from u left on l and
         # landed on w, so entering l at w pivots back to u.
@@ -218,17 +222,18 @@ class PlcpLineView(LineView):
         if v is None:
             return 0
         # z's eps coefficients are zs[k] / det, so digit k is
-        # floor(delta^2 * (delta - zs[k] / det)) = (delta^3 * det - delta^2 * zs[k]) // det.
-        # Negative digits clamp to 0, so flooring gives the same digits as
-        # truncating.
+        # floor(delta^2 * (delta - zs[k] / det)) = delta^3 + (-delta^2 * zs[k]) // det,
+        # clamped to [0, radix - 1] = [0, 2 delta^3].  Negative digits clamp
+        # to 0, so flooring gives the same digits as truncating.  V is the
+        # base plus (digit_k - delta^3) * radix^(d - k) for each nonzero
+        # zs[k]; a zero one leaves digit k at delta^3.
         zs, det = self.sys.z_row(v)
         zs[0] *= self.scale
-        d2, radix = self._d2, self.radix
-        d3_det, top = self._d3 * det, radix - 1
-        val = 0
-        for x in zs:
-            digit = (d3_det - d2 * x) // det
-            val = val * radix + min(max(digit, 0), top)
+        d2, d3 = self._d2, self._d3
+        val = self._base
+        for x, power in zip(zs, self._powers):
+            if x:
+                val += min(max((-d2 * x) // det, -d3), d3) * power
         return val
 
     # -- map-back ----------------------------------------------------------------
@@ -301,11 +306,21 @@ class PlcpLineView(LineView):
 
 
 @problems.memoize
-def _potential_constants(d: int, i_max: int) -> tuple[int, int, int, int, int]:
-    """(Delta, Delta^2, Delta^3, radix, m_pot); Delta = (2d)! * i_max^(2d + 1) + 1."""
+def _potential_constants(d: int, i_max: int) -> tuple[int, int, int, int, tuple[int, ...], int]:
+    """(Delta, Delta^2, Delta^3, m_pot, powers, base) with
+    Delta = (2d)! * i_max^(2d + 1) + 1 and radix = 2 Delta^3 + 1: powers is
+    radix^d, ..., radix^0, the place values of z's eps coefficients, and
+    base = Delta^3 * (radix^d + ... + 1), the potential whose every digit
+    is Delta^3.  As radix - 1 = 2 Delta^3, base = (radix^(d + 1) - 1) / 2,
+    and m_pot bounds radix^(d + 1) too."""
     delta = factorial(2 * d) * i_max ** (2 * d + 1) + 1
-    radix = 2 * delta**3 + 1
-    return delta, delta**2, delta**3, radix, ceil_log2(radix ** (d + 1)) + 1
+    d3 = delta**3
+    radix = 2 * d3 + 1
+    powers = [1]
+    for _ in range(d):
+        powers.append(powers[-1] * radix)
+    top = radix * powers[-1]
+    return delta, delta**2, d3, ceil_log2(top) + 1, tuple(reversed(powers)), top >> 1
 
 
 def plcp_to_eopl(inst: LcpInstance) -> tuple[LineInstance, PlcpLineView]:

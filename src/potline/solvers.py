@@ -165,16 +165,19 @@ def _walk(inst: LineInstance, x: int, watched: dict, max_steps: int | None,
     end, violation, bad = flavor.end, flavor.violation, flavor.bad
     S, P, V = inst.S, inst.P, inst.V
     run = None if watched or end is None else inst.run
-    left = max_steps + 1
-    while left > 0:
+    # Steps are counted up from 0, not down from the budget: the budget
+    # 2^m_pot is a long int on the Lemke line, and arithmetic on it every
+    # step costs more than the step's own bookkeeping.
+    limit, taken = max_steps + 1, 0
+    while taken < limit:
         if run is not None:
-            r = min(run(x), left)
+            r = min(run(x), limit - taken)
             if r:
                 stats.steps += r
-                left -= r
+                taken += r
                 x += r
                 continue
-        left -= 1
+        taken += 1
         stats.steps += 1
         y = S(x)
         if watched and y != x:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from potline.problems import (
     DOWN,
@@ -155,6 +156,28 @@ def verify_lcp_ref(inst: LcpInstance, c: Certificate) -> bool:
         mx = affine_ref(inst.M, x)
         return all(a * b <= 0 for a, b in zip(x, mx))
     raise ValueError(c.kind)
+
+
+def potential_ref(view, u: int) -> int:
+    """Reference for `PlcpLineView.potential`: Horner's rule over all d + 1
+    digits floor(Delta^2 * (Delta - z_k)), clamped to [0, 2 Delta^3], with
+    Delta worked out afresh from the instance's I_max."""
+    if u == 0:
+        return 0
+    v = view.vertex_of(u)
+    if v is None:
+        return 0
+    d = view.d
+    delta = factorial(2 * d) * view.src.form.i_max ** (2 * d + 1) + 1
+    d2, d3 = delta**2, delta**3
+    radix = 2 * d3 + 1
+    zs, det = view.sys.z_row(v)
+    zs[0] *= view.scale
+    val = 0
+    for x in zs:
+        digit = (d3 * det - d2 * x) // det
+        val = val * radix + min(max(digit, 0), radix - 1)
+    return val
 
 
 def verify_opdc_ref(inst: OpdcInstance, c: Certificate) -> bool:

@@ -16,7 +16,9 @@ from potline.reductions_lcp import (
 )
 from potline.solvers import brute_force, follow_line, lemke
 
+from helpers import potential_ref
 from test_cone_pin import FAMILIES, SEEDS
+from test_pivoting import _line_sources, _murty
 
 
 WORKED = LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1])
@@ -131,8 +133,54 @@ def test_one_integer_form_per_instance(monkeypatch):
     assert built == [inst.form] and inst.form is inst.system.form
     assert first.scale == second.scale == 6 and inst.form.i_max == 12
     assert first._d3 is second._d3 and first.delta == 4 * 3 * 2 * 12**5 + 1
+    assert first._powers is second._powers and first._base is second._base
     assert verify(inst, lemke(inst))
     assert built == [inst.form]
+    # Another instance of the same d and I_max (scale 1 here) shares the
+    # radix-power table too.
+    other = LcpInstance(M=[[12, 1], [1, 2]], q=[-1, -1])
+    _, third = plcp_to_eopl(other)
+    assert other.form.i_max == 12 and third.scale == 1
+    assert third._d3 is first._d3 and third._powers is first._powers
+    radix = 2 * first._d3 + 1
+    assert first._powers == (radix**2, radix, 1)
+
+
+def _walk_codes(view: PlcpLineView) -> list[int]:
+    """The codes along the view's line from 0 to where S or P stops it."""
+    codes, x = [0], 0
+    for _ in range(1 << view.nbits):
+        y = view.successor(x)
+        if y == x or view.predecessor(y) != x:
+            break
+        codes.append(y)
+        x = y
+    return codes
+
+
+def test_potential_matches_reference():
+    # The sparse sum over the radix-power table gives the dense Horner
+    # loop's V on every code of the pinned line sources (degenerate, non-P
+    # and wild ones among them), of an LCP with fractional q, and along
+    # whole walks up to d = 16.
+    frac = LcpInstance(M=[[2, 1], [1, 2]], q=[F(-1, 3), F(-1, 2)])
+    for inst in [*_line_sources().values(), frac]:
+        _, view = plcp_to_eopl(inst)
+        for u in range(1 << view.nbits):
+            assert view.potential(u) == potential_ref(view, u), (inst, u)
+    walks = [_murty(n) for n in range(2, 9)]
+    walks += [gen_lcp(8, s) for s in range(40)] + [gen_lcp(16, s) for s in range(4)]
+    for inst in walks:
+        _, view = plcp_to_eopl(inst)
+        codes = _walk_codes(view)
+        for u in codes:
+            assert view.potential(u) == potential_ref(view, u), (inst, u)
+        # The walk ends where z leaves the basis: every digit is Delta^3,
+        # so V is the base alone.
+        end = view.vertex_of(codes[-1])
+        assert view.sys.zvar not in end.basis
+        assert view.potential(codes[-1]) == view._base
+    assert len(_walk_codes(plcp_to_eopl(_murty(8))[1])) == (1 << 8) + 1
 
 
 def test_plcp_to_eopl_line_integrity():
