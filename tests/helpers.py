@@ -27,6 +27,14 @@ def a_alpha(m: Mat, alpha) -> Mat:
     return [[-m[r][i] if i in alpha else Fraction(r == i) for i in range(d)] for r in range(d)]
 
 
+def murty(n: int) -> LcpInstance:
+    """Murty's LCP: M lower triangular with 1 on the diagonal and 2 below,
+    q = -1.  Lemke takes 2^n - 1 pivots, and the plcp -> eopl line has
+    2^n + 1 steps."""
+    m = [[1 if i == j else 2 if j < i else 0 for j in range(n)] for i in range(n)]
+    return LcpInstance(M=m, q=[-1] * n)
+
+
 def gen_normalized_line(exponent: int, seed: int, two_lines: bool = False) -> LineInstance:
     """A UniqueEOPL instance that is already normalized: one line of
     length exactly 2^exponent with V(x) equal to the position, so U1 holds

@@ -19,9 +19,9 @@ from potline.generators import (
 )
 from potline.problems import LcpInstance, cert, verify
 from potline.rational import lp_pow
-from potline.reductions_lcp import map_back_uso, out_map, plcp_to_eopl, plcp_to_uso
-from potline.reductions_line import TrivialInstance, plus1_to_ueopl
-from potline.reductions_opdc import uso_to_opdc
+from potline.reductions_lcp import PlcpLineView, PlcpToUso, out_map
+from potline.reductions_line import PebblingView, TrivialInstance
+from potline.reductions_opdc import UsoToOpdc
 from potline.solvers import (
     RunStats,
     aldous,
@@ -83,22 +83,22 @@ def test_criterion_03_plcp_to_uso_soundness():
     for d in (2, 3, 4):
         for seed in range(6):
             inst = gen_lcp(d, seed, nondegenerate=True)
-            uso = plcp_to_uso(inst)
+            uso = PlcpToUso(inst).image()
             assert not _szabo_welzl_pairs(uso, d)
             sinks = [v for v in range(1 << d) if uso.orient(v) == 0]
             assert len(sinks) == 1
-            assert map_back_uso(inst, uso, cert("US1", v=sinks[0])) == lemke(inst)
+            assert PlcpToUso(inst).map_back(cert("US1", v=sinks[0])) == lemke(inst)
             good += 1
     planted = 0
     seed = 0
     while planted < 20:
         inst = gen_lcp(2 + seed % 2, seed, p_matrix=False)
         seed += 1
-        uso = plcp_to_uso(inst)
+        uso = PlcpToUso(inst).image()
         usv2 = [c for c in brute_force(uso) if c.kind == "USV2"]
         if not usv2:
             continue
-        pv3 = map_back_uso(inst, uso, usv2[0])
+        pv3 = PlcpToUso(inst).map_back(usv2[0])
         assert pv3.kind == "PV3" and verify(inst, pv3)
         planted += 1
     report(3, f"{good} P-matrices pass all-pairs Szabo-Welzl with one sink -> Lemke solution; "
@@ -110,7 +110,8 @@ def test_criterion_04_plcp_to_eopl_line_integrity():
     for d in (2, 3):
         for seed in range(6):
             inst = gen_lcp(d, seed, nondegenerate=True)
-            line, view = plcp_to_eopl(inst)
+            view = PlcpLineView(inst)
+            line = view.image()
             assert line.V(0) == 0
             certs = brute_force(line)
             kinds = sorted(c.kind for c in certs)
@@ -209,7 +210,7 @@ def map_back_families():
     rng = random.Random(0)
     for seed in range(100):
         if seed % 2 == 0:
-            grids.append(uso_to_opdc(gen_uso(2, seed)))
+            grids.append(UsoToOpdc(gen_uso(2, seed)).image())
         else:
             rng.seed(seed)
             table = {}
@@ -272,7 +273,8 @@ def test_criterion_08_pebbling_line():
     # exhaustive uniqueness at small k
     for k in (2, 3):
         src = gen_line(1 << k, seed=k, flavor="ufeoplplus1", gaps=[1] * ((1 << k) - 1))
-        line, view = plus1_to_ueopl(src)
+        view = PebblingView(src)
+        line = view.image()
         certs = brute_force(line)
         u1s = [c for c in certs if c.kind == "U1"]
         assert len(u1s) == 1
@@ -281,7 +283,8 @@ def test_criterion_08_pebbling_line():
 
     t0 = time.monotonic()
     src = gen_line(1 << 10, seed=1, flavor="ufeoplplus1", gaps=[1] * 1023)
-    line, view = plus1_to_ueopl(src)
+    view = PebblingView(src)
+    line = view.image()
     x, steps = 0, 0
     while True:
         nxt = line.S(x)

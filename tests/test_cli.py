@@ -65,6 +65,28 @@ def test_reduce_query_v_zero(tmp_path, capsys):
     assert json.loads(out)["answer"] == 0
 
 
+# V on the Lemke line of `generate --kind pmatrixlcp --d 3 --seed 7`: a vertex
+# inside the line, and an end, where z is nonbasic and V is the base alone.
+PINNED_V = {
+    "010010": int(
+        "393203871628146406246488885404546579903248564536733468715089959164376587"
+        "395419542266347704766118562879740649489775754554936392538707907897115237"
+        "5334329493780568047441239514404879945550674731663501009775187342088917"),
+    "000010": int(
+        "393203871628146478949078081242617830994294180233351536941215526278660745"
+        "381383067985264705641785616945724883468799872004885786619582480767681315"
+        "7455629766636792406143920158460079917089709091277324601443133854916200"),
+}
+
+
+def test_reduce_pins_the_lemke_line_potential(tmp_path, capsys):
+    f = tmp_path / "lcp.json"
+    run(capsys, "generate", "--kind", "pmatrixlcp", "--d", "3", "--seed", "7", "-o", str(f))
+    for vertex, want in PINNED_V.items():
+        code, out = run(capsys, "reduce", str(f), "--chain", "plcp:ueopl", "--query", "V", vertex)
+        assert code == 0 and json.loads(out)["answer"] == want, vertex
+
+
 def test_reduce_query_uso_opdc(tmp_path, capsys):
     f = tmp_path / "lcp.json"
     f.write_text(json.dumps({"M": [["2", "1"], ["1", "2"]], "q": ["-1", "-1"]}))
@@ -97,6 +119,22 @@ def test_reduce_long_chain(tmp_path, capsys):
                     "uso,opdc,ufeopl,plus1,ueopl", "--query", "V", "0")
     assert code == 0
     assert json.loads(out)["answer"] == 0
+    # and on through the normalization
+    code, out = run(capsys, "reduce", str(tmp_path / "uso.json"), "--chain",
+                    "uso,opdc,ufeopl,plus1,ueopl,normalized", "--query", "V", "0")
+    assert code == 0
+    assert json.loads(out)["answer"] == 0
+
+
+def test_reduce_eopl_to_eoml_queries(tmp_path, capsys):
+    # The start code 0 of a generated EOPL line has potential 1 on the EOML
+    # view and a successor on the start chain.
+    f = tmp_path / "eopl.json"
+    run(capsys, "generate", "--kind", "explicitline", "--length", "8", "--flavor", "eopl", "-o", str(f))
+    code, out = run(capsys, "reduce", str(f), "--chain", "eopl:eoml", "--query", "V", "0")
+    assert code == 0 and json.loads(out)["answer"] == 1
+    code, out = run(capsys, "reduce", str(f), "--chain", "eopl:eoml", "--query", "S", "0")
+    assert code == 0 and json.loads(out)["answer"] == "000000010"
 
 
 def test_reduce_queries_are_pure(tmp_path, capsys):
@@ -286,6 +324,8 @@ def _solve_then_verify(tmp_path, capsys, inst, problem, solve_args):
     (["--kind", "noncontraction", "--d", "2"], "contraction", ["--algo", "findfp"]),
     (["--kind", "brokenuso", "--d", "2"], "uso", ["--algo", "brute"]),
     (["--kind", "nonpmatrixlcp", "--d", "2"], "plcp", ["--algo", "brute"]),
+    # q is fractional: Lemke reads its values back through the row scales.
+    (["--kind", "pmatrixlcp", "--d", "16"], "plcp", ["--algo", "lemke"]),
 ])
 def test_record_verified_agrees_with_verify(tmp_path, capsys, gen_args, problem, solve_args):
     inst = tmp_path / "inst.json"
@@ -316,6 +356,15 @@ def test_record_verified_agrees_with_verify_approx_cli_eps(tmp_path, capsys):
                                               ["--algo", "approx", "--eps", "1/1024"])
     assert record["verified"] is report["accepted"] is True
     assert record["certificate"]["eps"] == "1/1024" and record["certificate"]["p"] == 2
+
+
+def test_opdc_table_round_trip(tmp_path, capsys):
+    # The three-point grid up, zero, down has its O1 at 1.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"k": [2], "D": {"0": ["up"], "1": ["zero"], "2": ["down"]}}))
+    record, code, report = _solve_then_verify(tmp_path, capsys, grid, "opdc", ["--algo", "brute"])
+    assert record["certificate"] == {"kind": "O1", "p": [1]} and record["verified"] is True
+    assert report == {"accepted": True, "kind": "O1"} and code == 0
 
 
 def test_verify_rejects_approx_fix_without_eps(tmp_path, capsys):
@@ -364,7 +413,7 @@ def files(tmp_path, capsys):
     """One instance file per problem kind, plus EOPL and EOML lines."""
     from potline.generators import gen_uso
     from potline.problems import opdc_to_json
-    from potline.reductions_opdc import uso_to_opdc
+    from potline.reductions_opdc import UsoToOpdc
 
     out = {}
     for name, gen_args in [
@@ -378,7 +427,7 @@ def files(tmp_path, capsys):
         out[name] = tmp_path / f"{name}.json"
         assert run(capsys, "generate", *gen_args, "--seed", "1", "-o", str(out[name]))[0] == 0
     out["opdc"] = tmp_path / "opdc.json"
-    out["opdc"].write_text(json.dumps(opdc_to_json(uso_to_opdc(gen_uso(2, 1)))))
+    out["opdc"].write_text(json.dumps(opdc_to_json(UsoToOpdc(gen_uso(2, 1)).image())))
     out["short"] = tmp_path / "short.json"  # 00 -> 01; 10 and 11 are non-vertices
     out["short"].write_text(json.dumps({"flavor": "ueopl", "n": 2, "S": {"00": "01"},
                                         "P": {"01": "00"}, "V": {"01": 1}}))
@@ -521,6 +570,14 @@ def test_parser_is_built_once(files, tmp_path, capsys, monkeypatch):
     cert.write_text(json.dumps(json.loads(record.read_text())["certificate"]))
     assert run_err(capsys, "verify", inst, cert, "--problem", "plcp")[0] == 0
     assert built == []
+
+
+def test_help_prints_from_the_parser_built_once(capsys):
+    for argv in (["--help"], ["solve", "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ")
 
 
 def _fresh_process(argv):

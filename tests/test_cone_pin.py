@@ -1,5 +1,5 @@
 """Cone solves pinned to recorded answers: SHA-256 digests of `out_map` over
-every cone of seeded LCPs, of `map_back_uso`'s answer to every US1, of
+every cone of seeded LCPs, of `PlcpToUso.map_back`'s answer to every US1, of
 `lcp_brute_force`'s certificates, and of the instances the generators
 return, so a change of the exact engine
 behind them must give exactly the same sign bits, points and instances."""
@@ -12,7 +12,7 @@ from itertools import combinations
 
 from potline.generators import gen_lcp, gen_uso
 from potline.problems import LcpInstance, UnmappableCert, cert, lcp_to_json, uso_to_json
-from potline.reductions_lcp import map_back_uso, out_map, plcp_to_uso
+from potline.reductions_lcp import PlcpToUso, out_map
 from potline.solvers import lcp_brute_force
 
 DIMS = range(1, 7)
@@ -59,12 +59,12 @@ def _out_maps(insts):
 
 def _us1_answers(insts):
     for inst in insts:
-        uso = plcp_to_uso(inst)
+        uso = PlcpToUso(inst).image()
         for v in range(1 << inst.d):
             if uso.orient(v) != 0:
                 continue
             try:
-                yield f"{v} {map_back_uso(inst, uso, cert('US1', v=v))!r}"
+                yield f"{v} {PlcpToUso(inst).map_back(cert('US1', v=v))!r}"
             except UnmappableCert:
                 yield f"{v} UnmappableCert"
 

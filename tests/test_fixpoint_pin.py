@@ -112,3 +112,20 @@ def test_approx_find_fp_black_box_pinned():
 
 def test_find_fp_on_clamped_rotation_pinned():
     assert _digest(_rotation()) == PINNED["rotation"]
+
+
+# find_fp's point and oracle-call count on larger seeded maps.
+PINNED_POINTS = {
+    (5, 5): ([F(1, 2), F(9, 16), F(3, 4), F(1, 4), F(11, 16)], 2430),
+    (6, 1): ([F(3, 8), F(5, 16), F(1, 2), F(5, 16), F(11, 16), F(11, 16)], 24234),
+    (6, 2): ([F(1, 4), F(5, 16), F(5, 16), F(9, 16), F(3, 8), F(1, 2)], 16848),
+    (6, 5): ([F(1, 2), F(9, 16), F(3, 4), F(1, 4), F(11, 16), F(7, 16)], 14586),
+}
+
+
+def test_find_fp_points_pinned():
+    for (d, seed), (x, calls) in PINNED_POINTS.items():
+        inst, stats = gen_contraction(d, seed), RunStats()
+        c = find_fp(inst, stats=stats)
+        assert (c.kind, c.x, stats.oracle_calls) == ("CM1", x, calls), (d, seed)
+        assert verify(inst, c)

@@ -13,9 +13,9 @@ import pytest
 from potline.cli import REDUCTIONS, UsageError, compose
 from potline.generators import gen_contraction, gen_lcp, gen_line, gen_uso
 from potline.problems import ContractionInstance, LcpInstance, LineInstance, OpdcInstance, UsoInstance
-from potline.solvers import follow_line, lemke
+from potline.solvers import RunStats, follow_line, lemke
 
-from helpers import FULL_CHAIN, gen_normalized_line
+from helpers import FULL_CHAIN, gen_normalized_line, murty
 
 
 def test_full_chain_round_trip():
@@ -26,6 +26,37 @@ def test_full_chain_round_trip():
         assert c.kind == "U1"
         # Every stage's map-back returns a certificate that verifies there.
         assert map_back(c) == lemke(lcp)
+
+
+@pytest.mark.parametrize("d, steps", [(4, 1 << 15), (6, 1 << 20)])
+def test_full_chain_beyond_brute_force(d, steps):
+    # The normalized lines of these LCPs are too long for brute force; the
+    # walk crosses each tail of +1 steps in one jump, and the end maps back
+    # through all six stages to Lemke's answer.
+    lcp = gen_lcp(d, 0, nondegenerate=True)
+    line, map_back = compose(lcp, FULL_CHAIN)
+    stats = RunStats()
+    c = map_back(follow_line(line, 0, stats=stats))
+    assert stats.steps == steps
+    assert c.kind == "Q1" and c == lemke(lcp)
+
+
+# Steps of the plcp -> ueopl walk, recorded at f354643: d = 16 LCPs with
+# fractional q, and Murty's n = 10 LCP (1023 Lemke pivots).
+LEMKE_LINES = [(f"gen_lcp(16, {s})", lambda s=s: gen_lcp(16, s), steps)
+               for s, steps in enumerate((6, 10, 10, 11, 12, 4, 9, 10))]
+LEMKE_LINES.append(("murty(10)", lambda: murty(10), 1025))
+
+
+@pytest.mark.parametrize("build, steps", [case[1:] for case in LEMKE_LINES],
+                         ids=[case[0] for case in LEMKE_LINES])
+def test_lemke_line_steps_pinned(build, steps):
+    lcp = build()
+    line, map_back = compose(lcp, ("plcp", "ueopl"))
+    stats = RunStats()
+    c = map_back(follow_line(line, 0, stats=stats))
+    assert stats.steps == steps
+    assert c == lemke(lcp)
 
 
 def test_full_chain_walk_lengths():

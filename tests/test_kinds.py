@@ -10,7 +10,7 @@ import pytest
 
 from potline import problems
 from potline.generators import gen_contraction, gen_lcp, gen_line, gen_uso
-from potline.reductions_opdc import uso_to_opdc
+from potline.reductions_opdc import UsoToOpdc
 from potline.solvers import brute_force, find_fp, follow_line, lemke
 
 # Per kind: a generated instance, and a solver that returns a certificate
@@ -18,7 +18,7 @@ from potline.solvers import brute_force, find_fp, follow_line, lemke
 CASES = {
     "plcp": (lambda: gen_lcp(3, 7), lemke),
     "uso": (lambda: gen_uso(2, 1), lambda inst: brute_force(inst)[0]),
-    "opdc": (lambda: uso_to_opdc(gen_uso(2, 1)), lambda inst: brute_force(inst)[0]),
+    "opdc": (lambda: UsoToOpdc(gen_uso(2, 1)).image(), lambda inst: brute_force(inst)[0]),
     "line": (lambda: gen_line(8, 1), follow_line),
     "contraction": (lambda: gen_contraction(2, 5), find_fp),
 }

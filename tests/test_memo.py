@@ -26,12 +26,12 @@ from potline.problems import (
     verify,
 )
 from potline.cli import REDUCTIONS
-from potline.reductions_lcp import plcp_to_eopl
+from potline.reductions_lcp import PlcpLineView
 from potline.reductions_line import NormalizeView, PebblingView, UeoplToOpdc
 from potline.reductions_opdc import ContractionToOpdc, UsoToOpdc
 from potline.solvers import RunStats, brute_force, follow_line, lemke
 
-from helpers import FULL_CHAIN, gen_normalized_line
+from helpers import FULL_CHAIN, gen_normalized_line, murty
 
 
 def test_missing_predecessor_raises_on_every_call():
@@ -237,19 +237,14 @@ def test_walk_longer_than_cap_matches_unbounded(monkeypatch):
         assert max(logged) <= cap < len(logged), (name, max(logged), len(logged))
 
 
-def _murty(n):
-    """Murty's family: the plcp -> eopl line has 2^n + 1 steps."""
-    m = [[1 if i == j else 2 if j < i else 0 for j in range(n)] for i in range(n)]
-    return problems.LcpInstance(M=m, q=[-1] * n)
-
-
 def test_vertex_cache_stays_within_cap(monkeypatch):
     cap = 8
-    inst = _murty(5)
+    inst = murty(5)
     want_stats = RunStats()
-    want = follow_line(plcp_to_eopl(inst)[0], 0, stats=want_stats)
+    want = follow_line(PlcpLineView(inst).image(), 0, stats=want_stats)
     monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
-    line, view = plcp_to_eopl(inst)
+    view = PlcpLineView(inst)
+    line = view.image()
     sizes = []
     remember = view._remember
 
@@ -275,7 +270,7 @@ def test_walk_queries_each_memo_a_bounded_number_of_times_per_step():
     # check; a walk that asks for S(x) again shows up here.  The normalized
     # line is walked step by step, without its `run` oracle.
     norm = _chain(gen_lcp(2, 0, nondegenerate=True))[0]
-    lines = [replace(norm, run=None), plcp_to_eopl(_murty(5))[0]]
+    lines = [replace(norm, run=None), PlcpLineView(murty(5)).image()]
     for line in lines:
         stats = RunStats()
         follow_line(line, 0, stats=stats)

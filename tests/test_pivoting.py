@@ -14,10 +14,10 @@ from potline.generators import gen_lcp
 from potline.pivoting import LemkeSystem, principal_minor
 from potline.problems import LcpInstance, verify
 from potline.rational import determinant
-from potline.reductions_lcp import map_back_lcp, out_map, plcp_to_eopl
+from potline.reductions_lcp import PlcpLineView, out_map
 from potline.solvers import RunStats, follow_line, lemke
 
-from helpers import a_alpha
+from helpers import a_alpha, murty
 
 
 def _digest(x) -> str:
@@ -50,7 +50,7 @@ def _lemke_record(inst):
 
 
 def _line_record(inst):
-    line, _ = plcp_to_eopl(inst)
+    line = PlcpLineView(inst).image()
     return _digest([(line.S(u), line.P(u), line.V(u)) for u in range(1 << line.n)])
 
 
@@ -136,7 +136,7 @@ PINNED_LEMKE = {
     'wild59': ('PV1', '2af3b82012264958', 1, '8338ea6ebb95cb00'),
 }
 
-# Digest of [(S(u), P(u), V(u)) for every code u] of plcp_to_eopl per source.
+# Digest of [(S(u), P(u), V(u)) for every code u] of the PlcpLineView image per source.
 PINNED_LINES = {
     'p1/0': '4f2026d93d112972',
     'p1/1': 'd540c9023bfdb87e',
@@ -222,14 +222,9 @@ def test_line_view_pinned_oracles():
 
 # -- Murty's family (Murty 1978) -----------------------------------------------
 
-def _murty(n):
-    m = [[F(1 if i == j else 2 if j < i else 0) for j in range(n)] for i in range(n)]
-    return LcpInstance(M=m, q=[F(-1)] * n)
-
-
 def test_murty_lemke_pivots():
     for n in range(2, 13):
-        inst, st_ = _murty(n), RunStats()
+        inst, st_ = murty(n), RunStats()
         c = lemke(inst, stats=st_)
         assert c.kind == "Q1" and verify(inst, c)
         assert st_.pivots == (1 << n) - 1, n
@@ -237,7 +232,7 @@ def test_murty_lemke_pivots():
 
 def test_murty_line_steps():
     for n in range(2, 7):
-        line, _ = plcp_to_eopl(_murty(n))
+        line = PlcpLineView(murty(n)).image()
         st_ = RunStats()
         follow_line(line, 0, stats=st_)
         assert st_.steps == (1 << n) + 1, n
@@ -247,7 +242,7 @@ def test_line_view_pivots_once_per_edge(monkeypatch):
     # The start vertex is one pivot from the slack tableau, as in lemke, and
     # every later step one more: the view neither pivots an edge again when
     # the walk asks for P(S(x)) nor rebuilds a vertex it has met.
-    insts = [_murty(n) for n in range(2, 9)] + [gen_lcp(d, s) for d in range(2, 9) for s in range(20)]
+    insts = [murty(n) for n in range(2, 9)] + [gen_lcp(d, s) for d in range(2, 9) for s in range(20)]
     pivot, pivots = LemkeSystem._pivot, [0]
 
     def counted(self, v, r, j):
@@ -262,9 +257,10 @@ def test_line_view_pivots_once_per_edge(monkeypatch):
             pivots[0] = 0
             c = lemke(inst, stats=want)
             lemke_pivots.append(pivots[0])
-            line, view = plcp_to_eopl(inst)
+            view = PlcpLineView(inst)
+            line = view.image()
             pivots[0], got = 0, RunStats()
-            assert map_back_lcp(inst, view, follow_line(line, 0, stats=got)) == c
+            assert view.map_back(follow_line(line, 0, stats=got)) == c
         assert (pivots[0], got.steps) == (want.pivots + 1, want.pivots + 2), inst
     # lemke's own tableau pivots, recorded with the 2d + 2 column tableau.
     assert (sum(lemke_pivots), _digest(lemke_pivots)) == (989, "c93e35cb0c355fd6")
@@ -324,7 +320,7 @@ def test_lemke_large_p_lcp_verifies(d, seed):
 def test_cone_sign_matches_principal_minor():
     checked = 0
     for inst in _line_sources().values():
-        _, view = plcp_to_eopl(inst)
+        view = PlcpLineView(inst)
         sys = view.sys
         for u in range(1 << view.nbits):
             v = view.vertex_of(u)

@@ -6,19 +6,12 @@ import pytest
 from potline.generators import gen_lcp
 from potline.pivoting import IntForm, LemkeSystem
 from potline.problems import LcpInstance, UnmappableCert, cert, verify
-from potline.reductions_lcp import (
-    PlcpLineView,
-    map_back_lcp,
-    map_back_uso,
-    out_map,
-    plcp_to_eopl,
-    plcp_to_uso,
-)
+from potline.reductions_lcp import PlcpLineView, PlcpToUso, out_map
 from potline.solvers import brute_force, follow_line, lemke
 
-from helpers import potential_ref
+from helpers import murty, potential_ref
 from test_cone_pin import FAMILIES, SEEDS
-from test_pivoting import _line_sources, _murty
+from test_pivoting import _line_sources
 
 
 WORKED = LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1])
@@ -36,16 +29,16 @@ def test_out_map_dash_on_singular():
 
 
 def test_plcp_to_uso_worked():
-    uso = plcp_to_uso(WORKED)
+    uso = PlcpToUso(WORKED).image()
     assert uso.orient(0b11) == 0  # sink at 11
     c = cert("US1", v=0b11)
     assert verify(uso, c)
-    assert map_back_uso(WORKED, uso, c) == cert("Q1", y=[F(1, 3), F(1, 3)])
+    assert PlcpToUso(WORKED).map_back(c) == cert("Q1", y=[F(1, 3), F(1, 3)])
 
 
 def test_plcp_to_uso_trivial_sink():
     inst = LcpInstance(M=[[2, 1], [1, 2]], q=[1, 2])
-    uso = plcp_to_uso(inst)
+    uso = PlcpToUso(inst).image()
     assert uso.orient(0) == 0
 
 
@@ -62,11 +55,11 @@ def _szabo_welzl_ok(uso, n):
 def test_plcp_to_uso_p_matrices_are_usos():
     for seed in range(10):
         inst = gen_lcp(3, seed, nondegenerate=True)
-        uso = plcp_to_uso(inst)
+        uso = PlcpToUso(inst).image()
         assert _szabo_welzl_ok(uso, 3)
         sinks = [v for v in range(8) if uso.orient(v) == 0]
         assert len(sinks) == 1
-        q1 = map_back_uso(inst, uso, cert("US1", v=sinks[0]))
+        q1 = PlcpToUso(inst).map_back(cert("US1", v=sinks[0]))
         assert q1 == lemke(inst)
 
 
@@ -74,32 +67,33 @@ def test_plcp_to_uso_non_p_violation():
     # Negative principal minor, all cones nonsingular: some pair fails
     # Szabo-Welzl and maps back to PV3.
     inst = LcpInstance(M=[[-1, 0], [0, 1]], q=[-1, -2])
-    uso = plcp_to_uso(inst)
+    uso = PlcpToUso(inst).image()
     certs = brute_force(uso)
     usv2 = [c for c in certs if c.kind == "USV2"]
     assert usv2
-    pv3 = map_back_uso(inst, uso, usv2[0])
+    pv3 = PlcpToUso(inst).map_back(usv2[0])
     assert pv3.kind == "PV3" and verify(inst, pv3)
 
 
 def test_plcp_to_uso_singular_cone_gives_usv1():
     # Zero principal minors make the out-map dash, mapping to PV1.
     inst = LcpInstance(M=[[0, 1], [1, 0]], q=[-1, -1])
-    uso = plcp_to_uso(inst)
+    uso = PlcpToUso(inst).image()
     certs = brute_force(uso)
     usv1 = [c for c in certs if c.kind == "USV1"]
     assert usv1
-    pv1 = map_back_uso(inst, uso, usv1[0])
+    pv1 = PlcpToUso(inst).map_back(usv1[0])
     assert pv1.kind == "PV1" and verify(inst, pv1)
 
 
 def test_plcp_to_eopl_worked():
-    line, view = plcp_to_eopl(WORKED)
+    view = PlcpLineView(WORKED)
+    line = view.image()
     assert view.delta == 769  # 4! * 2^5 + 1 with I_max = 2
     assert line.V(0) == 0
     c = follow_line(line, 0)
     assert c.kind == "U1"
-    assert map_back_lcp(WORKED, view, c) == cert("Q1", y=[F(1, 3), F(1, 3)])
+    assert view.map_back(c) == cert("Q1", y=[F(1, 3), F(1, 3)])
 
 
 def test_plcp_to_eopl_delta_reads_negative_entries_of_m():
@@ -108,11 +102,12 @@ def test_plcp_to_eopl_delta_reads_negative_entries_of_m():
     # I_max = 1 the potential fell along the path and the walk ended at a
     # UV1 that maps back to nothing.
     inst = LcpInstance(M=[[1, -1000], [0, 1]], q=[-1, -1])
-    line, view = plcp_to_eopl(inst)
+    view = PlcpLineView(inst)
+    line = view.image()
     assert view.delta == 4 * 3 * 2 * 1000**5 + 1
     c = follow_line(line, 0)
     assert c.kind == "U1"
-    assert map_back_lcp(inst, view, c) == lemke(inst) == cert("Q1", y=[F(1001), F(1)])
+    assert view.map_back(c) == lemke(inst) == cert("Q1", y=[F(1001), F(1)])
 
 
 def test_one_integer_form_per_instance(monkeypatch):
@@ -128,8 +123,8 @@ def test_one_integer_form_per_instance(monkeypatch):
 
     monkeypatch.setattr(IntForm, "__init__", counting_init)
     inst = LcpInstance(M=[[2, 1], [1, 2]], q=[F(-1, 3), F(-1, 2)])
-    _, first = plcp_to_eopl(inst)
-    _, second = plcp_to_eopl(inst)
+    first = PlcpLineView(inst)
+    second = PlcpLineView(inst)
     assert built == [inst.form] and inst.form is inst.system.form
     assert first.scale == second.scale == 6 and inst.form.i_max == 12
     assert first._d3 is second._d3 and first.delta == 4 * 3 * 2 * 12**5 + 1
@@ -139,7 +134,7 @@ def test_one_integer_form_per_instance(monkeypatch):
     # Another instance of the same d and I_max (scale 1 here) shares the
     # radix-power table too.
     other = LcpInstance(M=[[12, 1], [1, 2]], q=[-1, -1])
-    _, third = plcp_to_eopl(other)
+    third = PlcpLineView(other)
     assert other.form.i_max == 12 and third.scale == 1
     assert third._d3 is first._d3 and third._powers is first._powers
     radix = 2 * first._d3 + 1
@@ -165,13 +160,13 @@ def test_potential_matches_reference():
     # whole walks up to d = 16.
     frac = LcpInstance(M=[[2, 1], [1, 2]], q=[F(-1, 3), F(-1, 2)])
     for inst in [*_line_sources().values(), frac]:
-        _, view = plcp_to_eopl(inst)
+        view = PlcpLineView(inst)
         for u in range(1 << view.nbits):
             assert view.potential(u) == potential_ref(view, u), (inst, u)
-    walks = [_murty(n) for n in range(2, 9)]
+    walks = [murty(n) for n in range(2, 9)]
     walks += [gen_lcp(8, s) for s in range(40)] + [gen_lcp(16, s) for s in range(4)]
     for inst in walks:
-        _, view = plcp_to_eopl(inst)
+        view = PlcpLineView(inst)
         codes = _walk_codes(view)
         for u in codes:
             assert view.potential(u) == potential_ref(view, u), (inst, u)
@@ -180,13 +175,14 @@ def test_potential_matches_reference():
         end = view.vertex_of(codes[-1])
         assert view.sys.zvar not in end.basis
         assert view.potential(codes[-1]) == view._base
-    assert len(_walk_codes(plcp_to_eopl(_murty(8))[1])) == (1 << 8) + 1
+    assert len(_walk_codes(PlcpLineView(murty(8)))) == (1 << 8) + 1
 
 
 def test_plcp_to_eopl_line_integrity():
     for seed in range(6):
         inst = gen_lcp(2, seed, nondegenerate=True)
-        line, view = plcp_to_eopl(inst)
+        view = PlcpLineView(inst)
+        line = view.image()
         certs = brute_force(line)
         kinds = sorted(c.kind for c in certs)
         assert kinds == ["U1"], (seed, certs)
@@ -199,15 +195,16 @@ def test_plcp_to_eopl_line_integrity():
             vs.append(line.V(nxt))
             x = nxt
         assert all(a < b for a, b in zip(vs, vs[1:]))
-        assert map_back_lcp(inst, view, certs[0]) == lemke(inst)
+        assert view.map_back(certs[0]) == lemke(inst)
 
 
 def test_plcp_to_eopl_agrees_with_lemke():
     for seed in range(6):
         inst = gen_lcp(3, seed, nondegenerate=True)
-        line, view = plcp_to_eopl(inst)
+        view = PlcpLineView(inst)
+        line = view.image()
         c = follow_line(line, 0)
-        assert map_back_lcp(inst, view, c) == lemke(inst)
+        assert view.map_back(c) == lemke(inst)
 
 
 def test_one_lemke_system_per_instance(monkeypatch):
@@ -224,9 +221,10 @@ def test_one_lemke_system_per_instance(monkeypatch):
     monkeypatch.setattr(LemkeSystem, "__init__", counting_init)
     inst = gen_lcp(3, 0, nondegenerate=True)
     c = lemke(inst)
-    line, view = plcp_to_eopl(inst)
+    view = PlcpLineView(inst)
+    line = view.image()
     assert view.scale > 1
-    assert map_back_lcp(inst, view, follow_line(line, 0)) == c
+    assert view.map_back(follow_line(line, 0)) == c
     assert out_map(inst, frozenset({0})) is not None
     verify(inst, cert("PV3", alpha=frozenset({0}), beta=frozenset({1})))
     assert len(built) == 1 and built[0] is inst.system, len(built)
@@ -239,17 +237,19 @@ def test_plcp_to_eopl_non_p_map_backs():
         LcpInstance(M=[[1, -3], [-3, 1]], q=[F(-3, 2), -1]),
     ]
     for inst in planted:
-        line, view = plcp_to_eopl(inst)
+        view = PlcpLineView(inst)
+        line = view.image()
         certs = brute_force(line)
         assert certs
         for c in certs:
-            mb = map_back_lcp(inst, view, c)
+            mb = view.map_back(c)
             assert verify(inst, mb), (inst.M, c, mb)
 
 
 def test_plcp_to_eopl_v_separation():
     inst = gen_lcp(2, 3, nondegenerate=True)
-    line, view = plcp_to_eopl(inst)
+    view = PlcpLineView(inst)
+    line = view.image()
     # distinct z values get potentials separated by at least 1
     zs = {}
     for u in range(1, 1 << line.n):
@@ -290,6 +290,7 @@ def test_line_view_oracles_match_a_fresh_view(family):
 
 
 def test_map_back_rejects_r2():
-    line, view = plcp_to_eopl(WORKED)
+    view = PlcpLineView(WORKED)
+    line = view.image()
     with pytest.raises(UnmappableCert):
-        map_back_lcp(WORKED, view, cert("UV1", x=3))
+        view.map_back(cert("UV1", x=3))

@@ -9,13 +9,12 @@ from potline.problems import UnmappableCert, VariantMismatch, cert, line_from_ta
 from potline.reductions_line import (
     EomlToEopl,
     EoplToEoml,
+    NormalizeView,
     PebblingView,
     TrivialInstance,
     UeoplToOpdc,
+    UfeoplToPlus1,
     View,
-    normalize_potentials,
-    plus1_to_ueopl,
-    ufeopl_to_plus1,
 )
 from potline.solvers import brute_force, follow_line, lemke
 
@@ -132,7 +131,8 @@ def test_eopl_to_eoml_exhaustive_map_back():
 
 def test_plus1_gap_one_passthrough():
     src = gen_line(3, seed=0, flavor="ufeopl", gaps=[1, 1])
-    line, view = ufeopl_to_plus1(src)
+    view = UfeoplToPlus1(src)
+    line = view.image()
     x = 0
     hops = 0
     while line.S(x) != x:
@@ -144,7 +144,8 @@ def test_plus1_gap_one_passthrough():
 
 def test_plus1_inserts_chain():
     src = gen_line(2, seed=0, flavor="ufeopl", gaps=[4])
-    line, view = ufeopl_to_plus1(src)
+    view = UfeoplToPlus1(src)
+    line = view.image()
     hops = 0
     x = 0
     while line.S(x) != x:
@@ -156,7 +157,8 @@ def test_plus1_inserts_chain():
 def test_plus1_map_backs():
     for seed in range(6):
         src = gen_line(5, seed=seed, flavor="ufeopl", two_lines=seed % 2 == 0)
-        line, view = ufeopl_to_plus1(src)
+        view = UfeoplToPlus1(src)
+        line = view.image()
         certs = brute_force(line)
         assert certs
         for cc in certs:
@@ -167,7 +169,8 @@ def test_plus1_map_backs():
 
 def test_pebbling_strategy_moves():
     src = gen_line(4, seed=0, flavor="ufeoplplus1", gaps=[1, 1, 1])
-    line, view = plus1_to_ueopl(src)
+    view = PebblingView(src)
+    line = view.image()
     assert view.total == 4
     assert [view.move(t) for t in range(4)] == [
         ("place", 1, 1),
@@ -205,7 +208,8 @@ def test_pebbling_moves_and_index_match_recursive_references():
 
 def test_pebbling_walk_integrity():
     src = gen_line(16, seed=1, flavor="ufeoplplus1", gaps=[1] * 15)
-    line, view = plus1_to_ueopl(src)
+    view = PebblingView(src)
+    line = view.image()
     x = 0
     for t in range(view.total):
         nxt = line.S(x)
@@ -225,7 +229,8 @@ def test_pebbling_walk_integrity():
 
 def test_pebbling_exhaustive_single_line():
     src = gen_line(4, seed=2, flavor="ufeoplplus1", gaps=[1, 1, 1])
-    line, view = plus1_to_ueopl(src)
+    view = PebblingView(src)
+    line = view.image()
     certs = brute_force(line)
     assert [c.kind for c in certs].count("U1") == 1
     for cc in certs:
@@ -234,7 +239,8 @@ def test_pebbling_exhaustive_single_line():
 
 def test_pebbling_two_lines():
     src = gen_line(4, seed=5, flavor="ufeoplplus1", gaps=[1, 1, 1], two_lines=True)
-    line, view = plus1_to_ueopl(src)
+    view = PebblingView(src)
+    line = view.image()
     certs = brute_force(line)
     kinds = set(c.kind for c in certs)
     assert "UV3" in kinds or "UV2" in kinds
@@ -245,7 +251,8 @@ def test_pebbling_two_lines():
 def test_pebbling_stalled_start_is_an_end():
     # S(0) = 1 has potential 3, not 1: the first strategy move stalls.
     src = line_from_tables(2, {0: 1}, v_table={1: 3}, flavor="ufeoplplus1", m_pot=2)
-    line, view = plus1_to_ueopl(src)
+    view = PebblingView(src)
+    line = view.image()
     c = follow_line(line, 0)
     assert c == cert("U1", x=0)
     assert view.map_back(c) == cert("UFP1", x=0)
@@ -255,7 +262,8 @@ def test_pebbling_stalled_start_is_an_end():
 
 def test_normalize_end_potential():
     src = gen_line(5, seed=7, flavor="ueopl", gaps=[2, 1, 3, 1])
-    norm, view = normalize_potentials(src)
+    view = NormalizeView(src)
+    norm = view.image()
     c = follow_line(norm, 0)
     assert norm.V(c.x) == (1 << view.low_bits) - 1
     assert verify(src, view.map_back(c))
@@ -263,7 +271,8 @@ def test_normalize_end_potential():
 
 def test_normalize_gap_one_line_walk():
     src = gen_line(8, seed=1, flavor="ueopl", gaps=[1] * 7)
-    norm, view = normalize_potentials(src)
+    view = NormalizeView(src)
+    norm = view.image()
     x, steps = 0, 0
     while True:
         nxt = norm.S(x)
@@ -277,7 +286,8 @@ def test_normalize_gap_one_line_walk():
 def test_normalize_map_backs():
     for seed in range(4):
         src = gen_line(5, seed=seed, flavor="ueopl", two_lines=seed % 2 == 0)
-        norm, view = normalize_potentials(src)
+        view = NormalizeView(src)
+        norm = view.image()
         for cc in brute_force(norm, budget=1 << 18, max_certs=3000):
             assert verify(src, view.map_back(cc))
 
@@ -332,7 +342,7 @@ def test_normalize_run_contract_on_gapped_lines():
     # line, not only tails; check every code of the image.
     for seed, two in ((7, False), (1, True), (2, False), (3, True)):
         src = gen_line(5, seed, flavor="ueopl", gaps=[2, 1, 3, 1], two_lines=two)
-        line = normalize_potentials(src)[0]
+        line = NormalizeView(src).image()
         runs = [_check_run(line, x) for x in range(line.size)]
         inner_tops = {x + r for x, r in enumerate(runs) if r and line.S(x + r) != 0}
         assert inner_tops, seed
@@ -355,7 +365,8 @@ def test_pebbling_neighbour_states_are_the_decoded_ones(monkeypatch):
                 return compute(code)
 
             view._compute_state = decode
-            norm, back_norm = normalize_potentials(view.image())
+            back_norm = NormalizeView(view.image())
+            norm = back_norm.image()
             c = follow_line(norm, 0)
             assert back_plus1(view.map_back(back_norm.map_back(c))) == lemke(lcp)
             handed = set(view._states) - decoded
@@ -369,7 +380,8 @@ def test_pebbling_keeps_no_state_for_a_label_wider_than_its_field():
     # pebbles it decodes as another config: its state is decoded, not handed.
     src = line_from_tables(2, {0: 1, 1: 5, 5: 6}, v_table={1: 1, 5: 2, 6: 3},
                            flavor="ufeoplplus1", m_pot=2)
-    line, view = plus1_to_ueopl(src)
+    view = PebblingView(src)
+    line = view.image()
     assert follow_line(line, 0) == cert("U1", x=11)
     for code, state in view._states.items():
         assert state == view._compute_state(code), code

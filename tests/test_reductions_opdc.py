@@ -12,15 +12,8 @@ from potline.problems import (
     cert,
     verify,
 )
-from potline.reductions_lcp import plcp_to_uso
-from potline.reductions_opdc import (
-    ContractionToOpdc,
-    _column_search,
-    map_back_opdc,
-    map_back_uso,
-    opdc_to_ufeopl,
-    uso_to_opdc,
-)
+from potline.reductions_lcp import PlcpToUso
+from potline.reductions_opdc import ContractionToOpdc, OpdcLineView, UsoToOpdc, _column_search
 from potline.solvers import brute_force, follow_line
 
 
@@ -33,28 +26,28 @@ def opdc_from_table(widths, table):
 def test_uso_to_opdc_worked_cube():
     from potline.problems import LcpInstance
 
-    uso = plcp_to_uso(LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1]))
-    opdc = uso_to_opdc(uso)
+    uso = PlcpToUso(LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1])).image()
+    opdc = UsoToOpdc(uso).image()
     assert [opdc.D(i, (0, 0)) for i in (0, 1)] == ["up", "up"]
     assert [opdc.D(i, (1, 1)) for i in (0, 1)] == ["zero", "zero"]
     certs = brute_force(opdc)
     assert certs == [cert("O1", p=(1, 1))]
-    assert map_back_uso(uso, certs[0]).kind == "US1"
+    assert UsoToOpdc(uso).map_back(certs[0]).kind == "US1"
 
 
 def test_uso_dash_becomes_all_zero():
     uso = UsoInstance(n=2, orient=lambda v: None if v == 2 else 0b11 ^ v)
-    opdc = uso_to_opdc(uso)
+    opdc = UsoToOpdc(uso).image()
     assert all(opdc.D(i, (0, 1)) == "zero" for i in (0, 1))
     c = cert("O1", p=(0, 1))
     assert verify(opdc, c)
-    assert map_back_uso(uso, c) == cert("USV1", v=2)
+    assert UsoToOpdc(uso).map_back(c) == cert("USV1", v=2)
 
 
 def test_uso_to_opdc_never_ov3():
     for seed in range(4):
-        uso = plcp_to_uso(gen_lcp(3, seed, nondegenerate=True))
-        opdc = uso_to_opdc(uso)
+        uso = PlcpToUso(gen_lcp(3, seed, nondegenerate=True)).image()
+        opdc = UsoToOpdc(uso).image()
         assert not any(c.kind == "OV3" for c in brute_force(opdc))
 
 
@@ -62,8 +55,8 @@ def test_violation_free_sources_have_unique_o1():
     # USO sources (n <= 4) and contracting circuits: exactly one O1 and no
     # violations in the exhaustively enumerated grid
     for seed in range(3):
-        uso = plcp_to_uso(gen_lcp(4, seed, nondegenerate=True))
-        certs = brute_force(uso_to_opdc(uso))
+        uso = PlcpToUso(gen_lcp(4, seed, nondegenerate=True)).image()
+        certs = brute_force(UsoToOpdc(uso).image())
         assert [c.kind for c in certs] == ["O1"]
     for seed in range(3):
         for d in (1, 2):
@@ -77,11 +70,11 @@ def test_uso_violation_maps_to_usv2():
     from potline.generators import gen_uso
 
     uso = gen_uso(2, seed=5, broken=True)
-    opdc = uso_to_opdc(uso)
+    opdc = UsoToOpdc(uso).image()
     certs = [c for c in brute_force(opdc) if c.kind != "O1"]
     assert certs
     for c in certs:
-        mb = map_back_uso(uso, c)
+        mb = UsoToOpdc(uso).map_back(c)
         assert verify(uso, mb)
 
 
@@ -166,13 +159,14 @@ def test_ov2_maps_to_cmv3():
 
 def test_opdc_to_ufeopl_walk_1d():
     inst = opdc_from_table((2,), {(0,): ["up"], (1,): ["zero"], (2,): ["down"]})
-    line, view = opdc_to_ufeopl(inst)
+    view = OpdcLineView(inst)
+    line = view.image()
     assert line.V(0) == 0
     x1 = line.S(0)
     assert line.V(x1) == 1
     c = follow_line(line, 0)
     assert c.kind == "UF1"
-    assert map_back_opdc(inst, view, c) == cert("O1", p=(1,))
+    assert view.map_back(c) == cert("O1", p=(1,))
 
 
 def test_opdc_to_ufeopl_unique_line_2d():
@@ -184,21 +178,23 @@ def test_opdc_to_ufeopl_unique_line_2d():
                 "up" if y < 2 else "zero",
             ]
     inst = opdc_from_table((2, 2), table)
-    line, view = opdc_to_ufeopl(inst)
+    view = OpdcLineView(inst)
+    line = view.image()
     certs = brute_force(line)
     assert [c.kind for c in certs] == ["UF1"]
-    assert map_back_opdc(inst, view, certs[0]) == cert("O1", p=(1, 2))
+    assert view.map_back(certs[0]) == cert("O1", p=(1, 2))
 
 
 def test_opdc_to_ufeopl_uso_sources():
     for seed in range(4):
-        uso = plcp_to_uso(gen_lcp(2, seed, nondegenerate=True))
-        opdc = uso_to_opdc(uso)
-        line, view = opdc_to_ufeopl(opdc)
+        uso = PlcpToUso(gen_lcp(2, seed, nondegenerate=True)).image()
+        opdc = UsoToOpdc(uso).image()
+        view = OpdcLineView(opdc)
+        line = view.image()
         certs = brute_force(line)
         assert len([c for c in certs if c.kind == "UF1"]) == 1
         for c in certs:
-            mb = map_back_opdc(opdc, view, c)
+            mb = view.map_back(c)
             assert verify(opdc, mb)
 
 
@@ -208,9 +204,10 @@ def test_opdc_to_ufeopl_two_zero_column():
         (0,): ["up"], (1,): ["zero"], (2,): ["zero"], (3,): ["down"],
     }
     inst = opdc_from_table((3,), table)
-    line, view = opdc_to_ufeopl(inst)
+    view = OpdcLineView(inst)
+    line = view.image()
     for c in brute_force(line):
-        mb = map_back_opdc(inst, view, c)
+        mb = view.map_back(c)
         assert verify(inst, mb)
 
 
@@ -225,12 +222,13 @@ def test_opdc_to_ufeopl_equal_potential_witnesses():
             dy = "up" if y < 2 else "zero"
             table[(x, y)] = [dx, dy]
     inst = opdc_from_table((2, 2), table)
-    line, view = opdc_to_ufeopl(inst)
+    view = OpdcLineView(inst)
+    line = view.image()
     certs = brute_force(line)
     ufv1 = [c for c in certs if c.kind == "UFV1"]
     assert ufv1
     for c in certs:
-        mb = map_back_opdc(inst, view, c)
+        mb = view.map_back(c)
         assert verify(inst, mb)
 
 
@@ -241,10 +239,11 @@ def test_opdc_to_ufeopl_column_search_case():
         (0,): ["up"], (1,): ["zero"], (2,): ["up"], (3,): ["up"], (4,): ["down"],
     }
     inst = opdc_from_table((4,), table)
-    line, view = opdc_to_ufeopl(inst)
+    view = OpdcLineView(inst)
+    line = view.image()
     certs = brute_force(line)
     for c in certs:
-        mb = map_back_opdc(inst, view, c)
+        mb = view.map_back(c)
         assert verify(inst, mb)
 
 
@@ -264,19 +263,21 @@ def test_opdc_boundary_stuck_ov3():
     # all-up column: the walk sticks at the top boundary
     table = {(0,): ["up"], (1,): ["up"], (2,): ["up"]}
     inst = opdc_from_table((2,), table)
-    line, view = opdc_to_ufeopl(inst)
+    view = OpdcLineView(inst)
+    line = view.image()
     c = follow_line(line, 0)
     assert c.kind == "UF1"
-    mb = map_back_opdc(inst, view, c)
+    mb = view.map_back(c)
     assert mb == cert("OV3", level=1, p=(2,))
 
 
 def test_surface_tuple_potential_strictly_increases():
     # on violation-free sources, V increases along every valid edge
     for seed in range(3):
-        uso = plcp_to_uso(gen_lcp(3, seed, nondegenerate=True))
-        opdc = uso_to_opdc(uso)
-        line, view = opdc_to_ufeopl(opdc)
+        uso = PlcpToUso(gen_lcp(3, seed, nondegenerate=True)).image()
+        opdc = UsoToOpdc(uso).image()
+        view = OpdcLineView(opdc)
+        line = view.image()
         for code in view.enumerate_codes():
             nxt = line.S(code)
             if nxt != code and line.S(nxt) != nxt:
@@ -287,9 +288,10 @@ def test_surface_tuple_validity_preserved_by_successor():
     # on violation-free sources, S maps valid non-terminal tuples to valid
     # tuples (the impossible cases of the construction never fire)
     for seed in range(3):
-        uso = plcp_to_uso(gen_lcp(3, seed, nondegenerate=True))
-        opdc = uso_to_opdc(uso)
-        line, view = opdc_to_ufeopl(opdc)
+        uso = PlcpToUso(gen_lcp(3, seed, nondegenerate=True)).image()
+        opdc = UsoToOpdc(uso).image()
+        view = OpdcLineView(opdc)
+        line = view.image()
         for code in view.enumerate_codes():
             nxt = line.S(code)
             if nxt != code:

@@ -17,7 +17,7 @@ from potline.problems import (
     line_from_tables,
     verify,
 )
-from potline.reductions_line import normalize_potentials
+from potline.reductions_line import NormalizeView
 from potline.solvers import (
     Exhausted,
     RunStats,
@@ -139,7 +139,7 @@ def test_jump_matches_the_step_by_step_walk_from_every_code():
     # tails; a walk may start anywhere, also inside a chain or on junk.
     for seed, two in ((7, False), (1, True), (2, False)):
         src = gen_line(5, seed, flavor="ueopl", gaps=[2, 1, 3, 1], two_lines=two)
-        line = normalize_potentials(src)[0]
+        line = NormalizeView(src).image()
         runless = replace(line, run=None)
         for start in range(line.size):
             for max_steps in (None, 0, 1, 2, 5):
@@ -162,8 +162,8 @@ def test_aldous_with_and_without_the_jump():
     # With none (samples = 0) it jumps and must still end where the
     # step-by-step walk does.
     lines = [_normalized_chain(d, seed) for d, seed in ((1, 0), (2, 0), (2, 2))]
-    lines += [normalize_potentials(gen_line(6, seed, flavor="ueopl", gaps=[3, 1, 4, 2, 3],
-                                            two_lines=True))[0] for seed in range(4)]
+    lines += [NormalizeView(gen_line(6, seed, flavor="ueopl", gaps=[3, 1, 4, 2, 3],
+                                     two_lines=True)).image() for seed in range(4)]
     uv3 = 0
     for line in lines:
         runless = replace(line, run=None)

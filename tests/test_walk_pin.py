@@ -9,7 +9,7 @@ import random
 
 from potline.generators import gen_lcp, gen_line
 from potline.problems import LINE_KINDS, VariantMismatch, line_from_tables
-from potline.reductions_lcp import plcp_to_eopl
+from potline.reductions_lcp import PlcpLineView
 from potline.solvers import Exhausted, RunStats, aldous, follow_line
 
 SAMPLES = (0, 1, 3, 8, 32)
@@ -56,7 +56,7 @@ def _families():
             for length, seed in ((5, 0), (9, 1), (12, 2)) for two in (False, True)
         ]
         yield f"tables/{flavor}", [_random_tables(flavor, seed) for seed in range(12)]
-    yield "plcp", [plcp_to_eopl(gen_lcp(d, seed, p_matrix=seed % 3 != 2))[0]
+    yield "plcp", [PlcpLineView(gen_lcp(d, seed, p_matrix=seed % 3 != 2)).image()
                    for d in (2, 3) for seed in range(6)]
 
 
