@@ -3,7 +3,8 @@
 Instances travel as JSON files; every solve emits a machine-readable run
 record whose certificate has already been re-verified.  Violation
 certificates are answers, so they exit 0; `verify` exits 1 on a rejected
-certificate, and input and budget errors exit 2 with an `error:` line.
+certificate, input and budget errors exit 2 with an `error:` line, and a
+stdout closed by its reader exits 141 (128 + SIGPIPE) with no such line.
 POTLINE_BUDGET, read once as `solvers.BUDGET`, caps enumeration sizes:
 brute force, and the generators that check every cone.
 
@@ -21,6 +22,7 @@ link stays).  Nothing is fsynced.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -82,7 +84,7 @@ _ALGOS = {
         inst, samples=a.samples, rng=random.Random(a.seed), stats=st)),
     "findfp": ("contraction", lambda inst, a, st: solvers.find_fp(inst, stats=st)),
     "approx": ("contraction", lambda inst, a, st: solvers.approx_find_fp(inst, eps=a.eps, stats=st, p=a.p)),
-    "brute": (None, lambda inst, a, st: next(iter(solvers.brute_force(inst)), None)),
+    "brute": (None, lambda inst, a, st: next(solvers.certificates(inst), None)),
 }
 
 
@@ -304,7 +306,15 @@ def main(argv=None) -> int:
     command = {"generate": cmd_generate, "reduce": cmd_reduce, "solve": cmd_solve,
                "verify": cmd_verify}[args.cmd]
     try:
-        return command(args)
+        status = command(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # Not an input error.  /dev/null under stdout's descriptor (if it has
+        # one) takes the output left in its buffer at exit.
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, solvers.Exhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Solvers: Lemke pivoting, line following and Aldous sampling through one
 walk over the flavor table `problems.LINE_KINDS`, fixpoints by one nested
 binary search, with a stop rule for exact and one for approximate, and
-brute-force enumeration oracles for testing.
+brute force for testing: each kind names candidates, its verifier keeps them.
 
 Every solver returns a Certificate (violations are answers, not errors)
 together with machine-readable counters on the run record.
@@ -13,8 +13,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, islice
+from math import lcm, prod
 
 from .pivoting import LemkeSystem, principal_minor
 from .problems import (
@@ -114,29 +114,6 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
             return cert("Q1", y=y)
         # Complementary pivot rule: enter the complement of the leaver.
         entering = leaving + d if leaving < d else leaving - d
-
-
-def lcp_brute_force(inst: LcpInstance) -> list[Certificate]:
-    """All Q1 (support enumeration), PV1 and PV3 certificates."""
-    d = inst.d
-    found = []
-    subsets = [frozenset(s) for r in range(d + 1) for s in combinations(range(d), r)]
-    for alpha in subsets:
-        if alpha and principal_minor(inst.M, alpha) <= 0:
-            found.append(cert("PV1", alpha=alpha))
-    # (alpha, its labels as a bit mask, its out-map) per cone.
-    cones = [(alpha, sum(1 << i for i in alpha), out_map(inst, alpha)) for alpha in subsets]
-    sys = inst.system
-    for alpha, _, out in cones:
-        if out == 0:
-            # out_map is not None, so A_alpha is nonsingular.
-            c = cert("Q1", y=sys.numeric_point(sys.cone_vertex(alpha))[0])
-            if verify(inst, c):
-                found.append(c)
-    for (a1, chi1, o1), (a2, chi2, o2) in combinations(cones, 2):
-        if szabo_welzl(chi1, chi2, o1, o2):
-            found.append(cert("PV3", alpha=a1, beta=a2))
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -432,74 +409,63 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
 
 
 # ---------------------------------------------------------------------------
-# Brute force enumeration
+# Brute force: each kind's candidates in a fixed order, kept by its verifier
 
-def _verified(inst, candidates, max_certs: int) -> list[Certificate]:
-    found = []
-    for c in candidates:
-        if verify(inst, c):
-            found.append(c)
-            if len(found) > max_certs:
-                raise Exhausted("certificate cap hit")
-    return found
-
-
-def _lcp_certs(inst: LcpInstance, budget: int, max_certs: int) -> list[Certificate]:
+def _lcp_certs(inst: LcpInstance, budget: int):
+    """PV1 per nonempty support, Q1 per cone of out-map 0, PV3 per pair."""
     if 1 << inst.d > budget:
         raise Exhausted("too many supports")
-    certs = lcp_brute_force(inst)
-    if len(certs) > max_certs:
-        raise Exhausted("certificate cap hit")
-    return [c for c in certs if verify(inst, c)]
+    subsets = [frozenset(s) for r in range(inst.d + 1) for s in combinations(range(inst.d), r)]
+    for alpha in subsets[1:]:
+        yield cert("PV1", alpha=alpha)
+    # (alpha, its labels as a bit mask, its out-map) per cone.
+    cones = [(alpha, sum(1 << i for i in alpha), out_map(inst, alpha)) for alpha in subsets]
+    sys = inst.system
+    for alpha, _, out in cones:
+        if out == 0:
+            # out_map is not None, so A_alpha is nonsingular.
+            yield cert("Q1", y=sys.numeric_point(sys.cone_vertex(alpha))[0])
+    for (a1, chi1, o1), (a2, chi2, o2) in combinations(cones, 2):
+        if szabo_welzl(chi1, chi2, o1, o2):
+            yield cert("PV3", alpha=a1, beta=a2)
 
 
-def _uso_certs(inst: UsoInstance, budget: int, max_certs: int) -> list[Certificate]:
+def _uso_certs(inst: UsoInstance, budget: int):
     if 1 << inst.n > budget:
         raise Exhausted("cube too large")
-
-    def candidates():
-        vs = range(1 << inst.n)
-        for v in vs:
-            o = inst.orient(v)
-            if o is None:
-                yield cert("USV1", v=v)
-            elif o == 0:
-                yield cert("US1", v=v)
-        for v, u in combinations(vs, 2):
-            yield cert("USV2", v=v, u=u)
-
-    return _verified(inst, candidates(), max_certs)
+    vs = range(1 << inst.n)
+    for v in vs:
+        o = inst.orient(v)
+        if o is None:
+            yield cert("USV1", v=v)
+        elif o == 0:
+            yield cert("US1", v=v)
+    for v, u in combinations(vs, 2):
+        yield cert("USV2", v=v, u=u)
 
 
-def _opdc_certs(inst: OpdcInstance, budget: int, max_certs: int) -> list[Certificate]:
-    total = 1
-    for k in inst.widths:
-        total *= k + 1
-    if total > budget:
+def _opdc_certs(inst: OpdcInstance, budget: int):
+    """The points and levels `verify_opdc` may accept."""
+    if prod(k + 1 for k in inst.widths) > budget:
         raise Exhausted("grid too large")
     pts = list(inst.points())
-
-    def candidates():
-        # verify_opdc decides; these are the points and levels it may accept.
-        for p in pts:
-            yield cert("O1", p=p)
-            for i in range(min(inst.surface(p), inst.d - 1) + 1):
-                yield cert("OV3", level=i + 1, p=p)
-                if p[i] > 0:
-                    yield cert("OV2", level=i + 1, p=p, q=p[:i] + (p[i] - 1,) + p[i + 1:])
-        surface: dict[tuple, list] = {}
-        for p in pts:
-            # p is on the j-surface for every j <= surface(p)
-            for j in range(1, inst.surface(p) + 1):
-                surface.setdefault((j, p[j:]), []).append(p)
-        for (lvl, _), group in sorted(surface.items()):
-            for p, q in combinations(group, 2):
-                yield cert("OV1", level=lvl, p=p, q=q)
-
-    return _verified(inst, candidates(), max_certs)
+    for p in pts:
+        yield cert("O1", p=p)
+        for i in range(min(inst.surface(p), inst.d - 1) + 1):
+            yield cert("OV3", level=i + 1, p=p)
+            if p[i] > 0:
+                yield cert("OV2", level=i + 1, p=p, q=p[:i] + (p[i] - 1,) + p[i + 1:])
+    surface: dict[tuple, list] = {}
+    for p in pts:
+        # p is on the j-surface for every j <= surface(p)
+        for j in range(1, inst.surface(p) + 1):
+            surface.setdefault((j, p[j:]), []).append(p)
+    for (lvl, _), group in sorted(surface.items()):
+        for p, q in combinations(group, 2):
+            yield cert("OV1", level=lvl, p=p, q=q)
 
 
-def _line_certs(inst: LineInstance, budget: int, max_certs: int) -> list[Certificate]:
+def _line_certs(inst: LineInstance, budget: int):
     if inst.vertex_iter is not None:
         ids = list(inst.vertex_iter())
     elif inst.size > budget:
@@ -508,57 +474,58 @@ def _line_certs(inst: LineInstance, budget: int, max_certs: int) -> list[Certifi
         ids = range(inst.size)
     pair = LINE_KINDS[inst.flavor].pair
     singles = [k for k in LINE_KINDS[inst.flavor].kinds if k != pair]
-
-    def candidates():
-        for x in ids:
-            for kind in singles:
-                yield cert(kind, x=x)
-        if pair is not None:
-            verts = [x for x in ids if inst.S(x) != x]
-            by_v: dict[int, list] = {}
-            for x in verts:
-                by_v.setdefault(inst.V(x), []).append(x)
-            # Equal potentials, then y strictly between V(x) and V(S(x)).
-            for group in by_v.values():
-                for x, y in combinations(group, 2):
+    for x in ids:
+        for kind in singles:
+            yield cert(kind, x=x)
+    if pair is None:
+        return
+    verts = [x for x in ids if inst.S(x) != x]
+    by_v: dict[int, list] = {}
+    for x in verts:
+        by_v.setdefault(inst.V(x), []).append(x)
+    # Equal potentials, then y strictly between V(x) and V(S(x)).
+    for group in by_v.values():
+        for x, y in combinations(group, 2):
+            yield cert(pair, x=x, y=y)
+    vs_sorted = sorted(by_v)
+    for x in verts:
+        vx, vs_x = inst.V(x), inst.V(inst.S(x))
+        for v in vs_sorted:
+            if vx < v < vs_x:
+                for y in by_v[v]:  # V(y) > V(x), so y != x
                     yield cert(pair, x=x, y=y)
-            vs_sorted = sorted(by_v)
-            for x in verts:
-                vx, vs_x = inst.V(x), inst.V(inst.S(x))
-                for v in vs_sorted:
-                    if vx < v < vs_x:
-                        for y in by_v[v]:
-                            if y != x:
-                                yield cert(pair, x=x, y=y)
-
-    return _verified(inst, candidates(), max_certs)
 
 
-def _contraction_certs(inst: ContractionInstance, budget: int, max_certs: int) -> list[Certificate]:
+def _contraction_certs(inst: ContractionInstance, budget: int):
+    """The grid's certificates mapped back, each once."""
     view = ContractionToOpdc(inst)
-    out = []
-    for c in brute_force(view.image(), budget=budget, max_certs=max_certs):
+    seen = []
+    for c in certificates(view.image(), budget):
         mapped = view.map_back(c)
-        if mapped not in out:
-            out.append(mapped)
-    return out
+        if mapped not in seen:
+            seen.append(mapped)
+            yield mapped
 
 
-_ENUMERATORS = {
-    LcpInstance: _lcp_certs,
-    UsoInstance: _uso_certs,
-    OpdcInstance: _opdc_certs,
-    LineInstance: _line_certs,
-    ContractionInstance: _contraction_certs,
-}
+_CANDIDATES = {LcpInstance: _lcp_certs, UsoInstance: _uso_certs, OpdcInstance: _opdc_certs,
+               LineInstance: _line_certs, ContractionInstance: _contraction_certs}
+
+
+def certificates(inst, budget: int = BUDGET):
+    """A generator of every certificate that passes its verifier, in the
+    order of the kind's candidates.  Raises Exhausted, once iterated, when
+    the domain has more than `budget` points."""
+    candidates = _CANDIDATES.get(type(inst))
+    if candidates is None:
+        raise TypeError(f"brute force cannot handle {type(inst)}")
+    return (c for c in candidates(inst, budget) if verify(inst, c))
 
 
 def brute_force(inst, budget: int = BUDGET, max_certs: int = 20000) -> list[Certificate]:
-    """Exhaustively enumerate the instance domain and return every
-    certificate of every kind that passes its verifier.  Raises Exhausted
-    when the domain has more than `budget` points or more than `max_certs`
-    certificates verify."""
-    enumerate_certs = _ENUMERATORS.get(type(inst))
-    if enumerate_certs is None:
-        raise TypeError(f"brute_force cannot handle {type(inst)}")
-    return enumerate_certs(inst, budget, max_certs)
+    """The list of `certificates`.  Raises Exhausted when the domain has
+    more than `budget` points or more than `max_certs` certificates verify
+    (on a contraction map, counted after mapping back)."""
+    found = list(islice(certificates(inst, budget), max_certs + 1))
+    if len(found) > max_certs:
+        raise Exhausted("certificate cap hit")
+    return found

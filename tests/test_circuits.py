@@ -24,7 +24,7 @@ from potline.circuits import (
 from potline.generators import gen_contraction
 from potline.problems import KINDS, LcpInstance, cert, verify
 from potline.rational import lp_pow
-from potline.solvers import RunStats, find_fp, lcp_brute_force
+from potline.solvers import RunStats, brute_force, find_fp
 from test_fixpoint_pin import clamped_rotation
 
 
@@ -85,7 +85,7 @@ def test_circuit_to_lcp_bijection_halfscale():
     c = halfscale_circuit()
     m, q = circuit_to_lcp(c)
     inst = LcpInstance(M=m, q=q)
-    q1s = [cc for cc in lcp_brute_force(inst) if cc.kind == "Q1"]
+    q1s = [cc for cc in brute_force(inst) if cc.kind == "Q1"]
     fixpoints = {tuple(cc.y[: c.d]) for cc in q1s}
     assert fixpoints == {(F(1, 2),)}
     for cc in q1s:
@@ -119,7 +119,7 @@ def test_circuit_to_lcp_max_gate():
     c = Circuit(1, gates, (2,))
     m, q = circuit_to_lcp(c)
     inst = LcpInstance(M=m, q=q)
-    for cc in lcp_brute_force(inst):
+    for cc in brute_force(inst):
         if cc.kind == "Q1":
             x = list(cc.y[: 1])
             assert evaluate(c, x) == x

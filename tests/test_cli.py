@@ -580,13 +580,35 @@ def test_help_prints_from_the_parser_built_once(capsys):
         assert capsys.readouterr().out.startswith("usage: ")
 
 
+def _child_env(**extra):
+    """The environment of a new interpreter that imports this potline."""
+    src = str(Path(potline.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **extra}
+
+
 def _fresh_process(argv):
     """Exit code, stdout and stderr of `python -m potline.cli argv` in a new interpreter."""
-    src = str(Path(potline.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "potline.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_without_an_error_line(tmp_path, capsys, unbuffered):
+    # The reader closes stdout before the run record is written, as
+    # `solve ... | head -c 10` may.  The write fails in print (unbuffered)
+    # or at main's flush (buffered); neither is an input error, and nothing
+    # is left for the interpreter's flush at exit to fail on.
+    nc = tmp_path / "nc.json"
+    assert run(capsys, "generate", "--kind", "noncontraction", "--d", "2", "--seed", "3", "-o", str(nc))[0] == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "potline.cli", "solve", str(nc), "--problem", "contraction", "--algo", "findfp"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(PYTHONUNBUFFERED=unbuffered))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def _without_elapsed(out):

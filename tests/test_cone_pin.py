@@ -1,6 +1,6 @@
 """Cone solves pinned to recorded answers: SHA-256 digests of `out_map` over
 every cone of seeded LCPs, of `PlcpToUso.map_back`'s answer to every US1, of
-`lcp_brute_force`'s certificates, and of the instances the generators
+`brute_force`'s certificates, and of the instances the generators
 return, so a change of the exact engine
 behind them must give exactly the same sign bits, points and instances."""
 
@@ -13,7 +13,7 @@ from itertools import combinations
 from potline.generators import gen_lcp, gen_uso
 from potline.problems import LcpInstance, UnmappableCert, cert, lcp_to_json, uso_to_json
 from potline.reductions_lcp import PlcpToUso, out_map
-from potline.solvers import lcp_brute_force
+from potline.solvers import brute_force
 
 DIMS = range(1, 7)
 SEEDS = range(8)
@@ -95,7 +95,7 @@ def _digests():
         insts = _instances(name)
         got[f"out_map/{name}"] = _digest(_out_maps(insts))
         got[f"US1/{name}"] = _digest(_us1_answers(insts))
-        got[f"brute/{name}"] = _digest(repr(lcp_brute_force(i)) for i in insts)
+        got[f"brute/{name}"] = _digest(repr(brute_force(i)) for i in insts)
     for name in ("nonp", "nondegenerate"):
         got[f"gen_lcp/{name}"] = _digest(json.dumps(lcp_to_json(i)) for i in _instances(name))
     got["gen_uso"] = _digest(

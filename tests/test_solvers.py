@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potline.circuits import affine_circuit, evaluate
-from potline.cli import compose
-from potline.generators import gen_contraction, gen_lcp, gen_line
+from potline.cli import compose, main
+from potline.generators import gen_contraction, gen_lcp, gen_line, gen_uso
 from potline.problems import (
     ContractionInstance,
     LcpInstance,
@@ -18,12 +19,14 @@ from potline.problems import (
     verify,
 )
 from potline.reductions_line import NormalizeView
+from potline.reductions_opdc import ContractionToOpdc
 from potline.solvers import (
     Exhausted,
     RunStats,
     aldous,
     approx_find_fp,
     brute_force,
+    certificates,
     eps_schedule,
     find_fp,
     follow_line,
@@ -32,6 +35,8 @@ from potline.solvers import (
 
 from helpers import FULL_CHAIN, check_schedule, fibonacci_contraction
 from test_fixpoint_pin import clamped_rotation
+from test_integration import SOURCES
+from test_kinds import CASES
 
 
 # -- Lemke -------------------------------------------------------------------
@@ -300,14 +305,13 @@ def test_find_fp_cmv2_when_f_leaves_the_box():
 
 def test_find_fp_agrees_with_lcp_view():
     from potline.circuits import circuit_to_lcp, evaluate
-    from potline.solvers import lcp_brute_force
 
     inst = gen_contraction(1, seed=4, kappa=(8,))
     c = find_fp(inst)
     assert c.kind == "CM1"
     m, q = circuit_to_lcp(inst.circuit)
     li = LcpInstance(M=m, q=q)
-    fixpoints = {tuple(b.y[: inst.d]) for b in lcp_brute_force(li) if b.kind == "Q1"}
+    fixpoints = {tuple(b.y[: inst.d]) for b in brute_force(li) if b.kind == "Q1"}
     assert tuple(c.x) in fixpoints
 
 
@@ -451,3 +455,49 @@ def test_brute_force_line_totality():
         inst = gen_line(10, seed=seed, flavor="eopl")
         certs = brute_force(inst)
         assert any(c.kind in ("R1", "R2") for c in certs)
+
+
+# One instance of every kind and line flavor; test_kinds' contraction map is
+# left out, as its grid is over the budget (SOURCES has one that is not).
+STREAMS = {**{f"stage/{name}": build for name, build in SOURCES.items()},
+           **{f"kind/{name}": build for name, (build, _) in CASES.items() if name != "contraction"}}
+
+
+@pytest.mark.parametrize("build", list(STREAMS.values()), ids=list(STREAMS))
+def test_brute_force_lists_the_certificate_stream(build):
+    inst = build()
+    certs = brute_force(inst)
+    assert certs and list(certificates(inst)) == certs
+    assert next(certificates(inst)) == certs[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_first_certificate_needs_no_pair(monkeypatch, seed):
+    # A unique sink orientation's sink comes before its 2^23 USV2 candidate
+    # pairs, so the stream yields it after at most one verifier call per
+    # vertex.
+    calls = []
+    monkeypatch.setattr("potline.solvers.verify", lambda inst, c: calls.append(c) or verify(inst, c))
+    c = next(certificates(gen_uso(12, seed)))
+    assert c.kind == "US1" and len(calls) <= 1 << 12
+
+
+def test_brute_force_caps_a_contraction_by_its_own_certificates():
+    # The identity on the 3 x 3 grid: 9 O1 and 45 OV1 grid certificates, of
+    # which 9 pairs are OV1 on both levels, map back to 9 CM1 and 36 CMV1.
+    inst = ContractionInstance(d=2, c=F(1, 2), p=2, func=lambda x: list(x), kappa=(1, 1))
+    assert len(brute_force(ContractionToOpdc(inst).image())) == 54
+    assert len(brute_force(inst, max_certs=45)) == 45
+    with pytest.raises(Exhausted, match="certificate cap hit"):
+        brute_force(inst, max_certs=44)
+
+
+def test_cli_brute_round_trip(tmp_path, capsys):
+    uso, record, c = tmp_path / "uso.json", tmp_path / "record.json", tmp_path / "cert.json"
+    assert main(["generate", "--kind", "uso", "--d", "10", "-o", str(uso)]) == 0
+    assert main(["solve", str(uso), "--problem", "uso", "--algo", "brute", "-o", str(record)]) == 0
+    answer = json.loads(record.read_text())
+    assert answer["certificate"]["kind"] == "US1" and answer["verified"] is True
+    c.write_text(json.dumps(answer["certificate"]))
+    assert main(["verify", str(uso), str(c), "--problem", "uso"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"accepted": True, "kind": "US1"}
