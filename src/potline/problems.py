@@ -401,6 +401,56 @@ def _in_box(x) -> bool:
     return all(0 <= v <= 1 for v in x)
 
 
+# The clauses of Q1, CM1, UV3 and UFV1 once each: the reason of the first
+# that fails, or None when all hold.  The verifiers accept on None, and
+# `explain_rejection` reports the reason.
+
+def _q1_failure(inst: LcpInstance, c: Certificate) -> Optional[str]:
+    y = [frac(v) for v in c.y]
+    if len(y) != inst.d:
+        return "dimension mismatch"
+    for i, v in enumerate(y):
+        if v < 0:
+            return f"nonnegativity y_{i + 1} < 0"
+    w = inst.form.sums(y + [1])
+    for i, v in enumerate(w):
+        if v < 0:
+            return f"feasibility w_{i + 1} < 0"
+    for i, (a, b) in enumerate(zip(y, w)):
+        if a and b:
+            return f"complementarity y_{i + 1} w_{i + 1} != 0"
+    return None
+
+
+def _cm1_failure(inst: ContractionInstance, c: Certificate) -> Optional[str]:
+    x = [frac(v) for v in c.x]
+    if len(x) != inst.d:
+        return "dimension mismatch"
+    if not _in_box(x):
+        return "point outside the unit box"
+    fx = inst.f(x)
+    for i, (a, b) in enumerate(zip(fx, x)):
+        if a != b:
+            return f"f(x)_{i + 1} != x_{i + 1}"
+    return None if len(fx) == len(x) else "f(x) has the wrong dimension"
+
+
+def _pair_failure(inst: LineInstance, c: Certificate) -> Optional[str]:
+    """UV3 and UFV1 on vertices x, y inside [0, 2^n); the last clause is
+    read as V(x) = V(y) or V(x) < V(y) < V(S(x))."""
+    S, V, x, y = inst.S, inst.V, c.x, c.y
+    if x == y:
+        return "points coincide"
+    if x == S(x) or y == S(y):
+        return "a point is not a vertex"
+    if V(x) != V(y) and not (V(x) < V(y) < V(S(x))):
+        return "V(y) neither equals V(x) nor lies in (V(x), V(S(x)))"
+    return None
+
+
+_FAILURES = {"Q1": _q1_failure, "CM1": _cm1_failure, "UV3": _pair_failure, "UFV1": _pair_failure}
+
+
 def verify_line(inst: LineInstance, c: Certificate) -> bool:
     """Check c's conditions on the line; a vertex field outside [0, 2^n)
     names no vertex of the instance, so it is rejected."""
@@ -421,10 +471,7 @@ def verify_line(inst: LineInstance, c: Certificate) -> bool:
     if k in ("R2", "UV1"):
         return x != S(x) and inst.P(S(x)) == x and flavor.bad(V(x), V(S(x)))
     if k in ("UV3", "UFV1"):
-        if x == y or x == S(x) or y == S(y):
-            return False
-        # Second disjunct read as V(x) < V(y) < V(S(x)).
-        return V(x) == V(y) or (V(x) < V(y) < V(S(x)))
+        return _pair_failure(inst, c) is None
     if k in ("S1", "UF1", "UFP1"):
         return S(x) != x and (S(S(x)) == S(x) or flavor.bad(V(x), V(S(x))))
     if k == "UFPV1":
@@ -494,11 +541,7 @@ def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
     determinant; PV3 compares out-maps."""
     d = inst.d
     if c.kind == "Q1":
-        y = [frac(v) for v in c.y]
-        if len(y) != d or any(v < 0 for v in y):
-            return False
-        w = inst.form.sums(y + [1])
-        return all(v >= 0 for v in w) and all(b == 0 for a, b in zip(y, w) if a)
+        return _q1_failure(inst, c) is None
     if c.kind == "PV1":
         alpha = set(c.alpha)
         if not alpha or any(not 0 <= i < d for i in alpha):
@@ -522,8 +565,7 @@ def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
 def verify_contraction(inst: ContractionInstance, c: Certificate) -> bool:
     d = inst.d
     if c.kind == "CM1":
-        x = [frac(v) for v in c.x]
-        return len(x) == d and _in_box(x) and inst.f(x) == x
+        return _cm1_failure(inst, c) is None
     if c.kind == "CMV1":
         x = [frac(v) for v in c.x]
         y = [frac(v) for v in c.y]
@@ -573,43 +615,13 @@ def _approx_claim_ok(c: Certificate) -> bool:
 
 
 def explain_rejection(inst, c: Certificate) -> str:
-    """Reason string for a certificate its verifier rejected: clause level
-    for Q1, CM1, UV3 and UFV1, generic otherwise."""
-    if c.kind == "Q1":
-        y = [frac(v) for v in c.y]
-        if len(y) != inst.d:
-            return "dimension mismatch"
-        for i, v in enumerate(y):
-            if v < 0:
-                return f"nonnegativity y_{i + 1} < 0"
-        w = inst.form.sums(y + [1])
-        for i, v in enumerate(w):
-            if v < 0:
-                return f"feasibility w_{i + 1} < 0"
-        for i in range(inst.d):
-            if y[i] and w[i]:
-                return f"complementarity y_{i + 1} w_{i + 1} != 0"
-    elif c.kind == "CM1":
-        x = [frac(v) for v in c.x]
-        if len(x) != inst.d:
-            return "dimension mismatch"
-        if not _in_box(x):
-            return "point outside the unit box"
-        fx = inst.f(x)
-        for i in range(inst.d):
-            if fx[i] != x[i]:
-                return f"f(x)_{i + 1} != x_{i + 1}"
-    elif c.kind == "APPROX_FIX" and not _approx_claim_ok(c):
+    """Reason string for a certificate its verifier rejected: the failed
+    clause for Q1, CM1, UV3 and UFV1 and an APPROX_FIX's tolerance claim,
+    generic otherwise."""
+    if c.kind == "APPROX_FIX" and not _approx_claim_ok(c):
         return "APPROX_FIX needs eps >= 0 and an integer p >= 1"
-    elif c.kind in ("UV3", "UFV1"):
-        x, y = c.x, c.y
-        if x == y:
-            return "points coincide"
-        if x == inst.S(x) or y == inst.S(y):
-            return "a point is not a vertex"
-        if inst.V(x) != inst.V(y) and not (inst.V(x) < inst.V(y) < inst.V(inst.S(x))):
-            return "V(y) neither equals V(x) nor lies in (V(x), V(S(x)))"
-    return "certificate conditions do not hold on this instance"
+    failure = _FAILURES.get(c.kind)
+    return (failure and failure(inst, c)) or "certificate conditions do not hold on this instance"
 
 
 # ---------------------------------------------------------------------------

@@ -88,25 +88,25 @@ class PlcpLineView(LineView):
     all-zero coefficients, plus one product per nonzero eps coefficient of
     z, over a table of radix powers shared by all views of one (d, i_max).
 
-    A walk costs one tableau pivot per path edge, as `lemke` does: the
-    start vertex is one pivot from the slack tableau and is cached under
-    its code, every pivot seeds the vertex cache with the vertex it reaches
-    and remembers the edge back, so P(S(x)) pivots nothing, and each
-    vertex's Todd orientation is worked out once (`Vertex.fwd`)."""
+    The state of a code is its vertex (`vertex_of`).  A walk costs one
+    tableau pivot per path edge, as `lemke` does: the start vertex is one
+    pivot from the slack tableau and is seeded under its code, every pivot
+    seeds the vertex it reaches and remembers the edge back, so P(S(x))
+    pivots nothing, and each vertex's Todd orientation is worked out once
+    (`Vertex.fwd`)."""
 
     flavor = "ueopl"
 
     def __init__(self, inst: LcpInstance):
         if all(qi >= 0 for qi in inst.q):
             raise ValueError("q >= 0 is solved by y = 0; the line view needs min q < 0")
-        self.src = inst
+        super().__init__(inst)
         self.d = inst.d
         self.sys = inst.system
         self.nbits = 2 * self.d
         self.scale, i_max = inst.form.scale, inst.form.i_max
         (self.delta, self._d2, self._d3, self.m_pot,
          self._powers, self._base) = _potential_constants(self.d, i_max)
-        self._vertex_cache: dict[int, Vertex | None] = {}
         # (code w, variable l) -> code u: the pivot from u left on l and
         # landed on w, so entering l at w pivots back to u.
         self._back: dict[tuple[int, int], int] = {}
@@ -129,21 +129,12 @@ class PlcpLineView(LineView):
             self._start, _ = self.sys.start_vertex()
         return self._start
 
-    def vertex_of(self, u: int) -> Vertex | None:
+    vertex_of = LineView.state
+
+    def _compute_state(self, u: int):
         """The vertex of a valid code, else None.  Validity: at most one
         duplicate bit, canonical (the round trip code_of reproduces u),
         solvable and lex-feasible."""
-        if u not in self._vertex_cache:
-            self._remember(u, self._compute_vertex(u))
-        return self._vertex_cache[u]
-
-    def _remember(self, u: int, v: Vertex | None) -> None:
-        # A dict bounded by `problems.keep`, not an lru_cache: _step seeds
-        # it too.
-        if u not in self._vertex_cache:
-            problems.keep(self._vertex_cache, u, v)
-
-    def _compute_vertex(self, u: int):
         d = self.d
         if u == 0:
             return None
@@ -165,9 +156,9 @@ class PlcpLineView(LineView):
     def _step(self, u: int, v: Vertex, entering: int, dz: int) -> int | None:
         """Code of the neighbour of u (vertex v) across the edge on which
         `entering` grows, if z moves in the direction `dz` along it.  The
-        neighbour is canonical and lex-feasible, so it seeds the vertex
-        cache, and the edge back to u is remembered: under the lex
-        perturbation a pivot is exactly reversible."""
+        neighbour is canonical and lex-feasible, so its vertex is seeded,
+        and the edge back to u is remembered: under the lex perturbation a
+        pivot is exactly reversible."""
         if self.sys.dz_sign(v, entering) != dz:
             return None
         back = self._back.get((u, entering))
@@ -178,7 +169,7 @@ class PlcpLineView(LineView):
             return None  # the edge is a ray
         w, leaving = step
         code = self.code_of(w.basis)
-        self._remember(code, w)
+        self.seed(code, w)
         # The edge back holds whether or not either code is still cached.
         problems.keep(self._back, (code, leaving), u)
         return code
@@ -188,7 +179,7 @@ class PlcpLineView(LineView):
         if u == 0:
             v = self.start_vertex()
             code = self.code_of(v.basis)
-            self._remember(code, v)
+            self.seed(code, v)
             return code
         v = self.vertex_of(u)
         if v is None or self.sys.zvar not in v.basis:

@@ -55,12 +55,76 @@ class View:
         raise UnmappableCert(f"no source certificate for {c}")
 
 
+class Slots:
+    """A code of n slots, lowest first: an empty slot is all zero, a full
+    one a set presence bit followed by fields of the given widths, lowest
+    first.  `fields` holds each field's (offset in its slot, mask)."""
+
+    def __init__(self, n: int, widths):
+        self.n, self.width, self.fields = n, 1, []
+        for w in widths:
+            self.fields.append((self.width, (1 << w) - 1))
+            self.width += w
+        self.nbits = n * self.width
+
+    def pack(self, entries) -> int | None:
+        """The code of one field tuple or None (empty) per slot; None when a
+        field is negative or wider than its width, so no code names it."""
+        code = 0
+        for k, entry in enumerate(entries):
+            if entry is not None:
+                chunk = 1
+                for value, (off, mask) in zip(entry, self.fields):
+                    if value & ~mask:
+                        return None
+                    chunk |= value << off
+                code |= chunk << k * self.width
+        return code
+
+    def unpack(self, code: int) -> list | None:
+        """The field tuple or None (empty) of each slot; None when an empty
+        slot has a set bit."""
+        out, slot = [], (1 << self.width) - 1
+        for k in range(self.n):
+            chunk = code >> k * self.width & slot
+            if chunk & 1:
+                out.append(tuple(chunk >> off & mask for off, mask in self.fields))
+            elif chunk:
+                return None
+            else:
+                out.append(None)
+        return out
+
+
 class LineView(View):
     """A lazy line instance over the source `src`.  Subclasses set `nbits`,
     `m_pot` and `flavor`, define `successor` and `potential` (and
     `predecessor`, `run` and `enumerate_codes` where they have them), and
     `candidates(c)`.  Codes that pack a high and a low field use `_split`
-    and `_join` with the low field `low_bits` wide."""
+    and `_join` with the low field `low_bits` wide.
+
+    A view that works something out per key (a code, or a source vertex)
+    defines `_compute_state(key)` and reads it through `state(key)`, which
+    keeps it in `_states`, a plain dict bounded by `problems.keep` (a memo
+    of a bound method would make a reference cycle through the view); a
+    step that already knows its neighbour's state hands it on (`seed`)."""
+
+    def __init__(self, src):
+        super().__init__(src)
+        self._states: dict = {}
+
+    def state(self, key):
+        """`_compute_state(key)`, worked out once while it is kept."""
+        try:
+            return self._states[key]
+        except KeyError:
+            return problems.keep(self._states, key, self._compute_state(key))
+
+    def seed(self, key, value) -> None:
+        """Keep the state of key, known without `_compute_state`, unless
+        one is kept already."""
+        if key not in self._states:
+            problems.keep(self._states, key, value)
 
     def _split(self, x):
         return x >> self.low_bits, x & ((1 << self.low_bits) - 1)
@@ -90,7 +154,7 @@ class EomlToEopl(LineView):
     def __init__(self, src: LineInstance):
         if src.flavor != "eoml":
             raise ValueError("source must be EOML")
-        self.src = src
+        super().__init__(src)
         self.low_bits = src.n
         self.nbits = src.n + 1
         self.m_pot = src.m_pot
@@ -152,7 +216,7 @@ class EoplToEoml(LineView):
                 c = cert(kind, x=x)
                 if verify_line(src, c):
                     raise TrivialInstance(c)
-        self.src = src
+        super().__init__(src)
         self.low_bits = src.m_pot
         self.nbits = src.n + src.m_pot
         self.m_pot = src.m_pot
@@ -237,7 +301,7 @@ class UfeoplToPlus1(LineView):
     def __init__(self, src: LineInstance):
         if src.flavor != "ufeopl":
             raise ValueError("source must be UFEOPL")
-        self.src = src
+        super().__init__(src)
         self.low_bits = src.m_pot  # chain index width: gaps are < 2^m_pot
         self.nbits = src.n + self.low_bits
         self.m_pot = src.m_pot + 1
@@ -290,11 +354,11 @@ class PebblingView(LineView):
     strategy step is recovered from the configuration alone, which makes
     both circuits stateless.
 
+    A config is packed in `slots`, one slot (label, position) per pebble.
     Each code is decoded, validated against the source and indexed once
     per view: `successor`, `predecessor` and `potential` all read
-    `_state(code)`, kept in a dict bounded by `problems.keep`.  `successor`
-    and `predecessor` put the neighbour's state, which they already know,
-    in that dict as they encode it (`_neighbour`).
+    `state(code)`, and `successor` and `predecessor` seed the neighbour's
+    state, which they already know, as they pack it (`_neighbour`).
     `index_of` and `move` are loops over the pebbles.
     """
 
@@ -306,17 +370,13 @@ class PebblingView(LineView):
     def __init__(self, src: LineInstance):
         if src.flavor != "ufeoplplus1":
             raise ValueError("source must be UFEOPL+1")
-        self.src = src
+        super().__init__(src)
         self.n_peb = max(1, src.m_pot)
-        self.m = src.n
-        self.pw = max(1, src.m_pot)  # position width
-        self.entry = 1 + self.m + self.pw
-        self.nbits = self.n_peb * self.entry
+        # Per pebble: an n-bit label and a position as wide as a potential.
+        self.slots = Slots(self.n_peb, (src.n, max(1, src.m_pot)))
+        self.nbits = self.slots.nbits
         self.total = self._t(self.n_peb)
         self.m_pot = max(1, self.total.bit_length())
-        # A plain dict, not a memo of a bound method, which would make a
-        # reference cycle through the view.
-        self._states: dict[int, tuple | None] = {}
 
     @staticmethod
     def _t(n):
@@ -325,30 +385,6 @@ class PebblingView(LineView):
         return (3**n - 1) // 2
 
     # -- configs ---------------------------------------------------------------
-    def decode(self, code):
-        """List of (v, a) pairs or None per pebble; None for junk codes."""
-        out = []
-        for i in range(self.n_peb):
-            chunk = (code >> (i * self.entry)) & ((1 << self.entry) - 1)
-            if chunk & 1:
-                v = (chunk >> 1) & ((1 << self.m) - 1)
-                a = chunk >> (1 + self.m)
-                out.append((v, a))
-            else:
-                if chunk:
-                    return None
-                out.append(None)
-        return out
-
-    def encode(self, config):
-        code = 0
-        for i, entry in enumerate(config):
-            if entry is not None:
-                v, a = entry
-                chunk = 1 | (v << 1) | (a << (1 + self.m))
-                code |= chunk << (i * self.entry)
-        return code
-
     def index_of(self, config):
         """Move count of a strategy state, or None for non-states.
 
@@ -375,30 +411,22 @@ class PebblingView(LineView):
                 base = mid
         return offset
 
-    def _state(self, code):
-        """(config, move index) of a valid code, else None: the code
-        decodes, each pebble's label is a source vertex whose potential is
-        the pebble's position, and the positions are a strategy state."""
-        if code in self._states:
-            return self._states[code]
-        return problems.keep(self._states, code, self._compute_state(code))
-
     def _neighbour(self, config, mv, t):
         """The code of the config after move mv, or None when the move
-        stalls against the line.  The neighbour's state, with move index t,
-        is kept for `_state`, so it is not decoded again; unless mv placed a
-        label too wide for its field, whose code decodes as another config."""
+        stalls against the line or places a label that no code can hold.
+        The neighbour's state, with move index t, is seeded, so it is not
+        decoded again."""
         nxt = self._apply(config, mv)
-        if nxt is None:
-            return None
-        code = self.encode(nxt)
-        op, peb, _ = mv
-        if op == "remove" or nxt[peb - 1][0] >> self.m == 0:
-            problems.keep(self._states, code, (nxt, t))
+        code = None if nxt is None else self.slots.pack(nxt)
+        if code is not None:
+            self.seed(code, (nxt, t))
         return code
 
     def _compute_state(self, code):
-        config = self.decode(code)
+        """(config, move index) of a valid code, else None: the code
+        decodes, each pebble's label is a source vertex whose potential is
+        the pebble's position, and the positions are a strategy state."""
+        config = self.slots.unpack(code)
         if config is None:
             return None
         src = self.src
@@ -471,7 +499,7 @@ class PebblingView(LineView):
         return config
 
     def successor(self, code):
-        state = self._state(code)
+        state = self.state(code)
         if state is None:
             return code
         config, t = state
@@ -487,7 +515,7 @@ class PebblingView(LineView):
         return code
 
     def predecessor(self, code):
-        state = self._state(code)
+        state = self.state(code)
         if state is None:
             return code
         config, t = state
@@ -497,7 +525,7 @@ class PebblingView(LineView):
         return code if prev is None else prev
 
     def potential(self, code):
-        state = self._state(code)
+        state = self.state(code)
         return 0 if state is None else state[1]
 
     def enumerate_codes(self):
@@ -533,8 +561,8 @@ class PebblingView(LineView):
                 config = [None] * self.n_peb
                 for p, v in zip(pebs, labels):
                     config[p - 1] = (v, state[p])
-                code = self.encode(config)
-                if code not in seen:
+                code = self.slots.pack(config)
+                if code is not None and code not in seen:
                     seen.add(code)
                     out.append(code)
         return out
@@ -557,7 +585,7 @@ class PebblingView(LineView):
     def candidates(self, c):
         # UV1 cannot occur: the pebbling potential increases by exactly 1.
         if c.kind in ("U1", "UV2"):
-            state = self._state(c.x)
+            state = self.state(c.x)
             if state is None:
                 return
             config, t = state
@@ -570,7 +598,7 @@ class PebblingView(LineView):
                 top = max((e for e in config if e is not None), key=lambda e: e[1])
                 yield cert("UFP1", x=top[0])
         elif c.kind == "UV3":
-            ca, cb = self.decode(c.x), self.decode(c.y)
+            ca, cb = self.slots.unpack(c.x), self.slots.unpack(c.y)
             if ca is not None and cb is not None:
                 for ea, eb in zip(ca, cb):
                     if ea is not None and eb is not None and ea[0] != eb[0]:
@@ -592,12 +620,12 @@ class NormalizeView(LineView):
     potential 2^low_bits - 1 and then points at 0.
 
     What a step needs of the source vertex v is read from the source once
-    per view and kept in `_records`, a dict bounded by `problems.keep`: the
-    code at the top of v's chain (S(v)'s code, or 0 for a tail) and the
-    chain's last index (-1 for a junk label).  `run`
-    reads the same record, so a walk crosses a whole chain or tail in one
-    jump and asks S, P and V only where it leaves one.  Only (v, 0)'s
-    predecessor, which enters from P(v)'s chain, asks the source again.
+    per view, as the state of v (`state(v)`): the code at the top of v's
+    chain (S(v)'s code, or 0 for a tail) and the chain's last index (-1 for
+    a junk label).  `run` reads the same state, so a walk crosses a whole
+    chain or tail in one jump and asks S, P and V only where it leaves one.
+    Only (v, 0)'s predecessor, which enters from P(v)'s chain, asks the
+    source again.
     """
 
     flavor = "ueopl"
@@ -605,31 +633,25 @@ class NormalizeView(LineView):
     def __init__(self, src: LineInstance):
         if src.flavor != "ueopl":
             raise ValueError("source must be UniqueEOPL")
-        self.src = src
+        super().__init__(src)
         self.low_bits = src.m_pot + 1  # 2^low_bits exceeds any line length
         self.top = (1 << self.low_bits) - 1
         self.nbits = src.n + self.low_bits
         self.m_pot = self.low_bits
-        self._records: dict[int, tuple[int, int]] = {}
 
-    def _record(self, v):
-        """Reads the record of source vertex v from the source, keeps it and
-        returns it: (code after v's chain, the chain's last index).  The
-        oracles ask `_records` first; a record is a non-empty tuple, so a
-        hit costs no call."""
+    def _compute_state(self, v):
+        """(code after source vertex v's chain, the chain's last index)."""
         src = self.src
         sv = src.S(v)
         if sv == v and src.P(v) == v:
-            rec = 0, -1  # junk label
-        elif src.P(sv) != v or sv == v:  # v is an end of line: dummy tail
-            rec = 0, self.top - src.V(v)  # 0 makes the top an end: P(0) = 0
-        else:
-            rec = sv << self.low_bits, src.V(sv) - src.V(v) - 1
-        return problems.keep(self._records, v, rec)
+            return 0, -1  # junk label
+        if src.P(sv) != v or sv == v:  # v is an end of line: dummy tail
+            return 0, self.top - src.V(v)  # 0 makes the top an end: P(0) = 0
+        return sv << self.low_bits, src.V(sv) - src.V(v) - 1
 
     def successor(self, x):
         v, i = x >> self.low_bits, x & self.top
-        after, last = self._records.get(v) or self._record(v)
+        after, last = self.state(v)
         if i < last:
             # (v, i + 1); _join keeps an overflow (V outside [0, 2^m_pot)) in range
             return x + 1 if i < self.top else self._join(v, i + 1)
@@ -642,14 +664,14 @@ class NormalizeView(LineView):
         if x == 0:
             return 0
         v, i = x >> self.low_bits, x & self.top
-        last = (self._records.get(v) or self._record(v))[1]
+        last = self.state(v)[1]
         return min(last, self.top) - i if i < last else 0
 
     def predecessor(self, x):
         if x == 0:
             return 0
         v, i = x >> self.low_bits, x & self.top
-        if i > (self._records.get(v) or self._record(v))[1]:
+        if i > self.state(v)[1]:
             return x
         if i > 0:
             return x - 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import gt
 
 from .problems import (
     DOWN,
@@ -36,7 +37,7 @@ from .problems import (
     cert,
 )
 from .rational import ceil_log2
-from .reductions_line import LineView, View
+from .reductions_line import LineView, Slots, View
 
 
 # ---------------------------------------------------------------------------
@@ -124,67 +125,41 @@ DASH = None
 
 
 class OpdcLineView(LineView):
-    """Lazy UFEOPL instance whose vertices encode surface tuples."""
+    """Lazy UFEOPL instance whose vertices encode surface tuples: one slot
+    of `slots` per position, a point or a dash (an empty slot), XORed with
+    the start tuple's code so that the start is 0^n.  The state of a code
+    is its tuple when that is a vertex tuple, else None; S, V and the UF1
+    map-back read it."""
 
     flavor = "ufeopl"
 
     def __init__(self, inst: OpdcInstance):
-        self.src = inst
+        super().__init__(inst)
         self.d = inst.d
         self.widths = inst.widths
-        self.coord_bits = [max(1, ceil_log2(k + 1)) for k in inst.widths]
-        self.entry_bits = 1 + sum(self.coord_bits)
-        self.nbits = (self.d + 1) * self.entry_bits
+        self.slots = Slots(self.d + 1, [max(1, ceil_log2(k + 1)) for k in inst.widths])
+        self.nbits = self.slots.nbits
         # Weight base for the lexicographic potential: digits are
         # coordinates + 1, so strictly below max(k) + 2.
         self.base = max(inst.widths) + 2
         self.m_pot = ceil_log2(self.base ** self.d) + 1
-        start = ((0,) * self.d,) + (DASH,) * self.d
-        self._start_raw = self._encode_raw(start)
+        self._start_code = self.slots.pack(((0,) * self.d,) + (DASH,) * self.d)
 
     # -- encoding ------------------------------------------------------------
-    def _encode_raw(self, tup) -> int:
-        word = 0
-        shift = 0
-        for entry in tup:
-            if entry is not DASH:
-                word |= 1 << shift
-                off = shift + 1
-                for j, bits in enumerate(self.coord_bits):
-                    word |= entry[j] << off
-                    off += bits
-            shift += self.entry_bits
-        return word
-
     def encode(self, tup) -> int:
-        # XOR against the start tuple's raw code so the start maps to 0^n.
-        return self._encode_raw(tup) ^ self._start_raw
+        return self.slots.pack(tup) ^ self._start_code
 
     def decode(self, code: int):
-        """Tuple for a code, or None when any coordinate is off-grid."""
-        raw = code ^ self._start_raw
-        out = []
-        shift = 0
-        for _ in range(self.d + 1):
-            if raw >> shift & 1:
-                off = shift + 1
-                coords = []
-                for j, bits in enumerate(self.coord_bits):
-                    v = (raw >> off) & ((1 << bits) - 1)
-                    if v > self.widths[j]:
-                        return None
-                    coords.append(v)
-                    off += bits
-                out.append(tuple(coords))
-            else:
-                off = shift + 1
-                for bits in self.coord_bits:
-                    if (raw >> off) & ((1 << bits) - 1):
-                        return None  # dash entries carry zero coordinates
-                    off += bits
-                out.append(DASH)
-            shift += self.entry_bits
-        return tuple(out)
+        """Tuple for a code, or None when a dash carries a coordinate or
+        any coordinate is off-grid."""
+        tup = self.slots.unpack(code ^ self._start_code)
+        if tup is None or any(p is not DASH and any(map(gt, p, self.widths)) for p in tup):
+            return None
+        return tuple(tup)
+
+    def _compute_state(self, code: int):
+        tup = self.decode(code)
+        return tup if tup is not None and self.is_vertex_tuple(tup) else None
 
     # -- validity ------------------------------------------------------------
     def is_vertex_tuple(self, tup) -> bool:
@@ -216,11 +191,9 @@ class OpdcLineView(LineView):
 
     # -- successor rules -------------------------------------------------------
     def successor_tuple(self, tup):
-        """S on tuples; returns the input for self-loops."""
+        """S on vertex tuples; returns the input for self-loops."""
         d, D = self.d, self.src.D
-        i = next((k for k in range(d + 1) if tup[k] is not DASH), None)
-        if i is None or not self.is_vertex_tuple(tup):
-            return tup
+        i = next(k for k in range(d + 1) if tup[k] is not DASH)
         if i == d:
             return tup  # terminal: the solution sits at its predecessor
         p = tup[i]
@@ -244,15 +217,15 @@ class OpdcLineView(LineView):
         return (q,) + tup[1:]
 
     def successor(self, code: int) -> int:
-        tup = self.decode(code)
+        tup = self.state(code)
         if tup is None:
             return code
         nxt = self.successor_tuple(tup)
         return code if nxt == tup else self.encode(nxt)
 
     def potential(self, code: int) -> int:
-        tup = self.decode(code)
-        if tup is None or not self.is_vertex_tuple(tup):
+        tup = self.state(code)
+        if tup is None:
             return 0
         raw = 0
         for j in range(self.d):
@@ -277,35 +250,34 @@ class OpdcLineView(LineView):
         column binary search)."""
         d, D = self.d, self.src.D
         if c.kind == "UF1":
-            x = self.decode(c.x)
-            if x is None or not self.is_vertex_tuple(x):
+            x = self.state(c.x)
+            if x is None:
                 return
             y = self.successor_tuple(x)
             i = next(k for k in range(d + 1) if x[k] is not DASH)
-            if y != x and self.is_vertex_tuple(y):
+            p = x[i]
+            if y == x:
+                # x itself stalled at the grid boundary
+                yield cert("OV3", level=i + 1, p=p)
+            elif self.state(self.encode(y)) is not None:
                 iy = next(k for k in range(d + 1) if y[k] is not DASH)
                 if iy == d:
                     yield cert("O1", p=y[d])
                 if self.successor_tuple(y) == y and iy < d:
                     # valid self-loop: stuck at the boundary going up
                     yield cert("OV3", level=iy + 1, p=y[iy])
-            p = x[i]
-            if y == x:
-                # x itself stalled at the grid boundary
-                yield cert("OV3", level=i + 1, p=p)
-            elif not self.is_vertex_tuple(y):
-                if D(i, p) == ZERO and i + 1 <= d:
-                    # rule 2 fired and the moved witness is rejected:
-                    # D_{i+1}(p) = down against the old witness or 0-edge
-                    if i + 1 < d and D(i + 1, p) == DOWN:
-                        if x[i + 1] is not DASH:
-                            yield cert("OV2", level=i + 2, p=p, q=x[i + 1])
-                        yield cert("OV3", level=i + 2, p=p)
-                elif i > 0:
-                    # rules 3/4 fired and the advanced point q looks down
-                    yield cert("OV3", level=1, p=y[0])
-                else:
-                    yield cert("OV2", level=1, p=y[0], q=p)
+            elif D(i, p) == ZERO and i + 1 <= d:
+                # rule 2 fired and the moved witness is rejected:
+                # D_{i+1}(p) = down against the old witness or 0-edge
+                if i + 1 < d and D(i + 1, p) == DOWN:
+                    if x[i + 1] is not DASH:
+                        yield cert("OV2", level=i + 2, p=p, q=x[i + 1])
+                    yield cert("OV3", level=i + 2, p=p)
+            elif i > 0:
+                # rules 3/4 fired and the advanced point q looks down
+                yield cert("OV3", level=1, p=y[0])
+            else:
+                yield cert("OV2", level=1, p=y[0], q=p)
 
         elif c.kind == "UFV1":
             x = self.decode(c.x)

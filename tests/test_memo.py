@@ -28,7 +28,7 @@ from potline.problems import (
 from potline.cli import REDUCTIONS
 from potline.reductions_lcp import PlcpLineView
 from potline.reductions_line import NormalizeView, PebblingView, UeoplToOpdc
-from potline.reductions_opdc import ContractionToOpdc, UsoToOpdc
+from potline.reductions_opdc import ContractionToOpdc, OpdcLineView, UsoToOpdc
 from potline.solvers import RunStats, brute_force, follow_line, lemke
 
 from helpers import FULL_CHAIN, gen_normalized_line, murty
@@ -212,7 +212,7 @@ def test_walk_longer_than_cap_matches_unbounded(monkeypatch):
     monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", 1 << 30)
     unbounded = [_walk_record(lcp) for lcp in lcps]
     monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
-    sizes = {"_states": [], "_records": []}
+    sizes = {"ueopl": [], "normalized": []}
     for lcp, want in zip(lcps, unbounded):
         stages = {}
 
@@ -221,20 +221,51 @@ def test_walk_longer_than_cap_matches_unbounded(monkeypatch):
             return inst
 
         norm, backs = _chain(lcp, keep)
-        # The pebbling and normalization views keep per-code state in dicts.
-        for view in (stages["ueopl"].successor.__self__, norm.successor.__self__):
-            for name in sizes:
-                if hasattr(view, name):
-                    setattr(view, name, _SizeLog(sizes[name]))
+        stages["normalized"] = norm
+        # The pebbling and normalization views keep per-key state in dicts;
+        # each view's sizes are logged on their own.
+        views = [stages[stage].successor.__self__ for stage in sizes]
+        for view, logged in zip(views, sizes.values()):
+            view._states = _SizeLog(logged)
         stats = RunStats()
         got = _solve_chain(norm, backs, stats)
         assert stats.steps > 10 * cap
         assert (got, stats) == want
+        # A walk seeds most states; keys it never reached are worked out
+        # by `state` itself, and those inserts are bounded too.
+        for view in views:
+            for key in range(4 * cap):
+                view.state(key)
         for memo in (norm.S, norm.P, norm.V):
             info = memo.cache_info()
             assert info.maxsize == cap and info.currsize <= cap
     for name, logged in sizes.items():
         assert max(logged) <= cap < len(logged), (name, max(logged), len(logged))
+
+
+def test_opdc_line_walk_longer_than_cap_matches_unbounded(monkeypatch):
+    # The surface-tuple view keeps each code's checked tuple (or None) as
+    # its state; evicting states must not change a walk or a map-back.
+    cap = 8
+    grids = [ContractionToOpdc(gen_contraction(2, s, kappa=(k, k))).image()
+             for k, s in ((4, 0), (4, 1), (3, 1), (3, 2))]
+
+    def solve(grid, sizes=None):
+        view = OpdcLineView(grid)
+        if sizes is not None:
+            view._states = _SizeLog(sizes)
+        stats = RunStats()
+        c = follow_line(view.image(), 0, stats=stats)
+        return c, stats, view.map_back(c)
+
+    monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", 1 << 30)
+    unbounded = [solve(grid) for grid in grids]
+    assert {back.kind for _, _, back in unbounded} == {"O1", "OV2"}
+    monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
+    sizes = []
+    for grid, want in zip(grids, unbounded):
+        assert solve(grid, sizes) == want
+    assert max(sizes) <= cap < len(sizes) and max(s.steps for _, s, _ in unbounded) > 10 * cap
 
 
 def test_vertex_cache_stays_within_cap(monkeypatch):
@@ -245,19 +276,19 @@ def test_vertex_cache_stays_within_cap(monkeypatch):
     monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
     view = PlcpLineView(inst)
     line = view.image()
-    sizes = []
-    remember = view._remember
-
-    def remember_and_measure(u, v):
-        remember(u, v)
-        # Each cached code has at most two path edges to remember back.
-        sizes.append(max(len(view._vertex_cache), len(view._back) / 2))
-
-    view._remember = remember_and_measure
+    # Every insert is logged: the vertices worked out and the ones seeded
+    # by a step, and the path edges remembered back.
+    sizes, back_sizes = [], []
+    view._states = _SizeLog(sizes)
+    view._back = _SizeLog(back_sizes)
     stats = RunStats()
     assert follow_line(line, 0, stats=stats) == want
     assert stats == want_stats and stats.steps > 2 * cap
-    assert sizes and max(sizes) <= cap
+    # The walk seeds almost every vertex; the codes below are worked out.
+    for u in range(4 * cap):
+        view.vertex_of(u)
+    assert max(sizes) <= cap < len(sizes)
+    assert max(back_sizes) <= cap < len(back_sizes)
 
 
 def _lookups(line):
@@ -327,7 +358,7 @@ def test_dropped_instance_frees_its_memos():
         norm = NormalizeView(ueopl)
         line = norm.image()
         assert follow_line(line, 0).kind == "U1"
-        assert peb._states and norm._records
+        assert peb._states and norm._states
         refs = [weakref.ref(obj) for obj in (peb, ueopl, norm, line)]
         del peb, ueopl, norm, line
         assert [ref() for ref in refs] == [None] * 4

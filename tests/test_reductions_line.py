@@ -11,6 +11,7 @@ from potline.reductions_line import (
     EoplToEoml,
     NormalizeView,
     PebblingView,
+    Slots,
     TrivialInstance,
     UeoplToOpdc,
     UfeoplToPlus1,
@@ -163,6 +164,40 @@ def test_plus1_map_backs():
         assert certs
         for cc in certs:
             assert verify(src, view.map_back(cc))
+
+
+# -- slot codec ---------------------------------------------------------------------
+
+def test_slots_round_trip():
+    slots = Slots(3, (2, 3))
+    assert slots.width == 6 and slots.nbits == 18
+    rng = random.Random(0)
+    for _ in range(200):
+        entries = [None if rng.random() < 0.3 else (rng.randrange(4), rng.randrange(8))
+                   for _ in range(3)]
+        code = slots.pack(entries)
+        assert 0 <= code < 1 << slots.nbits
+        assert slots.unpack(code) == entries, entries
+    # Each full slot is its presence bit, then the fields, lowest first.
+    assert slots.pack([(1, 5), None, (0, 0)]) == 0b1 | 1 << 1 | 5 << 3 | 1 << 12
+
+
+def test_slots_reject_a_field_wider_than_its_width():
+    # A field that does not fit would spill into the next field or slot,
+    # and the code would name other entries; no code names such entries.
+    slots = Slots(2, (2, 3))
+    assert slots.pack([(3, 7), None]) == 0b111111
+    for entries in ([(4, 0), None], [None, (0, 8)], [(1, -1), None]):
+        assert slots.pack(entries) is None, entries
+    assert slots.pack([None, None]) == 0
+
+
+def test_slots_unpack_rejects_a_set_bit_in_an_empty_slot():
+    slots = Slots(2, (1, 1))
+    assert slots.unpack(0) == [None, None]
+    for code in (0b10, 0b100, 0b100000, 0b010111):
+        assert slots.unpack(code) is None, bin(code)
+    assert slots.unpack(0b111111) == [(1, 1), (1, 1)]
 
 
 # -- pebbling -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from potline.problems import (
 )
 from potline.reductions_line import NormalizeView
 from potline.reductions_opdc import ContractionToOpdc
+from potline import solvers
 from potline.solvers import (
     Exhausted,
     RunStats,
@@ -31,6 +33,7 @@ from potline.solvers import (
     find_fp,
     follow_line,
     lemke,
+    _min_den_rational,
 )
 
 from helpers import FULL_CHAIN, check_schedule, fibonacci_contraction
@@ -303,6 +306,23 @@ def test_find_fp_cmv2_when_f_leaves_the_box():
     assert c == cert("CMV2", x=[F(1)]) and verify(inst, c)
 
 
+def _min_den_ref(a, b, D):
+    """The least q, then the least p, with a / D < p / q < b / D."""
+    q = 1
+    while (a * q // D + 1) * D >= b * q:
+        q += 1
+    return a * q // D + 1, q
+
+
+def test_min_den_rational_matches_a_brute_force_search():
+    # Every open interval (a / D, b / D) with 0 <= a < b <= D <= 40; those
+    # with a = 0 and b < D leave the Stern-Brocot loop at its a = 0 exit.
+    cases = [(a, b, D) for D in range(1, 41) for b in range(1, D + 1) for a in range(b)]
+    assert len(cases) == 11480
+    for a, b, D in cases:
+        assert _min_den_rational(a, b, D) == _min_den_ref(a, b, D), (a, b, D)
+
+
 def test_find_fp_agrees_with_lcp_view():
     from potline.circuits import circuit_to_lcp, evaluate
 
@@ -366,6 +386,42 @@ def test_approx_violation_pair():
     inst = ContractionInstance(d=1, c=F(1, 2), p=2, func=jump, eps=F(1, 256))
     c = approx_find_fp(inst)
     assert c.kind == "CMV1" and verify(inst, c)
+
+
+def test_approx_rule_reaches_each_final_step(monkeypatch):
+    # f(x) = clamp_[0,1](s (c0 - x)) expands by s around its fixpoint, so
+    # the final midpoint of the bisection is within eps_1 of its image
+    # (APPROX_FIX), above it (CMV1 with the midpoint as x and the upper end
+    # as y) or below it (CMV1 from the lower end to the midpoint).
+    finishes = Counter()
+    rule = solvers._approx_rule
+
+    def logged_rule(eps_i):
+        close, halvings, grid, finish = rule(eps_i)
+
+        def logged(probe, lo, hi, D, v_lo, v_hi, saved):
+            mid = [F((lo + hi) >> 1, D)]
+            try:
+                v = finish(probe, lo, hi, D, v_lo, v_hi, saved)
+            except solvers._Violation as exc:
+                c = exc.certificate
+                assert c.kind == "CMV1" and mid in (c.x, c.y), c
+                finishes["upper CMV1" if c.x == mid else "lower CMV1"] += 1
+                raise
+            finishes["APPROX_FIX"] += 1
+            return v
+
+        return close, halvings, grid, logged
+
+    monkeypatch.setattr(solvers, "_approx_rule", logged_rule)
+    for s in (3, 5, 8, 13):
+        for k in range(41):
+            c0 = F(k, 41)
+            inst = ContractionInstance(d=1, c=F(1, 2), p=1, eps=F(1, 64),
+                                       func=lambda x, s=s, c0=c0: [min(max(s * (c0 - x[0]), F(0)), F(1))])
+            c = approx_find_fp(inst)
+            assert c.kind in ("APPROX_FIX", "CMV1") and verify(inst, c), (s, k, c)
+    assert set(finishes) == {"upper CMV1", "lower CMV1", "APPROX_FIX"}, finishes
 
 
 @pytest.mark.parametrize("b", [[F(3, 4)], [F(1, 4), F(3, 4)]])
