@@ -6,7 +6,8 @@ certificates are answers, so they exit 0; `verify` exits 1 on a rejected
 certificate, input and budget errors exit 2 with an `error:` line, and a
 stdout closed by its reader exits 141 (128 + SIGPIPE) with no such line.
 POTLINE_BUDGET, read once as `solvers.BUDGET`, caps enumeration sizes:
-brute force, and the generators that check every cone.
+brute force, and the generators that check every cone; a malformed one
+fails every command.
 
 The argument parser is built once per process (`build_parser` is cached),
 so an in-process caller of `main` pays only for parsing.  `main` picks the
@@ -206,10 +207,16 @@ def cmd_reduce(args):
         print(json.dumps({"chain": chain, "result": "ok", "kind": chain[-1]}))
         return 0
     if q[0] == "D":
-        i = int(q[1])
-        if not 0 <= i < image.d:
-            raise UsageError(f"dimension {i} outside 0..{image.d - 1}")
-        answer = image.D(i, tuple(int(t) for t in q[2].replace(",", " ").split()))
+        dim, point = q[1:]
+        if not (dim.isascii() and dim.isdigit()):
+            raise UsageError(f"--query D dimension {dim!r} is not a decimal integer")
+        if int(dim) >= image.d:
+            raise UsageError(f"dimension {int(dim)} outside 0..{image.d - 1}")
+        try:
+            p = problems.grid_key(point)
+        except ValueError:
+            raise UsageError(f"--query D point {point!r} is not decimal integers split by commas") from None
+        answer = image.D(int(dim), p)
     else:
         val = getattr(image, q[0])(_vertex_id(q[1], image.n))
         answer = val if q[0] == "V" else problems.bits_str(val, image.n)
@@ -281,7 +288,7 @@ def build_parser():
     r.add_argument("--chain", required=True,
                    help="source:target[:target...] or comma separated, e.g. plcp:ueopl")
     r.add_argument("--query", nargs="+", default=None,
-                   help="S <bits> | P <bits> | V <bits> | D <dim> <point>")
+                   help="S <bits> | P <bits> | V <bits> | D <dim> <x0,x1,...>")
 
     s = sub.add_parser("solve", help="run a solver and emit a run record")
     s.add_argument("file")
@@ -306,6 +313,7 @@ def main(argv=None) -> int:
     command = {"generate": cmd_generate, "reduce": cmd_reduce, "solve": cmd_solve,
                "verify": cmd_verify}[args.cmd]
     try:
+        solvers.default_budget()  # a malformed POTLINE_BUDGET fails every command
         status = command(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return status

@@ -688,9 +688,9 @@ def _point(v) -> tuple:
     return tuple(json_int(t) for t in _array(v))
 
 
-def _grid_key(key: str) -> tuple:
-    """A grid point written as an OPDC table key: decimal digits, split by
-    commas."""
+def grid_key(key: str) -> tuple:
+    """A grid point written as an OPDC table key or a `reduce --query D`
+    point: ASCII decimal digits, split by commas."""
     parts = key.split(",")
     if not all(t.isascii() and t.isdigit() for t in parts):
         raise ValueError(f"table key {key!r} is not a grid point")
@@ -779,7 +779,7 @@ def opdc_to_json(inst: OpdcInstance) -> dict:
 
 def opdc_from_json(data: dict) -> OpdcInstance:
     widths = _decode(data, "k", _widths)
-    table = _decode(data, "D", lambda t: {_grid_key(key): _directions(dirs)
+    table = _decode(data, "D", lambda t: {grid_key(key): _directions(dirs)
                                           for key, dirs in _object(t).items()})
     inst = OpdcInstance(widths=widths, direction=lambda p: table[p])
     for p in inst.points():

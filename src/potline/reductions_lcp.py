@@ -137,7 +137,7 @@ class PlcpLineView(LineView):
         solvable and lex-feasible."""
         d = self.d
         if u == 0:
-            return None
+            return None  # the start code stands for the primary ray
         dup_bits = [i for i in range(d) if u >> (d + i) & 1]
         if len(dup_bits) > 1:
             return None
@@ -188,8 +188,6 @@ class PlcpLineView(LineView):
         return u if nxt is None else nxt
 
     def predecessor(self, u: int) -> int:
-        if u == 0:
-            return 0
         v = self.vertex_of(u)
         if v is None:
             return u
@@ -207,8 +205,6 @@ class PlcpLineView(LineView):
         return u if nxt is None else nxt
 
     def potential(self, u: int) -> int:
-        if u == 0:
-            return 0
         v = self.vertex_of(u)
         if v is None:
             return 0
@@ -237,17 +233,15 @@ class PlcpLineView(LineView):
         edges of the Lemke line."""
         sys = self.sys
         if c.kind in ("U1", "UV2"):
-            v = self.vertex_of(c.x) if c.x != 0 else None
+            v = self.vertex_of(c.x)
             if v is None:
                 return
             if sys.zvar not in v.basis:
                 yield cert("Q1", y=sys.numeric_point(v)[0])
                 return
-            pts = _edge_points_same_z(self, v)
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    if pts[i][1] == pts[j][1]:
-                        yield from _pv2(pts[i][0], pts[j][0])
+            pair = _stall_pair(self, v)
+            if pair:
+                yield from _pv2(*pair)
             yield from self._pv1_candidates(v.basis)
         elif c.kind == "UV3":
             if c.x == 0 or c.y == 0:
@@ -327,56 +321,40 @@ def _pv2(y1, y2):
         yield cert("PV2", x=x)
 
 
-def _edge_points_same_z(view: PlcpLineView, v: Vertex):
-    """Points on the two relaxation edges at a duplicate vertex sharing one
-    z value.  Returns a list of numeric
-    (y, z) pairs, all with equal z."""
+def _stall_pair(view: PlcpLineView, v: Vertex):
+    """The y's of two points, one on each relaxation edge at the duplicate
+    vertex v, that share one z value, or None.  Both edges moving z one way
+    are stepped to z0 +/- eps with eps below both z spans; an edge along
+    which z is constant pairs v with a point inside it."""
     sys = view.sys
     l = sys.duplicate_label(v.basis)
     if l is None:
-        return []
-    z0 = sys.value(v, sys.zvar)
+        return None
     edges = []
     for entering in (l, sys.d + l):
         eta = sys.direction(v, entering)
         dz = eta.get(sys.zvar, Fraction(0))
         step = sys.ratio_step(v, entering)
-        if step is None:
-            t_max = None  # ray: any positive step stays feasible
-        else:
-            t_max = sys.value(step[0], entering)  # the step length
-        edges.append((eta, dz, t_max))
-    signs = [dz for _, dz, _ in edges]
-    out = []
+        # A ray (no step) stays feasible for any positive step.
+        t_max = None if step is None else sys.value(step[0], entering)
+        edges.append((entering, eta, dz, t_max))
+    signs = [dz for _, _, dz, _ in edges]
     if all(s > 0 for s in signs) or all(s < 0 for s in signs):
-        # Both edges move z the same way; step to z0 +/- eps on each with
-        # eps below both z spans.
-        spans = [abs(dz) * t_max if t_max is not None else None for _, dz, t_max in edges]
-        finite = [s for s in spans if s is not None]
-        if any(s == 0 for s in finite):
-            return []
+        spans = [abs(dz) * t_max for _, _, dz, t_max in edges if t_max is not None]
+        if 0 in spans:
+            return None
         # Two rays: a unit of the scaled z (class docstring), 1/scale of z.
-        eps = min(finite) / 2 if finite else Fraction(1, view.scale)
-        for eta, dz, _ in edges:
-            t = eps / abs(dz)
-            y, _, z = sys.edge_point(v, eta, t)
-            out.append((y, z))
-        return out
-    for entering, (eta, dz, t_max) in zip((l, sys.d + l), edges):
+        eps = min(spans) / 2 if spans else Fraction(1, view.scale)
+        return tuple(sys.edge_point(v, eta, eps / abs(dz))[0] for _, eta, dz, _ in edges)
+    for entering, eta, dz, t_max in edges:
         if dz == 0:
-            # z is constant along this edge: the vertex and any interior
-            # edge point already share a z value.  A ray steps a unit of
-            # the scaled (M, q): 1 of a y, 1/scale of a w.
+            # A ray steps a unit of the scaled (M, q): 1 of a y, 1/scale of a w.
             unit = Fraction(1) if entering < sys.d else Fraction(1, view.scale)
             t = unit if t_max is None else t_max / 2
             if t == 0:
                 continue
-            y0, _, _ = sys.numeric_point(v)
-            y1, _, _ = sys.edge_point(v, eta, t)
-            out.append((y0, z0))
-            out.append((y1, z0))
-            return out
-    return []
+            return sys.numeric_point(v)[0], sys.edge_point(v, eta, t)[0]
+    return None
 
 
 def map_back_lcp(inst: LcpInstance, view: PlcpLineView, c: Certificate) -> Certificate:

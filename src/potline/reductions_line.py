@@ -171,8 +171,6 @@ class EomlToEopl(LineView):
 
     def predecessor(self, x):
         b, u = self._split(x)
-        if x == 0:
-            return x
         if b == 0:
             return x
         if u == 0:
@@ -484,16 +482,15 @@ class PebblingView(LineView):
     def _apply(self, config, mv):
         """Next config or None when the move stalls against the line."""
         op, peb, pos = mv
+        u = self._step_vertex(config, pos)
+        if u is None:
+            return None
         config = list(config)
         if op == "place":
-            u = self._step_vertex(config, pos)
-            if u is None:
-                return None
             config[peb - 1] = (u, pos)
             return config
         entry = config[peb - 1]
-        u = self._step_vertex(config, pos)
-        if u is None or entry is None or entry[0] != u:
+        if entry is None or entry[0] != u:
             return None
         config[peb - 1] = None
         return config
@@ -530,7 +527,9 @@ class PebblingView(LineView):
 
     def enumerate_codes(self):
         """All valid configs: strategy states crossed with the potential
-        preimages of their positions (desk scale only)."""
+        preimages of their positions (desk scale only).  No code repeats:
+        `index_of` reads positions alone, so each strategy state has its
+        own positions, and distinct labels under them pack apart."""
         src = self.src
         if src.vertex_iter is not None:
             ids = list(src.vertex_iter())
@@ -550,7 +549,6 @@ class PebblingView(LineView):
             else:
                 del state[peb]
             positions.append(state)
-        seen = set()
         out = []
         for state in positions:
             pebs = sorted(state)
@@ -562,8 +560,7 @@ class PebblingView(LineView):
                 for p, v in zip(pebs, labels):
                     config[p - 1] = (v, state[p])
                 code = self.slots.pack(config)
-                if code is not None and code not in seen:
-                    seen.add(code)
+                if code is not None:
                     out.append(code)
         return out
 

@@ -201,20 +201,12 @@ class OpdcLineView(LineView):
             new = list(tup)
             new[i] = DASH
             new[i + 1] = p
-            if i + 1 == d:
-                new = [DASH] * d + [p]
             return tuple(new)
-        if i > 0:
-            if p[i] + 1 > self.widths[i]:
-                return tup  # stuck at the boundary: OV3
-            q = tuple(0 if j < i else (p[i] + 1 if j == i else p[j]) for j in range(d))
-            new = list(tup)
-            new[0] = q
-            return tuple(new)
-        if p[0] + 1 > self.widths[0]:
-            return tup
-        q = (p[0] + 1,) + p[1:]
-        return (q,) + tup[1:]
+        if p[i] + 1 > self.widths[i]:
+            return tup  # stuck at the boundary: OV3
+        # One up in dimension i, zeros below it, at position 0 (below i
+        # every position is a dash).
+        return ((0,) * i + (p[i] + 1,) + p[i + 1:],) + tup[1:]
 
     def successor(self, code: int) -> int:
         tup = self.state(code)

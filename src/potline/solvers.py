@@ -33,9 +33,23 @@ from .problems import (
 from .rational import frac
 from .reductions_opdc import ContractionToOpdc
 
+
 # Enumeration sizes: brute force's default, and the cone scans that
-# `potline generate` refuses above it.
-BUDGET = int(os.environ.get("POTLINE_BUDGET", str(1 << 16)))
+# `potline generate` refuses above it.  POTLINE_BUDGET is read once, here.
+# Importing never raises: a malformed value leaves BUDGET 0.
+_BUDGET_TEXT = os.environ.get("POTLINE_BUDGET", str(1 << 16))
+try:
+    BUDGET = int(_BUDGET_TEXT) if _BUDGET_TEXT.isascii() and _BUDGET_TEXT.isdigit() else 0
+except ValueError:  # more digits than `int` converts
+    BUDGET = 0
+
+
+def default_budget() -> int:
+    """BUDGET, if POTLINE_BUDGET is a positive integer in ASCII digits;
+    else a ValueError that names the variable."""
+    if BUDGET < 1:
+        raise ValueError(f"POTLINE_BUDGET={_BUDGET_TEXT!r} is not a positive integer in decimal digits")
+    return BUDGET
 
 
 class Exhausted(RuntimeError):
@@ -291,6 +305,10 @@ def _min_den_rational(a: int, b: int, D: int) -> tuple[int, int]:
     (hd / (hn - k hd), ld / (ln - k ld)), and the map y -> k + 1 / y is
     folded into the matrix [[P, Q], [R, S]] (determinant +-1, so the
     result is in lowest terms)."""
+    # Iterative on purpose: the bracket keeps its two ends as separate
+    # fractions and swaps them, so no operand outgrows the input.  Recursing
+    # on the interval (D / (b - k D), D / (a - k D)) over one common
+    # denominator multiplies the operands at every level instead.
     ln, ld, hn, hd = a, D, b, D
     P, Q, R, S = 1, 0, 0, 1
     while True:
@@ -511,17 +529,18 @@ _CANDIDATES = {LcpInstance: _lcp_certs, UsoInstance: _uso_certs, OpdcInstance: _
                LineInstance: _line_certs, ContractionInstance: _contraction_certs}
 
 
-def certificates(inst, budget: int = BUDGET):
+def certificates(inst, budget: int | None = None):
     """A generator of every certificate that passes its verifier, in the
     order of the kind's candidates.  Raises Exhausted, once iterated, when
-    the domain has more than `budget` points."""
+    the domain has more than `budget` points (by default `default_budget()`)."""
     candidates = _CANDIDATES.get(type(inst))
     if candidates is None:
         raise TypeError(f"brute force cannot handle {type(inst)}")
+    budget = default_budget() if budget is None else budget
     return (c for c in candidates(inst, budget) if verify(inst, c))
 
 
-def brute_force(inst, budget: int = BUDGET, max_certs: int = 20000) -> list[Certificate]:
+def brute_force(inst, budget: int | None = None, max_certs: int = 20000) -> list[Certificate]:
     """The list of `certificates`.  Raises Exhausted when the domain has
     more than `budget` points or more than `max_certs` certificates verify
     (on a contraction map, counted after mapping back)."""

@@ -544,6 +544,22 @@ def test_off_grid_message_names_the_coordinate_not_the_widths(files, capsys):
       for kind in ("uso", "brokenuso", "nonpmatrixlcp")],
     # A chain of one stage reduces nothing.
     (["reduce", "uso", "--chain", "uso"], "chain needs a source and at least one target"),
+    # --query D reads ASCII decimal digits, a point's coordinates split by
+    # commas (the rule of OPDC table keys): no sign, no `_`, no other
+    # script's digits, no spaces.
+    *[(["reduce", "uso", "--chain", "uso:opdc", "--query", "D", dim, "0,1"],
+       f"--query D dimension {dim!r} is not a decimal integer")
+      for dim in ("+0", "-0", "\u0660", "0_0", " 0", "")],
+    *[(["reduce", "uso", "--chain", "uso:opdc", "--query", "D", "0", point],
+       f"--query D point {point!r} is not decimal integers split by commas")
+      for point in ("0_0,+1", "0,+1", "0,-1", "0 1", "\u0660,1", "0,1,", " 0,1")],
+    # Each line view names the flavor its source must have.
+    *[(["reduce", source, "--chain", chain], f"source must be {flavor}")
+      for source, chain, flavor in [("eopl", "eoml,eopl", "EOML"), ("eopl", "ufeopl,plus1", "UFEOPL"),
+                                    ("eopl", "plus1,ueopl", "UFEOPL+1"),
+                                    ("eopl", "ueopl,normalized", "UniqueEOPL"),
+                                    ("eopl", "normalized,opdc", "UniqueEOPL"),
+                                    ("line", "eopl,eoml", "EOPL")]],
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
     argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]
@@ -587,11 +603,41 @@ def _child_env(**extra):
             **extra}
 
 
-def _fresh_process(argv):
-    """Exit code, stdout and stderr of `python -m potline.cli argv` in a new interpreter."""
+def _fresh_process(argv, **env):
+    """Exit code, stdout and stderr of `python -m potline.cli argv` in a new
+    interpreter, with env added to its environment."""
     done = subprocess.run([sys.executable, "-m", "potline.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=_child_env(), timeout=60)
+                          capture_output=True, text=True, env=_child_env(**env), timeout=60)
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "", " 5", "1_0", "\u0661", "5.0", "1" * 5000],
+                         ids=["abc", "negative", "zero", "empty", "space", "underscore", "arabic-indic",
+                              "decimal-point", "5000-digits"])
+def test_malformed_budget_fails_every_command(files, value):
+    # POTLINE_BUDGET is read once, at import, as a positive integer in
+    # ASCII digits.  Importing never raises; each command exits 2 with one
+    # error line that names the variable, even one that enumerates nothing.
+    done = subprocess.run([sys.executable, "-c", "import potline.cli"],
+                          capture_output=True, text=True, env=_child_env(POTLINE_BUDGET=value), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    # One argv per command, none of which enumerates anything; each bad
+    # value is tried on the first.
+    commands = [["generate", "--kind", "pmatrixlcp", "--d", "2"],
+                ["reduce", files["plcp"], "--chain", "plcp:uso"],
+                ["solve", files["plcp"], "--problem", "plcp", "--algo", "lemke"],
+                ["verify", files["plcp"], files["plcp"], "--problem", "plcp"]]
+    for argv in commands if value == "abc" else commands[:1]:
+        code, out, err = _fresh_process(argv, POTLINE_BUDGET=value)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: POTLINE_BUDGET=") and err.count("\n") == 1, argv
+
+
+def test_budget_is_read_from_the_environment():
+    # 2^2 cones fit a budget of 4 (written with a leading zero); 2^3 do not.
+    assert _fresh_process(["generate", "--kind", "uso", "--d", "2"], POTLINE_BUDGET="04")[0] == 0
+    code, out, err = _fresh_process(["generate", "--kind", "uso", "--d", "3"], POTLINE_BUDGET="4")
+    assert (code, out) == (2, "") and "checks all 2^3 cones, more than the budget 4" in err
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

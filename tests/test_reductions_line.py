@@ -461,3 +461,27 @@ def test_ueopl_to_opdc_subline_decode():
     o1 = [c for c in brute_force(opdc, budget=1 << 18) if c.kind == "O1"][0]
     _, dec = view.decode(o1.p)
     assert src.V(dec) == 3
+
+
+def _pebbling_sources():
+    """The UFEOPL+1 sources of the pebbling views that the tests build: the
+    full chains at d = 1..3 and the `gen_line` lines."""
+    for d in (1, 2, 3):
+        for seed in range(3):
+            lcp = gen_lcp(d, seed, nondegenerate=True)
+            yield f"chain d={d} seed={seed}", compose(lcp, FULL_CHAIN[:FULL_CHAIN.index("plus1") + 1])[0]
+    for seed in range(100):
+        yield f"gen_line(4, {seed})", gen_line(4, seed=seed, flavor="ufeoplplus1", gaps=[1, 1, 1],
+                                               two_lines=seed % 2 == 1)
+    for length, seed in ((4, 2), (8, 3), (16, 1), (1 << 10, 1)):
+        yield f"gen_line({length}, {seed})", gen_line(length, seed=seed, flavor="ufeoplplus1",
+                                                      gaps=[1] * (length - 1))
+
+
+def test_pebbling_enumerate_codes_yields_each_code_once():
+    # `index_of` reads positions alone, so each strategy state has its own
+    # positions, and labels under them pack to distinct codes: no code can
+    # repeat, and `enumerate_codes` keeps no set of those it has yielded.
+    for label, src in _pebbling_sources():
+        codes = PebblingView(src).enumerate_codes()
+        assert codes and len(set(codes)) == len(codes), label

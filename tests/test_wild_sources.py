@@ -8,12 +8,13 @@ from itertools import product
 
 from potline.cli import compose
 from potline.problems import LcpInstance, OpdcInstance, UsoInstance, line_from_tables, verify
+from potline.reductions_lcp import PlcpLineView, _stall_pair
 from potline.solvers import brute_force
 
 # Each sweep yields (label, source, brute-force image certificates, map-back).
 
 
-def wild_lcp_matrices():
+def _wild_lcps():
     rng = random.Random(0)
     for trial in range(60):
         rng.seed(trial)
@@ -22,7 +23,11 @@ def wild_lcp_matrices():
         q = [F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(d)]
         if all(v >= 0 for v in q):
             continue
-        inst = LcpInstance(M=m, q=q)
+        yield trial, LcpInstance(M=m, q=q)
+
+
+def wild_lcp_matrices():
+    for trial, inst in _wild_lcps():
         line, map_back = compose(inst, ("plcp", "ueopl"))
         yield trial, inst, brute_force(line), map_back
 
@@ -122,3 +127,30 @@ def test_wild_forward_lines():
 
 def test_wild_plus1_lines():
     _check(wild_plus1_lines)
+
+
+def test_wild_lcp_stall_pairs_share_one_z():
+    # At a stalled vertex of the Lemke line, the U1 and UV2 map-back pairs
+    # one point on each relaxation edge, and `_stall_pair` returns their y's
+    # alone: both points have one z by construction.  Every point the
+    # system builds is recorded with its z, keyed by its y list.
+    pairs = 0
+    for trial, inst in _wild_lcps():
+        view = PlcpLineView(inst)
+        sys, points = view.sys, {}
+        for name in ("numeric_point", "edge_point"):
+            def record(*args, build=getattr(sys, name)):
+                y, w, z = build(*args)
+                points[id(y)] = y, z  # edge_point's own record comes last
+                return y, w, z
+            setattr(sys, name, record)
+        for c in brute_force(view.image()):
+            v = view.vertex_of(c.x) if c.kind in ("U1", "UV2") else None
+            if v is None or sys.zvar not in v.basis:
+                continue
+            pair = _stall_pair(view, v)
+            if pair is not None:
+                (y1, z1), (y2, z2) = (points[id(y)] for y in pair)
+                assert y1 is pair[0] and y2 is pair[1] and z1 == z2, (trial, c)
+                pairs += 1
+    assert pairs
