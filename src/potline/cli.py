@@ -35,6 +35,7 @@ import time
 
 from . import generators, problems, reductions_lcp, reductions_line, reductions_opdc, solvers
 from .problems import cert_to_json
+from .rational import integer
 
 # --kind of `generate` -> (problem kind, builder from the parsed arguments).
 _GENERATORS = {
@@ -207,16 +208,17 @@ def cmd_reduce(args):
         print(json.dumps({"chain": chain, "result": "ok", "kind": chain[-1]}))
         return 0
     if q[0] == "D":
-        dim, point = q[1:]
-        if not (dim.isascii() and dim.isdigit()):
-            raise UsageError(f"--query D dimension {dim!r} is not a decimal integer")
-        if int(dim) >= image.d:
-            raise UsageError(f"dimension {int(dim)} outside 0..{image.d - 1}")
         try:
-            p = problems.grid_key(point)
+            dim = integer(q[1], signed=False)
+        except ValueError as exc:
+            raise UsageError(f"--query D dimension {exc}") from None
+        if dim >= image.d:
+            raise UsageError(f"dimension {dim} outside 0..{image.d - 1}")
+        try:
+            p = problems.grid_key(q[2])
         except ValueError:
-            raise UsageError(f"--query D point {point!r} is not decimal integers split by commas") from None
-        answer = image.D(int(dim), p)
+            raise UsageError(f"--query D point {q[2]!r} is not decimal integers split by commas") from None
+        answer = image.D(dim, p)
     else:
         val = getattr(image, q[0])(_vertex_id(q[1], image.n))
         answer = val if q[0] == "V" else problems.bits_str(val, image.n)
@@ -276,10 +278,10 @@ def build_parser():
 
     g = sub.add_parser("generate", help="emit a seeded instance as JSON")
     g.add_argument("--kind", required=True, choices=list(_GENERATORS))
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--d", type=int, default=3)
-    g.add_argument("--p", type=int, default=2)
-    g.add_argument("--length", type=int, default=8)
+    g.add_argument("--seed", type=integer, default=0)
+    g.add_argument("--d", type=integer, default=3)
+    g.add_argument("--p", type=integer, default=2)
+    g.add_argument("--length", type=integer, default=8)
     g.add_argument("--flavor", default="ueopl")
     g.add_argument("-o", "--output")
 
@@ -294,11 +296,11 @@ def build_parser():
     s.add_argument("file")
     s.add_argument("--problem", required=True, choices=list(problems.KINDS))
     s.add_argument("--algo", required=True, choices=list(_ALGOS))
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--samples", type=int, default=64)
+    s.add_argument("--seed", type=integer, default=0)
+    s.add_argument("--samples", type=integer, default=64)
     s.add_argument("--start", default=None)
     s.add_argument("--eps", default=None, help="approx tolerance (default: the instance's)")
-    s.add_argument("--p", type=int, default=None, help="approx norm index (default: the instance's)")
+    s.add_argument("--p", type=integer, default=None, help="approx norm index (default: the instance's)")
     s.add_argument("-o", "--output")
 
     v = sub.add_parser("verify", help="check a certificate against an instance")

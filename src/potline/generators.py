@@ -178,8 +178,6 @@ def gen_line(length: int, seed: int, gaps=None, flavor: str = "ueopl",
             p_table[b] = a
             pot2 += rng.choice([1, 2])
             v_table[b] = pot2
-    m_pot = max(1, max(v_table.values()).bit_length())
     # Flavors with an end kind get P; an unknown flavor reaches LineInstance's check.
     two_way = flavor in LINE_KINDS and LINE_KINDS[flavor].end is not None
-    return line_from_tables(n, s_table, p_table if two_way else None, v_table,
-                            flavor=flavor, m_pot=m_pot)
+    return line_from_tables(n, s_table, p_table if two_way else None, v_table, flavor=flavor)

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 from .circuits import circuit_from_json, circuit_to_json, compile_circuit, compute_kappa, evaluate
 from .pivoting import IntForm, LemkeSystem, principal_minor
-from .rational import Mat, Vec, frac, frac_str, int_row, json_int, lp_pow, mat
+from .rational import Mat, Vec, frac, frac_str, int_row, integer, json_int, lp_pow, mat
 
 UP, DOWN, ZERO = "up", "down", "zero"
 
@@ -74,6 +74,12 @@ class MissingField(AttributeError, ValueError):
 class BadField(ValueError):
     """Instance JSON or a certificate holds a field of the wrong type or
     shape."""
+
+
+class Exhausted(RuntimeError):
+    """A budget ran out: a walk's steps, an enumeration's size or its
+    certificate cap.  It signals a budget problem, not the absence of a
+    solution."""
 
 
 class UnmappableCert(RuntimeError):
@@ -138,8 +144,9 @@ class LineInstance:
 
     One type serves every line flavor; `predecessor` may be None for the
     forward-only flavors and `potential` is required for all potential
-    flavors.  `vertex_iter` optionally enumerates the (reachable or valid)
-    vertex ids for desk-scale brute force when 2^n is too large.
+    flavors.  `vertex_iter(budget)` optionally enumerates the (reachable or
+    valid) vertex ids for desk-scale brute force when 2^n is too large,
+    raising Exhausted when it would scan or list more than budget.
 
     `run`, optional like `predecessor`, is a pure oracle that lets a walk
     cross plain +1 steps in one jump: run(x) is a count r >= 0 such that
@@ -159,7 +166,7 @@ class LineInstance:
     predecessor: Optional[Callable[[int], int]] = None
     flavor: str = "eopl"
     m_pot: int = 0
-    vertex_iter: Optional[Callable[[], "list[int]"]] = None
+    vertex_iter: Optional[Callable[[int], "list[int]"]] = None
     run: Optional[Callable[[int], int]] = None
 
     def __post_init__(self):
@@ -184,6 +191,16 @@ class LineInstance:
     @property
     def size(self) -> int:
         return 1 << self.n
+
+    def ids(self, budget: int):
+        """The ids worth scanning for vertices: `vertex_iter(budget)` when
+        the instance has one, else all 2^n, which raise Exhausted above
+        budget."""
+        if self.vertex_iter is not None:
+            return self.vertex_iter(budget)
+        if self.size > budget:
+            raise Exhausted(f"2^{self.n} ids exceed budget {budget}")
+        return range(self.size)
 
 
 def _missing(flavor: str, oracle: str):
@@ -401,6 +418,13 @@ def _in_box(x) -> bool:
     return all(0 <= v <= 1 for v in x)
 
 
+def _box_point(inst: ContractionInstance, v) -> Optional[Vec]:
+    """v as Fractions when it is a point of the instance's unit box, else
+    None."""
+    x = [frac(t) for t in v]
+    return x if len(x) == inst.d and _in_box(x) else None
+
+
 # The clauses of Q1, CM1, UV3 and UFV1 once each: the reason of the first
 # that fails, or None when all hold.  The verifiers accept on None, and
 # `explain_rejection` reports the reason.
@@ -522,17 +546,16 @@ def szabo_welzl(v: int, u: int, ov: Optional[int], ou: Optional[int]) -> bool:
 
 def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
     """Check c on the cube; a vertex outside [0, 2^n) is rejected."""
-    size = 1 << inst.n
+    if c.kind not in ("US1", "USV1", "USV2"):
+        raise VariantMismatch(c.kind)
+    ids = (c.v, c.u) if c.kind == "USV2" else (c.v,)
+    if not all(0 <= v < 1 << inst.n for v in ids):
+        return False
     if c.kind == "US1":
-        return 0 <= c.v < size and inst.orient(c.v) == 0
+        return inst.orient(c.v) == 0
     if c.kind == "USV1":
-        return 0 <= c.v < size and inst.orient(c.v) is None
-    if c.kind == "USV2":
-        v, u = c.v, c.u
-        if not (0 <= v < size and 0 <= u < size):
-            return False
-        return szabo_welzl(v, u, inst.orient(v), inst.orient(u))
-    raise VariantMismatch(c.kind)
+        return inst.orient(c.v) is None
+    return szabo_welzl(c.v, c.u, inst.orient(c.v), inst.orient(c.u))
 
 
 def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
@@ -567,21 +590,18 @@ def verify_contraction(inst: ContractionInstance, c: Certificate) -> bool:
     if c.kind == "CM1":
         return _cm1_failure(inst, c) is None
     if c.kind == "CMV1":
-        x = [frac(v) for v in c.x]
-        y = [frac(v) for v in c.y]
-        if len(x) != d or len(y) != d or not (_in_box(x) and _in_box(y)):
+        x, y = _box_point(inst, c.x), _box_point(inst, c.y)
+        if x is None or y is None:
             return False
         lhs = lp_pow([a - b for a, b in zip(inst.f(x), inst.f(y))], inst.p)
         rhs = (inst.c ** inst.p) * lp_pow([a - b for a, b in zip(x, y)], inst.p)
         return lhs > rhs
     if c.kind == "CMV2":
-        x = [frac(v) for v in c.x]
-        return len(x) == d and _in_box(x) and not _in_box(inst.f(x))
+        x = _box_point(inst, c.x)
+        return x is not None and not _in_box(inst.f(x))
     if c.kind == "CMV3":
-        lvl = c.level
-        x = [frac(v) for v in c.x]
-        y = [frac(v) for v in c.y]
-        if not (1 <= lvl <= d) or len(x) != d or len(y) != d or not (_in_box(x) and _in_box(y)):
+        lvl, x, y = c.level, _box_point(inst, c.x), _box_point(inst, c.y)
+        if not (1 <= lvl <= d) or x is None or y is None:
             return False
         if any(x[j] != y[j] for j in range(lvl, d)):
             return False
@@ -599,8 +619,8 @@ def verify_contraction(inst: ContractionInstance, c: Certificate) -> bool:
         # instance's when it sets its own eps, which is never loosened.
         if not _approx_claim_ok(c):
             return False
-        v = [frac(u) for u in c.v]
-        if len(v) != d or not _in_box(v):
+        v = _box_point(inst, c.v)
+        if v is None:
             return False
         r = [a - b for a, b in zip(inst.f(v), v)]
         bounds = [(c.eps, c.p)] + ([(inst.eps, inst.p)] if inst.eps is not None else [])
@@ -691,10 +711,10 @@ def _point(v) -> tuple:
 def grid_key(key: str) -> tuple:
     """A grid point written as an OPDC table key or a `reduce --query D`
     point: ASCII decimal digits, split by commas."""
-    parts = key.split(",")
-    if not all(t.isascii() and t.isdigit() for t in parts):
-        raise ValueError(f"table key {key!r} is not a grid point")
-    return tuple(int(t) for t in parts)
+    try:
+        return tuple(integer(t, signed=False) for t in key.split(","))
+    except ValueError:
+        raise ValueError(f"table key {key!r} is not a grid point") from None
 
 
 def _vertex(v, n: Optional[int] = None) -> int:
@@ -708,8 +728,22 @@ def _vertex(v, n: Optional[int] = None) -> int:
     return v
 
 
+def _table(v, key, value) -> dict:
+    """{key(k): value(x)} over the JSON object v; two keys that name one
+    entry (such as bit strings '01' and '001') raise BadField naming both."""
+    table = {}
+    for k, x in _object(v).items():
+        entry = key(k)
+        if entry in table:
+            first = next(j for j in v if key(j) == entry)
+            raise BadField(f"table keys {first!r} and {k!r} name one entry")
+        table[entry] = value(x)
+    return table
+
+
 def _bits_table(v, n: int) -> dict:
-    return {bits_int(k, n): bits_int(x, n) for k, x in _object(v).items()}
+    bits = partial(bits_int, n=n)
+    return _table(v, bits, bits)
 
 
 def line_to_json(inst: LineInstance) -> dict:
@@ -737,7 +771,7 @@ def line_from_json(data: dict) -> LineInstance:
         n,
         _decode(data, "S", lambda t: _bits_table(t, n), {}),
         _decode(data, "P", lambda t: _bits_table(t, n), None),
-        _decode(data, "V", lambda t: {bits_int(k, n): json_int(x) for k, x in _object(t).items()}, {}),
+        _decode(data, "V", lambda t: _table(t, partial(bits_int, n=n), json_int), {}),
         flavor=_decode(data, "flavor", _string, "eopl"),
         m_pot=_decode(data, "m", json_int, None),
     )
@@ -779,8 +813,7 @@ def opdc_to_json(inst: OpdcInstance) -> dict:
 
 def opdc_from_json(data: dict) -> OpdcInstance:
     widths = _decode(data, "k", _widths)
-    table = _decode(data, "D", lambda t: {grid_key(key): _directions(dirs)
-                                          for key, dirs in _object(t).items()})
+    table = _decode(data, "D", lambda t: _table(t, grid_key, _directions))
     inst = OpdcInstance(widths=widths, direction=lambda p: table[p])
     for p in inst.points():
         if len(table.get(p, ())) != len(widths):
@@ -798,9 +831,8 @@ def uso_to_json(inst: UsoInstance) -> dict:
 
 def uso_from_json(data: dict) -> UsoInstance:
     n = _decode(data, "n", json_int)
-    table = _decode(data, "orient", lambda t: {
-        bits_int(k, n): (None if v == "dash" else bits_int(v, n)) for k, v in _object(t).items()
-    })
+    table = _decode(data, "orient", lambda t: _table(
+        t, partial(bits_int, n=n), lambda v: None if v == "dash" else bits_int(v, n)))
     return UsoInstance(n=n, orient=lambda v: table.get(v))
 
 

@@ -18,17 +18,34 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
+def integer(text: str, signed: bool = True) -> int:
+    """The integer text writes in ASCII decimal digits, at least one, after
+    a '-' when signed; else ValueError.  No '+', space, '_' or other
+    script's digits, which `int()` and `Fraction()` would read.  The one
+    reader of integers written as text (CLI options, POTLINE_BUDGET, grid
+    keys, and the parts of a rational in `frac`)."""
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4' or '-2', and Fractions.  A string
-    with a zero denominator raises ValueError, like any other string that
-    names no rational; a bool is no number, as in `json_int`."""
+    """Coerce ints, Fractions and strings: an integer or 'num/den', each
+    part as `integer` reads it and den unsigned.  A string with a zero
+    denominator raises ValueError, like any other string that names no
+    rational; a bool is no number, as in `json_int`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
         try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"{x!r} has a zero denominator") from None
+            n, d = integer(num), integer(den, signed=False) if slash else 1
+        except ValueError:
+            raise ValueError(f"{x!r} is not an integer or num/den in decimal digits") from None
+        if d == 0:
+            raise ValueError(f"{x!r} has a zero denominator")
+        return Fraction(n, d)
     if type(x) is int:
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

@@ -327,9 +327,9 @@ def _stall_pair(view: PlcpLineView, v: Vertex):
     are stepped to z0 +/- eps with eps below both z spans; an edge along
     which z is constant pairs v with a point inside it."""
     sys = view.sys
+    # z is basic at v, so its other d - 1 basic variables leave some label l
+    # with neither y_l nor w_l basic.
     l = sys.duplicate_label(v.basis)
-    if l is None:
-        return None
     edges = []
     for entering in (l, sys.d + l):
         eta = sys.direction(v, entering)

@@ -19,6 +19,7 @@ from .problems import (
     UP,
     ZERO,
     Certificate,
+    Exhausted,
     LineInstance,
     OpdcInstance,
     UnmappableCert,
@@ -163,9 +164,7 @@ class EomlToEopl(LineView):
         b, u = self._split(x)
         if x == 0:
             return self._join(1, 0)
-        if b == 0:
-            return x
-        if self.src.V(u) == 0:
+        if b == 0 or self.src.V(u) == 0:
             return x
         return self._join(1, self.src.S(u))
 
@@ -320,6 +319,20 @@ class UfeoplToPlus1(LineView):
     def potential(self, x):
         v, i = self._split(x)
         return self.src.V(v) + i
+
+    def enumerate_codes(self, budget: int):
+        """The codes that are no self-loop, in increasing order: (v, i) for
+        each source vertex v and each i below both the gap V(S(v)) - V(v)
+        and 2^low_bits.  Raises Exhausted past budget source ids or codes."""
+        src, out = self.src, []
+        for v in sorted(src.ids(budget)):
+            sv = src.S(v)
+            if sv != v:
+                k = min(src.V(sv) - src.V(v), 1 << self.low_bits)
+                if len(out) + k > budget:
+                    raise Exhausted(f"more than {budget} codes")
+                out += (self._join(v, i) for i in range(k))
+        return out
 
     def candidates(self, c):
         if c.kind == "UFP1":
@@ -525,43 +538,35 @@ class PebblingView(LineView):
         state = self.state(code)
         return 0 if state is None else state[1]
 
-    def enumerate_codes(self):
-        """All valid configs: strategy states crossed with the potential
-        preimages of their positions (desk scale only).  No code repeats:
-        `index_of` reads positions alone, so each strategy state has its
-        own positions, and distinct labels under them pack apart."""
+    def enumerate_codes(self, budget: int):
+        """All valid configs: the strategy states, replayed move by move,
+        each crossed with the potential preimages of its positions.  Raises
+        Exhausted past budget source ids or codes.  No code repeats:
+        `index_of` reads positions alone, so each strategy state has its own
+        positions, and distinct labels under them pack apart."""
         src = self.src
-        if src.vertex_iter is not None:
-            ids = list(src.vertex_iter())
-        else:
-            ids = list(range(src.size))
         by_pot = {}
-        for v in ids:
+        for v in src.ids(budget):
             if src.S(v) != v:
                 by_pot.setdefault(src.V(v), []).append(v)
-        positions = [dict()]
-        state = {}
-        for t in range(self.total):
-            op, peb, pos = self.move(t)
-            state = dict(state)
-            if op == "place":
-                state[peb] = pos
-            else:
-                del state[peb]
-            positions.append(state)
-        out = []
-        for state in positions:
-            pebs = sorted(state)
-            pools = [by_pot.get(state[p], []) for p in pebs]
-            if any(not pool for pool in pools):
-                continue
-            for labels in product(*pools):
+        position, out = {}, []  # position: pebble -> its place in the current state
+        for t in range(self.total + 1):
+            if t:
+                op, peb, pos = self.move(t - 1)
+                if op == "place":
+                    position[peb] = pos
+                else:
+                    del position[peb]
+            pebs = sorted(position)
+            for labels in product(*(by_pot.get(position[p], []) for p in pebs)):
                 config = [None] * self.n_peb
                 for p, v in zip(pebs, labels):
-                    config[p - 1] = (v, state[p])
+                    config[p - 1] = (v, position[p])
                 code = self.slots.pack(config)
                 if code is not None:
                     out.append(code)
+                    if len(out) > budget:
+                        raise Exhausted(f"more than {budget} codes")
         return out
 
     # -- map-back ---------------------------------------------------------------
@@ -572,9 +577,8 @@ class PebblingView(LineView):
             yield cert("UFP1", x=jv)
             u = self.src.S(jv)
             if op == "remove" and config[peb - 1] is not None:
-                v_peb = config[peb - 1][0]
-                yield cert("UFPV1", x=v_peb, y=u)
-                yield cert("UFPV1", x=u, y=v_peb)
+                # UFPV1 is symmetric in x and y: one order is enough.
+                yield cert("UFPV1", x=config[peb - 1][0], y=u)
         for entry in config:
             if entry is not None:
                 yield cert("UFP1", x=entry[0])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import gt
 
 from .problems import (
@@ -31,6 +32,7 @@ from .problems import (
     ZERO,
     Certificate,
     ContractionInstance,
+    Exhausted,
     LineInstance,
     OpdcInstance,
     UsoInstance,
@@ -225,8 +227,12 @@ class OpdcLineView(LineView):
             raw += digit * self.base**j
         return max(0, raw - 1)  # the start tuple's raw potential is 1
 
-    def enumerate_codes(self):
-        """All codes of valid vertex tuples (desk scale only)."""
+    def enumerate_codes(self, budget: int):
+        """All codes of valid vertex tuples; raises Exhausted when the
+        tuples to scan exceed budget."""
+        choices = prod(k + 1 for k in self.src.widths) + 1  # a point or a dash
+        if choices ** (self.d + 1) > budget:
+            raise Exhausted(f"{choices}^{self.d + 1} tuples exceed budget {budget}")
         pts = list(self.src.points())
         options = [pts + [DASH]] * (self.d + 1)
         out = []
@@ -248,17 +254,15 @@ class OpdcLineView(LineView):
             y = self.successor_tuple(x)
             i = next(k for k in range(d + 1) if x[k] is not DASH)
             p = x[i]
-            if y == x:
-                # x itself stalled at the grid boundary
-                yield cert("OV3", level=i + 1, p=p)
-            elif self.state(self.encode(y)) is not None:
+            # A UF1 has S(x) != x, so y != x.
+            if self.state(self.encode(y)) is not None:
                 iy = next(k for k in range(d + 1) if y[k] is not DASH)
                 if iy == d:
                     yield cert("O1", p=y[d])
                 if self.successor_tuple(y) == y and iy < d:
                     # valid self-loop: stuck at the boundary going up
                     yield cert("OV3", level=iy + 1, p=y[iy])
-            elif D(i, p) == ZERO and i + 1 <= d:
+            elif D(i, p) == ZERO:
                 # rule 2 fired and the moved witness is rejected:
                 # D_{i+1}(p) = down against the old witness or 0-edge
                 if i + 1 < d and D(i + 1, p) == DOWN:

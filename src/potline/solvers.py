@@ -21,6 +21,7 @@ from .problems import (
     LINE_KINDS,
     Certificate,
     ContractionInstance,
+    Exhausted,
     LcpInstance,
     LineInstance,
     OpdcInstance,
@@ -30,7 +31,7 @@ from .problems import (
     szabo_welzl,
     verify,
 )
-from .rational import frac
+from .rational import frac, integer
 from .reductions_opdc import ContractionToOpdc
 
 
@@ -39,8 +40,8 @@ from .reductions_opdc import ContractionToOpdc
 # Importing never raises: a malformed value leaves BUDGET 0.
 _BUDGET_TEXT = os.environ.get("POTLINE_BUDGET", str(1 << 16))
 try:
-    BUDGET = int(_BUDGET_TEXT) if _BUDGET_TEXT.isascii() and _BUDGET_TEXT.isdigit() else 0
-except ValueError:  # more digits than `int` converts
+    BUDGET = integer(_BUDGET_TEXT)
+except ValueError:  # not an integer, or more digits than `int` converts
     BUDGET = 0
 
 
@@ -50,12 +51,6 @@ def default_budget() -> int:
     if BUDGET < 1:
         raise ValueError(f"POTLINE_BUDGET={_BUDGET_TEXT!r} is not a positive integer in decimal digits")
     return BUDGET
-
-
-class Exhausted(RuntimeError):
-    """A budget ran out: a walk's steps, an enumeration's size or its
-    certificate cap.  It signals a budget problem, not the absence of a
-    solution."""
 
 
 @dataclass
@@ -347,12 +342,17 @@ def _exact_rule(level: int, kap: int):
     return (lambda r, s: r == 0), 2 * kap + 1, kap, finish
 
 
-def _search(inst: ContractionInstance, rules, stats: RunStats) -> list[Fraction]:
+def _search(inst: ContractionInstance, rules, stats: RunStats | None, found) -> Certificate:
     """The nested search from the point over D = 2^H, H = 1 + the most
-    halvings of any level, so that every bisection midpoint is an integer;
-    returns the fixpoint as Fractions."""
+    halvings of any level, so that every bisection midpoint is an integer:
+    found(x) for the point x it stops at, as Fractions, or the violation
+    that a level raised."""
     H = 1 + max(halvings for _, halvings, _, _ in rules)
-    return _box(_nested_search(inst, rules, (), 1 << H, stats))
+    try:
+        v = _nested_search(inst, rules, (), 1 << H, stats if stats is not None else RunStats())
+    except _Violation as viol:
+        return viol.certificate
+    return found(_box(v))
 
 
 def find_fp(inst: ContractionInstance, stats: RunStats | None = None) -> Certificate:
@@ -360,13 +360,8 @@ def find_fp(inst: ContractionInstance, stats: RunStats | None = None) -> Certifi
     over slices of the 2^kappa grid (`inst.effective_kappa()`); returns
     CM1, or CMV3 with the adjacent opposing pair when a slice has no grid
     fixpoint (CMV2 if an evaluation leaves the unit box)."""
-    stats = stats if stats is not None else RunStats()
     rules = [_exact_rule(i + 1, k) for i, k in enumerate(inst.effective_kappa())]
-    try:
-        x = _search(inst, rules, stats)
-    except _Violation as v:
-        return v.certificate
-    return cert("CM1", x=x)
+    return _search(inst, rules, stats, lambda x: cert("CM1", x=x))
 
 
 def eps_schedule(p: int, d: int, eps: Fraction) -> list[Fraction]:
@@ -410,7 +405,6 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
     ||f(v)-v||_p <= eps, a CMV1 pair with ||f(x)-f(y)||_p >= ||x-y||_p
     (a contraction violation for every c < 1), or a CMV2 point whose image
     leaves the unit box.  eps and p default to the instance's."""
-    stats = stats if stats is not None else RunStats()
     eps = eps if eps is not None else inst.eps
     p = p if p is not None else inst.p
     if eps is None or frac(eps) <= 0:
@@ -419,11 +413,7 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
         raise ValueError("norm index must be a positive integer")
     eps = frac(eps)
     rules = [_approx_rule(e) for e in eps_schedule(p, inst.d, eps)]
-    try:
-        v = _search(inst, rules, stats)
-    except _Violation as viol:
-        return viol.certificate
-    return cert("APPROX_FIX", v=v, eps=eps, p=p)
+    return _search(inst, rules, stats, lambda v: cert("APPROX_FIX", v=v, eps=eps, p=p))
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +474,7 @@ def _opdc_certs(inst: OpdcInstance, budget: int):
 
 
 def _line_certs(inst: LineInstance, budget: int):
-    if inst.vertex_iter is not None:
-        ids = list(inst.vertex_iter())
-    elif inst.size > budget:
-        raise Exhausted(f"2^{inst.n} ids exceed budget {budget}")
-    else:
-        ids = range(inst.size)
+    ids = inst.ids(budget)
     pair = LINE_KINDS[inst.flavor].pair
     singles = [k for k in LINE_KINDS[inst.flavor].kinds if k != pair]
     for x in ids:

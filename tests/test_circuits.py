@@ -110,17 +110,21 @@ def test_circuit_to_lcp_dimension_bound():
 
 
 def test_circuit_to_lcp_max_gate():
-    # f(x) = max(1/2, x): fixpoints are [1/2, 1]
-    gates = (
-        Gate("input", (0,)),
-        Gate("const", (F(1, 2),)),
-        Gate("max", (0, 1)),
-    )
-    c = Circuit(1, gates, (2,))
-    m, q = circuit_to_lcp(c)
-    inst = LcpInstance(M=m, q=q)
-    for cc in brute_force(inst):
-        if cc.kind == "Q1":
+    # f(x) = max(1/2, x): fixpoints are [1/2, 1]; f(x) = min(x, 1/2):
+    # [0, 1/2]; f(x) = 1 - x, a sub gate: 1/2.  Brute force finds a Q1 on
+    # each LCP, and each Q1 is a fixpoint.
+    for op, args in (("max", (0, 1)), ("min", (0, 1)), ("sub", (1, 0))):
+        gates = (
+            Gate("input", (0,)),
+            Gate("const", (F(1) if op == "sub" else F(1, 2),)),
+            Gate(op, args),
+        )
+        c = Circuit(1, gates, (2,))
+        m, q = circuit_to_lcp(c)
+        inst = LcpInstance(M=m, q=q)
+        q1s = [cc for cc in brute_force(inst) if cc.kind == "Q1"]
+        assert q1s, op
+        for cc in q1s:
             x = list(cc.y[: 1])
             assert evaluate(c, x) == x
 

@@ -560,6 +560,10 @@ def test_off_grid_message_names_the_coordinate_not_the_widths(files, capsys):
                                     ("eopl", "ueopl,normalized", "UniqueEOPL"),
                                     ("eopl", "normalized,opdc", "UniqueEOPL"),
                                     ("line", "eopl,eoml", "EOPL")]],
+    # A rational is an integer or num/den in ASCII digits, as in the files.
+    *[(["solve", "contraction", "--problem", "contraction", "--algo", "approx", "--eps", eps],
+       f"{eps!r} is not an integer or num/den")
+      for eps in ("0.5", "1e-3", " 1/2", "1_0/3", "\u0661/2")],
 ])
 def test_input_errors_exit_2(files, capsys, argv, message):
     argv = [files.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]
@@ -594,6 +598,26 @@ def test_help_prints_from_the_parser_built_once(capsys):
             main(argv)
         assert done.value.code == 0
         assert capsys.readouterr().out.startswith("usage: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "pmatrixlcp", "--d", "\u0663"],
+    ["generate", "--kind", "pmatrixlcp", "--d", "2", "--seed", "1_0"],
+    ["generate", "--kind", "explicitline", "--length", " 4"],
+    ["generate", "--kind", "contractioncircuit", "--d", "1", "--p", "+2"],
+    ["solve", "line", "--problem", "line", "--algo", "aldous", "--samples", "1_0"],
+    ["solve", "line", "--problem", "line", "--algo", "aldous", "--seed", "0x1"],
+    ["solve", "contraction", "--problem", "contraction", "--algo", "approx", "--eps", "1/8", "--p", "2.0"],
+])
+def test_integer_options_read_ascii_digits(files, capsys, argv):
+    # `int()` reads all of these; each is an input error naming the value,
+    # whether `main` returns 2 or argparse exits 2 out of it.
+    try:
+        code = main([str(files.get(a, a)) if i == 1 else a for i, a in enumerate(argv)])
+    except SystemExit as done:
+        code = done.code
+    assert code == 2
+    assert f"invalid integer value: {argv[-1]!r}" in capsys.readouterr().err
 
 
 def _child_env(**extra):
@@ -798,6 +822,21 @@ def test_wrong_typed_certificate_exits_2(files, tmp_path, capsys, problem, certi
     ("opdc", {"k": [-1], "D": {}}, "field 'k': grid width -1 is negative"),
     # A JSON true is no rational 1.
     ("plcp", {"M": [[True]], "q": [-1]}, "field 'M': cannot interpret True as an exact rational"),
+    # A rational is an integer or num/den in ASCII digits; Fraction() reads these.
+    ("plcp", {"M": [["1e1"]], "q": ["-1"]}, "field 'M': '1e1' is not an integer or num/den"),
+    ("plcp", {"M": [["1"]], "q": [" -1/2 "]}, "field 'q': ' -1/2 ' is not an integer or num/den"),
+    ("contraction", {"circuit": {"d": 1, "outputs": [0], "gates": [{"op": "input", "args": [0]}]},
+                     "c": "0.5", "p": 2}, "field 'c': '0.5' is not an integer or num/den"),
+    # Two keys of one table that name one point or vertex.
+    ("opdc", {"k": [1], "D": {"0": ["up"], "00": ["down"], "1": ["down"]}},
+     "field 'D': table keys '0' and '00' name one entry"),
+    ("uso", {"n": 1, "orient": {"1": "0", "0": "1", "001": "1"}},
+     "field 'orient': table keys '1' and '001' name one entry"),
+    ("line", {"n": 2, "S": {"00": "01", "000": "10"}}, "field 'S': table keys '00' and '000' name one entry"),
+    ("line", {"n": 2, "S": {"00": "01"}, "P": {"01": "00", "1": "00"}},
+     "field 'P': table keys '01' and '1' name one entry"),
+    ("line", {"n": 2, "S": {"00": "01"}, "V": {"01": 1, "001": 1}},
+     "field 'V': table keys '01' and '001' name one entry"),
 ])
 def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message):
     path = tmp_path / "inst.json"

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potline.rational import bit_length, ceil_log2, determinant, frac, frac_str, lp_pow, mat
+from potline.rational import bit_length, ceil_log2, determinant, frac, frac_str, integer, lp_pow, mat
 
 
 def test_determinant_examples():
@@ -67,3 +67,32 @@ def test_frac_rejects_bools():
     for x in (True, False, 0.5):
         with pytest.raises(TypeError):
             frac(x)
+
+
+# Integers and rationals written as text have one form: ASCII decimal digits,
+# at least one, after an optional '-', and a rational is an integer or an
+# integer over unsigned digits.  `int()` and `Fraction()` read all of these.
+NOT_DECIMAL = ["", "-", "--1", "+1", " 1", "1 ", "1_0", "\u0661", "\u00b2", "0x1", "1.0", "1e1"]
+
+
+def test_frac_reads_an_integer_or_num_over_den():
+    assert frac("7") == 7 and frac("-0") == 0 and frac("007") == 7
+    assert frac("3/16") == F(3, 16) and frac("-12345/678") == F(-12345, 678) and frac("-3/06") == F(-1, 2)
+    for text in NOT_DECIMAL + [" -1/2 ", "1.5", "1/-2", "1/+2", "-1/-2", "/2", "1/", "1/2/3", "1/ 2", "1 /2"]:
+        with pytest.raises(ValueError, match="is not an integer or num/den"):
+            frac(text)
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        frac("1/0")
+    with pytest.raises(ValueError, match="'-5/00' has a zero denominator"):
+        frac("-5/00")
+
+
+def test_integer_reads_ascii_decimal_digits():
+    assert integer("0") == 0 and integer("04") == 4 and integer("-12") == -12
+    assert integer("12", signed=False) == 12
+    for text in NOT_DECIMAL:
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            integer(text)
+    for text in ("-0", "-12"):
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            integer(text, signed=False)

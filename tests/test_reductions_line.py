@@ -5,7 +5,7 @@ import pytest
 from potline import problems
 from potline.cli import compose
 from potline.generators import gen_lcp, gen_line
-from potline.problems import UnmappableCert, VariantMismatch, cert, line_from_tables, verify
+from potline.problems import Exhausted, UnmappableCert, VariantMismatch, cert, line_from_tables, verify
 from potline.reductions_line import (
     EomlToEopl,
     EoplToEoml,
@@ -17,7 +17,7 @@ from potline.reductions_line import (
     UfeoplToPlus1,
     View,
 )
-from potline.solvers import brute_force, follow_line, lemke
+from potline.solvers import brute_force, default_budget, follow_line, lemke
 
 from helpers import FULL_CHAIN, gen_normalized_line, pebbling_index, pebbling_move
 
@@ -166,6 +166,20 @@ def test_plus1_map_backs():
             assert verify(src, view.map_back(cc))
 
 
+def test_view_codes_count_against_the_budget():
+    # A view lists its codes from its source's ids: brute force of its image
+    # refuses a source of more than budget ids at once, as it refuses a
+    # table of 2^n ids, and refuses a list of more than budget codes.
+    src = line_from_tables(18, {0: 1}, v_table={1: 4}, flavor="ufeopl")
+    with pytest.raises(Exhausted, match=r"2\^18 ids exceed budget 65536"):
+        brute_force(UfeoplToPlus1(src).image())
+    chain = line_from_tables(3, {i: i + 1 for i in range(7)}, v_table={i: i for i in range(8)},
+                             flavor="ufeoplplus1")
+    assert len(PebblingView(chain).enumerate_codes(13)) == 13
+    with pytest.raises(Exhausted, match="more than 12 codes"):
+        brute_force(PebblingView(chain).image(), budget=12)
+
+
 # -- slot codec ---------------------------------------------------------------------
 
 def test_slots_round_trip():
@@ -242,24 +256,30 @@ def test_pebbling_moves_and_index_match_recursive_references():
 
 
 def test_pebbling_walk_integrity():
-    src = gen_line(16, seed=1, flavor="ufeoplplus1", gaps=[1] * 15)
-    view = PebblingView(src)
-    line = view.image()
-    x = 0
-    for t in range(view.total):
-        nxt = line.S(x)
-        if nxt == x:
-            break
-        assert line.P(nxt) == x and line.S(x) == nxt
-        assert line.V(nxt) == line.V(x) + 1
-        x = nxt
-    c = follow_line(line, 0)
-    assert c.kind == "U1"
-    mb = view.map_back(c)
-    assert verify(src, mb)
-    # the unique U1 maps back to the source's single UFP1 end
-    ends = [b for b in brute_force(src) if b.kind == "UFP1"]
-    assert mb in ends
+    # The second source climbs 0 -> 1 -> ... -> 7 by +1 and steps from 7 to
+    # 9, no vertex: its pebbling walk reaches the last strategy state (t =
+    # total = 13) and maps back from there.
+    climb = line_from_tables(4, {**{j: j + 1 for j in range(7)}, 7: 9}, v_table={j: j for j in range(8)},
+                             flavor="ufeoplplus1")
+    for src in (gen_line(16, seed=1, flavor="ufeoplplus1", gaps=[1] * 15), climb):
+        view = PebblingView(src)
+        line = view.image()
+        x = 0
+        for t in range(view.total):
+            nxt = line.S(x)
+            if nxt == x:
+                break
+            assert line.P(nxt) == x and line.S(x) == nxt
+            assert line.V(nxt) == line.V(x) + 1
+            x = nxt
+        c = follow_line(line, 0)
+        assert c.kind == "U1"
+        mb = view.map_back(c)
+        assert verify(src, mb)
+        # the unique U1 maps back to the source's single UFP1 end
+        ends = [b for b in brute_force(src) if b.kind == "UFP1"]
+        assert mb in ends
+    assert line.V(c.x) == view.total == 13 and mb == cert("UFP1", x=7)
 
 
 def test_pebbling_exhaustive_single_line():
@@ -483,5 +503,5 @@ def test_pebbling_enumerate_codes_yields_each_code_once():
     # positions, and labels under them pack to distinct codes: no code can
     # repeat, and `enumerate_codes` keeps no set of those it has yielded.
     for label, src in _pebbling_sources():
-        codes = PebblingView(src).enumerate_codes()
+        codes = PebblingView(src).enumerate_codes(default_budget())
         assert codes and len(set(codes)) == len(codes), label

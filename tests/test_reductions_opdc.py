@@ -14,7 +14,7 @@ from potline.problems import (
 )
 from potline.reductions_lcp import PlcpToUso
 from potline.reductions_opdc import ContractionToOpdc, OpdcLineView, UsoToOpdc, _column_search
-from potline.solvers import brute_force, follow_line
+from potline.solvers import brute_force, default_budget, follow_line
 
 
 def opdc_from_table(widths, table):
@@ -278,7 +278,7 @@ def test_surface_tuple_potential_strictly_increases():
         opdc = UsoToOpdc(uso).image()
         view = OpdcLineView(opdc)
         line = view.image()
-        for code in view.enumerate_codes():
+        for code in view.enumerate_codes(default_budget()):
             nxt = line.S(code)
             if nxt != code and line.S(nxt) != nxt:
                 assert line.V(nxt) > line.V(code)
@@ -292,7 +292,7 @@ def test_surface_tuple_validity_preserved_by_successor():
         opdc = UsoToOpdc(uso).image()
         view = OpdcLineView(opdc)
         line = view.image()
-        for code in view.enumerate_codes():
+        for code in view.enumerate_codes(default_budget()):
             nxt = line.S(code)
             if nxt != code:
                 tup = view.decode(nxt)

@@ -19,8 +19,8 @@ from potline.problems import (
     line_from_tables,
     verify,
 )
-from potline.reductions_line import NormalizeView
-from potline.reductions_opdc import ContractionToOpdc
+from potline.reductions_line import NormalizeView, UfeoplToPlus1
+from potline.reductions_opdc import ContractionToOpdc, OpdcLineView
 from potline import solvers
 from potline.solvers import (
     Exhausted,
@@ -487,6 +487,10 @@ def test_brute_force_lcp_keeps_the_certificate_cap():
     (UsoInstance(n=2, orient=lambda v: v ^ 0b11), "cube too large"),
     (OpdcInstance(widths=(1, 1), direction=lambda p: ("zero", "zero")), "grid too large"),
     (line_from_tables(2, {0: 1}), r"2\^2 ids exceed budget 3"),
+    # The views' code lists: 2 source ids but 4 codes, and 3^2 tuples.
+    (UfeoplToPlus1(line_from_tables(1, {0: 1}, v_table={1: 4}, flavor="ufeopl")).image(), "more than 3 codes"),
+    (OpdcLineView(OpdcInstance(widths=(1,), direction=lambda p: ("zero",))).image(),
+     r"3\^2 tuples exceed budget 3"),
 ])
 def test_brute_force_refuses_a_domain_over_its_budget(inst, message):
     with pytest.raises(Exhausted, match=message):
