@@ -3,8 +3,9 @@
 Instances travel as JSON files; every solve emits a machine-readable run
 record whose certificate has already been re-verified.  Violation
 certificates are answers, so they exit 0; `verify` exits 1 on a rejected
-certificate, input and budget errors exit 2 with an `error:` line, and a
-stdout closed by its reader exits 141 (128 + SIGPIPE) with no such line.
+certificate, input and budget errors (a malformed option among them)
+exit 2 with an `error:` line, and a stdout closed by its reader exits 141
+(128 + SIGPIPE) with no such line.
 POTLINE_BUDGET, read once as `solvers.BUDGET`, caps enumeration sizes:
 brute force, and the generators that check every cone; a malformed one
 fails every command.
@@ -91,8 +92,16 @@ _ALGOS = {
 
 
 class UsageError(ValueError):
-    """An unknown chain step, a query the view lacks, or an algorithm of
-    another problem."""
+    """A malformed command line, an unknown chain step, a query the view
+    lacks, or an algorithm of another problem."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are `UsageError`s, so that `main`
+    reports them like every other input error."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _digest(data) -> str:
@@ -273,7 +282,7 @@ def cmd_verify(args):
 
 @functools.cache
 def build_parser():
-    ap = argparse.ArgumentParser(prog="potline")
+    ap = _Parser(prog="potline")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("generate", help="emit a seeded instance as JSON")
@@ -311,10 +320,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = {"generate": cmd_generate, "reduce": cmd_reduce, "solve": cmd_solve,
-               "verify": cmd_verify}[args.cmd]
     try:
+        args = build_parser().parse_args(argv)
+        command = {"generate": cmd_generate, "reduce": cmd_reduce, "solve": cmd_solve,
+                   "verify": cmd_verify}[args.cmd]
         solvers.default_budget()  # a malformed POTLINE_BUDGET fails every command
         status = command(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit

@@ -44,6 +44,21 @@ The lex ratio test runs over the rows whose pivot entry has the sign of D,
 and compares their lex vectors cross-multiplied by the pivot entries
 (the products of two entries of one sign are positive).
 
+Lemke's own path (`Path`, which `solvers.lemke` walks) holds the same
+dictionary by column (the product form of the inverse; Dantzig and
+Orchard-Hays 1954).  A pivot computes only the right-hand side and the
+leaving variable's column, and logs itself; another column replays the
+logged pivots it missed when a ratio test first reads it, and after d
+logged pivots every column is brought up to date and the log cleared, so
+the log holds at most d columns.  A path that ends in few pivots never
+updates most columns.  Its ratio test takes the numeric minimum; at the
+first tie, a degenerate dictionary where only the lex rule (which reads
+the w' columns) decides, the path builds the row `Vertex` from its
+columns and goes on with `ratio_step`.  A start with a zero basic value
+builds the row `Vertex` too, for the lex feasibility check alone.  Every
+other caller (line views, cone solves, out-maps) keeps the row `Vertex`
+of each basis it meets.
+
 The dictionaries also answer cone solves: -A_alpha (A_alpha has columns
 -M_i for i in alpha, e_i elsewhere) is the basis matrix of alpha's
 complementary basis, whose basic values are A_alpha^-1 q(eps).
@@ -223,17 +238,22 @@ class LemkeSystem:
         return Fraction(v.t[~c][self.rhs], v.det * self._units(var))
 
     def numeric_point(self, v: Vertex):
-        d, rhs, det = self.d, self.rhs, v.det
+        return self._point(v.rows, [row[self.rhs] for row in v.t], v.det)
+
+    def _point(self, rows, rhs: list[int], det: int):
+        """(y, w, z) at the basis whose row variables are `rows`, from its
+        right-hand side column rhs and D = det."""
+        d = self.d
         y = [Fraction(0)] * d
         w = [Fraction(0)] * d
         z = Fraction(0)
-        for var, row in zip(v.rows, v.t):
+        for var, x in zip(rows, rhs):
             if var < d:
-                y[var] = Fraction(row[rhs], det)
+                y[var] = Fraction(x, det)
             elif var < 2 * d:
-                w[var - d] = Fraction(row[rhs], det * self.form.s[var - d])
+                w[var - d] = Fraction(x, det * self.form.s[var - d])
             else:
-                z = Fraction(row[rhs], det)
+                z = Fraction(x, det)
         return y, w, z
 
     def z_row(self, v: Vertex) -> tuple[list[int], int]:
@@ -262,8 +282,13 @@ class LemkeSystem:
     def direction(self, v: Vertex, entering: int) -> dict:
         """Edge direction when `entering` grows: numeric deltas per basic
         variable plus the entering variable itself at +1."""
-        c, s = v.pos[entering], self._units(entering)
-        eta = {var: Fraction(-row[c] * s, v.det * self._units(var)) for var, row in zip(v.rows, v.t)}
+        c = v.pos[entering]
+        return self._direction(v.rows, [row[c] for row in v.t], v.det, entering)
+
+    def _direction(self, rows, col: list[int], det: int, entering: int) -> dict:
+        """`direction` from `entering`'s column col and D = det."""
+        s = self._units(entering)
+        eta = {var: Fraction(-a * s, det * self._units(var)) for var, a in zip(rows, col)}
         eta[entering] = Fraction(1)
         return eta
 
@@ -327,16 +352,23 @@ class LemkeSystem:
         return y, w, z
 
     # -- Lemke start ----------------------------------------------------------
+    def start_row(self) -> int:
+        """The row of the slack dictionary (and the label) whose w z
+        replaces at the Lemke start: the lex-min row (q_i, e_i) of q(eps),
+        so the smallest q_i, ties going to the larger i."""
+        return min(range(self.d), key=lambda i: (self.q[i], -i))
+
     def start_vertex(self):
         """Vertex at (y, w, z) = (0, q + z0*1, z0) and the label whose w
         left the basis."""
-        # z replaces the w of the lex-min row (q_i, e_i) of q(eps): the
-        # smallest q_i, ties going to the larger i.
-        i_star = min(range(self.d), key=lambda i: (self.q[i], -i))
-        v = self._pivot(self._slack_vertex(), i_star, self.zvar)
+        i_star = self.start_row()
+        return self.feasible_start(self._pivot(self._slack_vertex(), i_star, self.zvar)), i_star
+
+    def feasible_start(self, v: Vertex) -> Vertex:
+        """v, the start vertex, if it is lex-feasible."""
         if not self.feasible(v):
             raise RuntimeError("Lemke start vertex is infeasible")
-        return v, i_star
+        return v
 
     # -- Todd orientation ------------------------------------------------------
     def _label_order_sign(self, v: Vertex, dup: int | None = None) -> int:
@@ -367,3 +399,126 @@ class LemkeSystem:
     def backward_entering(self, v: Vertex) -> int:
         l = self.duplicate_label(v.basis)
         return self.d + l if self.forward_entering(v) == l else l
+
+
+def _replay(col: list[int], r: int, e: list[int], p: int, det: int) -> list[int]:
+    """A column after the pivot on row r with entering column e, pivot
+    entry p = e[r] and old D = det: `LemkeSystem._pivot`'s rule, one column
+    at a time (the leaving variable's column aside)."""
+    x = col[r]
+    if x:
+        col = [(y * p - a * x) // det for y, a in zip(col, e)]
+        col[r] = x
+    elif p != det:
+        col = [y * p // det for y in col]
+    return col
+
+
+class Path:
+    """Lemke's path from the slack dictionary, held by column (module
+    docstring).  `rows`, `pos` and `det` are those of a `Vertex`;
+    `cols[k]` is slot k, the last one the right-hand side, as of the
+    first `seen[k]` pivots of `log`, the pivots since it was last
+    cleared, each (row, entering column, pivot entry, old D).  `vertex` is
+    the row `Vertex` once a ratio-test tie has handed the path over to
+    `LemkeSystem.ratio_step`."""
+
+    __slots__ = ("sys", "rows", "pos", "det", "cols", "seen", "log", "vertex", "i_star")
+
+    def __init__(self, sys: LemkeSystem):
+        """The start vertex: z replaces w_(i_star), and y_(i_star) enters
+        next.  Raises RuntimeError if it is infeasible."""
+        slack = sys._slack_vertex()
+        self.sys = sys
+        self.rows = list(slack.rows)
+        self.pos = slack.pos.copy()
+        self.det = slack.det
+        self.cols = [list(col) for col in zip(*slack.t)]
+        self.seen = [0] * len(self.cols)
+        self.log = []
+        self.vertex = None
+        i = self.i_star = sys.start_row()
+        self._pivot(i, sys.zvar, self.cols[self.pos[sys.zvar]])
+        if min(x * self.det for x in self.cols[-1]) <= 0:
+            sys.feasible_start(self._vertex())  # only the lex rule tells a zero value's sign
+
+    def _column(self, k: int) -> list[int]:
+        """Slot k, brought up to date."""
+        col, n = self.cols[k], len(self.log)
+        if self.seen[k] < n:
+            for pivot in self.log[self.seen[k]:]:
+                col = _replay(col, *pivot)
+            self.cols[k], self.seen[k] = col, n
+        return col
+
+    def _pivot(self, r: int, entering: int, e: list[int]) -> int:
+        """Pivot on row r and `entering`, whose up-to-date column is e;
+        return the leaving variable."""
+        if len(self.log) == self.sys.d:  # full: bring every column up to date
+            for k in range(len(self.cols)):
+                self._column(k)
+            self.log.clear()
+            self.seen = [0] * len(self.cols)
+        c, leaving, pivot = self.pos[entering], self.rows[r], (r, e, e[r], self.det)
+        self.log.append(pivot)
+        col = [-a for a in e]
+        col[r] = self.det  # the leaving variable's column: D * e_r before the pivot
+        self.cols[c], self.seen[c] = col, len(self.log)
+        self.cols[-1], self.seen[-1] = _replay(self.cols[-1], *pivot), len(self.log)
+        self.rows[r], self.pos[leaving], self.pos[entering], self.det = entering, c, ~r, e[r]
+        return leaving
+
+    def _vertex(self) -> Vertex:
+        rows = zip(*[self._column(k) for k in range(len(self.cols))])
+        return Vertex(tuple(self.rows), self.pos.copy(), [list(row) for row in rows], self.det)
+
+    @property
+    def basis(self) -> frozenset:
+        return self.vertex.basis if self.vertex is not None else frozenset(self.rows)
+
+    def step(self, entering: int) -> int | None:
+        """Pivot along the edge on which `entering` grows; return the
+        leaving variable, or None when the edge is a ray."""
+        if self.vertex is None:
+            col, det = self._column(self.pos[entering]), self.det
+            best, tie = None, False
+            for i, (a, x) in enumerate(zip(col, self.cols[-1])):
+                if a * det <= 0:
+                    continue  # this basic variable does not fall
+                if best is not None:
+                    # x / a against bx / b, cross-multiplied by a * b > 0
+                    u, w = x * b, bx * a
+                    if u >= w:
+                        tie = tie or u == w
+                        continue
+                best, b, bx, tie = i, a, x, False
+            if best is None:
+                return None
+            if not tie:
+                return self._pivot(best, entering, col)
+            self.vertex = self._vertex()
+        step = self.sys.ratio_step(self.vertex, entering)
+        if step is None:
+            return None
+        self.vertex, leaving = step
+        return leaving
+
+    def z(self) -> Fraction:
+        """Numeric value of z."""
+        if self.vertex is not None:
+            return self.sys.value(self.vertex, self.sys.zvar)
+        c = self.pos[self.sys.zvar]
+        return Fraction(self.cols[-1][~c], self.det) if c < 0 else Fraction(0)
+
+    def y(self) -> list[Fraction]:
+        """Numeric value of y, read from the right-hand side."""
+        if self.vertex is not None:
+            return self.sys.numeric_point(self.vertex)[0]
+        return self.sys._point(self.rows, self.cols[-1], self.det)[0]
+
+    def direction(self, entering: int) -> dict:
+        """`LemkeSystem.direction` when `entering` grows, read from its
+        column alone."""
+        if self.vertex is not None:
+            return self.sys.direction(self.vertex, entering)
+        return self.sys._direction(self.rows, self._column(self.pos[entering]), self.det, entering)

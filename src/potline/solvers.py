@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm, prod
 
-from .pivoting import LemkeSystem, principal_minor
+from .pivoting import LemkeSystem, Path, principal_minor
 from .problems import (
     LINE_KINDS,
     Certificate,
@@ -64,16 +64,12 @@ class RunStats:
 # ---------------------------------------------------------------------------
 # Lemke's complementary pivot algorithm
 
-def _edge_cone(sys: LemkeSystem, v, entering: int) -> frozenset:
-    """The cone of the edge that `entering` opens at `v`, whose minor sign
-    gives the z direction along it (Todd orientation): v's support with
-    y_l added when y_l enters and l dropped when w_l enters."""
-    alpha = sys.support(v.basis)
-    if entering < sys.d:
-        return alpha | {entering}
-    if entering < sys.zvar:
-        return alpha - {entering - sys.d}
-    return alpha
+def _edge_cone(sys: LemkeSystem, basis, x: int) -> frozenset:
+    """The cone of a path edge, whose minor sign gives the z direction
+    along it (Todd orientation): the y's among the edge's d + 1 variables,
+    the basis at one end and x, the variable that enters there (or leaves
+    at the other end)."""
+    return sys.support(basis | {x})
 
 
 def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
@@ -83,44 +79,42 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
     cone then has a non-positive principal minor) or hits a ray with a
     non-positive principal minor; PV2 with the ray's y-direction on any
     other ray.  Degeneracy is resolved by symbolic lexicographic
-    perturbation.
+    perturbation.  The path is one `pivoting.Path`.
     """
     stats = stats if stats is not None else RunStats()
     d = inst.d
     if all(qi >= 0 for qi in inst.q):
         return cert("Q1", y=[Fraction(0)] * d)
     sys = inst.system
-    v, i_star = sys.start_vertex()
-    stats.z_trace.append(sys.value(v, sys.zvar))
-    entering = i_star  # relax y_{i*}=0: the complement of the leaving w_{i*}
+    path = Path(sys)
+    stats.z_trace.append(path.z())
+    entering = path.i_star  # relax y_{i*}=0: the complement of the leaving w_{i*}
     while True:
-        step = sys.ratio_step(v, entering)
+        leaving = path.step(entering)
         stats.pivots += 1
-        if step is None:
-            alpha = _edge_cone(sys, v, entering)
+        if leaving is None:
+            alpha = _edge_cone(sys, path.basis, entering)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
             # Along the ray dz >= 0 and dy_i * dw_i = 0 with dw = M dy + dz * 1,
             # so x = dy gives x_i (Mx)_i = -dz * x_i <= 0: a PV2 witness.
-            ray = sys.direction(v, entering)
+            ray = path.direction(entering)
             c = cert("PV2", x=[ray.get(i, Fraction(0)) for i in range(d)])
             if not verify(inst, c):
                 raise RuntimeError("secondary ray gave no PV2 certificate")
             return c
-        prev, (v, leaving) = v, step
-        z_new = sys.value(v, sys.zvar)
+        z_new = path.z()
         z_prev = stats.z_trace[-1]
         stats.z_trace.append(z_new)
         if z_new > z_prev:
             # z increased while traversing cone alpha, which by Todd's
             # orientation means det(M_aa) < 0.
-            alpha = _edge_cone(sys, prev, entering)
+            alpha = _edge_cone(sys, path.basis, leaving)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
             raise RuntimeError("z increased across a cone with a positive minor")
-        if sys.zvar not in v.basis:
-            y, _, _ = sys.numeric_point(v)
-            return cert("Q1", y=y)
+        if leaving == sys.zvar:
+            return cert("Q1", y=path.y())
         # Complementary pivot rule: enter the complement of the leaver.
         entering = leaving + d if leaving < d else leaving - d
 

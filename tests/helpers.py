@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+from potline.pivoting import principal_minor
 from potline.problems import (
     DOWN,
     UP,
@@ -12,10 +13,12 @@ from potline.problems import (
     LcpInstance,
     LineInstance,
     OpdcInstance,
+    cert,
     line_from_tables,
+    verify,
 )
 from potline.rational import Mat, Vec, determinant
-from potline.solvers import eps_schedule
+from potline.solvers import RunStats, eps_schedule
 
 # The stages from a P-LCP to a normalized UniqueEOPL line, for `cli.compose`.
 FULL_CHAIN = ("plcp", "uso", "opdc", "ufeopl", "plus1", "ueopl", "normalized")
@@ -33,6 +36,48 @@ def murty(n: int) -> LcpInstance:
     2^n + 1 steps."""
     m = [[1 if i == j else 2 if j < i else 0 for j in range(n)] for i in range(n)]
     return LcpInstance(M=m, q=[-1] * n)
+
+
+def lemke_rows(inst: LcpInstance, stats: RunStats) -> Certificate:
+    """Reference for `solvers.lemke`: the same loop over row `Vertex`es,
+    each pivot rewriting every row (`LemkeSystem.ratio_step`)."""
+    d = inst.d
+    if all(qi >= 0 for qi in inst.q):
+        return cert("Q1", y=[Fraction(0)] * d)
+    sys = inst.system
+
+    def edge_cone(v, entering):
+        alpha = sys.support(v.basis)
+        if entering < d:
+            return alpha | {entering}
+        return alpha - {entering - d}
+
+    v, entering = sys.start_vertex()
+    stats.z_trace.append(sys.value(v, sys.zvar))
+    while True:
+        step = sys.ratio_step(v, entering)
+        stats.pivots += 1
+        if step is None:
+            alpha = edge_cone(v, entering)
+            if principal_minor(inst.M, alpha) <= 0:
+                return cert("PV1", alpha=alpha)
+            ray = sys.direction(v, entering)
+            c = cert("PV2", x=[ray.get(i, Fraction(0)) for i in range(d)])
+            if not verify(inst, c):
+                raise RuntimeError("secondary ray gave no PV2 certificate")
+            return c
+        prev, (v, leaving) = v, step
+        z_new = sys.value(v, sys.zvar)
+        z_prev = stats.z_trace[-1]
+        stats.z_trace.append(z_new)
+        if z_new > z_prev:
+            alpha = edge_cone(prev, entering)
+            if principal_minor(inst.M, alpha) <= 0:
+                return cert("PV1", alpha=alpha)
+            raise RuntimeError("z increased across a cone with a positive minor")
+        if sys.zvar not in v.basis:
+            return cert("Q1", y=sys.numeric_point(v)[0])
+        entering = leaving + d if leaving < d else leaving - d
 
 
 def gen_normalized_line(exponent: int, seed: int, two_lines: bool = False) -> LineInstance:

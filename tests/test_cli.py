@@ -608,16 +608,18 @@ def test_help_prints_from_the_parser_built_once(capsys):
     ["solve", "line", "--problem", "line", "--algo", "aldous", "--samples", "1_0"],
     ["solve", "line", "--problem", "line", "--algo", "aldous", "--seed", "0x1"],
     ["solve", "contraction", "--problem", "contraction", "--algo", "approx", "--eps", "1/8", "--p", "2.0"],
+    ["generate", "--kind", "foo"],
+    ["reduce", "plcp"],
 ])
 def test_integer_options_read_ascii_digits(files, capsys, argv):
-    # `int()` reads all of these; each is an input error naming the value,
-    # whether `main` returns 2 or argparse exits 2 out of it.
-    try:
-        code = main([str(files.get(a, a)) if i == 1 else a for i, a in enumerate(argv)])
-    except SystemExit as done:
-        code = done.code
-    assert code == 2
-    assert f"invalid integer value: {argv[-1]!r}" in capsys.readouterr().err
+    # `int()` reads the integer values here; each is an input error naming
+    # the value, as are a --kind that names no generator and a missing
+    # --chain: `main` returns 2 with one `error:` line, as for every input error.
+    code = main([str(files.get(a, a)) if i == 1 else a for i, a in enumerate(argv)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    other = {"foo": "invalid choice: 'foo'", "plcp": "the following arguments are required: --chain"}
+    assert other.get(argv[-1], f"invalid integer value: {argv[-1]!r}") in err
 
 
 def _child_env(**extra):

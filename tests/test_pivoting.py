@@ -4,6 +4,7 @@ sizes brute force cannot reach."""
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import lcm
@@ -11,13 +12,13 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from potline.generators import gen_lcp
-from potline.pivoting import LemkeSystem, principal_minor
+from potline.pivoting import LemkeSystem, Path, principal_minor
 from potline.problems import LcpInstance, verify
 from potline.rational import determinant
 from potline.reductions_lcp import PlcpLineView, out_map
 from potline.solvers import RunStats, follow_line, lemke
 
-from helpers import a_alpha, murty
+from helpers import a_alpha, lemke_rows, murty
 
 
 def _digest(x) -> str:
@@ -243,17 +244,20 @@ def test_line_view_pivots_once_per_edge(monkeypatch):
     # every later step one more: the view neither pivots an edge again when
     # the walk asks for P(S(x)) nor rebuilds a vertex it has met.
     insts = [murty(n) for n in range(2, 9)] + [gen_lcp(d, s) for d in range(2, 9) for s in range(20)]
-    pivot, pivots = LemkeSystem._pivot, [0]
+    pivots = [0]
 
-    def counted(self, v, r, j):
-        pivots[0] += 1
-        return pivot(self, v, r, j)
+    def counted(pivot):
+        def count(*args):
+            pivots[0] += 1
+            return pivot(*args)
+        return count
 
     lemke_pivots = []
     for inst in insts:
         want = RunStats()
         with monkeypatch.context() as m:
-            m.setattr(LemkeSystem, "_pivot", counted)
+            m.setattr(LemkeSystem, "_pivot", counted(LemkeSystem._pivot))
+            m.setattr(Path, "_pivot", counted(Path._pivot))
             pivots[0] = 0
             c = lemke(inst, stats=want)
             lemke_pivots.append(pivots[0])
@@ -262,8 +266,73 @@ def test_line_view_pivots_once_per_edge(monkeypatch):
             pivots[0], got = 0, RunStats()
             assert view.map_back(follow_line(line, 0, stats=got)) == c
         assert (pivots[0], got.steps) == (want.pivots + 1, want.pivots + 2), inst
-    # lemke's own tableau pivots, recorded with the 2d + 2 column tableau.
+    # lemke's own tableau pivots, row or column, recorded with the 2d + 2
+    # column tableau.
     assert (sum(lemke_pivots), _digest(lemke_pivots)) == (989, "c93e35cb0c355fd6")
+
+
+# -- the column walk (`pivoting.Path`) against the row walk ----------------------
+
+def _wild_integer(seed):
+    """A seeded LCP with integer entries in -2..3: zero entries and ties in
+    q, so degenerate dictionaries, are common."""
+    rng = random.Random(seed)
+    d = rng.randint(2, 6)
+    return LcpInstance(M=[[rng.randint(-2, 3) for _ in range(d)] for _ in range(d)],
+                       q=[rng.randint(-2, 3) for _ in range(d)])
+
+
+def _walks(inst):
+    """lemke's and the reference row walk's (certificate, pivots, z_trace)."""
+    got, want = RunStats(), RunStats()
+    return ((lemke(inst, stats=got), got.pivots, got.z_trace),
+            (lemke_rows(inst, want), want.pivots, want.z_trace))
+
+
+def test_lemke_matches_the_row_walk():
+    insts = [gen_lcp(d, s) for d in range(2, 25, 2) for s in range(15)]
+    insts += [gen_lcp(d, s, p_matrix=False) for d in range(2, 9) for s in range(40)]
+    insts += [murty(n) for n in range(2, 10)] + [_wild_integer(s) for s in range(400)]
+    kinds = Counter()
+    for inst in insts:
+        got, want = _walks(inst)
+        assert got == want, inst
+        kinds[got[0].kind] += 1
+    assert kinds == {"Q1": 493, "PV1": 375}
+
+
+def test_path_hands_over_at_a_tie_and_clears_its_log(monkeypatch):
+    # On Murty's matrix at d = 3: q = -(1, 2, 3) starts nondegenerate and
+    # ties at its second ratio test, after which the row walk takes its 4
+    # other edges; q = (-4, -6, -7) walks all 7 edges of Murty's path
+    # without a tie, so its log (its length follows each column pivot)
+    # fills to d twice before it is cleared; q = -1 starts with zero
+    # values, which the row vertex's lex check reads, and ties at once.
+    events = []
+    pivot, ratio_step = Path._pivot, LemkeSystem.ratio_step
+
+    def logged_pivot(self, *args):
+        leaving = pivot(self, *args)
+        events.append(len(self.log))
+        return leaving
+
+    def logged_ratio_step(self, *args):
+        events.append("row")
+        return ratio_step(self, *args)
+
+    m = murty(3).M
+    for q, want in (([-1, -2, -3], [1, 2] + ["row"] * 4),
+                    ([-4, -6, -7], [1, 2, 3] * 2 + [1, 2]),
+                    ([-1, -1, -1], [1] + ["row"] * 7)):
+        inst = LcpInstance(M=m, q=q)
+        got, ref = _walks(inst)
+        assert got == ref and got[0].kind == "Q1"
+        events.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "_pivot", logged_pivot)
+            patch.setattr(LemkeSystem, "ratio_step", logged_ratio_step)
+            lemke(inst)
+        assert events == want, q
 
 
 # -- Todd orientation from the running determinant ----------------------------

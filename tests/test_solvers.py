@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from potline.circuits import affine_circuit, evaluate
 from potline.cli import compose, main
 from potline.generators import gen_contraction, gen_lcp, gen_line, gen_uso
+from potline.pivoting import LemkeSystem
 from potline.problems import (
     ContractionInstance,
     LcpInstance,
@@ -92,6 +93,18 @@ def test_lemke_ray_pv2(monkeypatch):
     monkeypatch.setattr(solvers, "principal_minor", lambda m, alpha: F(1))
     c = lemke(inst)
     assert c == cert("PV2", x=[F(0), F(1)]) and verify(inst, c)
+
+
+def test_lemke_refuses_an_infeasible_start(monkeypatch):
+    # Only a start on the lex-min row of q(eps) is feasible.  Starting on
+    # row 0 leaves w_1 = q_1 - q_0 < 0, or, with q tied, w_1 = eps^1 - eps^0,
+    # which only the lex rule finds negative.
+    monkeypatch.setattr(LemkeSystem, "start_row", lambda sys: 0)
+    for q in ([-1, -2], [-1, -1]):
+        inst = LcpInstance(M=[[1, 0], [0, 1]], q=q)
+        for start in (lemke, lambda inst: inst.system.start_vertex()):
+            with pytest.raises(RuntimeError, match="Lemke start vertex is infeasible"):
+                start(inst)
 
 
 # -- line following ------------------------------------------------------------
