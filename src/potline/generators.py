@@ -53,7 +53,7 @@ def gen_lcp(d: int, seed: int, p_matrix: bool = True, nondegenerate: bool = Fals
             sys = inst.system
             cones = (sys.cone_vertex(a) for r in range(d + 1) for a in combinations(range(d), r))
             # A basic value of a cone's vertex is an entry of A_alpha^-1 q.
-            if any(v is None or (p_matrix and any(row[sys.rhs] == 0 for row in v.t)) for v in cones):
+            if any(v is None or (p_matrix and 0 in v.column(sys.rhs)) for v in cones):
                 continue
         return inst
     raise RuntimeError("generator failed to produce an instance")

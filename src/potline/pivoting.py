@@ -17,14 +17,23 @@ T = D * B^-1 * A.  The basic variable of row i has the value
 T[i][rhs] / D and falls by T[i][x] / D per unit of a growing nonbasic x.
 
 Only the d + 1 nonbasic columns of T and the right-hand side are stored,
-d + 2 ints per row: a basic variable's column is D in its own row and 0
+by column: a basic variable's column is D in its own row and 0
 elsewhere.  `Vertex.pos` maps a nonbasic variable to its slot and a basic
-one to ~row.  A pivot on row r and entering x_j, with p = T[r][j],
-replaces every other row i by (T[i][k] * p - T[i][j] * T[r][k]) / D,
-keeps row r, and sets D = p; the division is exact because every entry is
-a minor of A.  j's slot then holds the column of the leaving variable: the
-old D in row r and -T[i][j] in every other row i.  Fractions are built
-only where a number is read.
+one to ~row.  A pivot on row r and entering x_j, with p = T[r][j], turns
+every other column's entry in row i into (T[i][k] * p - T[i][j] * T[r][k])
+/ D, keeps row r, and sets D = p; the division is exact because every
+entry is a minor of A (`_replay`, the one pivot rule).  j's slot then
+holds the column of the leaving variable: the old D in row r and -T[i][j]
+in every other row i.  Fractions are built only where a number is read.
+
+A pivot computes only the right-hand side and the leaving variable's
+column (the product form of the inverse; Dantzig and Orchard-Hays 1954).
+Every other column is replayed from the vertex it was pivoted from when
+it is first read, and kept.  A walk that reads few columns, such as a
+ratio test whose right-hand sides do not tie or a cone solve, never
+computes the rest.  A vertex has at most d unreplayed pivots behind it:
+before a pivot from a vertex with d of them, all of that vertex's columns
+are computed, and it lets go of the vertex it came from.
 
 At the all-w basis B = -I, so D = +-1.  At any vertex D is det(B0) times
 the s_r of the rows whose w has left the basis, where B0 is the basis of
@@ -40,24 +49,10 @@ vector alike, so comparing lex vectors without them gives the same order,
 and the values that the read-outs return (`value`, `numeric_point`,
 `direction`, `edge_point`, `z_row`) convert w' back to w through s.
 
-The lex ratio test runs over the rows whose pivot entry has the sign of D,
-and compares their lex vectors cross-multiplied by the pivot entries
-(the products of two entries of one sign are positive).
-
-Lemke's own path (`Path`, which `solvers.lemke` walks) holds the same
-dictionary by column (the product form of the inverse; Dantzig and
-Orchard-Hays 1954).  A pivot computes only the right-hand side and the
-leaving variable's column, and logs itself; another column replays the
-logged pivots it missed when a ratio test first reads it, and after d
-logged pivots every column is brought up to date and the log cleared, so
-the log holds at most d columns.  A path that ends in few pivots never
-updates most columns.  Its ratio test takes the numeric minimum; at the
-first tie, a degenerate dictionary where only the lex rule (which reads
-the w' columns) decides, the path builds the row `Vertex` from its
-columns and goes on with `ratio_step`.  A start with a zero basic value
-builds the row `Vertex` too, for the lex feasibility check alone.  Every
-other caller (line views, cone solves, out-maps) keeps the row `Vertex`
-of each basis it meets.
+The lex ratio test (`ratio_step`) runs over the rows whose pivot entry
+has the sign of D, and compares their lex vectors cross-multiplied by the
+pivot entries (the products of two entries of one sign are positive).
+It reads a w' column only where two right-hand sides tie.
 
 The dictionaries also answer cone solves: -A_alpha (A_alpha has columns
 -M_i for i in alpha, e_i elsewhere) is the basis matrix of alpha's
@@ -123,23 +118,48 @@ class IntForm:
         return [sum(row[j] * v for j, v in xs) for row in self.rows]
 
 
+def _replay(col: list[int], r: int, e: list[int], p: int, det: int) -> list[int]:
+    """A column after the pivot on row r with entering column e, pivot
+    entry p = e[r] and old D = det (module docstring)."""
+    x = col[r]
+    if x:
+        col = [(y * p - a * x) // det for y, a in zip(col, e)]
+        col[r] = x
+    elif p != det:  # else the column is unchanged and shared: columns are never written
+        col = [y * p // det for y in col]
+    return col
+
+
 class Vertex:
     """A basis with its dictionary: `rows[i]` is the basic variable of row
     i, `pos[x]` the slot of a nonbasic variable x or ~row of a basic one,
-    `t` the integer rows (the d + 1 nonbasic slots, then the right-hand
-    side) and `det` the determinant D (module docstring).  `fwd` holds
-    `forward_entering` once it has been asked for (a pure function of rows
-    and det)."""
+    `cols[k]` the integer column of slot k (the d + 1 nonbasic slots, then
+    the right-hand side), None until `column(k)` first reads it, and `det`
+    the determinant D (module docstring).  `back` is (the vertex this one
+    was pivoted from, the pivot row, the entering column there), from
+    which a missing column is replayed, and `lag` bounds the number of
+    such pivots behind it (at most d).  `fwd` holds `forward_entering` once it has been
+    asked for (a pure function of rows and det)."""
 
-    __slots__ = ("rows", "basis", "pos", "t", "det", "fwd")
+    __slots__ = ("rows", "basis", "pos", "cols", "det", "back", "lag", "fwd")
 
-    def __init__(self, rows: tuple, pos: list[int], t: list[list[int]], det: int):
+    def __init__(self, rows: tuple, pos: list[int], cols: list, det: int, back: tuple | None = None):
         self.rows = rows
         self.basis = frozenset(rows)
         self.pos = pos
-        self.t = t
+        self.cols = cols
         self.det = det
+        self.back = back
+        self.lag = 0 if back is None else back[0].lag + 1
         self.fwd = None
+
+    def column(self, k: int) -> list[int]:
+        """Slot k's column, replayed from `back` on first read."""
+        col = self.cols[k]
+        if col is None:
+            v, r, e = self.back
+            col = self.cols[k] = _replay(v.column(k), r, e, self.det, v.det)
+        return col
 
 
 class LemkeSystem:
@@ -155,44 +175,42 @@ class LemkeSystem:
     def _slack_vertex(self) -> Vertex:
         """The basis of all w (row i holds w'_i), built on first use."""
         if self._slack is None:
-            d = self.d
+            d, f = self.d, self.form
             # B = -I and D = (-1)^d, so T = D * B^-1 * A = (-1)^(d+1) * A over
-            # the slots y_0..y_(d-1), z.
+            # the slots y_0..y_(d-1), z and the right-hand side.
             sign = 1 if d % 2 else -1
-            f = self.form
-            t = [[x * sign for x in row[:-1] + [s, -row[-1]]] for s, row in zip(f.s, f.rows)]
+            cols = [[row[k] * sign for row in f.rows] for k in range(d)]
+            cols += [[s * sign for s in f.s], [-row[-1] * sign for row in f.rows]]
             pos = list(range(d)) + [~r for r in range(d)] + [d]
-            self._slack = Vertex(tuple(range(d, 2 * d)), pos, t, -sign)
+            self._slack = Vertex(tuple(range(d, 2 * d)), pos, cols, -sign)
         return self._slack
 
     def _pivot(self, v: Vertex, r: int, j: int) -> Vertex:
+        """The vertex one pivot from v, on row r with x_j entering: the
+        right-hand side and the leaving variable's column are computed
+        here, every other column on first read.  A v with d pivots behind
+        it computes all of its columns first."""
+        if v.lag == self.d:
+            for k in range(self.rhs):
+                v.column(k)
+            v.back, v.lag = None, 0
         c = v.pos[j]
-        pr = v.t[r]
-        p, det = pr[c], v.det
-        t = []
-        for i, row in enumerate(v.t):
-            a = row[c]
-            if i == r:
-                row = row.copy()
-                row[c] = det  # the leaving variable's column is D * e_r
-            elif a == 0:
-                if p != det:  # else the row is unchanged and shared: rows are never written
-                    row = [x * p // det for x in row]
-            else:
-                row = [(x * p - a * y) // det for x, y in zip(row, pr)]
-                row[c] = -a
-            t.append(row)
+        e = v.column(c)
+        cols = [None] * (self.d + 2)
+        cols[c] = [-a for a in e]
+        cols[c][r] = v.det  # the leaving variable's column was D * e_r
+        cols[self.rhs] = _replay(v.cols[self.rhs], r, e, e[r], v.det)
         pos = v.pos.copy()
         pos[v.rows[r]], pos[j] = c, ~r
-        return Vertex(v.rows[:r] + (j,) + v.rows[r + 1:], pos, t, p)
+        return Vertex(v.rows[:r] + (j,) + v.rows[r + 1:], pos, cols, e[r], (v, r, e))
 
     def vertex_at(self, basis) -> Vertex | None:
         """The dictionary of `basis`, at most d pivots from the slack one,
         or None when the basis matrix is singular."""
         v = self._slack_vertex()
         for j in sorted(basis - v.basis):
-            c = v.pos[j]
-            r = next((i for i, var in enumerate(v.rows) if var not in basis and v.t[i][c]), None)
+            col = v.column(v.pos[j])
+            r = next((i for i, var in enumerate(v.rows) if var not in basis and col[i]), None)
             if r is None:
                 return None  # column j lies in the span of the basic ones
             v = self._pivot(v, r, j)
@@ -213,11 +231,11 @@ class LemkeSystem:
     def _lex_lead(self, v: Vertex, i: int) -> int:
         """First nonzero entry of row i's lex vector, or 0: the right-hand
         side, then the w' entries (D for the row's own basic w')."""
-        row = v.t[i]
-        if row[self.rhs]:
-            return row[self.rhs]
+        x = v.cols[self.rhs][i]
+        if x:
+            return x
         for k in v.pos[self.d:self.zvar]:
-            x = row[k] if k >= 0 else v.det if ~k == i else 0
+            x = v.column(k)[i] if k >= 0 else v.det if ~k == i else 0
             if x:
                 return x
         return 0
@@ -235,25 +253,21 @@ class LemkeSystem:
         c = v.pos[var]
         if c >= 0:
             return Fraction(0)
-        return Fraction(v.t[~c][self.rhs], v.det * self._units(var))
+        return Fraction(v.cols[self.rhs][~c], v.det * self._units(var))
 
     def numeric_point(self, v: Vertex):
-        return self._point(v.rows, [row[self.rhs] for row in v.t], v.det)
-
-    def _point(self, rows, rhs: list[int], det: int):
-        """(y, w, z) at the basis whose row variables are `rows`, from its
-        right-hand side column rhs and D = det."""
+        """(y, w, z), read from the right-hand side."""
         d = self.d
         y = [Fraction(0)] * d
         w = [Fraction(0)] * d
         z = Fraction(0)
-        for var, x in zip(rows, rhs):
+        for var, x in zip(v.rows, v.cols[self.rhs]):
             if var < d:
-                y[var] = Fraction(x, det)
+                y[var] = Fraction(x, v.det)
             elif var < 2 * d:
-                w[var - d] = Fraction(x, det * self.form.s[var - d])
+                w[var - d] = Fraction(x, v.det * self.form.s[var - d])
             else:
-                z = Fraction(x, det)
+                z = Fraction(x, v.det)
         return y, w, z
 
     def z_row(self, v: Vertex) -> tuple[list[int], int]:
@@ -263,11 +277,10 @@ class LemkeSystem:
         c = v.pos[self.zvar]
         if c >= 0:
             return [0] * (self.d + 1), 1
-        row = v.t[~c]
-        ws = [row[k] if k >= 0 else 0 for k in v.pos[self.d:self.zvar]]
+        ws = [v.column(k)[~c] if k >= 0 else 0 for k in v.pos[self.d:self.zvar]]
         if self.form.scale != 1:
             ws = [s * x for s, x in zip(self.form.s, ws)]
-        return [row[self.rhs]] + ws, v.det
+        return [v.cols[self.rhs][~c]] + ws, v.det
 
     def duplicate_label(self, basis) -> int | None:
         for i in range(self.d):
@@ -282,13 +295,9 @@ class LemkeSystem:
     def direction(self, v: Vertex, entering: int) -> dict:
         """Edge direction when `entering` grows: numeric deltas per basic
         variable plus the entering variable itself at +1."""
-        c = v.pos[entering]
-        return self._direction(v.rows, [row[c] for row in v.t], v.det, entering)
-
-    def _direction(self, rows, col: list[int], det: int, entering: int) -> dict:
-        """`direction` from `entering`'s column col and D = det."""
         s = self._units(entering)
-        eta = {var: Fraction(-a * s, det * self._units(var)) for var, a in zip(rows, col)}
+        col = v.column(v.pos[entering])
+        eta = {var: Fraction(-a * s, v.det * self._units(var)) for var, a in zip(v.rows, col)}
         eta[entering] = Fraction(1)
         return eta
 
@@ -301,7 +310,7 @@ class LemkeSystem:
         c = v.pos[self.zvar]
         if c >= 0:
             return 0
-        x = -v.t[~c][v.pos[entering]] * v.det
+        x = -v.column(v.pos[entering])[~c] * v.det
         return (x > 0) - (x < 0)
 
     def ratio_step(self, v: Vertex, entering: int):
@@ -311,29 +320,28 @@ class LemkeSystem:
         ratio test makes `leaving` unique: two rows with equal ratios would
         make B^-1 singular.
         """
-        c, rhs, det = v.pos[entering], self.rhs, v.det
+        col, rhs, det = v.column(v.pos[entering]), v.cols[self.rhs], v.det
         best = None
-        for i, row in enumerate(v.t):
-            a = row[c]
+        for i, a in enumerate(col):
             if a * det <= 0:
                 continue  # this basic variable does not fall
             if best is not None:
-                # lex(row) / a < lex(brow) / b, cross-multiplied by a * b > 0;
-                # the lex vector is the right-hand side, then the w' entries.
-                brow = v.t[best]
-                b = brow[c]
-                x, y = row[rhs] * b, brow[rhs] * a
+                # lex(row i) / a < lex(row best) / b, cross-multiplied by
+                # a * b > 0; the lex vector is the right-hand side, then the
+                # w' entries.
+                x, y = rhs[i] * b, rhs[best] * a
                 if x == y:
                     for k in v.pos[self.d:self.zvar]:
                         if k >= 0:
-                            x, y = row[k] * b, brow[k] * a
+                            w = v.column(k)
+                            x, y = w[i] * b, w[best] * a
                         else:  # a basic w': its column is D * e_~k
                             x, y = det * b if ~k == i else 0, det * a if ~k == best else 0
                         if x != y:
                             break
                 if x > y:
                     continue
-            best = i
+            best, b = i, a
         if best is None:
             return None
         return self._pivot(v, best, entering), v.rows[best]
@@ -360,15 +368,12 @@ class LemkeSystem:
 
     def start_vertex(self):
         """Vertex at (y, w, z) = (0, q + z0*1, z0) and the label whose w
-        left the basis."""
+        left the basis.  Raises RuntimeError if it is infeasible."""
         i_star = self.start_row()
-        return self.feasible_start(self._pivot(self._slack_vertex(), i_star, self.zvar)), i_star
-
-    def feasible_start(self, v: Vertex) -> Vertex:
-        """v, the start vertex, if it is lex-feasible."""
+        v = self._pivot(self._slack_vertex(), i_star, self.zvar)
         if not self.feasible(v):
             raise RuntimeError("Lemke start vertex is infeasible")
-        return v
+        return v, i_star
 
     # -- Todd orientation ------------------------------------------------------
     def _label_order_sign(self, v: Vertex, dup: int | None = None) -> int:
@@ -399,126 +404,3 @@ class LemkeSystem:
     def backward_entering(self, v: Vertex) -> int:
         l = self.duplicate_label(v.basis)
         return self.d + l if self.forward_entering(v) == l else l
-
-
-def _replay(col: list[int], r: int, e: list[int], p: int, det: int) -> list[int]:
-    """A column after the pivot on row r with entering column e, pivot
-    entry p = e[r] and old D = det: `LemkeSystem._pivot`'s rule, one column
-    at a time (the leaving variable's column aside)."""
-    x = col[r]
-    if x:
-        col = [(y * p - a * x) // det for y, a in zip(col, e)]
-        col[r] = x
-    elif p != det:
-        col = [y * p // det for y in col]
-    return col
-
-
-class Path:
-    """Lemke's path from the slack dictionary, held by column (module
-    docstring).  `rows`, `pos` and `det` are those of a `Vertex`;
-    `cols[k]` is slot k, the last one the right-hand side, as of the
-    first `seen[k]` pivots of `log`, the pivots since it was last
-    cleared, each (row, entering column, pivot entry, old D).  `vertex` is
-    the row `Vertex` once a ratio-test tie has handed the path over to
-    `LemkeSystem.ratio_step`."""
-
-    __slots__ = ("sys", "rows", "pos", "det", "cols", "seen", "log", "vertex", "i_star")
-
-    def __init__(self, sys: LemkeSystem):
-        """The start vertex: z replaces w_(i_star), and y_(i_star) enters
-        next.  Raises RuntimeError if it is infeasible."""
-        slack = sys._slack_vertex()
-        self.sys = sys
-        self.rows = list(slack.rows)
-        self.pos = slack.pos.copy()
-        self.det = slack.det
-        self.cols = [list(col) for col in zip(*slack.t)]
-        self.seen = [0] * len(self.cols)
-        self.log = []
-        self.vertex = None
-        i = self.i_star = sys.start_row()
-        self._pivot(i, sys.zvar, self.cols[self.pos[sys.zvar]])
-        if min(x * self.det for x in self.cols[-1]) <= 0:
-            sys.feasible_start(self._vertex())  # only the lex rule tells a zero value's sign
-
-    def _column(self, k: int) -> list[int]:
-        """Slot k, brought up to date."""
-        col, n = self.cols[k], len(self.log)
-        if self.seen[k] < n:
-            for pivot in self.log[self.seen[k]:]:
-                col = _replay(col, *pivot)
-            self.cols[k], self.seen[k] = col, n
-        return col
-
-    def _pivot(self, r: int, entering: int, e: list[int]) -> int:
-        """Pivot on row r and `entering`, whose up-to-date column is e;
-        return the leaving variable."""
-        if len(self.log) == self.sys.d:  # full: bring every column up to date
-            for k in range(len(self.cols)):
-                self._column(k)
-            self.log.clear()
-            self.seen = [0] * len(self.cols)
-        c, leaving, pivot = self.pos[entering], self.rows[r], (r, e, e[r], self.det)
-        self.log.append(pivot)
-        col = [-a for a in e]
-        col[r] = self.det  # the leaving variable's column: D * e_r before the pivot
-        self.cols[c], self.seen[c] = col, len(self.log)
-        self.cols[-1], self.seen[-1] = _replay(self.cols[-1], *pivot), len(self.log)
-        self.rows[r], self.pos[leaving], self.pos[entering], self.det = entering, c, ~r, e[r]
-        return leaving
-
-    def _vertex(self) -> Vertex:
-        rows = zip(*[self._column(k) for k in range(len(self.cols))])
-        return Vertex(tuple(self.rows), self.pos.copy(), [list(row) for row in rows], self.det)
-
-    @property
-    def basis(self) -> frozenset:
-        return self.vertex.basis if self.vertex is not None else frozenset(self.rows)
-
-    def step(self, entering: int) -> int | None:
-        """Pivot along the edge on which `entering` grows; return the
-        leaving variable, or None when the edge is a ray."""
-        if self.vertex is None:
-            col, det = self._column(self.pos[entering]), self.det
-            best, tie = None, False
-            for i, (a, x) in enumerate(zip(col, self.cols[-1])):
-                if a * det <= 0:
-                    continue  # this basic variable does not fall
-                if best is not None:
-                    # x / a against bx / b, cross-multiplied by a * b > 0
-                    u, w = x * b, bx * a
-                    if u >= w:
-                        tie = tie or u == w
-                        continue
-                best, b, bx, tie = i, a, x, False
-            if best is None:
-                return None
-            if not tie:
-                return self._pivot(best, entering, col)
-            self.vertex = self._vertex()
-        step = self.sys.ratio_step(self.vertex, entering)
-        if step is None:
-            return None
-        self.vertex, leaving = step
-        return leaving
-
-    def z(self) -> Fraction:
-        """Numeric value of z."""
-        if self.vertex is not None:
-            return self.sys.value(self.vertex, self.sys.zvar)
-        c = self.pos[self.sys.zvar]
-        return Fraction(self.cols[-1][~c], self.det) if c < 0 else Fraction(0)
-
-    def y(self) -> list[Fraction]:
-        """Numeric value of y, read from the right-hand side."""
-        if self.vertex is not None:
-            return self.sys.numeric_point(self.vertex)[0]
-        return self.sys._point(self.rows, self.cols[-1], self.det)[0]
-
-    def direction(self, entering: int) -> dict:
-        """`LemkeSystem.direction` when `entering` grows, read from its
-        column alone."""
-        if self.vertex is not None:
-            return self.sys.direction(self.vertex, entering)
-        return self.sys._direction(self.rows, self._column(self.pos[entering]), self.det, entering)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm, prod
 
-from .pivoting import LemkeSystem, Path, principal_minor
+from .pivoting import LemkeSystem, principal_minor
 from .problems import (
     LINE_KINDS,
     Certificate,
@@ -79,42 +79,44 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
     cone then has a non-positive principal minor) or hits a ray with a
     non-positive principal minor; PV2 with the ray's y-direction on any
     other ray.  Degeneracy is resolved by symbolic lexicographic
-    perturbation.  The path is one `pivoting.Path`.
+    perturbation.  The path walks `pivoting.Vertex` to `Vertex` through
+    `LemkeSystem.ratio_step`, which reads only the tableau columns that
+    its ratio tests need.
     """
     stats = stats if stats is not None else RunStats()
     d = inst.d
     if all(qi >= 0 for qi in inst.q):
         return cert("Q1", y=[Fraction(0)] * d)
     sys = inst.system
-    path = Path(sys)
-    stats.z_trace.append(path.z())
-    entering = path.i_star  # relax y_{i*}=0: the complement of the leaving w_{i*}
+    v, entering = sys.start_vertex()  # relax y_{i*}=0: the complement of the leaving w_{i*}
+    stats.z_trace.append(sys.value(v, sys.zvar))
     while True:
-        leaving = path.step(entering)
+        step = sys.ratio_step(v, entering)
         stats.pivots += 1
-        if leaving is None:
-            alpha = _edge_cone(sys, path.basis, entering)
+        if step is None:
+            alpha = _edge_cone(sys, v.basis, entering)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
             # Along the ray dz >= 0 and dy_i * dw_i = 0 with dw = M dy + dz * 1,
             # so x = dy gives x_i (Mx)_i = -dz * x_i <= 0: a PV2 witness.
-            ray = path.direction(entering)
+            ray = sys.direction(v, entering)
             c = cert("PV2", x=[ray.get(i, Fraction(0)) for i in range(d)])
             if not verify(inst, c):
                 raise RuntimeError("secondary ray gave no PV2 certificate")
             return c
-        z_new = path.z()
+        v, leaving = step
+        z_new = sys.value(v, sys.zvar)
         z_prev = stats.z_trace[-1]
         stats.z_trace.append(z_new)
         if z_new > z_prev:
             # z increased while traversing cone alpha, which by Todd's
             # orientation means det(M_aa) < 0.
-            alpha = _edge_cone(sys, path.basis, leaving)
+            alpha = _edge_cone(sys, v.basis, leaving)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
             raise RuntimeError("z increased across a cone with a positive minor")
         if leaving == sys.zvar:
-            return cert("Q1", y=path.y())
+            return cert("Q1", y=sys.numeric_point(v)[0])
         # Complementary pivot rule: enter the complement of the leaver.
         entering = leaving + d if leaving < d else leaving - d
 

@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
-from potline.pivoting import principal_minor
+from potline.pivoting import Vertex, principal_minor
 from potline.problems import (
     DOWN,
     UP,
@@ -38,13 +39,86 @@ def murty(n: int) -> LcpInstance:
     return LcpInstance(M=m, q=[-1] * n)
 
 
-def lemke_rows(inst: LcpInstance, stats: RunStats) -> Certificate:
-    """Reference for `solvers.lemke`: the same loop over row `Vertex`es,
-    each pivot rewriting every row (`LemkeSystem.ratio_step`)."""
+class RowVertex(NamedTuple):
+    """A Lemke dictionary held by row: `t[i]` is row i over the d + 1
+    nonbasic slots, then the right-hand side (`pivoting` module
+    docstring)."""
+
+    rows: tuple
+    pos: list
+    t: list
+    det: int
+
+    @property
+    def basis(self) -> frozenset:
+        return frozenset(self.rows)
+
+    def as_vertex(self) -> Vertex:
+        return Vertex(self.rows, self.pos, [list(col) for col in zip(*self.t)], self.det)
+
+
+def row_pivot(v: RowVertex, r: int, j: int) -> RowVertex:
+    """The pivot on row r with x_j entering, rewriting every row."""
+    c = v.pos[j]
+    pr = v.t[r]
+    p, det = pr[c], v.det
+    t = []
+    for i, row in enumerate(v.t):
+        a = row[c]
+        if i == r:
+            row = row.copy()
+            row[c] = det  # the leaving variable's column is D * e_r
+        elif a == 0:
+            if p != det:  # else the row is unchanged and shared: rows are never written
+                row = [x * p // det for x in row]
+        else:
+            row = [(x * p - a * y) // det for x, y in zip(row, pr)]
+            row[c] = -a
+        t.append(row)
+    pos = v.pos.copy()
+    pos[v.rows[r]], pos[j] = c, ~r
+    return RowVertex(v.rows[:r] + (j,) + v.rows[r + 1:], pos, t, p)
+
+
+def row_ratio_step(sys, v: RowVertex, entering: int):
+    """(vertex, leaving) across the edge on which `entering` grows, by the
+    lex ratio test over whole rows, or None on a ray."""
+    c, det, d = v.pos[entering], v.det, sys.d
+    best = None
+    for i, row in enumerate(v.t):
+        a = row[c]
+        if a * det <= 0:
+            continue
+        if best is not None:
+            brow = v.t[best]
+            b = brow[c]
+            x, y = row[-1] * b, brow[-1] * a
+            if x == y:
+                for k in v.pos[d:2 * d]:
+                    if k >= 0:
+                        x, y = row[k] * b, brow[k] * a
+                    else:  # a basic w': its column is D * e_~k
+                        x, y = det * b if ~k == i else 0, det * a if ~k == best else 0
+                    if x != y:
+                        break
+            if x > y:
+                continue
+        best = i
+    if best is None:
+        return None
+    return row_pivot(v, best, entering), v.rows[best]
+
+
+def lemke_rows(inst: LcpInstance, stats: RunStats, path: list | None = None) -> Certificate:
+    """Reference for `solvers.lemke`: the same loop over dictionaries held
+    by row, each pivot rewriting every row (`row_pivot` and
+    `row_ratio_step`, which share no code with `pivoting`'s pivot and
+    ratio test).  `path`, when given, collects the dictionaries met."""
     d = inst.d
     if all(qi >= 0 for qi in inst.q):
         return cert("Q1", y=[Fraction(0)] * d)
     sys = inst.system
+    path = path if path is not None else []
 
     def edge_cone(v, entering):
         alpha = sys.support(v.basis)
@@ -52,22 +126,27 @@ def lemke_rows(inst: LcpInstance, stats: RunStats) -> Certificate:
             return alpha | {entering}
         return alpha - {entering - d}
 
-    v, entering = sys.start_vertex()
-    stats.z_trace.append(sys.value(v, sys.zvar))
+    slack = sys._slack_vertex()
+    entering = sys.start_row()
+    v = row_pivot(RowVertex(slack.rows, slack.pos, [list(row) for row in zip(*slack.cols)], slack.det),
+                  entering, sys.zvar)
+    path.append(v)
+    stats.z_trace.append(sys.value(v.as_vertex(), sys.zvar))
     while True:
-        step = sys.ratio_step(v, entering)
+        step = row_ratio_step(sys, v, entering)
         stats.pivots += 1
         if step is None:
             alpha = edge_cone(v, entering)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
-            ray = sys.direction(v, entering)
+            ray = sys.direction(v.as_vertex(), entering)
             c = cert("PV2", x=[ray.get(i, Fraction(0)) for i in range(d)])
             if not verify(inst, c):
                 raise RuntimeError("secondary ray gave no PV2 certificate")
             return c
         prev, (v, leaving) = v, step
-        z_new = sys.value(v, sys.zvar)
+        path.append(v)
+        z_new = sys.value(v.as_vertex(), sys.zvar)
         z_prev = stats.z_trace[-1]
         stats.z_trace.append(z_new)
         if z_new > z_prev:
@@ -76,7 +155,7 @@ def lemke_rows(inst: LcpInstance, stats: RunStats) -> Certificate:
                 return cert("PV1", alpha=alpha)
             raise RuntimeError("z increased across a cone with a positive minor")
         if sys.zvar not in v.basis:
-            return cert("Q1", y=sys.numeric_point(v)[0])
+            return cert("Q1", y=sys.numeric_point(v.as_vertex())[0])
         entering = leaving + d if leaving < d else leaving - d
 
 

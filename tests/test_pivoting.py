@@ -12,7 +12,8 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from potline.generators import gen_lcp
-from potline.pivoting import LemkeSystem, Path, principal_minor
+from potline import pivoting
+from potline.pivoting import LemkeSystem, principal_minor
 from potline.problems import LcpInstance, verify
 from potline.rational import determinant
 from potline.reductions_lcp import PlcpLineView, out_map
@@ -257,7 +258,6 @@ def test_line_view_pivots_once_per_edge(monkeypatch):
         want = RunStats()
         with monkeypatch.context() as m:
             m.setattr(LemkeSystem, "_pivot", counted(LemkeSystem._pivot))
-            m.setattr(Path, "_pivot", counted(Path._pivot))
             pivots[0] = 0
             c = lemke(inst, stats=want)
             lemke_pivots.append(pivots[0])
@@ -266,12 +266,11 @@ def test_line_view_pivots_once_per_edge(monkeypatch):
             pivots[0], got = 0, RunStats()
             assert view.map_back(follow_line(line, 0, stats=got)) == c
         assert (pivots[0], got.steps) == (want.pivots + 1, want.pivots + 2), inst
-    # lemke's own tableau pivots, row or column, recorded with the 2d + 2
-    # column tableau.
+    # lemke's own tableau pivots, recorded with the 2d + 2 column tableau.
     assert (sum(lemke_pivots), _digest(lemke_pivots)) == (989, "c93e35cb0c355fd6")
 
 
-# -- the column walk (`pivoting.Path`) against the row walk ----------------------
+# -- lemke against the row-form reference (`helpers.lemke_rows`) ----------------
 
 def _wild_integer(seed):
     """A seeded LCP with integer entries in -2..3: zero entries and ties in
@@ -301,38 +300,46 @@ def test_lemke_matches_the_row_walk():
     assert kinds == {"Q1": 493, "PV1": 375}
 
 
-def test_path_hands_over_at_a_tie_and_clears_its_log(monkeypatch):
-    # On Murty's matrix at d = 3: q = -(1, 2, 3) starts nondegenerate and
-    # ties at its second ratio test, after which the row walk takes its 4
-    # other edges; q = (-4, -6, -7) walks all 7 edges of Murty's path
-    # without a tie, so its log (its length follows each column pivot)
-    # fills to d twice before it is cleared; q = -1 starts with zero
-    # values, which the row vertex's lex check reads, and ties at once.
-    events = []
-    pivot, ratio_step = Path._pivot, LemkeSystem.ratio_step
+def _behind(v) -> int:
+    """The pivots behind v that a column may still be replayed through."""
+    n = 0
+    while v.back is not None:
+        v, n = v.back[0], n + 1
+    return n
 
-    def logged_pivot(self, *args):
-        leaving = pivot(self, *args)
-        events.append(len(self.log))
-        return leaving
 
-    def logged_ratio_step(self, *args):
-        events.append("row")
-        return ratio_step(self, *args)
+def test_every_slot_of_lemkes_path_matches_the_row_walk(monkeypatch):
+    # Murty's paths tie at their first ratio test.  On Murty's matrix at
+    # d = 3, q = -(1, 2, 3) ties at its second, q = (-4, -6, -7) walks all 7
+    # edges without a tie and q = -1 starts with zero values.  The vertices,
+    # and the slots of each, are read in a seeded random order, so that a
+    # column is replayed through up to d pivots, from any vertex.
+    rng = random.Random(0)
+    m3 = murty(3).M
+    insts = [murty(n) for n in range(2, 8)]
+    insts += [LcpInstance(M=m3, q=q) for q in ([-1, -2, -3], [-4, -6, -7], [-1, -1, -1])]
+    pivot = LemkeSystem._pivot
+    for inst in insts:
+        got = []
 
-    m = murty(3).M
-    for q, want in (([-1, -2, -3], [1, 2] + ["row"] * 4),
-                    ([-4, -6, -7], [1, 2, 3] * 2 + [1, 2]),
-                    ([-1, -1, -1], [1] + ["row"] * 7)):
-        inst = LcpInstance(M=m, q=q)
-        got, ref = _walks(inst)
-        assert got == ref and got[0].kind == "Q1"
-        events.clear()
+        def logged_pivot(self, *args):
+            v = pivot(self, *args)
+            got.append((v, _behind(v)))
+            return v
+
         with monkeypatch.context() as patch:
-            patch.setattr(Path, "_pivot", logged_pivot)
-            patch.setattr(LemkeSystem, "ratio_step", logged_ratio_step)
-            lemke(inst)
-        assert events == want, q
+            patch.setattr(LemkeSystem, "_pivot", logged_pivot)
+            c = lemke(inst)
+        want = []
+        assert lemke_rows(inst, RunStats(), path=want) == c and c.kind == "Q1"
+        assert len(got) == len(want)
+        d = inst.d
+        assert max(n for _, n in got) == d, inst
+        for i in rng.sample(range(len(got)), len(got)):
+            (v, _), ref = got[i], want[i]
+            assert (v.rows, v.pos, v.det) == (ref.rows, ref.pos, ref.det)
+            for k in rng.sample(range(d + 2), d + 2):
+                assert v.column(k) == [row[k] for row in ref.t], (inst, i, k)
 
 
 # -- Todd orientation from the running determinant ----------------------------
@@ -436,6 +443,27 @@ def test_cone_vertex_solves_every_cone(d, data):
                     assert bool(bits >> i & 1) == (x < 0)
 
 
+def test_out_map_replays_at_most_a_triangle_of_columns(monkeypatch):
+    # A cone solve pivots |alpha| times from the slack dictionary.  The
+    # k-th pivot replays its entering column through the k - 1 pivots
+    # before it and the right-hand side through its own; a cone with no
+    # zero basic value reads no other column.
+    insts = [gen_lcp(d, s, nondegenerate=True) for d in range(1, 9) for s in range(2)]
+    replay, replays = pivoting._replay, [0]
+
+    def counted(*args):
+        replays[0] += 1
+        return replay(*args)
+
+    monkeypatch.setattr(pivoting, "_replay", counted)
+    for inst in insts:
+        for r in range(inst.d + 1):
+            for alpha in map(frozenset, combinations(range(inst.d), r)):
+                replays[0] = 0
+                assert out_map(inst, alpha) is not None
+                assert replays[0] <= r * (r + 1) // 2, (inst, alpha)
+
+
 # -- the dictionary against an independent solve -----------------------------------
 
 def _columns(m, q, scaled):
@@ -467,8 +495,8 @@ def _check_dictionary(sys, m, q, v):
     basis = [cols[var] for var in v.rows]
     for x in range(2 * d + 1):
         if v.pos[x] >= 0:
-            assert [row[v.pos[x]] for row in v.t] == _cramer(basis, cols[x]), x
-    assert [row[sys.rhs] for row in v.t] == _cramer(basis, cols[2 * d + 1])
+            assert v.column(v.pos[x]) == _cramer(basis, cols[x]), x
+    assert v.column(sys.rhs) == _cramer(basis, cols[2 * d + 1])
     # The read-outs against a Fraction solve of the unscaled system.
     cols0 = _columns(m, q, scaled=False)
     basis0 = [cols0[var] for var in v.rows]
