@@ -71,6 +71,10 @@ nonbasic the same reading gives the sign of det(M_alpha_alpha): the
 columns -e_i of the labels outside alpha contribute (-1)^(d-|alpha|).
 Scaling rows and w columns by positive s_r changes det(B) by a positive
 factor, so these signs read off D are those of the unscaled system.
+The orientation belongs to the edge, so a vertex reached along an edge
+takes its forward variable from that edge, with no sign to read: the
+edge is its backward one when it was crossed forward, else its forward
+one (`reductions_lcp.PlcpLineView`).
 """
 
 from __future__ import annotations
@@ -139,7 +143,8 @@ class Vertex:
     was pivoted from, the pivot row, the entering column there), from
     which a missing column is replayed, and `lag` bounds the number of
     such pivots behind it (at most d).  `fwd` holds `forward_entering` once it has been
-    asked for (a pure function of rows and det)."""
+    asked for (a pure function of rows and det), or once the step that
+    reached the vertex has handed it on (module docstring)."""
 
     __slots__ = ("rows", "basis", "pos", "cols", "det", "back", "lag", "fwd")
 

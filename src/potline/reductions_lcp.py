@@ -90,10 +90,18 @@ class PlcpLineView(LineView):
 
     The state of a code is its vertex (`vertex_of`).  A walk costs one
     tableau pivot per path edge, as `lemke` does: the start vertex is one
-    pivot from the slack tableau and is seeded under its code, every pivot
-    seeds the vertex it reaches and remembers the edge back, so P(S(x))
-    pivots nothing, and each vertex's Todd orientation is worked out once
-    (`Vertex.fwd`)."""
+    pivot from the slack tableau and is seeded under its code.  The pivot
+    that crosses an edge u -> w (`_step`) gives w's code from u's by the
+    bits of its entering and leaving variables, seeds w's vertex, and
+    records the edge back (`LineView._arrive`): P(w) = u after a forward
+    step, S(w) = u after a backward one.  Under the lex perturbation a
+    pivot is exactly reversible, and an edge's orientation is a property
+    of the edge (the `pivoting` docstring), so the walk's P(S(x)) is that
+    read, with no pivot and no orientation.  The same edge is w's other
+    one: forward, w's forward variable (`Vertex.fwd`) is the complement
+    of the leaving variable, backward the leaving variable itself.  Only
+    codes reached through `_compute_state` (the start, sampled or queried
+    codes) work their orientation out from a determinant sign."""
 
     flavor = "ueopl"
 
@@ -107,9 +115,6 @@ class PlcpLineView(LineView):
         self.scale, i_max = inst.form.scale, inst.form.i_max
         (self.delta, self._d2, self._d3, self.m_pot,
          self._powers, self._base) = _potential_constants(self.d, i_max)
-        # (code w, variable l) -> code u: the pivot from u left on l and
-        # landed on w, so entering l at w pivots back to u.
-        self._back: dict[tuple[int, int], int] = {}
         self._start = None
 
     # -- code <-> vertex -----------------------------------------------------
@@ -154,28 +159,39 @@ class PlcpLineView(LineView):
         return v
 
     def _step(self, u: int, v: Vertex, entering: int, dz: int) -> int | None:
-        """Code of the neighbour of u (vertex v) across the edge on which
-        `entering` grows, if z moves in the direction `dz` along it.  The
-        neighbour is canonical and lex-feasible, so its vertex is seeded,
-        and the edge back to u is remembered: under the lex perturbation a
-        pivot is exactly reversible."""
-        if self.sys.dz_sign(v, entering) != dz:
+        """Code of the neighbour w of u (vertex v) across the edge on which
+        `entering` grows, if z moves in the direction `dz` along it: -1
+        steps forward, +1 backward.  The pivot gives w's code and its
+        forward variable from u's, and the edge back, which it records
+        (class docstring); w is lex-feasible, so its vertex is seeded."""
+        sys, d = self.sys, self.d
+        if sys.dz_sign(v, entering) != dz:
             return None
-        back = self._back.get((u, entering))
-        if back is not None:
-            return back
-        step = self.sys.ratio_step(v, entering)
+        step = sys.ratio_step(v, entering)
         if step is None:
             return None  # the edge is a ray
         w, leaving = step
-        code = self.code_of(w.basis)
+        # A w entering clears its tight bit and a w leaving sets it; the
+        # duplicate label becomes the leaving variable's, none if z left.
+        code = u & ((1 << d) - 1)
+        if d <= entering < 2 * d:
+            code &= ~(1 << (entering - d))
+        if leaving != sys.zvar:
+            if leaving >= d:
+                code |= 1 << (leaving - d)
+            code |= 1 << (d + leaving % d)
+            # Entering `leaving` at w crosses this edge back, which is w's
+            # forward edge after a backward step; after a forward step w's
+            # forward edge is the other one, its complement's.
+            w.fwd = leaving if dz > 0 else (leaving + d) % (2 * d)
         self.seed(code, w)
-        # The edge back holds whether or not either code is still cached.
-        problems.keep(self._back, (code, leaving), u)
-        return code
+        return self._arrive(u, code, dz < 0)
 
     # -- oracles ---------------------------------------------------------------
     def successor(self, u: int) -> int:
+        nxt = self._arrived_from(u, False)
+        if nxt is not None:
+            return nxt
         if u == 0:
             v = self.start_vertex()
             code = self.code_of(v.basis)
@@ -188,6 +204,9 @@ class PlcpLineView(LineView):
         return u if nxt is None else nxt
 
     def predecessor(self, u: int) -> int:
+        prev = self._arrived_from(u, True)
+        if prev is not None:
+            return prev
         v = self.vertex_of(u)
         if v is None:
             return u

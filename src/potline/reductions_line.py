@@ -108,11 +108,18 @@ class LineView(View):
     defines `_compute_state(key)` and reads it through `state(key)`, which
     keeps it in `_states`, a plain dict bounded by `problems.keep` (a memo
     of a bound method would make a reference cycle through the view); a
-    step that already knows its neighbour's state hands it on (`seed`)."""
+    step that already knows its neighbour's state hands it on (`seed`).
+
+    A view whose steps are reversible records the edge that each step
+    crossed under the code it reached (`_arrive`), one entry per edge in
+    `_arrivals`, bounded the same way: P(w) = u after a forward step
+    u -> w, S(w) = u after a backward one, so the oracle that asks the
+    edge back, such as P(S(x)) on a walk, is a read (`_arrived_from`)."""
 
     def __init__(self, src):
         super().__init__(src)
         self._states: dict = {}
+        self._arrivals: dict = {}
 
     def state(self, key):
         """`_compute_state(key)`, worked out once while it is kept."""
@@ -126,6 +133,18 @@ class LineView(View):
         one is kept already."""
         if key not in self._states:
             problems.keep(self._states, key, value)
+
+    def _arrive(self, u, w, forward: bool):
+        """Record that a forward (else backward) step from u reached w;
+        returns w."""
+        problems.keep(self._arrivals, w, (u, forward))
+        return w
+
+    def _arrived_from(self, w, forward: bool):
+        """u when the last step recorded into w came from u forward
+        (`forward`, so P(w) = u) or backward (S(w) = u), else None."""
+        came = self._arrivals.get(w)
+        return came[0] if came is not None and came[1] is forward else None
 
     def _split(self, x):
         return x >> self.low_bits, x & ((1 << self.low_bits) - 1)
@@ -369,7 +388,9 @@ class PebblingView(LineView):
     Each code is decoded, validated against the source and indexed once
     per view: `successor`, `predecessor` and `potential` all read
     `state(code)`, and `successor` and `predecessor` seed the neighbour's
-    state, which they already know, as they pack it (`_neighbour`).
+    state, which they already know, as they pack it (`_neighbour`).  A
+    move and its undo are inverse, so each step records the edge back
+    (`LineView._arrive`), and P(S(x)) plans and packs nothing.
     `index_of` and `move` are loops over the pebbles.
     """
 
@@ -509,6 +530,9 @@ class PebblingView(LineView):
         return config
 
     def successor(self, code):
+        nxt = self._arrived_from(code, False)
+        if nxt is not None:
+            return nxt
         state = self.state(code)
         if state is None:
             return code
@@ -517,7 +541,7 @@ class PebblingView(LineView):
             return code
         nxt = self._neighbour(config, self.move(t), t + 1)
         if nxt is not None:
-            return nxt
+            return self._arrive(code, nxt, True)
         if code == 0 and self.src.S(0) != 0:
             # P(0) = 0, so a self-loop at the start would end no line; point
             # S(0) off the line instead, making 0 a U1 that maps to UFP1(0).
@@ -525,6 +549,9 @@ class PebblingView(LineView):
         return code
 
     def predecessor(self, code):
+        prev = self._arrived_from(code, True)
+        if prev is not None:
+            return prev
         state = self.state(code)
         if state is None:
             return code
@@ -532,7 +559,7 @@ class PebblingView(LineView):
         if t == 0:
             return code
         prev = self._neighbour(config, _undo(self.move(t - 1)), t - 1)
-        return code if prev is None else prev
+        return code if prev is None else self._arrive(code, prev, False)
 
     def potential(self, code):
         state = self.state(code)

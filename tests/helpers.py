@@ -25,6 +25,21 @@ from potline.solvers import RunStats, eps_schedule
 FULL_CHAIN = ("plcp", "uso", "opdc", "ufeopl", "plus1", "ueopl", "normalized")
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Count the calls of `owner.name` (a module's function or a class's
+    method) while `monkeypatch` holds it: the one entry of the returned
+    list is the count, which a caller may reset."""
+    fn = getattr(owner, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def a_alpha(m: Mat, alpha) -> Mat:
     """The cone A_alpha: columns -M_i for i in alpha, e_i otherwise."""
     d = len(m)

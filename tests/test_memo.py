@@ -277,10 +277,10 @@ def test_vertex_cache_stays_within_cap(monkeypatch):
     view = PlcpLineView(inst)
     line = view.image()
     # Every insert is logged: the vertices worked out and the ones seeded
-    # by a step, and the path edges remembered back.
+    # by a step, and the edges back that the steps record.
     sizes, back_sizes = [], []
     view._states = _SizeLog(sizes)
-    view._back = _SizeLog(back_sizes)
+    view._arrivals = _SizeLog(back_sizes)
     stats = RunStats()
     assert follow_line(line, 0, stats=stats) == want
     assert stats == want_stats and stats.steps > 2 * cap

@@ -19,7 +19,7 @@ from potline.rational import determinant
 from potline.reductions_lcp import PlcpLineView, out_map
 from potline.solvers import RunStats, follow_line, lemke
 
-from helpers import a_alpha, lemke_rows, murty
+from helpers import a_alpha, count_calls, lemke_rows, murty
 
 
 def _digest(x) -> str:
@@ -245,26 +245,17 @@ def test_line_view_pivots_once_per_edge(monkeypatch):
     # every later step one more: the view neither pivots an edge again when
     # the walk asks for P(S(x)) nor rebuilds a vertex it has met.
     insts = [murty(n) for n in range(2, 9)] + [gen_lcp(d, s) for d in range(2, 9) for s in range(20)]
-    pivots = [0]
-
-    def counted(pivot):
-        def count(*args):
-            pivots[0] += 1
-            return pivot(*args)
-        return count
-
+    pivots = count_calls(monkeypatch, LemkeSystem, "_pivot")
     lemke_pivots = []
     for inst in insts:
         want = RunStats()
-        with monkeypatch.context() as m:
-            m.setattr(LemkeSystem, "_pivot", counted(LemkeSystem._pivot))
-            pivots[0] = 0
-            c = lemke(inst, stats=want)
-            lemke_pivots.append(pivots[0])
-            view = PlcpLineView(inst)
-            line = view.image()
-            pivots[0], got = 0, RunStats()
-            assert view.map_back(follow_line(line, 0, stats=got)) == c
+        pivots[0] = 0
+        c = lemke(inst, stats=want)
+        lemke_pivots.append(pivots[0])
+        view = PlcpLineView(inst)
+        line = view.image()
+        pivots[0], got = 0, RunStats()
+        assert view.map_back(follow_line(line, 0, stats=got)) == c
         assert (pivots[0], got.steps) == (want.pivots + 1, want.pivots + 2), inst
     # lemke's own tableau pivots, recorded with the 2d + 2 column tableau.
     assert (sum(lemke_pivots), _digest(lemke_pivots)) == (989, "c93e35cb0c355fd6")
@@ -449,13 +440,7 @@ def test_out_map_replays_at_most_a_triangle_of_columns(monkeypatch):
     # before it and the right-hand side through its own; a cone with no
     # zero basic value reads no other column.
     insts = [gen_lcp(d, s, nondegenerate=True) for d in range(1, 9) for s in range(2)]
-    replay, replays = pivoting._replay, [0]
-
-    def counted(*args):
-        replays[0] += 1
-        return replay(*args)
-
-    monkeypatch.setattr(pivoting, "_replay", counted)
+    replays = count_calls(monkeypatch, pivoting, "_replay")
     for inst in insts:
         for r in range(inst.d + 1):
             for alpha in map(frozenset, combinations(range(inst.d), r)):

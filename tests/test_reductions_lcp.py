@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -7,11 +8,11 @@ from potline.generators import gen_lcp
 from potline.pivoting import IntForm, LemkeSystem
 from potline.problems import LcpInstance, UnmappableCert, cert, verify
 from potline.reductions_lcp import PlcpLineView, PlcpToUso, out_map
-from potline.solvers import brute_force, follow_line, lemke
+from potline.solvers import RunStats, aldous, brute_force, follow_line, lemke
 
-from helpers import murty, potential_ref
+from helpers import count_calls, murty, potential_ref
 from test_cone_pin import FAMILIES, SEEDS
-from test_pivoting import _line_sources
+from test_pivoting import _line_sources, _wild_integer
 
 
 WORKED = LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1])
@@ -287,6 +288,61 @@ def test_line_view_oracles_match_a_fresh_view(family):
                 u = check(u)
             for u in reversed(range(1 << shared.nbits)):
                 check(u)
+
+
+def _check_carried(view):
+    """Every kept vertex's code is code_of of its basis, and a forward
+    variable it carries is the one the determinant-sign rule gives."""
+    sys = view.sys
+    for u, v in view._states.items():
+        if v is not None:
+            assert u == view.code_of(v.basis), u
+            if v.fwd is not None:
+                assert v.fwd == sys.forward_entering(sys.vertex_at(v.basis)), u
+
+
+def test_line_view_oracles_stay_pure():
+    # A step carries the code, the forward variable and the edge back of
+    # the vertex it reaches; S, P and V must read the same on every code
+    # whether the view was asked in a random order, walked, or sampled
+    # and walked by aldous first.
+    insts = [murty(n) for n in range(2, 7)]
+    insts += [gen_lcp(d, s, p_matrix=p) for d in range(1, 5) for s in range(3) for p in (True, False)]
+    insts += [_wild_integer(s) for s in range(40)]
+    rng = random.Random(0)
+    for inst in insts:
+        if all(qi >= 0 for qi in inst.q):
+            continue
+        fresh = PlcpLineView(inst)
+        line = fresh.image()
+        codes = list(range(line.size))
+        rng.shuffle(codes)
+        want = {u: (line.S(u), line.P(u), line.V(u)) for u in codes}
+        _check_carried(fresh)
+        for walk in (lambda line: follow_line(line, 0),
+                     lambda line: aldous(line, 8, random.Random(1))):
+            view = PlcpLineView(inst)
+            line = view.image()
+            walk(line)
+            _check_carried(view)
+            assert {u: (line.S(u), line.P(u), line.V(u)) for u in range(line.size)} == want, inst
+
+
+def test_line_walk_orients_once_and_reads_the_edge_back(monkeypatch):
+    # Only the start vertex's orientation is worked out from a sign; every
+    # later vertex takes its forward variable from the edge it was reached
+    # by.  P(S(x)) reads the edge back: S(0) pivots to the start and every
+    # later S one dz_sign and one pivot, so no dz_sign is left for P.
+    pivots = count_calls(monkeypatch, LemkeSystem, "_pivot")
+    dz = count_calls(monkeypatch, LemkeSystem, "dz_sign")
+    signs = count_calls(monkeypatch, LemkeSystem, "_label_order_sign")
+    for inst in [murty(8)] + [gen_lcp(8, s) for s in range(20)]:
+        line = PlcpLineView(inst).image()
+        pivots[0] = dz[0] = signs[0] = 0
+        stats = RunStats()
+        follow_line(line, 0, stats=stats)
+        assert pivots[0] == stats.steps - 1 and dz[0] == pivots[0] - 1, inst
+        assert signs[0] <= 1, inst
 
 
 def test_map_back_rejects_r2():

@@ -17,9 +17,9 @@ from potline.reductions_line import (
     UfeoplToPlus1,
     View,
 )
-from potline.solvers import brute_force, default_budget, follow_line, lemke
+from potline.solvers import RunStats, brute_force, default_budget, follow_line, lemke
 
-from helpers import FULL_CHAIN, gen_normalized_line, pebbling_index, pebbling_move
+from helpers import FULL_CHAIN, count_calls, gen_normalized_line, pebbling_index, pebbling_move
 
 
 def test_map_back_raises_on_a_foreign_candidate():
@@ -428,6 +428,17 @@ def test_pebbling_neighbour_states_are_the_decoded_ones(monkeypatch):
             assert handed or d == 1, (d, seed)
             for code, state in view._states.items():
                 assert state == compute(code), (d, seed, code)
+
+
+def test_pebbling_plans_each_move_once(monkeypatch):
+    # Each step records the edge back, so P(S(x)) plans no move again and
+    # packs no config: the d = 5 ueopl walk plans each of its moves once.
+    ueopl = compose(gen_lcp(5, 0, nondegenerate=True), FULL_CHAIN[:-1])[0]
+    moves = count_calls(monkeypatch, PebblingView, "move")
+    packs = count_calls(monkeypatch, Slots, "pack")
+    stats = RunStats()
+    follow_line(ueopl, 0, stats=stats)
+    assert (stats.steps, moves[0], packs[0]) == (2431, 2431, 2448)
 
 
 def test_pebbling_keeps_no_state_for_a_label_wider_than_its_field():
