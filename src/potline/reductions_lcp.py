@@ -3,7 +3,11 @@ with map-back of every target certificate.
 
 Vertex codes are 2d-bit strings: the low d bits select the tight side per
 label (bit i set means w_i = 0), the next d bits one-hot encode the
-duplicate label (all zero when z = 0).  Invalid codes self-loop.
+duplicate label (all zero when z = 0), whose two variables are both
+nonbasic, so its tight bit is set.  The line view decodes a code in one
+place (`PlcpLineView._compute_state`), which rejects every code that no
+basis has, and encodes one in two: the pivot that reaches a vertex
+(`_step`) and the Lemke start (`start`).  Invalid codes self-loop.
 Both reductions read the one exact engine, `pivoting.LemkeSystem`: the
 out-map of a cone is the sign pattern of its complementary vertex, whose
 right-hand side carries the perturbation of the Lemke path, so the
@@ -118,42 +122,32 @@ class PlcpLineView(LineView):
         self._start = None
 
     # -- code <-> vertex -----------------------------------------------------
-    def code_of(self, basis) -> int:
-        d = self.d
-        u = 0
-        for i in range(d):
-            if d + i not in basis:  # w_i nonbasic, i.e. w_i = 0
-                u |= 1 << i
-        dl = self.sys.duplicate_label(basis)
-        if dl is not None:
-            u |= 1 << (d + dl)
-        return u
-
-    def start_vertex(self) -> Vertex:
+    def start(self) -> tuple[int, Vertex]:
+        """(code, vertex) of the Lemke start, pivoted to once per view: z
+        replaces the w of the start label l, which is then the duplicate
+        label, and tight, so the code sets bits l and d + l."""
         if self._start is None:
-            self._start, _ = self.sys.start_vertex()
+            v, l = self.sys.start_vertex()
+            self._start = 1 << l | 1 << (self.d + l), v
         return self._start
 
     vertex_of = LineView.state
 
     def _compute_state(self, u: int):
-        """The vertex of a valid code, else None.  Validity: at most one
-        duplicate bit, canonical (the round trip code_of reproduces u),
-        solvable and lex-feasible."""
+        """The vertex of a valid code, else None: the layout's one decoder
+        (`_step` and `start` encode).  A valid code has no bit at or above
+        2d and at most one duplicate bit, whose label is tight (neither of
+        its variables is basic), and names a solvable, lex-feasible basis."""
         d = self.d
-        if u == 0:
-            return None  # the start code stands for the primary ray
-        dup_bits = [i for i in range(d) if u >> (d + i) & 1]
-        if len(dup_bits) > 1:
-            return None
+        dup = u >> d
+        l = dup.bit_length() - 1  # the duplicate label, -1 for none
+        if u == 0 or dup & (dup - 1) or l >= d or (dup and not u >> l & 1):
+            return None  # 0 stands for the primary ray, the rest for no basis
         # The nontight side of each label is basic; z replaces the duplicate label.
-        basis = {i if u >> i & 1 else d + i for i in range(d) if i not in dup_bits}
-        if dup_bits:
-            basis.add(self.sys.zvar)
-        basis = frozenset(basis)
-        if self.code_of(basis) != u:
-            return None
-        v = self.sys.vertex_at(basis)
+        basis = [i if u >> i & 1 else d + i for i in range(d) if i != l]
+        if dup:
+            basis.append(self.sys.zvar)
+        v = self.sys.vertex_at(frozenset(basis))
         if v is None or not self.sys.feasible(v):
             return None
         return v
@@ -193,8 +187,7 @@ class PlcpLineView(LineView):
         if nxt is not None:
             return nxt
         if u == 0:
-            v = self.start_vertex()
-            code = self.code_of(v.basis)
+            code, v = self.start()
             self.seed(code, v)
             return code
         v = self.vertex_of(u)
@@ -210,7 +203,7 @@ class PlcpLineView(LineView):
         v = self.vertex_of(u)
         if v is None:
             return u
-        if v.basis == self.start_vertex().basis:
+        if u == self.start()[0]:
             return 0
         if self.sys.zvar not in v.basis:
             # relax z = 0; the edge points into u iff the cone minor is

@@ -311,43 +311,81 @@ class EoplToEoml(LineView):
 # ---------------------------------------------------------------------------
 # UFEOPL -> UFEOPL+1  (chain insertion)
 
-class UfeoplToPlus1(LineView):
+class ChainView(LineView):
+    """Code (v, i), v in the high bits and i in the low `low_bits`, is step
+    i of the chain of +1 edges hung off the source vertex v: the chain
+    insertion UFEOPL -> UFEOPL+1 and the normalization are one
+    construction, an edge of potential gap g cut into g unit steps.
+
+    What a step needs of v is read from the source once per view, as the
+    state of v (`state(v)`, which a subclass defines): the code after v's
+    chain and the chain's last index, -1 when v has none.  `successor`,
+    `potential` and `run` read it; a walk of a two-way line, the normalized
+    one, crosses a whole chain in one jump and asks the source only where
+    it leaves one.  Each stage names S and V in its own class body, so that
+    a traced call is counted under the stage that answers it
+    (`perfbench/tracer.py`)."""
+
+    def __init__(self, src: LineInstance, low_bits: int):
+        super().__init__(src)
+        self.low_bits = low_bits
+        self.top = (1 << low_bits) - 1
+        self.nbits = src.n + low_bits
+
+    def successor(self, x):
+        v, i = x >> self.low_bits, x & self.top
+        after, last = self.state(v)
+        if i < last:
+            # (v, i + 1); _join keeps an overflow (V outside [0, 2^m_pot)) in range
+            return x + 1 if i < self.top else self._join(v, i + 1)
+        return after if i == last else x
+
+    def run(self, x):
+        """Plain +1 steps from x = (v, i): last - i while i < last, capped
+        where the low field would overflow, else 0.  Also 0 at the start
+        code 0, whose step a walk takes through S as on any line."""
+        if x == 0:
+            return 0
+        v, i = x >> self.low_bits, x & self.top
+        last = self.state(v)[1]
+        return min(last, self.top) - i if i < last else 0
+
+    def potential(self, x):
+        return self.src.V(x >> self.low_bits) + (x & self.top)
+
+
+class UfeoplToPlus1(ChainView):
+    """The chain of v is the edge v -> S(v), cut into V(S(v)) - V(v) unit
+    steps; a self-loop v has none, and neither has an edge whose potential
+    does not rise, so the view asks S and V of each source vertex once."""
+
     flavor = "ufeoplplus1"
+    successor, potential = ChainView.successor, ChainView.potential
 
     def __init__(self, src: LineInstance):
         if src.flavor != "ufeopl":
             raise ValueError("source must be UFEOPL")
-        super().__init__(src)
-        self.low_bits = src.m_pot  # chain index width: gaps are < 2^m_pot
-        self.nbits = src.n + self.low_bits
+        super().__init__(src, src.m_pot)  # chain index width: gaps are < 2^m_pot
         self.m_pot = src.m_pot + 1
 
-    def successor(self, x):
+    def _compute_state(self, v):
+        """(S(v)'s code, the gap V(S(v)) - V(v) less 1), or (0, -1) when v
+        is no vertex."""
         src = self.src
-        v, i = self._split(x)
         sv = src.S(v)
         if sv == v:
-            return x
-        gap = src.V(sv) - src.V(v)
-        if gap > i + 1:
-            return self._join(v, i + 1)
-        if gap == i + 1:
-            return self._join(sv, 0)
-        return x
-
-    def potential(self, x):
-        v, i = self._split(x)
-        return self.src.V(v) + i
+            return 0, -1
+        return sv << self.low_bits, src.V(sv) - src.V(v) - 1
 
     def enumerate_codes(self, budget: int):
         """The codes that are no self-loop, in increasing order: (v, i) for
-        each source vertex v and each i below both the gap V(S(v)) - V(v)
-        and 2^low_bits.  Raises Exhausted past budget source ids or codes."""
-        src, out = self.src, []
-        for v in sorted(src.ids(budget)):
-            sv = src.S(v)
-            if sv != v:
-                k = min(src.V(sv) - src.V(v), 1 << self.low_bits)
+        each source vertex v and each i up to both its chain's last index
+        and 2^low_bits - 1.  Raises Exhausted past budget source ids or
+        codes."""
+        out = []
+        for v in sorted(self.src.ids(budget)):
+            k = min(self.state(v)[1] + 1, self.top + 1)
+            if k > 0:
                 if len(out) + k > budget:
                     raise Exhausted(f"more than {budget} codes")
                 out += (self._join(v, i) for i in range(k))
@@ -641,30 +679,22 @@ def plus1_to_ueopl(src: LineInstance):
 # ---------------------------------------------------------------------------
 # Potential normalization (every edge +1; ends at potential 2^n - 1)
 
-class NormalizeView(LineView):
-    """Code (v, i), v in the high bits, is step i of the chain of +1 edges
-    that replaces the source edge v -> S(v), as long as the edge's
-    potential gap; at an end of the line v, a dummy tail climbs to
-    potential 2^low_bits - 1 and then points at 0.
-
-    What a step needs of the source vertex v is read from the source once
-    per view, as the state of v (`state(v)`): the code at the top of v's
-    chain (S(v)'s code, or 0 for a tail) and the chain's last index (-1 for
-    a junk label).  `run` reads the same state, so a walk crosses a whole
-    chain or tail in one jump and asks S, P and V only where it leaves one.
-    Only (v, 0)'s predecessor, which enters from P(v)'s chain, asks the
-    source again.
+class NormalizeView(ChainView):
+    """The chain of a source vertex v is the edge v -> S(v), as long as
+    its potential gap; at an end of the line v, a dummy tail climbs to
+    potential 2^low_bits - 1 and then points at 0.  The state of v is read
+    once per view, as the +1 view reads its own (`ChainView`); only
+    (v, 0)'s predecessor, which enters from P(v)'s chain, asks the source
+    again.
     """
 
     flavor = "ueopl"
+    successor, potential = ChainView.successor, ChainView.potential
 
     def __init__(self, src: LineInstance):
         if src.flavor != "ueopl":
             raise ValueError("source must be UniqueEOPL")
-        super().__init__(src)
-        self.low_bits = src.m_pot + 1  # 2^low_bits exceeds any line length
-        self.top = (1 << self.low_bits) - 1
-        self.nbits = src.n + self.low_bits
+        super().__init__(src, src.m_pot + 1)  # 2^low_bits exceeds any line length
         self.m_pot = self.low_bits
 
     def _compute_state(self, v):
@@ -676,24 +706,6 @@ class NormalizeView(LineView):
         if src.P(sv) != v or sv == v:  # v is an end of line: dummy tail
             return 0, self.top - src.V(v)  # 0 makes the top an end: P(0) = 0
         return sv << self.low_bits, src.V(sv) - src.V(v) - 1
-
-    def successor(self, x):
-        v, i = x >> self.low_bits, x & self.top
-        after, last = self.state(v)
-        if i < last:
-            # (v, i + 1); _join keeps an overflow (V outside [0, 2^m_pot)) in range
-            return x + 1 if i < self.top else self._join(v, i + 1)
-        return after if i == last else x
-
-    def run(self, x):
-        """Plain +1 steps from x = (v, i): last - i while i < last, capped
-        where the low field would overflow, else 0.  Also 0 at the start
-        code 0, whose step a walk takes through S as on any line."""
-        if x == 0:
-            return 0
-        v, i = x >> self.low_bits, x & self.top
-        last = self.state(v)[1]
-        return min(last, self.top) - i if i < last else 0
 
     def predecessor(self, x):
         if x == 0:
@@ -709,9 +721,6 @@ class NormalizeView(LineView):
         if w == v or src.S(w) != v or src.V(v) <= src.V(w):
             return x
         return self._join(w, src.V(v) - src.V(w) - 1)
-
-    def potential(self, x):
-        return self.src.V(x >> self.low_bits) + (x & self.top)
 
     def candidates(self, c):
         if c.kind in ("U1", "UV1", "UV2"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm, prod
@@ -58,7 +58,6 @@ class RunStats:
     steps: int = 0
     pivots: int = 0
     oracle_calls: int = 0
-    z_trace: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +88,7 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
         return cert("Q1", y=[Fraction(0)] * d)
     sys = inst.system
     v, entering = sys.start_vertex()  # relax y_{i*}=0: the complement of the leaving w_{i*}
-    stats.z_trace.append(sys.value(v, sys.zvar))
+    z = sys.value(v, sys.zvar)
     while True:
         step = sys.ratio_step(v, entering)
         stats.pivots += 1
@@ -105,10 +104,8 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
                 raise RuntimeError("secondary ray gave no PV2 certificate")
             return c
         v, leaving = step
-        z_new = sys.value(v, sys.zvar)
-        z_prev = stats.z_trace[-1]
-        stats.z_trace.append(z_new)
-        if z_new > z_prev:
+        z_prev, z = z, sys.value(v, sys.zvar)
+        if z > z_prev:
             # z increased while traversing cone alpha, which by Todd's
             # orientation means det(M_aa) < 0.
             alpha = _edge_cone(sys, v.basis, leaving)

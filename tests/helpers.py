@@ -19,7 +19,7 @@ from potline.problems import (
     verify,
 )
 from potline.rational import Mat, Vec, determinant
-from potline.solvers import RunStats, eps_schedule
+from potline.solvers import RunStats, eps_schedule, lemke
 
 # The stages from a P-LCP to a normalized UniqueEOPL line, for `cli.compose`.
 FULL_CHAIN = ("plcp", "uso", "opdc", "ufeopl", "plus1", "ueopl", "normalized")
@@ -52,6 +52,16 @@ def murty(n: int) -> LcpInstance:
     2^n + 1 steps."""
     m = [[1 if i == j else 2 if j < i else 0 for j in range(n)] for i in range(n)]
     return LcpInstance(M=m, q=[-1] * n)
+
+
+def lemke_code(sys, basis) -> int:
+    """The `PlcpLineView` code of a basis, by the layout of the
+    `reductions_lcp` docstring: bit i when w_i is nonbasic, bit d + l for
+    the duplicate label l."""
+    d = sys.d
+    u = sum(1 << i for i in range(d) if d + i not in basis)
+    dl = sys.duplicate_label(basis)
+    return u if dl is None else u | 1 << (d + dl)
 
 
 class RowVertex(NamedTuple):
@@ -124,6 +134,31 @@ def row_ratio_step(sys, v: RowVertex, entering: int):
     return row_pivot(v, best, entering), v.rows[best]
 
 
+def lemke_zs(inst: LcpInstance, stats: RunStats | None = None) -> tuple[Certificate, list]:
+    """`solvers.lemke`'s certificate and the z values of its walk: z at the
+    start vertex, then z at each vertex that a ratio test inside `lemke`
+    stepped to."""
+    sys, zs = inst.system, []
+    start, step = sys.start_vertex, sys.ratio_step
+
+    def start_vertex():
+        v, label = start()
+        zs.append(sys.value(v, sys.zvar))
+        return v, label
+
+    def ratio_step(v, entering):
+        out = step(v, entering)
+        if out is not None:
+            zs.append(sys.value(out[0], sys.zvar))
+        return out
+
+    sys.start_vertex, sys.ratio_step = start_vertex, ratio_step
+    try:
+        return lemke(inst, stats), zs
+    finally:
+        del sys.start_vertex, sys.ratio_step
+
+
 def lemke_rows(inst: LcpInstance, stats: RunStats, path: list | None = None) -> Certificate:
     """Reference for `solvers.lemke`: the same loop over dictionaries held
     by row, each pivot rewriting every row (`row_pivot` and
@@ -146,7 +181,7 @@ def lemke_rows(inst: LcpInstance, stats: RunStats, path: list | None = None) -> 
     v = row_pivot(RowVertex(slack.rows, slack.pos, [list(row) for row in zip(*slack.cols)], slack.det),
                   entering, sys.zvar)
     path.append(v)
-    stats.z_trace.append(sys.value(v.as_vertex(), sys.zvar))
+    zs = [sys.value(v.as_vertex(), sys.zvar)]
     while True:
         step = row_ratio_step(sys, v, entering)
         stats.pivots += 1
@@ -161,10 +196,8 @@ def lemke_rows(inst: LcpInstance, stats: RunStats, path: list | None = None) -> 
             return c
         prev, (v, leaving) = v, step
         path.append(v)
-        z_new = sys.value(v.as_vertex(), sys.zvar)
-        z_prev = stats.z_trace[-1]
-        stats.z_trace.append(z_new)
-        if z_new > z_prev:
+        zs.append(sys.value(v.as_vertex(), sys.zvar))
+        if zs[-1] > zs[-2]:
             alpha = edge_cone(prev, entering)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)

@@ -19,7 +19,7 @@ from potline.rational import determinant
 from potline.reductions_lcp import PlcpLineView, out_map
 from potline.solvers import RunStats, follow_line, lemke
 
-from helpers import a_alpha, count_calls, lemke_rows, murty
+from helpers import a_alpha, count_calls, lemke_rows, lemke_zs, murty
 
 
 def _digest(x) -> str:
@@ -47,8 +47,8 @@ def _wild_non_p():
 
 def _lemke_record(inst):
     st_ = RunStats()
-    c = lemke(inst, stats=st_)
-    return c.kind, _digest(c), st_.pivots, _digest(st_.z_trace)
+    c, zs = lemke_zs(inst, st_)
+    return c.kind, _digest(c), st_.pivots, _digest(zs)
 
 
 def _line_record(inst):
@@ -66,7 +66,7 @@ def _line_sources():
 # The pinned values were recorded with the earlier kernel, which solved every
 # basis afresh with Bareiss elimination; the tableau must reproduce them.
 
-# (kind, digest of the certificate, pivots, digest of z_trace) per source.
+# (kind, digest of the certificate, pivots, digest of the z values) per source.
 PINNED_LEMKE = {
     (4, 0): ('Q1', '1f0f83ab408367fe', 3, '0ac88a7fb3d1561d'),
     (4, 1): ('Q1', 'd6a7e6fa621f6af8', 1, '1da96a7e62142b4c'),
@@ -273,10 +273,13 @@ def _wild_integer(seed):
 
 
 def _walks(inst):
-    """lemke's and the reference row walk's (certificate, pivots, z_trace)."""
-    got, want = RunStats(), RunStats()
-    return ((lemke(inst, stats=got), got.pivots, got.z_trace),
-            (lemke_rows(inst, want), want.pivots, want.z_trace))
+    """lemke's and the reference row walk's (certificate, pivots, z values)."""
+    got, want, path = RunStats(), RunStats(), []
+    c, zs = lemke_zs(inst, got)
+    ref = lemke_rows(inst, want, path)
+    sys = inst.system
+    return ((c, got.pivots, zs),
+            (ref, want.pivots, [sys.value(v.as_vertex(), sys.zvar) for v in path]))
 
 
 def test_lemke_matches_the_row_walk():

@@ -10,7 +10,7 @@ from potline.problems import LcpInstance, UnmappableCert, cert, verify
 from potline.reductions_lcp import PlcpLineView, PlcpToUso, out_map
 from potline.solvers import RunStats, aldous, brute_force, follow_line, lemke
 
-from helpers import count_calls, murty, potential_ref
+from helpers import count_calls, lemke_code, murty, potential_ref
 from test_cone_pin import FAMILIES, SEEDS
 from test_pivoting import _line_sources, _wild_integer
 
@@ -291,12 +291,12 @@ def test_line_view_oracles_match_a_fresh_view(family):
 
 
 def _check_carried(view):
-    """Every kept vertex's code is code_of of its basis, and a forward
+    """Every kept vertex's code is the code of its basis, and a forward
     variable it carries is the one the determinant-sign rule gives."""
     sys = view.sys
     for u, v in view._states.items():
         if v is not None:
-            assert u == view.code_of(v.basis), u
+            assert u == lemke_code(sys, v.basis), u
             if v.fwd is not None:
                 assert v.fwd == sys.forward_entering(sys.vertex_at(v.basis)), u
 

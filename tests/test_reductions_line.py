@@ -166,6 +166,23 @@ def test_plus1_map_backs():
             assert verify(src, view.map_back(cc))
 
 
+def test_plus1_asks_its_source_once_per_vertex():
+    # The +1 view reads S(v), V(v) and V(S(v)) of a source vertex v once,
+    # as v's state; only V(x) of a +1 code asks V of its vertex again, once
+    # per code through the +1 memo.  The d = 5 ueopl walk meets each +1
+    # code's successor once, and most source vertices under many codes.
+    ufeopl = compose(gen_lcp(5, 0, nondegenerate=True), FULL_CHAIN[:FULL_CHAIN.index("ufeopl") + 1])[0]
+    view = UfeoplToPlus1(ufeopl)
+    plus1 = view.image()
+    stats = RunStats()
+    follow_line(PebblingView(plus1).image(), 0, stats=stats)
+    s, v = ufeopl.S.cache_info(), ufeopl.V.cache_info()
+    vertices = len(view._states)
+    assert stats.steps == 2431 and plus1.S.cache_info().misses > 2 * vertices > 0
+    assert s.hits + s.misses == vertices
+    assert v.hits + v.misses == 2 * vertices + plus1.V.cache_info().misses
+
+
 def test_view_codes_count_against_the_budget():
     # A view lists its codes from its source's ids: brute force of its image
     # refuses a source of more than budget ids at once, as it refuses a
@@ -439,6 +456,24 @@ def test_pebbling_plans_each_move_once(monkeypatch):
     stats = RunStats()
     follow_line(ueopl, 0, stats=stats)
     assert (stats.steps, moves[0], packs[0]) == (2431, 2431, 2448)
+
+
+def test_pebbling_reads_a_backward_step_back(monkeypatch):
+    # A step back from x to P(x) records S(P(x)) = x, so S of each code
+    # reached from the end of the line by P plans and applies no move.
+    moves = count_calls(monkeypatch, PebblingView, "move")
+    applies = count_calls(monkeypatch, PebblingView, "_apply")
+    for d, seed, length in ((2, 2, 10), (3, 0, 82)):
+        plus1 = compose(gen_lcp(d, seed, nondegenerate=True), FULL_CHAIN[:FULL_CHAIN.index("plus1") + 1])[0]
+        end = follow_line(PebblingView(plus1).image(), 0).x
+        line = PebblingView(plus1).image()
+        path = [end]
+        while line.P(path[-1]) != path[-1]:
+            path.append(line.P(path[-1]))
+        assert len(path) == length and path[-1] == 0, (d, path)
+        moves[0] = applies[0] = 0
+        assert [line.S(x) for x in path[1:]] == path[:-1], d
+        assert moves[0] == applies[0] == 0, d
 
 
 def test_pebbling_keeps_no_state_for_a_label_wider_than_its_field():

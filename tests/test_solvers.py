@@ -37,7 +37,7 @@ from potline.solvers import (
     _min_den_rational,
 )
 
-from helpers import FULL_CHAIN, check_schedule, fibonacci_contraction
+from helpers import FULL_CHAIN, check_schedule, fibonacci_contraction, lemke_zs
 from test_fixpoint_pin import clamped_rotation
 from test_integration import SOURCES
 from test_kinds import CASES
@@ -71,10 +71,9 @@ def test_lemke_matches_brute_force():
 def test_lemke_z_monotone_on_p_matrices():
     for seed in range(8):
         inst = gen_lcp(4, seed, nondegenerate=True)
-        st = RunStats()
-        c = lemke(inst, stats=st)
+        c, zs = lemke_zs(inst)
         assert c.kind == "Q1"
-        assert all(a > b for a, b in zip(st.z_trace, st.z_trace[1:])), st.z_trace
+        assert all(a > b for a, b in zip(zs, zs[1:])), zs
 
 
 def test_lemke_non_p_violation():
