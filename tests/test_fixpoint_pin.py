@@ -1,11 +1,15 @@
 """Fixpoint searches pinned to recorded answers: SHA-256 digests of the
-certificates and oracle-call counts of `find_fp` and `approx_find_fp` on
-seeded contractions, planted non-contractions, black-box evaluators and a
-clamped rotation, so a rewrite of the nested search must ask the same
-number of questions and give exactly the same answers."""
+certificates of `find_fp` and `approx_find_fp` on seeded contractions,
+planted non-contractions, black-box evaluators and a clamped rotation, and
+apart from them the oracle-call count of each run, so a rewrite of the
+nested search must give exactly the same answers, and a change in the
+number of questions it asks shows in the call pins alone."""
 
 import hashlib
+from functools import cache
 from fractions import Fraction as F
+
+import pytest
 
 from potline.circuits import Circuit, Gate, affine_circuit
 from potline.generators import gen_contraction
@@ -37,29 +41,29 @@ def black_box(inst: ContractionInstance, p: int) -> ContractionInstance:
     return ContractionInstance(d=inst.d, c=inst.c, p=p, func=inst.f, eps=EPS)
 
 
-def _solve(solve, inst):
+def _record(solve, inst):
+    """The verified certificate of one run and its oracle-call count."""
     stats = RunStats()
     c = solve(inst, stats=stats)
     assert verify(inst, c), c
-    return c, f"{sorted(cert_to_json(c).items())} {stats.oracle_calls}"
-
-
-def _record(solve, inst) -> str:
-    return _solve(solve, inst)[1]
+    return c, stats.oracle_calls
 
 
 def _digest(records) -> str:
+    """The digest of the certificates alone, one JSON line each."""
     h = hashlib.sha256()
-    for line in records:
-        h.update(line.encode() + b"\n")
+    for c, _ in records:
+        h.update(f"{sorted(cert_to_json(c).items())}".encode() + b"\n")
     return h.hexdigest()[:16]
 
 
+@cache
 def _contracting():
     cases = [(d, s) for d in range(1, 6) for s in range(3)] + [(6, 0)]
     return [_record(find_fp, gen_contraction(d, s)) for d, s in cases]
 
 
+@cache
 def _noncontracting():
     out = [_record(find_fp, gen_contraction(d, s, contracting=False)) for d in range(1, 4) for s in range(2)]
     out += [_record(approx_find_fp, black_box(gen_contraction(d, 0, p=p, contracting=False), p))
@@ -71,6 +75,7 @@ def _jump(x):
     return [F(1) if x[0] < F(1, 2) else F(0)]
 
 
+@cache
 def _black_box():
     out = [_record(approx_find_fp, black_box(gen_contraction(d, s, p=p), p))
            for d in (1, 2) for p in (1, 2, 3) for s in range(2)]
@@ -81,20 +86,32 @@ def _black_box():
     return out
 
 
+@cache
 def _rotation():
     out = []
     for x_star, kappa in [((F(3, 16), F(11, 16)), (8, 8)), ((F(1, 3), F(2, 7)), (60, 20))]:
-        c, record = _solve(find_fp, clamped_rotation(x_star, kappa))
+        c, calls = _record(find_fp, clamped_rotation(x_star, kappa))
         assert c.kind == "CM1" and c.x == list(x_star), c
-        out.append(record)
+        out.append((c, calls))
     return out
 
 
+FAMILIES = {"contracting": _contracting, "noncontracting": _noncontracting,
+            "black_box": _black_box, "rotation": _rotation}
+
 PINNED = {
-    "contracting": "96cac6f827c6ce08",
-    "noncontracting": "7ef98d9665972bd6",
-    "black_box": "ed43e884af3d8ea5",
-    "rotation": "244e5db76f4c6d56",
+    "contracting": "4ad246b41565926c",
+    "noncontracting": "71f16c67a85b183d",
+    "black_box": "f88aa516756022b3",
+    "rotation": "16e1679b16b7d628",
+}
+
+# The oracle calls of each family's runs, in the order the family makes them.
+PINNED_CALLS = {
+    "contracting": [5, 5, 4, 30, 36, 30, 124, 111, 186, 375, 672, 1122, 1504, 4038, 5615, 9030],
+    "noncontracting": [19, 19, 19, 19, 19, 19, 15, 28, 45, 192, 2240, 8160],
+    "black_box": [5, 5, 5, 5, 5, 5, 30, 36, 30, 36, 30, 36, 171, 2244, 30],
+    "rotation": [75, 5377],
 }
 
 
@@ -112,6 +129,11 @@ def test_approx_find_fp_black_box_pinned():
 
 def test_find_fp_on_clamped_rotation_pinned():
     assert _digest(_rotation()) == PINNED["rotation"]
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_fixpoint_search_calls_pinned(family):
+    assert [calls for _, calls in FAMILIES[family]()] == PINNED_CALLS[family]
 
 
 # find_fp's point and oracle-call count on larger seeded maps.
