@@ -221,9 +221,10 @@ class _Violation(Exception):
 
 
 def _box(v) -> list[Fraction]:
-    """The point (nums, D) of the search as Fractions, for a certificate."""
-    nums, D = v
-    return [Fraction(n, D) for n in nums]
+    """The point of a search result (xs, D, nums, den) as Fractions, for a
+    certificate."""
+    xs, D, _, _ = v
+    return [Fraction(x, D) for x in xs]
 
 
 def _nested_search(inst: ContractionInstance, rules, outer: tuple, D: int,
@@ -231,16 +232,19 @@ def _nested_search(inst: ContractionInstance, rules, outer: tuple, D: int,
     """The fixpoint of the slice whose coordinates i+1..d-1 are `outer`
     (i = d - 1 - len(outer)), by bisection of coordinate i on the sign of
     f(v)_i - t, where v solves the inner slice at x_i = t (at i = 0, the
-    innermost level, v is the point (t,) + outer itself).  Raises
-    _Violation with a CMV2 when an evaluation leaves the unit box.
+    innermost level, v is the point (t,) + outer itself).
 
     Points are integer numerators over one denominator: `outer` and t are
-    over D > 0, and the slice's fixpoint is returned as (nums, D') with D
-    dividing D'.  f is read through `inst.f_int`, so every test is an
-    integer compare: a probe at t returns (v, r, s) with f(v)_i - t = r / s
-    and s > 0.  The bracket [lo, hi] starts at [0, D] and each bisection
-    takes (lo + hi) >> 1, which is exact while 2^(halvings + 1) divides D;
-    `find_fp` and `approx_find_fp` start at a power of two that does.
+    over D > 0, and the slice's fixpoint v is returned with f there, as
+    (xs, D', nums, den) with D dividing D' and f(v)_j = nums[j] / den.  So
+    f is evaluated once per point: level 0 alone calls `inst.f_int`, counts
+    the oracle call and raises _Violation with a CMV2 when the value leaves
+    the unit box, and a level above reads f at its inner fixpoint from the
+    level that found it.  Every test is an integer compare: a probe at t
+    returns (v, r, s) with f(v)_i - t = r / s and s > 0.  The bracket
+    [lo, hi] starts at [0, D] and each bisection takes (lo + hi) >> 1,
+    which is exact while 2^(halvings + 1) divides D; `find_fp` and
+    `approx_find_fp` start at a power of two that does.
 
     rules[i] = (close, halvings, grid, finish) is the solver's stop rule
     at level i + 1: the level returns v as soon as close(r, s); it
@@ -254,11 +258,14 @@ def _nested_search(inst: ContractionInstance, rules, outer: tuple, D: int,
 
     def probe(t, Dt=D):
         point = (t,) + (outer if Dt == D else tuple(o * (Dt // D) for o in outer))
-        v = (point, Dt) if i == 0 else _nested_search(inst, rules, point, Dt, stats)
-        stats.oracle_calls += 1
-        nums, den = f_int(*v)
-        if min(nums) < 0 or max(nums) > den:
-            raise _Violation(cert("CMV2", x=_box(v)))
+        if i:
+            _, _, nums, den = v = _nested_search(inst, rules, point, Dt, stats)
+        else:
+            stats.oracle_calls += 1
+            nums, den = f_int(point, Dt)
+            v = (point, Dt, nums, den)
+            if min(nums) < 0 or max(nums) > den:
+                raise _Violation(cert("CMV2", x=_box(v)))
         return v, nums[i] * Dt - t * den, den * Dt
 
     lo, hi = 0, D
@@ -397,7 +404,10 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
     """Black-box approximate fixpoint: returns APPROX_FIX(v, eps, p) with
     ||f(v)-v||_p <= eps, a CMV1 pair with ||f(x)-f(y)||_p >= ||x-y||_p
     (a contraction violation for every c < 1), or a CMV2 point whose image
-    leaves the unit box.  eps and p default to the instance's."""
+    leaves the unit box.  eps and p default to the instance's.  When the
+    instance sets its own eps, an APPROX_FIX must meet it too (in the
+    instance's p), so each level takes the smaller of the two schedules'
+    tolerances."""
     eps = eps if eps is not None else inst.eps
     p = p if p is not None else inst.p
     if eps is None or frac(eps) <= 0:
@@ -405,7 +415,10 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
     if p < 1:
         raise ValueError("norm index must be a positive integer")
     eps = frac(eps)
-    rules = [_approx_rule(e) for e in eps_schedule(p, inst.d, eps)]
+    schedule = eps_schedule(p, inst.d, eps)
+    if inst.eps is not None:
+        schedule = map(min, schedule, eps_schedule(inst.p, inst.d, inst.eps))
+    rules = [_approx_rule(e) for e in schedule]
     return _search(inst, rules, stats, lambda v: cert("APPROX_FIX", v=v, eps=eps, p=p))
 
 

@@ -306,5 +306,5 @@ def test_one_compile_per_circuit_shape(monkeypatch):
         KINDS["contraction"].from_json(json.loads(data)).f_int([1, 2, 3], 4)
     assert len(sources) == 2
     stats = RunStats()
-    assert find_fp(gen_contraction(5, 5), stats=stats).kind == "CM1" and stats.oracle_calls == 2430
+    assert find_fp(gen_contraction(5, 5), stats=stats).kind == "CM1" and stats.oracle_calls == 1728
     assert len(sources) == 3

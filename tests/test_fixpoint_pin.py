@@ -108,10 +108,10 @@ PINNED = {
 
 # The oracle calls of each family's runs, in the order the family makes them.
 PINNED_CALLS = {
-    "contracting": [5, 5, 4, 30, 36, 30, 124, 111, 186, 375, 672, 1122, 1504, 4038, 5615, 9030],
-    "noncontracting": [19, 19, 19, 19, 19, 19, 15, 28, 45, 192, 2240, 8160],
-    "black_box": [5, 5, 5, 5, 5, 5, 30, 36, 30, 36, 30, 36, 171, 2244, 30],
-    "rotation": [75, 5377],
+    "contracting": [5, 5, 4, 25, 30, 24, 100, 90, 144, 300, 540, 864, 1200, 3240, 4320, 7200],
+    "noncontracting": [19, 19, 19, 19, 19, 19, 15, 28, 45, 180, 2208, 8109],
+    "black_box": [5, 5, 5, 5, 5, 5, 25, 30, 25, 30, 25, 30, 158, 2210, 30],
+    "rotation": [69, 5333],
 }
 
 
@@ -138,10 +138,10 @@ def test_fixpoint_search_calls_pinned(family):
 
 # find_fp's point and oracle-call count on larger seeded maps.
 PINNED_POINTS = {
-    (5, 5): ([F(1, 2), F(9, 16), F(3, 4), F(1, 4), F(11, 16)], 2430),
-    (6, 1): ([F(3, 8), F(5, 16), F(1, 2), F(5, 16), F(11, 16), F(11, 16)], 24234),
-    (6, 2): ([F(1, 4), F(5, 16), F(5, 16), F(9, 16), F(3, 8), F(1, 2)], 16848),
-    (6, 5): ([F(1, 2), F(9, 16), F(3, 4), F(1, 4), F(11, 16), F(7, 16)], 14586),
+    (5, 5): ([F(1, 2), F(9, 16), F(3, 4), F(1, 4), F(11, 16)], 1728),
+    (6, 1): ([F(3, 8), F(5, 16), F(1, 2), F(5, 16), F(11, 16), F(11, 16)], 19440),
+    (6, 2): ([F(1, 4), F(5, 16), F(5, 16), F(9, 16), F(3, 8), F(1, 2)], 12960),
+    (6, 5): ([F(1, 2), F(9, 16), F(3, 4), F(1, 4), F(11, 16), F(7, 16)], 10368),
 }
 
 

@@ -38,7 +38,7 @@ from potline.solvers import (
 )
 
 from helpers import FULL_CHAIN, check_schedule, fibonacci_contraction, lemke_zs
-from test_fixpoint_pin import clamped_rotation
+from test_fixpoint_pin import black_box, clamped_rotation
 from test_integration import SOURCES
 from test_kinds import CASES
 
@@ -391,6 +391,17 @@ def test_approx_fix_carries_its_tolerance():
     assert not verify(inst, c)
 
 
+@pytest.mark.parametrize("eps, p", [(F(1, 2), 1), (F(1, 16), 1), (F(1, 2), 2), (F(1, 16), 3)])
+def test_approx_fix_meets_the_instance_eps(eps, p):
+    # A looser eps than the instance's, in its p or another: each level
+    # takes the smaller tolerance of the two schedules, so the APPROX_FIX
+    # meets the instance's bound besides its own.
+    inst = clamped_rotation((F(1, 3), F(2, 7)), (8, 8))
+    inst.eps = F(1, 1024)
+    c = approx_find_fp(inst, eps=eps, p=p)
+    assert c.kind == "APPROX_FIX" and (c.eps, c.p) == (eps, p) and verify(inst, c), c
+
+
 def test_approx_violation_pair():
     def jump(x):
         return [F(1) if x[0] < F(1, 2) else F(0)]
@@ -462,6 +473,53 @@ def test_circuit_and_black_box_share_one_search_path(make):
             stats = RunStats()
             outcomes.append((run(inst, stats), stats.oracle_calls))
         assert outcomes[0] == outcomes[1]
+
+
+def _counted(inst: ContractionInstance) -> list:
+    """Record each point at which the searches evaluate f, as Fractions:
+    through a circuit's compiled program, or a black box's `func`."""
+    points = []
+    if inst.circuit is not None:
+        f_int = inst.f_int
+
+        def program(xs, D):
+            points.append(tuple(F(x, D) for x in xs))
+            return f_int(xs, D)
+
+        inst.f_int = program
+    else:
+        func = inst.func
+
+        def box(x):
+            points.append(tuple(x))
+            return func(x)
+
+        inst.func = box
+    return points
+
+
+def _evaluated_cases():
+    for d in range(1, 7):
+        for seed in range(3):
+            for contracting in (True, False):
+                yield find_fp, gen_contraction(d, seed, contracting=contracting)
+    yield find_fp, clamped_rotation((F(1, 3), F(2, 7)), (60, 20))
+    for d in (1, 2):
+        for p in (1, 2, 3):
+            for contracting in (True, False):
+                yield approx_find_fp, black_box(gen_contraction(d, 0, p=p, contracting=contracting), p)
+    for p in (1, 2):
+        yield approx_find_fp, black_box(clamped_rotation((F(1, 3), F(2, 7)), (8, 8)), p)
+
+
+def test_each_point_is_evaluated_once():
+    # A level hands its slice fixpoint up with f there, so the level above
+    # reads f at it instead of asking again: every oracle call is a new point.
+    for solve, inst in _evaluated_cases():
+        points, stats = _counted(inst), RunStats()
+        c = solve(inst, stats=stats)
+        assert len(set(points)) == len(points) == stats.oracle_calls, (inst, c)
+        assert verify(inst, c)
 
 
 def test_schedules_exact():
