@@ -3,7 +3,8 @@ certificates of `find_fp` and `approx_find_fp` on seeded contractions,
 planted non-contractions, black-box evaluators and a clamped rotation, and
 apart from them the oracle-call count of each run, so a rewrite of the
 nested search must give exactly the same answers, and a change in the
-number of questions it asks shows in the call pins alone."""
+number of questions it asks shows in the call pins alone.  The order in
+which four of the searches ask for f is pinned too."""
 
 import hashlib
 from functools import cache
@@ -151,3 +152,33 @@ def test_find_fp_points_pinned():
         c = find_fp(inst, stats=stats)
         assert (c.kind, c.x, stats.oracle_calls) == ("CM1", x, calls), (d, seed)
         assert verify(inst, c)
+
+
+def _probe_order(solve, inst) -> str:
+    """The digest of the points at which a run evaluates f, in the order
+    the search asks for them: one (numerators, denominator) line each."""
+    h, f_int = hashlib.sha256(), inst.f_int
+
+    def logged(xs, D):
+        h.update(f"{tuple(xs)} {D}".encode() + b"\n")
+        return f_int(xs, D)
+
+    inst.f_int = logged
+    assert verify(inst, solve(inst))
+    return h.hexdigest()[:16]
+
+
+# The order of the points each search evaluates f at: seeded contractions
+# at d = 5 and 6, a CMV3 on the clamped rotation and an approximate search.
+PINNED_PROBES = {
+    "find_fp(5, 5)": (lambda: (find_fp, gen_contraction(5, 5)), "41029aa7ccbee0e2"),
+    "find_fp(6, 0)": (lambda: (find_fp, gen_contraction(6, 0)), "f7b5c90f0fc72a04"),
+    "rotation CMV3": (lambda: (find_fp, clamped_rotation((F(1, 3), F(2, 7)), (40, 20))), "af8aa9568d0c13d4"),
+    "approx": (lambda: (approx_find_fp, black_box(clamped_rotation((F(1, 3), F(2, 7)), (8, 8)), 2)), "3e365c4619c41976"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_PROBES))
+def test_fixpoint_probe_order_pinned(case):
+    make, digest = PINNED_PROBES[case]
+    assert _probe_order(*make()) == digest

@@ -311,6 +311,15 @@ def test_find_fp_cmv3_2d():
     assert c.kind == "CMV3" and verify(inst, c)
 
 
+def test_find_fp_cmv3_at_the_untouched_upper_end():
+    # f(x) = 1 below 1 and f(1) = 0: every bisection moves the lower end
+    # up, so the upper end of the last bracket is still the probe at t = 1
+    # and the CMV3 pair is (1, 15/16).
+    inst = ContractionInstance(d=1, c=F(1, 2), p=2, func=lambda x: [F(1) if x[0] < 1 else F(0)], kappa=(4,))
+    c = find_fp(inst)
+    assert c == cert("CMV3", level=1, x=[F(1)], y=[F(15, 16)]) and verify(inst, c)
+
+
 def test_find_fp_cmv2_when_f_leaves_the_box():
     # f(x) = x/2 + 3/4 maps 1 to 5/4.
     inst = ContractionInstance(d=1, c=F(1, 2), p=2, circuit=affine_circuit([[F(1, 2)]], [F(3, 4)]), kappa=(8,))
