@@ -41,6 +41,12 @@ UP, DOWN, ZERO = "up", "down", "zero"
 # Entries kept per memoized oracle; the least recently used go first.
 ORACLE_CACHE_SIZE = 1 << 14
 
+# The most bits a file may give a vertex id or a potential: a `line` file's
+# n and m, a `uso` file's n.  Far above any table a file can hold (n = 64
+# is legal), and small enough that 2^n is a cheap int; a larger value is
+# refused where it is read, before anything is built from it.
+MAX_BITS = 1 << 10
+
 
 def memoize(fn):
     """Memo of a pure function, bounded by ORACLE_CACHE_SIZE."""
@@ -198,7 +204,7 @@ class LineInstance:
         budget."""
         if self.vertex_iter is not None:
             return self.vertex_iter(budget)
-        if self.size > budget:
+        if self.n >= budget.bit_length():  # 2^n > budget
             raise Exhausted(f"2^{self.n} ids exceed budget {budget}")
         return range(self.size)
 
@@ -222,7 +228,7 @@ def line_from_tables(n, s_table, p_table=None, v_table=None, flavor="eopl", m_po
     if m_pot is None:
         m_pot = max(v_table.values(), default=0).bit_length() or 1
     for x, v in v_table.items():
-        if not 0 <= v < 1 << m_pot:
+        if v < 0 or v.bit_length() > m_pot:
             raise BadField(f"field 'V': potential {v} of vertex {bits_str(x, n)} is outside [0, 2^{m_pot})")
     return LineInstance(
         n=n,
@@ -704,6 +710,13 @@ def _index_set(v) -> frozenset:
     return frozenset(json_int(t) for t in _array(v))
 
 
+def _bit_count(v) -> int:
+    n = json_int(v)
+    if not 0 <= n <= MAX_BITS:
+        raise ValueError(f"expected a bit count in [0, {MAX_BITS}], got {n}")
+    return n
+
+
 def _point(v) -> tuple:
     return tuple(json_int(t) for t in _array(v))
 
@@ -766,14 +779,14 @@ def line_to_json(inst: LineInstance) -> dict:
 
 
 def line_from_json(data: dict) -> LineInstance:
-    n = _decode(data, "n", json_int)
+    n = _decode(data, "n", _bit_count)
     return line_from_tables(
         n,
         _decode(data, "S", lambda t: _bits_table(t, n), {}),
         _decode(data, "P", lambda t: _bits_table(t, n), None),
         _decode(data, "V", lambda t: _table(t, partial(bits_int, n=n), json_int), {}),
         flavor=_decode(data, "flavor", _string, "eopl"),
-        m_pot=_decode(data, "m", json_int, None),
+        m_pot=_decode(data, "m", _bit_count, None),
     )
 
 
@@ -830,7 +843,7 @@ def uso_to_json(inst: UsoInstance) -> dict:
 
 
 def uso_from_json(data: dict) -> UsoInstance:
-    n = _decode(data, "n", json_int)
+    n = _decode(data, "n", _bit_count)
     table = _decode(data, "orient", lambda t: _table(
         t, partial(bits_int, n=n), lambda v: None if v == "dash" else bits_int(v, n)))
     return UsoInstance(n=n, orient=lambda v: table.get(v))

@@ -227,67 +227,84 @@ def _box(v) -> list[Fraction]:
     return [Fraction(x, D) for x in xs]
 
 
-def _nested_search(inst: ContractionInstance, rules, outer: tuple, D: int,
-                   stats: RunStats) -> tuple:
-    """The fixpoint of the slice whose coordinates i+1..d-1 are `outer`
-    (i = d - 1 - len(outer)), by bisection of coordinate i on the sign of
-    f(v)_i - t, where v solves the inner slice at x_i = t (at i = 0, the
-    innermost level, v is the point (t,) + outer itself).
+def _nested_search(inst: ContractionInstance, rules, D: int, stats: RunStats) -> tuple:
+    """The fixpoint of the box by nested bisection: level i (d - 1 at the
+    top, 0 innermost) searches the slice whose coordinates i+1..d-1 are
+    fixed (`outer`) for its fixpoint, by bisection of coordinate i on the
+    sign of f(v)_i - t, where v is the fixpoint of the slice one level
+    down at x_i = t (at level 0, v is the point (t,) + outer itself).
+
+    One loop runs every level.  The current level's state lives in locals:
+    i, outer, D, the bracket [lo, hi] with its points v_lo and v_hi, the
+    saved pair, the probe count k and the pending probe t over Dt.  A probe
+    at level i > 0 pushes that state on `stack` and starts level i - 1 at
+    the probe's point; at level 0 it calls `inst.f_int`, counts the oracle
+    call and raises _Violation with a CMV2 when the value leaves the unit
+    box.  A level that ends pops the level above, whose pending probe it
+    answers.  So f is evaluated once per point, and the probe order is
+    that of the recursive search.
 
     Points are integer numerators over one denominator: `outer` and t are
-    over D > 0, and the slice's fixpoint v is returned with f there, as
-    (xs, D', nums, den) with D dividing D' and f(v)_j = nums[j] / den.  So
-    f is evaluated once per point: level 0 alone calls `inst.f_int`, counts
-    the oracle call and raises _Violation with a CMV2 when the value leaves
-    the unit box, and a level above reads f at its inner fixpoint from the
-    level that found it.  Every test is an integer compare: a probe at t
-    returns (v, r, s) with f(v)_i - t = r / s and s > 0.  The bracket
-    [lo, hi] starts at [0, D] and each bisection takes (lo + hi) >> 1,
-    which is exact while 2^(halvings + 1) divides D; `find_fp` and
-    `approx_find_fp` start at a power of two that does.
+    over D > 0, and a slice fixpoint v is (xs, D', nums, den) with D
+    dividing D' and f(v)_j = nums[j] / den.  Every test is an integer
+    compare: a probe at t answers with v and f(v)_i - t = r / s, s > 0.
+    The bracket starts at [0, D], each bisection takes (lo + hi) >> 1,
+    which is exact while 2^(halvings + 1) divides D; `_search` starts at a
+    power of two that does.
 
-    rules[i] = (close, halvings, grid, finish) is the solver's stop rule
-    at level i + 1: the level returns v as soon as close(r, s); it
-    bisects [0, D] at most `halvings` times; after bisection number
-    `grid` (0: none) it saves the bracket's pair (v_hi, v_lo); then it
-    returns finish(probe, lo, hi, D, v_lo, v_hi, saved), where
-    probe(t, Dt) probes t over Dt, a multiple of D."""
-    i = inst.d - 1 - len(outer)
-    close, halvings, grid, finish = rules[i]
-    f_int = inst.f_int
-
-    def probe(t, Dt=D):
+    rules[i] = ((e, q), halvings, grid, last, violation) is the solver's
+    stop rule at level i + 1.  The level probes t = 0, then t = D, then
+    bisects at most `halvings` times, and returns v as soon as
+    |f(v)_i - t| <= e / q.  After bisection number `grid` (None: none) it
+    saves the bracket's pair (v_hi, v_lo).  When the bisections are spent,
+    last(lo, hi, D) names one final probe (t, Dt), Dt a multiple of D, or
+    None; a final probe that does not stop the level, or None, raises
+    _Violation(violation(v, r, v_lo, v_hi, saved)), with v and r None
+    when there was no final probe."""
+    f_int, stack = inst.f_int, []
+    i, outer = inst.d - 1, ()
+    (e, q), halvings, grid, last, violation = rules[i]
+    lo, hi, v_lo, v_hi, saved, k, t, Dt = 0, D, None, None, None, -1, 0, D
+    while True:
         point = (t,) + (outer if Dt == D else tuple(o * (Dt // D) for o in outer))
-        if i:
-            _, _, nums, den = v = _nested_search(inst, rules, point, Dt, stats)
-        else:
-            stats.oracle_calls += 1
-            nums, den = f_int(point, Dt)
-            v = (point, Dt, nums, den)
-            if min(nums) < 0 or max(nums) > den:
-                raise _Violation(cert("CMV2", x=_box(v)))
-        return v, nums[i] * Dt - t * den, den * Dt
-
-    lo, hi = 0, D
-    v_lo, r, s = probe(lo)
-    if close(r, s):
-        return v_lo
-    v_hi, r, s = probe(hi)
-    if close(r, s):
-        return v_hi
-    saved = None
-    for k in range(1, halvings + 1):
-        mid = (lo + hi) >> 1
-        v, r, s = probe(mid)
-        if close(r, s):
-            return v
+        while i:
+            stack.append((i, outer, D, lo, hi, v_lo, v_hi, saved, k, t, Dt))
+            i -= 1
+            (e, q), halvings, grid, last, violation = rules[i]
+            outer, D = point, Dt
+            lo, hi, v_lo, v_hi, saved, k, t = 0, D, None, None, None, -1, 0
+            point = (0,) + outer
+        stats.oracle_calls += 1
+        nums, den = f_int(point, Dt)
+        v = (point, Dt, nums, den)
+        if min(nums) < 0 or max(nums) > den:
+            raise _Violation(cert("CMV2", x=_box(v)))
+        while True:
+            r = nums[i] * Dt - t * den
+            if r and (not e or abs(r) * q > e * den * Dt):  # e = 0: stop on r = 0 alone
+                break
+            if not stack:
+                return v
+            i, outer, D, lo, hi, v_lo, v_hi, saved, k, t, Dt = stack.pop()
+            (e, q), halvings, grid, last, violation = rules[i]
+        # The probe did not stop level i.  k is its bisection number: the
+        # ends t = 0 and t = D are -1 and 0, the final probe halvings + 1.
+        if k > halvings:
+            raise _Violation(violation(v, r, v_lo, v_hi, saved))
         if r > 0:
-            lo, v_lo = mid, v
+            lo, v_lo = t, v
         else:
-            hi, v_hi = mid, v
+            hi, v_hi = t, v
         if k == grid:
             saved = (v_hi, v_lo)
-    return finish(probe, lo, hi, D, v_lo, v_hi, saved)
+        k += 1
+        if k <= halvings:
+            t = (lo + hi) >> 1 if k else D
+        else:
+            step = last(lo, hi, D)
+            if step is None:
+                raise _Violation(violation(None, None, v_lo, v_hi, saved))
+            t, Dt = step
 
 
 def _min_den_rational(a: int, b: int, D: int) -> tuple[int, int]:
@@ -322,24 +339,25 @@ def _min_den_rational(a: int, b: int, D: int) -> tuple[int, int]:
 
 
 def _exact_rule(level: int, kap: int):
-    """Stop on f(v)_i == t; bisect to 2^-(2 kap + 1), past the 2^-kap grid."""
+    """Stop on f(v)_i == t; bisect to 2^-(2 kap + 1), past the 2^-kap grid.
 
-    def finish(probe, lo, hi, D, v_lo, v_hi, saved):
-        # The only candidate left: the minimal-denominator rational strictly
-        # inside (lo, hi); the true fixpoint coordinate has denominator at
-        # most 2^kap and two such rationals cannot both fit in the interval.
-        # It is the one probe whose t need not be a multiple of 1/D: the
-        # point moves to the denominator lcm(D, q).
+    The final probe is the only candidate left: the minimal-denominator
+    rational strictly inside (lo, hi); the true fixpoint coordinate has
+    denominator at most 2^kap and two such rationals cannot both fit in the
+    interval.  It is the one probe whose t need not be a multiple of 1/D:
+    the point moves to the denominator lcm(D, q).  Without it, the
+    violation is the CMV3 of the pair saved on the 2^-kap grid, which is
+    adjacent and opposing."""
+
+    def last(lo, hi, D):
         p, q = _min_den_rational(lo, hi, D)
-        if q <= (1 << kap):
-            Dq = lcm(D, q)
-            v, r, _ = probe(p * (Dq // q), Dq)
-            if r == 0:
-                return v
-        # saved is the adjacent opposing pair on the 2^-kap grid.
-        raise _Violation(cert("CMV3", level=level, x=_box(saved[0]), y=_box(saved[1])))
+        Dq = lcm(D, q)
+        return (p * (Dq // q), Dq) if q <= 1 << kap else None
 
-    return (lambda r, s: r == 0), 2 * kap + 1, kap, finish
+    def violation(v, r, v_lo, v_hi, saved):
+        return cert("CMV3", level=level, x=_box(saved[0]), y=_box(saved[1]))
+
+    return (0, 1), 2 * kap + 1, kap, last, violation
 
 
 def _search(inst: ContractionInstance, rules, stats: RunStats | None, found) -> Certificate:
@@ -347,9 +365,9 @@ def _search(inst: ContractionInstance, rules, stats: RunStats | None, found) -> 
     halvings of any level, so that every bisection midpoint is an integer:
     found(x) for the point x it stops at, as Fractions, or the violation
     that a level raised."""
-    H = 1 + max(halvings for _, halvings, _, _ in rules)
+    H = 1 + max(halvings for _, halvings, _, _, _ in rules)
     try:
-        v = _nested_search(inst, rules, (), 1 << H, stats if stats is not None else RunStats())
+        v = _nested_search(inst, rules, 1 << H, stats if stats is not None else RunStats())
     except _Violation as viol:
         return viol.certificate
     return found(_box(v))
@@ -381,22 +399,23 @@ def eps_schedule(p: int, d: int, eps: Fraction) -> list[Fraction]:
 
 
 def _approx_rule(eps_i: Fraction):
-    """Stop on |f(v)_i - t| <= eps_i; bisect to eps_i / 2.  One halving
-    beyond eps_i keeps the final midpoint strictly within eps_i/2 of both
-    pivots, which the violation-pair guarantee needs.  With f(v)_i - t =
-    r / s and eps_i = e / q, |f(v)_i - t| <= eps_i reads |r| q <= e s."""
+    """Stop on |f(v)_i - t| <= eps_i = e / q, which with f(v)_i - t = r / s
+    reads |r| q <= e s; bisect to eps_i / 2.  One halving beyond eps_i
+    keeps the final midpoint strictly within eps_i/2 of both pivots, which
+    the violation-pair guarantee needs.  The final probe is that midpoint;
+    where it does not stop, the sign of r picks the CMV1 pair: the midpoint
+    with the upper end when f(v)_i lies above it, else the lower end with
+    the midpoint."""
     e, q = eps_i.as_integer_ratio()
 
-    def finish(probe, lo, hi, D, v_lo, v_hi, saved):
-        v, r, s = probe((lo + hi) >> 1)
-        if r * q > e * s:
-            raise _Violation(cert("CMV1", x=_box(v), y=_box(v_hi)))
-        if -r * q > e * s:
-            raise _Violation(cert("CMV1", x=_box(v_lo), y=_box(v)))
-        return v
+    def last(lo, hi, D):
+        return (lo + hi) >> 1, D
+
+    def violation(v, r, v_lo, v_hi, saved):
+        return cert("CMV1", x=_box(v), y=_box(v_hi)) if r > 0 else cert("CMV1", x=_box(v_lo), y=_box(v))
 
     # The fewest halvings k with 2^-k <= eps_i / 2 = e / 2q: 2^k >= ceil(2q / e).
-    return (lambda r, s: abs(r) * q <= e * s), (-(-2 * q // e) - 1).bit_length(), 0, finish
+    return (e, q), (-(-2 * q // e) - 1).bit_length(), None, last, violation
 
 
 def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None = None,
@@ -445,7 +464,7 @@ def _lcp_certs(inst: LcpInstance, budget: int):
 
 
 def _uso_certs(inst: UsoInstance, budget: int):
-    if 1 << inst.n > budget:
+    if inst.n >= budget.bit_length():  # 2^n > budget
         raise Exhausted("cube too large")
     vs = range(1 << inst.n)
     for v in vs:

@@ -11,7 +11,7 @@ import pytest
 import potline
 from potline.cli import _ALGOS as ALGOS, compose, main
 from potline.generators import gen_lcp, gen_uso
-from potline.problems import KINDS, cert, verify
+from potline.problems import KINDS, MAX_BITS, BadField, cert, verify
 from potline.solvers import brute_force
 
 from helpers import FULL_CHAIN, fibonacci_contraction
@@ -847,6 +847,50 @@ def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path} is not a {problem} instance: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, problem, field, argv", [
+    ("line", "line", "m", ["verify", "{inst}", "{cert}"]),
+    ("line", "line", "n", ["verify", "{inst}", "{cert}"]),
+    ("line", "line", "m", ["solve", "{inst}", "--algo", "follow"]),
+    ("uso", "uso", "n", ["solve", "{inst}", "--algo", "brute"]),
+])
+def test_huge_bit_count_exits_2(tmp_path, capsys, kind, problem, field, argv):
+    # n or m = 2^70 died in 1 << n with an OverflowError traceback and exit
+    # 1, which `verify` uses for "rejected"; it is refused where it is read.
+    inst, rec, cert_path = tmp_path / "inst.json", tmp_path / "rec.json", tmp_path / "cert.json"
+    gen = ["--kind", "explicitline", "--length", "6"] if kind == "line" else ["--kind", "uso", "--d", "2"]
+    algo = "follow" if kind == "line" else "brute"
+    assert run_err(capsys, "generate", *gen, "--seed", "1", "-o", inst)[0] == 0
+    assert run_err(capsys, "solve", inst, "--problem", problem, "--algo", algo, "-o", rec)[0] == 0
+    cert_path.write_text(json.dumps(json.loads(rec.read_text())["certificate"]))
+    data = json.loads(inst.read_text())
+    data[field] = 1 << 70
+    inst.write_text(json.dumps(data))
+    argv = [a.format(inst=inst, cert=cert_path) for a in argv]
+    message = (f"error: {inst} is not a {problem} instance: field {field!r}: "
+               f"expected a bit count in [0, {MAX_BITS}], got {1 << 70}\n")
+    assert run_err(capsys, *argv, "--problem", problem) == (2, "", message)
+
+
+@pytest.mark.parametrize("problem, data", [
+    ("line", {"n": 1 << 40, "S": {"0": "1"}, "P": {"1": "0"}, "V": {"1": 1}}),
+    ("line", {"n": 1, "m": 1 << 40, "S": {"0": "1"}}),
+    ("uso", {"n": 1 << 40, "orient": {"0": "0"}}),
+])
+def test_huge_bit_count_is_refused_before_anything_is_built(problem, data):
+    # 2^(2^40) is a 128 GiB int: the loader refuses n or m before any 1 << n.
+    with pytest.raises(BadField, match=f"expected a bit count in \\[0, {MAX_BITS}\\]"):
+        KINDS[problem].from_json(data)
+
+
+@pytest.mark.parametrize("problem, data", [
+    ("line", {"n": 64, "m": 64, "S": {"0": "1" * 64}, "P": {"1" * 64: "0"}, "V": {"1" * 64: (1 << 64) - 1}}),
+    ("uso", {"n": 64, "orient": {"0": "0"}}),
+])
+def test_64_bit_sources_are_read(problem, data):
+    inst = KINDS[problem].from_json(data)
+    assert inst.n == 64
 
 
 # f(x) = (x_0 / 2 + 1/4, 1/4) as a JSON contraction map.

@@ -427,23 +427,22 @@ def test_approx_rule_reaches_each_final_step(monkeypatch):
     # as y) or below it (CMV1 from the lower end to the midpoint).
     finishes = Counter()
     rule = solvers._approx_rule
+    mids = []
 
     def logged_rule(eps_i):
-        close, halvings, grid, finish = rule(eps_i)
+        tol, halvings, grid, last, violation = rule(eps_i)
 
-        def logged(probe, lo, hi, D, v_lo, v_hi, saved):
-            mid = [F((lo + hi) >> 1, D)]
-            try:
-                v = finish(probe, lo, hi, D, v_lo, v_hi, saved)
-            except solvers._Violation as exc:
-                c = exc.certificate
-                assert c.kind == "CMV1" and mid in (c.x, c.y), c
-                finishes["upper CMV1" if c.x == mid else "lower CMV1"] += 1
-                raise
-            finishes["APPROX_FIX"] += 1
-            return v
+        def logged_last(lo, hi, D):
+            mids.append([F((lo + hi) >> 1, D)])
+            return last(lo, hi, D)
 
-        return close, halvings, grid, logged
+        def logged_violation(v, r, v_lo, v_hi, saved):
+            c = violation(v, r, v_lo, v_hi, saved)
+            assert c.kind == "CMV1" and mids[-1] in (c.x, c.y), c
+            finishes["upper CMV1" if c.x == mids[-1] else "lower CMV1"] += 1
+            return c
+
+        return tol, halvings, grid, logged_last, logged_violation
 
     monkeypatch.setattr(solvers, "_approx_rule", logged_rule)
     for s in (3, 5, 8, 13):
@@ -451,8 +450,12 @@ def test_approx_rule_reaches_each_final_step(monkeypatch):
             c0 = F(k, 41)
             inst = ContractionInstance(d=1, c=F(1, 2), p=1, eps=F(1, 64),
                                        func=lambda x, s=s, c0=c0: [min(max(s * (c0 - x[0]), F(0)), F(1))])
+            mids.clear()
             c = approx_find_fp(inst)
             assert c.kind in ("APPROX_FIX", "CMV1") and verify(inst, c), (s, k, c)
+            if c.kind == "APPROX_FIX" and mids:  # the one level's final probe stopped it
+                assert c.v == mids[-1], c
+                finishes["APPROX_FIX"] += 1
     assert set(finishes) == {"upper CMV1", "lower CMV1", "APPROX_FIX"}, finishes
 
 
