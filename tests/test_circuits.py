@@ -1,8 +1,10 @@
 import ast
 import functools
+import hashlib
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -26,6 +28,7 @@ from potline.problems import KINDS, LcpInstance, cert, verify
 from potline.rational import lp_pow
 from potline.solvers import RunStats, brute_force, find_fp
 from test_fixpoint_pin import clamped_rotation
+from helpers import fibonacci_contraction
 
 
 def identity_circuit(d):
@@ -73,6 +76,53 @@ def test_rejects_bad_gates():
         circuit_from_json({"d": 1, "gates": [{"op": "div", "args": [0, 0]}], "outputs": [0]})
     with pytest.raises(ValueError):
         Circuit(1, (Gate("add", (0, 1)),), (0,))  # forward reference
+
+
+@pytest.mark.parametrize("gate, message", [
+    (Gate("add", (0,)), "gate 1 (add): expected 2 args, got 1"),
+    (Gate("input", (0, 5)), "gate 1 (input): expected 1 arg, got 2"),
+    (Gate("const", ()), "gate 1 (const): expected 1 arg, got 0"),
+    (Gate("scale", (F(1, 2), 0, 0)), "gate 1 (scale): expected 2 args, got 3"),
+    (Gate("div", (0, 0)), "unsupported gate op 'div'"),
+    (Gate("input", (1,)), "input index out of range"),
+    (Gate("input", (-1,)), "input index out of range"),
+    (Gate("max", (0, 1)), "gate references must be acyclic"),  # itself
+    (Gate("scale", (F(1), -1)), "gate references must be acyclic"),
+])
+def test_bad_gates_are_refused_at_construction(gate, message):
+    # Each fault is refused where the circuit is built, not later in
+    # evaluate or the compiled program.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Circuit(1, (Gate("input", (0,)), gate), (0,))
+
+
+def _pinned_circuits():
+    circuits = [gen_contraction(d, s, contracting=k).circuit
+                for d in range(1, 7) for s in range(3) for k in (True, False)]
+    circuits += [clamped_rotation((F(1, 3), F(2, 7)), (60, 20)).circuit,
+                 clamped_rotation((F(3, 16), F(11, 16)), (8, 8)).circuit,
+                 fibonacci_contraction(64)[0].circuit]
+    return circuits
+
+
+def test_program_source_and_json_pinned(monkeypatch):
+    # The source text that compile_circuit hands to _make and the JSON of
+    # each circuit, byte for byte.
+    sources, make = [], circuits_module._make
+
+    def spy(source):
+        sources.append(source)
+        return make(source)
+
+    monkeypatch.setattr(circuits_module, "_make", spy)
+    h = hashlib.sha256()
+    for c in _pinned_circuits():
+        compile_circuit(c)
+        h.update(sources.pop().encode() + b"\n" + json.dumps(circuit_to_json(c)).encode() + b"\n")
+    assert h.hexdigest()[:16] == PINNED_SOURCE_AND_JSON
+
+
+PINNED_SOURCE_AND_JSON = "5c2dcc30db97197f"
 
 
 def test_json_roundtrip():
