@@ -3,6 +3,17 @@
 A circuit computes f : [0,1]^d -> Q^d exactly.  Evaluation never clamps;
 out-of-box outputs are reported by callers as out-of-range violations.
 
+The gate ops are stated once, in the table `_OPS`.  A row gives the
+kind of each arg, which fixes the op's arity (an input index, a rational
+or a reference to an earlier gate, each kind read from JSON by its
+decoder in `_DECODERS`), and the op's value on `Fraction`s.  `Circuit`
+checks every circuit against the table where it is built, in code or
+from JSON, and `evaluate`, `Circuit.constants` and the JSON reader and
+writer read it too.  Only `compile_circuit` and `circuit_to_lcp` name
+ops besides, one rule per op each, as the integer program and the LCP
+encoding are other arithmetic; the program never reads the table's
+`Fraction` rule, so `evaluate` stays an independent reference.
+
 `compile_circuit` turns a circuit into an integer straight-line program
 that the fixpoint searches run.  A point is given as integer numerators
 xs over one denominator D > 0 that the caller picks (any positive D
@@ -18,7 +29,7 @@ share that code.  `evaluate` computes the same map on `Fraction`s, one
 per gate; it stays the reference that the verifiers and the tests use.
 
 `circuit_from_json` reads d, outputs and gate indices as JSON integers
-only, and each gate op with exactly its number of args.
+only; a gate with the wrong number of args is refused by `Circuit`.
 
 Also houses the circuit -> LCP encoding whose solutions are exactly the
 fixpoints of the circuit, used for bit-length accounting (`measure`, and
@@ -32,28 +43,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .rational import Mat, Vec, bit_length, ceil_log2, frac, frac_str, json_int, mat_bit_length, vec_bit_length
 
-_BINARY = {"add", "sub", "max", "min"}
+
+# The kinds of gate arg, each with its JSON decoder: an input index "x",
+# a rational constant "q" and a reference "g" to an earlier gate.  Rules
+# test an arg's kind, never a decoder's identity, which a wrapper that
+# rebinds the module's functions (as `perfbench/tracer.py` does) would change.
+_DECODERS = {"x": json_int, "q": frac, "g": json_int}
+
+
+class _Op(NamedTuple):
+    kinds: str  # the kind of each arg, so also the op's arity
+    value: Callable  # the op on Fractions: value(x, *args), a "g" arg read as that gate's value
+
+
+# The gate ops, one row each.
+_OPS = {
+    "input": _Op("x", lambda x, i: Fraction(x[i])),
+    "const": _Op("q", lambda x, a: a),
+    "scale": _Op("qg", lambda x, a, u: a * u),
+    "add": _Op("gg", lambda x, u, v: u + v),
+    "sub": _Op("gg", lambda x, u, v: u - v),
+    "max": _Op("gg", lambda x, u, v: max(u, v)),
+    "min": _Op("gg", lambda x, u, v: min(u, v)),
+}
 
 
 @dataclass(frozen=True)
 class Gate:
-    op: str  # input | const | add | sub | scale | max | min
+    op: str  # a key of _OPS
     args: tuple
-
-    def refs(self):
-        if self.op in _BINARY:
-            return self.args
-        if self.op == "scale":
-            return (self.args[1],)
-        return ()
 
 
 @dataclass(frozen=True)
 class Circuit:
+    """A circuit, checked against `_OPS` where it is built: each gate's op
+    is known and has its number of args, an input index lies in 0..d-1 and
+    a reference names an earlier gate."""
+
     d: int
     gates: tuple[Gate, ...]
     outputs: tuple[int, ...]
@@ -64,23 +94,22 @@ class Circuit:
         if len(self.outputs) != self.d:
             raise ValueError("circuit must have exactly d outputs")
         for idx, g in enumerate(self.gates):
-            if g.op == "input":
-                if not 0 <= g.args[0] < self.d:
-                    raise ValueError("input index out of range")
-            elif g.op == "const":
-                pass
-            elif g.op == "scale" or g.op in _BINARY:
-                for r in g.refs():
-                    if not 0 <= r < idx:
-                        raise ValueError("gate references must be acyclic")
-            else:
-                raise ValueError(f"unsupported gate op {g.op!r}")
+            row = _OPS.get(g.op)
+            if row is None:
+                raise ValueError(f"unsupported gate op {g.op!r} (division and comparison are rejected)")
+            args, n = g.args, len(row.kinds)
+            got = len(args) if isinstance(args, (tuple, list)) else type(args).__name__
+            if got != n:
+                raise ValueError(f"gate {idx} ({g.op}): expected {n} arg" + "s" * (n > 1) + f", got {got}")
+            for kind, a in zip(row.kinds, args):
+                if kind != "q" and not 0 <= a < (idx if kind == "g" else self.d):
+                    raise ValueError("gate references must be acyclic" if kind == "g" else "input index out of range")
         for o in self.outputs:
             if not 0 <= o < len(self.gates):
                 raise ValueError("output reference out of range")
 
     def constants(self) -> list[Fraction]:
-        return [g.args[0] for g in self.gates if g.op in ("const", "scale")]
+        return [a for g in self.gates for kind, a in zip(_OPS[g.op].kinds, g.args) if kind == "q"]
 
 
 def evaluate(c: Circuit, x: Vec) -> Vec:
@@ -89,21 +118,8 @@ def evaluate(c: Circuit, x: Vec) -> Vec:
         raise ValueError("point dimension mismatch")
     vals: list[Fraction] = []
     for g in c.gates:
-        if g.op == "input":
-            v = Fraction(x[g.args[0]])
-        elif g.op == "const":
-            v = g.args[0]
-        elif g.op == "scale":
-            v = g.args[0] * vals[g.args[1]]
-        elif g.op == "add":
-            v = vals[g.args[0]] + vals[g.args[1]]
-        elif g.op == "sub":
-            v = vals[g.args[0]] - vals[g.args[1]]
-        elif g.op == "max":
-            v = max(vals[g.args[0]], vals[g.args[1]])
-        else:
-            v = min(vals[g.args[0]], vals[g.args[1]])
-        vals.append(v)
+        kinds, value = _OPS[g.op]
+        vals.append(value(x, *[vals[a] if kind == "g" else a for kind, a in zip(kinds, g.args)]))
     return [vals[o] for o in c.outputs]
 
 
@@ -289,47 +305,34 @@ def circuit_to_lcp(c: Circuit) -> tuple[Mat, Vec]:
 
 
 def circuit_to_json(c: Circuit) -> dict:
-    gates = []
-    for g in c.gates:
-        if g.op == "const":
-            gates.append({"op": "const", "args": [frac_str(g.args[0])]})
-        elif g.op == "scale":
-            gates.append({"op": "scale", "args": [frac_str(g.args[0]), g.args[1]]})
-        else:
-            gates.append({"op": g.op, "args": list(g.args)})
+    gates = [{"op": g.op, "args": [frac_str(a) if kind == "q" else a for kind, a in zip(_OPS[g.op].kinds, g.args)]}
+             for g in c.gates]
     return {"d": c.d, "gates": gates, "outputs": list(c.outputs)}
 
 
-# Gate op -> the decoders of its JSON args, one per arg.
-_ARG_DECODERS = {"input": (json_int,), "const": (frac,), "scale": (frac, json_int),
-                 **{op: (json_int, json_int) for op in _BINARY}}
-
-
-def _decoded(name: str, decode, value):
+def _decoded(decode, value, name: str, *fields):
+    """decode(value); an error names the field, name.format(*fields)."""
     try:
         return decode(value)
     except (TypeError, ValueError) as exc:
-        raise type(exc)(f"{name}: {exc}") from None
+        raise type(exc)(f"{name.format(*fields)}: {exc}") from None
 
 
 def circuit_from_json(data: dict) -> Circuit:
     """The circuit of a JSON object.  d, outputs and gate indices must be
-    JSON integers and each op gets exactly its number of args; anything
-    else raises TypeError or ValueError naming the field."""
+    JSON integers; anything else raises TypeError or ValueError naming the
+    field.  A gate's args are decoded when the op has that many, and
+    `Circuit` checks the rest."""
     gates = []
     for idx, g in enumerate(data["gates"]):
         op, args = g["op"], g["args"]
-        decoders = _ARG_DECODERS.get(op)
-        if decoders is None:
-            raise ValueError(f"unsupported gate op {op!r} (division and comparison are rejected)")
-        if not isinstance(args, list) or len(args) != len(decoders):
-            want = f"{len(decoders)} arg" + "s" * (len(decoders) > 1)
-            got = len(args) if isinstance(args, list) else type(args).__name__
-            raise ValueError(f"gate {idx} ({op}): expected {want}, got {got}")
-        gates.append(Gate(op, tuple(_decoded(f"gate {idx} arg {k}", dec, a)
-                                    for k, (dec, a) in enumerate(zip(decoders, args)))))
-    d = _decoded("field 'd'", json_int, data["d"])
-    outputs = _decoded("field 'outputs'", lambda v: tuple(json_int(o) for o in v), data["outputs"])
+        kinds = _OPS[op].kinds if op in _OPS else ""
+        if isinstance(args, list) and len(args) == len(kinds):
+            args = tuple([_decoded(_DECODERS[kind], a, "gate {} arg {}", idx, k)
+                          for k, (kind, a) in enumerate(zip(kinds, args))])
+        gates.append(Gate(op, args))
+    d = _decoded(json_int, data["d"], "field 'd'")
+    outputs = _decoded(lambda v: tuple(json_int(o) for o in v), data["outputs"], "field 'outputs'")
     return Circuit(d, tuple(gates), outputs)
 
 

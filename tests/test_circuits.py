@@ -201,24 +201,25 @@ RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=60)
 
 @st.composite
 def circuits(draw):
-    """Random circuits over every gate op, with negative and non-dyadic
-    constants; the first gate is an input or a const."""
+    """Random circuits over every row of `circuits._OPS`, with negative
+    and non-dyadic constants: each arg is drawn by its kind, a rational,
+    an earlier gate or an input index.  The first gate's op names no
+    gate."""
     d = draw(st.integers(1, 3))
     gates = []
     for idx in range(draw(st.integers(1, 14))):
-        op = draw(st.sampled_from(["input", "const"] if idx == 0 else
-                                  ["input", "const", "scale", "add", "sub", "max", "min"]))
-        ref = st.integers(0, idx - 1)
-        if op == "input":
-            gates.append(Gate(op, (draw(st.integers(0, d - 1)),)))
-        elif op == "const":
-            gates.append(Gate(op, (draw(RATIONALS),)))
-        elif op == "scale":
-            gates.append(Gate(op, (draw(RATIONALS), draw(ref))))
-        else:
-            gates.append(Gate(op, (draw(ref), draw(ref))))
+        op = draw(st.sampled_from([op for op, row in circuits_module._OPS.items() if idx or "g" not in row.kinds]))
+        args = [draw(RATIONALS if kind == "q" else st.integers(0, idx - 1) if kind == "g" else st.integers(0, d - 1))
+                for kind in circuits_module._OPS[op].kinds]
+        gates.append(Gate(op, tuple(args)))
     outputs = tuple(draw(st.integers(0, len(gates) - 1)) for _ in range(d))
     return Circuit(d, tuple(gates), outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_json_round_trip_of_random_circuits(c):
+    assert circuit_from_json(json.loads(json.dumps(circuit_to_json(c)))) == c
 
 
 def _program_matches(c, x):
