@@ -47,6 +47,13 @@ ORACLE_CACHE_SIZE = 1 << 14
 # refused where it is read, before anything is built from it.
 MAX_BITS = 1 << 10
 
+# The largest grid exponent kappa_i a contraction instance may give.  The
+# exact search works over the denominator 2^(2 kappa + 2), which stays under
+# 131,075 bits, and the bound lies above the closed-form kappa
+# (`circuits.compute_kappa`) of every `gen_contraction` map up to d = 22
+# (3083 at d = 6); a larger kappa is refused where it is read.
+MAX_KAPPA = 1 << 16
+
 
 def memoize(fn):
     """Memo of a pure function, bounded by ORACLE_CACHE_SIZE."""
@@ -363,7 +370,10 @@ class ContractionInstance:
     independent of the compiled program.
     `kappa` overrides the per-dimension grid
     exponents, one int >= 1 per dimension (defaults to the closed-form
-    bound computed from the circuit); `eps`, when set, is approximate
+    bound computed from the circuit).  An entry above MAX_KAPPA is refused
+    as a `BadField` when the instance is built, so the search's
+    denominator 2^(2 kappa + 2) stays a small int; this bounds the size
+    of the numbers, not the run time.  `eps`, when set, is approximate
     mode's default tolerance and a bound every APPROX_FIX must meet
     besides its own.
     """
@@ -389,6 +399,8 @@ class ContractionInstance:
             if len(kappa) != self.d or not all(type(k) is int and k >= 1 for k in kappa):
                 raise BadField(f"field 'kappa': expected one integer >= 1 per dimension ({self.d}), "
                                f"got {list(kappa)}")
+            if max(kappa) > MAX_KAPPA:
+                raise BadField(f"field 'kappa': expected entries up to {MAX_KAPPA}, got {max(kappa)}")
             self.kappa = kappa
         if self.func is None:
             self.func = partial(evaluate, self.circuit)

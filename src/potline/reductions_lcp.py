@@ -92,6 +92,19 @@ class PlcpLineView(LineView):
     all-zero coefficients, plus one product per nonzero eps coefficient of
     z, over a table of radix powers shared by all views of one (d, i_max).
 
+    Every digit lies in [0, 2 Delta^3], so none is clamped.  Substitute
+    w~ = scale * w and z~ = scale * z: the Lemke system becomes
+    [scale M | -I | 1] (y, w~, z~) = -scale q - scale eps, whose integer
+    entries are at most i_max >= 1 in absolute value.  By Cramer's rule,
+    the constant term of z times `scale` (as `potential` reads it) is
+    det(B with z's column replaced by -scale q) / det(B), and the eps^k
+    coefficient of z is det(B with z's column replaced by -e_k) / det(B),
+    for the basis matrix B.  Each such c is a ratio of two integer minors
+    of order d, the denominator a nonzero integer, so by Hadamard's bound
+    on the numerator |c| <= d^(d/2) i_max^d <= d! i_max^d, an integer below
+    Delta = (2d)! i_max^(2d + 1) + 1.  So |c| <= Delta - 1, and the digit
+    Delta^3 + floor(-Delta^2 c) lies in [Delta^2, 2 Delta^3 - Delta^2].
+
     The state of a code is its vertex (`vertex_of`).  A walk costs one
     tableau pivot per path edge, as `lemke` does: the start vertex is one
     pivot from the slack tableau and is seeded under its code.  The pivot
@@ -222,17 +235,16 @@ class PlcpLineView(LineView):
             return 0
         # z's eps coefficients are zs[k] / det, so digit k is
         # floor(delta^2 * (delta - zs[k] / det)) = delta^3 + (-delta^2 * zs[k]) // det,
-        # clamped to [0, radix - 1] = [0, 2 delta^3].  Negative digits clamp
-        # to 0, so flooring gives the same digits as truncating.  V is the
-        # base plus (digit_k - delta^3) * radix^(d - k) for each nonzero
-        # zs[k]; a zero one leaves digit k at delta^3.
+        # which lies in [0, radix - 1] = [0, 2 delta^3] (class docstring).
+        # V is the base plus (digit_k - delta^3) * radix^(d - k) for each
+        # nonzero zs[k]; a zero one leaves digit k at delta^3.
         zs, det = self.sys.z_row(v)
         zs[0] *= self.scale
-        d2, d3 = self._d2, self._d3
+        d2 = self._d2
         val = self._base
         for x, power in zip(zs, self._powers):
             if x:
-                val += min(max((-d2 * x) // det, -d3), d3) * power
+                val += (-d2 * x) // det * power
         return val
 
     # -- map-back ----------------------------------------------------------------

@@ -10,8 +10,10 @@ import pytest
 
 import potline
 from potline.cli import _ALGOS as ALGOS, compose, main
-from potline.generators import gen_lcp, gen_uso
-from potline.problems import KINDS, MAX_BITS, BadField, cert, verify
+from potline import circuits
+from potline.circuits import compute_kappa
+from potline.generators import gen_contraction, gen_lcp, gen_uso
+from potline.problems import KINDS, MAX_BITS, MAX_KAPPA, BadField, cert, verify
 from potline.solvers import brute_force
 
 from helpers import FULL_CHAIN, fibonacci_contraction
@@ -970,6 +972,34 @@ def test_bad_kappa_exits_2(tmp_path, capsys, kappa):
     for argv in (["solve", inst, "--problem", "contraction", "--algo", "findfp"],
                  ["verify", inst, level2, "--problem", "contraction"]):
         assert run_err(capsys, *argv) == (2, "", message)
+
+
+def test_huge_kappa_exits_2(tmp_path, capsys):
+    # 1 << H in the search died with an OverflowError and exit 1.
+    inst = tmp_path / "map.json"
+    run_err(capsys, "generate", "--kind", "contractioncircuit", "--d", "2", "--seed", "1", "-o", inst)
+    data = json.loads(inst.read_text())
+    data["kappa"] = [1 << 70, 3]
+    inst.write_text(json.dumps(data))
+    message = (f"error: {inst} is not a contraction instance: field 'kappa': "
+               f"expected entries up to {MAX_KAPPA}, got {1 << 70}\n")
+    assert run_err(capsys, "solve", inst, "--problem", "contraction", "--algo", "findfp") == (2, "", message)
+
+
+def test_huge_kappa_is_refused_before_anything_is_built(monkeypatch):
+    # A kappa of 2^40 would build a 2^41-bit denominator before the first
+    # probe; the loader refuses it before the circuit is compiled.
+    monkeypatch.setattr(circuits, "_make", None)
+    data = KINDS["contraction"].to_json(gen_contraction(2, 1))
+    for kappa in ([1 << 40, 3], [3, MAX_KAPPA + 1]):
+        with pytest.raises(BadField, match=f"field 'kappa': expected entries up to {MAX_KAPPA}"):
+            KINDS["contraction"].from_json({**data, "kappa": kappa})
+    # The bound admits the closed-form kappa of the generated maps.
+    for d in range(1, 7):
+        inst = gen_contraction(d, 0)
+        kappa = compute_kappa(inst.circuit)
+        assert KINDS["contraction"].from_json({**KINDS["contraction"].to_json(inst), "kappa": list(kappa)}).kappa == kappa
+    assert KINDS["contraction"].from_json({**data, "kappa": [MAX_KAPPA, 1]}).kappa == (MAX_KAPPA, 1)
 
 
 def test_zero_denominator_exits_2(files, tmp_path, capsys):

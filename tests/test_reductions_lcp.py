@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -177,6 +178,28 @@ def test_potential_matches_reference():
         assert view.sys.zvar not in end.basis
         assert view.potential(codes[-1]) == view._base
     assert len(_walk_codes(PlcpLineView(murty(8)))) == (1 << 8) + 1
+
+
+def test_eps_coefficients_of_z_obey_the_minor_bound():
+    # The potential takes no clamp because every eps coefficient c of z
+    # (the constant term times scale) is a ratio of integer minors with
+    # |c| <= d! I_max^d < Delta (PlcpLineView docstring); checked at every
+    # walked vertex of Murty's family, the pinned line sources and P and
+    # non-P gen_lcp lines.
+    insts = [murty(n) for n in range(2, 9)] + list(_line_sources().values())
+    insts += [gen_lcp(d, s, p_matrix=p) for d in range(2, 9) for s in range(10) for p in (True, False)]
+    worst = F(0)
+    for inst in insts:
+        view = PlcpLineView(inst)
+        bound = factorial(view.d) * inst.form.i_max ** view.d
+        assert bound < view.delta
+        for u in _walk_codes(view)[1:]:
+            zs, det = view.sys.z_row(view.vertex_of(u))
+            zs[0] *= view.scale
+            for x in zs:
+                assert abs(F(x, det)) <= bound, (inst, u)
+                worst = max(worst, abs(F(x, det)) / bound)
+    assert 0 < worst <= 1
 
 
 def test_plcp_to_eopl_line_integrity():
