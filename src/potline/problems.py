@@ -50,8 +50,9 @@ MAX_BITS = 1 << 10
 # The largest grid exponent kappa_i a contraction instance may give.  The
 # exact search works over the denominator 2^(2 kappa + 2), which stays under
 # 131,075 bits, and the bound lies above the closed-form kappa
-# (`circuits.compute_kappa`) of every `gen_contraction` map up to d = 22
-# (3083 at d = 6); a larger kappa is refused where it is read.
+# (`circuits.compute_kappa`) of the `gen_contraction` maps up to d = 22
+# (3083 at d = 6, about 57,700 at d = 22); a larger kappa is refused
+# where it is read.
 MAX_KAPPA = 1 << 16
 
 
