@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor, lcm
 from typing import NamedTuple
 
 from potline.pivoting import Vertex, principal_minor
@@ -338,26 +338,62 @@ def verify_lcp_ref(inst: LcpInstance, c: Certificate) -> bool:
     raise ValueError(c.kind)
 
 
-def potential_ref(view, u: int) -> int:
-    """Reference for `PlcpLineView.potential`: Horner's rule over all d + 1
-    digits floor(Delta^2 * (Delta - z_k)), clamped to [0, 2 Delta^3], with
-    Delta worked out afresh from the instance's I_max."""
-    if u == 0:
-        return 0
-    v = view.vertex_of(u)
-    if v is None:
-        return 0
+def v_digits(view, v: int) -> tuple[int, ...]:
+    """The d + 1 digits, most significant first, of a potential V of the
+    Lemke line view `view`, split in the radix that
+    `PlcpLineView.potential` packs them in."""
+    radix = 2 * view.delta**3 + 1
+    digits = []
+    for _ in range(view.d + 1):
+        v, digit = divmod(v, radix)
+        digits.append(digit)
+    assert v == 0, "V has more than d + 1 digits"
+    return tuple(reversed(digits))
+
+
+def _solve_ref(b: Mat, rhs: Mat) -> Mat:
+    """X with B X = rhs, by Gauss-Jordan elimination in Fraction; B is
+    nonsingular."""
+    d = len(b)
+    a = [list(map(Fraction, b[i])) + list(map(Fraction, rhs[i])) for i in range(d)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(d):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[d:] for row in a]
+
+
+def potential_ref(view, u: int) -> tuple[int, ...]:
+    """Reference for the digits of `PlcpLineView.potential`, most
+    significant first: Delta^3 + floor(-Delta^2 c) for z's constant term c
+    (times the lcm `scale` of the denominators of (M, q)) and then its
+    eps^1..eps^d coefficients, at the basis of u's vertex; all zeros where
+    u names no vertex.  z is read off an exact Fraction solve of the
+    unscaled Lemke system [M | -I | 1] (y, w, z) = -q - (eps, ..., eps^d),
+    and Delta = (2d)! I_max^(2d + 1) + 1 is worked out afresh from (M, q)."""
     d = view.d
-    delta = factorial(2 * d) * view.src.form.i_max ** (2 * d + 1) + 1
-    d2, d3 = delta**2, delta**3
-    radix = 2 * d3 + 1
-    zs, det = view.sys.z_row(v)
-    zs[0] *= view.scale
-    val = 0
-    for x in zs:
-        digit = (d3 * det - d2 * x) // det
-        val = val * radix + min(max(digit, 0), radix - 1)
-    return val
+    v = view.vertex_of(u) if u else None
+    if v is None:
+        return (0,) * (d + 1)
+    m, q = view.src.M, view.src.q
+    entries = [Fraction(x) for row in [*m, q] for x in row]
+    scale = lcm(*(x.denominator for x in entries))
+    i_max = max(abs(x) * scale for x in entries)
+    delta = factorial(2 * d) * int(i_max) ** (2 * d + 1) + 1
+    basis = sorted(v.basis)
+    # Column of variable j: y_j is M's column j, w_j is -e_j, z is all ones.
+    cols = [[m[i][j] if j < d else -(i == j - d) if j < 2 * d else 1 for i in range(d)]
+            for j in basis]
+    # Right-hand sides: -q, then -e_k for the eps^k term.
+    rhs = [[-q[i]] + [-(i == k) for k in range(d)] for i in range(d)]
+    x = _solve_ref([[col[i] for col in cols] for i in range(d)], rhs)
+    cs = x[basis.index(2 * d)] if 2 * d in basis else [0] * (d + 1)
+    cs = [cs[0] * scale, *cs[1:]]
+    return tuple(delta**3 + floor(-(delta**2) * Fraction(c)) for c in cs)
 
 
 def verify_opdc_ref(inst: OpdcInstance, c: Certificate) -> bool:

@@ -14,9 +14,10 @@ from potline import circuits
 from potline.circuits import compute_kappa
 from potline.generators import gen_contraction, gen_lcp, gen_uso
 from potline.problems import KINDS, MAX_BITS, MAX_KAPPA, BadField, cert, verify
+from potline.reductions_lcp import PlcpLineView
 from potline.solvers import brute_force
 
-from helpers import FULL_CHAIN, fibonacci_contraction
+from helpers import FULL_CHAIN, fibonacci_contraction, v_digits
 
 
 def run(capsys, *argv):
@@ -67,26 +68,25 @@ def test_reduce_query_v_zero(tmp_path, capsys):
     assert json.loads(out)["answer"] == 0
 
 
-# V on the Lemke line of `generate --kind pmatrixlcp --d 3 --seed 7`: a vertex
-# inside the line, and an end, where z is nonbasic and V is the base alone.
+# The digits of V (`helpers.v_digits`) on the Lemke line of `generate --kind
+# pmatrixlcp --d 3 --seed 7`: a vertex inside the line, and an end, where z
+# is nonbasic and every digit is Delta^3.
+DELTA3 = 148895629298343352709556289745465594010309591380883121
 PINNED_V = {
-    "010010": int(
-        "393203871628146406246488885404546579903248564536733468715089959164376587"
-        "395419542266347704766118562879740649489775754554936392538707907897115237"
-        "5334329493780568047441239514404879945550674731663501009775187342088917"),
-    "000010": int(
-        "393203871628146478949078081242617830994294180233351536941215526278660745"
-        "381383067985264705641785616945724883468799872004885786619582480767681315"
-        "7455629766636792406143920158460079917089709091277324601443133854916200"),
+    "010010": (148895629298343325179059895827554142751771875333139983, DELTA3,
+               148895629298343352990479722336464690451723241544635602, DELTA3),
+    "000010": (DELTA3,) * 4,
 }
 
 
 def test_reduce_pins_the_lemke_line_potential(tmp_path, capsys):
     f = tmp_path / "lcp.json"
     run(capsys, "generate", "--kind", "pmatrixlcp", "--d", "3", "--seed", "7", "-o", str(f))
+    view = PlcpLineView(gen_lcp(3, 7))
+    assert view.delta**3 == DELTA3
     for vertex, want in PINNED_V.items():
         code, out = run(capsys, "reduce", str(f), "--chain", "plcp:ueopl", "--query", "V", vertex)
-        assert code == 0 and json.loads(out)["answer"] == want, vertex
+        assert code == 0 and v_digits(view, json.loads(out)["answer"]) == want, vertex
 
 
 def test_reduce_query_uso_opdc(tmp_path, capsys):

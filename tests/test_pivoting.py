@@ -19,7 +19,7 @@ from potline.rational import determinant
 from potline.reductions_lcp import PlcpLineView, out_map
 from potline.solvers import RunStats, follow_line, lemke
 
-from helpers import a_alpha, count_calls, lemke_rows, lemke_zs, murty
+from helpers import a_alpha, count_calls, lemke_rows, lemke_zs, murty, v_digits
 
 
 def _digest(x) -> str:
@@ -52,8 +52,9 @@ def _lemke_record(inst):
 
 
 def _line_record(inst):
-    line = PlcpLineView(inst).image()
-    return _digest([(line.S(u), line.P(u), line.V(u)) for u in range(1 << line.n)])
+    view = PlcpLineView(inst)
+    line = view.image()
+    return _digest([(line.S(u), line.P(u), v_digits(view, line.V(u))) for u in range(1 << line.n)])
 
 
 def _line_sources():
@@ -138,70 +139,71 @@ PINNED_LEMKE = {
     'wild59': ('PV1', '2af3b82012264958', 1, '8338ea6ebb95cb00'),
 }
 
-# Digest of [(S(u), P(u), V(u)) for every code u] of the PlcpLineView image per source.
+# Digest of [(S(u), P(u), digits of V(u)) for every code u] of the PlcpLineView
+# image per source (`helpers.v_digits`).
 PINNED_LINES = {
-    'p1/0': '4f2026d93d112972',
-    'p1/1': 'd540c9023bfdb87e',
-    'p1/2': '3cce8641dab7565e',
-    'p1/3': '5fc770ecbd5b50e5',
-    'p2/0': '27914df49a1205ca',
-    'p2/1': 'c54ea7e2e6792a4b',
-    'p2/2': '26fb9947c2a5a75b',
-    'p2/3': 'e49b80ecaee8a6ad',
-    'p3/0': 'f532782b1cb86b8a',
-    'p3/1': '3eeb921fd60d1644',
-    'p3/2': '0d8bc1b202717261',
-    'p3/3': '185df9b6212d0428',
-    'np2/0': '38d2b2d57aa26a98',
-    'np2/1': '4f0bcbcf85ede395',
-    'np2/2': '41d18f11f35b0d67',
-    'np3/0': '017916dfaec0ace4',
-    'np3/1': '9e0cff8e9d1a3a5a',
-    'np3/2': '59687e1851fa5fa3',
-    'wild0': '028721c35a860f62',
-    'wild1': '2abde5b2e676f2f6',
-    'wild2': '07a061f48afa88b9',
-    'wild3': 'edf11c4cfc3f4616',
-    'wild4': 'df7220e6b0fe35bf',
-    'wild5': '70e3b6a94880c2ac',
-    'wild6': '9a36ddb2c87ac6b4',
-    'wild7': '9f89ed2c15cec1de',
-    'wild8': '764b34001c9a61af',
-    'wild9': 'be02eb434940d890',
-    'wild10': 'e218b7eed76756ec',
-    'wild11': '67c4d4a416a84130',
-    'wild13': 'a62317f0a9954f75',
-    'wild15': '10d73b69a79dbd4f',
-    'wild17': '6ff631b949f273f2',
-    'wild18': 'd536cebb72d8aade',
-    'wild19': '8928daace86a4493',
-    'wild20': 'e53e5f617f006b88',
-    'wild21': '1be6eab39ee9a1c1',
-    'wild22': '65a3e4aa843f672f',
-    'wild23': 'faad6d54c9e3cbc7',
-    'wild28': 'f295dbbae06eca78',
-    'wild29': '9067243cb640770d',
-    'wild31': '49641bd3399ce409',
-    'wild32': 'e5b8786abfa769ce',
-    'wild33': 'fbebaf41b125b355',
-    'wild34': '793cc8826f28b5d0',
-    'wild35': 'b18057318fcb1d51',
-    'wild36': '03ec96fa0da3136a',
-    'wild39': 'ca5cbf0ae6beb12e',
-    'wild40': '3487aa46e9ba207d',
-    'wild41': '96b372037a0ba569',
-    'wild42': '68a96c5c51fb5ff5',
-    'wild43': '181673b655444616',
-    'wild44': '1ad6b26ae595b0c8',
-    'wild45': 'e1e97405308f734a',
-    'wild46': 'a14bb3f6fb87565d',
-    'wild47': '0a41e5409ed7efaa',
-    'wild49': '847915aee79defa2',
-    'wild50': '2558c580a2b0c3d6',
-    'wild53': 'f901f79234021158',
-    'wild57': '3bd771a76d7c6ece',
-    'wild58': '1d48fad1d912fddf',
-    'wild59': '5aaf20850e612daa',
+    'p1/0': '751fd149b7719cf6',
+    'p1/1': '556d4d22f99be6b1',
+    'p1/2': 'c4483ceb85b4ea82',
+    'p1/3': '74eb9f3e4aea4e56',
+    'p2/0': '33bff5912291c02f',
+    'p2/1': '59d41a9b579ec780',
+    'p2/2': '47b5e6b2f5692906',
+    'p2/3': '677d28b8627c636d',
+    'p3/0': 'de449937c45185d0',
+    'p3/1': '1a5e729d3e84b590',
+    'p3/2': '0e09313deef58dd7',
+    'p3/3': '7c7294ec4970b3c5',
+    'np2/0': '2c5826b5b83f72f3',
+    'np2/1': 'f5e62d0fd919b2b7',
+    'np2/2': '0d3252e573955e89',
+    'np3/0': '2f6fb52308c2f7d8',
+    'np3/1': 'ac319483e27c4345',
+    'np3/2': 'ceb4921ea43e48a5',
+    'wild0': '72615c46f8a5c519',
+    'wild1': 'd430fa827c2167cd',
+    'wild2': 'fd405b1bb99c308e',
+    'wild3': '1c7503384e09221c',
+    'wild4': 'fe618237b1e3f2ff',
+    'wild5': '2c746fc1b1834ba3',
+    'wild6': 'bd4e6206f95f8b89',
+    'wild7': 'cf9b8305a22cedc6',
+    'wild8': '7734826175e42b61',
+    'wild9': '50f65c175aeb2c69',
+    'wild10': '6e877a863576ac01',
+    'wild11': 'c33ffefb8a729ea3',
+    'wild13': 'bf5309e05362da7a',
+    'wild15': '394c8056b3ae761e',
+    'wild17': '6dcbd4e588e7e96c',
+    'wild18': 'f340800cd2f1c2d8',
+    'wild19': 'bb4888ce1e819493',
+    'wild20': '391f277daf17e1f7',
+    'wild21': 'a1adc12ff6dcdb6a',
+    'wild22': '0d5e891f6c619cb2',
+    'wild23': '1c376d0f4e7b3416',
+    'wild28': '5f022504e3eef9b2',
+    'wild29': 'aec44ac699669905',
+    'wild31': '1f962b182ab63165',
+    'wild32': 'c5eabd84df0367c8',
+    'wild33': '3fbe0129c8add24b',
+    'wild34': '4bf865e983b25faf',
+    'wild35': 'a1969c60d40fb9f9',
+    'wild36': 'ab26a4ea99ba151d',
+    'wild39': 'e98834ec28e99a48',
+    'wild40': 'a1b1176e3f18225b',
+    'wild41': 'a8178ff10691b7ca',
+    'wild42': '2cd1e61712f23f98',
+    'wild43': '8842ec544ec05e20',
+    'wild44': 'c861618a1fa3bc6c',
+    'wild45': '8cd929c2505421ae',
+    'wild46': '3ee47a5469350c97',
+    'wild47': '6bdeb51316d1dfff',
+    'wild49': 'd07ee60d15b3a6ae',
+    'wild50': 'ae183a2e18dbf174',
+    'wild53': '464723586a8aaaf5',
+    'wild57': '81251687a340b0d9',
+    'wild58': '2225d3c6fa6f648d',
+    'wild59': '1808ae5ba346dd43',
 }
 
 

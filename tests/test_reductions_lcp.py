@@ -5,13 +5,14 @@ from math import factorial
 
 import pytest
 
+from potline.cli import compose
 from potline.generators import gen_lcp
 from potline.pivoting import IntForm, LemkeSystem
 from potline.problems import LcpInstance, UnmappableCert, cert, verify
 from potline.reductions_lcp import PlcpLineView, PlcpToUso, out_map
 from potline.solvers import RunStats, aldous, brute_force, follow_line, lemke
 
-from helpers import count_calls, lemke_code, murty, potential_ref
+from helpers import count_calls, lemke_code, murty, potential_ref, v_digits
 from test_cone_pin import FAMILIES, SEEDS
 from test_pivoting import _line_sources, _wild_integer
 
@@ -114,8 +115,8 @@ def test_plcp_to_eopl_delta_reads_negative_entries_of_m():
 
 def test_one_integer_form_per_instance(monkeypatch):
     # Views read scale and I_max from the instance's one IntForm, and a
-    # second view rescans nothing: it shares the form and the potential
-    # constants of the first.
+    # second view rescans nothing: it shares the form of the first.  Delta
+    # is built from the form's I_max.
     built = []
     init = IntForm.__init__
 
@@ -129,18 +130,15 @@ def test_one_integer_form_per_instance(monkeypatch):
     second = PlcpLineView(inst)
     assert built == [inst.form] and inst.form is inst.system.form
     assert first.scale == second.scale == 6 and inst.form.i_max == 12
-    assert first._d3 is second._d3 and first.delta == 4 * 3 * 2 * 12**5 + 1
-    assert first._powers is second._powers and first._base is second._base
+    assert first.delta == second.delta == 4 * 3 * 2 * 12**5 + 1
     assert verify(inst, lemke(inst))
     assert built == [inst.form]
-    # Another instance of the same d and I_max (scale 1 here) shares the
-    # radix-power table too.
+    # Another instance of the same d and I_max (scale 1 here) has the same
+    # Delta.
     other = LcpInstance(M=[[12, 1], [1, 2]], q=[-1, -1])
     third = PlcpLineView(other)
     assert other.form.i_max == 12 and third.scale == 1
-    assert third._d3 is first._d3 and third._powers is first._powers
-    radix = 2 * first._d3 + 1
-    assert first._powers == (radix**2, radix, 1)
+    assert third.delta == first.delta
 
 
 def _walk_codes(view: PlcpLineView) -> list[int]:
@@ -156,28 +154,48 @@ def _walk_codes(view: PlcpLineView) -> list[int]:
 
 
 def test_potential_matches_reference():
-    # The sparse sum over the radix-power table gives the dense Horner
-    # loop's V on every code of the pinned line sources (degenerate, non-P
-    # and wild ones among them), of an LCP with fractional q, and along
-    # whole walks up to d = 16.
+    # The view's V splits into the digits that an exact Fraction solve of
+    # the unscaled Lemke system gives, on every code of the pinned line
+    # sources (degenerate, non-P and wild ones among them), of an LCP with
+    # fractional q, and along whole walks up to d = 16.
     frac = LcpInstance(M=[[2, 1], [1, 2]], q=[F(-1, 3), F(-1, 2)])
     for inst in [*_line_sources().values(), frac]:
         view = PlcpLineView(inst)
         for u in range(1 << view.nbits):
-            assert view.potential(u) == potential_ref(view, u), (inst, u)
+            assert v_digits(view, view.potential(u)) == potential_ref(view, u), (inst, u)
     walks = [murty(n) for n in range(2, 9)]
     walks += [gen_lcp(8, s) for s in range(40)] + [gen_lcp(16, s) for s in range(4)]
     for inst in walks:
         view = PlcpLineView(inst)
         codes = _walk_codes(view)
         for u in codes:
-            assert view.potential(u) == potential_ref(view, u), (inst, u)
-        # The walk ends where z leaves the basis: every digit is Delta^3,
-        # so V is the base alone.
+            assert v_digits(view, view.potential(u)) == potential_ref(view, u), (inst, u)
+        # The walk ends where z leaves the basis: every digit is Delta^3.
         end = view.vertex_of(codes[-1])
         assert view.sys.zvar not in end.basis
-        assert view.potential(codes[-1]) == view._base
+        assert v_digits(view, view.potential(codes[-1])) == (view.delta**3,) * (view.d + 1)
     assert len(_walk_codes(PlcpLineView(murty(8)))) == (1 << 8) + 1
+
+
+def test_potential_fits_m_pot():
+    # The normalization keeps V in the low m_pot bits of its codes, so an
+    # m_pot too tight for some V would corrupt them.
+    for inst in _line_sources().values():
+        view = PlcpLineView(inst)
+        for u in range(1 << view.nbits):
+            assert 0 <= view.potential(u) < 1 << view.m_pot, (inst, u)
+
+
+@pytest.mark.parametrize("inst", [gen_lcp(d, s) for d in (2, 3, 4) for s in range(3)]
+                         + [murty(n) for n in range(1, 6)],
+                         ids=[f"gen_lcp({d},{s})" for d in (2, 3, 4) for s in range(3)]
+                         + [f"murty({n})" for n in range(1, 6)])
+def test_lemke_line_through_the_normalization(inst):
+    # The normalized stage's codes hold V in their low m_pot bits; walking
+    # it and mapping the end back gives Lemke's solution.
+    line, map_back = compose(inst, ("plcp", "ueopl", "normalized"))
+    c = map_back(follow_line(line, 0))
+    assert c.kind == "Q1" and c == lemke(inst)
 
 
 def test_eps_coefficients_of_z_obey_the_minor_bound():
