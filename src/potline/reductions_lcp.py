@@ -8,6 +8,9 @@ nonbasic, so its tight bit is set.  The line view decodes a code in one
 place (`PlcpLineView._compute_state`), which rejects every code that no
 basis has, and encodes one in two: the pivot that reaches a vertex
 (`_step`) and the Lemke start (`start`).  Invalid codes self-loop.
+The potential of a vertex packs d + 1 digits, one per eps coefficient of
+z and each in [0, 2^b) for b the bit length of 2 Delta^3, in radix 2^b,
+so it fits in m_pot = b (d + 1) bits (`PlcpLineView`).
 Both reductions read the one exact engine, `pivoting.LemkeSystem`: the
 out-map of a cone is the sign pattern of its complementary vertex, whose
 right-hand side carries the perturbation of the Lemke path, so the
@@ -23,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from . import problems
 from .pivoting import Vertex, principal_minor
 from .problems import (
     Certificate,
@@ -33,7 +35,6 @@ from .problems import (
     cert,
     out_map,
 )
-from .rational import ceil_log2
 from .reductions_line import LineView, View
 from math import factorial
 
@@ -84,15 +85,17 @@ class PlcpLineView(LineView):
     The right-hand side is perturbed symbolically, so z values are
     polynomials in eps.  The potential applies the floor(Delta^2 *
     (Delta - z)) digit construction to every eps coefficient of z and
-    combines the digits in radix 2 Delta^3 + 1; that keeps the potential an
-    integer, keeps V(0^n) = 0, and separates any two vertices whose z
-    values differ even only in the perturbation (without this, degenerate
-    instances sever the line at edges of numeric length zero).  A zero
-    coefficient gives the digit Delta^3, so V is a base, the potential of
-    all-zero coefficients, plus one product per nonzero eps coefficient of
-    z, over a table of radix powers shared by all views of one (d, i_max).
+    packs the d + 1 digits, the constant term's most significant, in radix
+    2^b, where b is the bit length of 2 Delta^3: V is d + 1 floor divisions
+    and shifts, with no product of big numbers, and `m_pot` = b (d + 1)
+    bits hold it.  That keeps the potential an integer, keeps V(0^n) = 0,
+    and separates any two vertices whose z values differ even only in the
+    perturbation (without this, degenerate instances sever the line at
+    edges of numeric length zero).  Every digit lies in [0, 2^b), so V
+    orders vertices as the lex order of their digit tuples does.
 
-    Every digit lies in [0, 2 Delta^3], so none is clamped.  Substitute
+    Every digit lies in [Delta^2, 2 Delta^3 - Delta^2], inside [0, 2^b), so
+    none is clamped.  Substitute
     w~ = scale * w and z~ = scale * z: the Lemke system becomes
     [scale M | -I | 1] (y, w~, z~) = -scale q - scale eps, whose integer
     entries are at most i_max >= 1 in absolute value.  By Cramer's rule,
@@ -129,9 +132,12 @@ class PlcpLineView(LineView):
         self.d = inst.d
         self.sys = inst.system
         self.nbits = 2 * self.d
-        self.scale, i_max = inst.form.scale, inst.form.i_max
-        (self.delta, self._d2, self._d3, self.m_pot,
-         self._powers, self._base) = _potential_constants(self.d, i_max)
+        self.scale = inst.form.scale
+        self.delta = factorial(2 * self.d) * inst.form.i_max ** (2 * self.d + 1) + 1
+        self._d2 = self.delta**2
+        self._d3 = self._d2 * self.delta
+        self._b = (2 * self._d3).bit_length()
+        self.m_pot = self._b * (self.d + 1)
         self._start = None
 
     # -- code <-> vertex -----------------------------------------------------
@@ -235,16 +241,13 @@ class PlcpLineView(LineView):
             return 0
         # z's eps coefficients are zs[k] / det, so digit k is
         # floor(delta^2 * (delta - zs[k] / det)) = delta^3 + (-delta^2 * zs[k]) // det,
-        # which lies in [0, radix - 1] = [0, 2 delta^3] (class docstring).
-        # V is the base plus (digit_k - delta^3) * radix^(d - k) for each
-        # nonzero zs[k]; a zero one leaves digit k at delta^3.
+        # which lies in [0, 2^b) (class docstring): V holds it at bit b * (d - k).
         zs, det = self.sys.z_row(v)
         zs[0] *= self.scale
-        d2 = self._d2
-        val = self._base
-        for x, power in zip(zs, self._powers):
-            if x:
-                val += (-d2 * x) // det * power
+        d2, d3, b = self._d2, self._d3, self._b
+        val = 0
+        for x in zs:
+            val = val << b | (d3 + (-d2 * x) // det if x else d3)
         return val
 
     # -- map-back ----------------------------------------------------------------
@@ -312,24 +315,6 @@ class PlcpLineView(LineView):
         y_other, _, z_other = self.sys.numeric_point(other)
         if all(qi + z_other >= 0 for qi in self.src.q):
             yield from _pv2(y_other, [Fraction(0)] * self.d)
-
-
-@problems.memoize
-def _potential_constants(d: int, i_max: int) -> tuple[int, int, int, int, tuple[int, ...], int]:
-    """(Delta, Delta^2, Delta^3, m_pot, powers, base) with
-    Delta = (2d)! * i_max^(2d + 1) + 1 and radix = 2 Delta^3 + 1: powers is
-    radix^d, ..., radix^0, the place values of z's eps coefficients, and
-    base = Delta^3 * (radix^d + ... + 1), the potential whose every digit
-    is Delta^3.  As radix - 1 = 2 Delta^3, base = (radix^(d + 1) - 1) / 2,
-    and m_pot bounds radix^(d + 1) too."""
-    delta = factorial(2 * d) * i_max ** (2 * d + 1) + 1
-    d3 = delta**3
-    radix = 2 * d3 + 1
-    powers = [1]
-    for _ in range(d):
-        powers.append(powers[-1] * radix)
-    top = radix * powers[-1]
-    return delta, delta**2, d3, ceil_log2(top) + 1, tuple(reversed(powers)), top >> 1
 
 
 def plcp_to_eopl(inst: LcpInstance) -> tuple[LineInstance, PlcpLineView]:

@@ -342,7 +342,7 @@ def v_digits(view, v: int) -> tuple[int, ...]:
     """The d + 1 digits, most significant first, of a potential V of the
     Lemke line view `view`, split in the radix that
     `PlcpLineView.potential` packs them in."""
-    radix = 2 * view.delta**3 + 1
+    radix = 1 << (2 * view.delta**3).bit_length()
     digits = []
     for _ in range(view.d + 1):
         v, digit = divmod(v, radix)
