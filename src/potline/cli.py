@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import functools
 import hashlib
 import json
@@ -227,11 +228,14 @@ def cmd_reduce(args):
             p = problems.grid_key(q[2])
         except ValueError:
             raise UsageError(f"--query D point {q[2]!r} is not decimal integers split by commas") from None
-        answer = image.D(dim, p)
+        answer = json.dumps(image.D(dim, p))
     else:
         val = getattr(image, q[0])(_vertex_id(q[1], image.n))
-        answer = val if q[0] == "V" else problems.bits_str(val, image.n)
-    print(json.dumps({"query": q, "answer": answer}))
+        # json.dumps writes an int through str(), which refuses more than
+        # 4300 digits (sys.get_int_max_str_digits); a Lemke potential can
+        # have that many at d = 11.  Decimal(val) converts exactly, unlimited.
+        answer = decimal.Decimal(val) if q[0] == "V" else json.dumps(problems.bits_str(val, image.n))
+    print(f'{{"query": {json.dumps(q)}, "answer": {answer}}}')
     return 0
 
 

@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import json
 import os
 import shlex
@@ -87,6 +88,20 @@ def test_reduce_pins_the_lemke_line_potential(tmp_path, capsys):
     for vertex, want in PINNED_V.items():
         code, out = run(capsys, "reduce", str(f), "--chain", "plcp:ueopl", "--query", "V", vertex)
         assert code == 0 and v_digits(view, json.loads(out)["answer"]) == want, vertex
+
+
+def test_reduce_prints_a_lemke_potential_of_any_size(tmp_path, capsys):
+    # At d = 16 the start's V has about 30,000 bits, more decimal digits
+    # than the 4300 that Python's int -> str conversion allows.
+    f = tmp_path / "lcp.json"
+    run(capsys, "generate", "--kind", "pmatrixlcp", "--d", "16", "--seed", "1", "-o", str(f))
+    view = PlcpLineView(gen_lcp(16, 1))
+    start = "00001000000000000000100000000000"
+    assert view.start()[0] == int(start, 2)
+    code, out = run(capsys, "reduce", str(f), "--chain", "plcp:ueopl", "--query", "V", start)
+    assert code == 0
+    answer = json.loads(out, parse_int=decimal.Decimal)["answer"]
+    assert len(str(answer)) > 4300 and int(answer) == view.potential(int(start, 2))
 
 
 def test_reduce_query_uso_opdc(tmp_path, capsys):
