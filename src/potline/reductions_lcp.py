@@ -91,7 +91,7 @@ class PlcpLineView(LineView):
     bits hold it.  That keeps the potential an integer, keeps V(0^n) = 0,
     and separates any two vertices whose z values differ even only in the
     perturbation (without this, degenerate instances sever the line at
-    edges of numeric length zero).  Every digit lies in [0, 2^b), so V
+    edges of numeric length zero).  No digit reaches 2^b (below), so V
     orders vertices as the lex order of their digit tuples does.
 
     Every digit lies in [Delta^2, 2 Delta^3 - Delta^2], inside [0, 2^b), so
