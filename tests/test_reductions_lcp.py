@@ -178,21 +178,23 @@ def test_potential_matches_reference():
 
 
 def test_potential_fits_m_pot():
-    # The normalization keeps V in the low m_pot bits of its codes, so an
-    # m_pot too tight for some V would corrupt them.
+    # A line instance takes V in [0, 2^m_pot), and the normalized stage
+    # sizes the low field of its codes, which holds V, by m_pot.
     for inst in _line_sources().values():
         view = PlcpLineView(inst)
         for u in range(1 << view.nbits):
             assert 0 <= view.potential(u) < 1 << view.m_pot, (inst, u)
 
 
-@pytest.mark.parametrize("inst", [gen_lcp(d, s) for d in (2, 3, 4) for s in range(3)]
-                         + [murty(n) for n in range(1, 6)],
-                         ids=[f"gen_lcp({d},{s})" for d in (2, 3, 4) for s in range(3)]
-                         + [f"murty({n})" for n in range(1, 6)])
-def test_lemke_line_through_the_normalization(inst):
-    # The normalized stage's codes hold V in their low m_pot bits; walking
-    # it and mapping the end back gives Lemke's solution.
+NORMALIZED_SOURCES = {f"gen_lcp({d},{s})": gen_lcp(d, s) for d in (2, 3, 4) for s in range(3)}
+NORMALIZED_SOURCES.update({f"murty({n})": murty(n) for n in range(1, 6)})
+
+
+@pytest.mark.parametrize("name", NORMALIZED_SOURCES)
+def test_lemke_line_through_the_normalization(name):
+    # Walking plcp:ueopl:normalized and mapping its end back through both
+    # stages gives Lemke's solution.
+    inst = NORMALIZED_SOURCES[name]
     line, map_back = compose(inst, ("plcp", "ueopl", "normalized"))
     c = map_back(follow_line(line, 0))
     assert c.kind == "Q1" and c == lemke(inst)
