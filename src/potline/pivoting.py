@@ -26,14 +26,18 @@ entry is a minor of A (`_replay`, the one pivot rule).  j's slot then
 holds the column of the leaving variable: the old D in row r and -T[i][j]
 in every other row i.  Fractions are built only where a number is read.
 
-A pivot computes only the right-hand side and the leaving variable's
-column (the product form of the inverse; Dantzig and Orchard-Hays 1954).
-Every other column is replayed from the vertex it was pivoted from when
-it is first read, and kept.  A walk that reads few columns, such as a
-ratio test whose right-hand sides do not tie or a cone solve, never
-computes the rest.  A vertex has at most d unreplayed pivots behind it:
-before a pivot from a vertex with d of them, all of that vertex's columns
-are computed, and it lets go of the vertex it came from.
+The first d pivots of a walk from the slack dictionary are lazy: a pivot
+computes only the right-hand side and the leaving variable's column (the
+product form of the inverse; Dantzig and Orchard-Hays 1954), and every
+other column is replayed from the vertex it was pivoted from when it is
+first read, and kept.  A walk that reads few columns, such as a ratio
+test whose right-hand sides do not tie or a cone solve, never computes
+the rest.  A vertex with d pivots behind it computes all of its columns
+before the next pivot and lets go of the vertex it came from.  From there
+on the walk is eager: each pivot computes every column in one pass of the
+same rule and keeps no link back.  A walk that long, such as Murty's of
+2^d - 1 pivots, would replay nearly every column anyway, and the replays
+would cost a method call each.
 
 At the all-w basis B = -I, so D = +-1.  At any vertex D is det(B0) times
 the s_r of the rows whose w has left the basis, where B0 is the basis of
@@ -122,16 +126,19 @@ class IntForm:
         return [sum(row[j] * v for j, v in xs) for row in self.rows]
 
 
-def _replay(col: list[int], r: int, e: list[int], p: int, det: int) -> list[int]:
-    """A column after the pivot on row r with entering column e, pivot
-    entry p = e[r] and old D = det (module docstring)."""
-    x = col[r]
-    if x:
-        col = [(y * p - a * x) // det for y, a in zip(col, e)]
-        col[r] = x
-    elif p != det:  # else the column is unchanged and shared: columns are never written
-        col = [y * p // det for y in col]
-    return col
+def _replay(cols, r: int, e: list[int], p: int, det: int) -> list[list[int]]:
+    """The columns `cols` after the pivot on row r with entering column e,
+    pivot entry p = e[r] and old D = det (module docstring)."""
+    out = []
+    for col in cols:
+        x = col[r]
+        if x:
+            col = [(y * p - a * x) // det for y, a in zip(col, e)]
+            col[r] = x
+        elif p != det:  # else the column is unchanged and shared: columns are never written
+            col = [y * p // det for y in col]
+        out.append(col)
+    return out
 
 
 class Vertex:
@@ -139,23 +146,27 @@ class Vertex:
     i, `pos[x]` the slot of a nonbasic variable x or ~row of a basic one,
     `cols[k]` the integer column of slot k (the d + 1 nonbasic slots, then
     the right-hand side), None until `column(k)` first reads it, and `det`
-    the determinant D (module docstring).  `back` is (the vertex this one
-    was pivoted from, the pivot row, the entering column there), from
-    which a missing column is replayed, and `lag` bounds the number of
-    such pivots behind it (at most d).  `fwd` holds `forward_entering` once it has been
-    asked for (a pure function of rows and det), or once the step that
-    reached the vertex has handed it on (module docstring)."""
+    the determinant D (module docstring).  `lag` counts the pivots of the
+    walk from the slack vertex that reached this one, up to d: a vertex at
+    lag d holds all its columns once it is pivoted from, and so does every
+    vertex after it.  `back` is (the vertex this one was pivoted from, the
+    pivot row, the entering column there), from which a missing column is
+    replayed; it is None at the slack vertex and once all columns are
+    held.  `fwd` holds `forward_entering` once it has been asked for (a
+    pure function of rows and det), or once the step that reached the
+    vertex has handed it on (module docstring)."""
 
     __slots__ = ("rows", "basis", "pos", "cols", "det", "back", "lag", "fwd")
 
-    def __init__(self, rows: tuple, pos: list[int], cols: list, det: int, back: tuple | None = None):
+    def __init__(self, rows: tuple, pos: list[int], cols: list, det: int,
+                 back: tuple | None = None, lag: int = 0):
         self.rows = rows
         self.basis = frozenset(rows)
         self.pos = pos
         self.cols = cols
         self.det = det
         self.back = back
-        self.lag = 0 if back is None else back[0].lag + 1
+        self.lag = lag
         self.fwd = None
 
     def column(self, k: int) -> list[int]:
@@ -163,7 +174,7 @@ class Vertex:
         col = self.cols[k]
         if col is None:
             v, r, e = self.back
-            col = self.cols[k] = _replay(v.column(k), r, e, self.det, v.det)
+            col = self.cols[k] = _replay((v.column(k),), r, e, self.det, v.det)[0]
         return col
 
 
@@ -191,23 +202,31 @@ class LemkeSystem:
         return self._slack
 
     def _pivot(self, v: Vertex, r: int, j: int) -> Vertex:
-        """The vertex one pivot from v, on row r with x_j entering: the
-        right-hand side and the leaving variable's column are computed
-        here, every other column on first read.  A v with d pivots behind
-        it computes all of its columns first."""
-        if v.lag == self.d:
-            for k in range(self.rhs):
-                v.column(k)
-            v.back, v.lag = None, 0
+        """The vertex one pivot from v, on row r with x_j entering.  Below
+        lag d it computes the right-hand side and the leaving variable's
+        column, and every other column on first read.  A v at lag d first
+        computes all of its columns and lets go of `back`; from there on,
+        each pivot computes every column in one pass (module docstring)."""
         c = v.pos[j]
-        e = v.column(c)
-        cols = [None] * (self.d + 2)
-        cols[c] = [-a for a in e]
-        cols[c][r] = v.det  # the leaving variable's column was D * e_r
-        cols[self.rhs] = _replay(v.cols[self.rhs], r, e, e[r], v.det)
+        e = v.cols[c] or v.column(c)
+        p, det = e[r], v.det
+        leaving = [-a for a in e]
+        leaving[r] = det  # the leaving variable's column was D * e_r
         pos = v.pos.copy()
         pos[v.rows[r]], pos[j] = c, ~r
-        return Vertex(v.rows[:r] + (j,) + v.rows[r + 1:], pos, cols, e[r], (v, r, e))
+        rows = v.rows[:r] + (j,) + v.rows[r + 1:]
+        if v.lag < self.d:
+            cols = [None] * (self.d + 2)
+            cols[c] = leaving
+            cols[self.rhs] = _replay((v.cols[self.rhs],), r, e, p, det)[0]
+            return Vertex(rows, pos, cols, p, (v, r, e), v.lag + 1)
+        if v.back is not None:
+            for k in range(self.rhs):
+                v.column(k)
+            v.back = None
+        cols = _replay(v.cols[:c] + v.cols[c + 1:], r, e, p, det)
+        cols.insert(c, leaving)
+        return Vertex(rows, pos, cols, p, None, v.lag)
 
     def vertex_at(self, basis) -> Vertex | None:
         """The dictionary of `basis`, at most d pivots from the slack one,
@@ -325,7 +344,8 @@ class LemkeSystem:
         ratio test makes `leaving` unique: two rows with equal ratios would
         make B^-1 singular.
         """
-        col, rhs, det = v.column(v.pos[entering]), v.cols[self.rhs], v.det
+        c = v.pos[entering]
+        col, rhs, det = v.cols[c] or v.column(c), v.cols[self.rhs], v.det
         best = None
         for i, a in enumerate(col):
             if a * det <= 0:
@@ -338,7 +358,7 @@ class LemkeSystem:
                 if x == y:
                     for k in v.pos[self.d:self.zvar]:
                         if k >= 0:
-                            w = v.column(k)
+                            w = v.cols[k] or v.column(k)
                             x, y = w[i] * b, w[best] * a
                         else:  # a basic w': its column is D * e_~k
                             x, y = det * b if ~k == i else 0, det * a if ~k == best else 0

@@ -210,7 +210,7 @@ class PlcpLineView(LineView):
             self.seed(code, v)
             return code
         v = self.vertex_of(u)
-        if v is None or self.sys.zvar not in v.basis:
+        if v is None or v.pos[self.sys.zvar] >= 0:
             return u  # z = 0: ends of the line have no successor
         nxt = self._step(u, v, self.sys.forward_entering(v), -1)
         return u if nxt is None else nxt
@@ -224,7 +224,7 @@ class PlcpLineView(LineView):
             return u
         if u == self.start()[0]:
             return 0
-        if self.sys.zvar not in v.basis:
+        if v.pos[self.sys.zvar] >= 0:
             # relax z = 0; the edge points into u iff the cone minor is
             # positive (its z-decreasing side is forward).
             if self.sys.cone_sign(v) < 0:
@@ -263,7 +263,7 @@ class PlcpLineView(LineView):
             v = self.vertex_of(c.x)
             if v is None:
                 return
-            if sys.zvar not in v.basis:
+            if v.pos[sys.zvar] >= 0:
                 yield cert("Q1", y=sys.numeric_point(v)[0])
                 return
             pair = _stall_pair(self, v)
@@ -283,7 +283,7 @@ class PlcpLineView(LineView):
             yb, _, zb = sys.numeric_point(vb)
             if za == zb:
                 yield from _pv2(ya, yb)
-            elif sys.zvar in va.basis:
+            elif va.pos[sys.zvar] < 0:
                 # V(x) < V(y) < V(S(x)): a point on the edge out of x shares
                 # y's z value.
                 eta = sys.direction(va, sys.forward_entering(va))

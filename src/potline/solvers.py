@@ -79,16 +79,18 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
     non-positive principal minor; PV2 with the ray's y-direction on any
     other ray.  Degeneracy is resolved by symbolic lexicographic
     perturbation.  The path walks `pivoting.Vertex` to `Vertex` through
-    `LemkeSystem.ratio_step`, which reads only the tableau columns that
-    its ratio tests need.
+    `LemkeSystem.ratio_step`.  z at a vertex is its right-hand-side entry
+    x over D, and never negative, so z rises across a pivot from (x, D) to
+    (x', D') iff |x'| * |D| > |x| * |D'|: the test is in integers.
     """
     stats = stats if stats is not None else RunStats()
     d = inst.d
     if all(qi >= 0 for qi in inst.q):
         return cert("Q1", y=[Fraction(0)] * d)
     sys = inst.system
+    zvar, rhs = sys.zvar, sys.rhs
     v, entering = sys.start_vertex()  # relax y_{i*}=0: the complement of the leaving w_{i*}
-    z = sys.value(v, sys.zvar)
+    zx, zd = abs(v.cols[rhs][~v.pos[zvar]]), abs(v.det)  # z = zx / zd
     while True:
         step = sys.ratio_step(v, entering)
         stats.pivots += 1
@@ -104,16 +106,17 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
                 raise RuntimeError("secondary ray gave no PV2 certificate")
             return c
         v, leaving = step
-        z_prev, z = z, sys.value(v, sys.zvar)
-        if z > z_prev:
+        if leaving == zvar:  # z falls to 0 from a lex-feasible, so nonnegative, value
+            return cert("Q1", y=sys.numeric_point(v)[0])
+        x, det = abs(v.cols[rhs][~v.pos[zvar]]), abs(v.det)
+        if x * zd > zx * det:
             # z increased while traversing cone alpha, which by Todd's
             # orientation means det(M_aa) < 0.
             alpha = _edge_cone(sys, v.basis, leaving)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
             raise RuntimeError("z increased across a cone with a positive minor")
-        if leaving == sys.zvar:
-            return cert("Q1", y=sys.numeric_point(v)[0])
+        zx, zd = x, det
         # Complementary pivot rule: enter the complement of the leaver.
         entering = leaving + d if leaving < d else leaving - d
 

@@ -8,11 +8,14 @@ mapping the answer back through every stage must reproduce exactly the
 Lemke solution of the original LCP.
 """
 
+from collections import Counter
+
 import pytest
 
 from potline.cli import REDUCTIONS, UsageError, compose
 from potline.generators import gen_contraction, gen_lcp, gen_line, gen_uso
 from potline.problems import ContractionInstance, LcpInstance, LineInstance, OpdcInstance, UsoInstance
+from potline.reductions_line import TrivialInstance
 from potline.solvers import RunStats, follow_line, lemke
 
 from helpers import FULL_CHAIN, gen_normalized_line, murty
@@ -124,3 +127,50 @@ def test_reductions_table(monkeypatch):
     with pytest.raises(UsageError, match="no reduction uso -> foo"):
         compose(gen_lcp(2, 0), ("plcp", "uso", "foo"))
     assert built == []
+
+
+def _sources_by_stage() -> dict:
+    """Each stage's small source, and the image of every other stage's
+    source under the steps of `REDUCTIONS` into it; a degenerate and a
+    non-P LCP besides."""
+    found = {stage: [build()] for stage, build in SOURCES.items()}
+    found["plcp"] += [murty(4), gen_lcp(3, 0, p_matrix=False)]
+    for (a, b), cls in REDUCTIONS.items():
+        found[b].append(cls(SOURCES[a]()).image())
+    return found
+
+
+def _visited(line, budget: int = 1 << 12) -> set:
+    """The codes at which a walk from 0 along S reads V: a run of plain +1
+    steps (`LineInstance.run`) is crossed in one jump, as `follow_line`
+    does."""
+    x, seen = 0, {0}
+    while len(seen) < budget:
+        r = line.run(x) if line.run else 0
+        x = x + r if r else line.S(x)
+        if x in seen:
+            return seen
+        seen.add(x)
+    raise AssertionError("walk longer than the budget")
+
+
+def test_every_line_view_keeps_v_below_2_to_the_m_pot():
+    # A line takes V in [0, 2^m_pot): the walks and the stages built on a
+    # line (the normalized codes hold V in m_pot bits) rely on it, and an
+    # explicit line checks it, but a view computes V lazily.
+    sources, walked = _sources_by_stage(), Counter()
+    for (a, b), cls in REDUCTIONS.items():
+        if STAGES[b][1] is None:
+            continue  # not a line
+        for src in sources[a]:
+            try:
+                line = cls(src).image()
+            except TrivialInstance:
+                continue  # the view answers with a certificate of src instead
+            for u in _visited(line):
+                assert 0 <= line.V(u) < 1 << line.m_pot, (a, b, u)
+            walked[a, b] += 1
+    # Seven line views; one eopl source has an R2 at 0, so EoplToEoml refuses it.
+    assert walked == {("plcp", "ueopl"): 3, ("opdc", "ufeopl"): 4, ("ufeopl", "plus1"): 2,
+                      ("plus1", "ueopl"): 2, ("ueopl", "normalized"): 3, ("eoml", "eopl"): 2,
+                      ("eopl", "eoml"): 1}

@@ -227,7 +227,7 @@ def test_line_view_pinned_oracles():
 # -- Murty's family (Murty 1978) -----------------------------------------------
 
 def test_murty_lemke_pivots():
-    for n in range(2, 13):
+    for n in range(2, 15):
         inst, st_ = murty(n), RunStats()
         c = lemke(inst, stats=st_)
         assert c.kind == "Q1" and verify(inst, c)
@@ -235,7 +235,7 @@ def test_murty_lemke_pivots():
 
 
 def test_murty_line_steps():
-    for n in range(2, 7):
+    for n in range(2, 11):
         line = PlcpLineView(murty(n)).image()
         st_ = RunStats()
         follow_line(line, 0, stats=st_)
@@ -336,6 +336,54 @@ def test_every_slot_of_lemkes_path_matches_the_row_walk(monkeypatch):
             assert (v.rows, v.pos, v.det) == (ref.rows, ref.pos, ref.det)
             for k in rng.sample(range(d + 2), d + 2):
                 assert v.column(k) == [row[k] for row in ref.t], (inst, i, k)
+
+
+def _keyed(sys, v) -> dict:
+    """v's dictionary as Fractions keyed by variables: (basic, nonbasic or
+    "rhs") -> T[row of basic][slot] / D, which no row order or sign of D
+    changes."""
+    cols = {x: v.column(k) for x, k in enumerate(v.pos) if k >= 0}
+    cols["rhs"] = v.column(sys.rhs)
+    return {(b, x): F(col[i], v.det) for x, col in cols.items() for i, b in enumerate(v.rows)}
+
+
+def _long_walks():
+    """Sources whose Lemke walk is longer than d pivots, so runs eagerly."""
+    yield from (murty(n) for n in range(2, 11))
+    insts = [gen_lcp(d, s, p_matrix=False) for d in range(2, 9) for s in range(40)]
+    insts += [*_wild_non_p().values(), *(_wild_integer(s) for s in range(2000))]
+    for inst in insts:
+        stats = RunStats()
+        lemke(inst, stats)
+        if stats.pivots > inst.d:
+            yield inst
+
+
+def test_eager_dictionaries_match_a_fresh_basis(monkeypatch):
+    # After d lazy pivots every pivot computes all columns in one pass.  Each
+    # vertex must equal the one that `vertex_at` builds afresh from the
+    # slack dictionary, and no vertex past the first flush may hold a link
+    # back.
+    pivot = LemkeSystem._pivot
+    walks = 0
+    for inst in _long_walks():
+        got = []
+
+        def logged_pivot(self, *args):
+            v = pivot(self, *args)
+            got.append((v, v.back is None and None not in v.cols))
+            return v
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LemkeSystem, "_pivot", logged_pivot)
+            lemke(inst)
+        d, fresh = inst.d, LemkeSystem(inst.M, inst.q)
+        assert len(got) > d
+        assert [eager for _, eager in got] == [False] * d + [True] * (len(got) - d), inst
+        for v, _ in got:
+            assert _keyed(inst.system, v) == _keyed(fresh, fresh.vertex_at(v.basis)), inst
+        walks += 1
+    assert walks == 35  # Murty n = 2..10, one gen_lcp, one wild non-P, 24 wild integer
 
 
 # -- Todd orientation from the running determinant ----------------------------
