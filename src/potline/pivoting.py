@@ -49,9 +49,12 @@ The eps part of the right-hand side, -s_k * eps^k in row k, is s_k times
 the w'_k column, so it is not stored: the eps^k coefficient of row i's
 value is s_k * T[i][w'_k] / D.  A row's lex vector is T[i][rhs] followed
 by its w' entries.  The factors s_k > 0 scale one component of every lex
-vector alike, so comparing lex vectors without them gives the same order,
-and the values that the read-outs return (`value`, `numeric_point`,
-`direction`, `edge_point`, `z_row`) convert w' back to w through s.
+vector alike, so comparing lex vectors without them gives the same order.
+The read-outs `value`, `direction` and `z_row` convert w' back to w
+through s.  `numeric_point` and `edge_point` return (y, z) alone, which s
+does not scale: no caller reads w, and a certificate's w = M y + q + z 1
+is summed again in integers by its verifier (`IntForm.sums`).  The Lemke
+start (`start_row`) reads q from the `IntForm` too, as integers q * scale.
 
 The lex ratio test (`ratio_step`) runs over the rows whose pivot entry
 has the sign of D, and compares their lex vectors cross-multiplied by the
@@ -85,6 +88,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .rational import Mat, Vec, determinant, int_row
 
@@ -107,9 +111,11 @@ def _perm_sign(p) -> int:
 
 
 class IntForm:
-    """(M, q) over the integers: `rows[r]` is row r of [M | q] times `s[r]`
-    (`rational.int_row`), `scale` the lcm of all denominators and `i_max`
-    the largest |entry| of (M, q) times `scale` (0 when d = 0)."""
+    """(M, q) over the integers, the one exact reading of an LCP between
+    the instance and its certificates: `rows[r]` is row r of [M | q] times
+    `s[r]` (`rational.int_row`), so `rows[r][-1]` has the sign of q_r,
+    `scale` the lcm of all denominators and `i_max` the largest |entry| of
+    (M, q) times `scale` (0 when d = 0)."""
 
     __slots__ = ("s", "rows", "scale", "i_max")
 
@@ -119,11 +125,15 @@ class IntForm:
         self.scale = lcm(*self.s)
         self.i_max = max((max(map(abs, row)) * (self.scale // s) for s, row in scaled), default=0)
 
-    def sums(self, xt: Vec) -> list[int]:
-        """Row r of M x + t q at xt = (x, t) times s_r and the lcm of xt's
-        denominators (so of the row's sign), summed in int where xt != 0."""
-        xs = [(j, v) for j, v in enumerate(int_row(xt)[1]) if v]
-        return [sum(row[j] * v for j, v in xs) for row in self.rows]
+    def q_nonnegative(self) -> bool:
+        """q >= 0, so y = 0 solves the LCP and there is no Lemke path."""
+        return all(row[-1] >= 0 for row in self.rows)
+
+    def sums(self, xt: list[int]) -> list[int]:
+        """Row r of M x + t q times s_r and a positive c, at the integer
+        vector xt = c (x, t) (`rational.int_row` gives c = the lcm of the
+        denominators), so with the row's sign."""
+        return [sum(map(mul, row, xt)) for row in self.rows]
 
 
 def _replay(cols, r: int, e: list[int], p: int, det: int) -> list[list[int]]:
@@ -180,7 +190,6 @@ class Vertex:
 
 class LemkeSystem:
     def __init__(self, m: Mat, q: Vec):
-        self.q = q
         self.d = len(q)
         self.zvar = 2 * self.d
         self.rhs = self.d + 1  # the slot of -s * q
@@ -280,19 +289,17 @@ class LemkeSystem:
         return Fraction(v.cols[self.rhs][~c], v.det * self._units(var))
 
     def numeric_point(self, v: Vertex):
-        """(y, w, z), read from the right-hand side."""
-        d = self.d
+        """(y, z), read from the right-hand side; w = M y + q + z 1 is not
+        built."""
+        d, det = self.d, v.det
         y = [Fraction(0)] * d
-        w = [Fraction(0)] * d
         z = Fraction(0)
         for var, x in zip(v.rows, v.cols[self.rhs]):
             if var < d:
-                y[var] = Fraction(x, v.det)
-            elif var < 2 * d:
-                w[var - d] = Fraction(x, v.det * self.form.s[var - d])
-            else:
-                z = Fraction(x, v.det)
-        return y, w, z
+                y[var] = Fraction(x, det)
+            elif var == self.zvar:
+                z = Fraction(x, det)
+        return y, z
 
     def z_row(self, v: Vertex) -> tuple[list[int], int]:
         """(zs, D) with zs[k] / D the k-th eps coefficient of z; all zero
@@ -372,24 +379,24 @@ class LemkeSystem:
         return self._pivot(v, best, entering), v.rows[best]
 
     def edge_point(self, v: Vertex, eta: dict, t: Fraction):
-        """Numeric point v + t * eta."""
-        d = self.d
-        y, w, z = self.numeric_point(v)
+        """(y, z) at the point v + t * eta."""
+        y, z = self.numeric_point(v)
         for var, dv in eta.items():
-            if var < d:
+            if var < self.d:
                 y[var] += t * dv
-            elif var < 2 * d:
-                w[var - d] += t * dv
-            else:
+            elif var == self.zvar:
                 z += t * dv
-        return y, w, z
+        return y, z
 
     # -- Lemke start ----------------------------------------------------------
     def start_row(self) -> int:
         """The row of the slack dictionary (and the label) whose w z
         replaces at the Lemke start: the lex-min row (q_i, e_i) of q(eps),
-        so the smallest q_i, ties going to the larger i."""
-        return min(range(self.d), key=lambda i: (self.q[i], -i))
+        so the smallest q_i, ties going to the larger i.  It compares the
+        integers q_i * scale = rows[i][-1] * (scale // s_i) of the
+        `IntForm`, from the last row down, as `min` keeps the first least."""
+        f = self.form
+        return min(range(self.d - 1, -1, -1), key=lambda i: f.rows[i][-1] * (f.scale // f.s[i]))
 
     def start_vertex(self):
         """Vertex at (y, w, z) = (0, q + z0*1, z0) and the label whose w

@@ -444,25 +444,51 @@ def _box_point(inst: ContractionInstance, v) -> Optional[Vec]:
     return x if len(x) == inst.d and _in_box(x) else None
 
 
-# The clauses of Q1, CM1, UV3 and UFV1 once each: the reason of the first
-# that fails, or None when all hold.  The verifiers accept on None, and
-# `explain_rejection` reports the reason.
+# The clauses of Q1, PV1, PV2, CM1, UV3 and UFV1 once each: the reason of
+# the first that fails, or None when all hold.  The verifiers accept on
+# None, and `explain_rejection` reports the reason.  Q1 and PV2 convert
+# their vector to integers once (`rational.int_row`: c times it for some
+# c > 0, so with its signs) and test every clause on those integers and
+# on `IntForm.sums`.
+
+def _first(*clauses) -> Optional[str]:
+    """The first failure among clauses (reason, fails), fails a list of
+    bools: the reason formatted with the 1-based index of the first True."""
+    for reason, fails in clauses:
+        if any(fails):
+            return reason.format(fails.index(True) + 1)
+    return None
+
 
 def _q1_failure(inst: LcpInstance, c: Certificate) -> Optional[str]:
     y = [frac(v) for v in c.y]
     if len(y) != inst.d:
         return "dimension mismatch"
-    for i, v in enumerate(y):
-        if v < 0:
-            return f"nonnegativity y_{i + 1} < 0"
-    w = inst.form.sums(y + [1])
-    for i, v in enumerate(w):
-        if v < 0:
-            return f"feasibility w_{i + 1} < 0"
-    for i, (a, b) in enumerate(zip(y, w)):
-        if a and b:
-            return f"complementarity y_{i + 1} w_{i + 1} != 0"
-    return None
+    sy, ys = int_row(y)
+    w = inst.form.sums(ys + [sy])
+    return _first(("nonnegativity y_{} < 0", [a < 0 for a in ys]),
+                  ("feasibility w_{} < 0", [b < 0 for b in w]),
+                  ("complementarity y_{0} w_{0} != 0", [a * b != 0 for a, b in zip(ys, w)]))
+
+
+def _pv1_failure(inst: LcpInstance, c: Certificate) -> Optional[str]:
+    alpha = sorted(set(c.alpha))
+    if not alpha:
+        return "nonempty alpha = {}"
+    outside = [i for i in alpha if not 0 <= i < inst.d]
+    if outside:
+        return f"label {outside[0]} outside 0..{inst.d - 1}"
+    return None if principal_minor(inst.M, alpha) <= 0 else "principal minor det(M_alpha,alpha) > 0"
+
+
+def _pv2_failure(inst: LcpInstance, c: Certificate) -> Optional[str]:
+    x = [frac(v) for v in c.x]
+    if len(x) != inst.d:
+        return "dimension mismatch"
+    xs = int_row(x)[1]
+    mx = inst.form.sums(xs + [0])
+    return _first(("nonzero x = 0", [not any(xs)]),
+                  ("sign reversal x_{0} (M x)_{0} > 0", [a * b > 0 for a, b in zip(xs, mx)]))
 
 
 def _cm1_failure(inst: ContractionInstance, c: Certificate) -> Optional[str]:
@@ -472,10 +498,8 @@ def _cm1_failure(inst: ContractionInstance, c: Certificate) -> Optional[str]:
     if not _in_box(x):
         return "point outside the unit box"
     fx = inst.f(x)
-    for i, (a, b) in enumerate(zip(fx, x)):
-        if a != b:
-            return f"f(x)_{i + 1} != x_{i + 1}"
-    return None if len(fx) == len(x) else "f(x) has the wrong dimension"
+    return _first(("f(x)_{0} != x_{0}", [a != b for a, b in zip(fx, x)]),
+                  ("f(x) has the wrong dimension", [len(fx) != len(x)]))
 
 
 def _pair_failure(inst: LineInstance, c: Certificate) -> Optional[str]:
@@ -491,7 +515,8 @@ def _pair_failure(inst: LineInstance, c: Certificate) -> Optional[str]:
     return None
 
 
-_FAILURES = {"Q1": _q1_failure, "CM1": _cm1_failure, "UV3": _pair_failure, "UFV1": _pair_failure}
+_FAILURES = {"Q1": _q1_failure, "PV1": _pv1_failure, "PV2": _pv2_failure, "CM1": _cm1_failure,
+             "UV3": _pair_failure, "UFV1": _pair_failure}
 
 
 def verify_line(inst: LineInstance, c: Certificate) -> bool:
@@ -578,23 +603,14 @@ def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
 
 
 def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
-    """Q1 and PV2 read the signs of M y + q and M x from `inst.form.sums`:
-    no Fraction is built and no Lemke tableau read.  PV1 takes a
-    determinant; PV3 compares out-maps."""
+    """Q1, PV1 and PV2 hold when none of their clauses fails (`_FAILURES`).
+    Q1 and PV2 convert the certificate's vector to integers once and read
+    the signs of M y + q and M x from `inst.form.sums`: beyond the
+    certificate's own entries no Fraction is built, and no Lemke tableau
+    is read.  PV1 takes a determinant; PV3 compares out-maps."""
     d = inst.d
-    if c.kind == "Q1":
-        return _q1_failure(inst, c) is None
-    if c.kind == "PV1":
-        alpha = set(c.alpha)
-        if not alpha or any(not 0 <= i < d for i in alpha):
-            return False
-        return principal_minor(inst.M, alpha) <= 0
-    if c.kind == "PV2":
-        x = [frac(v) for v in c.x]
-        if len(x) != d or all(v == 0 for v in x):
-            return False
-        mx = inst.form.sums(x + [0])
-        return all(b <= 0 if a > 0 else b >= 0 for a, b in zip(x, mx) if a)
+    if c.kind in ("Q1", "PV1", "PV2"):
+        return _FAILURES[c.kind](inst, c) is None
     if c.kind == "PV3":
         alpha, beta = frozenset(c.alpha), frozenset(c.beta)
         if any(not 0 <= i < d for i in alpha | beta):
@@ -655,8 +671,8 @@ def _approx_claim_ok(c: Certificate) -> bool:
 
 def explain_rejection(inst, c: Certificate) -> str:
     """Reason string for a certificate its verifier rejected: the failed
-    clause for Q1, CM1, UV3 and UFV1 and an APPROX_FIX's tolerance claim,
-    generic otherwise."""
+    clause for Q1, PV1, PV2, CM1, UV3 and UFV1 and an APPROX_FIX's
+    tolerance claim, generic otherwise."""
     if c.kind == "APPROX_FIX" and not _approx_claim_ok(c):
         return "APPROX_FIX needs eps >= 0 and an integer p >= 1"
     failure = _FAILURES.get(c.kind)

@@ -126,7 +126,7 @@ class PlcpLineView(LineView):
     flavor = "ueopl"
 
     def __init__(self, inst: LcpInstance):
-        if all(qi >= 0 for qi in inst.q):
+        if inst.form.q_nonnegative():
             raise ValueError("q >= 0 is solved by y = 0; the line view needs min q < 0")
         super().__init__(inst)
         self.d = inst.d
@@ -279,8 +279,8 @@ class PlcpLineView(LineView):
             va, vb = self.vertex_of(c.x), self.vertex_of(c.y)
             if va is None or vb is None:
                 return
-            ya, _, za = sys.numeric_point(va)
-            yb, _, zb = sys.numeric_point(vb)
+            ya, za = sys.numeric_point(va)
+            yb, zb = sys.numeric_point(vb)
             if za == zb:
                 yield from _pv2(ya, yb)
             elif va.pos[sys.zvar] < 0:
@@ -290,7 +290,7 @@ class PlcpLineView(LineView):
                 dz = eta.get(sys.zvar, Fraction(0))
                 t = (zb - za) / dz if dz != 0 else Fraction(0)
                 if t > 0:
-                    y_mid, _, z_mid = sys.edge_point(va, eta, t)
+                    y_mid, z_mid = sys.edge_point(va, eta, t)
                     if z_mid == zb:
                         yield from _pv2(y_mid, yb)
             for v in (va, vb):
@@ -312,7 +312,7 @@ class PlcpLineView(LineView):
     def _ray_pv2(self, other: Vertex):
         # The start code stands for the primary ray (y = 0, z >= z0); the
         # ray point at the other vertex's z value pairs with it for PV2.
-        y_other, _, z_other = self.sys.numeric_point(other)
+        y_other, z_other = self.sys.numeric_point(other)
         if all(qi + z_other >= 0 for qi in self.src.q):
             yield from _pv2(y_other, [Fraction(0)] * self.d)
 

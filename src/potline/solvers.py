@@ -85,7 +85,7 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
     """
     stats = stats if stats is not None else RunStats()
     d = inst.d
-    if all(qi >= 0 for qi in inst.q):
+    if inst.form.q_nonnegative():
         return cert("Q1", y=[Fraction(0)] * d)
     sys = inst.system
     zvar, rhs = sys.zvar, sys.rhs

@@ -54,6 +54,21 @@ def murty(n: int) -> LcpInstance:
     return LcpInstance(M=m, q=[-1] * n)
 
 
+def wild_lcps():
+    """(trial, source) for the unstructured LCPs of the wild map-back sweeps:
+    d = 2 or 3, integer M in -3..3 and q in -4..4 over 1..3, q >= 0
+    skipped."""
+    rng = random.Random(0)
+    for trial in range(60):
+        rng.seed(trial)
+        d = 2 + trial % 2
+        m = [[Fraction(rng.randrange(-3, 4)) for _ in range(d)] for _ in range(d)]
+        q = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(d)]
+        if all(v >= 0 for v in q):
+            continue
+        yield trial, LcpInstance(M=m, q=q)
+
+
 def lemke_code(sys, basis) -> int:
     """The `PlcpLineView` code of a basis, by the layout of the
     `reductions_lcp` docstring: bit i when w_i is nonbasic, bit d + l for
@@ -177,7 +192,7 @@ def lemke_rows(inst: LcpInstance, stats: RunStats, path: list | None = None) -> 
         return alpha - {entering - d}
 
     slack = sys._slack_vertex()
-    entering = sys.start_row()
+    entering = min(range(d), key=lambda i: (inst.q[i], -i))  # the lex-min row of q(eps)
     v = row_pivot(RowVertex(slack.rows, slack.pos, [list(row) for row in zip(*slack.cols)], slack.det),
                   entering, sys.zvar)
     path.append(v)
@@ -314,28 +329,44 @@ def affine_ref(m: Mat, x: Vec, q: Vec | None = None) -> Vec:
             for i in range(len(m))]
 
 
-def verify_lcp_ref(inst: LcpInstance, c: Certificate) -> bool:
-    """The Q1, PV1 and PV2 checks of an LCP certificate; Q1 and PV2 sum
-    their products term by term in Fraction."""
+def lcp_failure_ref(inst: LcpInstance, c: Certificate) -> str | None:
+    """The first failed clause of a Q1, PV1 or PV2 certificate, worded as
+    `problems.explain_rejection` words it, or None when all hold; Q1 and
+    PV2 sum their products term by term in Fraction."""
     d = inst.d
-    if c.kind == "Q1":
-        y = [Fraction(v) for v in c.y]
-        if len(y) != d or any(v < 0 for v in y):
-            return False
-        w = affine_ref(inst.M, y, inst.q)
-        return all(v >= 0 for v in w) and all(a * b == 0 for a, b in zip(y, w))
     if c.kind == "PV1":
         alpha = sorted(set(c.alpha))
-        if not alpha or any(not 0 <= i < d for i in alpha):
-            return False
-        return determinant([[inst.M[i][j] for j in alpha] for i in alpha]) <= 0
-    if c.kind == "PV2":
-        x = [Fraction(v) for v in c.x]
-        if len(x) != d or not any(x):
-            return False
-        mx = affine_ref(inst.M, x)
-        return all(a * b <= 0 for a, b in zip(x, mx))
-    raise ValueError(c.kind)
+        if not alpha:
+            return "nonempty alpha = {}"
+        outside = [i for i in alpha if not 0 <= i < d]
+        if outside:
+            return f"label {outside[0]} outside 0..{d - 1}"
+        minor = determinant([[inst.M[i][j] for j in alpha] for i in alpha])
+        return None if minor <= 0 else "principal minor det(M_alpha,alpha) > 0"
+    if c.kind not in ("Q1", "PV2"):
+        raise ValueError(c.kind)
+    v = [Fraction(t) for t in (c.y if c.kind == "Q1" else c.x)]
+    if len(v) != d:
+        return "dimension mismatch"
+    if c.kind == "Q1":
+        w = affine_ref(inst.M, v, inst.q)
+        clauses = [("nonnegativity y_{} < 0", [a < 0 for a in v]),
+                   ("feasibility w_{} < 0", [b < 0 for b in w]),
+                   ("complementarity y_{0} w_{0} != 0", [a * b != 0 for a, b in zip(v, w)])]
+    elif not any(v):
+        return "nonzero x = 0"
+    else:
+        clauses = [("sign reversal x_{0} (M x)_{0} > 0", [a * b > 0 for a, b in zip(v, affine_ref(inst.M, v))])]
+    for reason, fails in clauses:
+        if any(fails):
+            return reason.format(fails.index(True) + 1)
+    return None
+
+
+def verify_lcp_ref(inst: LcpInstance, c: Certificate) -> bool:
+    """The Q1, PV1 and PV2 checks of an LCP certificate: no clause of
+    `lcp_failure_ref` fails."""
+    return lcp_failure_ref(inst, c) is None
 
 
 def v_digits(view, v: int) -> tuple[int, ...]:

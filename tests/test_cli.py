@@ -931,6 +931,12 @@ _LINE = {"n": 2, "m": 2, "S": {"00": "01", "01": "10"}, "P": {"01": "00", "10": 
     ("line", dict(_LINE, flavor="ueopl"), {"kind": "UV3", "x": "01", "y": "11"}, "a point is not a vertex"),
     ("line", dict(_LINE, flavor="ufeopl"), {"kind": "UFV1", "x": "00", "y": "01"},
      "V(y) neither equals V(x) nor lies in (V(x), V(S(x)))"),
+    ("plcp", _LCP, {"kind": "PV1", "alpha": []}, "nonempty alpha = {}"),
+    ("plcp", _LCP, {"kind": "PV1", "alpha": [0, 2]}, "label 2 outside 0..1"),
+    ("plcp", _LCP, {"kind": "PV1", "alpha": [0, 1]}, "principal minor det(M_alpha,alpha) > 0"),
+    ("plcp", _LCP, {"kind": "PV2", "x": ["1"]}, "dimension mismatch"),
+    ("plcp", _LCP, {"kind": "PV2", "x": ["0", "0"]}, "nonzero x = 0"),
+    ("plcp", _LCP, {"kind": "PV2", "x": ["1", "-1/2"]}, "sign reversal x_1 (M x)_1 > 0"),
 ])
 def test_verify_explains_the_failed_clause(tmp_path, capsys, problem, instance, certificate, reason):
     inst, path = tmp_path / "inst.json", tmp_path / "cert.json"

@@ -19,7 +19,7 @@ from potline.rational import determinant
 from potline.reductions_lcp import PlcpLineView, out_map
 from potline.solvers import RunStats, follow_line, lemke
 
-from helpers import a_alpha, count_calls, lemke_rows, lemke_zs, murty, v_digits
+from helpers import a_alpha, count_calls, lemke_rows, lemke_zs, murty, v_digits, wild_lcps
 
 
 def _digest(x) -> str:
@@ -33,16 +33,7 @@ def _is_p_matrix(m) -> bool:
 
 def _wild_non_p():
     """The non-P sources of test_wild_sources.test_wild_lcp_matrices."""
-    rng = random.Random(0)
-    found = {}
-    for trial in range(60):
-        rng.seed(trial)
-        d = 2 + trial % 2
-        m = [[F(rng.randrange(-3, 4)) for _ in range(d)] for _ in range(d)]
-        q = [F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(d)]
-        if any(v < 0 for v in q) and not _is_p_matrix(m):
-            found[trial] = LcpInstance(M=m, q=q)
-    return found
+    return {trial: inst for trial, inst in wild_lcps() if not _is_p_matrix(inst.M)}
 
 
 def _lemke_record(inst):
@@ -296,6 +287,42 @@ def test_lemke_matches_the_row_walk():
     assert kinds == {"Q1": 493, "PV1": 375}
 
 
+def _tied_lcps():
+    """LCPs whose least q_i is tied on two or more rows, built by hand, as
+    `gen_lcp` rejects a tied minimum: row r of a `gen_lcp` M times 1/c_r,
+    which keeps the sign of every principal minor and gives the rows
+    unequal scales s_r."""
+    rng = random.Random(7)
+    for seed in range(60):
+        d = 2 + seed % 5
+        base = gen_lcp(d, seed, p_matrix=seed % 3 > 0)
+        m = [[x / c for x in row] for row, c in zip(base.M, (rng.randint(1, 6) for _ in range(d)))]
+        least = F(-rng.randint(1, 8), rng.randint(1, 4))
+        q = [least + F(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(d)]
+        for i in rng.sample(range(d), rng.randint(2, d)):
+            q[i] = least
+        yield LcpInstance(M=m, q=q)
+
+
+def test_start_row_is_the_least_q_ties_to_the_larger_label():
+    # start_row compares the integers q_i * scale of the IntForm; the rule
+    # it must follow is the lex-min row of q(eps), read in Fraction.
+    insts = [gen_lcp(d, s, p_matrix=p) for d in range(1, 9) for s in range(40) for p in (True, False)]
+    insts += [murty(n) for n in range(1, 9)] + [inst for _, inst in wild_lcps()]
+    insts += [_wild_integer(s) for s in range(400)]
+    tied = list(_tied_lcps())
+    for inst in insts + tied:
+        q = inst.q
+        assert inst.system.start_row() == min(range(inst.d), key=lambda i: (q[i], -i)), inst
+    unequal = 0
+    for inst in tied:
+        s = inst.form.s
+        unequal += len({s[i] for i, v in enumerate(inst.q) if v == min(inst.q)}) > 1
+        got, want = RunStats(), RunStats()
+        assert (lemke(inst, got), got.pivots) == (lemke_rows(inst, want), want.pivots), inst
+    assert unequal > len(tied) // 2
+
+
 def _behind(v) -> int:
     """The pivots behind v that a column may still be replayed through."""
     n = 0
@@ -473,7 +500,8 @@ def test_cone_vertex_solves_every_cone(d, data):
             if v is None:
                 assert out_map(LcpInstance(M=m, q=q), alpha) is None
                 continue
-            y, w, z = sys.numeric_point(v)
+            y, z = sys.numeric_point(v)
+            w = [sys.value(v, d + i) for i in range(d)]
             assert z == 0
             assert w == [sum((m[i][j] * y[j] for j in range(d)), q[i]) for i in range(d)]
             assert all(y[i] == 0 for i in range(d) if i not in alpha)
@@ -544,7 +572,7 @@ def _check_dictionary(sys, m, q, v):
     for var, val in zip(v.rows, x0):
         point[var] = val
     assert [sys.value(v, var) for var in range(2 * d + 1)] == point
-    assert sys.numeric_point(v) == (point[:d], point[d:2 * d], point[2 * d])
+    assert sys.numeric_point(v) == (point[:d], point[2 * d])
     for x in range(2 * d + 1):
         if v.pos[x] >= 0:
             eta = {var: -a / det0 for var, a in zip(v.rows, _cramer(basis0, cols0[x]))}

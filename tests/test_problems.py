@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import affine_ref, verify_lcp_ref, verify_opdc_ref
+from helpers import affine_ref, lcp_failure_ref, verify_lcp_ref, verify_opdc_ref
 from potline.circuits import affine_circuit
 from potline.problems import (
     ContractionInstance,
@@ -17,6 +17,7 @@ from potline.problems import (
     cert,
     cert_from_json,
     cert_to_json,
+    explain_rejection,
     lcp_from_json,
     lcp_to_json,
     line_from_json,
@@ -29,6 +30,7 @@ from potline.problems import (
     verify,
     verify_line,
 )
+from potline.rational import int_row
 from potline.solvers import lemke
 
 
@@ -267,14 +269,15 @@ def _draw_lcp(data) -> LcpInstance:
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_lcp_products_match_reference(data):
-    # The verifier's integer sums at (x, 1) and (x, 0) are row r of M x + q
-    # and of M x times s_r and the lcm of x's denominators, so they carry
-    # the rows' signs.
+    # The verifier's integer sums at sx (x, 1) and sx (x, 0), for sx the lcm
+    # of x's denominators, are row r of M x + q and of M x times s_r and sx,
+    # so they carry the rows' signs.
     inst = _draw_lcp(data)
     x = [data.draw(LCP_ENTRY) for _ in range(inst.d)]
-    sx = math.lcm(*[v.denominator for v in x])
-    for got, want in [(inst.form.sums(x + [1]), affine_ref(inst.M, x, inst.q)),
-                      (inst.form.sums(x + [0]), affine_ref(inst.M, x))]:
+    sx, xs = int_row(x)
+    assert sx == math.lcm(*[v.denominator for v in x])
+    for got, want in [(inst.form.sums(xs + [sx]), affine_ref(inst.M, x, inst.q)),
+                      (inst.form.sums(xs + [0]), affine_ref(inst.M, x))]:
         assert all(type(v) is int for v in got)
         assert [_sign(v) for v in got] == [_sign(v) for v in want]
         assert got == [s * sx * v for s, v in zip(inst.form.s, want)]
@@ -295,3 +298,7 @@ def test_verify_lcp_matches_reference(data):
         vec[data.draw(st.integers(0, inst.d - 1))] = data.draw(LCP_ENTRY)
     for other in (cert("Q1", y=vec), cert("PV2", x=vec)):
         assert verify(inst, other) == verify_lcp_ref(inst, other)
+        # A rejection names the first clause that fails in Fraction.
+        reason = lcp_failure_ref(inst, other)
+        if reason is not None:
+            assert explain_rejection(inst, other) == reason

@@ -299,7 +299,7 @@ def test_plcp_to_eopl_v_separation():
     for u in range(1, 1 << line.n):
         vtx = view.vertex_of(u)
         if vtx is not None:
-            _, _, z = view.sys.numeric_point(vtx)
+            _, z = view.sys.numeric_point(vtx)
             zs.setdefault(z, set()).add(line.V(u))
     seen = sorted((min(vs), z) for z, vs in zs.items())
     for (v1, _), (v2, _) in zip(seen, seen[1:]):

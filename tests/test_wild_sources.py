@@ -3,31 +3,19 @@ through `cli.compose`, every certificate of the image mapped back and
 verified."""
 
 import random
-from fractions import Fraction as F
 from itertools import product
 
+from helpers import wild_lcps
 from potline.cli import compose
-from potline.problems import LcpInstance, OpdcInstance, UsoInstance, line_from_tables, verify
+from potline.problems import OpdcInstance, UsoInstance, line_from_tables, verify
 from potline.reductions_lcp import PlcpLineView, _stall_pair
 from potline.solvers import brute_force
 
 # Each sweep yields (label, source, brute-force image certificates, map-back).
 
 
-def _wild_lcps():
-    rng = random.Random(0)
-    for trial in range(60):
-        rng.seed(trial)
-        d = 2 + trial % 2
-        m = [[F(rng.randrange(-3, 4)) for _ in range(d)] for _ in range(d)]
-        q = [F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(d)]
-        if all(v >= 0 for v in q):
-            continue
-        yield trial, LcpInstance(M=m, q=q)
-
-
 def wild_lcp_matrices():
-    for trial, inst in _wild_lcps():
+    for trial, inst in wild_lcps():
         line, map_back = compose(inst, ("plcp", "ueopl"))
         yield trial, inst, brute_force(line), map_back
 
@@ -135,14 +123,14 @@ def test_wild_lcp_stall_pairs_share_one_z():
     # alone: both points have one z by construction.  Every point the
     # system builds is recorded with its z, keyed by its y list.
     pairs = 0
-    for trial, inst in _wild_lcps():
+    for trial, inst in wild_lcps():
         view = PlcpLineView(inst)
         sys, points = view.sys, {}
         for name in ("numeric_point", "edge_point"):
             def record(*args, build=getattr(sys, name)):
-                y, w, z = build(*args)
+                y, z = build(*args)
                 points[id(y)] = y, z  # edge_point's own record comes last
-                return y, w, z
+                return y, z
             setattr(sys, name, record)
         for c in brute_force(view.image()):
             v = view.vertex_of(c.x) if c.kind in ("U1", "UV2") else None
