@@ -18,13 +18,15 @@ T[i][rhs] / D and falls by T[i][x] / D per unit of a growing nonbasic x.
 
 Only the d + 1 nonbasic columns of T and the right-hand side are stored,
 by column: a basic variable's column is D in its own row and 0
-elsewhere.  `Vertex.pos` maps a nonbasic variable to its slot and a basic
-one to ~row.  A pivot on row r and entering x_j, with p = T[r][j], turns
-every other column's entry in row i into (T[i][k] * p - T[i][j] * T[r][k])
-/ D, keeps row r, and sets D = p; the division is exact because every
-entry is a minor of A (`_replay`, the one pivot rule).  j's slot then
-holds the column of the leaving variable: the old D in row r and -T[i][j]
-in every other row i.  Fractions are built only where a number is read.
+elsewhere.  `Vertex.pos` maps a nonbasic variable to its slot and a
+basic one to ~row; with `Vertex.rows`, the basic variable of each row,
+it is the one record of the basis, and only this module reads it.  A
+pivot on row r and entering x_j, with p = T[r][j], turns every other
+column's entry in row i into (T[i][k] * p - T[i][j] * T[r][k]) / D,
+keeps row r, and sets D = p; the division is exact because every entry
+is a minor of A (`_replay`, the one pivot rule).  j's slot then holds
+the column of the leaving variable: the old D in row r and -T[i][j] in
+every other row i.  Fractions are built only where a number is read.
 
 The first d pivots of a walk from the slack dictionary are lazy: a pivot
 computes only the right-hand side and the leaving variable's column (the
@@ -153,25 +155,26 @@ def _replay(cols, r: int, e: list[int], p: int, det: int) -> list[list[int]]:
 
 class Vertex:
     """A basis with its dictionary: `rows[i]` is the basic variable of row
-    i, `pos[x]` the slot of a nonbasic variable x or ~row of a basic one,
-    `cols[k]` the integer column of slot k (the d + 1 nonbasic slots, then
-    the right-hand side), None until `column(k)` first reads it, and `det`
-    the determinant D (module docstring).  `lag` counts the pivots of the
-    walk from the slack vertex that reached this one, up to d: a vertex at
-    lag d holds all its columns once it is pivoted from, and so does every
-    vertex after it.  `back` is (the vertex this one was pivoted from, the
-    pivot row, the entering column there), from which a missing column is
-    replayed; it is None at the slack vertex and once all columns are
-    held.  `fwd` holds `forward_entering` once it has been asked for (a
-    pure function of rows and det), or once the step that reached the
-    vertex has handed it on (module docstring)."""
+    i, `pos[x]` the slot of a nonbasic variable x or ~row of a basic one
+    (the basis lives in these two alone; `LemkeSystem.support` and
+    `duplicate_label` read it from `pos`), `cols[k]` the integer column of
+    slot k (the d + 1 nonbasic slots, then the right-hand side), None until
+    `column(k)` first reads it, and `det` the determinant D (module
+    docstring).  `lag` counts the pivots of the walk from the slack vertex
+    that reached this one, up to d: a vertex at lag d holds all its columns
+    once it is pivoted from, and so does every vertex after it.  `back` is
+    (the vertex this one was pivoted from, the pivot row, the entering
+    column there), from which a missing column is replayed; it is None at
+    the slack vertex and once all columns are held.  `fwd` holds
+    `forward_entering` once it has been asked for (a pure function of rows
+    and det), or once the step that reached the vertex has handed it on
+    (module docstring)."""
 
-    __slots__ = ("rows", "basis", "pos", "cols", "det", "back", "lag", "fwd")
+    __slots__ = ("rows", "pos", "cols", "det", "back", "lag", "fwd")
 
     def __init__(self, rows: tuple, pos: list[int], cols: list, det: int,
                  back: tuple | None = None, lag: int = 0):
         self.rows = rows
-        self.basis = frozenset(rows)
         self.pos = pos
         self.cols = cols
         self.det = det
@@ -241,7 +244,7 @@ class LemkeSystem:
         """The dictionary of `basis`, at most d pivots from the slack one,
         or None when the basis matrix is singular."""
         v = self._slack_vertex()
-        for j in sorted(basis - v.basis):
+        for j in sorted(x for x in basis if v.pos[x] >= 0):  # nonbasic at the slack vertex
             col = v.column(v.pos[j])
             r = next((i for i, var in enumerate(v.rows) if var not in basis and col[i]), None)
             if r is None:
@@ -313,14 +316,14 @@ class LemkeSystem:
             ws = [s * x for s, x in zip(self.form.s, ws)]
         return [v.cols[self.rhs][~c]] + ws, v.det
 
-    def duplicate_label(self, basis) -> int | None:
-        for i in range(self.d):
-            if i not in basis and self.d + i not in basis:
-                return i
-        return None
+    def duplicate_label(self, v: Vertex) -> int | None:
+        """The label l with neither y_l nor w_l basic, or None."""
+        d = self.d
+        return next((l for l in range(d) if v.pos[l] >= 0 and v.pos[d + l] >= 0), None)
 
-    def support(self, basis) -> frozenset:
-        return frozenset(basis).intersection(range(self.d))
+    def support(self, v: Vertex) -> frozenset:
+        """The labels i with y_i basic."""
+        return frozenset(i for i in range(self.d) if v.pos[i] < 0)
 
     # -- pivoting ------------------------------------------------------------
     def direction(self, v: Vertex, entering: int) -> dict:
@@ -415,9 +418,9 @@ class LemkeSystem:
         return _perm_sign(labels) if v.det > 0 else -_perm_sign(labels)
 
     def cone_sign(self, v: Vertex) -> int:
-        """Sign of det(M_alpha_alpha), alpha = support(v.basis), at a vertex
+        """Sign of det(M_alpha_alpha), alpha = support(v), at a vertex
         with z nonbasic (nonzero: its basis is nonsingular)."""
-        return self._label_order_sign(v) * (-1) ** (self.d - len(self.support(v.basis)))
+        return self._label_order_sign(v) * (-1) ** (self.d - len(self.support(v)))
 
     def forward_entering(self, v: Vertex) -> int:
         """At a duplicate-label vertex, the entering variable (y_l or w_l)
@@ -425,14 +428,14 @@ class LemkeSystem:
         if v.fwd is not None:
             return v.fwd
         d = self.d
-        l = self.duplicate_label(v.basis)
+        l = self.duplicate_label(v)
         if l is None:
             raise ValueError("vertex has no duplicate label")
         # sign of det(A_alpha) with column l set to all ones
         positive = self._label_order_sign(v, l) * (-1) ** (d - 1) > 0
-        v.fwd = l if positive == (len(self.support(v.basis)) % 2 == 0) else d + l  # y_l, else w_l
+        v.fwd = l if positive == (len(self.support(v)) % 2 == 0) else d + l  # y_l, else w_l
         return v.fwd
 
     def backward_entering(self, v: Vertex) -> int:
-        l = self.duplicate_label(v.basis)
+        l = self.duplicate_label(v)
         return self.d + l if self.forward_entering(v) == l else l

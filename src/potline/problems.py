@@ -8,9 +8,11 @@ exponentially large.
 Every oracle must be a pure function of its arguments.  Each line, grid
 and orientation instance memoizes its oracles with `memoize`, up to
 ORACLE_CACHE_SIZE entries per oracle, so a chain of reduction views asks
-each stage below for a value once rather than once per query above it.  A
-line instance's S, P and V are the memos, so a hit runs no Python frame;
-a grid memoizes its directions per point, all d of them in one entry.
+each stage below for a value once rather than once per query above it.
+The memos are built on first use beside the oracles the instance was
+given, which stay as they were: a line instance's S, P and V and an
+orientation's O are the memos, so a hit runs no Python frame; a grid
+memoizes its directions per point, all d of them in one entry.
 
 Conventions:
   * line-problem vertices are ints in [0, 2^n); a bit-string x with
@@ -302,14 +304,16 @@ class OpdcInstance:
 @dataclass
 class UsoInstance:
     """Orientation of the n-cube: `orient(v)` is v's out-map bits, or None
-    for a dash.  It must be pure: it is memoized in place (module
-    docstring)."""
+    for a dash.  It must be pure: `O` is its memo (module docstring), which
+    the verifier, brute force and the views read; `orient` stays the
+    function the instance was given."""
 
     n: int
     orient: Callable[[int], Optional[int]]
 
-    def __post_init__(self):
-        self.orient = memoize(self.orient)
+    @cached_property
+    def O(self) -> Callable[[int], Optional[int]]:
+        return memoize(self.orient)
 
 
 @dataclass
@@ -596,10 +600,10 @@ def verify_uso(inst: UsoInstance, c: Certificate) -> bool:
     if not all(0 <= v < 1 << inst.n for v in ids):
         return False
     if c.kind == "US1":
-        return inst.orient(c.v) == 0
+        return inst.O(c.v) == 0
     if c.kind == "USV1":
-        return inst.orient(c.v) is None
-    return szabo_welzl(c.v, c.u, inst.orient(c.v), inst.orient(c.u))
+        return inst.O(c.v) is None
+    return szabo_welzl(c.v, c.u, inst.O(c.v), inst.O(c.u))
 
 
 def verify_lcp(inst: LcpInstance, c: Certificate) -> bool:
@@ -866,7 +870,7 @@ def opdc_from_json(data: dict) -> OpdcInstance:
 def uso_to_json(inst: UsoInstance) -> dict:
     table = {}
     for v in range(1 << inst.n):
-        o = inst.orient(v)
+        o = inst.O(v)
         table[bits_str(v, inst.n)] = "dash" if o is None else bits_str(o, inst.n)
     return {"n": inst.n, "orient": table}
 

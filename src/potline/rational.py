@@ -66,9 +66,11 @@ def frac_str(x: Fraction) -> str:
 
 
 def int_row(row: Vec) -> tuple[int, list[int]]:
-    """(s, s * row), s the lcm of the row's denominators: rows to integers."""
-    s = lcm(*[x.denominator for x in row])
-    return s, [x.numerator * (s // x.denominator) for x in row]
+    """(s, s * row), s the lcm of the row's denominators: rows to integers.
+    Each entry is read once, as its (numerator, denominator)."""
+    ratios = [x.as_integer_ratio() for x in row]
+    s = lcm(*[b for _, b in ratios])
+    return s, [a * (s // b) for a, b in ratios]
 
 
 def mat(rows) -> Mat:

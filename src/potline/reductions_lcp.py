@@ -269,7 +269,7 @@ class PlcpLineView(LineView):
             pair = _stall_pair(self, v)
             if pair:
                 yield from _pv2(*pair)
-            yield from self._pv1_candidates(v.basis)
+            yield from self._pv1_candidates(v)
         elif c.kind == "UV3":
             if c.x == 0 or c.y == 0:
                 other = self.vertex_of(c.y if c.x == 0 else c.x)
@@ -294,11 +294,11 @@ class PlcpLineView(LineView):
                     if z_mid == zb:
                         yield from _pv2(y_mid, yb)
             for v in (va, vb):
-                yield from self._pv1_candidates(v.basis)
+                yield from self._pv1_candidates(v)
 
-    def _pv1_candidates(self, basis):
-        alpha = self.sys.support(basis)
-        l = self.sys.duplicate_label(basis)
+    def _pv1_candidates(self, v: Vertex):
+        alpha = self.sys.support(v)
+        l = self.sys.duplicate_label(v)
         for a in [alpha, alpha | {l}] if l is not None else [alpha]:
             if a and principal_minor(self.src.M, a) <= 0:
                 yield cert("PV1", alpha=frozenset(a))
@@ -338,7 +338,7 @@ def _stall_pair(view: PlcpLineView, v: Vertex):
     sys = view.sys
     # z is basic at v, so its other d - 1 basic variables leave some label l
     # with neither y_l nor w_l basic.
-    l = sys.duplicate_label(v.basis)
+    l = sys.duplicate_label(v)
     edges = []
     for entering in (l, sys.d + l):
         eta = sys.direction(v, entering)

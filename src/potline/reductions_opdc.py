@@ -52,7 +52,7 @@ class UsoToOpdc(View):
 
     def image(self) -> OpdcInstance:
         def direction(p):
-            o = self.src.orient(_vid(p)) or 0
+            o = self.src.O(_vid(p)) or 0
             return tuple([ZERO if o >> i & 1 == 0 else UP if x == 0 else DOWN for i, x in enumerate(p)])
 
         return OpdcInstance(widths=(1,) * self.src.n, direction=direction)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm, prod
 
-from .pivoting import LemkeSystem, principal_minor
+from .pivoting import LemkeSystem, Vertex, principal_minor
 from .problems import (
     LINE_KINDS,
     Certificate,
@@ -63,12 +63,13 @@ class RunStats:
 # ---------------------------------------------------------------------------
 # Lemke's complementary pivot algorithm
 
-def _edge_cone(sys: LemkeSystem, basis, x: int) -> frozenset:
+def _edge_cone(sys: LemkeSystem, v: Vertex, x: int) -> frozenset:
     """The cone of a path edge, whose minor sign gives the z direction
     along it (Todd orientation): the y's among the edge's d + 1 variables,
-    the basis at one end and x, the variable that enters there (or leaves
-    at the other end)."""
-    return sys.support(basis | {x})
+    the basis of its end v and x, the variable that enters there (or
+    leaves at the other end)."""
+    alpha = sys.support(v)
+    return alpha | {x} if x < sys.d else alpha
 
 
 def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
@@ -95,7 +96,7 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
         step = sys.ratio_step(v, entering)
         stats.pivots += 1
         if step is None:
-            alpha = _edge_cone(sys, v.basis, entering)
+            alpha = _edge_cone(sys, v, entering)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
             # Along the ray dz >= 0 and dy_i * dw_i = 0 with dw = M dy + dz * 1,
@@ -112,7 +113,7 @@ def lemke(inst: LcpInstance, stats: RunStats | None = None) -> Certificate:
         if x * zd > zx * det:
             # z increased while traversing cone alpha, which by Todd's
             # orientation means det(M_aa) < 0.
-            alpha = _edge_cone(sys, v.basis, leaving)
+            alpha = _edge_cone(sys, v, leaving)
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
             raise RuntimeError("z increased across a cone with a positive minor")
@@ -218,11 +219,6 @@ def aldous(inst: LineInstance, samples: int, rng: random.Random,
 # Fixpoint search: one nested binary search over slices of the box, with a
 # stop rule for exact and one for approximate
 
-class _Violation(Exception):
-    def __init__(self, certificate):
-        self.certificate = certificate
-
-
 def _box(v) -> list[Fraction]:
     """The point of a search result (xs, D, nums, den) as Fractions, for a
     certificate."""
@@ -230,30 +226,32 @@ def _box(v) -> list[Fraction]:
     return [Fraction(x, D) for x in xs]
 
 
-def _nested_search(inst: ContractionInstance, rules, D: int, stats: RunStats) -> tuple:
-    """The fixpoint of the box by nested bisection: level i (d - 1 at the
-    top, 0 innermost) searches the slice whose coordinates i+1..d-1 are
-    fixed (`outer`) for its fixpoint, by bisection of coordinate i on the
-    sign of f(v)_i - t, where v is the fixpoint of the slice one level
-    down at x_i = t (at level 0, v is the point (t,) + outer itself).
+def _nested_search(inst: ContractionInstance, rules, found, stats: RunStats | None) -> Certificate:
+    """The certificate of the nested bisection of the box: found(x) for
+    the fixpoint x it stops at, as Fractions, or the violation a level
+    meets.  Level i (d - 1 at the top, 0 innermost) searches the slice
+    whose coordinates i+1..d-1 are fixed (`outer`) for its fixpoint, by
+    bisection of coordinate i on the sign of f(v)_i - t, where v is the
+    fixpoint of the slice one level down at x_i = t (at level 0, v is the
+    point (t,) + outer itself).
 
     One loop runs every level.  The current level's state lives in locals:
     i, outer, D, the bracket [lo, hi] with its points v_lo and v_hi, the
     saved pair, the probe count k and the pending probe t over Dt.  A probe
     at level i > 0 pushes that state on `stack` and starts level i - 1 at
     the probe's point; at level 0 it calls `inst.f_int`, counts the oracle
-    call and raises _Violation with a CMV2 when the value leaves the unit
-    box.  A level that ends pops the level above, whose pending probe it
-    answers.  So f is evaluated once per point, and the probe order is
-    that of the recursive search.
+    call and returns a CMV2 when the value leaves the unit box.  A level
+    that ends pops the level above, whose pending probe it answers.  So f
+    is evaluated once per point, and the probe order is that of the
+    recursive search.
 
     Points are integer numerators over one denominator: `outer` and t are
     over D > 0, and a slice fixpoint v is (xs, D', nums, den) with D
     dividing D' and f(v)_j = nums[j] / den.  Every test is an integer
     compare: a probe at t answers with v and f(v)_i - t = r / s, s > 0.
     The bracket starts at [0, D], each bisection takes (lo + hi) >> 1,
-    which is exact while 2^(halvings + 1) divides D; `_search` starts at a
-    power of two that does.
+    which is exact while 2^(halvings + 1) divides D: the top level starts
+    at D = 2^H, H = 1 + the most halvings of any level.
 
     rules[i] = ((e, q), halvings, grid, last, violation) is the solver's
     stop rule at level i + 1.  The level probes t = 0, then t = D, then
@@ -261,11 +259,13 @@ def _nested_search(inst: ContractionInstance, rules, D: int, stats: RunStats) ->
     |f(v)_i - t| <= e / q.  After bisection number `grid` (None: none) it
     saves the bracket's pair (v_hi, v_lo).  When the bisections are spent,
     last(lo, hi, D) names one final probe (t, Dt), Dt a multiple of D, or
-    None; a final probe that does not stop the level, or None, raises
-    _Violation(violation(v, r, v_lo, v_hi, saved)), with v and r None
-    when there was no final probe."""
+    None; a final probe that does not stop the level, or None, returns
+    violation(v, r, v_lo, v_hi, saved), with v and r None when there was
+    no final probe."""
+    stats = stats if stats is not None else RunStats()
     f_int, stack = inst.f_int, []
     i, outer = inst.d - 1, ()
+    D = 1 << (1 + max(halvings for _, halvings, _, _, _ in rules))
     (e, q), halvings, grid, last, violation = rules[i]
     lo, hi, v_lo, v_hi, saved, k, t, Dt = 0, D, None, None, None, -1, 0, D
     while True:
@@ -281,19 +281,19 @@ def _nested_search(inst: ContractionInstance, rules, D: int, stats: RunStats) ->
         nums, den = f_int(point, Dt)
         v = (point, Dt, nums, den)
         if min(nums) < 0 or max(nums) > den:
-            raise _Violation(cert("CMV2", x=_box(v)))
+            return cert("CMV2", x=_box(v))
         while True:
             r = nums[i] * Dt - t * den
             if r and (not e or abs(r) * q > e * den * Dt):  # e = 0: stop on r = 0 alone
                 break
             if not stack:
-                return v
+                return found(_box(v))
             i, outer, D, lo, hi, v_lo, v_hi, saved, k, t, Dt = stack.pop()
             (e, q), halvings, grid, last, violation = rules[i]
         # The probe did not stop level i.  k is its bisection number: the
         # ends t = 0 and t = D are -1 and 0, the final probe halvings + 1.
         if k > halvings:
-            raise _Violation(violation(v, r, v_lo, v_hi, saved))
+            return violation(v, r, v_lo, v_hi, saved)
         if r > 0:
             lo, v_lo = t, v
         else:
@@ -306,7 +306,7 @@ def _nested_search(inst: ContractionInstance, rules, D: int, stats: RunStats) ->
         else:
             step = last(lo, hi, D)
             if step is None:
-                raise _Violation(violation(None, None, v_lo, v_hi, saved))
+                return violation(None, None, v_lo, v_hi, saved)
             t, Dt = step
 
 
@@ -363,26 +363,13 @@ def _exact_rule(level: int, kap: int):
     return (0, 1), 2 * kap + 1, kap, last, violation
 
 
-def _search(inst: ContractionInstance, rules, stats: RunStats | None, found) -> Certificate:
-    """The nested search from the point over D = 2^H, H = 1 + the most
-    halvings of any level, so that every bisection midpoint is an integer:
-    found(x) for the point x it stops at, as Fractions, or the violation
-    that a level raised."""
-    H = 1 + max(halvings for _, halvings, _, _, _ in rules)
-    try:
-        v = _nested_search(inst, rules, 1 << H, stats if stats is not None else RunStats())
-    except _Violation as viol:
-        return viol.certificate
-    return found(_box(v))
-
-
 def find_fp(inst: ContractionInstance, stats: RunStats | None = None) -> Certificate:
     """Exact fixpoint of a piecewise-linear map by nested binary search
     over slices of the 2^kappa grid (`inst.effective_kappa()`); returns
     CM1, or CMV3 with the adjacent opposing pair when a slice has no grid
     fixpoint (CMV2 if an evaluation leaves the unit box)."""
     rules = [_exact_rule(i + 1, k) for i, k in enumerate(inst.effective_kappa())]
-    return _search(inst, rules, stats, lambda x: cert("CM1", x=x))
+    return _nested_search(inst, rules, lambda x: cert("CM1", x=x), stats)
 
 
 def eps_schedule(p: int, d: int, eps: Fraction) -> list[Fraction]:
@@ -441,7 +428,7 @@ def approx_find_fp(inst: ContractionInstance, eps=None, stats: RunStats | None =
     if inst.eps is not None:
         schedule = map(min, schedule, eps_schedule(inst.p, inst.d, inst.eps))
     rules = [_approx_rule(e) for e in schedule]
-    return _search(inst, rules, stats, lambda v: cert("APPROX_FIX", v=v, eps=eps, p=p))
+    return _nested_search(inst, rules, lambda v: cert("APPROX_FIX", v=v, eps=eps, p=p), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +458,7 @@ def _uso_certs(inst: UsoInstance, budget: int):
         raise Exhausted("cube too large")
     vs = range(1 << inst.n)
     for v in vs:
-        o = inst.orient(v)
+        o = inst.O(v)
         if o is None:
             yield cert("USV1", v=v)
         elif o == 0:

@@ -75,7 +75,7 @@ def lemke_code(sys, basis) -> int:
     the duplicate label l."""
     d = sys.d
     u = sum(1 << i for i in range(d) if d + i not in basis)
-    dl = sys.duplicate_label(basis)
+    dl = next((i for i in range(d) if i not in basis and d + i not in basis), None)
     return u if dl is None else u | 1 << (d + dl)
 
 
@@ -88,10 +88,6 @@ class RowVertex(NamedTuple):
     pos: list
     t: list
     det: int
-
-    @property
-    def basis(self) -> frozenset:
-        return frozenset(self.rows)
 
     def as_vertex(self) -> Vertex:
         return Vertex(self.rows, self.pos, [list(col) for col in zip(*self.t)], self.det)
@@ -186,7 +182,7 @@ def lemke_rows(inst: LcpInstance, stats: RunStats, path: list | None = None) -> 
     path = path if path is not None else []
 
     def edge_cone(v, entering):
-        alpha = sys.support(v.basis)
+        alpha = sys.support(v)
         if entering < d:
             return alpha | {entering}
         return alpha - {entering - d}
@@ -217,7 +213,7 @@ def lemke_rows(inst: LcpInstance, stats: RunStats, path: list | None = None) -> 
             if principal_minor(inst.M, alpha) <= 0:
                 return cert("PV1", alpha=alpha)
             raise RuntimeError("z increased across a cone with a positive minor")
-        if sys.zvar not in v.basis:
+        if sys.zvar not in v.rows:
             return cert("Q1", y=sys.numeric_point(v.as_vertex())[0])
         entering = leaving + d if leaving < d else leaving - d
 
@@ -415,7 +411,7 @@ def potential_ref(view, u: int) -> tuple[int, ...]:
     scale = lcm(*(x.denominator for x in entries))
     i_max = max(abs(x) * scale for x in entries)
     delta = factorial(2 * d) * int(i_max) ** (2 * d + 1) + 1
-    basis = sorted(v.basis)
+    basis = sorted(v.rows)
     # Column of variable j: y_j is M's column j, w_j is -e_j, z is all ones.
     cols = [[m[i][j] if j < d else -(i == j - d) if j < 2 * d else 1 for i in range(d)]
             for j in basis]

@@ -23,6 +23,7 @@ from potline.problems import (
     UsoInstance,
     VariantMismatch,
     line_from_tables,
+    uso_to_json,
     verify,
 )
 from potline.cli import REDUCTIONS
@@ -98,8 +99,7 @@ def test_chain_evaluates_each_oracle_once_per_argument():
                 return _counting(fn, calls.setdefault((stage, field), Counter()))
 
             if isinstance(inst, UsoInstance):
-                # orient is memoized in place; count the raw function under it.
-                return UsoInstance(n=inst.n, orient=count("orient", inst.orient.__wrapped__))
+                return UsoInstance(n=inst.n, orient=count("orient", inst.orient))
             if isinstance(inst, OpdcInstance):
                 return replace(inst, direction=count("direction", inst.direction))
             fields = ("successor", "predecessor", "potential")
@@ -111,6 +111,21 @@ def test_chain_evaluates_each_oracle_once_per_argument():
         assert len(calls) == 9  # orient, direction, and the line oracles of four stages
         for key, counter in calls.items():
             assert counter and max(counter.values()) == 1, (seed, key, counter.most_common(1))
+
+
+def test_uso_keeps_its_oracle_and_memoizes_it_once_per_vertex():
+    # `orient` stays the function given; the verifier, brute force, the
+    # JSON writer and the grid view read the memo `O`, which asks it once
+    # per vertex.
+    calls = Counter()
+    orient = _counting(lambda v: None if v == 2 else 0b11 ^ v, calls)
+    inst = UsoInstance(n=2, orient=orient)
+    assert inst.orient is orient and not calls
+    for _ in range(2):
+        brute_force(inst)
+        uso_to_json(inst)
+        brute_force(UsoToOpdc(inst).image())
+    assert calls == {(v,): 1 for v in range(4)}
 
 
 def test_grid_evaluates_each_point_once():

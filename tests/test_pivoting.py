@@ -408,9 +408,38 @@ def test_eager_dictionaries_match_a_fresh_basis(monkeypatch):
         assert len(got) > d
         assert [eager for _, eager in got] == [False] * d + [True] * (len(got) - d), inst
         for v, _ in got:
-            assert _keyed(inst.system, v) == _keyed(fresh, fresh.vertex_at(v.basis)), inst
+            assert _keyed(inst.system, v) == _keyed(fresh, fresh.vertex_at(frozenset(v.rows))), inst
         walks += 1
     assert walks == 35  # Murty n = 2..10, one gen_lcp, one wild non-P, 24 wild integer
+
+
+def test_support_and_duplicate_label_match_the_rows(monkeypatch):
+    # `support` and `duplicate_label` read the basis from `pos`; the
+    # references here read it from `rows` alone, at every vertex a Lemke
+    # walk or a cone solve pivots to.
+    pivot, seen = LemkeSystem._pivot, []
+
+    def checked_pivot(self, *args):
+        v = pivot(self, *args)
+        d = self.d
+        dup = [l for l in range(d) if l not in v.rows and d + l not in v.rows]
+        assert len(dup) <= 1, v.rows
+        assert self.support(v) == {i for i in range(d) if i in v.rows}, v.rows
+        assert self.duplicate_label(v) == (dup[0] if dup else None), v.rows
+        seen.append(bool(dup))
+        return v
+
+    insts = [murty(n) for n in range(2, 9)]
+    insts += [gen_lcp(d, s, p_matrix=p) for d in range(1, 9) for s in range(40) for p in (True, False)]
+    insts += [inst for _, inst in wild_lcps()]
+    monkeypatch.setattr(LemkeSystem, "_pivot", checked_pivot)
+    for inst in insts:
+        lemke(inst)
+        if inst.d <= 4:
+            for r in range(inst.d + 1):
+                for alpha in combinations(range(inst.d), r):
+                    inst.system.cone_vertex(frozenset(alpha))
+    assert Counter(seen) == {True: 2099, False: 4788}  # with a duplicate label, without
 
 
 # -- Todd orientation from the running determinant ----------------------------
@@ -425,7 +454,7 @@ def _path_vertices(sys, max_pivots=200):
         if step is None:
             break
         v, leaving = step
-        if sys.zvar not in v.basis:
+        if sys.zvar not in v.rows:
             break
         out.append(v)
         entering = leaving + sys.d if leaving < sys.d else leaving - sys.d
@@ -439,15 +468,15 @@ def test_forward_entering_matches_determinant():
             for inst in (gen_lcp(d, s), gen_lcp(d, s, p_matrix=False)):
                 sys = LemkeSystem(inst.M, inst.q)
                 for v in _path_vertices(sys):
-                    l = sys.duplicate_label(v.basis)
-                    alpha = sys.support(v.basis)
+                    l = sys.duplicate_label(v)
+                    alpha = sys.support(v)
                     a = a_alpha(inst.M, alpha)
                     for r in range(d):
                         a[r][l] = F(1)
                     dd = determinant(a)
                     assert dd != 0
                     want = l if (dd > 0) == (len(alpha) % 2 == 0) else d + l
-                    assert sys.forward_entering(v) == want, (d, s, sorted(v.basis))
+                    assert sys.forward_entering(v) == want, (d, s, sorted(v.rows))
                     checked += 1
     assert checked > 150
 
@@ -471,11 +500,11 @@ def test_cone_sign_matches_principal_minor():
         sys = view.sys
         for u in range(1 << view.nbits):
             v = view.vertex_of(u)
-            if v is None or sys.zvar in v.basis:
+            if v is None or sys.zvar in v.rows:
                 continue
-            minor = principal_minor(view.src.M, sys.support(v.basis))
+            minor = principal_minor(view.src.M, sys.support(v))
             assert minor != 0
-            assert sys.cone_sign(v) == (1 if minor > 0 else -1), sorted(v.basis)
+            assert sys.cone_sign(v) == (1 if minor > 0 else -1), sorted(v.rows)
             checked += 1
     assert checked >= 40  # 42 vertices
 
@@ -552,7 +581,7 @@ def _cramer(basis_cols, b):
 
 def _check_dictionary(sys, m, q, v):
     d = len(q)
-    assert sorted(v.rows) == sorted(v.basis) and len(v.rows) == d
+    assert sorted(v.rows) == sorted(frozenset(v.rows)) and len(v.rows) == d
     assert all(v.pos[var] == ~i for i, var in enumerate(v.rows))
     assert sorted(c for c in v.pos if c >= 0) == list(range(d + 1))
     cols = _columns(m, q, scaled=True)
@@ -579,7 +608,7 @@ def _check_dictionary(sys, m, q, v):
             eta[x] = F(1)
             assert sys.direction(v, x) == eta, x
     zs, zdet = sys.z_row(v)
-    if sys.zvar in v.basis:
+    if sys.zvar in v.rows:
         # eps^k enters the right-hand side -q(eps) as -e_k.
         i = v.rows.index(sys.zvar)
         eps = [_cramer(basis0, [F(-(r == k)) for r in range(d)])[i] / det0 for k in range(d)]
@@ -604,7 +633,7 @@ def test_dictionary_matches_independent_solve(d, data):
     v, entering = sys.start_vertex()
     for _ in range(50):  # every vertex of Lemke's path, the last included
         _check_dictionary(sys, m, q, v)
-        if sys.zvar not in v.basis:
+        if sys.zvar not in v.rows:
             break
         step = sys.ratio_step(v, entering)
         if step is None:

@@ -1,9 +1,10 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potline.rational import bit_length, ceil_log2, determinant, frac, frac_str, integer, lp_pow, mat
+from potline.rational import bit_length, ceil_log2, determinant, frac, frac_str, int_row, integer, lp_pow, mat
 
 
 def test_determinant_examples():
@@ -59,6 +60,29 @@ def test_det_inverse_product(n, data):
     inv = [[(-1) ** (i + j) * determinant(minor(j, i)) / d for j in range(n)] for i in range(n)]
     eye = [[F(i == j) for j in range(n)] for i in range(n)]
     assert _matmul(a, inv) == eye == _matmul(inv, a)
+
+
+# Entries of every sign, zeros and whole numbers among them, some with large
+# numerators or denominators.
+row_entries = st.one_of(st.just(F(0)), st.integers(-10**30, 10**30).map(F),
+                        st.fractions(max_denominator=10**6), st.fractions(-2, 2, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(row_entries, min_size=1, max_size=12))
+def test_int_row_scales_by_the_lcm_of_the_denominators(row):
+    s = 1
+    for x in row:
+        s = s * x.denominator // gcd(s, x.denominator)
+    scaled = [x * s for x in row]
+    assert all(x.denominator == 1 for x in scaled)
+    assert int_row(row) == (s, [int(x) for x in scaled])
+
+
+def test_int_row_examples():
+    assert int_row([F(0)]) == (1, [0])
+    assert int_row([F(-3, 4)]) == (4, [-3])
+    assert int_row([F(1, 6), F(-5), F(0), F(3, 4)]) == (12, [2, -60, 0, 9])
 
 
 def test_frac_rejects_bools():

@@ -172,7 +172,7 @@ def test_potential_matches_reference():
             assert v_digits(view, view.potential(u)) == potential_ref(view, u), (inst, u)
         # The walk ends where z leaves the basis: every digit is Delta^3.
         end = view.vertex_of(codes[-1])
-        assert view.sys.zvar not in end.basis
+        assert view.sys.zvar not in end.rows
         assert v_digits(view, view.potential(codes[-1])) == (view.delta**3,) * (view.d + 1)
     assert len(_walk_codes(PlcpLineView(murty(8)))) == (1 << 8) + 1
 
@@ -339,9 +339,9 @@ def _check_carried(view):
     sys = view.sys
     for u, v in view._states.items():
         if v is not None:
-            assert u == lemke_code(sys, v.basis), u
+            assert u == lemke_code(sys, frozenset(v.rows)), u
             if v.fwd is not None:
-                assert v.fwd == sys.forward_entering(sys.vertex_at(v.basis)), u
+                assert v.fwd == sys.forward_entering(sys.vertex_at(frozenset(v.rows))), u
 
 
 def test_line_view_oracles_stay_pure():

@@ -134,7 +134,7 @@ def test_wild_lcp_stall_pairs_share_one_z():
             setattr(sys, name, record)
         for c in brute_force(view.image()):
             v = view.vertex_of(c.x) if c.kind in ("U1", "UV2") else None
-            if v is None or sys.zvar not in v.basis:
+            if v is None or sys.zvar not in v.rows:
                 continue
             pair = _stall_pair(view, v)
             if pair is not None:
