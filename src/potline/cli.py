@@ -111,7 +111,10 @@ def _digest(data) -> str:
 
 def _read_object(path) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return data

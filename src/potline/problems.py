@@ -6,13 +6,13 @@ oracle queries and exact arithmetic, so they work on instances that are
 exponentially large.
 
 Every oracle must be a pure function of its arguments.  Each line, grid
-and orientation instance memoizes its oracles with `memoize`, up to
-ORACLE_CACHE_SIZE entries per oracle, so a chain of reduction views asks
-each stage below for a value once rather than once per query above it.
-The memos are built on first use beside the oracles the instance was
-given, which stay as they were: a line instance's S, P and V and an
-orientation's O are the memos, so a hit runs no Python frame; a grid
-memoizes its directions per point, all d of them in one entry.
+and orientation instance memoizes its oracles in a `Memo`, the package's
+one cache, so a chain of reduction views asks each stage below for a value
+once rather than once per query above it.  The memos are built with the
+instance, beside the oracles it was given, which stay as they were: a line
+instance's S, P and V and an orientation's O are the memos' lookups, so a
+hit runs no Python frame; a grid memoizes its directions per point, all d
+of them in one entry.
 
 Conventions:
   * line-problem vertices are ints in [0, 2^n); a bit-string x with
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import product
 from operator import ge
 from typing import Callable, Optional
@@ -40,7 +40,7 @@ from .rational import Mat, Vec, frac, frac_str, int_row, integer, json_int, lp_p
 
 UP, DOWN, ZERO = "up", "down", "zero"
 
-# Entries kept per memoized oracle; the least recently used go first.
+# Entries a `Memo` holds; the next new one empties it first.
 ORACLE_CACHE_SIZE = 1 << 14
 
 # The most bits a file may give a vertex id or a potential: a `line` file's
@@ -58,20 +58,31 @@ MAX_BITS = 1 << 10
 MAX_KAPPA = 1 << 16
 
 
-def memoize(fn):
-    """Memo of a pure function, bounded by ORACLE_CACHE_SIZE."""
-    return lru_cache(maxsize=ORACLE_CACHE_SIZE)(fn)
+class Memo(dict):
+    """The one cache of oracle values and view states: `memo[x]` is
+    `fn(x)`, worked out on the first read and kept, and `keep(key, value)`
+    stores a value known without `fn`.  Either empties the dict first when
+    it holds ORACLE_CACHE_SIZE entries.  A raising `fn` stores nothing, so
+    it raises on every read; with no `fn`, a missing key raises KeyError,
+    as in a plain dict."""
 
+    __slots__ = ("fn",)
 
-def keep(cache: dict, key, value):
-    """Store value under key in a dict cache and return it; the cache is
-    emptied first when it holds ORACLE_CACHE_SIZE entries.  The one bound of
-    the dicts that views keep per code, which a view fills from more than
-    one place, so no lru_cache can hold them."""
-    if len(cache) >= ORACLE_CACHE_SIZE:
-        cache.clear()
-    cache[key] = value
-    return value
+    def __init__(self, fn={}.__getitem__):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if len(self) >= ORACLE_CACHE_SIZE:
+            self.clear()
+        self[key] = value
+        return value
+
+    def keep(self, key, value):
+        if len(self) >= ORACLE_CACHE_SIZE:
+            self.clear()
+        self[key] = value
+        return value
 
 
 class VariantMismatch(ValueError):
@@ -171,9 +182,9 @@ class LineInstance:
     two-way flavors read it, since a forward-only walk also checks S at
     the vertex after the last step.
 
-    S, P and V are the memos of the pure oracles (module docstring); a
-    missing P or V raises VariantMismatch on every call.  `run` is not
-    memoized: a walk asks it once per jump.
+    S, P and V are the lookups of the pure oracles' memos, built with the
+    instance (module docstring); a missing P or V raises VariantMismatch on
+    every call.  `run` is not memoized: a walk asks it once per jump.
     """
 
     n: int
@@ -188,21 +199,11 @@ class LineInstance:
     def __post_init__(self):
         if self.flavor not in LINE_KINDS:
             raise ValueError(f"unknown flavor {self.flavor}")
-
-    # Memos are built on first use, since views are often built in bulk and
-    # queried one at a time.  They hold the oracle, not the instance, so no
-    # reference cycle keeps a dropped instance and its cache alive.
-    @cached_property
-    def S(self) -> Callable[[int], int]:
-        return memoize(self.successor)
-
-    @cached_property
-    def P(self) -> Callable[[int], int]:
-        return memoize(self.predecessor or _missing(self.flavor, "predecessor"))
-
-    @cached_property
-    def V(self) -> Callable[[int], int]:
-        return memoize(self.potential or _missing(self.flavor, "potential"))
+        # The memos hold the oracles, not the instance, so no reference
+        # cycle keeps a dropped instance and its caches alive.
+        self.S = Memo(self.successor).__getitem__
+        self.P = Memo(self.predecessor or partial(_missing, self.flavor, "predecessor")).__getitem__
+        self.V = Memo(self.potential or partial(_missing, self.flavor, "potential")).__getitem__
 
     @property
     def size(self) -> int:
@@ -219,13 +220,10 @@ class LineInstance:
         return range(self.size)
 
 
-def _missing(flavor: str, oracle: str):
-    """An absent oracle: raises VariantMismatch and holds no instance."""
-
-    def raiser(x):
-        raise VariantMismatch(f"{flavor} has no {oracle} oracle")
-
-    return raiser
+def _missing(flavor: str, oracle: str, x):
+    """An absent oracle, given its flavor and name by `partial`: raises
+    VariantMismatch and holds no instance."""
+    raise VariantMismatch(f"{flavor} has no {oracle} oracle")
 
 
 def line_from_tables(n, s_table, p_table=None, v_table=None, flavor="eopl", m_pot=None):
@@ -255,17 +253,16 @@ class OpdcInstance:
     """Grid widths (k_0..k_{d-1}) plus one direction oracle per point:
     direction(p) is the tuple (D_0(p), ..., D_{d-1}(p)).
 
-    `direction` must be pure: the grid memoizes it per point (module
-    docstring) after the grid check, so an off-grid point raises OffGrid
-    on every call.
+    `direction` must be pure: the grid memoizes it per point in a memo
+    built with the instance (module docstring), after the grid check, so
+    an off-grid point raises OffGrid on every call.
     """
 
     widths: tuple
     direction: Callable[[tuple], tuple]
 
-    @cached_property
-    def _D(self):
-        return memoize(self.direction)
+    def __post_init__(self):
+        self._D = Memo(self.direction).__getitem__
 
     @property
     def d(self) -> int:
@@ -304,16 +301,15 @@ class OpdcInstance:
 @dataclass
 class UsoInstance:
     """Orientation of the n-cube: `orient(v)` is v's out-map bits, or None
-    for a dash.  It must be pure: `O` is its memo (module docstring), which
-    the verifier, brute force and the views read; `orient` stays the
-    function the instance was given."""
+    for a dash.  It must be pure: `O` is its memo's lookup, built with the
+    instance (module docstring), which the verifier, brute force and the
+    views read; `orient` stays the function the instance was given."""
 
     n: int
     orient: Callable[[int], Optional[int]]
 
-    @cached_property
-    def O(self) -> Callable[[int], Optional[int]]:
-        return memoize(self.orient)
+    def __post_init__(self):
+        self.O = Memo(self.orient).__getitem__
 
 
 @dataclass

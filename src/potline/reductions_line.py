@@ -106,38 +106,37 @@ class LineView(View):
 
     A view that works something out per key (a code, or a source vertex)
     defines `_compute_state(key)` and reads it through `state(key)`, which
-    keeps it in `_states`, a plain dict bounded by `problems.keep` (a memo
-    of a bound method would make a reference cycle through the view); a
-    step that already knows its neighbour's state hands it on (`seed`).
+    keeps it in `_states`, a `problems.Memo` with no function that is
+    filled through its `keep` (a memo of the bound method would make a
+    reference cycle through the view); a step that already knows its
+    neighbour's state hands it on (`seed`).
 
     A view whose steps are reversible records the edge that each step
     crossed under the code it reached (`_arrive`), one entry per edge in
-    `_arrivals`, bounded the same way: P(w) = u after a forward step
+    `_arrivals`, a Memo filled the same way: P(w) = u after a forward step
     u -> w, S(w) = u after a backward one, so the oracle that asks the
     edge back, such as P(S(x)) on a walk, is a read (`_arrived_from`)."""
 
     def __init__(self, src):
         super().__init__(src)
-        self._states: dict = {}
-        self._arrivals: dict = {}
+        self._states = problems.Memo()
+        self._arrivals = problems.Memo()
 
     def state(self, key):
         """`_compute_state(key)`, worked out once while it is kept."""
-        try:
-            return self._states[key]
-        except KeyError:
-            return problems.keep(self._states, key, self._compute_state(key))
+        states = self._states
+        return states[key] if key in states else states.keep(key, self._compute_state(key))
 
     def seed(self, key, value) -> None:
         """Keep the state of key, known without `_compute_state`, unless
         one is kept already."""
         if key not in self._states:
-            problems.keep(self._states, key, value)
+            self._states.keep(key, value)
 
     def _arrive(self, u, w, forward: bool):
         """Record that a forward (else backward) step from u reached w;
         returns w."""
-        problems.keep(self._arrivals, w, (u, forward))
+        self._arrivals.keep(w, (u, forward))
         return w
 
     def _arrived_from(self, w, forward: bool):

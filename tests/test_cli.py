@@ -866,6 +866,25 @@ def test_malformed_instance_exits_2(tmp_path, capsys, problem, instance, message
     assert err.count("\n") == 1
 
 
+# 1000 nested arrays, deeper than `json` parses: an LCP instance's M and a
+# Q1 certificate's y.
+_DEEP = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize("argv, nested", [
+    (["solve", "{inst}", "--problem", "plcp", "--algo", "lemke"], "inst"),
+    (["reduce", "{inst}", "--chain", "plcp:ueopl", "--query", "S", "0000"], "inst"),
+    (["verify", "{inst}", "{cert}", "--problem", "plcp"], "inst"),
+    (["verify", "{plcp}", "{cert}", "--problem", "plcp"], "cert"),
+], ids=["solve-instance", "reduce-instance", "verify-instance", "verify-certificate"])
+def test_deeply_nested_json_exits_2(files, tmp_path, capsys, argv, nested):
+    paths = {"inst": tmp_path / "inst.json", "cert": tmp_path / "cert.json", "plcp": files["plcp"]}
+    paths["inst"].write_text(f'{{"M": {_DEEP}, "q": []}}')
+    paths["cert"].write_text(f'{{"kind": "Q1", "y": {_DEEP}}}')
+    code, out, err = run_err(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {paths[nested]} is nested too deeply to parse\n")
+
+
 @pytest.mark.parametrize("kind, problem, field, argv", [
     ("line", "line", "m", ["verify", "{inst}", "{cert}"]),
     ("line", "line", "n", ["verify", "{inst}", "{cert}"]),

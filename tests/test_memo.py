@@ -1,8 +1,9 @@
-"""The oracle memo at the instance boundary: checks still raise on every
-call, a bounded cache gives the same answers as an unbounded one, a
-composed chain evaluates each stage's oracle once per distinct argument,
-the walk asks each memo a bounded number of times per step, and a dropped
-instance frees its memos."""
+"""The oracle memo at the instance boundary: `problems.Memo`'s one rule
+(one evaluation per key, emptied at ORACLE_CACHE_SIZE entries), checks
+still raise on every call, a bounded cache gives the same answers as an
+unbounded one, a composed chain evaluates each stage's oracle once per
+distinct argument, the walk asks each memo a bounded number of times per
+step, and a dropped instance frees its memos."""
 
 import gc
 import weakref
@@ -33,6 +34,51 @@ from potline.reductions_opdc import ContractionToOpdc, OpdcLineView, UsoToOpdc
 from potline.solvers import RunStats, brute_force, follow_line, lemke
 
 from helpers import FULL_CHAIN, gen_normalized_line, murty
+
+
+def test_memo_evaluates_each_key_once():
+    calls = Counter()
+    memo = problems.Memo(_counting(lambda x: 2 * x, calls))
+    for _ in range(3):
+        assert [memo[x] for x in range(5)] == [0, 2, 4, 6, 8]
+    assert calls == {(x,): 1 for x in range(5)}
+
+
+def test_memo_empties_itself_before_a_key_past_the_bound(monkeypatch):
+    # Both ways in, a miss and `keep`, empty a full memo before they store.
+    monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", 4)
+    memo = problems.Memo(lambda x: x * x)
+    assert [memo[x] for x in range(4)] == [0, 1, 4, 9] and len(memo) == 4
+    assert memo[4] == 16 and memo == {4: 16}
+    for x in range(5, 20):
+        assert memo[x] == x * x and len(memo) <= 4
+    kept = problems.Memo()
+    for x in range(4):
+        assert kept.keep(x, -x) == -x
+    assert len(kept) == 4
+    kept.keep(4, -4)
+    assert kept == {4: -4}
+
+
+def test_memo_of_a_raising_function_stores_nothing():
+    calls = Counter()
+
+    def raiser(x):
+        calls[x] += 1
+        raise VariantMismatch(f"no value at {x}")
+
+    memo = problems.Memo(raiser)
+    for _ in range(3):
+        with pytest.raises(VariantMismatch):
+            memo[7]
+    assert not memo and calls == {7: 3}
+
+
+def test_memo_without_a_function_holds_only_what_it_keeps():
+    memo = problems.Memo()
+    with pytest.raises(KeyError):
+        memo[1]
+    assert memo.keep(1, None) is None and memo[1] is None and memo == {1: None}
 
 
 def test_missing_predecessor_raises_on_every_call():
@@ -142,11 +188,12 @@ def test_grid_evaluates_each_point_once():
             assert 0 < sum(calls.values()) <= points, (seed, type(view).__name__, calls, points)
 
 
-# (d, seed) of gen_lcp -> memo misses of S, P and V at the ufeopl, plus1,
-# ueopl and normalized stages after the step-by-step walk (the normalized
-# image without its `run` oracle) and the map-back, recorded before the
-# pebbling and normalization views kept per-code state.  A view may ask the
-# stage below fewer times, but for the same set of arguments.
+# (d, seed) of gen_lcp -> memo misses of S, P and V, counted as evaluations
+# of the oracles behind them, at the ufeopl, plus1, ueopl and normalized
+# stages after the step-by-step walk (the normalized image without its
+# `run` oracle) and the map-back, recorded before the pebbling and
+# normalization views kept per-code state.  A view may ask the stage below
+# fewer times, but for the same set of arguments.
 PINNED_MISSES = {
     (1, 0): (3, 0, 3, 2, 0, 1, 1, 1, 1, 128, 128, 128),
     (1, 1): (3, 0, 3, 2, 0, 1, 1, 1, 1, 128, 128, 128),
@@ -174,20 +221,28 @@ PINNED_JUMP_MISSES = {
 }
 
 
+_LINE_ORACLES = ("successor", "predecessor", "potential")
+
+
+def _count_oracles(inst, calls: dict):
+    """inst rebuilt with each line oracle it has counted into its own
+    Counter in calls, keyed by oracle name; its memos are new, so each
+    count is the oracle's evaluations, its memo's misses."""
+    return replace(inst, **{f: _counting(getattr(inst, f), calls.setdefault(f, Counter()))
+                            for f in _LINE_ORACLES if getattr(inst, f) is not None})
+
+
 def _stage_misses(d, seed, jump):
-    stages = {}
+    calls = {}
 
-    def keep(stage, inst):
-        stages[stage] = inst
-        return inst
+    def count(stage, inst):
+        return _count_oracles(inst, calls.setdefault(stage, {})) if isinstance(inst, LineInstance) else inst
 
-    norm, backs = _chain(gen_lcp(d, seed, nondegenerate=True), keep)
-    if not jump:
-        norm = replace(norm, run=None)
-    stages["normalized"] = norm
+    norm, backs = _chain(gen_lcp(d, seed, nondegenerate=True), count)
+    norm = _count_oracles(norm if jump else replace(norm, run=None), calls.setdefault("normalized", {}))
     _solve_chain(norm, backs)
-    return tuple(getattr(stages[stage], name).cache_info().misses
-                 for stage in ("ufeopl", "plus1", "ueopl", "normalized") for name in "SPV")
+    return tuple(sum(calls[stage].get(name, {}).values())
+                 for stage in ("ufeopl", "plus1", "ueopl", "normalized") for name in _LINE_ORACLES)
 
 
 def test_stage_memo_misses_pinned():
@@ -209,8 +264,10 @@ def _walk_record(lcp):
     return c, stats
 
 
-class _SizeLog(dict):
-    """A dict that logs its size after every insert."""
+class _SizeLog(problems.Memo):
+    """A memo with no function that logs its size after every insert."""
+
+    __slots__ = ("sizes",)
 
     def __init__(self, sizes: list):
         super().__init__()
@@ -252,8 +309,7 @@ def test_walk_longer_than_cap_matches_unbounded(monkeypatch):
             for key in range(4 * cap):
                 view.state(key)
         for memo in (norm.S, norm.P, norm.V):
-            info = memo.cache_info()
-            assert info.maxsize == cap and info.currsize <= cap
+            assert len(memo.__self__) <= cap
     for name, logged in sizes.items():
         assert max(logged) <= cap < len(logged), (name, max(logged), len(logged))
 
@@ -306,9 +362,16 @@ def test_vertex_cache_stays_within_cap(monkeypatch):
     assert max(back_sizes) <= cap < len(back_sizes)
 
 
-def _lookups(line):
-    infos = {name: getattr(line, name).cache_info() for name in "SPV"}
-    return {name: info.hits + info.misses for name, info in infos.items()}
+def _count_lookups(line, lookups: Counter):
+    """Count each read of line's S, P and V memos into lookups, by name."""
+    for name in "SPV":
+        memo = getattr(line, name)
+
+        def counted(x, memo=memo, name=name):
+            lookups[name] += 1
+            return memo(x)
+
+        setattr(line, name, counted)
 
 
 def test_walk_queries_each_memo_a_bounded_number_of_times_per_step():
@@ -318,9 +381,9 @@ def test_walk_queries_each_memo_a_bounded_number_of_times_per_step():
     norm = _chain(gen_lcp(2, 0, nondegenerate=True))[0]
     lines = [replace(norm, run=None), PlcpLineView(murty(5)).image()]
     for line in lines:
-        stats = RunStats()
+        stats, lookups = RunStats(), Counter()
+        _count_lookups(line, lookups)
         follow_line(line, 0, stats=stats)
-        lookups = _lookups(line)
         assert stats.steps > 10 and lookups["S"] >= stats.steps, (stats, lookups)
         assert lookups["S"] <= stats.steps and lookups["P"] <= stats.steps, (stats, lookups)
         assert lookups["V"] <= 2 * stats.steps, (stats, lookups)
@@ -337,10 +400,10 @@ def test_walk_with_the_jump_queries_only_the_steps_it_takes():
             return jumped[-1]
 
         line = replace(norm, run=run)
-        stats = RunStats()
+        stats, lookups = RunStats(), Counter()
+        _count_lookups(line, lookups)
         follow_line(line, 0, stats=stats)
         taken = stats.steps - sum(jumped)
-        lookups = _lookups(line)
         assert sum(jumped) > 0 and lookups["S"] == taken, (d, seed, stats, sum(jumped), lookups)
         assert lookups["P"] <= taken and lookups["V"] <= 2 * taken, (d, seed, stats, lookups)
 
@@ -348,23 +411,27 @@ def test_walk_with_the_jump_queries_only_the_steps_it_takes():
 def test_dropped_instance_frees_its_memos():
     # Memos hold the oracles, and the stand-in for a missing P or V holds
     # only the flavor string, so no reference cycle outlives `del`.
-    insts = [
+    lines = [
         line_from_tables(2, {0: 1, 1: 2}, {1: 0, 2: 1}, {1: 1, 2: 2}),
         line_from_tables(2, {0: 1}, v_table={1: 1}, flavor="ufeopl"),
         LineInstance(n=2, successor=lambda x: x, predecessor=lambda x: x, flavor="endofline"),
     ]
+    grid = OpdcInstance(widths=(1, 1), direction=lambda p: (ZERO, UP))
+    uso = UsoInstance(n=2, orient=lambda v: 0b11 ^ v)
     gc.disable()
     try:
         refs = []
-        for inst in insts:
+        for inst in lines:
             for name in "SPV":
                 try:
                     getattr(inst, name)(0)
                 except VariantMismatch:
                     pass
             refs.append(weakref.ref(inst))
-        del inst, insts
-        assert [ref() for ref in refs] == [None, None, None]
+        assert grid.D(1, (0, 1)) == UP and uso.O(1) == 0b10
+        refs += [weakref.ref(grid), weakref.ref(uso)]
+        del inst, lines, grid, uso
+        assert [ref() for ref in refs] == [None] * 5
         # The pebbling and normalization views keep per-code state in
         # dicts; a walked chain of them is freed by reference counts alone.
         src = gen_line(1 << 4, seed=1, flavor="ufeoplplus1", gaps=[1] * 15)

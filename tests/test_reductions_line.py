@@ -166,21 +166,23 @@ def test_plus1_map_backs():
             assert verify(src, view.map_back(cc))
 
 
-def test_plus1_asks_its_source_once_per_vertex():
+def test_plus1_asks_its_source_once_per_vertex(monkeypatch):
     # The +1 view reads S(v), V(v) and V(S(v)) of a source vertex v once,
     # as v's state; only V(x) of a +1 code asks V of its vertex again, once
     # per code through the +1 memo.  The d = 5 ueopl walk meets each +1
     # code's successor once, and most source vertices under many codes.
     ufeopl = compose(gen_lcp(5, 0, nondegenerate=True), FULL_CHAIN[:FULL_CHAIN.index("ufeopl") + 1])[0]
+    s, v = (count_calls(monkeypatch, ufeopl, name) for name in "SV")  # memo lookups
+    # Evaluations of the +1 oracles, which are its memos' misses.
+    plus1_s, plus1_v = (count_calls(monkeypatch, UfeoplToPlus1, name) for name in ("successor", "potential"))
     view = UfeoplToPlus1(ufeopl)
     plus1 = view.image()
     stats = RunStats()
     follow_line(PebblingView(plus1).image(), 0, stats=stats)
-    s, v = ufeopl.S.cache_info(), ufeopl.V.cache_info()
     vertices = len(view._states)
-    assert stats.steps == 2431 and plus1.S.cache_info().misses > 2 * vertices > 0
-    assert s.hits + s.misses == vertices
-    assert v.hits + v.misses == 2 * vertices + plus1.V.cache_info().misses
+    assert stats.steps == 2431 and plus1_s[0] > 2 * vertices > 0
+    assert s[0] == vertices
+    assert v[0] == 2 * vertices + plus1_v[0]
 
 
 def test_view_codes_count_against_the_budget():
