@@ -72,11 +72,7 @@ class Memo(dict):
         self.fn = fn
 
     def __missing__(self, key):
-        value = self.fn(key)
-        if len(self) >= ORACLE_CACHE_SIZE:
-            self.clear()
-        self[key] = value
-        return value
+        return self.keep(key, self.fn(key))
 
     def keep(self, key, value):
         if len(self) >= ORACLE_CACHE_SIZE:
@@ -255,14 +251,18 @@ class OpdcInstance:
 
     `direction` must be pure: the grid memoizes it per point in a memo
     built with the instance (module docstring), after the grid check, so
-    an off-grid point raises OffGrid on every call.
+    an off-grid point raises OffGrid on every call.  Rebinding `direction`
+    builds a new memo over the new function (the benchmark's tracer wraps
+    it so).
     """
 
     widths: tuple
     direction: Callable[[tuple], tuple]
 
-    def __post_init__(self):
-        self._D = Memo(self.direction).__getitem__
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "direction":
+            super().__setattr__("_D", Memo(value).__getitem__)
 
     @property
     def d(self) -> int:
@@ -303,13 +303,17 @@ class UsoInstance:
     """Orientation of the n-cube: `orient(v)` is v's out-map bits, or None
     for a dash.  It must be pure: `O` is its memo's lookup, built with the
     instance (module docstring), which the verifier, brute force and the
-    views read; `orient` stays the function the instance was given."""
+    views read; `orient` stays the function the instance was given, and
+    rebinding it builds a new memo over the new function, as for
+    `OpdcInstance.direction`."""
 
     n: int
     orient: Callable[[int], Optional[int]]
 
-    def __post_init__(self):
-        self.O = Memo(self.orient).__getitem__
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "orient":
+            super().__setattr__("O", Memo(value).__getitem__)
 
 
 @dataclass

@@ -119,13 +119,14 @@ class LineView(View):
 
     def __init__(self, src):
         super().__init__(src)
-        self._states = problems.Memo()
-        self._arrivals = problems.Memo()
+        self._states, self._arrivals = problems.Memo(), problems.Memo()
 
     def state(self, key):
         """`_compute_state(key)`, worked out once while it is kept."""
-        states = self._states
-        return states[key] if key in states else states.keep(key, self._compute_state(key))
+        try:
+            return self._states[key]
+        except KeyError:
+            return self._states.keep(key, self._compute_state(key))
 
     def seed(self, key, value) -> None:
         """Keep the state of key, known without `_compute_state`, unless

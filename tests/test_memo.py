@@ -174,6 +174,22 @@ def test_uso_keeps_its_oracle_and_memoizes_it_once_per_vertex():
     assert calls == {(v,): 1 for v in range(4)}
 
 
+def test_rebound_oracle_is_memoized_anew():
+    # Rebinding `orient` or `direction` on a built instance (the benchmark's
+    # tracer wraps them so) builds a new memo over the new function: every
+    # later read goes through it, once per argument.
+    calls = Counter()
+    uso = UsoInstance(n=2, orient=lambda v: 0b11 ^ v)
+    assert uso.O(1) == 0b10
+    uso.orient = _counting(uso.orient, calls)
+    assert [uso.O(v) for v in (1, 1, 2)] == [0b10, 0b10, 0b01]
+    grid = OpdcInstance(widths=(1, 1), direction=lambda p: (ZERO, UP))
+    assert grid.D(1, (0, 1)) == UP
+    grid.direction = _counting(grid.direction, calls)
+    assert [grid.D(i, (0, 1)) for i in (0, 1)] == [ZERO, UP]
+    assert calls == {(1,): 1, (2,): 1, ((0, 1),): 1}
+
+
 def test_grid_evaluates_each_point_once():
     # direction(p) gives all d directions of p, and the grid memoizes it
     # per point, so brute force asks each image at most once per point.
