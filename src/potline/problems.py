@@ -171,16 +171,19 @@ class LineInstance:
     valid) vertex ids for desk-scale brute force when 2^n is too large,
     raising Exhausted when it would scan or list more than budget.
 
-    `run`, optional like `predecessor`, is a pure oracle that lets a walk
-    cross plain +1 steps in one jump: run(x) is a count r >= 0 such that
-    for each j < r, S(x+j) = x+j+1, P(x+j+1) = x+j and V(x+j+1) =
-    V(x+j) + 1.  0 is always a correct answer.  Only the walks of the
-    two-way flavors read it, since a forward-only walk also checks S at
-    the vertex after the last step.
+    `jump`, optional like `predecessor`, is a pure oracle that lets a walk
+    cross many steps in one call: jump(x, cap) is (r, y) with 0 <= r <= cap
+    for a path x = x_0 -> x_1 -> ... -> x_r = y on which, for each j < r,
+    S(x_j) = x_(j+1) != x_j, P(x_(j+1)) = x_j and the flavor's
+    `bad(V(x_j), V(x_(j+1)))` is false, so no certificate of a two-way
+    line fires on it.  (0, x) is always a correct answer.  Only the walks
+    of the two-way flavors with no watch list read it: a forward-only
+    walk also checks S at the vertex after each step, and a watched one
+    compares every potential it passes.
 
     S, P and V are the lookups of the pure oracles' memos, built with the
     instance (module docstring); a missing P or V raises VariantMismatch on
-    every call.  `run` is not memoized: a walk asks it once per jump.
+    every call.  `jump` is not memoized: a walk asks it once per jump.
     """
 
     n: int
@@ -190,7 +193,7 @@ class LineInstance:
     flavor: str = "eopl"
     m_pot: int = 0
     vertex_iter: Optional[Callable[[int], "list[int]"]] = None
-    run: Optional[Callable[[int], int]] = None
+    jump: Optional[Callable[[int, int], "tuple[int, int]"]] = None
 
     def __post_init__(self):
         if self.flavor not in LINE_KINDS:

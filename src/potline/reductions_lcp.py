@@ -7,7 +7,7 @@ duplicate label (all zero when z = 0), whose two variables are both
 nonbasic, so its tight bit is set.  The line view decodes a code in one
 place (`PlcpLineView._compute_state`), which rejects every code that no
 basis has, and encodes one in two: the pivot that reaches a vertex
-(`_step`) and the Lemke start (`start`).  Invalid codes self-loop.
+(`_code_after`) and the Lemke start (`start`).  Invalid codes self-loop.
 The potential of a vertex packs d + 1 digits, one per eps coefficient of
 z and each in [0, 2^b) for b the bit length of 2 Delta^3, in radix 2^b,
 so it fits in m_pot = b (d + 1) bits (`PlcpLineView`).
@@ -111,17 +111,32 @@ class PlcpLineView(LineView):
     The state of a code is its vertex (`vertex_of`).  A walk costs one
     tableau pivot per path edge, as `lemke` does: the start vertex is one
     pivot from the slack tableau and is seeded under its code.  The pivot
-    that crosses an edge u -> w (`_step`) gives w's code from u's by the
-    bits of its entering and leaving variables, seeds w's vertex, and
-    records the edge back (`LineView._arrive`): P(w) = u after a forward
-    step, S(w) = u after a backward one.  Under the lex perturbation a
+    that crosses an edge u -> w, forward (`jump`, which S takes one step
+    of) or backward (`_step_back`), gives w's code from u's by the bits of
+    its entering and leaving variables (`_code_after`), seeds w's vertex,
+    and records the edge back (`LineView._arrive`): P(w) = u after a
+    forward step, S(w) = u after a backward one.  Under the lex perturbation a
     pivot is exactly reversible, and an edge's orientation is a property
     of the edge (the `pivoting` docstring), so the walk's P(S(x)) is that
     read, with no pivot and no orientation.  The same edge is w's other
     one: forward, w's forward variable (`Vertex.fwd`) is the complement
     of the leaving variable, backward the leaving variable itself.  Only
     codes reached through `_compute_state` (the start, sampled or queried
-    codes) work their orientation out from a determinant sign."""
+    codes) work their orientation out from a determinant sign.
+
+    A walk crosses the path in jumps (`jump`): it pivots edge to edge as
+    `successor` does, from one vertex object to the next, and seeds only
+    the vertex it lands on, so it holds a few states, not one per step.
+    It asks no potential, yet V rises on every step it takes, as the walk's
+    UV1 check wants: it only takes edges on which `dz_sign` is -1, and
+    from a lex-feasible vertex the step is lex-positive, so z falls
+    lexicographically.  At the first eps coefficient where the two z
+    values differ, the new one, n'/D', is below the old, n/D, both in
+    lowest terms with |D|, |D'| < Delta (the bound above, on the minor
+    that is the denominator), so they differ by at least 1/|D D'| >
+    1/Delta^2.  Times Delta^2 that is more than 1, so that digit rises,
+    the digits before it are equal, and V, which orders as the digit
+    tuples do, rises."""
 
     flavor = "ueopl"
 
@@ -154,9 +169,10 @@ class PlcpLineView(LineView):
 
     def _compute_state(self, u: int):
         """The vertex of a valid code, else None: the layout's one decoder
-        (`_step` and `start` encode).  A valid code has no bit at or above
-        2d and at most one duplicate bit, whose label is tight (neither of
-        its variables is basic), and names a solvable, lex-feasible basis."""
+        (`_code_after` and `start` encode).  A valid code has no bit at or
+        above 2d and at most one duplicate bit, whose label is tight
+        (neither of its variables is basic), and names a solvable,
+        lex-feasible basis."""
         d = self.d
         dup = u >> d
         l = dup.bit_length() - 1  # the duplicate label, -1 for none
@@ -171,34 +187,71 @@ class PlcpLineView(LineView):
             return None
         return v
 
-    def _step(self, u: int, v: Vertex, entering: int, dz: int) -> int | None:
-        """Code of the neighbour w of u (vertex v) across the edge on which
-        `entering` grows, if z moves in the direction `dz` along it: -1
-        steps forward, +1 backward.  The pivot gives w's code and its
-        forward variable from u's, and the edge back, which it records
-        (class docstring); w is lex-feasible, so its vertex is seeded."""
-        sys, d = self.sys, self.d
-        if sys.dz_sign(v, entering) != dz:
-            return None
-        step = sys.ratio_step(v, entering)
-        if step is None:
-            return None  # the edge is a ray
-        w, leaving = step
+    def _code_after(self, u: int, w: Vertex, entering: int, leaving: int, forward: bool) -> int:
+        """The code of w, reached from code u by the pivot on which
+        `entering` entered and `leaving` left, forward (z falling) or
+        backward; sets w's forward variable from the edge crossed (class
+        docstring).  The one statement of the code's bit update."""
+        d = self.d
         # A w entering clears its tight bit and a w leaving sets it; the
         # duplicate label becomes the leaving variable's, none if z left.
         code = u & ((1 << d) - 1)
         if d <= entering < 2 * d:
             code &= ~(1 << (entering - d))
-        if leaving != sys.zvar:
+        if leaving != self.sys.zvar:
             if leaving >= d:
                 code |= 1 << (leaving - d)
             code |= 1 << (d + leaving % d)
             # Entering `leaving` at w crosses this edge back, which is w's
             # forward edge after a backward step; after a forward step w's
             # forward edge is the other one, its complement's.
-            w.fwd = leaving if dz > 0 else (leaving + d) % (2 * d)
+            w.fwd = (leaving + d) % (2 * d) if forward else leaving
+        return code
+
+    def _step_back(self, u: int, v: Vertex, entering: int) -> int | None:
+        """Code of the neighbour w of u (vertex v) across the edge on which
+        `entering` grows, if z rises along it, so that it is the edge into
+        u.  The pivot gives w's code and its forward variable from u's, and
+        the edge back, which it records (class docstring); w is
+        lex-feasible, so its vertex is seeded."""
+        sys = self.sys
+        if sys.dz_sign(v, entering) != 1:
+            return None
+        step = sys.ratio_step(v, entering)
+        if step is None:
+            return None  # the edge is a ray
+        w, leaving = step
+        code = self._code_after(u, w, entering, leaving, False)
         self.seed(code, w)
-        return self._arrive(u, code, dz < 0)
+        return self._arrive(u, code, False)
+
+    def jump(self, u: int, cap: int) -> tuple[int, int]:
+        """(r, y): the r <= cap forward steps from code u to y, each a pivot
+        on an edge along which z falls (`LineInstance.jump`); S is the
+        landing of one.  It stops at z = 0, at a ray, at an edge along which
+        z does not fall, at a code whose successor a backward step has
+        recorded, and at cap: from there the walk steps through S.  It asks
+        no S, P or V; it seeds y's vertex and records the edge into y, and
+        keeps none of the vertices it passes."""
+        v = self.vertex_of(u)
+        if v is None:
+            return 0, u
+        sys, zvar = self.sys, self.sys.zvar
+        r = 0
+        while r < cap and v.pos[zvar] < 0 and self._arrived_from(u, False) is None:
+            entering = sys.forward_entering(v)
+            if sys.dz_sign(v, entering) != -1:
+                break
+            step = sys.ratio_step(v, entering)
+            if step is None:
+                break
+            w, leaving = step
+            prev, u, v = u, self._code_after(u, w, entering, leaving, True), w
+            r += 1
+        if r:
+            self.seed(u, v)
+            self._arrive(prev, u, True)
+        return r, u
 
     # -- oracles ---------------------------------------------------------------
     def successor(self, u: int) -> int:
@@ -209,11 +262,9 @@ class PlcpLineView(LineView):
             code, v = self.start()
             self.seed(code, v)
             return code
-        v = self.vertex_of(u)
-        if v is None or v.pos[self.sys.zvar] >= 0:
-            return u  # z = 0: ends of the line have no successor
-        nxt = self._step(u, v, self.sys.forward_entering(v), -1)
-        return u if nxt is None else nxt
+        # u itself, a self-loop, where no forward step leaves: no vertex,
+        # z = 0 (an end of the line) or a stall.
+        return self.jump(u, 1)[1]
 
     def predecessor(self, u: int) -> int:
         prev = self._arrived_from(u, True)
@@ -232,7 +283,7 @@ class PlcpLineView(LineView):
             entering = self.sys.zvar
         else:
             entering = self.sys.backward_entering(v)
-        nxt = self._step(u, v, entering, 1)
+        nxt = self._step_back(u, v, entering)
         return u if nxt is None else nxt
 
     def potential(self, u: int) -> int:

@@ -100,7 +100,7 @@ class Slots:
 class LineView(View):
     """A lazy line instance over the source `src`.  Subclasses set `nbits`,
     `m_pot` and `flavor`, define `successor` and `potential` (and
-    `predecessor`, `run` and `enumerate_codes` where they have them), and
+    `predecessor`, `jump` and `enumerate_codes` where they have them), and
     `candidates(c)`.  Codes that pack a high and a low field use `_split`
     and `_join` with the low field `low_bits` wide.
 
@@ -161,7 +161,7 @@ class LineView(View):
             flavor=self.flavor,
             m_pot=self.m_pot,
             vertex_iter=getattr(self, "enumerate_codes", None),
-            run=getattr(self, "run", None),
+            jump=getattr(self, "jump", None),
         )
 
 
@@ -320,11 +320,11 @@ class ChainView(LineView):
     What a step needs of v is read from the source once per view, as the
     state of v (`state(v)`, which a subclass defines): the code after v's
     chain and the chain's last index, -1 when v has none.  `successor`,
-    `potential` and `run` read it; a walk of a two-way line, the normalized
-    one, crosses a whole chain in one jump and asks the source only where
-    it leaves one.  Each stage names S and V in its own class body, so that
-    a traced call is counted under the stage that answers it
-    (`perfbench/tracer.py`)."""
+    `potential` and `jump` read it; a walk of a two-way line, the
+    normalized one, crosses a whole chain in one jump, which lands on
+    x + r, and asks the source only where it leaves one.  Each stage
+    names S and V in its own class body, so that a traced call is counted
+    under the stage that answers it (`perfbench/tracer.py`)."""
 
     def __init__(self, src: LineInstance, low_bits: int):
         super().__init__(src)
@@ -340,15 +340,17 @@ class ChainView(LineView):
             return x + 1 if i < self.top else self._join(v, i + 1)
         return after if i == last else x
 
-    def run(self, x):
-        """Plain +1 steps from x = (v, i): last - i while i < last, capped
-        where the low field would overflow, else 0.  Also 0 at the start
-        code 0, whose step a walk takes through S as on any line."""
+    def jump(self, x, cap):
+        """(r, x + r) for the r plain +1 steps from x = (v, i): last - i
+        while i < last, capped where the low field would overflow and at
+        cap, else 0.  Also 0 at the start code 0, whose step a walk takes
+        through S as on any line."""
         if x == 0:
-            return 0
+            return 0, x
         v, i = x >> self.low_bits, x & self.top
         last = self.state(v)[1]
-        return min(last, self.top) - i if i < last else 0
+        r = min(min(last, self.top) - i, cap) if i < last else 0
+        return r, x + r
 
     def potential(self, x):
         return self.src.V(x >> self.low_bits) + (x & self.top)
@@ -685,7 +687,10 @@ class NormalizeView(ChainView):
     potential 2^low_bits - 1 and then points at 0.  The state of v is read
     once per view, as the +1 view reads its own (`ChainView`); only
     (v, 0)'s predecessor, which enters from P(v)'s chain, asks the source
-    again.
+    again.  Its line is two-way, so a walk reads `ChainView.jump`: from
+    (v, i) inside a chain or tail it lands on the chain's top (v, last) in
+    one call, each step +1 in code and in potential, and the P of every
+    code it passes is the code before.
     """
 
     flavor = "ueopl"

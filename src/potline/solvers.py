@@ -137,28 +137,29 @@ def _walk(inst: LineInstance, x: int, watched: dict, max_steps: int | None,
     max_steps (default 2^m_pot, the potential range, which bounds any
     line's length).
 
-    On a two-way line with a `run` oracle and no watch list, the r >= 1
-    plain +1 steps that run(x) names are one jump: no certificate can fire
-    on them, so the walk adds r to x and to `steps` without asking S, P or
-    V.  A jump is cut at the step budget, so `steps` and Exhausted are
-    those of the step-by-step walk."""
+    On a two-way line with a `jump` oracle and no watch list, the r >= 1
+    steps x -> ... -> y that jump(x, cap) names are taken in one call: no
+    certificate can fire on them (`LineInstance`), so the walk adds r to
+    `steps` and moves to y without asking S, P or V.  cap is the steps
+    left under the budget, so `steps` and Exhausted are those of the
+    step-by-step walk."""
     if max_steps is None:
         max_steps = 1 << max(inst.m_pot, 1)
     flavor = LINE_KINDS[inst.flavor]
     end, violation, bad = flavor.end, flavor.violation, flavor.bad
     S, P, V = inst.S, inst.P, inst.V
-    run = None if watched or end is None else inst.run
+    jump = None if watched or end is None else inst.jump
     # Steps are counted up from 0, not down from the budget: the budget
     # 2^m_pot is a long int on the Lemke line, and arithmetic on it every
     # step costs more than the step's own bookkeeping.
     limit, taken = max_steps + 1, 0
     while taken < limit:
-        if run is not None:
-            r = min(run(x), limit - taken)
+        if jump is not None:
+            r, y = jump(x, limit - taken)
             if r:
                 stats.steps += r
                 taken += r
-                x += r
+                x = y
                 continue
         taken += 1
         stats.steps += 1

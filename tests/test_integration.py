@@ -9,12 +9,14 @@ Lemke solution of the original LCP.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from potline.cli import REDUCTIONS, UsageError, compose
 from potline.generators import gen_contraction, gen_lcp, gen_line, gen_uso
 from potline.problems import ContractionInstance, LcpInstance, LineInstance, OpdcInstance, UsoInstance
+from potline.reductions_lcp import PlcpLineView
 from potline.reductions_line import TrivialInstance
 from potline.solvers import RunStats, follow_line, lemke
 
@@ -141,13 +143,15 @@ def _sources_by_stage() -> dict:
 
 
 def _visited(line, budget: int = 1 << 12) -> set:
-    """The codes at which a walk from 0 along S reads V: a run of plain +1
-    steps (`LineInstance.run`) is crossed in one jump, as `follow_line`
-    does."""
+    """The codes at which a walk from 0 along S reads V: a jump
+    (`LineInstance.jump`) is crossed in one call, as `follow_line` does.
+    A jump passes codes whose V no walk reads, so a line whose jump is not
+    a run of plain +1 steps, on which V lies between its ends', is given
+    here without it."""
     x, seen = 0, {0}
     while len(seen) < budget:
-        r = line.run(x) if line.run else 0
-        x = x + r if r else line.S(x)
+        r, y = line.jump(x, line.size) if line.jump else (0, x)
+        x = y if r else line.S(x)
         if x in seen:
             return seen
         seen.add(x)
@@ -164,9 +168,12 @@ def test_every_line_view_keeps_v_below_2_to_the_m_pot():
             continue  # not a line
         for src in sources[a]:
             try:
-                line = cls(src).image()
+                view = cls(src)
             except TrivialInstance:
                 continue  # the view answers with a certificate of src instead
+            line = view.image()
+            if isinstance(view, PlcpLineView):
+                line = replace(line, jump=None)  # V at every code of the step-by-step walk
             for u in _visited(line):
                 assert 0 <= line.V(u) < 1 << line.m_pot, (a, b, u)
             walked[a, b] += 1

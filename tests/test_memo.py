@@ -207,7 +207,7 @@ def test_grid_evaluates_each_point_once():
 # (d, seed) of gen_lcp -> memo misses of S, P and V, counted as evaluations
 # of the oracles behind them, at the ufeopl, plus1, ueopl and normalized
 # stages after the step-by-step walk (the normalized image without its
-# `run` oracle) and the map-back, recorded before the pebbling and
+# `jump` oracle) and the map-back, recorded before the pebbling and
 # normalization views kept per-code state.  A view may ask the stage below
 # fewer times, but for the same set of arguments.
 PINNED_MISSES = {
@@ -255,7 +255,7 @@ def _stage_misses(d, seed, jump):
         return _count_oracles(inst, calls.setdefault(stage, {})) if isinstance(inst, LineInstance) else inst
 
     norm, backs = _chain(gen_lcp(d, seed, nondegenerate=True), count)
-    norm = _count_oracles(norm if jump else replace(norm, run=None), calls.setdefault("normalized", {}))
+    norm = _count_oracles(norm if jump else replace(norm, jump=None), calls.setdefault("normalized", {}))
     _solve_chain(norm, backs)
     return tuple(sum(calls[stage].get(name, {}).values())
                  for stage in ("ufeopl", "plus1", "ueopl", "normalized") for name in _LINE_ORACLES)
@@ -356,13 +356,15 @@ def test_opdc_line_walk_longer_than_cap_matches_unbounded(monkeypatch):
 
 
 def test_vertex_cache_stays_within_cap(monkeypatch):
+    # The step-by-step walk, without the `jump` oracle, which seeds only
+    # where it lands (`test_jumped_lemke_walk_keeps_a_few_states`).
     cap = 8
     inst = murty(5)
     want_stats = RunStats()
     want = follow_line(PlcpLineView(inst).image(), 0, stats=want_stats)
     monkeypatch.setattr(problems, "ORACLE_CACHE_SIZE", cap)
     view = PlcpLineView(inst)
-    line = view.image()
+    line = replace(view.image(), jump=None)
     # Every insert is logged: the vertices worked out and the ones seeded
     # by a step, and the edges back that the steps record.
     sizes, back_sizes = [], []
@@ -392,10 +394,10 @@ def _count_lookups(line, lookups: Counter):
 
 def test_walk_queries_each_memo_a_bounded_number_of_times_per_step():
     # One S and one P lookup per step, V(x) and V(S(x)) for the violation
-    # check; a walk that asks for S(x) again shows up here.  The normalized
-    # line is walked step by step, without its `run` oracle.
+    # check; a walk that asks for S(x) again shows up here.  The lines are
+    # walked step by step, without their `jump` oracles.
     norm = _chain(gen_lcp(2, 0, nondegenerate=True))[0]
-    lines = [replace(norm, run=None), PlcpLineView(murty(5)).image()]
+    lines = [replace(line, jump=None) for line in (norm, PlcpLineView(murty(5)).image())]
     for line in lines:
         stats, lookups = RunStats(), Counter()
         _count_lookups(line, lookups)
@@ -411,11 +413,12 @@ def test_walk_with_the_jump_queries_only_the_steps_it_takes():
         norm = _chain(gen_lcp(d, seed, nondegenerate=True))[0]
         jumped = []
 
-        def run(x, run=norm.run):
-            jumped.append(run(x))
-            return jumped[-1]
+        def jump(x, cap, jump=norm.jump):
+            r, y = jump(x, cap)
+            jumped.append(r)
+            return r, y
 
-        line = replace(norm, run=run)
+        line = replace(norm, jump=jump)
         stats, lookups = RunStats(), Counter()
         _count_lookups(line, lookups)
         follow_line(line, 0, stats=stats)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 from math import factorial
@@ -12,9 +13,10 @@ from potline.problems import LcpInstance, UnmappableCert, cert, verify
 from potline.reductions_lcp import PlcpLineView, PlcpToUso, out_map
 from potline.solvers import RunStats, aldous, brute_force, follow_line, lemke
 
-from helpers import count_calls, lemke_code, murty, potential_ref, v_digits
+from helpers import count_calls, lemke_code, murty, potential_ref, v_digits, wild_lcps
 from test_cone_pin import FAMILIES, SEEDS
 from test_pivoting import _line_sources, _wild_integer
+from test_solvers import _walk_outcome
 
 
 WORKED = LcpInstance(M=[[2, 1], [1, 2]], q=[-1, -1])
@@ -386,6 +388,87 @@ def test_line_walk_orients_once_and_reads_the_edge_back(monkeypatch):
         follow_line(line, 0, stats=stats)
         assert pivots[0] == stats.steps - 1 and dz[0] == pivots[0] - 1, inst
         assert signs[0] <= 1, inst
+
+
+def _jump_sources():
+    """Murty's, seeded P and non-P, and the wild LCPs: every source has
+    some q_i < 0."""
+    yield from (murty(n) for n in range(2, 5))
+    for d in range(1, 5):
+        for s in range(12):
+            yield from (gen_lcp(d, s, p_matrix=p) for p in (True, False))
+    yield from (src for _, src in wild_lcps())
+
+
+def test_lemke_jump_matches_the_step_by_step_walk_from_every_code():
+    # From every code (the start, path vertices, codes off the path, junk)
+    # and under every step budget, the jumped walk ends where the step by
+    # step one does, after as many steps.  Each jump is walked again on a
+    # jump-free image: every step is an edge S and P agree on, and V rises
+    # on it.  A stall (U1 at a vertex with z > 0) ends some walks.
+    walks = jumped = stalls = 0
+    for inst in _jump_sources():
+        ref = replace(PlcpLineView(inst).image(), jump=None)
+        for start in range(ref.size):
+            for cap in (None, 0, 1, 2, 5):
+                view = PlcpLineView(inst)
+                line, jumps = view.image(), []
+
+                def jump(x, c, jump=line.jump):
+                    jumps.append((x, *jump(x, c)))
+                    return jumps[-1][1:]
+
+                line.jump = jump
+                walk = lambda inst, st: follow_line(inst, start, cap, st)
+                got = _walk_outcome(walk, line)
+                want = _walk_outcome(walk, replace(PlcpLineView(inst).image(), jump=None))
+                assert got == want, (inst, start, cap, got, want)
+                for x, r, y in jumps:
+                    for _ in range(r):
+                        nxt = ref.S(x)
+                        assert nxt != x and ref.P(nxt) == x and ref.V(nxt) > ref.V(x), (inst, start, x)
+                        x = nxt
+                    assert x == y, (inst, start, jumps)
+                    jumped += r
+                c = got[0]
+                if getattr(c, "kind", None) == "U1":
+                    v = view.vertex_of(c.x)
+                    stalls += v is not None and v.pos[view.sys.zvar] < 0
+                walks += 1
+    assert stalls > 0 and jumped > 0, (walks, jumped, stalls)
+
+
+def test_lemke_jump_leaves_a_recorded_successor_to_s():
+    # A backward step (a P query) records the successor of the code it
+    # reaches, and S answers that code from the record; the jump stops
+    # there and leaves the step to S.  The walk ends as a fresh one does.
+    inst = murty(4)
+    view = PlcpLineView(inst)
+    line = view.image()
+    for u in range(line.size):
+        line.P(u)
+    recorded = [u for u in range(line.size) if view._arrived_from(u, False) is not None]
+    assert len(recorded) > 8, recorded
+    for u in recorded:
+        assert view.jump(u, line.size) == (0, u), u
+    walk = lambda inst, st: follow_line(inst, 0, None, st)
+    assert _walk_outcome(walk, line) == _walk_outcome(walk, PlcpLineView(inst).image())
+
+
+def test_jumped_lemke_walk_keeps_a_few_states():
+    # The jump seeds only the vertex it lands on and the edge into it, so a
+    # walk of 2^n + 1 steps keeps a handful of states and edges back, and
+    # asks S, P and V a few times each, not once per step.
+    inst = murty(10)
+    view = PlcpLineView(inst)
+    line = view.image()
+    stats = RunStats()
+    c = follow_line(line, 0, stats=stats)
+    assert stats.steps == (1 << 10) + 1 and c.kind == "U1"
+    assert len(view._states) <= 4 and len(view._arrivals) <= 2, (len(view._states), len(view._arrivals))
+    for memo in (line.S, line.P, line.V):
+        assert len(memo.__self__) <= 4
+    assert view.map_back(c) == lemke(inst)
 
 
 def test_map_back_rejects_r2():

@@ -366,15 +366,20 @@ def test_normalize_map_backs():
             assert verify(src, view.map_back(cc))
 
 
-def _check_run(line, x):
-    """run's contract at x, one step at a time: a run of r > 0 from x is a
-    +1 step to x + 1 followed by a run of r - 1 from there."""
-    r = line.run(x)
-    assert r >= 0, x
+def _check_jump(line, x):
+    """jump's contract at x, one step at a time: a jump of r > 0 from x lands
+    on x + r, and is a +1 step to x + 1 followed by a jump of r - 1 from
+    there; a cap below r cuts it there.  Returns r."""
+    cap = 1 << (line.m_pot + 1)  # above any walk's budget
+    r, y = line.jump(x, cap)
+    assert 0 <= r and y == x + r, (x, r, y)
     if r:
         y = x + 1
         assert line.S(x) == y and line.P(y) == x and line.V(y) == line.V(x) + 1, (x, r)
-        assert line.run(y) == r - 1, (x, r)
+        assert line.jump(y, cap) == (r - 1, x + r), (x, r)
+    for c in {0, 1, r // 2, r - 1}:
+        if 0 <= c < r:
+            assert line.jump(x, c) == (c, x + c), (x, r, c)
     return r
 
 
@@ -395,8 +400,8 @@ def test_normalize_run_contract_on_full_chains():
         for seed in range(3):
             line = compose(gen_lcp(d, seed, nondegenerate=True), FULL_CHAIN)[0]
             codes = _walk_codes(line)
-            assert line.run(0) == 0
-            runs = [_check_run(line, x) for x in codes]
+            assert line.jump(0, line.size) == (0, 0)
+            runs = [_check_jump(line, x) for x in codes]
             # Chain tops: the walk leaves a chain or tail with a step that
             # is not x + 1, and the end steps off the line.
             for x, r in zip(codes, runs):
@@ -404,9 +409,9 @@ def test_normalize_run_contract_on_full_chains():
                     assert r == 0, (d, seed, x)
             assert runs[-1] == 0 and max(runs) > 0
             # Codes off the walk, junk among them: junk self-loops, so no
-            # run leaves it.
+            # jump leaves it.
             sample = [rng.randrange(line.size) for _ in range(2000)]
-            runs = {x: _check_run(line, x) for x in sample}
+            runs = {x: _check_jump(line, x) for x in sample}
             junk = [x for x in sample if line.S(x) == x]
             assert junk and not any(runs[x] for x in junk), (d, seed)
 
@@ -417,7 +422,7 @@ def test_normalize_run_contract_on_gapped_lines():
     for seed, two in ((7, False), (1, True), (2, False), (3, True)):
         src = gen_line(5, seed, flavor="ueopl", gaps=[2, 1, 3, 1], two_lines=two)
         line = NormalizeView(src).image()
-        runs = [_check_run(line, x) for x in range(line.size)]
+        runs = [_check_jump(line, x) for x in range(line.size)]
         inner_tops = {x + r for x, r in enumerate(runs) if r and line.S(x + r) != 0}
         assert inner_tops, seed
 

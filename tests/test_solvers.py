@@ -144,12 +144,12 @@ def test_jump_keeps_the_step_budget():
     exhausted = 0
     for d, seed in ((1, 0), (2, 0), (2, 2), (3, 2)):
         line = _normalized_chain(d, seed)
-        runless = replace(line, run=None)
+        jumpless = replace(line, jump=None)
         _, n = _walk_outcome(lambda inst, st: follow_line(inst, 0, stats=st), line)
         for max_steps in sorted({-1, 0, 1, 2, 3, n // 2, n - 3, n - 2, n - 1, n, n + 1, 2 * n}):
             walk = lambda inst, st: follow_line(inst, 0, max_steps, st)
             got = _walk_outcome(walk, line)
-            assert got == _walk_outcome(walk, runless), (d, seed, max_steps, got)
+            assert got == _walk_outcome(walk, jumpless), (d, seed, max_steps, got)
             exhausted += isinstance(got[0], str)
     assert exhausted >= 4 * 7
 
@@ -160,25 +160,25 @@ def test_jump_matches_the_step_by_step_walk_from_every_code():
     for seed, two in ((7, False), (1, True), (2, False)):
         src = gen_line(5, seed, flavor="ueopl", gaps=[2, 1, 3, 1], two_lines=two)
         line = NormalizeView(src).image()
-        runless = replace(line, run=None)
+        jumpless = replace(line, jump=None)
         for start in range(line.size):
             for max_steps in (None, 0, 1, 2, 5):
                 walk = lambda inst, st: follow_line(inst, start, max_steps, st)
-                assert _walk_outcome(walk, line) == _walk_outcome(walk, runless), (seed, start, max_steps)
+                assert _walk_outcome(walk, line) == _walk_outcome(walk, jumpless), (seed, start, max_steps)
 
 
 def test_forward_only_walk_takes_no_jump():
     # A forward-only walk checks S at the vertex after each step, which a
-    # jump would skip: run(0) = 2 must not hide UF1 at 1, whose successor
-    # self-loops.
+    # jump would skip: jump(0, cap) = (2, 2) must not hide UF1 at 1, whose
+    # successor self-loops.
     inst = line_from_tables(2, {0: 1, 1: 2}, v_table={1: 1, 2: 2}, flavor="ufeopl")
-    jumping = replace(inst, run=lambda x: 2 if x == 0 else 0)
+    jumping = replace(inst, jump=lambda x, cap: (min(2, cap),) * 2 if x == 0 else (0, x))
     assert follow_line(jumping, 0) == follow_line(inst, 0) == cert("UF1", x=1)
 
 
 def test_aldous_with_and_without_the_jump():
     # With a watch list the walk takes no jump: a watched vertex of a
-    # second line may share a potential with a code inside a run (UV3).
+    # second line may share a potential with a code inside a jump (UV3).
     # With none (samples = 0) it jumps and must still end where the
     # step-by-step walk does.
     lines = [_normalized_chain(d, seed) for d, seed in ((1, 0), (2, 0), (2, 2))]
@@ -186,13 +186,13 @@ def test_aldous_with_and_without_the_jump():
                                      two_lines=True)).image() for seed in range(4)]
     uv3 = 0
     for line in lines:
-        runless = replace(line, run=None)
+        jumpless = replace(line, jump=None)
         for samples in (0, 1, 8, 64, 256):
             for rng_seed in range(4):
                 for cap in (None, 5):
                     walk = lambda inst, st: aldous(inst, samples, random.Random(rng_seed), cap, st)
                     got = _walk_outcome(walk, line)
-                    assert got == _walk_outcome(walk, runless), (line.n, samples, rng_seed, cap)
+                    assert got == _walk_outcome(walk, jumpless), (line.n, samples, rng_seed, cap)
                     uv3 += getattr(got[0], "kind", None) == "UV3"
     assert uv3 > 0
 
